@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -59,10 +60,11 @@ class KernelScope {
   KernelScope(const KernelScope&) = delete;
   KernelScope& operator=(const KernelScope&) = delete;
 
-  /// Metric the kernel body must use: evaluations land in this scope's
+  /// Metric the kernel body must report to: evaluations land in this scope's
   /// local counter (so the per-group count is exact even when other groups
   /// run concurrently) and are forwarded to the caller's counter by the
-  /// destructor.
+  /// destructor. Pairwise loops add their trip count once per call; k-d tree
+  /// queries add theirs once per query.
   const CountingMetric& metric() const { return local_metric_; }
 
  private:
@@ -105,16 +107,21 @@ ThreadPool* SharedKernelPool() {
   return pool.get();
 }
 
-// Runs body(k) for k in [0, n), on the shared pool when asked. Concurrent
-// calls from different reducer threads are safe (each ParallelFor has its
-// own cursor; Wait over-waits at worst).
-void ForEachIndex(size_t n, bool parallel,
-                  const std::function<void(size_t)>& body) {
+// Runs body(k) for k in [0, n), on the shared pool when asked, and returns
+// the sum of the bodies' results (their distance evaluations), so a kernel
+// reports its count once per call. Concurrent calls from different reducer
+// threads are safe (each ParallelFor has its own cursor; Wait over-waits at
+// worst).
+uint64_t ForEachIndex(size_t n, bool parallel,
+                      const std::function<uint64_t(size_t)>& body) {
   if (parallel && n > 1) {
-    SharedKernelPool()->ParallelFor(n, body);
-  } else {
-    for (size_t k = 0; k < n; ++k) body(k);
+    std::vector<uint64_t> evals(n);
+    SharedKernelPool()->ParallelFor(n, [&](size_t k) { evals[k] = body(k); });
+    return std::accumulate(evals.begin(), evals.end(), uint64_t{0});
   }
+  uint64_t evals = 0;
+  for (size_t k = 0; k < n; ++k) evals += body(k);
+  return evals;
 }
 
 // Pivot projections for the triangle-inequality filter: distances from every
@@ -131,11 +138,110 @@ std::vector<double> CentroidProjections(const LocalPointView& view,
   }
   for (double& c : centroid) c /= static_cast<double>(n);
   std::vector<double> proj(n);
-  for (size_t k = 0; k < n; ++k) {
-    proj[k] = metric.Distance(view.point(k), centroid);
-  }
+  for (size_t k = 0; k < n; ++k) proj[k] = Euclidean(view.point(k), centroid);
+  metric.AddEvaluations(n);
   return proj;
 }
+
+// ---- The packed-panel distance kernel.
+//
+// Candidate rows are copied kTile at a time into panels stored dim-major,
+// and one query is compared with a whole panel at once. Vector lanes hold
+// different *pairs*, never different dimensions: every lane runs
+// SquaredEuclidean's exact operation sequence (s = 0; for d ascending:
+// s += (q[d] - x[d])^2), so each distance is bit-identical to the scalar
+// kernel the k-d tree uses. The library builds with -ffp-contract=off, so
+// neither side can fuse the multiply-add differently.
+constexpr size_t kTile = 8;
+
+// Two doubles: SSE2 is the x86-64 baseline, so no -march flag is needed.
+// Four of them cover one dimension of a panel with independent accumulators.
+typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
+
+Lanes2 Load2(const double* p) {
+  Lanes2 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void Store2(double* p, Lanes2 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// Rows of a point group packed into panels of kTile members. Member m of the
+// packing order is lane m % kTile of panel m / kTile, whose coordinate d sits
+// at panel[d * kTile + lane]. The tail panel is zero-padded; padding lanes
+// are computed and discarded like any other lane that is not kept.
+class PackedPanels {
+ public:
+  // Packs the view's rows in `order` (view positions), or in position order
+  // when `order` is empty.
+  PackedPanels(const LocalPointView& view, std::span<const uint32_t> order)
+      : dim_(view.dim()) {
+    const size_t n = order.empty() ? view.size() : order.size();
+    data_.assign((n + kTile - 1) / kTile * kTile * dim_, 0.0);
+    for (size_t m = 0; m < n; ++m) {
+      std::span<const double> row = view.point(order.empty() ? m : order[m]);
+      double* panel = data_.data() + m / kTile * kTile * dim_ + m % kTile;
+      for (size_t d = 0; d < dim_; ++d) panel[d * kTile] = row[d];
+    }
+  }
+
+  // Walks members [begin, end) for query `q` in ascending order. For each
+  // member m, keep(m) decides whether the pair is evaluated, against
+  // whatever state earlier visits left; kept members are passed to
+  // visit(m, d_sq). A panel is computed only if at least one of its members
+  // is kept at the panel's start (the callers' filters can only tighten as
+  // visits accumulate). Returns the number of evaluated pairs.
+  template <typename Keep, typename Visit>
+  uint64_t Scan(const double* q, size_t begin, size_t end, const Keep& keep,
+                const Visit& visit) const {
+    uint64_t evals = 0;
+    double d_sq[kTile] = {};
+    for (size_t base = begin / kTile * kTile; base < end; base += kTile) {
+      const size_t lo = std::max(begin, base);
+      const size_t hi = std::min(end, base + kTile);
+      bool any = false;
+      for (size_t m = lo; m < hi && !any; ++m) any = keep(m);
+      if (!any) continue;
+      PanelSquaredDistances(q, data_.data() + base * dim_, d_sq);
+      for (size_t m = lo; m < hi; ++m) {
+        if (!keep(m)) continue;
+        ++evals;
+        visit(m, d_sq[m - base]);
+      }
+    }
+    return evals;
+  }
+
+ private:
+  // out[t] = SquaredEuclidean(q, lane t of `panel`) for every lane.
+  void PanelSquaredDistances(const double* q, const double* panel,
+                             double* out) const {
+    Lanes2 s0 = {0.0, 0.0};
+    Lanes2 s1 = s0;
+    Lanes2 s2 = s0;
+    Lanes2 s3 = s0;
+    for (size_t d = 0; d < dim_; ++d, panel += kTile) {
+      const Lanes2 qd = {q[d], q[d]};
+      const Lanes2 e0 = qd - Load2(panel);
+      const Lanes2 e1 = qd - Load2(panel + 2);
+      const Lanes2 e2 = qd - Load2(panel + 4);
+      const Lanes2 e3 = qd - Load2(panel + 6);
+      s0 += e0 * e0;
+      s1 += e1 * e1;
+      s2 += e2 * e2;
+      s3 += e3 * e3;
+    }
+    Store2(out, s0);
+    Store2(out + 2, s1);
+    Store2(out + 4, s2);
+    Store2(out + 6, s3);
+  }
+
+  size_t dim_;
+  std::vector<double> data_;
+};
+
+constexpr auto kKeepAll = [](size_t) { return true; };
 
 }  // namespace
 
@@ -214,120 +320,85 @@ std::vector<uint32_t> LocalDpEngine::Rho(const LocalPointView& view, double dc,
   std::vector<double> soft;
   if (gaussian) soft.assign(n, 0.0);
 
-  switch (backend) {
-    case LocalDpBackend::kKdTree: {
-      Result<KdTree> tree =
-          KdTree::BuildFromRows(view.rows(), view.dim(), options_.kd_leaf_size);
-      const KdTree& t = *tree;  // cannot fail: view non-empty, leaf_size >= 1
-      ForEachIndex(n, parallel, [&](size_t k) {
+  if (backend == LocalDpBackend::kKdTree) {
+    Result<KdTree> tree =
+        KdTree::BuildFromRows(view.rows(), view.dim(), options_.kd_leaf_size);
+    const KdTree& t = *tree;  // cannot fail: view non-empty, leaf_size >= 1
+    // The tree counts its own evaluations.
+    ForEachIndex(n, parallel, [&](size_t k) -> uint64_t {
+      if (gaussian) {
+        std::vector<std::pair<PointId, double>> hits;
+        t.FindWithinSq(view.point(k), reach_sq, static_cast<PointId>(k),
+                       metric, &hits);
+        // Accumulate in ascending group-position order, the engine-wide
+        // summation order, so the result matches the pairwise scans
+        // bit-for-bit.
+        std::sort(hits.begin(), hits.end());
+        double s = 0.0;
+        for (const auto& [pos, d_sq] : hits) {
+          s += GaussianKernelContributionSq(d_sq, dc);
+        }
+        soft[k] = s;
+      } else {
+        rho[k] = static_cast<uint32_t>(t.CountWithin(
+            view.point(k), dc, static_cast<PointId>(k), metric));
+      }
+      return 0;
+    });
+  } else {
+    // Brute force and the triangle filter share one loop; the filter skips
+    // pairs whose projection gap proves them out of reach.
+    const bool triangle = backend == LocalDpBackend::kTriangleFilter;
+    std::vector<double> proj;
+    if (triangle) proj = CentroidProjections(view, metric);
+    auto in_reach = [&](size_t i, size_t j) {
+      return !triangle || !(std::abs(proj[i] - proj[j]) >= reach);
+    };
+    const PackedPanels panels(view, {});
+    uint64_t evals = 0;
+    if (parallel) {
+      // Full-row scans: each point accumulates its own row (ascending
+      // position order), so rows are independent and bit-identical to the
+      // sequential half-loop. Each surviving pair is evaluated from both
+      // sides.
+      evals = ForEachIndex(n, true, [&](size_t k) {
+        double s = 0.0;
+        uint32_t count = 0;
+        const uint64_t row_evals = panels.Scan(
+            view.point(k).data(), 0, n,
+            [&](size_t j) { return j != k && in_reach(k, j); },
+            [&](size_t, double d_sq) {
+              if (gaussian) {
+                s += GaussianKernelContributionSq(d_sq, dc);
+              } else if (d_sq < dc_sq) {
+                ++count;
+              }
+            });
         if (gaussian) {
-          std::vector<std::pair<PointId, double>> hits;
-          t.FindWithinSq(view.point(k), reach_sq, static_cast<PointId>(k),
-                         metric, &hits);
-          // Accumulate in ascending group-position order, the engine-wide
-          // summation order, so the result matches the pairwise scans
-          // bit-for-bit.
-          std::sort(hits.begin(), hits.end());
-          double s = 0.0;
-          for (const auto& [pos, d_sq] : hits) {
-            s += GaussianKernelContributionSq(d_sq, dc);
-          }
           soft[k] = s;
         } else {
-          rho[k] = static_cast<uint32_t>(
-              t.CountWithin(view.point(k), dc, static_cast<PointId>(k),
-                            metric));
+          rho[k] = count;
         }
+        return row_evals;
       });
-      break;
-    }
-    case LocalDpBackend::kTriangleFilter: {
-      std::vector<double> proj = CentroidProjections(view, metric);
-      if (parallel) {
-        // Full-row scans: each point accumulates its own row (ascending
-        // position order), so rows are independent and bit-identical to the
-        // sequential half-loop. Each surviving pair is evaluated from both
-        // sides.
-        ForEachIndex(n, true, [&](size_t k) {
-          std::span<const double> pk = view.point(k);
-          double s = 0.0;
-          uint32_t count = 0;
-          for (size_t j = 0; j < n; ++j) {
-            if (j == k || std::abs(proj[k] - proj[j]) >= reach) continue;
-            double d_sq = metric.SquaredDistance(pk, view.point(j));
-            if (gaussian) {
-              s += GaussianKernelContributionSq(d_sq, dc);
-            } else if (d_sq < dc_sq) {
-              ++count;
-            }
-          }
-          if (gaussian) {
-            soft[k] = s;
-          } else {
-            rho[k] = count;
-          }
-        });
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          std::span<const double> pi = view.point(i);
-          for (size_t j = i + 1; j < n; ++j) {
-            if (std::abs(proj[i] - proj[j]) >= reach) {
-              continue;  // lower bound proves the pair contributes nothing
-            }
-            double d_sq = metric.SquaredDistance(pi, view.point(j));
-            if (gaussian) {
-              double w = GaussianKernelContributionSq(d_sq, dc);
-              soft[i] += w;
-              soft[j] += w;
-            } else if (d_sq < dc_sq) {
-              ++rho[i];
-              ++rho[j];
-            }
-          }
-        }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        evals += panels.Scan(
+            view.point(i).data(), i + 1, n,
+            [&](size_t j) { return in_reach(i, j); },
+            [&](size_t j, double d_sq) {
+              if (gaussian) {
+                double w = GaussianKernelContributionSq(d_sq, dc);
+                soft[i] += w;
+                soft[j] += w;
+              } else if (d_sq < dc_sq) {
+                ++rho[i];
+                ++rho[j];
+              }
+            });
       }
-      break;
     }
-    case LocalDpBackend::kAuto:  // Resolve never returns kAuto
-    case LocalDpBackend::kBruteForce: {
-      if (parallel) {
-        ForEachIndex(n, true, [&](size_t k) {
-          std::span<const double> pk = view.point(k);
-          double s = 0.0;
-          uint32_t count = 0;
-          for (size_t j = 0; j < n; ++j) {
-            if (j == k) continue;
-            double d_sq = metric.SquaredDistance(pk, view.point(j));
-            if (gaussian) {
-              s += GaussianKernelContributionSq(d_sq, dc);
-            } else if (d_sq < dc_sq) {
-              ++count;
-            }
-          }
-          if (gaussian) {
-            soft[k] = s;
-          } else {
-            rho[k] = count;
-          }
-        });
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          std::span<const double> pi = view.point(i);
-          for (size_t j = i + 1; j < n; ++j) {
-            double d_sq = metric.SquaredDistance(pi, view.point(j));
-            if (gaussian) {
-              double w = GaussianKernelContributionSq(d_sq, dc);
-              soft[i] += w;
-              soft[j] += w;
-            } else if (d_sq < dc_sq) {
-              ++rho[i];
-              ++rho[j];
-            }
-          }
-        }
-      }
-      break;
-    }
+    metric.AddEvaluations(evals);
   }
   if (gaussian) {
     for (size_t k = 0; k < n; ++k) rho[k] = QuantizeDensity(soft[k]);
@@ -367,64 +438,53 @@ LocalDeltaScores LocalDpEngine::Delta(const LocalPointView& view,
     out.upslope[k] = best.upslope;
   };
 
-  switch (backend) {
-    case LocalDpBackend::kKdTree: {
-      Result<KdTree> tree =
-          KdTree::BuildFromRows(view.rows(), view.dim(), options_.kd_leaf_size);
-      const KdTree& t = *tree;
-      ForEachIndex(n - 1, parallel, [&](size_t r1) {
-        const size_t k = order[r1 + 1];
-        const uint32_t rho_k = rho[k];
-        const PointId id_k = view.id(k);
-        KdTree::Nearest res = t.FindNearestAccepted(
-            view.point(k), metric, view.ids(),
-            [&](PointId pos) {
-              return DenserThan(rho[pos], view.id(pos), rho_k, id_k);
-            });
-        LocalDeltaBest best;
-        if (res.index != kInvalidPointId) {
-          best.d_sq = res.distance_sq;
-          best.upslope = res.tie_id;
-        }
-        commit(k, best);
-      });
-      break;
-    }
-    case LocalDpBackend::kTriangleFilter: {
-      std::vector<double> proj = CentroidProjections(view, metric);
-      ForEachIndex(n - 1, parallel, [&](size_t r1) {
-        const size_t r = r1 + 1;
-        const size_t k = order[r];
-        std::span<const double> pk = view.point(k);
-        LocalDeltaBest best;
-        for (size_t s = 0; s < r; ++s) {
-          size_t l = order[s];
-          double gap = std::abs(proj[k] - proj[l]);
-          if (gap * gap > best.d_sq) {
-            continue;  // cannot improve on the current minimum
-          }
-          best.Improve(metric.SquaredDistance(pk, view.point(l)), view.id(l));
-        }
-        commit(k, best);
-      });
-      break;
-    }
-    case LocalDpBackend::kAuto:  // Resolve never returns kAuto
-    case LocalDpBackend::kBruteForce: {
-      ForEachIndex(n - 1, parallel, [&](size_t r1) {
-        const size_t r = r1 + 1;
-        const size_t k = order[r];
-        std::span<const double> pk = view.point(k);
-        LocalDeltaBest best;
-        for (size_t s = 0; s < r; ++s) {
-          size_t l = order[s];
-          best.Improve(metric.SquaredDistance(pk, view.point(l)), view.id(l));
-        }
-        commit(k, best);
-      });
-      break;
-    }
+  if (backend == LocalDpBackend::kKdTree) {
+    Result<KdTree> tree =
+        KdTree::BuildFromRows(view.rows(), view.dim(), options_.kd_leaf_size);
+    const KdTree& t = *tree;
+    // The tree counts its own evaluations.
+    ForEachIndex(n - 1, parallel, [&](size_t r1) -> uint64_t {
+      const size_t k = order[r1 + 1];
+      const uint32_t rho_k = rho[k];
+      const PointId id_k = view.id(k);
+      KdTree::Nearest res = t.FindNearestAccepted(
+          view.point(k), metric, view.ids(), [&](PointId pos) {
+            return DenserThan(rho[pos], view.id(pos), rho_k, id_k);
+          });
+      LocalDeltaBest best;
+      if (res.index != kInvalidPointId) {
+        best.d_sq = res.distance_sq;
+        best.upslope = res.tie_id;
+      }
+      commit(k, best);
+      return 0;
+    });
+    return out;
   }
+
+  // Brute force and the triangle filter share one loop over panels packed in
+  // rank order, so the point at rank r scans panel members [0, r). The filter
+  // skips a candidate whose projection gap cannot improve on the running
+  // minimum.
+  const bool triangle = backend == LocalDpBackend::kTriangleFilter;
+  std::vector<double> proj;
+  if (triangle) proj = CentroidProjections(view, metric);
+  const PackedPanels panels(view, order);
+  metric.AddEvaluations(ForEachIndex(n - 1, parallel, [&](size_t r1) {
+    const size_t r = r1 + 1;
+    const size_t k = order[r];
+    LocalDeltaBest best;
+    const uint64_t evals = panels.Scan(
+        view.point(k).data(), 0, r,
+        [&](size_t s) {
+          if (!triangle) return true;
+          double gap = std::abs(proj[k] - proj[order[s]]);
+          return !(gap * gap > best.d_sq);
+        },
+        [&](size_t s, double d_sq) { best.Improve(d_sq, view.id(order[s])); });
+    commit(k, best);
+    return evals;
+  }));
   return out;
 }
 
@@ -470,32 +530,39 @@ void LocalDpEngine::RhoCross(const LocalPointView& left,
         for (const auto& [pos, d_sq] : hits) ++counts_right[pos];
       }
     } else {
-      ForEachIndex(nl, parallel, [&](size_t i) {
+      // The tree counts its own evaluations.
+      ForEachIndex(nl, parallel, [&](size_t i) -> uint64_t {
         counts_left[i] += static_cast<uint32_t>(
             t.CountWithin(left.point(i), dc, kInvalidPointId, metric));
+        return 0;
       });
     }
     return;
   }
+  const PackedPanels panels(right, {});
   if (both) {
+    uint64_t evals = 0;
     for (size_t i = 0; i < nl; ++i) {
-      std::span<const double> pi = left.point(i);
-      for (size_t j = 0; j < nr; ++j) {
-        if (metric.SquaredDistance(pi, right.point(j)) < dc_sq) {
-          ++counts_left[i];
-          ++counts_right[j];
-        }
-      }
+      evals += panels.Scan(left.point(i).data(), 0, nr, kKeepAll,
+                           [&](size_t j, double d_sq) {
+                             if (d_sq < dc_sq) {
+                               ++counts_left[i];
+                               ++counts_right[j];
+                             }
+                           });
     }
+    metric.AddEvaluations(evals);
   } else {
-    ForEachIndex(nl, parallel, [&](size_t i) {
-      std::span<const double> pi = left.point(i);
+    metric.AddEvaluations(ForEachIndex(nl, parallel, [&](size_t i) {
       uint32_t count = 0;
-      for (size_t j = 0; j < nr; ++j) {
-        if (metric.SquaredDistance(pi, right.point(j)) < dc_sq) ++count;
-      }
+      const uint64_t evals =
+          panels.Scan(left.point(i).data(), 0, nr, kKeepAll,
+                      [&](size_t, double d_sq) {
+                        if (d_sq < dc_sq) ++count;
+                      });
       counts_left[i] += count;
-    });
+      return evals;
+    }));
   }
 }
 
@@ -530,7 +597,8 @@ void LocalDpEngine::DeltaCross(const LocalPointView& queries,
     Result<KdTree> tree = KdTree::BuildFromRows(
         candidates.rows(), candidates.dim(), options_.kd_leaf_size);
     const KdTree& t = *tree;
-    ForEachIndex(nq, parallel, [&](size_t k) {
+    // The tree counts its own evaluations.
+    ForEachIndex(nq, parallel, [&](size_t k) -> uint64_t {
       const uint32_t rho_k = query_rho[k];
       const PointId id_k = queries.id(k);
       KdTree::Nearest seed;
@@ -547,23 +615,24 @@ void LocalDpEngine::DeltaCross(const LocalPointView& queries,
         best[k].d_sq = res.distance_sq;
         best[k].upslope = res.tie_id;
       }
+      return 0;
     });
     return;
   }
-  ForEachIndex(nq, parallel, [&](size_t k) {
-    std::span<const double> pk = queries.point(k);
+  const PackedPanels panels(candidates, {});
+  metric.AddEvaluations(ForEachIndex(nq, parallel, [&](size_t k) {
     const uint32_t rho_k = query_rho[k];
     const PointId id_k = queries.id(k);
     LocalDeltaBest b = best[k];
-    for (size_t l = 0; l < nc; ++l) {
-      if (!DenserThan(candidate_rho[l], candidates.id(l), rho_k, id_k)) {
-        continue;
-      }
-      b.Improve(metric.SquaredDistance(pk, candidates.point(l)),
-                candidates.id(l));
-    }
+    const uint64_t evals = panels.Scan(
+        queries.point(k).data(), 0, nc,
+        [&](size_t l) {
+          return DenserThan(candidate_rho[l], candidates.id(l), rho_k, id_k);
+        },
+        [&](size_t l, double d_sq) { b.Improve(d_sq, candidates.id(l)); });
     best[k] = b;
-  });
+    return evals;
+  }));
 }
 
 void LocalDpEngine::DeltaCrossSymmetric(
@@ -598,20 +667,22 @@ void LocalDpEngine::DeltaCrossSymmetric(
   const CountingMetric& metric = scope.metric();
   // Brute: each cross pair's distance is evaluated exactly once and feeds
   // both sides — the Basic-DDP block-pair cost model.
+  const PackedPanels panels(right, {});
+  uint64_t evals = 0;
   for (size_t i = 0; i < nl; ++i) {
-    std::span<const double> pi = left.point(i);
     const uint32_t rho_i = rho_left[i];
     const PointId id_i = left.id(i);
-    for (size_t j = 0; j < nr; ++j) {
-      double d_sq = metric.SquaredDistance(pi, right.point(j));
-      if (DenserThan(rho_right[j], right.id(j), rho_i, id_i)) {
-        best_left[i].Improve(d_sq, right.id(j));
-      }
-      if (DenserThan(rho_i, id_i, rho_right[j], right.id(j))) {
-        best_right[j].Improve(d_sq, id_i);
-      }
-    }
+    evals += panels.Scan(
+        left.point(i).data(), 0, nr, kKeepAll, [&](size_t j, double d_sq) {
+          if (DenserThan(rho_right[j], right.id(j), rho_i, id_i)) {
+            best_left[i].Improve(d_sq, right.id(j));
+          }
+          if (DenserThan(rho_i, id_i, rho_right[j], right.id(j))) {
+            best_right[j].Improve(d_sq, id_i);
+          }
+        });
   }
+  metric.AddEvaluations(evals);
 }
 
 }  // namespace ddp

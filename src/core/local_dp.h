@@ -39,7 +39,7 @@ namespace ddp {
 /// Which local kernel implementation to run.
 enum class LocalDpBackend {
   kAuto,            // pick by group size / dimensionality (see options)
-  kBruteForce,      // blocked pairwise scan over squared distances
+  kBruteForce,      // packed-panel pairwise scan over squared distances
   kKdTree,          // k-d tree range/NN queries (low/moderate dimensions)
   kTriangleFilter,  // centroid-projection triangle-inequality filtering
 };

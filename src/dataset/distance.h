@@ -9,10 +9,13 @@
 /// Euclidean distance plus the process-wide evaluation counter that backs the
 /// paper's "# distance measurements" cost axis (Fig. 10(c), Table IV).
 ///
-/// All algorithm code computes distances through `CountingMetric` so that the
-/// benchmark harness can report exact evaluation counts. The counter is a
-/// relaxed atomic accumulated per call; for tight local loops algorithms may
-/// batch-add via `CountingMetric::AddEvaluations`.
+/// All algorithm code reports distance evaluations through `CountingMetric`
+/// so that the benchmark harness can report exact evaluation counts. The
+/// counter is a relaxed atomic. `Distance`/`SquaredDistance` add one per call,
+/// which suits cold paths; the hot kernels (`LocalDpEngine`, `KdTree`) compute
+/// with `SquaredEuclidean`, count evaluations from their loop trip counts, and
+/// add them once per call (per query for the k-d tree) via
+/// `CountingMetric::AddEvaluations`.
 
 namespace ddp {
 

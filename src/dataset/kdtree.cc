@@ -106,6 +106,7 @@ template <typename Visitor>
 void KdTree::Visit(std::span<const double> query, double radius_sq,
                    PointId exclude, const CountingMetric& metric,
                    const Visitor& visit) const {
+  uint64_t evals = 0;
   std::vector<int32_t> stack = {root_};
   while (!stack.empty()) {
     const Node& node = nodes_[static_cast<size_t>(stack.back())];
@@ -117,7 +118,8 @@ void KdTree::Visit(std::span<const double> query, double radius_sq,
         if (position == exclude) continue;
         // Compare in squared space — the LocalDpEngine convention shared by
         // every pairwise-scan code path, so boundary rounding agrees exactly.
-        double d_sq = metric.SquaredDistance(query, row(position));
+        ++evals;
+        double d_sq = SquaredEuclidean(query, row(position));
         if (d_sq < radius_sq) visit(position, d_sq);
       }
       continue;
@@ -125,6 +127,7 @@ void KdTree::Visit(std::span<const double> query, double radius_sq,
     stack.push_back(node.left);
     stack.push_back(node.right);
   }
+  metric.AddEvaluations(evals);
 }
 
 size_t KdTree::CountWithin(std::span<const double> query, double radius,
@@ -159,6 +162,7 @@ KdTree::Nearest KdTree::FindNearestAccepted(
     const std::function<bool(PointId)>& accept_fn, Nearest seed) const {
   Nearest best = seed;
   bool improved = false;
+  uint64_t evals = 0;
   // Depth-first with nearer-child-first ordering; strict pruning
   // (min_box_sq > best_sq) keeps equal-distance boxes alive so the
   // (d^2, tie_id) lexicographic minimum matches a full scan exactly.
@@ -171,7 +175,8 @@ KdTree::Nearest KdTree::FindNearestAccepted(
       for (uint32_t k = node.begin; k < node.end; ++k) {
         PointId position = positions_[k];
         if (!accept_fn(position)) continue;
-        double d_sq = metric.SquaredDistance(query, row(position));
+        ++evals;
+        double d_sq = SquaredEuclidean(query, row(position));
         if (d_sq < best.distance_sq ||
             (d_sq == best.distance_sq && tie_ids[position] < best.tie_id)) {
           best.index = position;
@@ -195,6 +200,7 @@ KdTree::Nearest KdTree::FindNearestAccepted(
       stack.push_back(node.right);
     }
   }
+  metric.AddEvaluations(evals);
   if (!improved) best.index = kInvalidPointId;
   return best;
 }

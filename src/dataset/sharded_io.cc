@@ -13,8 +13,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Chains `*crc` over the raw bytes of `path`, counting them into `*bytes`.
-Status ChainFileCrc32(const std::string& path, uint32_t* crc,
+// Chains `*crc` over the first `length` bytes of `path`, counting them into
+// `*bytes`.
+Status ChainFileCrc32(const std::string& path, uint64_t length, uint32_t* crc,
                       uint64_t* bytes) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -22,14 +23,35 @@ Status ChainFileCrc32(const std::string& path, uint32_t* crc,
   }
   char buf[1 << 16];
   size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+  while (length > 0 &&
+         (n = std::fread(buf, 1, std::min<uint64_t>(sizeof(buf), length),
+                         f)) > 0) {
     *crc = Crc32(buf, n, *crc);
     *bytes += n;
+    length -= n;
   }
   const bool failed = std::ferror(f) != 0;
   std::fclose(f);
   if (failed) return Status::IoError("read failed digesting " + path);
   return Status::OK();
+}
+
+// Chains `*crc` over the content bytes of one dataset file. A DDPB v2 file
+// ends in a CRC32 of everything before it, and a CRC32 run over a message
+// followed by its own CRC32 gives the same residue (0x2144df1c) for every
+// message. Digesting the trailer would give every same-size file one digest,
+// so it is left out. Other files (CSV, DDPB v1) are digested whole.
+Status ChainContentCrc32(const std::string& path, uint32_t* crc,
+                         uint64_t* bytes) {
+  std::error_code ec;
+  uint64_t length = fs::file_size(path, ec);
+  if (ec) {
+    return Status::IoError("cannot stat " + path + " for digest: " +
+                           ec.message());
+  }
+  Result<BinaryFileInfo> info = PeekBinaryFileInfo(path);
+  if (info.ok() && info->version >= 2 && length >= 4) length -= 4;
+  return ChainFileCrc32(path, length, crc, bytes);
 }
 
 std::string FormatDigest(uint32_t crc, uint64_t bytes) {
@@ -175,7 +197,7 @@ Result<std::string> ShardedDatasetReader::ContentDigest() const {
   uint32_t crc = 0;
   uint64_t bytes = 0;
   for (const Shard& shard : shards_) {
-    DDP_RETURN_NOT_OK(ChainFileCrc32(shard.path, &crc, &bytes));
+    DDP_RETURN_NOT_OK(ChainContentCrc32(shard.path, &crc, &bytes));
   }
   return FormatDigest(crc, bytes);
 }
@@ -188,7 +210,7 @@ Result<std::string> DatasetContentDigest(const std::string& path) {
   }
   uint32_t crc = 0;
   uint64_t bytes = 0;
-  DDP_RETURN_NOT_OK(ChainFileCrc32(path, &crc, &bytes));
+  DDP_RETURN_NOT_OK(ChainContentCrc32(path, &crc, &bytes));
   return FormatDigest(crc, bytes);
 }
 

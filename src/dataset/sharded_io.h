@@ -59,12 +59,12 @@ class ShardedDatasetReader {
   /// one.
   Result<Dataset> ReadAll() const;
 
-  /// Content digest of the dataset: one CRC32 chained over the raw file
-  /// bytes of every shard in shard order, rendered as
-  /// "crc32:<8 hex digits>.<total bytes>". Because DDPB files already end
-  /// in a CRC32 trailer, the digest covers both header and point payload;
-  /// two datasets share a digest iff their shard byte streams are
-  /// identical. This is the cache key material of the serving layer
+  /// Content digest of the dataset: one CRC32 chained over the content
+  /// bytes of every shard in shard order (header and point payload; each
+  /// shard's own CRC32 trailer is left out), rendered as
+  /// "crc32:<8 hex digits>.<digested bytes>". Two datasets with different
+  /// shard contents share a digest only by a CRC32 collision. This is the
+  /// cache key material of the serving layer
   /// (src/server/cache.h). Streams each shard in fixed-size chunks, so the
   /// cost is one read pass and O(1) memory.
   Result<std::string> ContentDigest() const;

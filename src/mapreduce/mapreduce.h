@@ -688,6 +688,20 @@ Status RunWorkerAttempt(const WorkerChaosParams& chaos, size_t t,
   return Status::OK();
 }
 
+/// The input slice of map task `t` when the input is cut into tasks of
+/// `chunk` records. RunJob makes min(n, 4 * workers) tasks of
+/// ceil(n / tasks) records, so the last tasks can start past the end (n = 100
+/// over 16 tasks: chunk 7, task 15 would start at 105); those get an empty
+/// slice. Cutting at t * chunk rather than balancing the tasks keeps every
+/// boundary inside the input fixed, and with it the order in which reducers
+/// see values (gaussian sums depend on it).
+template <typename In>
+std::span<const In> MapTaskSlice(std::span<const In> input, size_t chunk,
+                                 size_t t) {
+  const size_t begin = std::min(input.size(), t * chunk);
+  return input.subspan(begin, std::min(chunk, input.size() - begin));
+}
+
 /// Executes one map task over its input slice — the body RunJob schedules
 /// and a remote ddp_worker replays from a kTaskAssign frame. `task` is the
 /// job-wide task id (poison placement hashes it, so a remote slice
@@ -1415,10 +1429,8 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
   std::vector<MapOutput> map_outputs;
   auto map_body =
       [&](size_t t, CancelToken* cancel, MapOutput* out) -> Status {
-        const size_t begin = t * chunk;
-        const size_t end = std::min(input.size(), begin + chunk);
         return internal::ExecuteMapTask(
-            spec, input.subspan(begin, end - begin), t, num_partitions,
+            spec, internal::MapTaskSlice(input, chunk, t), t, num_partitions,
             options.faults, sorted_shuffle, options.memory_budget_bytes,
             spill_dir, cancel, out);
       };
@@ -1463,14 +1475,12 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
       map_remote.local_workers = options.remote_local_workers;
       map_remote.task_input = [&input, chunk](size_t t)
           -> Result<std::string> {
-        const size_t begin = t * chunk;
-        const size_t end = std::min(input.size(), begin + chunk);
+        const std::span<const In> slice =
+            internal::MapTaskSlice(input, chunk, t);
         std::string bytes;
         BufferWriter w(&bytes);
-        w.PutVarint64(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          Serde<In>::Write(&w, input[i]);
-        }
+        w.PutVarint64(slice.size());
+        for (const In& record : slice) Serde<In>::Write(&w, record);
         return bytes;
       };
     }

@@ -378,6 +378,36 @@ TEST_F(ShardedIoTest, ContentDigestIsStableAndByteSensitive) {
   EXPECT_FALSE(DatasetContentDigest(dir_ + "/missing.ddpb").ok());
 }
 
+// A DDPB v2 file ends in the CRC32 of its content, and a CRC32 over a message
+// followed by its own CRC32 is one constant. The digest must leave the
+// trailer out, or every equal-size file, and every directory of equal-size
+// shards, would share one digest (and one server cache entry).
+TEST_F(ShardedIoTest, EqualSizeDatasetsGetDifferentDigests) {
+  auto a = gen::KddLike(11, 120);
+  auto b = gen::KddLike(12, 120);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(WriteBinaryFile(dir_ + "/a.ddpb", *a).ok());
+  ASSERT_TRUE(WriteBinaryFile(dir_ + "/b.ddpb", *b).ok());
+  ASSERT_EQ(std::filesystem::file_size(dir_ + "/a.ddpb"),
+            std::filesystem::file_size(dir_ + "/b.ddpb"));
+  auto file_a = DatasetContentDigest(dir_ + "/a.ddpb");
+  auto file_b = DatasetContentDigest(dir_ + "/b.ddpb");
+  ASSERT_TRUE(file_a.ok());
+  ASSERT_TRUE(file_b.ok());
+  EXPECT_NE(*file_a, *file_b);
+
+  std::filesystem::create_directories(dir_ + "/sa");
+  std::filesystem::create_directories(dir_ + "/sb");
+  ASSERT_TRUE(WriteShardedDataset(dir_ + "/sa/kdd", *a, 50).ok());
+  ASSERT_TRUE(WriteShardedDataset(dir_ + "/sb/kdd", *b, 50).ok());
+  auto dir_a = DatasetContentDigest(dir_ + "/sa");
+  auto dir_b = DatasetContentDigest(dir_ + "/sb");
+  ASSERT_TRUE(dir_a.ok());
+  ASSERT_TRUE(dir_b.ok());
+  EXPECT_NE(*dir_a, *dir_b);
+}
+
 TEST_F(ShardedIoTest, RefusesDimensionMismatch) {
   Dataset two(2);
   two.Add(std::vector<double>{1.0, 2.0});

@@ -16,6 +16,7 @@
 #include "mapreduce/checkpoint.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/mapreduce.h"
+#include "mapreduce/supervisor.h"
 
 namespace ddp {
 namespace mr {
@@ -274,6 +275,68 @@ TEST(MapReduceTest, ShuffleBytesScaleWithPayload) {
   EXPECT_GT(wide.shuffle_bytes, narrow.shuffle_bytes);
   // 100 records x 10 extra doubles x 8 bytes = 8000 extra bytes exactly.
   EXPECT_EQ(wide.shuffle_bytes - narrow.shuffle_bytes, 100u * 10u * 8u);
+}
+
+// Map-task splitting. RunJob cuts n records into min(n, 4 * workers) tasks of
+// ceil(n / tasks) records, which leaves the last tasks starting past the end
+// for many (n, workers) pairs (n = 100 at 4 workers: 16 tasks of 7 records).
+// Every record must still be mapped exactly once, on every substrate and
+// whatever the machine's core count.
+using SplitSpec = JobSpec<uint64_t, uint64_t, uint64_t,
+                          std::pair<uint64_t, uint64_t>>;
+using SumMap = std::map<uint64_t, uint64_t>;
+
+SplitSpec SumByResidueSpec() {
+  SplitSpec spec;
+  spec.name = "split-sweep";
+  spec.map = [](const uint64_t& v, Emitter<uint64_t, uint64_t>* out) {
+    out->Emit(v % 5, v);
+  };
+  spec.reduce = [](const uint64_t& k, std::span<const uint64_t> values,
+                   std::vector<std::pair<uint64_t, uint64_t>>* out) {
+    uint64_t s = 0;
+    for (uint64_t v : values) s += v;
+    out->push_back({k, s});
+  };
+  return spec;
+}
+
+// Runs n in [0, 300] (every n_step-th) x workers in [1, 16].
+void ExpectSplitSweepExact(const Options& base, size_t n_step) {
+  const SplitSpec spec = SumByResidueSpec();
+  for (size_t workers = 1; workers <= 16; ++workers) {
+    for (size_t n = 0; n <= 300; n += n_step) {
+      std::vector<uint64_t> input(n);
+      std::iota(input.begin(), input.end(), 0);
+      SumMap expected;
+      for (uint64_t v : input) expected[v % 5] += v;
+      Options o = base;
+      o.num_workers = workers;
+      JobCounters counters;
+      auto out = RunJob(spec, std::span<const uint64_t>(input), o, &counters);
+      ASSERT_TRUE(out.ok()) << "n=" << n << " workers=" << workers << ": "
+                            << out.status().ToString();
+      EXPECT_EQ(SumMap(out->begin(), out->end()), expected)
+          << "n=" << n << " workers=" << workers;
+      EXPECT_EQ(counters.map_output_records, n)
+          << "n=" << n << " workers=" << workers;
+    }
+  }
+}
+
+TEST(MapTaskSplitTest, EveryRecordMappedOnceInProc) {
+  ExpectSplitSweepExact(Options{}, 1);
+}
+
+TEST(MapTaskSplitTest, EveryRecordMappedOnceForked) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported here";
+  }
+  Options o;
+  o.exec_mode = ExecMode::kFork;
+  // A forked job costs ~20 ms (~400 ms under ASan), so every twentieth n;
+  // n = 100 at 4 workers, the first case a 4-core machine hit, is included.
+  ExpectSplitSweepExact(o, 20);
 }
 
 TEST(KeyTraitsTest, PairAndVectorHashing) {

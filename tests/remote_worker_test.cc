@@ -294,5 +294,24 @@ TEST_P(RemoteBitIdentityTest, FourKiBSpillBudgetStaysIdentical) {
 INSTANTIATE_TEST_SUITE_P(AllDrivers, RemoteBitIdentityTest,
                          ::testing::Values("lsh", "basic", "eddpc"));
 
+// Inputs whose last map tasks would start past the end: 2 workers make 8 map
+// tasks, so 25 points split into tasks of 4 (task 7 would start at 28) and
+// 41 into tasks of 6 (task 7 at 42). The remote task-input codec must ship
+// those tasks empty slices, as the in-process split does.
+TEST(RemoteMapSplitTest, ShortLastTasksMatchInProc) {
+  if (!mr::ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked/exec'd workers unsupported in this build";
+  }
+  for (size_t n : {25u, 41u}) {
+    Dataset ds =
+        std::move(gen::GaussianMixture(n, 2, 3, 20.0, 3.0, 7)).ValueOrDie();
+    auto inproc = RunPipeline("lsh", ds, Mode::kInProc);
+    ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
+    auto remote = RunPipeline("lsh", ds, Mode::kRemote);
+    ASSERT_TRUE(remote.ok()) << "n=" << n << ": " << remote.status().ToString();
+    EXPECT_EQ(inproc->assignment, remote->assignment) << "n=" << n;
+  }
+}
+
 }  // namespace
 }  // namespace ddp
