@@ -64,6 +64,12 @@ class BufferWriter {
     PutRaw(s.data(), s.size());
   }
 
+  /// Count-prefixed doubles (point coordinates); read by GetDoubles.
+  void PutDoubles(const std::vector<double>& v) {
+    PutVarint64(v.size());
+    for (double d : v) PutDouble(d);
+  }
+
   size_t size() const { return buf().size(); }
   const std::string& data() const { return buf(); }
   std::string Release() { return std::move(buf()); }
@@ -130,6 +136,25 @@ class BufferReader {
 
   Status GetDouble(double* out) { return GetRaw(out, sizeof(*out)); }
   Status GetFloat(float* out) { return GetRaw(out, sizeof(*out)); }
+
+  /// Reads an element count and rejects one that the remaining bytes
+  /// cannot hold at `min_element_bytes` apiece — the bound a decoder checks
+  /// before it sizes a container by a count the peer declared.
+  Status GetCount(uint64_t* n, size_t min_element_bytes = 1) {
+    DDP_RETURN_NOT_OK(GetVarint64(n));
+    if (*n > remaining() / min_element_bytes) {
+      return Status::IoError("declared count exceeds the remaining bytes");
+    }
+    return Status::OK();
+  }
+
+  Status GetDoubles(std::vector<double>* out) {
+    uint64_t n = 0;
+    DDP_RETURN_NOT_OK(GetCount(&n, sizeof(double)));
+    out->resize(static_cast<size_t>(n));
+    for (double& v : *out) DDP_RETURN_NOT_OK(GetDouble(&v));
+    return Status::OK();
+  }
 
   Status GetString(std::string* out) {
     uint64_t n;
@@ -223,9 +248,9 @@ struct Serde<std::vector<T>> {
   }
   static Status Read(BufferReader* r, std::vector<T>* out) {
     uint64_t n;
-    DDP_RETURN_NOT_OK(r->GetVarint64(&n));
+    DDP_RETURN_NOT_OK(r->GetCount(&n));  // every element is >= 1 byte
     out->clear();
-    out->reserve(n);
+    out->reserve(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n; ++i) {
       T e;
       DDP_RETURN_NOT_OK(Serde<T>::Read(r, &e));

@@ -10,6 +10,8 @@ namespace ddp {
 
 namespace {
 
+constexpr char kLabelMarker[] = "# labels: last column";
+
 // Splits a line on commas/spaces/tabs into double tokens.
 // Returns false on a malformed numeric token.
 bool ParseRow(const std::string& line, std::vector<double>* out) {
@@ -31,16 +33,19 @@ bool ParseRow(const std::string& line, std::vector<double>* out) {
 
 }  // namespace
 
-Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
+Result<Dataset> ParseCsv(const std::string& text) {
   std::istringstream in(text);
   std::string line;
   std::vector<double> row;
   size_t dim = 0;
   std::vector<double> values;
   std::vector<int> labels;
+  bool labeled = false;
   size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (dim == 0 && line == kLabelMarker) labeled = true;
     if (line.empty() || line[0] == '#') continue;
     if (!ParseRow(line, &row)) {
       return Status::IoError("malformed number at line " +
@@ -48,9 +53,9 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
     }
     if (row.empty()) continue;
     size_t width = row.size();
-    size_t coord_width = options.last_column_is_label ? width - 1 : width;
-    if (options.last_column_is_label && width < 2) {
-      return Status::IoError("label column requested but row has " +
+    size_t coord_width = labeled ? width - 1 : width;
+    if (labeled && width < 2) {
+      return Status::IoError("label column marked but row has " +
                              std::to_string(width) + " columns at line " +
                              std::to_string(line_no));
     }
@@ -62,29 +67,27 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
     }
     values.insert(values.end(), row.begin(),
                   row.begin() + static_cast<std::ptrdiff_t>(coord_width));
-    if (options.last_column_is_label) {
-      labels.push_back(static_cast<int>(row.back()));
-    }
+    if (labeled) labels.push_back(static_cast<int>(row.back()));
   }
   if (dim == 0) return Status::IoError("no data rows");
   DDP_ASSIGN_OR_RETURN(Dataset ds, Dataset::FromValues(dim, std::move(values)));
-  if (options.last_column_is_label) ds.set_labels(std::move(labels));
+  if (labeled) ds.set_labels(std::move(labels));
   return ds;
 }
 
-Result<Dataset> ReadCsvFile(const std::string& path,
-                            const CsvOptions& options) {
+Result<Dataset> ReadCsvFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return ParseCsv(buf.str(), options);
+  return ParseCsv(buf.str());
 }
 
 Status WriteCsvFile(const std::string& path, const Dataset& dataset) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   out.precision(17);
+  if (dataset.has_labels()) out << kLabelMarker << '\n';
   for (size_t i = 0; i < dataset.size(); ++i) {
     std::span<const double> p = dataset.point(static_cast<PointId>(i));
     for (size_t d = 0; d < p.size(); ++d) {

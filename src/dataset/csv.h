@@ -8,24 +8,21 @@
 /// \file csv.h
 /// Plain-text point IO. Each line is one point: numeric coordinates separated
 /// by commas, spaces, or tabs. Blank lines and lines starting with '#' are
-/// skipped.
+/// skipped, except the label marker: a `# labels: last column` line before
+/// the first row says the last column of every row is an integer
+/// ground-truth label. WriteCsvFile writes the marker for labeled datasets,
+/// so they read back with their dimension and labels.
 
 namespace ddp {
 
-struct CsvOptions {
-  /// If true, the last column of every row is an integer ground-truth label.
-  bool last_column_is_label = false;
-};
-
 /// Parses `text` into a Dataset. All rows must have the same width.
-Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options = {});
+Result<Dataset> ParseCsv(const std::string& text);
 
 /// Reads and parses a file.
-Result<Dataset> ReadCsvFile(const std::string& path,
-                            const CsvOptions& options = {});
+Result<Dataset> ReadCsvFile(const std::string& path);
 
-/// Writes a dataset (labels appended as a last column when present).
+/// Writes a dataset (labels appended as a last column, under the label
+/// marker, when present).
 Status WriteCsvFile(const std::string& path, const Dataset& dataset);
 
 }  // namespace ddp
-

@@ -6,6 +6,7 @@
 #include <system_error>
 
 #include "common/serde.h"
+#include "dataset/csv.h"
 
 namespace ddp {
 
@@ -200,6 +201,16 @@ Result<std::string> ShardedDatasetReader::ContentDigest() const {
     DDP_RETURN_NOT_OK(ChainContentCrc32(shard.path, &crc, &bytes));
   }
   return FormatDigest(crc, bytes);
+}
+
+Result<Dataset> LoadDataset(const std::string& path) {
+  if (fs::is_directory(path)) {
+    DDP_ASSIGN_OR_RETURN(ShardedDatasetReader reader,
+                         ShardedDatasetReader::OpenDirectory(path));
+    return reader.ReadAll();
+  }
+  if (path.ends_with(".ddpb")) return ReadBinaryFile(path);
+  return ReadCsvFile(path);
 }
 
 Result<std::string> DatasetContentDigest(const std::string& path) {

@@ -111,7 +111,11 @@ Result<std::vector<std::string>> WriteShardedDataset(
     const std::string& prefix, const Dataset& dataset,
     uint64_t points_per_shard);
 
-/// ContentDigest for any dataset path the tools accept: a directory is
+/// Loads any dataset path the tools accept: a directory as DDPB shards, a
+/// `.ddpb` file via the binary reader, anything else as CSV.
+Result<Dataset> LoadDataset(const std::string& path);
+
+/// ContentDigest for any dataset path LoadDataset accepts: a directory is
 /// digested as its sharded reader would order it; a single file (DDPB or
 /// CSV) is digested as a one-shard stream.
 Result<std::string> DatasetContentDigest(const std::string& path);

@@ -64,8 +64,7 @@ struct MemberOrQuery {
     w->PutVarint32(id);
     w->PutVarint32(rho);
     if (is_query != 0) w->PutDouble(delta_ub_sq);
-    w->PutVarint64(coords.size());
-    for (double c : coords) w->PutDouble(c);
+    w->PutDoubles(coords);
   }
   static Status DeserializeFrom(BufferReader* r, MemberOrQuery* out) {
     DDP_RETURN_NOT_OK(r->GetByte(&out->is_query));
@@ -73,13 +72,7 @@ struct MemberOrQuery {
     DDP_RETURN_NOT_OK(r->GetVarint32(&out->rho));
     out->delta_ub_sq = 0.0;
     if (out->is_query != 0) DDP_RETURN_NOT_OK(r->GetDouble(&out->delta_ub_sq));
-    uint64_t n;
-    DDP_RETURN_NOT_OK(r->GetVarint64(&n));
-    out->coords.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      DDP_RETURN_NOT_OK(r->GetDouble(&out->coords[i]));
-    }
-    return Status::OK();
+    return r->GetDoubles(&out->coords);
   }
   bool operator==(const MemberOrQuery&) const = default;
 };

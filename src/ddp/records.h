@@ -22,18 +22,11 @@ struct PointRecord {
 
   void SerializeTo(BufferWriter* w) const {
     w->PutVarint32(id);
-    w->PutVarint64(coords.size());
-    for (double c : coords) w->PutDouble(c);
+    w->PutDoubles(coords);
   }
   static Status DeserializeFrom(BufferReader* r, PointRecord* out) {
     DDP_RETURN_NOT_OK(r->GetVarint32(&out->id));
-    uint64_t n;
-    DDP_RETURN_NOT_OK(r->GetVarint64(&n));
-    out->coords.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      DDP_RETURN_NOT_OK(r->GetDouble(&out->coords[i]));
-    }
-    return Status::OK();
+    return r->GetDoubles(&out->coords);
   }
   bool operator==(const PointRecord&) const = default;
 };
@@ -47,19 +40,12 @@ struct ScoredPointRecord {
   void SerializeTo(BufferWriter* w) const {
     w->PutVarint32(id);
     w->PutVarint32(rho);
-    w->PutVarint64(coords.size());
-    for (double c : coords) w->PutDouble(c);
+    w->PutDoubles(coords);
   }
   static Status DeserializeFrom(BufferReader* r, ScoredPointRecord* out) {
     DDP_RETURN_NOT_OK(r->GetVarint32(&out->id));
     DDP_RETURN_NOT_OK(r->GetVarint32(&out->rho));
-    uint64_t n;
-    DDP_RETURN_NOT_OK(r->GetVarint64(&n));
-    out->coords.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      DDP_RETURN_NOT_OK(r->GetDouble(&out->coords[i]));
-    }
-    return Status::OK();
+    return r->GetDoubles(&out->coords);
   }
   bool operator==(const ScoredPointRecord&) const = default;
 };

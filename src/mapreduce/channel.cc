@@ -57,7 +57,7 @@ Status DecodeFrame(const std::string& bytes, Frame* frame) {
   DDP_RETURN_NOT_OK(r.GetByte(&type));
   uint64_t len = 0;
   DDP_RETURN_NOT_OK(r.GetVarint64(&len));
-  if (r.remaining() < len + 4) {
+  if (r.remaining() < 4 || len > r.remaining() - 4) {
     return Status::IoError("truncated channel frame");
   }
   frame->type = static_cast<MessageType>(type);

@@ -77,7 +77,8 @@ Result<std::string> CheckpointStore::LoadBytes(const std::string& key) const {
   uint64_t size = 0;
   DDP_RETURN_NOT_OK(reader.GetVarint64(&size));
   std::string payload;
-  if (reader.remaining() < size + sizeof(uint64_t)) {
+  if (reader.remaining() < sizeof(uint64_t) ||
+      size > reader.remaining() - sizeof(uint64_t)) {
     return Status::IoError("checkpoint " + key + ": truncated");
   }
   payload.resize(size);

@@ -63,6 +63,13 @@ void WriteJobObject(obs::JsonWriter* w, const JobCounters& j) {
   w->EndObject();
 }
 
+template <typename T>
+T Sum(const std::vector<JobCounters>& jobs, T JobCounters::*field) {
+  T total{};
+  for (const JobCounters& j : jobs) total += j.*field;
+  return total;
+}
+
 }  // namespace
 
 std::string JobCounters::ToString() const {
@@ -164,27 +171,19 @@ std::string JobCounters::ToString() const {
 }
 
 uint64_t RunStats::TotalShuffleBytes() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.shuffle_bytes;
-  return total;
+  return Sum(jobs, &JobCounters::shuffle_bytes);
 }
 
 uint64_t RunStats::TotalShuffleRecords() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.shuffle_records;
-  return total;
+  return Sum(jobs, &JobCounters::shuffle_records);
 }
 
 double RunStats::TotalSeconds() const {
-  double total = 0.0;
-  for (const JobCounters& j : jobs) total += j.total_seconds;
-  return total;
+  return Sum(jobs, &JobCounters::total_seconds);
 }
 
 double RunStats::TotalModeledSeconds() const {
-  double total = 0.0;
-  for (const JobCounters& j : jobs) total += j.modeled_seconds;
-  return total;
+  return Sum(jobs, &JobCounters::modeled_seconds);
 }
 
 uint64_t RunStats::TotalTaskRetries() const {
@@ -196,51 +195,35 @@ uint64_t RunStats::TotalTaskRetries() const {
 }
 
 uint64_t RunStats::TotalSpeculativeLaunches() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.speculative_launches;
-  return total;
+  return Sum(jobs, &JobCounters::speculative_launches);
 }
 
 uint64_t RunStats::TotalSpeculativeWins() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.speculative_wins;
-  return total;
+  return Sum(jobs, &JobCounters::speculative_wins);
 }
 
 uint64_t RunStats::TotalDeadlineKills() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.deadline_kills;
-  return total;
+  return Sum(jobs, &JobCounters::deadline_kills);
 }
 
 uint64_t RunStats::TotalSkippedRecords() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.skipped_records;
-  return total;
+  return Sum(jobs, &JobCounters::skipped_records);
 }
 
 uint64_t RunStats::TotalTaskExceptions() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.task_exceptions;
-  return total;
+  return Sum(jobs, &JobCounters::task_exceptions);
 }
 
 uint64_t RunStats::TotalSpilledBytes() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.spilled_bytes;
-  return total;
+  return Sum(jobs, &JobCounters::spilled_bytes);
 }
 
 uint64_t RunStats::TotalSpillFiles() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.spill_files;
-  return total;
+  return Sum(jobs, &JobCounters::spill_files);
 }
 
 uint64_t RunStats::TotalMergePasses() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.merge_passes;
-  return total;
+  return Sum(jobs, &JobCounters::merge_passes);
 }
 
 uint64_t RunStats::JobsLoadedFromCheckpoint() const {
@@ -250,81 +233,55 @@ uint64_t RunStats::JobsLoadedFromCheckpoint() const {
 }
 
 uint64_t RunStats::TotalWorkerCrashes() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.worker_crashes;
-  return total;
+  return Sum(jobs, &JobCounters::worker_crashes);
 }
 
 uint64_t RunStats::TotalWorkerHangs() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.worker_hangs;
-  return total;
+  return Sum(jobs, &JobCounters::worker_hangs);
 }
 
 uint64_t RunStats::TotalWorkerKills() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.worker_kills;
-  return total;
+  return Sum(jobs, &JobCounters::worker_kills);
 }
 
 uint64_t RunStats::TotalWorkerRestarts() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.worker_restarts;
-  return total;
+  return Sum(jobs, &JobCounters::worker_restarts);
 }
 
 uint64_t RunStats::TotalQuarantinedTasks() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.quarantined_tasks;
-  return total;
+  return Sum(jobs, &JobCounters::quarantined_tasks);
 }
 
 uint64_t RunStats::TotalSpillFilesReaped() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.spill_files_reaped;
-  return total;
+  return Sum(jobs, &JobCounters::spill_files_reaped);
 }
 
 uint64_t RunStats::TotalExecFallbacks() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.exec_fallbacks;
-  return total;
+  return Sum(jobs, &JobCounters::exec_fallbacks);
 }
 
 uint64_t RunStats::TotalShuffleStreamedBytes() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.shuffle_streamed_bytes;
-  return total;
+  return Sum(jobs, &JobCounters::shuffle_streamed_bytes);
 }
 
 uint64_t RunStats::TotalShuffleResentRuns() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.shuffle_resent_runs;
-  return total;
+  return Sum(jobs, &JobCounters::shuffle_resent_runs);
 }
 
 uint64_t RunStats::TotalChannelReconnects() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.channel_reconnects;
-  return total;
+  return Sum(jobs, &JobCounters::channel_reconnects);
 }
 
 uint64_t RunStats::TotalWorkersRegistered() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.workers_registered;
-  return total;
+  return Sum(jobs, &JobCounters::workers_registered);
 }
 
 uint64_t RunStats::TotalWorkersEvicted() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.workers_evicted;
-  return total;
+  return Sum(jobs, &JobCounters::workers_evicted);
 }
 
 uint64_t RunStats::TotalTasksReassigned() const {
-  uint64_t total = 0;
-  for (const JobCounters& j : jobs) total += j.tasks_reassigned;
-  return total;
+  return Sum(jobs, &JobCounters::tasks_reassigned);
 }
 
 std::string JobCounters::ToJson() const {

@@ -12,14 +12,15 @@
 
 /// \file remote_job.h
 /// Bridges a typed JobSpec to the JobRegistry a ddp_worker serves from:
-/// `MakeRegisteredRunner` wraps the spec's map/reduce in the same
-/// worker-attempt chaos order a forked worker runs
-/// (internal::RunWorkerAttempt), decoding each kTaskAssign input into the
-/// shape internal::ExecuteMapTask / ExecuteSortedReduceTask expect.
-/// `RegisterRemoteJob` is the one-liner drivers use: register a factory
-/// that decodes the JobSetupMsg's context blob back into a JobSpec and
-/// hands it here. Bit-identity with local execution follows from the task
-/// bodies being the exact same hoisted functions RunJob schedules.
+/// `MakeRegisteredRunner` decodes each kTaskAssign input into the shape
+/// internal::ExecuteMapTask / ExecuteSortedReduceTask expect and runs the
+/// attempt through internal::RunWorkerAttempt — the compiled attempt
+/// wrapper forked workers run too (phase.h), so remote attempts roll the
+/// same chaos and retry hashes. `RegisterRemoteJob` is the one-liner
+/// drivers use: register a factory that decodes the JobSetupMsg's context
+/// blob back into a JobSpec and hands it here. Bit-identity with local
+/// execution follows from the task bodies being the exact same functions
+/// RunJob schedules.
 
 namespace ddp {
 namespace mr {
@@ -28,119 +29,91 @@ namespace mr {
 /// by-value input slice and runs the map body (always sorted-shuffle — the
 /// spill run is the unit of transfer back to the supervisor); phase 1
 /// decodes the partition's (is_run, frame bytes) sources and merge-reduces
-/// them. The spec is shared, not copied, into the per-task closures.
+/// them. Both decoders bound the declared count by the bytes received
+/// (Serde<std::vector<T>>::Read). The spec is shared, not copied, into the
+/// per-task closures.
 template <typename In, typename MidK, typename MidV, typename Out>
 JobRegistry::TaskRunner MakeRegisteredRunner(
     std::shared_ptr<const JobSpec<In, MidK, MidV, Out>> spec,
     const JobSetupMsg& setup) {
-  internal::WorkerChaosParams chaos;
+  internal::ChaosParams chaos;
   chaos.faults = setup.faults;
   chaos.failure_rate = setup.phase == 0 ? setup.faults.map_failure_rate
                                         : setup.faults.reduce_failure_rate;
   chaos.job_name = setup.job_name;
   chaos.phase = static_cast<int>(setup.phase);
 
-  const size_t num_partitions = static_cast<size_t>(setup.num_partitions);
-  const uint64_t budget = setup.memory_budget_bytes;
-  const bool skip_bad = setup.skip_bad_records;
-
   if (setup.phase == 0) {
     // Map: the spill dir is interpreted on THIS host (the worker spills
     // locally, then streams run bytes back over the channel).
-    const std::string spill_dir = internal::ResolveSpillDir(setup.spill_dir);
-    return [spec, chaos, num_partitions, budget, spill_dir](
-               uint64_t task, uint64_t attempt, bool quarantined,
-               const std::string& input, TaskResult* result) -> Status {
+    internal::MapTaskParams params;
+    params.num_partitions = static_cast<size_t>(setup.num_partitions);
+    params.sorted_shuffle = true;
+    params.memory_budget_bytes = setup.memory_budget_bytes;
+    params.spill_dir = internal::ResolveSpillDir(setup.spill_dir);
+    params.faults = setup.faults;
+    return [spec, chaos, params](uint64_t task, uint64_t attempt,
+                                 bool quarantined, const std::string& input,
+                                 TaskResult* result) -> Status {
       std::vector<In> slice;
-      {
-        BufferReader r(input);
-        uint64_t count = 0;
-        DDP_RETURN_NOT_OK(r.GetVarint64(&count));
-        slice.reserve(static_cast<size_t>(count));
-        for (uint64_t i = 0; i < count; ++i) {
-          In v{};
-          DDP_RETURN_NOT_OK(Serde<In>::Read(&r, &v));
-          slice.push_back(std::move(v));
-        }
-        if (!r.exhausted()) {
-          return Status::IoError("map task input has trailing bytes");
-        }
+      BufferReader r(input);
+      DDP_RETURN_NOT_OK(Serde<std::vector<In>>::Read(&r, &slice));
+      if (!r.exhausted()) {
+        return Status::IoError("map task input has trailing bytes");
       }
-      auto body = [&](size_t t, CancelToken* cancel,
-                      internal::MapTaskOutput* out) -> Status {
+      auto body = [&](size_t t, CancelToken* cancel, internal::TaskSlot* out) {
         return internal::ExecuteMapTask(
-            *spec, std::span<const In>(slice), t, num_partitions,
-            chaos.faults, /*sorted_shuffle=*/true, budget, spill_dir, cancel,
-            out);
+            *spec, std::span<const In>(slice), t, params, cancel,
+            static_cast<internal::MapTaskOutput*>(out));
       };
-      return internal::RunWorkerAttempt<internal::MapTaskOutput>(
+      internal::MapTaskOutput out;
+      return internal::RunWorkerAttempt(
           chaos, static_cast<size_t>(task), static_cast<size_t>(attempt),
-          quarantined, body, internal::ExtractMapRuns,
-          internal::SerializeMapCounters, result);
+          quarantined, body, internal::MapSlotCodec(params.num_partitions),
+          &out, result);
     };
   }
 
   // Reduce: only reachable for Serde-crossable outputs (RunJob gates remote
-  // reduce the same way it gates fork reduce), but the runner must compile
-  // for every registered job, so the body is constexpr-guarded.
-  return [spec, chaos, skip_bad](uint64_t task, uint64_t attempt,
-                                 bool quarantined, const std::string& input,
-                                 TaskResult* result) -> Status {
-    if constexpr (has_serde_v<Out>) {
-      // Decode this partition's sources fully before wiring readers over
-      // them: MemoryFrameReader borrows the blob strings, so the vector
-      // must not reallocate afterwards.
-      std::vector<std::string> blobs;
-      bool any_run = false;
-      {
-        BufferReader r(input);
-        uint64_t count = 0;
-        DDP_RETURN_NOT_OK(r.GetVarint64(&count));
-        blobs.reserve(static_cast<size_t>(count));
-        for (uint64_t i = 0; i < count; ++i) {
-          uint8_t is_run = 0;
-          DDP_RETURN_NOT_OK(r.GetByte(&is_run));
-          if (is_run != 0) any_run = true;
-          std::string bytes;
-          DDP_RETURN_NOT_OK(r.GetString(&bytes));
-          blobs.push_back(std::move(bytes));
-        }
-        if (!r.exhausted()) {
-          return Status::IoError("reduce task input has trailing bytes");
-        }
-      }
-      auto body = [&](size_t p, CancelToken* cancel,
-                      internal::ReduceTaskOutput<Out>* out) -> Status {
-        std::vector<std::unique_ptr<FrameStream>> sources;
-        sources.reserve(blobs.size());
-        for (const std::string& b : blobs) {
-          sources.push_back(std::make_unique<MemoryFrameReader>(b));
-        }
-        return internal::ExecuteSortedReduceTask(
-            *spec, p, std::move(sources), any_run, skip_bad, cancel, out);
-      };
-      auto extract_none = [](internal::ReduceTaskOutput<Out>&) {
-        return std::vector<OutboundRun>();
-      };
-      auto serialize = [](BufferWriter* w,
-                          internal::ReduceTaskOutput<Out>& ro) {
-        internal::SerializeReduceOutput<Out>(w, ro);
-      };
-      return internal::RunWorkerAttempt<internal::ReduceTaskOutput<Out>>(
-          chaos, static_cast<size_t>(task), static_cast<size_t>(attempt),
-          quarantined, body, extract_none, serialize, result);
-    } else {
-      (void)spec;
-      (void)skip_bad;
-      (void)task;
-      (void)attempt;
-      (void)quarantined;
-      (void)input;
-      (void)result;
+  // reduce the same way it gates fork reduce), but a runner must exist for
+  // every registered job.
+  if constexpr (!has_serde_v<Out>) {
+    return [](uint64_t, uint64_t, bool, const std::string&,
+              TaskResult*) -> Status {
       return Status::Internal(
           "reduce phase assigned for a job whose output type has no serde");
-    }
-  };
+    };
+  } else {
+    const bool skip_bad = setup.skip_bad_records;
+    return [spec, chaos, skip_bad](uint64_t task, uint64_t attempt,
+                                   bool quarantined, const std::string& input,
+                                   TaskResult* result) -> Status {
+      // Decode this partition's (is_run, frame bytes) sources fully before
+      // wiring readers over them: MemoryFrameReader borrows the strings.
+      std::vector<std::pair<uint8_t, std::string>> sources;
+      BufferReader r(input);
+      DDP_RETURN_NOT_OK(Serde<decltype(sources)>::Read(&r, &sources));
+      if (!r.exhausted()) {
+        return Status::IoError("reduce task input has trailing bytes");
+      }
+      bool any_run = false;
+      for (const auto& source : sources) any_run |= source.first != 0;
+      auto body = [&](size_t p, CancelToken* cancel, internal::TaskSlot* out) {
+        std::vector<std::unique_ptr<FrameStream>> streams;
+        streams.reserve(sources.size());
+        for (const auto& source : sources) {
+          streams.push_back(std::make_unique<MemoryFrameReader>(source.second));
+        }
+        return internal::ExecuteSortedReduceTask(
+            *spec, p, std::move(streams), any_run, skip_bad, cancel,
+            static_cast<internal::ReduceTaskOutput<Out>*>(out));
+      };
+      internal::ReduceTaskOutput<Out> out;
+      return internal::RunWorkerAttempt(
+          chaos, static_cast<size_t>(task), static_cast<size_t>(attempt),
+          quarantined, body, internal::ReduceSlotCodec<Out>(), &out, result);
+    };
+  }
 }
 
 /// Registers `make_spec` — a `Result<JobSpec<...>>(const JobSetupMsg&)`

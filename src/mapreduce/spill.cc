@@ -40,9 +40,9 @@ bool ProcessAlive(long pid) {
 #endif
 }
 
-/// Parses the LAST "-p<digits>-" ownership tag in a spill file name (the
-/// last one wins: adoption appends a fresh tag without rewriting history).
-/// Returns false when the name carries no tag.
+/// Parses the LAST "-p<digits>-" ownership tag in a spill file name (a
+/// job name may itself contain one). Returns false when the name carries
+/// no tag.
 bool ParseOwnerPid(const std::string& name, long* pid) {
   bool found = false;
   size_t pos = 0;
@@ -69,28 +69,11 @@ SpillFileHandle::SpillFileHandle(std::string path)
 
 SpillFileHandle::~SpillFileHandle() {
   // Unlink only in the owning process: a forked worker inherits the
-  // parent's handles (and vice versa after an adoption hand-off), and the
-  // copy that merely inherited the handle must not destroy the file.
-  if (!owned_ || owner_pid_ != CurrentPid()) return;
+  // parent's handles, and the copy that merely inherited the handle must
+  // not destroy the file.
+  if (owner_pid_ != CurrentPid()) return;
   std::error_code ec;
   fs::remove(path_, ec);  // best effort; a vanished file is fine
-}
-
-Result<std::shared_ptr<SpillFileHandle>> AdoptSpillFile(
-    const std::string& path) {
-  fs::path old_path(path);
-  std::string stem = old_path.stem().string();  // drops ".spill"
-  const std::string new_name = stem + "-" + internal::SpillOwnerTag() + "-a" +
-                               std::to_string(internal::NextSpillFileId()) +
-                               ".spill";
-  fs::path new_path = old_path.parent_path() / new_name;
-  std::error_code ec;
-  fs::rename(old_path, new_path, ec);
-  if (ec) {
-    return Status::IoError("cannot adopt spill file " + path + ": " +
-                           ec.message());
-  }
-  return std::make_shared<SpillFileHandle>(new_path.string());
 }
 
 uint64_t ReapOrphanSpillFiles(const std::string& dir) {

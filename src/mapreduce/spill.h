@@ -48,20 +48,17 @@
 ///
 /// Multi-process execution adds cross-process ownership: spill file names
 /// carry the creating process id (`...-p<pid>-u<id>-s<n>.spill`), handles
-/// unlink only in the process that created them, a supervising parent
-/// *adopts* a committed worker file by renaming it under its own pid
-/// (`AdoptSpillFile`), and `ReapOrphanSpillFiles` deletes files whose
-/// stamped owner process no longer exists — the cleanup path for attempts
-/// that died with SIGKILL and never ran their destructors.
+/// unlink only in the process that created them, and `ReapOrphanSpillFiles`
+/// deletes files whose stamped owner process no longer exists — the
+/// cleanup path for attempts that died with SIGKILL and never ran their
+/// destructors.
 
 namespace ddp {
 namespace mr {
 
 /// Owns one spill file on disk; unlinks it on destruction. Shared by every
 /// run reference into the file. Ownership is process-local: a handle
-/// inherited by a forked child never unlinks, and `Disown()` releases
-/// ownership explicitly (a worker disowns the files of a committed task
-/// once the supervisor is responsible for them).
+/// inherited by a forked child never unlinks.
 class SpillFileHandle {
  public:
   explicit SpillFileHandle(std::string path);
@@ -72,24 +69,10 @@ class SpillFileHandle {
 
   const std::string& path() const { return path_; }
 
-  /// Keeps the file on disk past this handle's death (another process has
-  /// taken ownership).
-  void Disown() { owned_ = false; }
-  bool owned() const { return owned_; }
-
  private:
   std::string path_;
-  bool owned_ = true;
   long owner_pid_ = 0;
 };
-
-/// Takes ownership of another process's committed spill file: renames it
-/// (atomically, same directory) to a fresh name stamped with THIS process's
-/// pid and returns an owning handle. Run extents are unaffected — rename
-/// preserves content. After adoption the file survives the original owner's
-/// death and the orphan reaper alike.
-Result<std::shared_ptr<SpillFileHandle>> AdoptSpillFile(
-    const std::string& path);
 
 /// Deletes every `*.spill` file in `dir` whose stamped owner pid (the last
 /// `-p<pid>-` tag in the name) is no longer a live process, and returns how

@@ -14,11 +14,12 @@
 /// \file supervisor.h
 /// Crash-fault-tolerant supervision of forked worker processes — the "job
 /// tracker over real processes" counterpart of the in-process scheduler in
-/// mapreduce.h. A `WorkerSupervisor` forks `num_workers` children (plain
-/// fork, no exec: the typed task closures cannot cross an exec boundary, so
-/// workers inherit the job's closures and input copy-on-write), feeds them
-/// task attempts over a `CommChannel` (a socketpair per forked worker;
-/// remote workers dial in over TCP, see remote_worker.h), and supervises:
+/// phase.cc, whose supervised-phase adapter drives it. A `WorkerSupervisor`
+/// forks `num_workers` children (plain fork, no exec: the type-erased task
+/// closures cannot cross an exec boundary, so workers inherit the job's
+/// closures and input copy-on-write), feeds them task attempts over a
+/// `CommChannel` (a socketpair per forked worker; remote workers dial in
+/// over TCP, see remote_worker.h), and supervises:
 ///
 ///  * crash — the worker died unexpectedly (channel EOF + waitpid). The
 ///    in-flight attempt is charged and retried after a seeded exponential
@@ -148,18 +149,19 @@ struct SupervisorConfig {
 /// index, tail), so the sentinel is the max value.
 constexpr uint32_t kTailRunIndex = 0xFFFFFFFFu;
 
-/// One sorted run a worker will ship for a committed attempt, in merge
-/// order (disk runs in spill order, then non-empty tails by partition).
-/// Either `file` (a disk extent, CRC trailer included in `length`) or
-/// `bytes` (an in-memory tail, no trailer — the shipper appends one).
-struct OutboundRun {
-  uint32_t partition = 0;
-  uint32_t spill_index = 0;  // kTailRunIndex for tails
-  std::shared_ptr<SpillFileHandle> file;  // null for tails
-  uint64_t offset = 0;
-  uint64_t length = 0;  // shipped bytes incl the 4-byte trailer
-  std::string bytes;    // tail frames (trailer appended when shipped)
+/// One sorted run of a map attempt on the wire, in merge order (disk runs
+/// in spill order, then non-empty tails by partition): a disk extent (the
+/// SpillRun, CRC trailer included in `length`) or, for a tail
+/// (spill_index == kTailRunIndex, null `file`), its frames in `bytes`.
+/// Worker side (OutboundRun) a tail has no trailer yet: the shipper appends
+/// one. Parent side (CommittedRun) a disk run lives in a supervisor-owned
+/// spill file with a fresh trailer, and a tail's trailer is verified and
+/// stripped.
+struct StreamedRun : SpillRun {
+  std::string bytes;
 };
+using OutboundRun = StreamedRun;
+using CommittedRun = StreamedRun;
 
 /// What one task attempt produces inside the worker: a slim result payload
 /// (counters, never data) plus the runs to stream before it. The chaos
@@ -180,19 +182,6 @@ struct TaskResult {
 /// crashing workers.
 using WorkerTaskFn = std::function<Status(
     size_t task, size_t attempt, bool quarantined, TaskResult* result)>;
-
-/// A run the supervisor committed off the wire, in stream order. Disk runs
-/// live in a supervisor-owned spill file (`length` includes the fresh CRC
-/// trailer, matching SpillRun); tails are in-memory frames, trailer
-/// verified and stripped.
-struct CommittedRun {
-  uint32_t partition = 0;
-  uint32_t spill_index = 0;  // kTailRunIndex for tails
-  std::shared_ptr<SpillFileHandle> file;  // null for tails
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  std::string bytes;
-};
 
 /// Called in the supervising parent, in frame order, as each task's first
 /// successful attempt arrives, with every run of that attempt already
@@ -307,9 +296,9 @@ struct FaultInjection {
 /// kJobSetup, answered implicitly by the worker accepting kTaskAssign
 /// frames). Everything a fork-worker would have captured by closure travels
 /// here by value: the registry id naming the task body, the driver context
-/// blob the registered factory decodes, and the knobs RunForkedPhase would
-/// have baked into the body (partition count, spill budget, deterministic
-/// chaos rates).
+/// blob the registered factory decodes, and the knobs the phase engine
+/// (phase.cc) bakes into a forked body (partition count, spill budget,
+/// deterministic chaos rates).
 struct JobSetupMsg {
   std::string job_id;    // JobRegistry id naming the task body
   std::string job_name;  // spec.name verbatim (chaos hashing, spill prefixes)

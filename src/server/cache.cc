@@ -1,9 +1,5 @@
 #include "server/cache.h"
 
-#include <filesystem>
-
-#include "dataset/binary_io.h"
-#include "dataset/csv.h"
 #include "dataset/sharded_io.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -28,18 +24,6 @@ void SetDatasetCacheGauge(uint64_t bytes) {
 
 }  // namespace
 
-Result<Dataset> LoadDatasetForServing(const std::string& path) {
-  if (std::filesystem::is_directory(path)) {
-    DDP_ASSIGN_OR_RETURN(ShardedDatasetReader reader,
-                         ShardedDatasetReader::OpenDirectory(path));
-    return reader.ReadAll();
-  }
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".ddpb") == 0) {
-    return ReadBinaryFile(path);
-  }
-  return ReadCsvFile(path);
-}
-
 Result<std::shared_ptr<const Dataset>> DatasetCache::Acquire(
     const std::string& path, const std::string& digest) {
   std::unique_lock<std::mutex> lock(mu_);
@@ -52,7 +36,7 @@ Result<std::shared_ptr<const Dataset>> DatasetCache::Acquire(
   DDP_METRIC_COUNTER_ADD(obs::kMetricServerDatasetCacheMisses, 1);
   // Load under the lock: concurrent jobs over the same dataset serialize
   // here instead of loading twice, and hit/miss accounting stays exact.
-  DDP_ASSIGN_OR_RETURN(Dataset loaded, LoadDatasetForServing(path));
+  DDP_ASSIGN_OR_RETURN(Dataset loaded, LoadDataset(path));
   Entry entry;
   entry.dataset = std::make_shared<const Dataset>(std::move(loaded));
   entry.bytes = EstimateBytes(*entry.dataset);

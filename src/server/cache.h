@@ -85,9 +85,5 @@ class ResultCache {
   std::map<std::string, Entry> entries_;
 };
 
-/// Loads a dataset the way the tools do: a directory is read as DDPB
-/// shards, a `.ddpb` file via the binary reader, anything else as CSV.
-Result<Dataset> LoadDatasetForServing(const std::string& path);
-
 }  // namespace server
 }  // namespace ddp

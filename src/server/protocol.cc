@@ -205,10 +205,7 @@ Status JobResultPayload::Decode(const std::string& bytes,
   DDP_RETURN_NOT_OK(r.GetDouble(&out->dc));
   DDP_RETURN_NOT_OK(r.GetVarint64(&out->num_clusters));
   uint64_t n = 0;
-  DDP_RETURN_NOT_OK(r.GetVarint64(&n));
-  if (n > bytes.size()) {  // each id is >= 1 encoded byte
-    return Status::IoError("JobResultPayload assignment length implausible");
-  }
+  DDP_RETURN_NOT_OK(r.GetCount(&n));  // each id is >= 1 encoded byte
   out->assignment.clear();
   out->assignment.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {

@@ -142,9 +142,7 @@ TEST(CsvTest, ParseMixedSeparatorsAndComments) {
 }
 
 TEST(CsvTest, ParseWithLabelColumn) {
-  CsvOptions opts;
-  opts.last_column_is_label = true;
-  auto ds = ParseCsv("1.0,2.0,0\n3.0,4.0,1\n", opts);
+  auto ds = ParseCsv("# labels: last column\n1.0,2.0,0\n3.0,4.0,1\n");
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->dim(), 2u);
   EXPECT_TRUE(ds->has_labels());
@@ -173,15 +171,32 @@ TEST(CsvTest, FileRoundTrip) {
   std::string path =
       (std::filesystem::temp_directory_path() / "ddp_csv_test.csv").string();
   ASSERT_TRUE(WriteCsvFile(path, ds).ok());
-  CsvOptions opts;
-  opts.last_column_is_label = true;
-  auto loaded = ReadCsvFile(path, opts);
+  auto loaded = ReadCsvFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), 2u);
   EXPECT_DOUBLE_EQ(loaded->point(0)[0], 1.5);
   EXPECT_DOUBLE_EQ(loaded->point(1)[1], 3e8);
   EXPECT_EQ(loaded->label(1), 1);
   std::remove(path.c_str());
+}
+
+// WriteCsvFile marks the label column, so a labeled dataset reads back
+// with its dimension and labels and no reader-side option.
+TEST(CsvTest, LabeledDatasetRoundTripsWithoutOptions) {
+  Dataset ds(3);
+  ds.Add(std::vector<double>{0.5, -1.0, 2.0}, 4);
+  ds.Add(std::vector<double>{3.0, 0.25, -7.5}, 0);
+  std::string path =
+      (std::filesystem::temp_directory_path() / "ddp_csv_labeled.csv")
+          .string();
+  ASSERT_TRUE(WriteCsvFile(path, ds).ok());
+  auto loaded = ReadCsvFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->dim(), 3u);
+  EXPECT_TRUE(loaded->has_labels());
+  EXPECT_EQ(loaded->values(), ds.values());
+  EXPECT_EQ(loaded->labels(), ds.labels());
 }
 
 TEST(CsvTest, MissingFileIsIoError) {

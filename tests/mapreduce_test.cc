@@ -852,6 +852,22 @@ TEST_F(CheckpointTest, CorruptEntryIsRecomputedNotTrusted) {
   EXPECT_EQ(*r1, *r2);
 }
 
+// An entry declaring 2^64 - 8 payload bytes. A `size + 8` bound wraps to 0
+// and would let LoadBytes resize to the declared size.
+TEST_F(CheckpointTest, DeclaredSizeThatWrapsTheBoundIsIoError) {
+  CheckpointStore store(dir_);
+  ASSERT_TRUE(store.SaveBytes("0-job", "payload").ok());
+  BufferWriter w;
+  w.PutRaw("DPCK", 4);
+  w.PutVarint64(~uint64_t{0} - 7);
+  w.PutRaw("12345678", 8);
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+        << w.data();
+  }
+  EXPECT_TRUE(store.LoadBytes("0-job").status().IsIoError());
+}
+
 TEST(OptionsTest, Defaults) {
   Options o;
   EXPECT_GE(o.ResolvedWorkers(), 1u);

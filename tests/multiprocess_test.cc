@@ -99,6 +99,17 @@ TEST(ChannelTest, DecodeFrameRoundTrip) {
   EXPECT_EQ(got.payload, f.payload);
 }
 
+// A frame declaring 2^64 - 1 payload bytes. A `len + 4` bound wraps to 3
+// and would let the decoder reserve the declared length.
+TEST(ChannelTest, DecodeFrameRejectsLengthThatWrapsTheBound) {
+  BufferWriter w;
+  w.PutByte(static_cast<uint8_t>(MessageType::kTask));
+  w.PutVarint64(~uint64_t{0});
+  w.PutRaw("abcd", 4);
+  Frame got;
+  EXPECT_TRUE(DecodeFrame(w.data(), &got).IsIoError());
+}
+
 TEST(ChannelTest, PipeChannelRoundTripsBothDirections) {
   auto pair = PipeChannel::CreatePair();
   ASSERT_TRUE(pair.ok()) << pair.status().ToString();
@@ -379,7 +390,7 @@ TEST(SpillReaperTest, ReapsDeadOwnersKeepsLiveUntaggedAndForeign) {
     std::ofstream(dir / name) << "x";
   };
   // Pid 999999999 exceeds every Linux pid_max; its owner is dead by
-  // construction. The second tag wins (adopted-file naming appends).
+  // construction. The last tag wins (a job name may carry one too).
   touch("run-p999999999-u0-s0.spill");
   touch("run-p999999999-u1-s0-p999999998-a1.spill");
   touch("mine-" + internal::SpillOwnerTag() + "-u2-s0.spill");  // our own: kept
@@ -655,9 +666,9 @@ TEST(MultiprocessTest, ForkModeUnderSpillBudgetIsBitIdentical) {
                        MpOptions(), nullptr);
   ASSERT_TRUE(inproc.ok());
 
-  // A tiny budget forces every map task to spill; committed spill files are
-  // adopted (renamed under the parent pid) across the process boundary and
-  // the reduce workers stream the merge from them.
+  // A tiny budget forces every map task to spill; the spilled runs stream
+  // to the parent, which writes them to its own spill files, and the reduce
+  // workers stream the merge from them.
   Options forked = MpOptions();
   forked.exec_mode = ExecMode::kFork;
   forked.memory_budget_bytes = 64;
@@ -670,6 +681,38 @@ TEST(MultiprocessTest, ForkModeUnderSpillBudgetIsBitIdentical) {
   EXPECT_GT(counters.spill_files, 0u);
   EXPECT_GT(counters.merge_passes, 0u);
   EXPECT_GT(counters.shuffle_streamed_bytes, 0u);
+}
+
+// Injected attempt failures are one helper on every substrate: a forked
+// worker rolls the (task, attempt) hashes the in-process scheduler rolls,
+// so the job retries exactly as often either way and its output matches.
+TEST(MultiprocessTest, FailureChaosRetriesMatchInProcess) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
+  std::vector<std::string> docs = Corpus();
+  Options chaos = MpOptions();
+  chaos.faults.map_failure_rate = 0.3;
+  chaos.faults.reduce_failure_rate = 0.3;
+  chaos.faults.seed = 20260808;
+  chaos.max_task_attempts = 16;
+  JobCounters inproc_counters;
+  auto inproc = RunJob(WordCountSpec(), std::span<const std::string>(docs),
+                       chaos, &inproc_counters);
+  ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
+
+  chaos.exec_mode = ExecMode::kFork;
+  JobCounters fork_counters;
+  auto fork = RunJob(WordCountSpec(), std::span<const std::string>(docs),
+                     chaos, &fork_counters);
+  ASSERT_TRUE(fork.ok()) << fork.status().ToString();
+  EXPECT_EQ(*inproc, *fork);
+  EXPECT_EQ(fork_counters.exec_fallbacks, 0u);
+  EXPECT_GT(inproc_counters.map_task_retries, 0u);
+  EXPECT_GT(inproc_counters.reduce_task_retries, 0u);
+  EXPECT_EQ(fork_counters.map_task_retries, inproc_counters.map_task_retries);
+  EXPECT_EQ(fork_counters.reduce_task_retries,
+            inproc_counters.reduce_task_retries);
 }
 
 // Chaos: workers are SIGKILLed mid-map and mid-shuffle (the injection's

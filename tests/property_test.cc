@@ -9,6 +9,7 @@
 #include "core/sequential_dp.h"
 #include "dataset/generators.h"
 #include "ddp/basic_ddp.h"
+#include "ddp/eddpc_jobs.h"
 #include "ddp/records.h"
 #include "ddp/lsh_ddp.h"
 #include "eval/tau.h"
@@ -311,6 +312,60 @@ TEST_P(SerdeFuzzTest, TruncatedPrefixesNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerdeFuzzTest,
                          ::testing::Values(11, 22, 33, 44));
+
+// =====================================================================
+// Decoders bound a declared element count by the bytes left before they
+// size a container: a short input declaring a huge count is an IoError,
+// never a throw from the allocation.
+// =====================================================================
+
+// A 9-byte varint declaring 2^63 - 1 elements, then `tail`.
+std::string HugeCountThen(const std::string& tail) {
+  BufferWriter w;
+  w.PutVarint64(static_cast<uint64_t>(std::numeric_limits<int64_t>::max()));
+  w.PutRaw(tail.data(), tail.size());
+  return w.Release();
+}
+
+TEST(DecoderBoundTest, SerdeVectorRejectsCountAboveRemainingBytes) {
+  const std::string bytes = HugeCountThen("abc");
+  BufferReader r(bytes);
+  std::vector<uint32_t> out;
+  EXPECT_TRUE(Serde<std::vector<uint32_t>>::Read(&r, &out).IsIoError());
+}
+
+TEST(DecoderBoundTest, PointRecordRejectsCoordinateCountAboveRemainingBytes) {
+  BufferWriter w;
+  w.PutVarint32(7);
+  const std::string bytes = w.Release() + HugeCountThen("12345678");
+  BufferReader r(bytes);
+  ddprec::PointRecord out;
+  EXPECT_TRUE(ddprec::PointRecord::DeserializeFrom(&r, &out).IsIoError());
+}
+
+TEST(DecoderBoundTest,
+     ScoredPointRecordRejectsCoordinateCountAboveRemainingBytes) {
+  BufferWriter w;
+  w.PutVarint32(7);
+  w.PutVarint32(3);
+  const std::string bytes = w.Release() + HugeCountThen("12345678");
+  BufferReader r(bytes);
+  ddprec::ScoredPointRecord out;
+  EXPECT_TRUE(
+      ddprec::ScoredPointRecord::DeserializeFrom(&r, &out).IsIoError());
+}
+
+TEST(DecoderBoundTest, MemberOrQueryRejectsCoordinateCountAboveRemainingBytes) {
+  BufferWriter w;
+  w.PutByte(0);  // a member: no delta bound follows
+  w.PutVarint32(7);
+  w.PutVarint32(3);
+  const std::string bytes = w.Release() + HugeCountThen("12345678");
+  BufferReader r(bytes);
+  eddpcjobs::MemberOrQuery out;
+  EXPECT_TRUE(
+      eddpcjobs::MemberOrQuery::DeserializeFrom(&r, &out).IsIoError());
+}
 
 }  // namespace
 }  // namespace ddp

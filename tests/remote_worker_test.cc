@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -28,6 +29,7 @@
 #include "ddp/eddpc.h"
 #include "ddp/lsh_ddp.h"
 #include "ddp/remote_jobs.h"
+#include "mapreduce/remote_job.h"
 #include "mapreduce/remote_worker.h"
 #include "mapreduce/supervisor.h"
 
@@ -125,6 +127,41 @@ TEST(RemoteCodecTest, TaskAssignRoundTrip) {
   EXPECT_EQ(decoded.input, assign.input);
 }
 
+// The task-input decoders of a registered runner bound a declared count by
+// the bytes left before they reserve: a kTaskAssign input declaring 2^63 - 1
+// map records or reduce sources is an IoError, not a throw.
+using BoundSpec = mr::JobSpec<uint32_t, uint32_t, uint32_t, uint32_t>;
+
+Status RunWithHugeCount(uint32_t phase) {
+  BoundSpec spec;
+  spec.name = "bound-check";
+  spec.map = [](const uint32_t& v, mr::Emitter<uint32_t, uint32_t>* out) {
+    out->Emit(v, v);
+  };
+  spec.reduce = [](const uint32_t& k, std::span<const uint32_t>,
+                   std::vector<uint32_t>* out) { out->push_back(k); };
+  mr::JobSetupMsg setup;
+  setup.job_name = spec.name;
+  setup.phase = phase;
+  setup.num_partitions = 2;
+  auto runner = mr::MakeRegisteredRunner(
+      std::make_shared<const BoundSpec>(std::move(spec)), setup);
+  BufferWriter w;
+  w.PutVarint64(static_cast<uint64_t>(std::numeric_limits<int64_t>::max()));
+  w.PutRaw("abc", 3);
+  mr::TaskResult result;
+  return runner(/*task=*/0, /*attempt=*/0, /*quarantined=*/false, w.data(),
+                &result);
+}
+
+TEST(RemoteTaskInputTest, MapSliceDecoderRejectsCountAboveRemainingBytes) {
+  EXPECT_TRUE(RunWithHugeCount(0).IsIoError());
+}
+
+TEST(RemoteTaskInputTest, ReduceSourceDecoderRejectsCountAboveRemainingBytes) {
+  EXPECT_TRUE(RunWithHugeCount(1).IsIoError());
+}
+
 // ------------------------------------------------------------ job registry
 
 TEST(JobRegistryTest, UnknownIdIsNotFound) {
@@ -169,6 +206,8 @@ struct ModeResult {
   uint64_t channel_reconnects = 0;
   uint64_t shuffle_resent_runs = 0;
   uint64_t workers_evicted = 0;
+  uint64_t map_task_retries = 0;
+  uint64_t reduce_task_retries = 0;
 };
 
 // Runs the full pipeline for `algo` under `mode` and returns the
@@ -188,6 +227,11 @@ Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
   options.mr.memory_budget_bytes = budget;
   options.mr.spill_dir = spill_dir;
   options.mr.faults = faults;
+  if (faults.map_failure_rate > 0.0 || faults.reduce_failure_rate > 0.0) {
+    // Failure chaos must not exhaust a task's attempts anywhere in the
+    // pipeline.
+    options.mr.max_task_attempts = 16;
+  }
   switch (mode) {
     case Mode::kInProc:
       break;
@@ -244,6 +288,8 @@ Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
     out.channel_reconnects += j.channel_reconnects;
     out.shuffle_resent_runs += j.shuffle_resent_runs;
     out.workers_evicted += j.workers_evicted;
+    out.map_task_retries += j.map_task_retries;
+    out.reduce_task_retries += j.reduce_task_retries;
   }
   return out;
 }
@@ -361,6 +407,38 @@ TEST_P(RemoteBitIdentityTest, DropChaosWithFourKiBSpillsLeavesNoFiles) {
     }
   }
   fs::remove_all(dir);
+}
+
+// Injected attempt failures are one helper on every substrate: in-process,
+// forked and remote attempts roll the same (task, attempt) hashes, so the
+// pipeline retries exactly as often everywhere and its output is unchanged.
+TEST_P(RemoteBitIdentityTest, FailureChaosRetriesMatchAcrossSubstrates) {
+  if (!mr::ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked/exec'd workers unsupported in this build";
+  }
+  const std::string algo = GetParam();
+  Dataset ds = std::move(gen::S2Like(7, 400)).ValueOrDie();
+  mr::FaultInjection faults;
+  faults.map_failure_rate = 0.3;
+  faults.reduce_failure_rate = 0.3;
+  faults.seed = 20260808;
+
+  auto clean = RunPipeline(algo, ds, Mode::kInProc);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  auto inproc = RunPipeline(algo, ds, Mode::kInProc, /*budget=*/0,
+                            /*workers=*/2, /*crash_task=*/-1, faults);
+  ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
+  EXPECT_EQ(inproc->assignment, clean->assignment);
+  EXPECT_GT(inproc->map_task_retries, 0u);
+  EXPECT_GT(inproc->reduce_task_retries, 0u);
+  for (Mode mode : {Mode::kFork, Mode::kRemote}) {
+    auto run = RunPipeline(algo, ds, mode, /*budget=*/0, /*workers=*/2,
+                           /*crash_task=*/-1, faults);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->assignment, clean->assignment);
+    EXPECT_EQ(run->map_task_retries, inproc->map_task_retries);
+    EXPECT_EQ(run->reduce_task_retries, inproc->reduce_task_retries);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, RemoteBitIdentityTest,

@@ -46,9 +46,7 @@ TEST_P(GeneratorFamilyTest, CsvRoundTripsExactly) {
                       (std::string("ddp_rt_") + GetParam().name + ".csv"))
                          .string();
   ASSERT_TRUE(WriteCsvFile(path, ds).ok());
-  CsvOptions opts;
-  opts.last_column_is_label = true;
-  auto loaded = ReadCsvFile(path, opts);
+  auto loaded = ReadCsvFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->values(), ds.values());
   EXPECT_EQ(loaded->labels(), ds.labels());

@@ -115,23 +115,8 @@ int Usage() {
   return 2;
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-Result<Dataset> LoadDataset(const std::string& path) {
-  if (std::filesystem::is_directory(path)) {
-    DDP_ASSIGN_OR_RETURN(ShardedDatasetReader reader,
-                         ShardedDatasetReader::OpenDirectory(path));
-    return reader.ReadAll();
-  }
-  if (EndsWith(path, ".ddpb")) return ReadBinaryFile(path);
-  return ReadCsvFile(path);
-}
-
 Status SaveDataset(const std::string& path, const Dataset& ds) {
-  if (EndsWith(path, ".ddpb")) return WriteBinaryFile(path, ds);
+  if (path.ends_with(".ddpb")) return WriteBinaryFile(path, ds);
   return WriteCsvFile(path, ds);
 }
 
@@ -202,7 +187,7 @@ int CmdGen(const Args& args) {
     const size_t shards = std::max<size_t>(1, args.GetSize("shards", 1));
     const uint64_t per_shard = (ds->size() + shards - 1) / shards;
     std::string prefix = out;
-    if (EndsWith(prefix, ".ddpb")) prefix.resize(prefix.size() - 5);
+    if (prefix.ends_with(".ddpb")) prefix.resize(prefix.size() - 5);
     auto paths = WriteShardedDataset(prefix, *ds, per_shard);
     if (!paths.ok()) {
       std::fprintf(stderr, "write failed: %s\n",

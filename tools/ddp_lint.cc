@@ -71,8 +71,9 @@ int Usage() {
       "usage: ddp_lint [--root DIR] [--format human|json] [--list-rules]\n"
       "                [--metric-registry FILE] [--metric-doc FILE] [file...]\n"
       "\n"
-      "With --root, scans DIR/src DIR/tools DIR/tests DIR/bench (skipping\n"
-      "lint fixtures). Explicit file arguments are scanned as given.\n"
+      "With --root, scans DIR/src DIR/tools DIR/tests DIR/bench\n"
+      "DIR/ddp_bench (skipping lint fixtures). Explicit file arguments are\n"
+      "scanned as given.\n"
       "The name-registry rule reads DIR/src/obs/metric_names.h and\n"
       "DIR/docs/observability.md by default; --metric-registry and\n"
       "--metric-doc override those paths (the rule is skipped when the\n"
@@ -185,7 +186,7 @@ int main(int argc, char** argv) {
   // scanning a root so rule scoping and output stay stable across machines.
   std::vector<std::pair<std::string, std::string>> inputs;
   if (!root.empty()) {
-    for (const char* sub : {"src", "tools", "tests", "bench"}) {
+    for (const char* sub : {"src", "tools", "tests", "bench", "ddp_bench"}) {
       fs::path dir = fs::path(root) / sub;
       if (!fs::exists(dir)) continue;
       for (const auto& entry : fs::recursive_directory_iterator(dir)) {

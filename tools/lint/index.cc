@@ -306,6 +306,8 @@ const char* WireKind(const std::string& method, bool* is_encode) {
       {"PutDouble", "GetDouble", "double"},
       {"PutFloat", "GetFloat", "float"},
       {"PutString", "GetString", "string"},
+      {"PutDoubles", "GetDoubles", "doubles"},
+      {"PutVarint64", "GetCount", "varint64"},
   };
   for (const Entry& e : kEntries) {
     if (method == e.put) {

@@ -2,7 +2,8 @@
 # Runs the full static-analysis gate — the same commands CI's static-analysis
 # job runs, so "it passed locally" and "it passed CI" mean the same thing.
 #
-#   1. ddp_lint over src/ tools/ tests/ bench/ (zero unsuppressed findings)
+#   1. ddp_lint over src/ tools/ tests/ bench/ ddp_bench/
+#                                                  (zero unsuppressed findings)
 #   2. clang-tidy over the compile database        (skipped if not installed)
 #   3. clang-format --dry-run --Werror             (skipped if not installed)
 #
