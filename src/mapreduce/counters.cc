@@ -18,8 +18,6 @@ void WriteJobObject(obs::JsonWriter* w, const JobCounters& j) {
   w->Field("combine_input_records", j.combine_input_records);
   w->Field("shuffle_bytes", j.shuffle_bytes);
   w->Field("shuffle_records", j.shuffle_records);
-  w->Field("shuffle_moved_bytes", j.shuffle_moved_bytes);
-  w->Field("shuffle_copied_bytes", j.shuffle_copied_bytes);
   w->Field("reduce_input_groups", j.reduce_input_groups);
   w->Field("reduce_output_records", j.reduce_output_records);
   w->Field("max_partition_bytes", j.max_partition_bytes);

@@ -34,11 +34,6 @@ struct JobCounters {
   uint64_t spill_files = 0;
   uint64_t merge_passes = 0;
   double spill_seconds = 0.0;
-  /// Shuffle-concat accounting: bytes a partition stole from its single
-  /// non-empty source buffer (move) vs bytes concatenated from several
-  /// sources (copy). Zero on the spill path, which never concatenates.
-  uint64_t shuffle_moved_bytes = 0;
-  uint64_t shuffle_copied_bytes = 0;
   /// Histogram of reduce group sizes: bucket b counts groups with
   /// floor(log2(size)) == b (bucket 0 = singleton groups). For the bucketed
   /// DDP jobs this is the bucket/cell/block population skew picture behind

@@ -28,14 +28,15 @@
 ///
 /// Faithfulness to a Hadoop-style system:
 ///  * Map tasks run in parallel over input splits.
-///  * Every intermediate (key, value) pair is SERIALIZED into a
-///    per-reduce-partition byte buffer — `JobCounters::shuffle_bytes` is the
-///    size of real encoded data, the quantity a cluster would move over the
-///    network. Records are length-framed (like Hadoop's IFile) so the reduce
-///    side can re-sync past a corrupt record.
-///  * Reduce partitions deserialize, sort by key, group, and run reduce tasks
-///    in parallel. Output order is deterministic (partition-major, key-sorted
-///    within a partition).
+///  * Every intermediate (key, value) pair is SERIALIZED into the key-sorted
+///    runs of its reduce partition (spill.h) — `JobCounters::shuffle_bytes`
+///    is the size of real encoded data, the quantity a cluster would move
+///    over the network. Records are length-framed (like Hadoop's IFile) so
+///    the reduce side can re-sync past a corrupt record.
+///  * Reduce tasks k-way merge their partition's runs, group by key and
+///    reduce, in parallel. A key's values arrive in input order, and output
+///    order is deterministic (partition-major, key-sorted within a
+///    partition).
 ///  * An optional combiner folds map-side values per key before
 ///    serialization, shrinking shuffle volume exactly as Hadoop combiners do.
 ///  * The full Hadoop fault-tolerance toolkit, driven by deterministic chaos
@@ -46,11 +47,10 @@
 ///    checkpoint/resume (`Options::checkpoint`). Tasks are pure functions of
 ///    their input split, so every recovery path yields bit-identical output.
 ///  * Out-of-core execution (`Options::memory_budget_bytes`, spill.h): map
-///    tasks spill sorted, CRC-trailed runs to `Options::spill_dir` when their
-///    buffered intermediate bytes exceed the budget, and reduce streams a
-///    k-way merge over those runs instead of materializing the partition —
-///    Hadoop's spill/merge pipeline. Output is bit-identical to the
-///    in-memory path at every budget.
+///    tasks spill their sorted, CRC-trailed runs to `Options::spill_dir`
+///    when their buffered intermediate bytes exceed the budget — Hadoop's
+///    spill/merge pipeline — instead of keeping them in memory. Output is
+///    bit-identical at every budget.
 ///
 /// Type requirements:
 ///  * `MidK`: Serde<MidK>, `KeyTraits<MidK>::Hash`, operator== and
@@ -132,56 +132,9 @@ struct JobSpec {
 
 namespace internal {
 
-/// Map-side emitter that serializes each pair, length-framed, into the
-/// buffer of the partition its key hashes to. Frame headers exist so the
-/// reduce side can skip a corrupt record; they are bookkeeping, not payload,
-/// so byte accounting (`payload_bytes`) counts only the key/value encodings
-/// — the quantity the paper's shuffle-cost figures report.
-template <typename MidK, typename MidV>
-class PartitionedEmitter : public Emitter<MidK, MidV> {
- public:
-  explicit PartitionedEmitter(size_t num_partitions)
-      : buffers_(num_partitions), payload_bytes_(num_partitions, 0) {}
-
-  void Emit(const MidK& key, const MidV& value) override {
-    size_t p = KeyTraits<MidK>::Hash(key) % buffers_.size();
-    scratch_.clear();
-    BufferWriter rec(&scratch_);
-    Serde<MidK>::Write(&rec, key);
-    Serde<MidV>::Write(&rec, value);
-    BufferWriter out(&buffers_[p]);
-    out.PutVarint64(scratch_.size());
-    out.PutRaw(scratch_.data(), scratch_.size());
-    payload_bytes_[p] += scratch_.size();
-    ++records_;
-  }
-
-  /// Appends an undecodable frame to partition `p` (shuffle-corruption
-  /// injection). The frame is well-formed at the framing layer, so
-  /// skip_bad_records can step over it, but its payload can never decode as
-  /// a record: 0xff is an unterminated varint and too short for any
-  /// fixed-width field, and a decode that somehow consumed less than the
-  /// frame is rejected as short.
-  void AppendPoisonFrame(size_t p) {
-    BufferWriter out(&buffers_[p]);
-    out.PutVarint64(1);
-    out.PutByte(0xff);
-  }
-
-  std::vector<std::string>& buffers() { return buffers_; }
-  const std::vector<uint64_t>& payload_bytes() const { return payload_bytes_; }
-  uint64_t records() const { return records_; }
-
- private:
-  std::vector<std::string> buffers_;
-  std::vector<uint64_t> payload_bytes_;
-  std::string scratch_;
-  uint64_t records_ = 0;
-};
-
-/// Map-side emitter for the out-of-core path: forwards every pair into a
-/// memory-budgeted SpillingBuffer (spill.h), which sorts and flushes runs to
-/// disk whenever the budget is hit. Spill I/O errors are deferred and
+/// The map-side emitter: forwards every pair into a SpillingBuffer
+/// (spill.h), which sorts its runs and, under a memory budget, flushes them
+/// to disk whenever the budget is hit. Spill I/O errors are deferred and
 /// surfaced by Finish(), keeping the Emitter interface non-failing.
 template <typename MidK, typename MidV>
 class SpillingEmitter : public Emitter<MidK, MidV> {
@@ -303,10 +256,8 @@ std::string EncodeMapSlice(std::span<const In> slice) {
 /// and a remote ddp_worker replays from a kTaskAssign frame. `task` is the
 /// job-wide task id (poison placement hashes it, so a remote slice
 /// reproduces the exact corruption an in-process run injects); the
-/// cancel-poll cadence is slice-relative either way. With
-/// `params.sorted_shuffle`, output is sorted runs + tails via a
-/// SpillingBuffer (never touching disk under a 0 budget); otherwise
-/// unsorted per-partition buffers.
+/// cancel-poll cadence is slice-relative either way. The output is the
+/// task's sorted runs, in memory or, under a memory budget, on disk.
 template <typename In, typename MidK, typename MidV, typename Out>
 Status ExecuteMapTask(const JobSpec<In, MidK, MidV, Out>& spec,
                       std::span<const In> slice, size_t task,
@@ -318,17 +269,13 @@ Status ExecuteMapTask(const JobSpec<In, MidK, MidV, Out>& spec,
   // process-unique id, and a failed or abandoned attempt's RAII handles
   // unlink its files on the way out.
   const size_t num_partitions = params.num_partitions;
-  PartitionedEmitter<MidK, MidV> emitter(num_partitions);
-  std::unique_ptr<SpillingEmitter<MidK, MidV>> spiller;
-  Emitter<MidK, MidV>* sink = &emitter;
-  if (params.sorted_shuffle) {
-    spiller = std::make_unique<SpillingEmitter<MidK, MidV>>(
-        num_partitions, params.memory_budget_bytes, params.spill_dir,
-        spec.name + "-m" + std::to_string(task));
-    sink = spiller.get();
-  }
+  SpillingEmitter<MidK, MidV> emitter(num_partitions,
+                                      params.memory_budget_bytes,
+                                      params.spill_dir,
+                                      spec.name + "-m" + std::to_string(task));
   CombiningEmitter<MidK, MidV> combining;
-  Emitter<MidK, MidV>* target = spec.combiner ? &combining : sink;
+  Emitter<MidK, MidV>* target = &emitter;
+  if (spec.combiner) target = &combining;
   for (size_t i = 0; i < slice.size(); ++i) {
     if ((i & 1023u) == 0 && cancel->cancelled()) {
       return Status::Cancelled("map attempt abandoned");
@@ -337,48 +284,37 @@ Status ExecuteMapTask(const JobSpec<In, MidK, MidV, Out>& spec,
   }
   if (spec.combiner) {
     out->combine_in = combining.records();
-    combining.Flush(spec.combiner, sink);
+    combining.Flush(spec.combiner, &emitter);
   }
   const FaultInjection& faults = params.faults;
   if (faults.corruption_rate > 0.0) {
     // Poison placement is a function of (task, partition), never the
-    // attempt: recovery paths rebuild bit-identical buffers.
+    // attempt: recovery paths rebuild bit-identical runs.
     for (size_t p = 0; p < num_partitions; ++p) {
       if (ShouldInjectFailure(faults, faults.corruption_rate, spec.name,
                               /*phase=*/2, task, p)) {
-        if (spiller != nullptr) {
-          spiller->AppendPoisonFrame(p);
-        } else {
-          emitter.AppendPoisonFrame(p);
-        }
+        emitter.AppendPoisonFrame(p);
       }
     }
   }
-  if (spiller != nullptr) {
-    auto& buffer = spiller->buffer();
-    DDP_RETURN_NOT_OK(buffer.Finish());
-    out->records = buffer.records();
-    out->payload_bytes = buffer.payload_bytes();
-    out->buffers = std::move(buffer.tails());
-    out->runs = std::move(buffer.runs());
-    out->spilled_bytes = buffer.spilled_bytes();
-    out->spill_files = buffer.spill_files();
-    out->spill_seconds = buffer.spill_seconds();
-  } else {
-    out->records = emitter.records();
-    out->payload_bytes = emitter.payload_bytes();
-    out->buffers = std::move(emitter.buffers());
-  }
+  auto& buffer = emitter.buffer();
+  DDP_RETURN_NOT_OK(buffer.Finish());
+  out->runs = std::move(buffer.runs());
+  out->payload_bytes = buffer.payload_bytes();
+  out->records = buffer.records();
+  out->spilled_bytes = buffer.spilled_bytes();
+  out->spill_files = buffer.spill_files();
+  out->spill_seconds = buffer.spill_seconds();
   return Status::OK();
 }
 
-/// Executes one sorted-shuffle reduce task: a k-way merge over `sources`
-/// (this partition's runs and tails, in (map task id, spill index, tail)
-/// source order so key ties reproduce the stable-sorted order of the
-/// in-memory path), grouping and reducing each key. `any_run` counts one
-/// merge pass when a spilled run actually fed the merge — remote callers
-/// pass the flag computed supervisor-side, keeping merge_passes identical
-/// to a local run even though shipped runs arrive as in-memory bytes.
+/// Executes one reduce task: a k-way merge over `sources` (this partition's
+/// runs, in (map task id, spill index, tail) order so every key's values
+/// arrive in (map task id, emission index) order), grouping and reducing
+/// each key. `any_run` counts one merge pass when a spilled run actually
+/// fed the merge — remote callers pass the flag computed supervisor-side,
+/// keeping merge_passes identical to a local run even though shipped runs
+/// arrive as in-memory bytes.
 template <typename In, typename MidK, typename MidV, typename Out>
 Status ExecuteSortedReduceTask(const JobSpec<In, MidK, MidV, Out>& spec,
                                size_t p,
@@ -414,69 +350,6 @@ Status ExecuteSortedReduceTask(const JobSpec<In, MidK, MidV, Out>& spec,
   // One streaming pass merges every run of this partition; counted only
   // when a spilled run actually fed the merge.
   out->merge_passes = any_run ? 1 : 0;
-  return Status::OK();
-}
-
-/// Executes one in-memory reduce task over its partition's concatenated,
-/// unsorted frames: decode every record, stable-sort by key (ties keep
-/// (map task id, emission index) order), group and reduce.
-template <typename In, typename MidK, typename MidV, typename Out>
-Status ExecuteUnsortedReduceTask(const JobSpec<In, MidK, MidV, Out>& spec,
-                                 size_t p, const std::string& partition,
-                                 bool skip_bad, CancelToken* cancel,
-                                 ReduceTaskOutput<Out>* out) {
-  BufferReader reader(partition);
-  std::vector<std::pair<MidK, MidV>> pairs;
-  size_t frame = 0;
-  while (!reader.exhausted()) {
-    if ((frame++ & 1023u) == 0 && cancel->cancelled()) {
-      return Status::Cancelled("reduce attempt abandoned");
-    }
-    uint64_t len = 0;
-    Status st = reader.GetVarint64(&len);
-    BufferReader rec(nullptr, size_t{0});
-    if (st.ok()) st = reader.Slice(len, &rec);
-    if (!st.ok()) {
-      // A broken frame header loses record boundaries; even
-      // skip_bad_records cannot re-sync past it.
-      return Status::IoError("reduce partition " + std::to_string(p) +
-                             ": corrupt shuffle framing: " + st.message());
-    }
-    std::pair<MidK, MidV> kv;
-    st = Serde<MidK>::Read(&rec, &kv.first);
-    if (st.ok()) st = Serde<MidV>::Read(&rec, &kv.second);
-    if (st.ok() && !rec.exhausted()) {
-      st = Status::IoError("record decoded short of its frame");
-    }
-    if (!st.ok()) {
-      if (skip_bad) {
-        ++out->skipped;
-        continue;
-      }
-      return Status::IoError("reduce partition " + std::to_string(p) +
-                             ": bad record: " + st.message());
-    }
-    pairs.push_back(std::move(kv));
-  }
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const auto& a, const auto& b) {
-                     return KeyTraits<MidK>::Less(a.first, b.first);
-                   });
-  size_t i = 0;
-  std::vector<MidV> values;
-  while (i < pairs.size()) {
-    if (cancel->cancelled()) {
-      return Status::Cancelled("reduce attempt abandoned");
-    }
-    size_t j = i + 1;
-    while (j < pairs.size() && pairs[j].first == pairs[i].first) ++j;
-    values.clear();
-    values.reserve(j - i);
-    for (size_t k = i; k < j; ++k) values.push_back(pairs[k].second);
-    spec.reduce(pairs[i].first, values, &out->out);
-    out->CountGroup(j - i);
-    i = j;
-  }
   return Status::OK();
 }
 
@@ -522,17 +395,9 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
   job.remote_ctx = spec.remote_ctx;
 
   job.new_reduce_slot = [] { return std::make_unique<ReduceOutput>(); };
-  job.reduce_unsorted = [&spec, skip_bad](size_t p,
-                                          const std::string& partition,
-                                          CancelToken* cancel,
-                                          TaskSlot* slot) {
-    return internal::ExecuteUnsortedReduceTask(
-        spec, p, partition, skip_bad, cancel, static_cast<ReduceOutput*>(slot));
-  };
-  job.reduce_sorted = [&spec, skip_bad](
-                          size_t p,
-                          std::vector<std::unique_ptr<FrameStream>> sources,
-                          bool any_run, CancelToken* cancel, TaskSlot* slot) {
+  job.reduce = [&spec, skip_bad](
+                   size_t p, std::vector<std::unique_ptr<FrameStream>> sources,
+                   bool any_run, CancelToken* cancel, TaskSlot* slot) {
     return internal::ExecuteSortedReduceTask(spec, p, std::move(sources),
                                              any_run, skip_bad, cancel,
                                              static_cast<ReduceOutput*>(slot));

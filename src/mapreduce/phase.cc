@@ -71,26 +71,18 @@ void InjectAttemptChaos(const ChaosParams& chaos, size_t task, size_t attempt,
   }
 }
 
-/// One merge source of a reduce partition: a sorted run on disk or a
-/// non-empty in-memory tail.
-struct PartitionSource {
-  const SpillRun* run = nullptr;
-  const std::string* tail = nullptr;
-};
-
-/// The merge sources of partition `p` in (map task id, spill index, tail)
-/// order, so key ties reproduce the stable-sorted (map task id, emission
-/// index) order of the in-memory path.
-std::vector<PartitionSource> PartitionSources(
+/// The runs of partition `p` in (map task id, spill index, tail) order —
+/// the merge order under which key ties reach reduce in (map task id,
+/// emission index) order (spill.h).
+std::vector<const SpillRun*> PartitionRuns(
     const std::vector<MapTaskOutput>& map_outputs, size_t p) {
-  std::vector<PartitionSource> sources;
+  std::vector<const SpillRun*> runs;
   for (const MapTaskOutput& mo : map_outputs) {
     for (const SpillRun& run : mo.runs) {
-      if (run.partition == p) sources.push_back({&run, nullptr});
+      if (run.partition == p) runs.push_back(&run);
     }
-    if (!mo.buffers[p].empty()) sources.push_back({nullptr, &mo.buffers[p]});
   }
-  return sources;
+  return runs;
 }
 
 /// Robustness accounting for one phase, merged into JobCounters.
@@ -419,9 +411,9 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
 }
 
 /// The supervised counterpart of RunRobustPhase: runs the phase's tasks on
-/// forked workers — and, with `remote`, on exec'd ddp_worker processes
-/// from `options.remote_pool` alongside `remote_local_workers` forked
-/// locals — under a WorkerSupervisor. Each worker runs RunWorkerAttempt;
+/// forked workers — or, with `remote`, on exec'd ddp_worker processes from
+/// `options.remote_pool` — under a WorkerSupervisor. Each worker runs
+/// RunWorkerAttempt;
 /// the parent decodes each committed result payload into a fresh slot and
 /// grafts the attempt's streamed runs back in. Returns NotImplemented when
 /// no worker ever joined — no task has run, so the caller falls back to
@@ -437,15 +429,13 @@ Status RunSupervisedPhase(const PhaseSpec& spec, const Options& options,
   SupervisorConfig cfg;
   cfg.job_name = spec.chaos.job_name;
   cfg.phase = spec.chaos.phase;
-  cfg.num_workers =
-      remote ? options.remote_local_workers : options.ResolvedWorkers();
+  cfg.num_workers = options.ResolvedWorkers();
   cfg.num_tasks = spec.num_tasks;
   cfg.max_task_attempts = options.max_task_attempts;
   cfg.max_worker_restarts = options.max_worker_restarts;
   cfg.quarantine_after_crashes = options.quarantine_after_crashes;
   cfg.skip_bad_records = options.skip_bad_records;
   cfg.task_deadline_seconds = options.task_deadline_seconds;
-  cfg.child_heartbeat_seconds = options.worker_heartbeat_seconds;
   cfg.backoff_seed = options.faults.seed;
   cfg.spill_dir = spill_dir;
   cfg.progress_heartbeat_seconds = options.heartbeat_seconds;
@@ -480,7 +470,7 @@ Status RunSupervisedPhase(const PhaseSpec& spec, const Options& options,
   // Runs in the supervising parent, in result-frame order.
   CommitFn commit = [&](size_t t, bool quarantined, double seconds,
                         std::string payload,
-                        std::vector<CommittedRun> runs) -> Status {
+                        std::vector<SpillRun> runs) -> Status {
     std::unique_ptr<TaskSlot> out = spec.new_slot();
     BufferReader r(payload);
     Status st = codec.deserialize(&r, out.get());
@@ -547,66 +537,30 @@ std::string EncodeRemoteSetup(const JobTasks& job, const Options& options,
   return setup.Encode();
 }
 
-/// The in-memory shuffle: concatenates each partition's map-task buffers.
-/// A partition with a single non-empty source steals that buffer instead
-/// of copying it.
-std::vector<std::string> ConcatPartitions(
-    std::vector<MapTaskOutput>* map_outputs, size_t num_partitions,
-    JobCounters* counters) {
-  std::vector<std::string> partitions(num_partitions);
-  for (size_t p = 0; p < num_partitions; ++p) {
-    size_t sources = 0;
-    size_t raw = 0;
-    std::string* only = nullptr;
-    for (MapTaskOutput& mo : *map_outputs) {
-      if (!mo.buffers[p].empty()) {
-        ++sources;
-        raw += mo.buffers[p].size();
-        only = &mo.buffers[p];
-      }
-    }
-    if (sources == 1) {
-      counters->shuffle_moved_bytes += raw;
-      partitions[p] = std::move(*only);
-    } else if (sources > 1) {
-      counters->shuffle_copied_bytes += raw;
-      partitions[p].reserve(raw);
-      for (const MapTaskOutput& mo : *map_outputs) {
-        partitions[p] += mo.buffers[p];
-      }
-    }
-    for (MapTaskOutput& mo : *map_outputs) {
-      mo.buffers[p].clear();
-      mo.buffers[p].shrink_to_fit();
-    }
-  }
-  return partitions;
-}
-
-/// A remote reduce task's input: partition `p`'s sources by value, in
-/// merge order, as (is_run, frame bytes) pairs in the layout of
-/// Serde<std::vector<std::pair<uint8_t, std::string>>> — runs read back
-/// off the supervisor's spill files and CRC-stripped. The worker merges
-/// MemoryFrameReaders over the shipped bytes; the source order and the
+/// A remote reduce task's input: partition `p`'s runs by value, in merge
+/// order, as (is_run, frame bytes) pairs in the layout of
+/// Serde<std::vector<std::pair<uint8_t, std::string>>> — disk runs read
+/// back off the supervisor's spill files and CRC-stripped. The worker
+/// merges MemoryFrameReaders over the shipped bytes; the run order and the
 /// is_run flags keep tie-breaks and merge_passes bit-identical to a local
 /// reduce.
 Result<std::string> EncodeReduceSources(
     const std::vector<MapTaskOutput>& map_outputs, size_t p) {
-  const std::vector<PartitionSource> sources = PartitionSources(map_outputs, p);
+  const std::vector<const SpillRun*> runs = PartitionRuns(map_outputs, p);
   std::string bytes;
   BufferWriter w(&bytes);
-  w.PutVarint64(sources.size());
-  for (const PartitionSource& s : sources) {
-    if (s.run != nullptr) {
+  w.PutVarint64(runs.size());
+  for (const SpillRun* run : runs) {
+    if (run->file != nullptr) {
       DDP_ASSIGN_OR_RETURN(
           std::string seg,
-          ReadFileExtent(s.run->file->path(), s.run->offset, s.run->length));
+          ReadFileExtent(run->file->path(), run->offset, run->length));
       DDP_RETURN_NOT_OK(VerifyAndStripRunTrailer(&seg));
       w.PutByte(1);
       w.PutString(seg);
     } else {
       w.PutByte(0);
-      w.PutString(*s.tail);
+      w.PutString(run->bytes);
     }
   }
   return bytes;
@@ -660,47 +614,25 @@ SlotCodec MapSlotCodec(size_t num_partitions) {
     DDP_RETURN_NOT_OK(r->GetVarint64(&mo->spill_files));
     return r->GetDouble(&mo->spill_seconds);
   };
-  // Worker side: the attempt's runs in merge-ordinal order — disk runs in
-  // spill order, then each non-empty tail (tails sort after every disk run
-  // of their task; see kTailRunIndex). The OutboundRuns keep the spill-file
-  // handles alive until the supervisor confirms the commit.
+  // Worker side: the attempt's runs as they are, in merge-ordinal order.
+  // They keep the spill-file handles alive until the supervisor confirms
+  // the commit.
   codec.extract_runs = [](TaskSlot& slot) {
-    MapTaskOutput& mo = static_cast<MapTaskOutput&>(slot);
-    std::vector<OutboundRun> runs;
-    runs.reserve(mo.runs.size() + mo.buffers.size());
-    for (SpillRun& run : mo.runs) runs.push_back({std::move(run), {}});
-    for (size_t p = 0; p < mo.buffers.size(); ++p) {
-      if (mo.buffers[p].empty()) continue;
-      OutboundRun tail;
-      tail.partition = static_cast<uint32_t>(p);
-      tail.spill_index = kTailRunIndex;
-      tail.bytes = std::move(mo.buffers[p]);
-      runs.push_back(std::move(tail));
-    }
-    mo.runs.clear();
-    mo.buffers.clear();
-    return runs;
+    return std::move(static_cast<MapTaskOutput&>(slot).runs);
   };
-  // Parent side: tails per partition, disk runs (now extents of a
-  // supervisor-owned spill file) in stream order — so the reduce phase
-  // cannot tell how the bytes arrived.
-  codec.inject_runs = [num_partitions](std::vector<CommittedRun> runs,
+  // Parent side: the runs in stream order, disk runs now extents of a
+  // supervisor-owned spill file — so the reduce phase cannot tell how the
+  // bytes arrived. Partition ids come from another process: check them.
+  codec.inject_runs = [num_partitions](std::vector<SpillRun> runs,
                                        TaskSlot* slot) {
-    MapTaskOutput* mo = static_cast<MapTaskOutput*>(slot);
-    mo->buffers.assign(num_partitions, std::string());
-    mo->runs.clear();
-    for (CommittedRun& run : runs) {
+    for (const SpillRun& run : runs) {
       if (run.partition >= num_partitions) {
         return Status::IoError("streamed run names partition " +
                                std::to_string(run.partition) + " of " +
                                std::to_string(num_partitions));
       }
-      if (run.spill_index == kTailRunIndex) {
-        mo->buffers[run.partition] = std::move(run.bytes);
-      } else {
-        mo->runs.push_back(std::move(run));
-      }
     }
+    static_cast<MapTaskOutput*>(slot)->runs = std::move(runs);
     return Status::OK();
   };
   return codec;
@@ -823,17 +755,9 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
                                  : supervised ? "fork"
                                               : "fork->inproc");
   }
-  // Supervised map output is always sorted runs and tails, budget or not:
-  // the spill segment is the unit of shuffle transfer, so workers emit
-  // through the spilling buffer (which, under no budget, never touches disk
-  // — it just key-sorts each partition into an in-memory tail) and the
-  // reduce side merge-streams. Bit-identical to the concat+stable_sort path
-  // by the determinism contract in spill.h, so the shape stays when a
-  // supervised phase falls back in-process.
   const bool spilling = options.memory_budget_bytes > 0;
   MapTaskParams params;
   params.num_partitions = num_partitions;
-  params.sorted_shuffle = spilling || supervised;
   params.memory_budget_bytes = options.memory_budget_bytes;
   params.faults = options.faults;
   if (spilling) {
@@ -873,10 +797,9 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
     return RunRobustPhase(pool.get(), *spec, options, stats, outputs);
   };
 
-  // ---- Map phase. With a memory budget, `buffers` holds only the sorted
-  // in-memory tails and `runs` references the sorted runs spilled to disk;
-  // the RAII file handles inside the runs unlink the spill files when
-  // map_outputs dies.
+  // ---- Map phase. Each task's output is its sorted runs, in memory or
+  // (under a memory budget) spilled to disk; the RAII file handles inside
+  // the disk runs unlink the spill files when map_outputs dies.
   Stopwatch map_timer;
   DDP_TRACE_SPAN(map_span, obs::kCatMr, obs::kSpanMapPhase);
   if (map_span.active()) {
@@ -917,9 +840,8 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
 
   // ---- Shuffle. Byte counters report payload (key/value encodings),
   // excluding frame headers and injected poison, so they stay comparable to
-  // the paper's figures. On the sorted path there is nothing to
-  // concatenate: reduce merge-streams straight out of the map outputs' runs
-  // and tails.
+  // the paper's figures. Nothing moves: reduce merge-streams straight out
+  // of the map outputs' runs.
   Stopwatch shuffle_timer;
   DDP_TRACE_SPAN(shuffle_span, obs::kCatMr, obs::kSpanShufflePhase);
   if (shuffle_span.active()) shuffle_span.AddArg("job", job.name);
@@ -929,10 +851,6 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
     counters.shuffle_bytes += payload;
     counters.max_partition_bytes =
         std::max<uint64_t>(counters.max_partition_bytes, payload);
-  }
-  std::vector<std::string> partitions;
-  if (!params.sorted_shuffle) {
-    partitions = ConcatPartitions(&map_outputs, num_partitions, &counters);
   }
   counters.shuffle_records = counters.map_output_records;
   counters.shuffle_seconds = shuffle_timer.ElapsedSeconds();
@@ -948,12 +866,11 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
                              " cancelled at the map/reduce boundary");
   }
 
-  // ---- Reduce phase: per partition, decode, sort-group, reduce — or
-  // merge-stream the sorted runs and tails. Reading the shuffle lives
-  // inside the attempt (a lost Hadoop reduce task re-fetches its shuffle
-  // input too), so retries and speculative attempts are self-contained;
-  // map_outputs and partitions are read-only here, so concurrent attempts
-  // share them safely.
+  // ---- Reduce phase: per partition, merge-stream the sorted runs, group
+  // and reduce. Reading the shuffle lives inside the attempt (a lost Hadoop
+  // reduce task re-fetches its shuffle input too), so retries and
+  // speculative attempts are self-contained; map_outputs is read-only
+  // here, so concurrent attempts share it safely.
   Stopwatch reduce_timer;
   DDP_TRACE_SPAN(reduce_span, obs::kCatMr, obs::kSpanReducePhase);
   if (reduce_span.active()) {
@@ -967,21 +884,18 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   reduce.num_tasks = num_partitions;
   reduce.new_slot = job.new_reduce_slot;
   reduce.body = [&](size_t p, CancelToken* cancel, TaskSlot* slot) {
-    if (!params.sorted_shuffle) {
-      return job.reduce_unsorted(p, partitions[p], cancel, slot);
-    }
     std::vector<std::unique_ptr<FrameStream>> streams;
     bool any_run = false;
-    for (const PartitionSource& s : PartitionSources(map_outputs, p)) {
-      if (s.run != nullptr) {
+    for (const SpillRun* run : PartitionRuns(map_outputs, p)) {
+      if (run->file != nullptr) {
         streams.push_back(std::make_unique<SpillSegmentReader>(
-            s.run->file, s.run->offset, s.run->length));
+            run->file, run->offset, run->length));
         any_run = true;
       } else {
-        streams.push_back(std::make_unique<MemoryFrameReader>(*s.tail));
+        streams.push_back(std::make_unique<MemoryFrameReader>(run->bytes));
       }
     }
-    return job.reduce_sorted(p, std::move(streams), any_run, cancel, slot);
+    return job.reduce(p, std::move(streams), any_run, cancel, slot);
   };
   if (job.reduce_codec.serialize) reduce.codec = &job.reduce_codec;
   reduce.remote_input = [&map_outputs](size_t p) {
@@ -995,8 +909,6 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
     job_span.MarkCancelled();
     return st;
   }
-  partitions.clear();
-  partitions.shrink_to_fit();
   // Dropping the map outputs releases the spill-run handles: the last
   // reference to each spill file unlinks it, so the spill dir is empty again
   // once the job's reduce phase is done.

@@ -26,6 +26,10 @@
 /// and remote workers (supervisor.h), whose attempts all go through
 /// `RunWorkerAttempt`. A task body fills an attempt-local `TaskSlot`, and
 /// committing an attempt moves its slot into the task's output.
+///
+/// There is one shuffle on every substrate: a map task's output is its
+/// key-sorted SpillRuns (spill.h), on disk or in memory, and every reduce
+/// task merges its partition's runs in (map task, spill index, tail) order.
 
 namespace ddp {
 namespace mr {
@@ -43,8 +47,7 @@ enum class ExecMode {
   /// cross the process boundary). Output is bit-identical to kInProc.
   kFork = 1,
   /// Tasks run in separately exec'd ddp_worker processes (possibly on other
-  /// hosts) that dialed `Options::remote_pool`'s listener, plus
-  /// `Options::remote_local_workers` forked locals. Tasks ship by *name*
+  /// hosts) that dialed `Options::remote_pool`'s listener. Tasks ship by *name*
   /// (JobSpec::remote_task_id against the worker's JobRegistry) with their
   /// input serialized by value, so nothing is fork-captured. Jobs whose
   /// input type has no Serde or whose spec carries no remote_task_id
@@ -100,10 +103,9 @@ struct Options {
   /// Out-of-core execution. When > 0, a map task whose buffered intermediate
   /// payload bytes reach this budget key-sorts its in-memory segment and
   /// spills it to `spill_dir` as CRC-trailed sorted runs (one per non-empty
-  /// partition); the reduce side then streams a k-way merge over each
-  /// partition's runs plus the in-memory tails instead of decoding and
-  /// sorting the whole partition. 0 keeps the all-in-memory path. Output is
-  /// bit-identical either way (see spill.h for the determinism contract).
+  /// partition). 0 keeps every map task's sorted runs in memory. Either way
+  /// the reduce side streams a k-way merge over each partition's runs, and
+  /// the output is bit-identical (see spill.h for the merge-order contract).
   uint64_t memory_budget_bytes = 0;
   /// Directory for spill files; empty means "<system temp>/ddp-spill".
   /// Files are created with process-unique names and removed when the job's
@@ -123,20 +125,12 @@ struct Options {
   /// Consecutive worker-killing crashes before a task is declared
   /// poisonous and routed through skip_bad_records quarantine.
   size_t quarantine_after_crashes = 2;
-  /// Interval of worker liveness heartbeats (kHeartbeat frames); silence
-  /// past 8x this interval SIGKILLs the worker as hung. 0 disables.
-  double worker_heartbeat_seconds = 0.25;
 
   /// ExecMode::kRemote: the pool of exec'd ddp_worker processes
   /// (remote_worker.h) whose listener remote workers dial. Borrowed, not
   /// owned; one job may use a pool at a time. Required for kRemote — a null
   /// pool degrades the job to kFork semantics.
   RemoteWorkerPool* remote_pool = nullptr;
-  /// Local fork workers to run alongside the remote crew (kRemote only;
-  /// 0 means the job runs on remote workers exclusively). The mixed crew
-  /// shares one scheduler, so a lost remote worker's tasks can land on a
-  /// local fork worker and vice versa.
-  size_t remote_local_workers = 0;
 
   /// Cooperative cancellation shared across a pipeline: when set, RunJob
   /// checks the flag before doing any work and again at the map->reduce
@@ -190,13 +184,12 @@ using TaskSlots = std::vector<std::unique_ptr<TaskSlot>>;
 using TaskBody =
     std::function<Status(size_t task, CancelToken* cancel, TaskSlot* slot)>;
 
-/// One map task's output: per-partition sorted in-memory tails (or unsorted
-/// buffers) plus the sorted runs spilled to disk, with the byte and record
-/// accounting the engine merges into JobCounters.
+/// One map task's output: its key-sorted runs in merge-ordinal order (disk
+/// runs in spill order, or in-memory runs by partition), with the byte and
+/// record accounting the engine merges into JobCounters.
 struct MapTaskOutput : TaskSlot {
-  std::vector<std::string> buffers;
-  std::vector<uint64_t> payload_bytes;
   std::vector<SpillRun> runs;
+  std::vector<uint64_t> payload_bytes;
   uint64_t records = 0;
   uint64_t combine_in = 0;
   uint64_t spilled_bytes = 0;
@@ -224,21 +217,19 @@ struct ReduceTaskStats : TaskSlot {
 struct SlotCodec {
   std::function<void(BufferWriter* w, TaskSlot& slot)> serialize;
   std::function<Status(BufferReader* r, TaskSlot* slot)> deserialize;
-  std::function<std::vector<OutboundRun>(TaskSlot& slot)> extract_runs;
-  std::function<Status(std::vector<CommittedRun> runs, TaskSlot* slot)>
+  std::function<std::vector<SpillRun>(TaskSlot& slot)> extract_runs;
+  std::function<Status(std::vector<SpillRun> runs, TaskSlot* slot)>
       inject_runs;
 };
 
-/// The codec of MapTaskOutput slots; the parent rebuilds a slot shaped
-/// exactly like an in-process map task's.
+/// The codec of MapTaskOutput slots: a map slot's runs cross the wire as
+/// they are, and a streamed-in run naming a partition at or past
+/// `num_partitions` is an IoError.
 SlotCodec MapSlotCodec(size_t num_partitions);
 
 /// The job-wide knobs a map task shapes its output by.
 struct MapTaskParams {
   size_t num_partitions = 0;
-  /// Sorted runs and tails through a SpillingBuffer (which never touches
-  /// disk under a 0 budget) instead of unsorted per-partition buffers.
-  bool sorted_shuffle = false;
   uint64_t memory_budget_bytes = 0;
   std::string spill_dir;
   FaultInjection faults;  // shuffle-corruption placement
@@ -280,16 +271,12 @@ struct JobTasks {
 
   /// A fresh ReduceTaskOutput<Out>.
   std::function<std::unique_ptr<TaskSlot>()> new_reduce_slot;
-  /// Reduces partition `p` from its unsorted in-memory concatenation.
-  std::function<Status(size_t p, const std::string& partition,
-                       CancelToken* cancel, TaskSlot* slot)>
-      reduce_unsorted;
-  /// Reduces partition `p` by merging its sorted sources; `any_run` says a
+  /// Reduces partition `p` by merging its sorted runs; `any_run` says a
   /// spilled run is among them.
   std::function<Status(size_t p,
                        std::vector<std::unique_ptr<FrameStream>> sources,
                        bool any_run, CancelToken* cancel, TaskSlot* slot)>
-      reduce_sorted;
+      reduce;
   SlotCodec reduce_codec;
 
   /// Moves the committed reduce slots' records, partition-major, into the

@@ -26,12 +26,11 @@ namespace ddp {
 namespace mr {
 
 /// Builds the TaskRunner serving one installed job: phase 0 decodes a
-/// by-value input slice and runs the map body (always sorted-shuffle — the
-/// spill run is the unit of transfer back to the supervisor); phase 1
-/// decodes the partition's (is_run, frame bytes) sources and merge-reduces
-/// them. Both decoders bound the declared count by the bytes received
-/// (Serde<std::vector<T>>::Read). The spec is shared, not copied, into the
-/// per-task closures.
+/// by-value input slice and runs the map body, whose sorted runs stream
+/// back to the supervisor; phase 1 decodes the partition's (is_run, frame
+/// bytes) sources and merge-reduces them. Both decoders bound the declared
+/// count by the bytes received (Serde<std::vector<T>>::Read). The spec is
+/// shared, not copied, into the per-task closures.
 template <typename In, typename MidK, typename MidV, typename Out>
 JobRegistry::TaskRunner MakeRegisteredRunner(
     std::shared_ptr<const JobSpec<In, MidK, MidV, Out>> spec,
@@ -48,7 +47,6 @@ JobRegistry::TaskRunner MakeRegisteredRunner(
     // locally, then streams run bytes back over the channel).
     internal::MapTaskParams params;
     params.num_partitions = static_cast<size_t>(setup.num_partitions);
-    params.sorted_shuffle = true;
     params.memory_budget_bytes = setup.memory_budget_bytes;
     params.spill_dir = internal::ResolveSpillDir(setup.spill_dir);
     params.faults = setup.faults;

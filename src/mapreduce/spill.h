@@ -18,28 +18,32 @@
 #include "obs/trace.h"
 
 /// \file spill.h
-/// The out-of-core execution subsystem of the MapReduce runtime, modeled on
-/// Hadoop's IFile/merge machinery. With a memory budget configured
-/// (`mr::Options::memory_budget_bytes > 0`), a map task no longer holds its
-/// whole intermediate output in RAM:
+/// The shuffle of the MapReduce runtime, modeled on Hadoop's IFile/merge
+/// machinery. Every map task emits key-sorted runs, on every substrate and
+/// at every memory budget:
 ///
 ///  * `SpillingBuffer` accumulates serialized (key, value) frames per reduce
-///    partition; when the buffered payload bytes exceed the budget it
-///    key-sorts each partition's in-memory segment (stably, preserving
-///    emission order within equal keys) and flushes it to a spill file as a
-///    sorted run. One spill writes one file holding one CRC32-trailed run
-///    per non-empty partition, exactly like Hadoop's spill files + index.
-///  * The reduce side replaces "decode everything, then stable_sort" with
-///    `MergingGroupReader`: a streaming k-way merge over that partition's
-///    sorted runs plus each task's in-memory tail segment, feeding reduce
-///    one key-group at a time without ever materializing the partition.
+///    partition. With a memory budget configured
+///    (`mr::Options::memory_budget_bytes > 0`), whenever the buffered
+///    payload bytes exceed it, it key-sorts each partition's in-memory
+///    segment (stably, preserving emission order within equal keys) and
+///    flushes it to a spill file: one spill writes one file holding one
+///    CRC32-trailed run per non-empty partition, exactly like Hadoop's spill
+///    files + index. A task that never reaches its budget keeps the same
+///    sorted runs in memory.
+///  * `SpillRun` is the one run type: an extent of a spill file, or frames
+///    held in memory (`spill_index == kTailRunIndex`).
+///  * The reduce side is `MergingGroupReader`: a streaming k-way merge over
+///    that partition's runs, feeding reduce one key group at a time without
+///    ever materializing the partition.
 ///
-/// Determinism contract: the merged stream is bit-identical to the
-/// in-memory path. Sources are ordered (map task id, spill index, tail) and
-/// the merge breaks key ties by source ordinal, which reproduces exactly
-/// the (map task id, emission index) order a stable sort over the
-/// concatenated partition yields — spills within a task always hold earlier
-/// emissions than later spills and the tail.
+/// Determinism contract (the merge order): a key's values reach reduce in
+/// (map task id, emission index) order — input order, since map tasks own
+/// consecutive input slices. Sources are ordered (map task id, spill index,
+/// tail), each run keeps emission order within equal keys, and the merge
+/// breaks key ties by source ordinal; a task's earlier spills always hold
+/// earlier emissions than its later ones. So the output is bit-identical at
+/// every budget, on every substrate.
 ///
 /// Spill files are owned by RAII handles: a failed, cancelled, or
 /// speculative-loser attempt unlinks its files when its emitter is
@@ -82,14 +86,23 @@ class SpillFileHandle {
 /// supervisor after each worker death.
 uint64_t ReapOrphanSpillFiles(const std::string& dir);
 
-/// One sorted run inside a spill file: the frames of one reduce partition
-/// from one map-side spill, followed by a 4-byte CRC32 trailer.
+/// The spill index of an in-memory run (a map task's tail): tails sort after
+/// every disk run of their task in the merge ordinal (map task, spill
+/// index, tail), so the sentinel is the max value.
+constexpr uint32_t kTailRunIndex = 0xFFFFFFFFu;
+
+/// One key-sorted run: the frames of one reduce partition from one map
+/// task. A disk run is an extent of a spill file (`file`, `offset`,
+/// `length`, the extent ending in a 4-byte CRC32 trailer); an in-memory run
+/// has no file, `spill_index == kTailRunIndex`, and its bare frames in
+/// `bytes`.
 struct SpillRun {
   std::shared_ptr<SpillFileHandle> file;
   uint32_t partition = 0;
   uint32_t spill_index = 0;  // order of the spill within its map task
   uint64_t offset = 0;       // byte offset of the run inside the file
   uint64_t length = 0;       // bytes including the 4-byte CRC trailer
+  std::string bytes;         // an in-memory run's frames
 };
 
 /// Byte extent of a finished run inside its spill file.
@@ -109,8 +122,9 @@ void AppendRunTrailer(std::string* segment);
 Status VerifyAndStripRunTrailer(std::string* segment);
 
 /// Reads `length` bytes at `offset` from `path` — the byte-faithful lift of
-/// one run extent out of a spill file, used when a committed run must be
-/// re-serialized into a remote task's input instead of being read in place.
+/// one run extent out of a spill file, used when a run must cross a process
+/// boundary (a worker shipping it, a remote task's input) instead of being
+/// read in place.
 Result<std::string> ReadFileExtent(const std::string& path, uint64_t offset,
                                    uint64_t length);
 
@@ -188,7 +202,7 @@ class SpillSegmentReader : public FrameStream {
   size_t pos_ = 0;  // consumed prefix of buf_
 };
 
-/// Streams frames from a borrowed in-memory segment (a map task's tail).
+/// Streams frames from a borrowed in-memory segment (an in-memory run).
 class MemoryFrameReader : public FrameStream {
  public:
   explicit MemoryFrameReader(const std::string& buffer) : buf_(&buffer) {}
@@ -216,12 +230,13 @@ uint64_t NextSpillFileId();
 /// The calling process's ownership tag for spill file names: "p<pid>".
 std::string SpillOwnerTag();
 
-/// Map-side memory-budgeted buffer. Serializes every (key, value) into a
-/// length-framed payload, keeps (decoded key, payload) pairs per partition,
-/// and spills sorted runs whenever the buffered payload bytes reach the
-/// budget. A task that never hit the budget keeps its output in sorted
-/// in-memory segments (`tails()`) and never touches disk; a task that
-/// spilled flushes its remainder as a final run at Finish(). `Traits`
+/// Map-side buffer that every map task emits through. Serializes every
+/// (key, value) payload back to back into its partition's byte arena, keeps
+/// a (decoded key, payload extent) entry per record, and spills sorted runs
+/// whenever the buffered payload bytes reach a nonzero budget. A task that
+/// never hit the budget keeps its output as sorted in-memory runs and never
+/// touches disk; a task that spilled flushes its remainder as a final run at
+/// Finish(). Either way `runs()` is in merge-ordinal order. `Traits`
 /// supplies Hash/Less for the key (mr::KeyTraits in practice).
 template <typename MidK, typename MidV, typename Traits>
 class SpillingBuffer {
@@ -232,20 +247,22 @@ class SpillingBuffer {
         dir_(std::move(spill_dir)),
         prefix_(std::move(file_prefix)),
         pending_(num_partitions),
+        arena_(num_partitions),
         poison_(num_partitions, 0),
-        payload_bytes_(num_partitions, 0),
-        tails_(num_partitions) {}
+        payload_bytes_(num_partitions, 0) {}
 
   void Add(const MidK& key, const MidV& value) {
     if (!status_.ok()) return;
-    scratch_.clear();
-    BufferWriter rec(&scratch_);
+    const size_t p = Traits::Hash(key) % pending_.size();
+    std::string& arena = arena_[p];
+    const size_t offset = arena.size();
+    BufferWriter rec(&arena);
     Serde<MidK>::Write(&rec, key);
     Serde<MidV>::Write(&rec, value);
-    const size_t p = Traits::Hash(key) % pending_.size();
-    payload_bytes_[p] += scratch_.size();
-    buffered_bytes_ += scratch_.size();
-    pending_[p].push_back({key, scratch_});
+    const size_t size = arena.size() - offset;
+    payload_bytes_[p] += size;
+    buffered_bytes_ += size;
+    pending_[p].push_back({key, offset, size});
     ++records_;
     if (budget_bytes_ > 0 && buffered_bytes_ >= budget_bytes_) {
       status_ = Spill();
@@ -259,23 +276,33 @@ class SpillingBuffer {
 
   /// Seals the buffer; call once, after the last Add/AddPoisonFrame.
   /// A task that never hit the budget sorts and encodes its output into
-  /// in-memory tail segments; a task that spilled flushes the remainder as
-  /// a final spill (Hadoop's close-time flush), so its entire output —
-  /// poison frames included — lives in sorted runs on disk. Returns the
-  /// first deferred spill error.
+  /// one in-memory run per non-empty partition; a task that spilled
+  /// flushes the remainder as a final spill (Hadoop's close-time flush), so
+  /// its entire output — poison frames included — lives in sorted runs on
+  /// disk. Returns the first deferred spill error.
   Status Finish() {
     if (!status_.ok()) return status_;
     if (spill_count_ > 0) return Spill();
     for (size_t p = 0; p < pending_.size(); ++p) {
+      if (pending_[p].empty() && poison_[p] == 0) continue;
       SortPartition(p);
-      BufferWriter out(&tails_[p]);
+      SpillRun run;
+      run.partition = static_cast<uint32_t>(p);
+      run.spill_index = kTailRunIndex;
+      size_t run_bytes = 2 * poison_[p];  // a poison frame is 2 bytes
       for (const Pending& rec : pending_[p]) {
-        out.PutVarint64(rec.payload.size());
-        out.PutRaw(rec.payload.data(), rec.payload.size());
+        run_bytes += VarintBytes(rec.size) + rec.size;
+      }
+      run.bytes.reserve(run_bytes);
+      BufferWriter out(&run.bytes);
+      for (const Pending& rec : pending_[p]) {
+        out.PutVarint64(rec.size);
+        out.PutRaw(arena_[p].data() + rec.offset, rec.size);
       }
       AppendPoison(&out, p);
-      pending_[p].clear();
-      pending_[p].shrink_to_fit();
+      std::vector<Pending>().swap(pending_[p]);
+      std::string().swap(arena_[p]);
+      runs_.push_back(std::move(run));
     }
     return Status::OK();
   }
@@ -283,7 +310,6 @@ class SpillingBuffer {
   const Status& status() const { return status_; }
   uint64_t records() const { return records_; }
   const std::vector<uint64_t>& payload_bytes() const { return payload_bytes_; }
-  std::vector<std::string>& tails() { return tails_; }
   std::vector<SpillRun>& runs() { return runs_; }
   uint64_t spilled_bytes() const { return spilled_bytes_; }
   uint64_t spill_files() const { return spill_file_count_; }
@@ -292,8 +318,15 @@ class SpillingBuffer {
  private:
   struct Pending {
     MidK key;
-    std::string payload;
+    size_t offset;  // of the payload in its partition's arena
+    size_t size;
   };
+
+  static size_t VarintBytes(uint64_t v) {
+    size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+  }
 
   void SortPartition(size_t p) {
     std::stable_sort(pending_[p].begin(), pending_[p].end(),
@@ -332,9 +365,9 @@ class SpillingBuffer {
       for (const Pending& rec : pending_[p]) {
         frame.clear();
         BufferWriter hdr(&frame);
-        hdr.PutVarint64(rec.payload.size());
+        hdr.PutVarint64(rec.size);
         writer->Append(frame.data(), frame.size());
-        writer->Append(rec.payload.data(), rec.payload.size());
+        writer->Append(arena_[p].data() + rec.offset, rec.size);
       }
       if (poison_[p] > 0) {
         frame.clear();
@@ -344,8 +377,10 @@ class SpillingBuffer {
       }
       DDP_ASSIGN_OR_RETURN(SpillExtent extent, writer->EndRun());
       runs_.push_back(SpillRun{writer->handle(), static_cast<uint32_t>(p),
-                               spill_count_, extent.offset, extent.length});
+                               spill_count_, extent.offset, extent.length,
+                               {}});
       pending_[p].clear();
+      arena_[p].clear();
     }
     const uint64_t written = writer->bytes_written();
     spilled_bytes_ += written;
@@ -368,11 +403,10 @@ class SpillingBuffer {
   const std::string dir_;
   const std::string prefix_;
   std::vector<std::vector<Pending>> pending_;
+  std::vector<std::string> arena_;  // per partition: payloads back to back
   std::vector<uint64_t> poison_;
   std::vector<uint64_t> payload_bytes_;
-  std::vector<std::string> tails_;
   std::vector<SpillRun> runs_;
-  std::string scratch_;
   Status status_;
   uint64_t buffered_bytes_ = 0;
   uint64_t records_ = 0;
@@ -385,10 +419,10 @@ class SpillingBuffer {
 /// Streaming k-way merge over key-sorted frame streams, yielding one key
 /// group at a time. Sources must be passed in (map task id, spill index,
 /// tail) order; key ties break by source ordinal, which together with each
-/// source's internal stability reproduces the in-memory path's
-/// stable-sorted order exactly. Undecodable frames are skipped and counted
-/// when `skip_bad_records` is set, otherwise they abort with IoError —
-/// identical semantics to the in-memory decode loop.
+/// source's internal stability yields every key's values in (map task id,
+/// emission index) order — the merge-order contract above. Undecodable
+/// frames are skipped and counted when `skip_bad_records` is set, otherwise
+/// they abort with IoError.
 template <typename MidK, typename MidV, typename Traits>
 class MergingGroupReader {
  public:

@@ -19,6 +19,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/backoff.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/serde.h"
@@ -272,6 +273,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Interval of the kHeartbeat frames a forked worker sends (ddp_worker's
+/// default too).
+constexpr double kWorkerHeartbeatSeconds = 0.25;
+/// A busy worker silent for more than this many heartbeat intervals is
+/// declared hung.
+constexpr double kHeartbeatGrace = 8.0;
+/// Seeded exponential backoff before a failed task's next attempt and
+/// before each replacement worker is forked.
+constexpr ExponentialBackoff::Params kRetryBackoff{0.002, 2.0, 0.25, 0.25};
+constexpr ExponentialBackoff::Params kRespawnBackoff{0.002, 2.0, 0.25, 0.25};
+/// How long a disconnected remote worker is held (attempt and committed
+/// runs kept) before it is evicted and its task reassigned.
+constexpr double kReconnectGraceSeconds = 5.0;
+
 double SecondsSince(Clock::time_point then, Clock::time_point now) {
   return std::chrono::duration<double>(now - then).count();
 }
@@ -319,7 +334,7 @@ struct OpenRun {
 /// and the run in flight. Discarded wholesale when the attempt fails —
 /// dropping `writer`'s last handle reference unlinks the file.
 struct AttemptStream {
-  std::vector<CommittedRun> committed;
+  std::vector<SpillRun> committed;
   uint64_t committed_bytes = 0;
   uint64_t last_acked_bytes = 0;
   std::unique_ptr<SpillFileWriter> writer;
@@ -393,7 +408,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   const uint64_t ack_threshold = std::max<uint64_t>(1, window / 2);
   // How long a disconnected remote worker (or an empty remote crew) is
   // waited for before it is evicted (or the phase fails).
-  const double connect_grace = std::max(2.0, cfg.reconnect_grace_seconds) + 1.0;
+  const double connect_grace = kReconnectGraceSeconds + 1.0;
 
   std::vector<Worker> workers;
   std::vector<TaskState> tasks(cfg.num_tasks);
@@ -402,25 +417,21 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   uint64_t next_worker_id = 1;
   Status job_error;
 
-  // With a remote pool the forked crew may be empty (num_workers == 0 means
-  // pure-remote execution); without one at least one fork worker is needed.
+  // A remote phase forks no workers; a fork phase needs at least one.
   const size_t fork_target =
       cfg.remote_pool != nullptr
-          ? (ForkExecutionSupported()
-                 ? std::min(cfg.num_workers, cfg.num_tasks)
-                 : 0)
+          ? 0
           : std::max<size_t>(1, std::min(cfg.num_workers, cfg.num_tasks));
   const ExponentialBackoff respawn_backoff(
-      cfg.respawn_backoff, SplitSeed(cfg.backoff_seed, 0x5e5u));
+      kRespawnBackoff, SplitSeed(cfg.backoff_seed, 0x5e5u));
   auto task_backoff = [&cfg](size_t t) {
-    return ExponentialBackoff(cfg.retry_backoff,
-                              SplitSeed(cfg.backoff_seed, t));
+    return ExponentialBackoff(kRetryBackoff, SplitSeed(cfg.backoff_seed, t));
   };
 
   auto spawn_worker = [&]() -> Status {
     const uint64_t id = next_worker_id++;
     WorkerMainConfig wc;
-    wc.heartbeat_seconds = cfg.child_heartbeat_seconds;
+    wc.heartbeat_seconds = kWorkerHeartbeatSeconds;
     wc.worker_id = id;
     wc.stream_window_bytes = window;
 
@@ -432,10 +443,9 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     }
     if (pid == 0) {
       // Worker process. Drop every supervisor-side descriptor we inherited
-      // (ours, those of workers forked before us, and any remote-pool
-      // listener) so a sibling's EOF is seen the moment that sibling dies.
+      // (ours and those of workers forked before us) so a sibling's EOF is
+      // seen the moment that sibling dies.
       ends.first->Close();
-      if (listener != nullptr) listener->Close();
       for (Worker& w : workers) {
         if (w.ch != nullptr) w.ch->Close();
       }
@@ -691,9 +701,13 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
         msg.seq != w.stream.committed.size() || w.stream.open.has_value()) {
       return false;
     }
+    // The declared length comes from another process, so reserve at most
+    // the credit window, a bound this supervisor set; handle_run_data
+    // rejects bytes past the declared length. Reserving the run's size up
+    // front keeps a held in-memory run from carrying growth slack.
     OpenRun open;
     open.begin = msg;
-    open.buf.reserve(static_cast<size_t>(msg.length));
+    open.buf.reserve(static_cast<size_t>(std::min(msg.length, window)));
     open.started = Clock::now();
     w.stream.open.emplace(std::move(open));
     return true;
@@ -720,11 +734,11 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     }
     std::string run = std::move(open.buf);
     if (!VerifyAndStripRunTrailer(&run).ok()) return false;
-    CommittedRun cr;
+    SpillRun cr;
     cr.partition = open.begin.partition;
     cr.spill_index = open.begin.spill_index;
     if (open.begin.spill_index == kTailRunIndex) {
-      // In-memory tail: kept as bare frames, same as the relay used to.
+      // In-memory run: kept as bare frames.
       cr.bytes = std::move(run);
       cr.length = open.begin.length;
     } else {
@@ -775,10 +789,9 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     return true;
   };
 
-  // ---- Initial crew: remote workers parked by an earlier phase first,
-  // then the forked complement. Total spawn failure (with no remote pool to
-  // wait on) aborts before any task ran, so RunJob can fall back to the
-  // in-process executor.
+  // ---- Initial crew: the remote workers parked by an earlier phase, or
+  // the forked crew. Total spawn failure aborts before any task ran, so
+  // RunJob can fall back to the in-process executor.
   if (cfg.remote_pool != nullptr) {
     for (RemoteWorkerPool::Parked& parked : cfg.remote_pool->TakeParked()) {
       admit_remote(parked.id, std::move(parked.channel), /*resumed=*/false);
@@ -787,7 +800,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   for (size_t i = 0; i < fork_target; ++i) {
     Status st = spawn_worker();
     if (!st.ok()) {
-      if (workers.empty() && cfg.remote_pool == nullptr) {
+      if (workers.empty()) {
         // NotImplemented is the caller's single "fork execution is not
         // available here" signal — same as the unsupported-platform path.
         return Status::NotImplemented("cannot spawn workers: " +
@@ -819,25 +832,21 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     const Clock::time_point now = Clock::now();
 
     // Respawn toward the forked target crew while the restart budget lasts.
-    size_t fork_alive = 0;
-    for (const Worker& w : workers) {
-      if (!w.remote) ++fork_alive;
-    }
-    if (fork_alive < fork_target && now >= next_respawn) {
+    if (workers.size() < fork_target && now >= next_respawn) {
       if (restarts_used < cfg.max_worker_restarts) {
         Status st = spawn_worker();
         if (st.ok()) {
           ++restarts_used;
           ++stats->worker_restarts;
           DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerRestarts, 1);
-        } else if (workers.empty() && cfg.remote_pool == nullptr) {
+        } else if (workers.empty()) {
           job_error = Status::Internal("cannot respawn any worker: " +
                                        st.ToString());
           break;
         }
         next_respawn =
             now + FromSeconds(respawn_backoff.DelaySeconds(restarts_used));
-      } else if (workers.empty() && cfg.remote_pool == nullptr) {
+      } else if (workers.empty()) {
         job_error = Status::Internal(
             "all workers dead and the restart budget (" +
             std::to_string(cfg.max_worker_restarts) + ") is exhausted");
@@ -1069,10 +1078,8 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       const bool deadline_hit =
           cfg.task_deadline_seconds > 0.0 &&
           SecondsSince(w.dispatched, scan_now) > cfg.task_deadline_seconds;
-      const bool silent =
-          cfg.child_heartbeat_seconds > 0.0 &&
-          SecondsSince(w.last_beat, scan_now) >
-              cfg.heartbeat_grace * cfg.child_heartbeat_seconds;
+      const bool silent = SecondsSince(w.last_beat, scan_now) >
+                          kHeartbeatGrace * kWorkerHeartbeatSeconds;
       if (deadline_hit || silent) {
         kill_worker(wi, /*hang=*/true, deadline_hit);
       }

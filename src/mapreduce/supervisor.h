@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/result.h"
 #include "mapreduce/channel.h"
 #include "mapreduce/spill.h"
@@ -39,17 +38,17 @@
 ///    supervisor keeps the attempt in flight and the already-committed
 ///    runs; the worker redials with a seeded backoff, re-identifies itself
 ///    (kHello carries worker id + generation), and a resume kRunAck tells
-///    it which run boundary to restart from. A worker still gone after
-///    `reconnect_grace_seconds` is evicted and its task reassigned. A
-///    forked worker's socketpair cannot be re-established: any channel
-///    error there is a crash.
+///    it which run boundary to restart from. A worker still gone after the
+///    reconnect grace is evicted and its task reassigned. A forked worker's
+///    socketpair cannot be re-established: any channel error there is a
+///    crash.
 ///
 /// The streamed shuffle: a successful attempt does NOT relay its map output
-/// through the result payload. The worker ships each sorted, CRC-trailed
-/// spill run (and each in-memory tail, trailer appended) as its own
-/// kRunBegin / kRunData* / kRunEnd exchange — the run bytes on the wire are
-/// byte-identical to the run bytes on disk, no re-serialization — and the
-/// supervisor commits every run as it completes: tails stay in memory,
+/// through the result payload. The worker ships each of its SpillRuns as
+/// its own kRunBegin / kRunData* / kRunEnd exchange — a disk run's bytes on
+/// the wire are byte-identical to its bytes on disk, CRC trailer included,
+/// and an in-memory run gets a trailer appended — and the supervisor
+/// commits every run as it completes: in-memory runs stay in memory,
 /// disk-backed runs are appended to a supervisor-owned spill file. Flow
 /// control is credit-based: the supervisor acks committed bytes
 /// (cumulative, at least every half window) and the worker opens a new run
@@ -107,15 +106,8 @@ struct SupervisorConfig {
   size_t quarantine_after_crashes = 2;
   bool skip_bad_records = false;
   double task_deadline_seconds = 0.0;
-  /// Interval of the worker's kHeartbeat frames; 0 disables the heartbeat
-  /// thread (hangs are then caught by the task deadline alone).
-  double child_heartbeat_seconds = 0.25;
-  /// A busy worker silent for more than grace * child_heartbeat_seconds is
-  /// declared hung.
-  double heartbeat_grace = 8.0;
+  /// Seeds the retry and respawn backoff jitter.
   uint64_t backoff_seed = 1;
-  ExponentialBackoff::Params retry_backoff{0.002, 2.0, 0.25, 0.25};
-  ExponentialBackoff::Params respawn_backoff{0.002, 2.0, 0.25, 0.25};
   /// Non-empty: reap orphan spill files of dead processes from this
   /// directory after each worker death (see spill.h ReapOrphanSpillFiles).
   /// Also where the supervisor writes its own shuffle spill files when
@@ -127,11 +119,8 @@ struct SupervisorConfig {
   /// backpressure window). 0 derives a default: the job's memory budget
   /// when one is set (floored at 4 KiB), else 4 MiB.
   uint64_t stream_window_bytes = 0;
-  /// How long a disconnected remote worker is held (attempt and committed
-  /// runs kept) before it is evicted and its task reassigned.
-  double reconnect_grace_seconds = 5.0;
-  /// Non-null: schedule on exec'd remote workers (remote_worker.h) alongside
-  /// any forked crew. Remote workers are admitted off the pool's listener
+  /// Non-null: schedule on exec'd remote workers (remote_worker.h) instead
+  /// of forking a crew. Remote workers are admitted off the pool's listener
   /// (parked channels first), installed with `remote_setup_payload` over a
   /// kJobSetup frame, and fed kTaskAssign frames whose input bytes come from
   /// `remote_task_input`. An evicted remote worker's in-flight task is
@@ -144,31 +133,15 @@ struct SupervisorConfig {
   std::function<Result<std::string>(size_t task)> remote_task_input;
 };
 
-/// A run spill index reserved for in-memory tail segments: tails sort after
-/// every disk run of their task in the merge ordinal (map task, spill
-/// index, tail), so the sentinel is the max value.
-constexpr uint32_t kTailRunIndex = 0xFFFFFFFFu;
-
-/// One sorted run of a map attempt on the wire, in merge order (disk runs
-/// in spill order, then non-empty tails by partition): a disk extent (the
-/// SpillRun, CRC trailer included in `length`) or, for a tail
-/// (spill_index == kTailRunIndex, null `file`), its frames in `bytes`.
-/// Worker side (OutboundRun) a tail has no trailer yet: the shipper appends
-/// one. Parent side (CommittedRun) a disk run lives in a supervisor-owned
-/// spill file with a fresh trailer, and a tail's trailer is verified and
-/// stripped.
-struct StreamedRun : SpillRun {
-  std::string bytes;
-};
-using OutboundRun = StreamedRun;
-using CommittedRun = StreamedRun;
-
 /// What one task attempt produces inside the worker: a slim result payload
-/// (counters, never data) plus the runs to stream before it. The chaos
-/// knobs let deterministic fault injection act at run granularity.
+/// (counters, never data) plus the runs to stream before it, in merge
+/// order. The supervisor commits a run with a real spill index to a spill
+/// file it owns and keeps an in-memory run (kTailRunIndex) in memory,
+/// trailer verified and stripped. The chaos knobs let deterministic fault
+/// injection act at run granularity.
 struct TaskResult {
   std::string payload;
-  std::vector<OutboundRun> runs;
+  std::vector<SpillRun> runs;
   /// >= 0: SIGKILL self after shipping this many runs (mid-shuffle crash
   /// chaos, clamped to runs.size()).
   int64_t crash_after_runs = -1;
@@ -188,7 +161,7 @@ using WorkerTaskFn = std::function<Status(
 /// committed. A non-OK return fails the job.
 using CommitFn =
     std::function<Status(size_t task, bool quarantined, double seconds,
-                         std::string payload, std::vector<CommittedRun> runs)>;
+                         std::string payload, std::vector<SpillRun> runs)>;
 
 /// True when this platform/build can run forked workers: POSIX, and not
 /// ThreadSanitizer (TSan does not support threads in forked children, so
@@ -369,13 +342,13 @@ struct RunAckMsg {
 
 class WorkerSupervisor {
  public:
-  /// Runs tasks [0, num_tasks) on forked workers and/or remote workers from
-  /// `config.remote_pool`, committing each task's result (and streamed
-  /// runs) through `commit`. Returns NotImplemented when fork execution is
-  /// unsupported (and no remote pool is configured), when no worker could
-  /// be spawned at all, or when a configured remote pool never produced a
-  /// live worker — all before any task committed, so the caller can fall
-  /// back to the in-process executor.
+  /// Runs tasks [0, num_tasks) on forked workers, or on remote workers from
+  /// `config.remote_pool` when one is set, committing each task's result
+  /// (and streamed runs) through `commit`. Returns NotImplemented when fork
+  /// execution is unsupported (and no remote pool is configured), when no
+  /// worker could be spawned at all, or when a configured remote pool never
+  /// produced a live worker — all before any task committed, so the caller
+  /// can fall back to the in-process executor.
   static Status RunPhase(const SupervisorConfig& config, const WorkerTaskFn& fn,
                          const CommitFn& commit, SupervisorStats* stats);
 };

@@ -1,6 +1,5 @@
 #include <atomic>
 #include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -100,19 +99,6 @@ struct PendingAttempt {
   bool dropped = false;      // chaos drop already injected once
 };
 
-Status ReadExtent(const std::string& path, uint64_t offset, uint64_t length,
-                  std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open spill file " + path);
-  in.seekg(static_cast<std::streamoff>(offset));
-  out->resize(static_cast<size_t>(length));
-  in.read(out->data(), static_cast<std::streamsize>(length));
-  if (static_cast<uint64_t>(in.gcount()) != length) {
-    return Status::IoError("short read from spill file " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
@@ -193,11 +179,11 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
     for (uint64_t i = from_run; i < total_runs; ++i) {
       if (want_crash && i >= crash_at) CrashSelf();
       DDP_RETURN_NOT_OK(drain_until(window));
-      const OutboundRun& run = p.result.runs[i];
+      const SpillRun& run = p.result.runs[i];
       std::string data;
       if (run.file != nullptr) {
-        DDP_RETURN_NOT_OK(
-            ReadExtent(run.file->path(), run.offset, run.length, &data));
+        DDP_ASSIGN_OR_RETURN(
+            data, ReadFileExtent(run.file->path(), run.offset, run.length));
       } else {
         data = run.bytes;  // copied: a reconnect may need to re-ship it
         AppendRunTrailer(&data);

@@ -339,6 +339,65 @@ TEST(MapTaskSplitTest, EveryRecordMappedOnceForked) {
   ExpectSplitSweepExact(o, 20);
 }
 
+// The merge-order contract (spill.h): every key's values reach reduce in
+// input order. Map tasks own consecutive input slices, each sorted run keeps
+// emission order within equal keys, and the merge breaks key ties by (map
+// task, spill index, tail). That must hold at every memory budget, in-process
+// and forked, whatever the worker count.
+using OrderSpec = JobSpec<uint32_t, uint32_t, uint32_t,
+                          std::pair<uint32_t, std::vector<uint32_t>>>;
+
+TEST(MergeOrderTest, EveryKeysValuesReachReduceInInputOrder) {
+  OrderSpec spec;
+  spec.name = "merge-order";
+  spec.map = [](const uint32_t& i, Emitter<uint32_t, uint32_t>* out) {
+    out->Emit(i % 7, i);
+  };
+  spec.reduce =
+      [](const uint32_t& key, std::span<const uint32_t> values,
+         std::vector<std::pair<uint32_t, std::vector<uint32_t>>>* out) {
+        out->push_back({key, {values.begin(), values.end()}});
+      };
+  std::vector<uint32_t> input(20000);
+  std::iota(input.begin(), input.end(), 0);
+  std::map<uint32_t, std::vector<uint32_t>> expected;
+  for (uint32_t i : input) expected[i % 7].push_back(i);
+
+  const std::string spill_dir =
+      (std::filesystem::temp_directory_path() / "ddp_merge_order_test")
+          .string();
+  std::filesystem::remove_all(spill_dir);
+  std::vector<ExecMode> modes = {ExecMode::kInProc};
+  if (ForkExecutionSupported()) modes.push_back(ExecMode::kFork);
+  for (ExecMode mode : modes) {
+    for (uint64_t budget : {uint64_t{0}, uint64_t{256}, uint64_t{4096}}) {
+      for (size_t workers : {size_t{1}, size_t{4}}) {
+        const std::string where =
+            std::string(mode == ExecMode::kFork ? "fork" : "inproc") +
+            " budget=" + std::to_string(budget) +
+            " workers=" + std::to_string(workers);
+        Options o;
+        o.exec_mode = mode;
+        o.num_workers = workers;
+        o.memory_budget_bytes = budget;
+        o.spill_dir = spill_dir;
+        JobCounters counters;
+        auto out = RunJob(spec, std::span<const uint32_t>(input), o, &counters);
+        ASSERT_TRUE(out.ok()) << where << ": " << out.status().ToString();
+        ASSERT_EQ(out->size(), expected.size()) << where;
+        for (const auto& [key, values] : *out) {
+          EXPECT_EQ(values, expected.at(key)) << where << " key=" << key;
+        }
+        EXPECT_EQ(counters.exec_fallbacks, 0u) << where;
+        if (budget > 0) {
+          EXPECT_GT(counters.spill_files, 0u) << where;
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(spill_dir);
+}
+
 TEST(KeyTraitsTest, PairAndVectorHashing) {
   using VK = std::vector<int64_t>;
   VK a = {1, 2, 3}, b = {1, 2, 3}, c = {1, 2, 4};

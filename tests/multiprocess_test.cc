@@ -426,7 +426,7 @@ TEST(SupervisorTest, RunsEveryTaskAndCommitsByTaskId) {
   };
   std::vector<std::string> committed(config.num_tasks);
   CommitFn commit = [&committed](size_t task, bool, double, std::string payload,
-                                 std::vector<CommittedRun>) {
+                                 std::vector<SpillRun>) {
     committed[task] = std::move(payload);
     return Status::OK();
   };
@@ -456,7 +456,7 @@ TEST(SupervisorTest, FirstAttemptCrashIsRetriedOnAFreshWorker) {
   };
   size_t committed = 0;
   CommitFn commit = [&committed](size_t, bool, double, std::string,
-                                 std::vector<CommittedRun>) {
+                                 std::vector<SpillRun>) {
     ++committed;
     return Status::OK();
   };
@@ -482,22 +482,22 @@ TEST(SupervisorTest, StreamsTailRunsOverPipe) {
   config.stream_window_bytes = 64;  // tiny window: acks must flow to finish
   WorkerTaskFn fn = [](size_t task, size_t, bool, TaskResult* result) {
     result->payload = "p" + std::to_string(task);
-    OutboundRun a;
+    SpillRun a;
     a.partition = 0;
     a.spill_index = 0;
     a.bytes = "run-a-for-task-" + std::to_string(task);
     result->runs.push_back(std::move(a));
-    OutboundRun b;
+    SpillRun b;
     b.partition = 1;
     b.spill_index = kTailRunIndex;
     b.bytes = std::string(300, 'x') + std::to_string(task);  // > window
     result->runs.push_back(std::move(b));
     return Status::OK();
   };
-  std::vector<std::vector<CommittedRun>> got(config.num_tasks);
+  std::vector<std::vector<SpillRun>> got(config.num_tasks);
   std::vector<std::string> payloads(config.num_tasks);
   CommitFn commit = [&](size_t task, bool, double, std::string payload,
-                        std::vector<CommittedRun> runs) {
+                        std::vector<SpillRun> runs) {
     payloads[task] = std::move(payload);
     got[task] = std::move(runs);
     return Status::OK();
@@ -551,7 +551,7 @@ TEST(SupervisorTest, SingleRunExceedingWindowStreamsOverPipe) {
   const size_t run_bytes = 8192;
   WorkerTaskFn fn = [run_bytes](size_t task, size_t, bool,
                                 TaskResult* result) {
-    OutboundRun run;
+    SpillRun run;
     run.partition = 0;
     run.spill_index = kTailRunIndex;
     run.bytes = std::string(run_bytes, static_cast<char>('a' + task));
@@ -559,9 +559,9 @@ TEST(SupervisorTest, SingleRunExceedingWindowStreamsOverPipe) {
     result->payload = std::to_string(task);
     return Status::OK();
   };
-  std::vector<std::vector<CommittedRun>> got(config.num_tasks);
+  std::vector<std::vector<SpillRun>> got(config.num_tasks);
   CommitFn commit = [&](size_t task, bool, double, std::string,
-                        std::vector<CommittedRun> runs) {
+                        std::vector<SpillRun> runs) {
     got[task] = std::move(runs);
     return Status::OK();
   };

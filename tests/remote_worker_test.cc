@@ -14,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -160,6 +162,74 @@ TEST(RemoteTaskInputTest, MapSliceDecoderRejectsCountAboveRemainingBytes) {
 
 TEST(RemoteTaskInputTest, ReduceSourceDecoderRejectsCountAboveRemainingBytes) {
   EXPECT_TRUE(RunWithHugeCount(1).IsIoError());
+}
+
+// ---------------------------------------------------- hostile remote peers
+
+// A process that dials the worker-pool listener, takes a task and declares a
+// 2^40-byte run must not make the supervisor allocate that length: the run
+// buffer only ever holds bytes that arrive. The fake then ends the run at
+// zero bytes, a protocol violation that evicts it; with no worker left the
+// phase fails once the connect grace runs out, as a Status, never a throw.
+TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
+  auto pool = mr::RemoteWorkerPool::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const uint16_t port = (*pool)->port();
+  std::thread fake([port] {
+    auto ch = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
+                                      /*deadline_seconds=*/5.0);
+    if (!ch.ok()) return;
+    mr::HelloMsg hello;
+    hello.worker_id = (uint64_t{1} << 63) | 17;
+    hello.flags = mr::kWorkerHelloRemote;
+    if (!(*ch)->Send({mr::MessageType::kHello, hello.Encode()}).ok()) return;
+    // Serve until the supervisor closes the channel.
+    mr::Frame frame;
+    while ((*ch)->Recv(&frame, /*timeout_seconds=*/30.0).ok()) {
+      mr::TaskAssignMsg assign;
+      if (frame.type != mr::MessageType::kTaskAssign ||
+          !mr::TaskAssignMsg::Decode(frame.payload, &assign).ok()) {
+        continue;
+      }
+      mr::RunBeginMsg begin;
+      begin.task = assign.task;
+      begin.attempt = assign.attempt;
+      begin.length = uint64_t{1} << 40;
+      mr::RunEndMsg end;
+      end.task = assign.task;
+      end.attempt = assign.attempt;
+      (void)(*ch)->Send({mr::MessageType::kRunBegin, begin.Encode()});
+      (void)(*ch)->Send({mr::MessageType::kRunEnd, end.Encode()});
+    }
+  });
+
+  mr::SupervisorConfig config;
+  config.job_name = "hostile-run";
+  config.num_workers = 0;
+  config.num_tasks = 1;
+  config.remote_pool = pool->get();
+  config.remote_setup_payload = mr::JobSetupMsg{}.Encode();
+  config.remote_task_input = [](size_t) -> Result<std::string> {
+    return std::string();
+  };
+  mr::WorkerTaskFn fn = [](size_t, size_t, bool, mr::TaskResult*) {
+    return Status::Internal("a remote phase forks no workers");
+  };
+  mr::CommitFn commit = [](size_t, bool, double, std::string,
+                           std::vector<mr::SpillRun>) { return Status::OK(); };
+  mr::SupervisorStats stats;
+  Status st;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_NO_THROW(st = mr::WorkerSupervisor::RunPhase(config, fn, commit,
+                                                      &stats));
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  fake.join();
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(stats.workers_registered, 1u);
+  EXPECT_EQ(stats.workers_evicted, 1u);
+  EXPECT_LT(seconds, 30.0);
 }
 
 // ------------------------------------------------------------ job registry

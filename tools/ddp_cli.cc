@@ -55,8 +55,6 @@
 //                                join from elsewhere via --remote-listen)
 //   --remote-worker-bin PATH     remote mode: the worker binary to spawn
 //                                (default: ddp_worker next to this binary)
-//   --remote-local-workers N     remote mode: forked local workers to run
-//                                alongside the remote crew (default 0)
 //   --remote-crash-task K        remote mode: pass --chaos-crash-task K to
 //                                the first spawned worker (fault drills)
 
@@ -111,7 +109,7 @@ int Usage() {
       "          [--max-worker-restarts N]\n"
       "          [--remote-listen H:P] [--remote-port-file FILE]\n"
       "          [--remote-workers N] [--remote-worker-bin PATH]\n"
-      "          [--remote-local-workers N] [--remote-crash-task K]\n");
+      "          [--remote-crash-task K]\n");
   return 2;
 }
 
@@ -335,7 +333,6 @@ int CmdCluster(const Args& args, const std::string& self_path) {
     }
     remote_pool = std::move(*pool);
     options.mr.remote_pool = remote_pool.get();
-    options.mr.remote_local_workers = args.GetSize("remote-local-workers", 0);
     if (args.Has("remote-port-file")) {
       std::ofstream port_file(args.Get("remote-port-file"));
       port_file << remote_pool->port() << '\n';
