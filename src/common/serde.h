@@ -274,8 +274,13 @@ struct Serde<std::pair<A, B>> {
 
 /// Incremental CRC32 (polynomial 0xEDB88320, the zlib/IEEE one). Pass the
 /// previous return value as `crc` to checksum data in chunks; start at 0.
-/// Used by the spill files of the out-of-core shuffle and by DDPB v2 dataset
-/// files to catch on-disk corruption.
+/// Checks spill runs, channel frames and DDPB v2 dataset files.
+///
+/// On x86-64 CPUs with PCLMULQDQ and SSE4.1 (checked once at run time), a
+/// buffer of 64 bytes or more has its largest 16-byte multiple folded with
+/// carry-less multiplication; the tail, shorter buffers and every other CPU
+/// go through a 256-entry byte table. Both compute the same function, so a
+/// value is the same on every CPU and for any split of a buffer into chunks.
 uint32_t Crc32(const void* data, size_t n, uint32_t crc = 0);
 
 /// Convenience: serialized byte size of one value.

@@ -33,21 +33,15 @@ namespace jobctx {
 
 inline void EncodeDataset(BufferWriter* w, const Dataset& d) {
   w->PutVarint64(d.dim());
-  const std::vector<double>& values = d.values();
-  w->PutVarint64(values.size());
-  for (double v : values) w->PutDouble(v);
+  w->PutDoubles(d.values());
 }
 
 inline Result<Dataset> DecodeDataset(BufferReader* r) {
   uint64_t dim = 0;
-  uint64_t count = 0;
   DDP_RETURN_NOT_OK(r->GetVarint64(&dim));
-  DDP_RETURN_NOT_OK(r->GetVarint64(&count));
   if (dim == 0) return Status::IoError("ctx dataset has dim 0");
-  std::vector<double> values(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    DDP_RETURN_NOT_OK(r->GetDouble(&values[i]));
-  }
+  std::vector<double> values;
+  DDP_RETURN_NOT_OK(r->GetDoubles(&values));
   return Dataset::FromValues(static_cast<size_t>(dim), std::move(values));
 }
 

@@ -189,14 +189,14 @@ struct AssignJumpCtx {
     auto ctx = std::make_shared<AssignJumpCtx>();
     BufferReader r(blob);
     uint64_t n = 0;
-    DDP_RETURN_NOT_OK(r.GetVarint64(&n));
+    DDP_RETURN_NOT_OK(r.GetCount(&n));  // every varint is >= 1 byte
     ctx->owned_assignment.resize(n);
     for (uint64_t i = 0; i < n; ++i) {
       int64_t a = 0;
       DDP_RETURN_NOT_OK(r.GetSignedVarint64(&a));
       ctx->owned_assignment[i] = static_cast<int>(a);
     }
-    DDP_RETURN_NOT_OK(r.GetVarint64(&n));
+    DDP_RETURN_NOT_OK(r.GetCount(&n));
     ctx->owned_parent.resize(n);
     for (uint64_t i = 0; i < n; ++i) {
       DDP_RETURN_NOT_OK(r.GetVarint32(&ctx->owned_parent[i]));
@@ -263,18 +263,11 @@ struct CentroidPartial {
 
   void SerializeTo(BufferWriter* w) const {
     w->PutVarint64(count);
-    w->PutVarint64(sum.size());
-    for (double s : sum) w->PutDouble(s);
+    w->PutDoubles(sum);
   }
   static Status DeserializeFrom(BufferReader* r, CentroidPartial* out) {
     DDP_RETURN_NOT_OK(r->GetVarint64(&out->count));
-    uint64_t n;
-    DDP_RETURN_NOT_OK(r->GetVarint64(&n));
-    out->sum.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      DDP_RETURN_NOT_OK(r->GetDouble(&out->sum[i]));
-    }
-    return Status::OK();
+    return r->GetDoubles(&out->sum);
   }
   bool operator==(const CentroidPartial&) const = default;
 

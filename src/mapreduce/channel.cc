@@ -1,6 +1,7 @@
 #include "mapreduce/channel.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 #endif
 
@@ -32,22 +34,37 @@ uint32_t LoadCrcTrailer(const uint8_t t[4]) {
          (static_cast<uint32_t>(t[3]) << 24);
 }
 
-void AppendCrcTrailer(uint32_t crc, std::string* out) {
-  out->push_back(static_cast<char>(crc & 0xFF));
-  out->push_back(static_cast<char>((crc >> 8) & 0xFF));
-  out->push_back(static_cast<char>((crc >> 16) & 0xFF));
-  out->push_back(static_cast<char>((crc >> 24) & 0xFF));
+// The two encoders of the wire format, shared by EncodeFrame and
+// FdChannel::Send so the bytes they write cannot drift apart.
+
+// [u8 type][varint64 payload length]: at most 11 bytes, so the string stays
+// in its inline buffer and building a header allocates nothing.
+std::string FrameHeader(const Frame& frame) {
+  std::string header;
+  BufferWriter w(&header);
+  w.PutByte(static_cast<uint8_t>(frame.type));
+  w.PutVarint64(frame.payload.size());
+  return header;
+}
+
+// The CRC32 of the payload, little endian.
+std::array<char, 4> CrcTrailer(const std::string& payload) {
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  return {static_cast<char>(crc & 0xFF), static_cast<char>((crc >> 8) & 0xFF),
+          static_cast<char>((crc >> 16) & 0xFF),
+          static_cast<char>((crc >> 24) & 0xFF)};
 }
 
 }  // namespace
 
 std::string EncodeFrame(const Frame& frame) {
+  const std::string header = FrameHeader(frame);
+  const std::array<char, 4> trailer = CrcTrailer(frame.payload);
   std::string bytes;
-  BufferWriter w(&bytes);
-  w.PutByte(static_cast<uint8_t>(frame.type));
-  w.PutVarint64(frame.payload.size());
-  w.PutRaw(frame.payload.data(), frame.payload.size());
-  AppendCrcTrailer(Crc32(frame.payload.data(), frame.payload.size()), &bytes);
+  bytes.reserve(header.size() + frame.payload.size() + trailer.size());
+  bytes.append(header);
+  bytes.append(frame.payload);
+  bytes.append(trailer.data(), trailer.size());
   return bytes;
 }
 
@@ -96,21 +113,39 @@ void FdChannel::ShutdownWrite() {
 }
 
 Status FdChannel::Send(const Frame& frame) {
-  const std::string bytes = EncodeFrame(frame);
+  const std::string header = FrameHeader(frame);
+  const std::array<char, 4> trailer = CrcTrailer(frame.payload);
+  struct iovec iov[3] = {
+      {const_cast<char*>(header.data()), header.size()},
+      {const_cast<char*>(frame.payload.data()), frame.payload.size()},
+      {const_cast<char*>(trailer.data()), trailer.size()},
+  };
+  struct msghdr msg {};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 3;
   std::lock_guard<std::mutex> lock(send_mu_);
   if (fd_ < 0) return Status::IoError("channel closed");
-  size_t off = 0;
-  while (off < bytes.size()) {
+  while (msg.msg_iovlen > 0) {
     // MSG_NOSIGNAL: a peer that died mid-phase must surface as EPIPE, not
     // kill the supervisor with SIGPIPE.
-    const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IoError(std::string("channel send failed: ") +
                              std::strerror(errno));
     }
-    off += static_cast<size_t>(n);
+    // A partial write: drop the iovecs it finished and advance into the
+    // first one it did not.
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }

@@ -115,8 +115,9 @@ class CommChannel {
   virtual void Close() = 0;
 };
 
-/// Serializes `frame` into the on-wire byte sequence (tests and both
-/// channel implementations share this).
+/// Serializes `frame` into the on-wire byte sequence, in one string of
+/// exactly its size. Serves LoopbackChannel and the tests; FdChannel::Send
+/// writes the same bytes without building them in one buffer.
 std::string EncodeFrame(const Frame& frame);
 
 /// A CommChannel over one stream-socket descriptor — the shared engine of
@@ -130,6 +131,9 @@ class FdChannel : public CommChannel {
   FdChannel(const FdChannel&) = delete;
   FdChannel& operator=(const FdChannel&) = delete;
 
+  /// Writes the bytes EncodeFrame(frame) would return with one sendmsg
+  /// (repeated after a partial write): the header and CRC trailer from the
+  /// stack, the payload in place, so sending copies no payload byte.
   Status Send(const Frame& frame) override;
   Status Recv(Frame* frame, double timeout_seconds) override;
   int fd() const override { return fd_; }

@@ -185,7 +185,10 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
         DDP_ASSIGN_OR_RETURN(
             data, ReadFileExtent(run.file->path(), run.offset, run.length));
       } else {
-        data = run.bytes;  // copied: a reconnect may need to re-ship it
+        // Copied (a reconnect may need to re-ship it) into room for the
+        // trailer, so appending it does not reallocate the run.
+        data.reserve(run.bytes.size() + 4);
+        data.assign(run.bytes);
         AppendRunTrailer(&data);
       }
       RunBeginMsg begin;

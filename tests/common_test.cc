@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <numeric>
@@ -248,6 +249,70 @@ TEST(SerdeTest, ExternalBufferAppends) {
   w.PutVarint64(1);
   EXPECT_EQ(backing.size(), 7u);
   EXPECT_EQ(backing.substr(0, 6), "prefix");
+}
+
+// ---------------------------------------------------------------- Crc32
+
+// The CRC computed one bit at a time from its definition: no table, no
+// fold. `crc` chains like Crc32's.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t n, uint32_t crc) {
+  uint32_t c = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(256));
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValues) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  const std::vector<uint8_t> zeros(32, 0);
+  EXPECT_EQ(Crc32(zeros.data(), zeros.size()), 0x190A55ADu);
+}
+
+// Every length below 64 and every tail takes the byte table; longer
+// buffers fold their 16-byte multiple first. Both must equal the bitwise
+// definition at every length and alignment, from any starting value.
+TEST(Crc32Test, EqualsBitwiseDefinitionAtEveryLengthAndOffset) {
+  const std::vector<uint8_t> bytes = RandomBytes(1100 + 16, 7);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const uint8_t* p = bytes.data() + offset;
+      const uint32_t start =
+          static_cast<uint32_t>(0x9E3779B9u * (offset * 1101 + len + 1));
+      ASSERT_EQ(Crc32(p, len, start), BitwiseCrc32(p, len, start))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingAcrossRandomSplitsEqualsOneCall) {
+  const std::vector<uint8_t> bytes = RandomBytes(size_t{1} << 20, 11);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, BitwiseCrc32(bytes.data(), bytes.size(), 0));
+  Rng rng(13);
+  for (int trial = 0; trial < 20; ++trial) {
+    // Short chunks on odd trials, so splits land on both sides of the
+    // 64-byte fold threshold.
+    const uint64_t max_chunk = trial % 2 ? 200 : 100000;
+    uint32_t crc = 0;
+    size_t off = 0;
+    while (off < bytes.size()) {
+      const size_t n = std::min(bytes.size() - off,
+                                static_cast<size_t>(rng.UniformInt(max_chunk)));
+      crc = Crc32(bytes.data() + off, n, crc);
+      off += n;
+    }
+    EXPECT_EQ(crc, whole) << "trial " << trial;
+  }
 }
 
 // ---------------------------------------------------------------- Random

@@ -15,15 +15,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include <pthread.h>
+#include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/backoff.h"
@@ -217,6 +223,89 @@ TEST(ChannelTest, TcpConnectGivesUpAtTheDeadline) {
   const ExponentialBackoff::Params bo{0.001, 2.0, 0.01, 0.0};
   auto c = TcpChannel::Connect("127.0.0.1", dead_port, bo, 3, 0.2);
   EXPECT_FALSE(c.ok());
+}
+
+void IgnoreSignal(int) {}
+
+// FdChannel::Send writes header, payload and trailer with sendmsg and no
+// wire buffer. For each payload size, the bytes a raw reader takes off the
+// peer's descriptor must be exactly EncodeFrame's. A blocking socket takes
+// even the 3 MiB payload in one sendmsg, so the sender's buffer is shrunk
+// to 64 KiB and the reader interrupts the sender with a signal every
+// 256 KiB (no SA_RESTART): the interrupted calls return partial counts, and
+// Send must resume mid-iovec.
+void ExpectSendWritesEncodedFrame(FdChannel* sender, FdChannel* receiver) {
+  const int sndbuf = 64 << 10;
+  ASSERT_EQ(setsockopt(sender->fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                       sizeof(sndbuf)),
+            0);
+  struct sigaction on_signal {};
+  on_signal.sa_handler = IgnoreSignal;
+  sigemptyset(&on_signal.sa_mask);
+  struct sigaction saved {};
+  ASSERT_EQ(sigaction(SIGUSR1, &on_signal, &saved), 0);
+  const pthread_t sending_thread = pthread_self();
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{127}, size_t{128},
+                            size_t{16383}, size_t{16384},
+                            (size_t{3} << 20) + 5}) {
+    std::string payload(size, '\0');
+    for (size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<char>(i * 131 + size);
+    }
+    const Frame frame{MessageType::kRunData, std::move(payload)};
+    const std::string want = EncodeFrame(frame);
+    std::string got(want.size(), '\0');
+    std::thread reader([&] {
+      size_t off = 0;
+      size_t next_signal = 0;
+      while (off < got.size()) {
+        if (off >= next_signal) {
+          pthread_kill(sending_thread, SIGUSR1);
+          next_signal += size_t{256} << 10;
+        }
+        const ssize_t n = ::read(receiver->fd(), got.data() + off,
+                                 std::min(got.size() - off, size_t{64} << 10));
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) break;
+        off += static_cast<size_t>(n);
+      }
+      got.resize(off);
+    });
+    const Status sent = sender->Send(frame);
+    reader.join();
+    EXPECT_TRUE(sent.ok()) << sent.ToString();
+    EXPECT_EQ(got.size(), want.size()) << "payload " << size;
+    EXPECT_TRUE(got == want) << "payload " << size;
+  }
+  ASSERT_EQ(sigaction(SIGUSR1, &saved, nullptr), 0);
+  // The stream is still framed: the next frame decodes on the peer.
+  ASSERT_TRUE(sender->Send({MessageType::kRunEnd, "next"}).ok());
+  Frame next;
+  ASSERT_TRUE(receiver->Recv(&next, 5.0).ok());
+  EXPECT_EQ(next.type, MessageType::kRunEnd);
+  EXPECT_EQ(next.payload, "next");
+}
+
+TEST(ChannelTest, PipeSendWritesEncodeFrameBytes) {
+  auto pair = PipeChannel::CreatePair();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  auto [parent, child] = std::move(*pair);
+  ExpectSendWritesEncodedFrame(parent.get(), child.get());
+}
+
+TEST(ChannelTest, TcpSendWritesEncodeFrameBytes) {
+  auto listener = TcpListener::Listen("127.0.0.1", 0);
+  if (!listener.ok() && listener.status().IsNotImplemented()) {
+    GTEST_SKIP() << "TCP transport unsupported on this platform";
+  }
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const ExponentialBackoff::Params bo{0.001, 2.0, 0.05, 0.0};
+  auto client =
+      TcpChannel::Connect("127.0.0.1", (*listener)->port(), bo, 5, 5.0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto server = (*listener)->Accept(5.0);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ExpectSendWritesEncodedFrame(client->get(), server->get());
 }
 
 // ---------------------------------------------------------------- backoff

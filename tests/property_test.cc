@@ -12,6 +12,7 @@
 #include "ddp/eddpc_jobs.h"
 #include "ddp/records.h"
 #include "ddp/lsh_ddp.h"
+#include "ddp/pipeline_jobs.h"
 #include "eval/tau.h"
 #include "lsh/partitioner.h"
 #include "lsh/theory.h"
@@ -365,6 +366,47 @@ TEST(DecoderBoundTest, MemberOrQueryRejectsCoordinateCountAboveRemainingBytes) {
   eddpcjobs::MemberOrQuery out;
   EXPECT_TRUE(
       eddpcjobs::MemberOrQuery::DeserializeFrom(&r, &out).IsIoError());
+}
+
+// The driver-context decoders: a short blob declaring 2^40 elements.
+constexpr uint64_t kHugeCount = uint64_t{1} << 40;
+
+TEST(DecoderBoundTest, CtxDatasetRejectsValueCountAboveRemainingBytes) {
+  BufferWriter w;
+  w.PutVarint64(2);  // dim
+  w.PutVarint64(kHugeCount);
+  w.PutDouble(1.0);
+  BufferReader r(w.data());
+  EXPECT_TRUE(jobctx::DecodeDataset(&r).status().IsIoError());
+}
+
+TEST(DecoderBoundTest, AssignJumpCtxRejectsCountsAboveRemainingBytes) {
+  BufferWriter huge_assignment;
+  huge_assignment.PutVarint64(kHugeCount);
+  huge_assignment.PutSignedVarint64(-1);
+  EXPECT_TRUE(pipejobs::AssignJumpCtx::DecodeNew(huge_assignment.data())
+                  .status()
+                  .IsIoError());
+
+  BufferWriter huge_parent;
+  huge_parent.PutVarint64(1);
+  huge_parent.PutSignedVarint64(-1);
+  huge_parent.PutVarint64(kHugeCount);
+  huge_parent.PutVarint32(0);
+  EXPECT_TRUE(pipejobs::AssignJumpCtx::DecodeNew(huge_parent.data())
+                  .status()
+                  .IsIoError());
+}
+
+TEST(DecoderBoundTest, CentroidPartialRejectsSumCountAboveRemainingBytes) {
+  BufferWriter w;
+  w.PutVarint64(3);  // member count
+  w.PutVarint64(kHugeCount);
+  w.PutDouble(1.0);
+  BufferReader r(w.data());
+  pipejobs::CentroidPartial out;
+  EXPECT_TRUE(
+      pipejobs::CentroidPartial::DeserializeFrom(&r, &out).IsIoError());
 }
 
 }  // namespace
