@@ -32,9 +32,7 @@
 #include <string>
 #include <vector>
 
-#ifndef _WIN32
 #include <sys/resource.h>
-#endif
 
 #include "bench/bench_util.h"
 #include "core/cutoff.h"
@@ -74,12 +72,10 @@ bool SameScores(const DpScores& a, const DpScores& b) {
 
 /// Peak RSS of this process (the supervisor) in KiB; 0 where unavailable.
 uint64_t PeakRssKb() {
-#ifndef _WIN32
   struct rusage ru;
   if (getrusage(RUSAGE_SELF, &ru) == 0) {
     return static_cast<uint64_t>(ru.ru_maxrss);
   }
-#endif
   return 0;
 }
 
@@ -89,15 +85,17 @@ int Run() {
   bench::Banner("Multi-process execution overhead on LSH-DDP",
                 "robustness layer; streamed shuffle + supervision");
 
-  const bool fork_supported = mr::ForkExecutionSupported();
+  if (!mr::ForkExecutionSupported()) {
+    std::printf("forked workers are unsupported in this build\n");
+    return 1;
+  }
   auto data = gen::KddLike(/*seed=*/3, bench::Scaled(8000));
   data.status().Abort("generating data set");
   const Dataset& ds = *data;
   CountingMetric metric;
   double dc = std::move(ChooseCutoff(ds, metric)).ValueOrDie();
-  std::printf("data set: %zu points, %zu dims, d_c = %.3f, fork %s\n\n",
-              ds.size(), ds.dim(), dc,
-              fork_supported ? "supported" : "UNSUPPORTED (in-proc fallback)");
+  std::printf("data set: %zu points, %zu dims, d_c = %.3f\n\n", ds.size(),
+              ds.dim(), dc);
 
   LshDdp stream_algo, fork_algo, inproc_algo, chaos_algo, remote_algo;
 
@@ -125,11 +123,10 @@ int Run() {
   MpRun fork = Measure(&fork_algo, ds, dc, forked);
   const uint64_t rss_buffered_kb = PeakRssKb();
   std::printf(
-      "forked, unlimited:       %7.3f s (%llu KiB peak RSS, %llu B streamed, "
-      "%llu fallbacks)\n",
+      "forked, unlimited:       %7.3f s (%llu KiB peak RSS, %llu B "
+      "streamed)\n",
       fork.seconds, static_cast<unsigned long long>(rss_buffered_kb),
-      static_cast<unsigned long long>(fork.stats.TotalShuffleStreamedBytes()),
-      static_cast<unsigned long long>(fork.stats.TotalExecFallbacks()));
+      static_cast<unsigned long long>(fork.stats.TotalShuffleStreamedBytes()));
 
   mr::Options inproc;
   MpRun base = Measure(&inproc_algo, ds, dc, inproc);
@@ -160,7 +157,7 @@ int Run() {
   MpRun remote;
   double remote_jobs_per_sec = 0.0;
   bool remote_ran = false;
-  if (fork_supported && DDP_WORKER_BIN[0] != '\0') {
+  if (DDP_WORKER_BIN[0] != '\0') {
     std::unique_ptr<mr::RemoteWorkerPool> pool =
         std::move(mr::RemoteWorkerPool::Listen("127.0.0.1", 0)).ValueOrDie();
     const std::string endpoint =
@@ -197,15 +194,14 @@ int Run() {
         static_cast<unsigned long long>(remote.stats.TotalWorkersEvicted()),
         static_cast<unsigned long long>(remote.stats.TotalTasksReassigned()));
   } else {
-    std::printf("2 exec'd ddp_workers:    skipped (%s)\n",
-                fork_supported ? "worker binary path not compiled in"
-                               : "fork unsupported");
+    std::printf(
+        "2 exec'd ddp_workers:    skipped (worker binary path not compiled "
+        "in)\n");
   }
 
   // The supervisor must actually stream in fork mode: a zero here means the
   // data path regressed to relaying map outputs through result payloads.
-  const bool streamed_ok =
-      !fork_supported || stream.stats.TotalShuffleStreamedBytes() > 0;
+  const bool streamed_ok = stream.stats.TotalShuffleStreamedBytes() > 0;
   const uint64_t rss_delta_kb =
       rss_buffered_kb > rss_streamed_kb ? rss_buffered_kb - rss_streamed_kb : 0;
   std::printf(
@@ -234,7 +230,7 @@ int Run() {
         "  \"bench\": \"lsh_ddp_multiprocess\",\n"
         "  \"points\": %zu,\n"
         "  \"dims\": %zu,\n"
-        "  \"fork_supported\": %s,\n"
+        "  \"fork_supported\": true,\n"
         "  \"inproc_seconds\": %.6f,\n"
         "  \"fork_seconds\": %.6f,\n"
         "  \"fork_overhead_ratio\": %.4f,\n"
@@ -260,7 +256,7 @@ int Run() {
         "  \"remote_tasks_reassigned\": %llu,\n"
         "  \"bit_identical\": %s\n"
         "}\n",
-        ds.size(), ds.dim(), fork_supported ? "true" : "false", base.seconds,
+        ds.size(), ds.dim(), base.seconds,
         fork.seconds, base.seconds > 0.0 ? fork.seconds / base.seconds : 0.0,
         stream.seconds,
         static_cast<unsigned long long>(

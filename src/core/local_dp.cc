@@ -8,9 +8,7 @@
 #include <optional>
 #include <utility>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "common/thread_pool.h"
 #include "dataset/kdtree.h"
@@ -76,13 +74,7 @@ class KernelScope {
 #endif
 };
 
-long KernelPoolPid() {
-#ifndef _WIN32
-  return static_cast<long>(::getpid());
-#else
-  return 0;
-#endif
-}
+long KernelPoolPid() { return static_cast<long>(::getpid()); }
 
 // Process-wide pool for within-group kernel parallelism. Deliberately
 // separate from the per-job MapReduce pools: engine calls originate on MR

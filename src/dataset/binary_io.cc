@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "common/file_io.h"
 #include "common/serde.h"
 
 namespace ddp {
@@ -110,19 +111,9 @@ Status WriteBinaryFile(const std::string& path, const Dataset& dataset) {
 }
 
 Result<Dataset> ReadBinaryFile(const std::string& path) {
-  // Opened at the end to learn the size, then read once into a string of
-  // exactly that size.
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("cannot size " + path);
-  std::string bytes(static_cast<size_t>(size), '\0');
-  in.seekg(0);
-  in.read(bytes.data(), static_cast<std::streamsize>(size));
-  if (in.gcount() != static_cast<std::streamsize>(size)) {
-    return Status::IoError("short read from " + path);
-  }
-  Result<Dataset> ds = DeserializeDataset(bytes);
+  Result<std::string> bytes = ReadWholeFile(path);
+  if (!bytes.ok()) return Status::IoError(bytes.status().message());
+  Result<Dataset> ds = DeserializeDataset(*bytes);
   if (!ds.ok()) {
     return Status::IoError(path + ": " + ds.status().message());
   }

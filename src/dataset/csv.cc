@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/file_io.h"
+
 namespace ddp {
 
 namespace {
@@ -76,11 +78,9 @@ Result<Dataset> ParseCsv(const std::string& text) {
 }
 
 Result<Dataset> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str());
+  Result<std::string> text = ReadWholeFile(path);
+  if (!text.ok()) return Status::IoError(text.status().message());
+  return ParseCsv(*text);
 }
 
 Status WriteCsvFile(const std::string& path, const Dataset& dataset) {

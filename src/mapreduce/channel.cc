@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstring>
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -14,7 +13,6 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
-#endif
 
 #include "common/serde.h"
 
@@ -94,8 +92,6 @@ Status DecodeFrame(const std::string& bytes, Frame* frame) {
   }
   return Status::OK();
 }
-
-#ifndef _WIN32
 
 FdChannel::~FdChannel() { Close(); }
 
@@ -380,41 +376,6 @@ Result<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
   }
   return Status::IoError("tcp connect to " + host + " failed: " + last_error);
 }
-
-#else  // _WIN32: no POSIX sockets; fork execution is unsupported there anyway.
-
-FdChannel::~FdChannel() = default;
-void FdChannel::Close() {}
-void FdChannel::ShutdownWrite() {}
-Status FdChannel::Send(const Frame&) {
-  return Status::NotImplemented("FdChannel requires POSIX sockets");
-}
-Status FdChannel::ReadExact(void*, size_t, double) {
-  return Status::NotImplemented("FdChannel requires POSIX sockets");
-}
-Status FdChannel::Recv(Frame*, double) {
-  return Status::NotImplemented("FdChannel requires POSIX sockets");
-}
-Result<std::pair<std::unique_ptr<PipeChannel>, std::unique_ptr<PipeChannel>>>
-PipeChannel::CreatePair() {
-  return Status::NotImplemented("PipeChannel requires POSIX sockets");
-}
-Result<std::unique_ptr<TcpListener>> TcpListener::Listen(const std::string&,
-                                                         uint16_t) {
-  return Status::NotImplemented("TcpListener requires POSIX sockets");
-}
-TcpListener::~TcpListener() = default;
-void TcpListener::Close() {}
-Result<std::unique_ptr<TcpChannel>> TcpListener::Accept(double) {
-  return Status::NotImplemented("TcpListener requires POSIX sockets");
-}
-Result<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
-    const std::string&, uint16_t, const ExponentialBackoff::Params&, uint64_t,
-    double) {
-  return Status::NotImplemented("TcpChannel requires POSIX sockets");
-}
-
-#endif
 
 std::pair<std::unique_ptr<LoopbackChannel>, std::unique_ptr<LoopbackChannel>>
 LoopbackChannel::MakePair() {

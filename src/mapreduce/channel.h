@@ -47,10 +47,11 @@
 namespace ddp {
 namespace mr {
 
-/// Frame type tags. Values are part of the wire format; append only.
+/// Frame type tags. Values are part of the wire format; append only, and
+/// a retired value is never reused (2 was the closure-task frame that
+/// kTaskAssign replaced).
 enum class MessageType : uint8_t {
   kHello = 1,      // worker -> supervisor: alive and ready (HelloMsg)
-  kTask = 2,       // supervisor -> worker: run one task attempt
   kResult = 3,     // worker -> supervisor: attempt finished
   kHeartbeat = 4,  // worker -> supervisor: still making progress
   kShutdown = 5,   // supervisor -> worker: exit the task loop
@@ -74,13 +75,13 @@ enum class MessageType : uint8_t {
   kJobResult = 13,    // client -> server: JobPollMsg; server -> client: JobResultMsg
   kJobCancel = 14,    // client -> server: JobCancelMsg; reply kJobStatus
   // Remote workers (see remote_worker.h): exec'd ddp_worker processes dial
-  // the supervisor's listener and announce themselves with a kHello whose
-  // flags mark them remote. Task bodies cannot cross by fork, so the
-  // supervisor first installs the phase's registered job (kJobSetup), then
-  // assigns tasks by value: each kTaskAssign carries the task's serialized
-  // input and the worker looks the body up by name in its JobRegistry.
+  // the supervisor's listener and announce themselves with a kHello. Task
+  // bodies cannot cross by fork, so the supervisor first installs the
+  // phase's registered job (kJobSetup); each kTaskAssign then carries the
+  // task's serialized input and the worker looks the body up by name in its
+  // JobRegistry. Forked workers get the same kTaskAssign with no input.
   kJobSetup = 15,    // supervisor -> worker: install a registered job (JobSetupMsg)
-  kTaskAssign = 16,  // supervisor -> worker: run one named-task attempt (TaskAssignMsg)
+  kTaskAssign = 16,  // supervisor -> worker: run a task attempt (TaskAssignMsg)
 };
 
 struct Frame {

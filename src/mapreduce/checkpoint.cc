@@ -4,7 +4,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+
+#include "common/file_io.h"
 
 namespace ddp {
 namespace mr {
@@ -62,13 +63,13 @@ bool CheckpointStore::Has(const std::string& key) const {
 }
 
 Result<std::string> CheckpointStore::LoadBytes(const std::string& key) const {
-  std::ifstream in(PathFor(key), std::ios::binary);
-  if (!in) return Status::NotFound("no checkpoint entry for " + key);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string file = std::move(ss).str();
+  Result<std::string> file = ReadWholeFile(PathFor(key));
+  if (file.status().IsNotFound()) {
+    return Status::NotFound("no checkpoint entry for " + key);
+  }
+  DDP_RETURN_NOT_OK(file.status());
 
-  BufferReader reader(file);
+  BufferReader reader(*file);
   char magic[4];
   DDP_RETURN_NOT_OK(reader.GetRaw(magic, sizeof(magic)));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {

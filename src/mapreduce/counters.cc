@@ -116,18 +116,17 @@ std::string JobCounters::ToString() const {
     out += buf;
   }
   if (worker_crashes + worker_hangs + worker_kills + worker_restarts +
-          quarantined_tasks + spill_files_reaped + exec_fallbacks >
+          quarantined_tasks + spill_files_reaped >
       0) {
     std::snprintf(buf, sizeof(buf),
                   " | workers: crashes=%llu hangs=%llu kills=%llu "
-                  "restarts=%llu quarantined=%llu reaped=%llu fallbacks=%llu",
+                  "restarts=%llu quarantined=%llu reaped=%llu",
                   static_cast<unsigned long long>(worker_crashes),
                   static_cast<unsigned long long>(worker_hangs),
                   static_cast<unsigned long long>(worker_kills),
                   static_cast<unsigned long long>(worker_restarts),
                   static_cast<unsigned long long>(quarantined_tasks),
-                  static_cast<unsigned long long>(spill_files_reaped),
-                  static_cast<unsigned long long>(exec_fallbacks));
+                  static_cast<unsigned long long>(spill_files_reaped));
     out += buf;
   }
   if (shuffle_streamed_bytes + shuffle_resent_runs + channel_reconnects > 0) {

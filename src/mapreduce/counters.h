@@ -55,9 +55,10 @@ struct JobCounters {
   /// Multi-process execution (Options::exec_mode == ExecMode::kFork):
   /// unexpected worker deaths, workers SIGKILLed for deadline overrun or
   /// heartbeat silence, SIGKILLs issued, replacement workers forked, tasks
-  /// quarantined after crashing consecutive workers, orphan spill files of
-  /// dead processes deleted, and phases that fell back to the in-process
-  /// executor (fork unsupported or spawn failed).
+  /// quarantined after crashing consecutive workers, and orphan spill files
+  /// of dead processes deleted. `exec_fallbacks` always reads 0: a job runs
+  /// on the substrate it asked for or fails. It stays for readers of the
+  /// stats JSON.
   uint64_t worker_crashes = 0;
   uint64_t worker_hangs = 0;
   uint64_t worker_kills = 0;
@@ -138,7 +139,7 @@ struct RunStats {
   uint64_t TotalWorkerRestarts() const;
   uint64_t TotalQuarantinedTasks() const;
   uint64_t TotalSpillFilesReaped() const;
-  uint64_t TotalExecFallbacks() const;
+  uint64_t TotalExecFallbacks() const;  // always 0 (see exec_fallbacks)
   uint64_t TotalShuffleStreamedBytes() const;
   uint64_t TotalShuffleResentRuns() const;
   uint64_t TotalChannelReconnects() const;

@@ -125,7 +125,7 @@ struct JobSpec {
   /// spec's tasks run under in a ddp_worker binary. The registered factory
   /// on the worker side must rebuild an equivalent spec from the context
   /// blob `remote_ctx` writes (typically a driver Ctx struct's Encode).
-  /// Empty keeps the job local: kRemote degrades to kFork semantics.
+  /// Required for kRemote: a spec without one fails there.
   std::string remote_task_id;
   std::function<void(BufferWriter*)> remote_ctx;
 };

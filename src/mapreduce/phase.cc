@@ -413,11 +413,8 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
 /// The supervised counterpart of RunRobustPhase: runs the phase's tasks on
 /// forked workers — or, with `remote`, on exec'd ddp_worker processes from
 /// `options.remote_pool` — under a WorkerSupervisor. Each worker runs
-/// RunWorkerAttempt;
-/// the parent decodes each committed result payload into a fresh slot and
-/// grafts the attempt's streamed runs back in. Returns NotImplemented when
-/// no worker ever joined — no task has run, so the caller falls back to
-/// RunRobustPhase.
+/// RunWorkerAttempt; the parent decodes each committed result payload into
+/// a fresh slot and grafts the attempt's streamed runs back in.
 Status RunSupervisedPhase(const PhaseSpec& spec, const Options& options,
                           const std::string& spill_dir, bool remote,
                           PhaseStats* pstats, JobCounters* counters,
@@ -453,10 +450,12 @@ Status RunSupervisedPhase(const PhaseSpec& spec, const Options& options,
     cfg.remote_task_input = spec.remote_input;
   }
 
-  // Runs in the worker process. Remote workers run the same wrapper,
-  // rebuilt from the JobSetupMsg (remote_job.h).
+  // Runs in a forked worker, whose input rode copy-on-write. Remote
+  // workers run the same wrapper, rebuilt from the JobSetupMsg
+  // (remote_job.h).
   const SlotCodec& codec = *spec.codec;
-  WorkerTaskFn fn = [&](size_t t, size_t attempt, bool quarantined,
+  WorkerTaskFn fn = [&](uint64_t t, uint64_t attempt, bool quarantined,
+                        const std::string& /*input*/,
                         TaskResult* result) -> Status {
     std::unique_ptr<TaskSlot> slot = spec.new_slot();
     return RunWorkerAttempt(spec.chaos, t, attempt, quarantined, spec.body,
@@ -498,7 +497,6 @@ Status RunSupervisedPhase(const PhaseSpec& spec, const Options& options,
 
   SupervisorStats sstats;
   Status st = WorkerSupervisor::RunPhase(cfg, fn, commit, &sstats);
-  if (st.IsNotImplemented()) return st;  // nothing ran; caller falls back
   pstats->retries += sstats.retries;
   pstats->deadline_kills += sstats.deadline_kills;
   counters->worker_crashes += sstats.worker_crashes;
@@ -738,22 +736,41 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
 
   Stopwatch job_timer;
   const size_t num_partitions = options.ResolvedPartitions();
-  // Where the phases run. Remote phases need a pool, a registered task id
-  // and a map-input codec; anything less degrades to fork semantics, and
-  // fork degrades in-process where it is unsupported. Each degradation
-  // counts one exec_fallback.
-  const bool remote_asked = options.exec_mode == ExecMode::kRemote;
-  bool remote = remote_asked && options.remote_pool != nullptr &&
-                !job.remote_task_id.empty() && job.map_input != nullptr;
-  if (remote_asked && !remote) ++counters.exec_fallbacks;
-  const bool want_fork =
-      options.exec_mode == ExecMode::kFork || (remote_asked && !remote);
-  bool supervised = (want_fork && ForkExecutionSupported()) || remote;
-  if (want_fork && !supervised) ++counters.exec_fallbacks;
-  if (job_span.active() && (want_fork || remote)) {
-    job_span.AddArg("exec_mode", remote       ? "remote"
-                                 : supervised ? "fork"
-                                              : "fork->inproc");
+  // Where the phases run: on the substrate the options ask for, or nowhere.
+  // Both supervised modes ship reduce outputs back as bytes; a remote job
+  // also needs a pool, a registered task id and a map-input codec.
+  auto missing = [&](const std::string& what) {
+    job_span.MarkCancelled();
+    return Status::InvalidArgument("job " + job.name + ": " + what);
+  };
+  const bool remote = options.exec_mode == ExecMode::kRemote;
+  std::unique_ptr<ThreadPool> pool;
+  switch (options.exec_mode) {
+    case ExecMode::kInProc:
+      pool = std::make_unique<ThreadPool>(options.ResolvedWorkers());
+      break;
+    case ExecMode::kRemote:
+      if (options.remote_pool == nullptr) {
+        return missing("exec mode remote needs Options::remote_pool");
+      }
+      if (job.remote_task_id.empty()) {
+        return missing("exec mode remote needs JobSpec::remote_task_id");
+      }
+      if (job.map_input == nullptr) {
+        return missing("exec mode remote needs a Serde for the input type");
+      }
+      [[fallthrough]];
+    case ExecMode::kFork:
+      if (!job.reduce_codec.serialize) {
+        return missing("a worker process needs a Serde for the output type");
+      }
+      if (!remote && !ForkExecutionSupported()) {
+        return missing("exec mode fork is unsupported in a TSan build");
+      }
+      break;
+  }
+  if (job_span.active() && pool == nullptr) {
+    job_span.AddArg("exec_mode", remote ? "remote" : "fork");
   }
   const bool spilling = options.memory_budget_bytes > 0;
   MapTaskParams params;
@@ -768,33 +785,18 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
     counters.spill_files_reaped += ReapOrphanSpillFiles(params.spill_dir);
   }
 
-  // The one engine entry: runs a phase supervised when the job's phases
-  // are and its slots can cross a process boundary, else in-process. A
-  // supervised phase that reports NotImplemented (no worker ran a task)
-  // re-runs in-process, and so does the rest of the job; every degradation
-  // counts one exec_fallback. The in-process pool is created lazily: no
-  // worker threads should exist in a supervising parent (forked children
-  // inherit only this thread), so a pure-fork job never constructs it.
-  std::unique_ptr<ThreadPool> pool;
+  // The one engine entry: the in-process scheduler, or a supervised phase.
   auto run_phase = [&](PhaseSpec* spec, PhaseStats* stats,
                        TaskSlots* outputs) -> Status {
-    if (supervised && spec->codec == nullptr) {
-      ++counters.exec_fallbacks;  // the output type cannot leave the process
-    } else if (supervised) {
-      if (remote) {
-        spec->remote_setup = EncodeRemoteSetup(job, options, num_partitions,
-                                               spec->chaos.phase);
-      }
-      Status st = RunSupervisedPhase(*spec, options, params.spill_dir, remote,
-                                     stats, &counters, outputs);
-      if (!st.IsNotImplemented()) return st;
-      ++counters.exec_fallbacks;
-      supervised = remote = false;
+    if (pool != nullptr) {
+      return RunRobustPhase(pool.get(), *spec, options, stats, outputs);
     }
-    if (pool == nullptr) {
-      pool = std::make_unique<ThreadPool>(options.ResolvedWorkers());
+    if (remote) {
+      spec->remote_setup =
+          EncodeRemoteSetup(job, options, num_partitions, spec->chaos.phase);
     }
-    return RunRobustPhase(pool.get(), *spec, options, stats, outputs);
+    return RunSupervisedPhase(*spec, options, params.spill_dir, remote, stats,
+                              &counters, outputs);
   };
 
   // ---- Map phase. Each task's output is its sorted runs, in memory or
@@ -897,7 +899,7 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
     }
     return job.reduce(p, std::move(streams), any_run, cancel, slot);
   };
-  if (job.reduce_codec.serialize) reduce.codec = &job.reduce_codec;
+  reduce.codec = &job.reduce_codec;
   reduce.remote_input = [&map_outputs](size_t p) {
     return EncodeReduceSources(map_outputs, p);
   };

@@ -19,7 +19,7 @@
 /// The phase engine of the MapReduce runtime, its "job tracker", compiled
 /// once in phase.cc. `mr::RunJob` (mapreduce.h) only adapts types: it wraps
 /// a JobSpec into the hooks of `internal::JobTasks`, and
-/// `internal::RunJobTasks` does everything else — exec-mode resolution,
+/// `internal::RunJobTasks` does everything else — exec-mode checks,
 /// the map phase, the shuffle, the reduce phase, chaos, counters, spans,
 /// metrics and checkpoint keys. Each phase runs under one engine entry,
 /// in-process (the scheduler: retries, speculation, deadlines) or on forked
@@ -34,25 +34,25 @@
 namespace ddp {
 namespace mr {
 
-/// Execution substrate for the map and reduce phases.
+/// Execution substrate for the map and reduce phases. A job runs on the
+/// substrate it asks for or fails with an error naming what is missing;
+/// nothing falls back to another substrate. Output is bit-identical on all
+/// three.
 enum class ExecMode {
   /// Tasks run on a thread pool in this process.
   kInProc = 0,
   /// Tasks run in forked worker processes under a WorkerSupervisor
   /// (supervisor.h): real crash isolation, heartbeat hang detection, seeded
-  /// backoff reattempts, poison-task quarantine. Falls back to kInProc —
-  /// counted in JobCounters::exec_fallbacks — when fork execution is
-  /// unsupported (non-POSIX, TSan) or no worker could be spawned, and for
-  /// reduce phases whose output type has no Serde (the results could not
-  /// cross the process boundary). Output is bit-identical to kInProc.
+  /// backoff reattempts, poison-task quarantine. Needs a Serde for the
+  /// output type (reduce results cross the process boundary as bytes) and
+  /// a build that can fork workers (ForkExecutionSupported(): not TSan).
   kFork = 1,
   /// Tasks run in separately exec'd ddp_worker processes (possibly on other
   /// hosts) that dialed `Options::remote_pool`'s listener. Tasks ship by *name*
   /// (JobSpec::remote_task_id against the worker's JobRegistry) with their
-  /// input serialized by value, so nothing is fork-captured. Jobs whose
-  /// input type has no Serde or whose spec carries no remote_task_id
-  /// degrade to kFork semantics (counted in exec_fallbacks). Output is
-  /// bit-identical to kInProc.
+  /// input serialized by value, so nothing is fork-captured. Needs the
+  /// pool, a remote_task_id and a Serde for the input and output types; a
+  /// pool no worker joins within the connect grace (~6 s) fails the job.
   kRemote = 2,
 };
 
@@ -128,8 +128,8 @@ struct Options {
 
   /// ExecMode::kRemote: the pool of exec'd ddp_worker processes
   /// (remote_worker.h) whose listener remote workers dial. Borrowed, not
-  /// owned; one job may use a pool at a time. Required for kRemote — a null
-  /// pool degrades the job to kFork semantics.
+  /// owned; one job may use a pool at a time. Required for kRemote: a null
+  /// pool fails the job.
   RemoteWorkerPool* remote_pool = nullptr;
 
   /// Cooperative cancellation shared across a pipeline: when set, RunJob

@@ -72,9 +72,9 @@ JobRegistry::TaskRunner MakeRegisteredRunner(
     };
   }
 
-  // Reduce: only reachable for Serde-crossable outputs (RunJob gates remote
-  // reduce the same way it gates fork reduce), but a runner must exist for
-  // every registered job.
+  // Reduce: only reachable for Serde-crossable outputs (RunJob refuses a
+  // remote or forked job whose output has no Serde), but a runner must
+  // exist for every registered job.
   if constexpr (!has_serde_v<Out>) {
     return [](uint64_t, uint64_t, bool, const std::string&,
               TaskResult*) -> Status {

@@ -5,12 +5,10 @@
 #include <cstring>
 #include <utility>
 
-#ifndef _WIN32
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -100,8 +98,6 @@ void RemoteWorkerPool::Shutdown() {
   if (listener_ != nullptr) listener_->Close();
 }
 
-#ifndef _WIN32
-
 int RunRemoteWorker(const RemoteWorkerOptions& options) {
   const uint64_t worker_id =
       options.worker_id != 0
@@ -135,20 +131,17 @@ int RunRemoteWorker(const RemoteWorkerOptions& options) {
   const int64_t crash_task = options.chaos_crash_task;
 
   WorkerMainConfig wc;
-  wc.heartbeat_seconds = options.heartbeat_seconds;
   wc.worker_id = worker_id;
-  wc.stream_window_bytes = options.stream_window_bytes;
   wc.reconnect = dial;
   wc.check_parent = false;
-  wc.hello_flags = kWorkerHelloRemote;
   wc.on_job_setup = [runner](const JobSetupMsg& setup) -> Status {
     DDP_ASSIGN_OR_RETURN(*runner, JobRegistry::Global().Create(setup));
     return Status::OK();
   };
-  wc.on_task_assign = [runner, assigns_served, crash_task](
-                          uint64_t task, uint64_t attempt, bool quarantined,
-                          const std::string& input,
-                          TaskResult* result) -> Status {
+  WorkerTaskFn run_task = [runner, assigns_served, crash_task](
+                              uint64_t task, uint64_t attempt,
+                              bool quarantined, const std::string& input,
+                              TaskResult* result) -> Status {
     if (*runner == nullptr) {
       return Status::Internal("task assigned before any job was installed");
     }
@@ -163,14 +156,7 @@ int RunRemoteWorker(const RemoteWorkerOptions& options) {
     return st;
   };
 
-  // Remote workers never receive closure-based kTask frames; answering one
-  // with Internal (rather than crashing) keeps a confused supervisor's
-  // retry accounting sane.
-  WorkerTaskFn reject = [](size_t, size_t, bool, TaskResult*) -> Status {
-    return Status::Internal("remote worker cannot run closure-based tasks");
-  };
-
-  return WorkerLoop(std::move(first).value(), reject, wc);
+  return WorkerLoop(std::move(first).value(), run_task, wc);
 }
 
 Result<int64_t> SpawnWorkerProcess(const std::string& binary,
@@ -210,21 +196,6 @@ int WaitWorkerProcess(int64_t pid) {
   if (WIFEXITED(wstatus)) return WEXITSTATUS(wstatus);
   return -1;
 }
-
-#else  // _WIN32
-
-int RunRemoteWorker(const RemoteWorkerOptions&) { return 1; }
-
-Result<int64_t> SpawnWorkerProcess(const std::string&,
-                                   const std::vector<std::string>&) {
-  return Status::NotImplemented("worker processes require POSIX");
-}
-
-void KillWorkerProcess(int64_t) {}
-
-int WaitWorkerProcess(int64_t) { return -1; }
-
-#endif
 
 }  // namespace mr
 }  // namespace ddp

@@ -18,12 +18,12 @@
 /// Fork workers inherit the job's typed map/reduce lambdas (and its input)
 /// copy-on-write, which pins every worker to the supervisor's host. A
 /// remote worker is a separate binary on any host: it dials the
-/// supervisor's `TcpListener`, identifies itself with a kHello whose flags
-/// carry `kWorkerHelloRemote`, receives a kJobSetup frame naming the
-/// registered job to run, and then answers kTaskAssign frames — each one a
-/// (task, attempt, serialized input) triple — with the same streamed-run +
-/// kResult protocol fork workers speak. Everything a closure would have
-/// captured crosses the wire exactly once, in the kJobSetup context blob.
+/// supervisor's `TcpListener`, identifies itself with a kHello, receives a
+/// kJobSetup frame naming the registered job to run, and then answers
+/// kTaskAssign frames — the frame fork workers get too, here with the
+/// task's serialized input — with the same streamed-run + kResult protocol.
+/// Everything a closure would have captured crosses the wire once per
+/// phase, in the kJobSetup context blob.
 ///
 /// Three pieces:
 ///  * `JobRegistry` — process-global map from stable string ids ("lsh-
@@ -38,7 +38,9 @@
 ///    job at a time may use a pool.
 ///  * `RunRemoteWorker` — worker-side: dial, register, serve. The loop is
 ///    WorkerLoop, so heartbeat, streamed shuffle, backpressure, reconnect-
-///    resume, and chaos crash semantics are byte-identical to fork workers.
+///    resume, and chaos crash semantics are byte-identical to fork workers:
+///    the heartbeat interval is kWorkerHeartbeatSeconds and the credit
+///    window rides each kTaskAssign, both set by the supervisor.
 ///
 /// Raw process-control calls (fork/execv/kill/waitpid — used by
 /// SpawnWorkerProcess for tests and tools that launch worker processes)
@@ -56,9 +58,7 @@ class JobRegistry {
  public:
   /// Runs one task attempt: decode `input`, execute, fill `result` with the
   /// payload and outbound runs exactly like a fork worker's WorkerTaskFn.
-  using TaskRunner =
-      std::function<Status(uint64_t task, uint64_t attempt, bool quarantined,
-                           const std::string& input, TaskResult* result)>;
+  using TaskRunner = WorkerTaskFn;
   using Factory = std::function<Result<TaskRunner>(const JobSetupMsg& setup)>;
 
   static JobRegistry& Global();
@@ -128,8 +128,6 @@ struct RemoteWorkerOptions {
   /// 0 derives (1 << 63) | pid — bit 63 keeps remote ids disjoint from the
   /// supervisor's fork-worker ids on any host.
   uint64_t worker_id = 0;
-  double heartbeat_seconds = 0.25;
-  uint64_t stream_window_bytes = 4u << 20;
   /// How long one dial (initial or reconnect) keeps retrying with the
   /// seeded backoff before giving up.
   double dial_deadline_seconds = 5.0;

@@ -6,11 +6,9 @@
 #include <filesystem>
 #include <system_error>
 
-#ifndef _WIN32
 #include <signal.h>
 #include <sys/types.h>
 #include <unistd.h>
-#endif
 
 namespace ddp {
 namespace mr {
@@ -19,25 +17,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
-long CurrentPid() {
-#ifndef _WIN32
-  return static_cast<long>(::getpid());
-#else
-  return 0;
-#endif
-}
+long CurrentPid() { return static_cast<long>(::getpid()); }
 
 /// True when `pid` names a live process (or liveness cannot be probed, in
 /// which case the reaper stays conservative and keeps the file).
 bool ProcessAlive(long pid) {
-#ifndef _WIN32
   if (pid <= 0) return true;
   if (::kill(static_cast<pid_t>(pid), 0) == 0) return true;
   return errno != ESRCH;
-#else
-  (void)pid;
-  return true;
-#endif
 }
 
 /// Parses the LAST "-p<digits>-" ownership tag in a spill file name (a

@@ -4,20 +4,17 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <utility>
 
-#ifndef _WIN32
 #include <poll.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "common/backoff.h"
 #include "common/logging.h"
@@ -34,13 +31,9 @@ namespace ddp {
 namespace mr {
 
 bool ForkExecutionSupported() {
-#ifdef _WIN32
-  return false;
-#else
   bool supported = true;
   // TSan cannot instrument threads created in a forked child (the worker's
-  // heartbeat thread), so fork mode degrades to the in-process executor
-  // under it rather than producing false positives or aborts.
+  // heartbeat thread), so a TSan build runs no forked workers.
 #if defined(__SANITIZE_THREAD__)
   supported = false;
 #elif defined(__has_feature)
@@ -49,26 +42,6 @@ bool ForkExecutionSupported() {
 #endif
 #endif
   return supported;
-#endif
-}
-
-std::string TaskMsg::Encode() const {
-  std::string bytes;
-  BufferWriter w(&bytes);
-  w.PutVarint64(task);
-  w.PutVarint64(attempt);
-  w.PutByte(quarantined ? 1 : 0);
-  return bytes;
-}
-
-Status TaskMsg::Decode(const std::string& bytes, TaskMsg* out) {
-  BufferReader r(bytes);
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->task));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->attempt));
-  uint8_t q = 0;
-  DDP_RETURN_NOT_OK(r.GetByte(&q));
-  out->quarantined = q != 0;
-  return Status::OK();
 }
 
 std::string ResultMsg::Encode() const {
@@ -102,9 +75,6 @@ std::string HelloMsg::Encode() const {
   BufferWriter w(&bytes);
   w.PutVarint64(worker_id);
   w.PutVarint64(generation);
-  // Optional trailing field: forked workers (flags == 0) keep the original
-  // two-field wire bytes, so old and new hellos interoperate.
-  if (flags != 0) w.PutVarint64(flags);
   return bytes;
 }
 
@@ -112,12 +82,6 @@ Status HelloMsg::Decode(const std::string& bytes, HelloMsg* out) {
   BufferReader r(bytes);
   DDP_RETURN_NOT_OK(r.GetVarint64(&out->worker_id));
   DDP_RETURN_NOT_OK(r.GetVarint64(&out->generation));
-  out->flags = 0;
-  if (!r.exhausted()) {
-    uint64_t flags64 = 0;
-    DDP_RETURN_NOT_OK(r.GetVarint64(&flags64));
-    out->flags = static_cast<uint32_t>(flags64);
-  }
   if (!r.exhausted()) return Status::IoError("trailing bytes in HelloMsg");
   return Status::OK();
 }
@@ -180,6 +144,7 @@ std::string TaskAssignMsg::Encode() const {
   w.PutVarint64(task);
   w.PutVarint64(attempt);
   w.PutByte(quarantined ? 1 : 0);
+  w.PutVarint64(window_bytes);
   w.PutString(input);
   return bytes;
 }
@@ -191,6 +156,7 @@ Status TaskAssignMsg::Decode(const std::string& bytes, TaskAssignMsg* out) {
   uint8_t q = 0;
   DDP_RETURN_NOT_OK(r.GetByte(&q));
   out->quarantined = q != 0;
+  DDP_RETURN_NOT_OK(r.GetVarint64(&out->window_bytes));
   DDP_RETURN_NOT_OK(r.GetString(&out->input));
   if (!r.exhausted()) return Status::IoError("trailing bytes in TaskAssignMsg");
   return Status::OK();
@@ -262,8 +228,6 @@ Status RunAckMsg::Decode(const std::string& bytes, RunAckMsg* out) {
   return Status::OK();
 }
 
-#ifndef _WIN32
-
 void CrashSelf() {
   ::kill(::getpid(), SIGKILL);
   for (;;) ::pause();  // unreachable; satisfies [[noreturn]]
@@ -273,9 +237,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Interval of the kHeartbeat frames a forked worker sends (ddp_worker's
-/// default too).
-constexpr double kWorkerHeartbeatSeconds = 0.25;
 /// A busy worker silent for more than this many heartbeat intervals is
 /// declared hung.
 constexpr double kHeartbeatGrace = 8.0;
@@ -380,9 +341,6 @@ void ReapPid(pid_t pid) {
 Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
                                   const WorkerTaskFn& fn, const CommitFn& commit,
                                   SupervisorStats* stats) {
-  if (!ForkExecutionSupported() && cfg.remote_pool == nullptr) {
-    return Status::NotImplemented("fork execution unsupported in this build");
-  }
   if (cfg.num_tasks == 0) return Status::OK();
   const char* phase_name = cfg.phase == 0 ? "map" : "reduce";
 
@@ -431,9 +389,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   auto spawn_worker = [&]() -> Status {
     const uint64_t id = next_worker_id++;
     WorkerMainConfig wc;
-    wc.heartbeat_seconds = kWorkerHeartbeatSeconds;
     wc.worker_id = id;
-    wc.stream_window_bytes = window;
 
     DDP_ASSIGN_OR_RETURN(auto ends, PipeChannel::CreatePair());
     const pid_t pid = ::fork();
@@ -606,10 +562,6 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   // kNoTask resume ack first, telling it to drop any pending attempt.
   auto admit_remote = [&](uint64_t id, std::unique_ptr<CommChannel> ch,
                           bool resumed) {
-    if (cfg.remote_setup_payload.empty()) {
-      ch->Close();  // phase has no registered job; remote workers unusable
-      return;
-    }
     if (resumed) {
       RunAckMsg ack;
       ack.task = RunAckMsg::kNoTask;
@@ -641,7 +593,8 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
 
   // Accepts one pending connection off the pool's listener: a remote worker
   // redialing after a drop is matched to its held slot by hello worker id
-  // and gets a resume kRunAck; any other remote hello is a new admission.
+  // and gets a resume kRunAck; any other hello is a new admission (only
+  // ddp_worker processes dial this listener).
   auto accept_connection = [&]() {
     auto accepted = listener->Accept(/*timeout_seconds=*/0.25);
     if (!accepted.ok()) return;
@@ -662,11 +615,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       }
     }
     if (w == nullptr) {
-      if ((hello.flags & kWorkerHelloRemote) != 0) {
-        admit_remote(hello.worker_id, std::move(ch), hello.generation > 0);
-      } else {
-        ch->Close();  // not a remote worker
-      }
+      admit_remote(hello.worker_id, std::move(ch), hello.generation > 0);
       return;
     }
     if (w->ch != nullptr) w->ch->Close();
@@ -790,8 +739,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   };
 
   // ---- Initial crew: the remote workers parked by an earlier phase, or
-  // the forked crew. Total spawn failure aborts before any task ran, so
-  // RunJob can fall back to the in-process executor.
+  // the forked crew, of which at least the first worker must fork.
   if (cfg.remote_pool != nullptr) {
     for (RemoteWorkerPool::Parked& parked : cfg.remote_pool->TakeParked()) {
       admit_remote(parked.id, std::move(parked.channel), /*resumed=*/false);
@@ -801,10 +749,8 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     Status st = spawn_worker();
     if (!st.ok()) {
       if (workers.empty()) {
-        // NotImplemented is the caller's single "fork execution is not
-        // available here" signal — same as the unsupported-platform path.
-        return Status::NotImplemented("cannot spawn workers: " +
-                                      st.ToString());
+        return Status::Internal(cfg.job_name + " " + phase_name +
+                                ": cannot fork a worker: " + st.ToString());
       }
       DDP_LOG(Warning) << cfg.job_name << ": spawned only " << workers.size()
                        << "/" << fork_target
@@ -854,22 +800,15 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       }
     }
     // Remote-crew watchdog: with a pool, an empty crew is legitimate while
-    // remote workers are still dialing in — but only for the connect grace.
-    // An empty crew that never committed anything degrades like a failed
-    // fork (the caller falls back in-process); mid-job it is a hard error.
+    // remote workers are still dialing in, but only for the connect grace.
     if (cfg.remote_pool != nullptr) {
       if (!workers.empty()) {
         last_crew = now;
       } else if (SecondsSince(last_crew, now) > connect_grace) {
-        job_error =
-            completed.load(std::memory_order_relaxed) == 0
-                ? Status::NotImplemented(
-                      "no workers joined within the connect grace (remote "
-                      "pool on port " +
-                      std::to_string(listener->port()) + ")")
-                : Status::Internal(
-                      "all workers lost mid-job and none rejoined within "
-                      "the connect grace");
+        job_error = Status::Internal(
+            cfg.job_name + " " + phase_name +
+            ": no remote worker within the connect grace (pool on port " +
+            std::to_string(listener->port()) + ")");
         break;
       }
     }
@@ -883,7 +822,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       for (size_t t = 0; t < cfg.num_tasks; ++t) {
         TaskState& ts = tasks[t];
         if (ts.done || ts.in_flight || now < ts.not_before) continue;
-        Frame out;
+        TaskAssignMsg msg{t, ts.next_attempt, ts.quarantined, window, {}};
         if (w.remote) {
           // Remote workers get the task's serialized input by value: they
           // share no address space, so nothing can ride copy-on-write.
@@ -892,15 +831,11 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
             job_error = input.status();
             break;
           }
-          TaskAssignMsg msg{t, ts.next_attempt, ts.quarantined,
-                            std::move(input).value()};
-          out = Frame{MessageType::kTaskAssign, msg.Encode()};
-        } else {
-          TaskMsg msg{t, ts.next_attempt, ts.quarantined};
-          out = Frame{MessageType::kTask, msg.Encode()};
+          msg.input = std::move(input).value();
         }
         const size_t attempt = ts.next_attempt++;
-        Status sent = w.ch->Send(std::move(out));
+        Status sent =
+            w.ch->Send(Frame{MessageType::kTaskAssign, msg.Encode()});
         if (sent.ok()) {
           w.busy = true;
           w.task = t;
@@ -1144,17 +1079,6 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   }
   return job_error;
 }
-
-#else  // _WIN32
-
-void CrashSelf() { std::abort(); }
-
-Status WorkerSupervisor::RunPhase(const SupervisorConfig&, const WorkerTaskFn&,
-                                  const CommitFn&, SupervisorStats*) {
-  return Status::NotImplemented("fork execution requires POSIX");
-}
-
-#endif
 
 }  // namespace mr
 }  // namespace ddp

@@ -52,11 +52,12 @@
 /// disk-backed runs are appended to a supervisor-owned spill file. Flow
 /// control is credit-based: the supervisor acks committed bytes
 /// (cumulative, at least every half window) and the worker opens a new run
-/// only while un-acked bytes stay under `stream_window_bytes`, so neither
-/// side ever holds more than one run plus a window of the shuffle in
-/// memory. The slim kResult frame that follows carries counters only, and
-/// arrives after every run frame by stream ordering — so a committed
-/// result always has its full run set.
+/// only while un-acked bytes stay under `stream_window_bytes`, which every
+/// kTaskAssign carries to forked and remote workers alike, so neither side
+/// ever holds more than one run plus a window of the shuffle in memory.
+/// The slim kResult frame that follows carries counters only, and arrives
+/// after every run frame by stream ordering — so a committed result always
+/// has its full run set.
 ///
 /// Results are committed per task index, so scheduling order, crashes,
 /// respawns, and reconnects never affect output order — the bit-identity
@@ -116,8 +117,8 @@ struct SupervisorConfig {
   /// Parent-side progress heartbeat interval (mr::Options::heartbeat_seconds).
   double progress_heartbeat_seconds = 0.0;
   /// Per-worker cap on shipped-but-unacked run bytes (the shuffle
-  /// backpressure window). 0 derives a default: the job's memory budget
-  /// when one is set (floored at 4 KiB), else 4 MiB.
+  /// backpressure window), sent with every task. 0 derives a default: the
+  /// job's memory budget when one is set (floored at 4 KiB), else 4 MiB.
   uint64_t stream_window_bytes = 0;
   /// Non-null: schedule on exec'd remote workers (remote_worker.h) instead
   /// of forking a crew. Remote workers are admitted off the pool's listener
@@ -150,11 +151,14 @@ struct TaskResult {
   int64_t drop_after_runs = -1;
 };
 
-/// One task attempt, executed inside the worker process. `quarantined` tells
-/// the body to suppress (and count as skipped) the record that has been
-/// crashing workers.
-using WorkerTaskFn = std::function<Status(
-    size_t task, size_t attempt, bool quarantined, TaskResult* result)>;
+/// One task attempt, executed inside the worker process, forked or remote.
+/// `quarantined` tells the body to suppress (and count as skipped) the
+/// record that has been crashing workers. `input` is the task's serialized
+/// input: empty for a forked worker, which inherited its input
+/// copy-on-write.
+using WorkerTaskFn =
+    std::function<Status(uint64_t task, uint64_t attempt, bool quarantined,
+                         const std::string& input, TaskResult* result)>;
 
 /// Called in the supervising parent, in frame order, as each task's first
 /// successful attempt arrives, with every run of that attempt already
@@ -163,10 +167,14 @@ using CommitFn =
     std::function<Status(size_t task, bool quarantined, double seconds,
                          std::string payload, std::vector<SpillRun> runs)>;
 
-/// True when this platform/build can run forked workers: POSIX, and not
-/// ThreadSanitizer (TSan does not support threads in forked children, so
-/// fork mode degrades to the in-process executor there).
+/// True unless this is a ThreadSanitizer build: TSan does not support
+/// threads in forked children, so an ExecMode::kFork job fails there.
 bool ForkExecutionSupported();
+
+/// Interval of the kHeartbeat frames every worker sends while it runs or
+/// ships an attempt. The supervisor declares a busy worker hung after
+/// kHeartbeatGrace (supervisor.cc) intervals of silence.
+constexpr double kWorkerHeartbeatSeconds = 0.25;
 
 /// SIGKILLs the calling process — the worker-side chaos injection for
 /// `FaultInjection::worker_crash_rate` / `poison_task_rate`. Lives here so
@@ -174,19 +182,11 @@ bool ForkExecutionSupported();
 [[noreturn]] void CrashSelf();
 
 /// Wire payloads (Encode/Decode pairs; all varint-framed like the spill
-/// format). TaskMsg rides kTask, ResultMsg kResult, HelloMsg kHello,
-/// RunBeginMsg kRunBegin, RunEndMsg kRunEnd, RunAckMsg kRunAck. kRunData
-/// frames carry raw run bytes (the channel framing already CRC-protects
-/// each chunk; the run trailer protects the whole).
-struct TaskMsg {
-  uint64_t task = 0;
-  uint64_t attempt = 0;
-  bool quarantined = false;
-
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, TaskMsg* out);
-};
-
+/// format). TaskAssignMsg rides kTaskAssign, ResultMsg kResult, HelloMsg
+/// kHello, JobSetupMsg kJobSetup, RunBeginMsg kRunBegin, RunEndMsg kRunEnd,
+/// RunAckMsg kRunAck. kRunData frames carry raw run bytes (the channel
+/// framing already CRC-protects each chunk; the run trailer protects the
+/// whole).
 struct ResultMsg {
   uint64_t task = 0;
   uint64_t attempt = 0;
@@ -199,21 +199,11 @@ struct ResultMsg {
   static Status Decode(const std::string& bytes, ResultMsg* out);
 };
 
-/// Capability bits carried in HelloMsg::flags.
-/// kWorkerHelloRemote: the worker is an exec'd ddp_worker process executing
-/// registered jobs by name (kJobSetup / kTaskAssign) rather than a forked
-/// child sharing the supervisor's closures.
-constexpr uint32_t kWorkerHelloRemote = 1u << 0;
-
 struct HelloMsg {
   uint64_t worker_id = 0;
   /// 0 on first connect; incremented per reconnect. A generation > 0 hello
   /// triggers the resume protocol.
   uint64_t generation = 0;
-  /// Capability flags (kWorkerHello*). Encoded only when nonzero so the
-  /// fork-worker hello bytes are unchanged from earlier protocol revisions;
-  /// Decode treats a missing field as 0.
-  uint32_t flags = 0;
 
   std::string Encode() const;
   static Status Decode(const std::string& bytes, HelloMsg* out);
@@ -243,11 +233,12 @@ struct FaultInjection {
   /// buffers, and a poisoned frame is "off-path" chaff whose skipping cannot
   /// change job output.
   double corruption_rate = 0.0;
-  /// Multi-process chaos (ExecMode::kFork only; the in-process executor has
-  /// no worker processes to lose). `worker_crash_rate` is the probability,
-  /// per (task, attempt), that the attempt SIGKILLs its worker — a second
-  /// hash bit picks whether the crash lands before the task body ("mid-map")
-  /// or after the body but before the result ships ("mid-shuffle").
+  /// Multi-process chaos (forked and remote workers; the in-process
+  /// executor has no worker processes to lose). `worker_crash_rate` is the
+  /// probability, per (task, attempt), that the attempt SIGKILLs its worker
+  /// — a second hash bit picks whether the crash lands before the task body
+  /// ("mid-map") or after the body but before the result ships
+  /// ("mid-shuffle").
   /// `poison_task_rate` is the probability a TASK is poisonous: its record
   /// deterministically kills the worker on every attempt, independent of the
   /// attempt number, until the supervisor quarantines it (skip_bad_records)
@@ -289,14 +280,17 @@ struct JobSetupMsg {
   static Status Decode(const std::string& bytes, JobSetupMsg* out);
 };
 
-/// One named-task attempt for a remote worker (rides kTaskAssign). The
-/// counterpart of TaskMsg with the task's serialized input carried by value
-/// — remote workers share no address space, so input cannot ride
-/// copy-on-write.
+/// One task attempt (rides kTaskAssign), the one task frame of forked and
+/// remote workers alike. A remote worker gets the task's serialized input
+/// by value — it shares no address space, so input cannot ride
+/// copy-on-write; a forked worker gets an empty `input`. `window_bytes` is
+/// the attempt's shuffle credit window: the worker opens a new run only
+/// while its shipped-but-unacked bytes stay under it.
 struct TaskAssignMsg {
   uint64_t task = 0;
   uint64_t attempt = 0;
   bool quarantined = false;
+  uint64_t window_bytes = 0;
   std::string input;
 
   std::string Encode() const;
@@ -344,21 +338,16 @@ class WorkerSupervisor {
  public:
   /// Runs tasks [0, num_tasks) on forked workers, or on remote workers from
   /// `config.remote_pool` when one is set, committing each task's result
-  /// (and streamed runs) through `commit`. Returns NotImplemented when fork
-  /// execution is unsupported (and no remote pool is configured), when no
-  /// worker could be spawned at all, or when a configured remote pool never
-  /// produced a live worker — all before any task committed, so the caller
-  /// can fall back to the in-process executor.
+  /// (and streamed runs) through `commit`. Fails when the first worker
+  /// cannot be forked, or when a remote crew stays empty for the connect
+  /// grace (~6 s); nothing ever runs in-process instead.
   static Status RunPhase(const SupervisorConfig& config, const WorkerTaskFn& fn,
                          const CommitFn& commit, SupervisorStats* stats);
 };
 
 /// Child-side knobs for WorkerMain / WorkerLoop.
 struct WorkerMainConfig {
-  double heartbeat_seconds = 0.25;
   uint64_t worker_id = 0;
-  /// Shipped-but-unacked byte cap; a new run starts only under the cap.
-  uint64_t stream_window_bytes = 4u << 20;
   /// Re-establishes the channel after a drop (remote workers). Null for
   /// forked workers: a socketpair cannot be redialed, so a channel error
   /// is fatal.
@@ -366,20 +355,15 @@ struct WorkerMainConfig {
   /// Forked children watch getppid() to detect supervisor death; an exec'd
   /// remote worker has no parent relationship to watch, so it sets false.
   bool check_parent = true;
-  /// Capability flags for the hello (kWorkerHello*), re-sent on reconnect.
-  uint32_t hello_flags = 0;
-  /// Remote-worker hooks. on_job_setup installs a registered job when a
-  /// kJobSetup frame arrives; on_task_assign runs one named-task attempt
-  /// (kTaskAssign). Null hooks reject those frames, as a fork worker would.
+  /// Installs a registered job when a kJobSetup frame arrives (remote
+  /// workers). Null: the worker exits on kJobSetup.
   std::function<Status(const JobSetupMsg& setup)> on_job_setup;
-  std::function<Status(uint64_t task, uint64_t attempt, bool quarantined,
-                       const std::string& input, TaskResult* result)>
-      on_task_assign;
 };
 
 /// The worker protocol loop shared by forked children and exec'd remote
-/// workers: identify with kHello, answer kTask / kTaskAssign frames by
-/// streaming the attempt's runs then a kResult frame, until kShutdown, an
+/// workers: identify with kHello, answer each kTaskAssign frame by running
+/// `fn` and streaming the attempt's runs then a kResult frame, beating
+/// kHeartbeat every kWorkerHeartbeatSeconds meanwhile, until kShutdown, an
 /// unrecoverable channel error, or orphaning. Returns the process exit code
 /// (remote workers return to main; forked children must _exit instead).
 int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,

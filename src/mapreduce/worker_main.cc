@@ -1,13 +1,10 @@
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -15,20 +12,22 @@
 #include "obs/heartbeat.h"
 
 /// \file worker_main.cc
-/// The worker side of multi-process execution. Workers are forked, not
-/// exec'd — the typed map/reduce closures cannot be shipped to a fresh
-/// binary, so the child inherits them (and the job input) copy-on-write.
-/// This loop answers each kTask frame by running the task body, streaming
-/// every run of its output (kRunBegin / kRunData* / kRunEnd, raw spill
-/// bytes) under the supervisor's flow-control window, then sending a slim
-/// kResult frame.
+/// The worker side of multi-process execution, one loop for both kinds of
+/// worker. A forked child inherits the job's typed closures and input
+/// copy-on-write; an exec'd ddp_worker (remote_worker.h) installs a
+/// registered job from kJobSetup and gets each task's input by value. Both
+/// speak one protocol: the loop answers each kTaskAssign frame by running
+/// the task body, streaming every run of its output (kRunBegin / kRunData*
+/// / kRunEnd, raw spill bytes) under the credit window the frame carries,
+/// then sending a slim kResult frame, and beats kHeartbeat every
+/// kWorkerHeartbeatSeconds while an attempt runs or ships.
 ///
 /// A successful attempt stays pending — runs, spill files and all — until
-/// the next kTask arrives: the supervisor dispatches a new task only after
-/// committing the previous result, so receiving one doubles as the commit
-/// acknowledgement. Until then a dropped connection (TCP) is survivable:
-/// reconnect with a bumped hello generation, read the resume kRunAck, and
-/// re-ship from the last committed run boundary.
+/// the next kTaskAssign arrives: the supervisor dispatches a new task only
+/// after committing the previous result, so receiving one doubles as the
+/// commit acknowledgement. Until then a dropped connection (TCP) is
+/// survivable: reconnect with a bumped hello generation, read the resume
+/// kRunAck, and re-ship from the last committed run boundary.
 ///
 /// Exit discipline: the child leaves ONLY through _exit. Running the
 /// parent's static destructors (thread pools, metric registries) in a
@@ -38,8 +37,6 @@
 
 namespace ddp {
 namespace mr {
-
-#ifndef _WIN32
 
 namespace {
 
@@ -90,10 +87,11 @@ struct ChannelHolder {
 };
 
 /// A committed attempt waiting for its supervisor-side commit (signalled by
-/// the next kTask). Holds the runs so a reconnect can re-ship them.
+/// the next kTaskAssign). Holds the runs so a reconnect can re-ship them.
 struct PendingAttempt {
   uint64_t task = 0;
   uint64_t attempt = 0;
+  uint64_t window = 0;  // the credit window its kTaskAssign granted
   TaskResult result;
   std::string result_frame;  // encoded ResultMsg
   bool dropped = false;      // chaos drop already injected once
@@ -110,8 +108,6 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
   // remote worker (check_parent == false) has no parent to watch and relies
   // on channel errors instead.
   const pid_t supervisor_pid = cfg.check_parent ? ::getppid() : -1;
-  const uint64_t window =
-      cfg.stream_window_bytes > 0 ? cfg.stream_window_bytes : (4u << 20);
 
   ChannelHolder holder;
   holder.ch = std::move(channel);
@@ -123,15 +119,13 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
   // channel replacement on reconnect.
   std::atomic<uint64_t> current_task{UINT64_MAX};
   std::optional<obs::ProgressHeartbeat> beat;
-  if (cfg.heartbeat_seconds > 0.0) {
-    beat.emplace(cfg.heartbeat_seconds, [&holder, &current_task] {
-      const uint64_t t = current_task.load(std::memory_order_relaxed);
-      if (t != UINT64_MAX) {
-        (void)holder.Send(Frame{MessageType::kHeartbeat, std::string()});
-      }
-      return std::string("worker beat");
-    });
-  }
+  beat.emplace(kWorkerHeartbeatSeconds, [&holder, &current_task] {
+    const uint64_t t = current_task.load(std::memory_order_relaxed);
+    if (t != UINT64_MAX) {
+      (void)holder.Send(Frame{MessageType::kHeartbeat, std::string()});
+    }
+    return std::string("worker beat");
+  });
 
   std::optional<PendingAttempt> pending;
   int exit_code = 0;
@@ -178,7 +172,7 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
     constexpr size_t kChunk = 256 * 1024;
     for (uint64_t i = from_run; i < total_runs; ++i) {
       if (want_crash && i >= crash_at) CrashSelf();
-      DDP_RETURN_NOT_OK(drain_until(window));
+      DDP_RETURN_NOT_OK(drain_until(p.window));
       const SpillRun& run = p.result.runs[i];
       std::string data;
       if (run.file != nullptr) {
@@ -244,36 +238,35 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
     HelloMsg hello;
     hello.worker_id = cfg.worker_id;
     hello.generation = generation;
-    hello.flags = cfg.hello_flags;
     return holder.Send(Frame{MessageType::kHello, hello.Encode()}).ok();
   };
 
   {
     HelloMsg hello;
     hello.worker_id = cfg.worker_id;
-    hello.flags = cfg.hello_flags;
     (void)holder.Send(Frame{MessageType::kHello, hello.Encode()});
   }
 
-  // Runs one attempt (kTask or kTaskAssign), ships its runs and result, and
-  // leaves the successful attempt pending until the next task commits it.
-  // False: the loop should exit (shutdown mid-stream).
-  auto run_attempt = [&](uint64_t task_id, uint64_t attempt, bool quarantined,
-                         auto&& body) -> bool {
+  // Runs one attempt, ships its runs and result, and leaves the successful
+  // attempt pending until the next task commits it. False: the loop should
+  // exit (shutdown mid-stream).
+  auto run_attempt = [&](const TaskAssignMsg& assign) -> bool {
     // A new task means the previous result was committed: its runs (and
     // their spill files) can finally go.
     pending.reset();
-    current_task.store(task_id, std::memory_order_relaxed);
+    current_task.store(assign.task, std::memory_order_relaxed);
     PendingAttempt p;
-    p.task = task_id;
-    p.attempt = attempt;
+    p.task = assign.task;
+    p.attempt = assign.attempt;
+    p.window = assign.window_bytes;
     ResultMsg result;
-    result.task = task_id;
-    result.attempt = attempt;
+    result.task = assign.task;
+    result.attempt = assign.attempt;
     Stopwatch watch;
     Status st;
     try {
-      st = body(quarantined, &p.result);
+      st = fn(assign.task, assign.attempt, assign.quarantined, assign.input,
+              &p.result);
     } catch (const std::exception& e) {
       st = Status::Internal(std::string("worker task threw: ") + e.what());
     } catch (...) {
@@ -361,34 +354,13 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
       }
       continue;
     }
-    if (frame.type == MessageType::kTaskAssign) {
-      TaskAssignMsg assign;
-      if (cfg.on_task_assign == nullptr ||
-          !TaskAssignMsg::Decode(frame.payload, &assign).ok()) {
-        exit_code = 1;
-        break;
-      }
-      if (!run_attempt(assign.task, assign.attempt, assign.quarantined,
-                       [&](bool quarantined, TaskResult* result) {
-                         return cfg.on_task_assign(assign.task, assign.attempt,
-                                                   quarantined, assign.input,
-                                                   result);
-                       })) {
-        break;
-      }
-      continue;
-    }
-    if (frame.type != MessageType::kTask) continue;  // stray acks etc.
-    TaskMsg task;
-    if (!TaskMsg::Decode(frame.payload, &task).ok()) break;
-    if (!run_attempt(task.task, task.attempt, task.quarantined,
-                     [&](bool quarantined, TaskResult* result) {
-                       return fn(static_cast<size_t>(task.task),
-                                 static_cast<size_t>(task.attempt),
-                                 quarantined, result);
-                     })) {
+    if (frame.type != MessageType::kTaskAssign) continue;  // stray acks etc.
+    TaskAssignMsg assign;
+    if (!TaskAssignMsg::Decode(frame.payload, &assign).ok()) {
+      exit_code = 1;
       break;
     }
+    if (!run_attempt(assign)) break;
   }
   pending.reset();  // unlink this worker's spill files before exiting
   beat.reset();     // join the beat thread before tearing the process down
@@ -402,20 +374,6 @@ void WorkerMain(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
   // owning threads do not exist here.
   ::_exit(WorkerLoop(std::move(channel), fn, cfg));
 }
-
-#else
-
-int WorkerLoop(std::unique_ptr<CommChannel>, const WorkerTaskFn&,
-               const WorkerMainConfig&) {
-  return 1;
-}
-
-void WorkerMain(std::unique_ptr<CommChannel>, const WorkerTaskFn&,
-                const WorkerMainConfig&) {
-  std::abort();
-}
-
-#endif
 
 }  // namespace mr
 }  // namespace ddp

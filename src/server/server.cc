@@ -225,9 +225,10 @@ Status DdpServer::HandleFrame(Connection* conn, const mr::Frame& frame,
       return conn->channel->Send(
           {mr::MessageType::kJobStatus, HandleCancel(msg.job_id).Encode()});
     }
-    // ddp-lint: allow(frame-exhaustive) -- worker-protocol frames (kTask,
-    // kRunData, ...) are invalid on a client connection by design; the
-    // default rejects them all with one IoError instead of twelve cases.
+    // ddp-lint: allow(frame-exhaustive) -- worker-protocol frames
+    // (kTaskAssign, kRunData, ...) are invalid on a client connection by
+    // design; the default rejects them all with one IoError instead of
+    // eleven cases.
     default:
       return Status::IoError("unexpected frame type on a server connection");
   }
@@ -301,6 +302,14 @@ JobStatusMsg DdpServer::HandleSubmit(const JobSubmitMsg& msg) {
       msg.params.algo != "eddpc") {
     reject_reason =
         "unknown algo '" + msg.params.algo + "' (lsh|basic|eddpc)";
+  } else if (msg.params.exec_mode > 2) {
+    reject_reason = "unknown exec_mode " +
+                    std::to_string(msg.params.exec_mode) +
+                    " (0 inproc, 1 fork, 2 remote)";
+  } else if (msg.params.exec_mode == 2 && remote_pool_ == nullptr) {
+    reject_reason = "exec_mode 2 needs a server started with remote workers";
+  } else if (msg.params.exec_mode == 1 && !mr::ForkExecutionSupported()) {
+    reject_reason = "exec_mode 1 is unsupported in this build";
   }
   std::string digest;
   if (reject_reason.empty()) {
@@ -560,16 +569,10 @@ Result<std::string> DdpServer::RunJobPipeline(
                            ckpt_dir.string() + ": " + ec.message());
   }
   options.checkpoint_dir = ckpt_dir.string();
-  if (params.exec_mode == 2) {
-    // Remote execution: the job's phases run on ddp_worker processes that
-    // dialed the server's remote listener. A null pool (remote workers not
-    // enabled) degrades to fork semantics, counted in exec_fallbacks.
-    options.mr.exec_mode = mr::ExecMode::kRemote;
-    options.mr.remote_pool = remote_pool_.get();
-  } else {
-    options.mr.exec_mode =
-        params.exec_mode == 1 ? mr::ExecMode::kFork : mr::ExecMode::kInProc;
-  }
+  // HandleSubmit admitted only exec modes this server can run. Remote jobs
+  // run on ddp_worker processes that dialed the server's remote listener.
+  options.mr.exec_mode = static_cast<mr::ExecMode>(params.exec_mode);
+  if (params.exec_mode == 2) options.mr.remote_pool = remote_pool_.get();
   options.mr.faults.seed = params.seed;
   options.mr.faults.map_failure_rate = params.map_failure_rate;
   options.mr.faults.reduce_failure_rate = params.reduce_failure_rate;

@@ -86,8 +86,9 @@ struct ServerConfig {
   /// Remote worker pool (exec_mode 2 jobs): when enabled the server binds a
   /// second listener for exec'd ddp_worker processes to dial, and jobs
   /// submitted with exec_mode 2 run their MapReduce phases on whichever
-  /// workers have registered. Disabled by default; exec_mode 2 without a
-  /// pool degrades to fork semantics (counted in exec_fallbacks).
+  /// workers have registered. Disabled by default; a server without it
+  /// rejects exec_mode 2 at submit, as it rejects an exec_mode above 2 and,
+  /// in a build that cannot fork workers, exec_mode 1.
   bool enable_remote_workers = false;
   std::string remote_listen_host = "127.0.0.1";
   uint16_t remote_listen_port = 0;  // 0 picks an ephemeral port

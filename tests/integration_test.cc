@@ -35,7 +35,7 @@ mr::Options FastMr() {
   // DDP_TEST_EXEC_MODE=fork reruns the whole suite on forked worker
   // processes (CI does this combined with the 4 KiB budget above); every
   // bit-identity assertion then doubles as a multi-process determinism
-  // check. Unsupported platforms fall back to in-process silently.
+  // check. A build that cannot fork workers (TSan) fails fork-mode jobs.
   if (const char* mode = std::getenv("DDP_TEST_EXEC_MODE")) {
     if (std::string(mode) == "fork") o.exec_mode = mr::ExecMode::kFork;
   }

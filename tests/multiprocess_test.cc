@@ -1,22 +1,25 @@
 // Multi-process execution suite: the framed channel wire format (loopback,
 // socketpair, and TCP, including the bound on a peer's declared frame
 // length), the shared seeded backoff, the supervisor wire payloads
-// (task/result and the streamed-shuffle run frames), the run trailer
-// integrity gate, the orphan spill-file reaper, and — the contract
-// everything else serves — bit-identity of --exec-mode=fork with the
-// in-process executor, including under chaos schedules that SIGKILL
-// workers mid-map and mid-shuffle, hang workers past the task deadline,
-// and poison tasks until they are quarantined. Mid-run connection drops
-// and reconnect-resume belong to remote workers (remote_worker_test.cc).
+// (task/result and the streamed-shuffle run frames), the worker loop's
+// credit window, the run trailer integrity gate, the orphan spill-file
+// reaper, the errors a job gets when the substrate it asks for cannot run,
+// and — the contract everything else serves — bit-identity of
+// --exec-mode=fork with the in-process executor, including under chaos
+// schedules that SIGKILL workers mid-map and mid-shuffle, hang workers past
+// the task deadline, and poison tasks until they are quarantined. Mid-run
+// connection drops and reconnect-resume belong to remote workers
+// (remote_worker_test.cc).
 //
 // Fork-mode tests skip themselves where forked workers are unsupported
-// (ForkExecutionSupported() == false, e.g. under TSan); the protocol,
-// backoff, and reaper tests run everywhere.
+// (ForkExecutionSupported() == false: a TSan build), and one test runs only
+// there; the protocol, backoff, and reaper tests run everywhere.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -37,6 +40,7 @@
 #include "mapreduce/channel.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/mapreduce.h"
+#include "mapreduce/remote_worker.h"
 #include "mapreduce/spill.h"
 #include "mapreduce/supervisor.h"
 #include "obs/proc_stats.h"
@@ -52,7 +56,7 @@ TEST(ChannelTest, LoopbackRoundTripsEveryMessageType) {
   const std::string big(100 * 1024, '\x5a');
   const Frame frames[] = {
       {MessageType::kHello, ""},
-      {MessageType::kTask, std::string("\x00\x01\xff binary", 9)},
+      {MessageType::kTaskAssign, std::string("\x00\x01\xff binary", 9)},
       {MessageType::kResult, big},
       {MessageType::kHeartbeat, "beat"},
       {MessageType::kShutdown, ""},
@@ -98,7 +102,7 @@ TEST(ChannelTest, CorruptedFrameIsIoError) {
 }
 
 TEST(ChannelTest, DecodeFrameRoundTrip) {
-  Frame f{MessageType::kTask, std::string(1, '\0') + "after-nul"};
+  Frame f{MessageType::kTaskAssign, std::string(1, '\0') + "after-nul"};
   Frame got;
   ASSERT_TRUE(DecodeFrame(EncodeFrame(f), &got).ok());
   EXPECT_EQ(got.type, f.type);
@@ -109,7 +113,7 @@ TEST(ChannelTest, DecodeFrameRoundTrip) {
 // and would let the decoder reserve the declared length.
 TEST(ChannelTest, DecodeFrameRejectsLengthThatWrapsTheBound) {
   BufferWriter w;
-  w.PutByte(static_cast<uint8_t>(MessageType::kTask));
+  w.PutByte(static_cast<uint8_t>(MessageType::kTaskAssign));
   w.PutVarint64(~uint64_t{0});
   w.PutRaw("abcd", 4);
   Frame got;
@@ -121,10 +125,10 @@ TEST(ChannelTest, PipeChannelRoundTripsBothDirections) {
   ASSERT_TRUE(pair.ok()) << pair.status().ToString();
   auto [parent, child] = std::move(*pair);
 
-  ASSERT_TRUE(parent->Send({MessageType::kTask, "down"}).ok());
+  ASSERT_TRUE(parent->Send({MessageType::kTaskAssign, "down"}).ok());
   Frame got;
   ASSERT_TRUE(child->Recv(&got, 2.0).ok());
-  EXPECT_EQ(got.type, MessageType::kTask);
+  EXPECT_EQ(got.type, MessageType::kTaskAssign);
   EXPECT_EQ(got.payload, "down");
 
   ASSERT_TRUE(child->Send({MessageType::kResult, "up"}).ok());
@@ -142,7 +146,7 @@ TEST(ChannelTest, PipeChannelRoundTripsBothDirections) {
 void WriteRawHeader(int fd, uint64_t len) {
   std::string header;
   BufferWriter w(&header);
-  w.PutByte(static_cast<uint8_t>(MessageType::kTask));
+  w.PutByte(static_cast<uint8_t>(MessageType::kTaskAssign));
   w.PutVarint64(len);
   ASSERT_EQ(::write(fd, header.data(), header.size()),
             static_cast<ssize_t>(header.size()));
@@ -176,9 +180,6 @@ TEST(ChannelTest, RecvAllocatesOnlyAsPayloadBytesArrive) {
 
 TEST(ChannelTest, TcpConnectAcceptRoundTripAndReconnect) {
   auto listener = TcpListener::Listen("127.0.0.1", 0);
-  if (!listener.ok() && listener.status().IsNotImplemented()) {
-    GTEST_SKIP() << "TCP transport unsupported on this platform";
-  }
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   TcpListener& lst = **listener;
   ASSERT_NE(lst.port(), 0);  // ephemeral port was resolved
@@ -194,7 +195,7 @@ TEST(ChannelTest, TcpConnectAcceptRoundTripAndReconnect) {
   ASSERT_TRUE((*server)->Recv(&got, 5.0).ok());
   EXPECT_EQ(got.type, MessageType::kHello);
   EXPECT_EQ(got.payload, "hi");
-  ASSERT_TRUE((*server)->Send({MessageType::kTask, "t"}).ok());
+  ASSERT_TRUE((*server)->Send({MessageType::kTaskAssign, "t"}).ok());
   ASSERT_TRUE((*client)->Recv(&got, 5.0).ok());
   EXPECT_EQ(got.payload, "t");
 
@@ -214,9 +215,6 @@ TEST(ChannelTest, TcpConnectAcceptRoundTripAndReconnect) {
 
 TEST(ChannelTest, TcpConnectGivesUpAtTheDeadline) {
   auto listener = TcpListener::Listen("127.0.0.1", 0);
-  if (!listener.ok() && listener.status().IsNotImplemented()) {
-    GTEST_SKIP() << "TCP transport unsupported on this platform";
-  }
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   const uint16_t dead_port = (*listener)->port();
   (*listener)->Close();  // nothing listens here any more
@@ -295,9 +293,6 @@ TEST(ChannelTest, PipeSendWritesEncodeFrameBytes) {
 
 TEST(ChannelTest, TcpSendWritesEncodeFrameBytes) {
   auto listener = TcpListener::Listen("127.0.0.1", 0);
-  if (!listener.ok() && listener.status().IsNotImplemented()) {
-    GTEST_SKIP() << "TCP transport unsupported on this platform";
-  }
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   const ExponentialBackoff::Params bo{0.001, 2.0, 0.05, 0.0};
   auto client =
@@ -347,16 +342,26 @@ TEST(BackoffTest, ZeroJitterIsExactExponential) {
 
 // ------------------------------------------------------- wire payloads
 
-TEST(SupervisorCodecTest, TaskMsgRoundTrip) {
-  TaskMsg in;
-  in.task = 123456789;
-  in.attempt = 7;
-  in.quarantined = true;
-  TaskMsg out;
-  ASSERT_TRUE(TaskMsg::Decode(in.Encode(), &out).ok());
-  EXPECT_EQ(out.task, in.task);
-  EXPECT_EQ(out.attempt, in.attempt);
-  EXPECT_EQ(out.quarantined, in.quarantined);
+// One task frame for both kinds of worker: a forked worker's carries no
+// input, a remote worker's carries the task's serialized input.
+TEST(SupervisorCodecTest, TaskAssignMsgRoundTrip) {
+  for (const std::string& input :
+       {std::string(), std::string("\x00serialized input\xff", 19)}) {
+    TaskAssignMsg in;
+    in.task = 123456789;
+    in.attempt = 7;
+    in.quarantined = true;
+    in.window_bytes = uint64_t{64} << 10;
+    in.input = input;
+    TaskAssignMsg out;
+    ASSERT_TRUE(TaskAssignMsg::Decode(in.Encode(), &out).ok());
+    EXPECT_EQ(out.task, in.task);
+    EXPECT_EQ(out.attempt, in.attempt);
+    EXPECT_EQ(out.quarantined, in.quarantined);
+    EXPECT_EQ(out.window_bytes, in.window_bytes);
+    EXPECT_EQ(out.input, in.input);
+    EXPECT_FALSE(TaskAssignMsg::Decode(in.Encode() + "x", &out).ok());
+  }
 }
 
 TEST(SupervisorCodecTest, ResultMsgRoundTrip) {
@@ -426,8 +431,8 @@ TEST(SupervisorCodecTest, StreamedShuffleMsgsRoundTrip) {
 }
 
 TEST(SupervisorCodecTest, DecodeRejectsGarbage) {
-  TaskMsg t;
-  EXPECT_FALSE(TaskMsg::Decode("\xff", &t).ok());
+  TaskAssignMsg t;
+  EXPECT_FALSE(TaskAssignMsg::Decode("\xff", &t).ok());
   ResultMsg r;
   EXPECT_FALSE(ResultMsg::Decode("", &r).ok());
   HelloMsg h;
@@ -509,7 +514,8 @@ TEST(SupervisorTest, RunsEveryTaskAndCommitsByTaskId) {
   config.job_name = "unit";
   config.num_workers = 3;
   config.num_tasks = 17;
-  WorkerTaskFn fn = [](size_t task, size_t, bool, TaskResult* result) {
+  WorkerTaskFn fn = [](uint64_t task, uint64_t, bool, const std::string&,
+                       TaskResult* result) {
     result->payload = "task-" + std::to_string(task);
     return Status::OK();
   };
@@ -538,7 +544,8 @@ TEST(SupervisorTest, FirstAttemptCrashIsRetriedOnAFreshWorker) {
   config.num_tasks = 6;
   // Task 2's first attempt SIGKILLs its worker; every retry succeeds. This
   // runs in the child, so the "state" is per-attempt by construction.
-  WorkerTaskFn fn = [](size_t task, size_t attempt, bool, TaskResult* result) {
+  WorkerTaskFn fn = [](uint64_t task, uint64_t attempt, bool,
+                       const std::string&, TaskResult* result) {
     if (task == 2 && attempt == 0) CrashSelf();
     result->payload = std::to_string(task);
     return Status::OK();
@@ -569,7 +576,8 @@ TEST(SupervisorTest, StreamsTailRunsOverPipe) {
   config.num_workers = 2;
   config.num_tasks = 9;
   config.stream_window_bytes = 64;  // tiny window: acks must flow to finish
-  WorkerTaskFn fn = [](size_t task, size_t, bool, TaskResult* result) {
+  WorkerTaskFn fn = [](uint64_t task, uint64_t, bool, const std::string&,
+                       TaskResult* result) {
     result->payload = "p" + std::to_string(task);
     SpillRun a;
     a.partition = 0;
@@ -638,8 +646,8 @@ TEST(SupervisorTest, SingleRunExceedingWindowStreamsOverPipe) {
   config.num_tasks = 4;
   config.stream_window_bytes = 256;  // run below is 32x the window
   const size_t run_bytes = 8192;
-  WorkerTaskFn fn = [run_bytes](size_t task, size_t, bool,
-                                TaskResult* result) {
+  WorkerTaskFn fn = [run_bytes](uint64_t task, uint64_t, bool,
+                                const std::string&, TaskResult* result) {
     SpillRun run;
     run.partition = 0;
     run.spill_index = kTailRunIndex;
@@ -662,6 +670,99 @@ TEST(SupervisorTest, SingleRunExceedingWindowStreamsOverPipe) {
               std::string(run_bytes, static_cast<char>('a' + t)));
   }
   EXPECT_GT(stats.shuffle_streamed_bytes, config.num_tasks * run_bytes);
+}
+
+// ------------------------------------------------------------ worker loop
+
+// The next frame other than kHello or kHeartbeat, if one arrives within
+// `seconds`.
+bool RecvProtocolFrame(CommChannel* ch, double seconds, Frame* out) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point until =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(seconds));
+  for (;;) {
+    const double left =
+        std::chrono::duration<double>(until - Clock::now()).count();
+    if (left <= 0.0 || !ch->Recv(out, left).ok()) return false;
+    if (out->type != MessageType::kHello &&
+        out->type != MessageType::kHeartbeat) {
+      return true;
+    }
+  }
+}
+
+// The supervisor sets every worker's credit window in the task frame. A
+// worker opens a run only while its unacked bytes are within the window, so
+// with 4096 bytes granted and three 3000-byte runs (3004 on the wire with
+// their trailers) runs 0 and 1 ship unacked and run 2 waits for a kRunAck.
+TEST(WorkerLoopTest, TaskFrameWindowHoldsRunsUntilAcked) {
+  auto [supervisor, worker_end] = LoopbackChannel::MakePair();
+  WorkerTaskFn fn = [](uint64_t, uint64_t, bool, const std::string&,
+                       TaskResult* result) {
+    for (uint32_t p = 0; p < 3; ++p) {
+      SpillRun run;
+      run.partition = p;
+      run.spill_index = kTailRunIndex;
+      run.bytes = std::string(3000, static_cast<char>('a' + p));
+      result->runs.push_back(std::move(run));
+    }
+    result->payload = "done";
+    return Status::OK();
+  };
+  WorkerMainConfig wc;
+  wc.worker_id = 7;
+  wc.check_parent = false;
+  int exit_code = -1;
+  std::thread worker(
+      [&exit_code, &fn, &wc, ch = std::move(worker_end)]() mutable {
+        exit_code = WorkerLoop(std::move(ch), fn, wc);
+      });
+
+  auto talk = [&supervisor] {
+    TaskAssignMsg assign;  // task 0, attempt 0, no input: a forked worker's
+    assign.window_bytes = 4096;
+    ASSERT_TRUE(
+        supervisor->Send({MessageType::kTaskAssign, assign.Encode()}).ok());
+    Frame f;
+    for (uint64_t run = 0; run < 2; ++run) {
+      ASSERT_TRUE(RecvProtocolFrame(supervisor.get(), 5.0, &f));
+      ASSERT_EQ(f.type, MessageType::kRunBegin) << "run " << run;
+      RunBeginMsg begin;
+      ASSERT_TRUE(RunBeginMsg::Decode(f.payload, &begin).ok());
+      EXPECT_EQ(begin.seq, run);
+      EXPECT_EQ(begin.length, 3004u);
+      ASSERT_TRUE(RecvProtocolFrame(supervisor.get(), 5.0, &f));
+      EXPECT_EQ(f.type, MessageType::kRunData);
+      EXPECT_EQ(f.payload.size(), 3004u);
+      ASSERT_TRUE(RecvProtocolFrame(supervisor.get(), 5.0, &f));
+      EXPECT_EQ(f.type, MessageType::kRunEnd);
+    }
+    // 6008 unacked bytes are past the window: run 2 must wait.
+    EXPECT_FALSE(RecvProtocolFrame(supervisor.get(), 0.2, &f))
+        << "frame type " << static_cast<int>(f.type) << " arrived unacked";
+    RunAckMsg ack;
+    ack.acked_runs = 2;
+    ack.acked_bytes = 6008;
+    ASSERT_TRUE(supervisor->Send({MessageType::kRunAck, ack.Encode()}).ok());
+    std::vector<int> rest;
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(RecvProtocolFrame(supervisor.get(), 5.0, &f)) << i;
+      rest.push_back(static_cast<int>(f.type));
+    }
+    EXPECT_EQ(rest, (std::vector<int>{static_cast<int>(MessageType::kRunBegin),
+                                      static_cast<int>(MessageType::kRunData),
+                                      static_cast<int>(MessageType::kRunEnd),
+                                      static_cast<int>(MessageType::kResult)}));
+    ResultMsg result;
+    ASSERT_TRUE(ResultMsg::Decode(f.payload, &result).ok());
+    EXPECT_EQ(result.status_code, 0);
+    EXPECT_EQ(result.payload, "done");
+  };
+  talk();
+  (void)supervisor->Send({MessageType::kShutdown, ""});
+  worker.join();
+  EXPECT_EQ(exit_code, 0);
 }
 
 // ----------------------------------------------- fork-mode bit identity
@@ -955,6 +1056,109 @@ TEST(MultiprocessTest, PoisonTasksQuarantineAndConverge) {
   auto failed = RunJob(WordCountSpec(), std::span<const std::string>(docs),
                        strict, nullptr);
   EXPECT_FALSE(failed.ok());
+}
+
+// ------------------------------------ the substrate a job asks for runs
+
+// A job whose requested substrate cannot run fails before any task runs,
+// with an error naming the job and what is missing. None of these jobs may
+// quietly run in-process instead.
+
+// An output type with no Serde: reduce results cannot leave a worker.
+struct NoSerde {
+  uint32_t count = 0;
+};
+
+JobSpec<std::string, std::string, uint32_t, NoSerde> NoSerdeOutputSpec() {
+  JobSpec<std::string, std::string, uint32_t, NoSerde> spec;
+  spec.name = "mp-no-serde";
+  spec.remote_task_id = "mp-no-serde";
+  spec.map = [](const std::string& doc, Emitter<std::string, uint32_t>* out) {
+    out->Emit(doc, 1);
+  };
+  spec.reduce = [](const std::string&, std::span<const uint32_t> counts,
+                   std::vector<NoSerde>* out) {
+    out->push_back({static_cast<uint32_t>(counts.size())});
+  };
+  return spec;
+}
+
+void ExpectNamedError(const Status& st, const std::string& job,
+                      const std::string& what) {
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find(job), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find(what), std::string::npos) << st.ToString();
+}
+
+TEST(ExecModeTest, RemoteWithoutAPoolFails) {
+  std::vector<std::string> docs = Corpus();
+  auto spec = WordCountSpec();
+  spec.remote_task_id = "mp-wordcount";
+  Options o = MpOptions();
+  o.exec_mode = ExecMode::kRemote;
+  auto result = RunJob(spec, std::span<const std::string>(docs), o, nullptr);
+  ExpectNamedError(result.status(), "mp-wordcount", "remote_pool");
+}
+
+TEST(ExecModeTest, RemoteWithoutARemoteTaskIdFails) {
+  auto pool = RemoteWorkerPool::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  std::vector<std::string> docs = Corpus();
+  Options o = MpOptions();
+  o.exec_mode = ExecMode::kRemote;
+  o.remote_pool = pool->get();
+  auto result =
+      RunJob(WordCountSpec(), std::span<const std::string>(docs), o, nullptr);
+  ExpectNamedError(result.status(), "mp-wordcount", "remote_task_id");
+}
+
+TEST(ExecModeTest, SupervisedModesNeedAnOutputSerde) {
+  auto pool = RemoteWorkerPool::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  std::vector<std::string> docs = Corpus();
+  for (ExecMode mode : {ExecMode::kFork, ExecMode::kRemote}) {
+    Options o = MpOptions();
+    o.exec_mode = mode;
+    o.remote_pool = pool->get();
+    auto result = RunJob(NoSerdeOutputSpec(),
+                         std::span<const std::string>(docs), o, nullptr);
+    ExpectNamedError(result.status(), "mp-no-serde", "Serde");
+  }
+}
+
+// No ddp_worker ever dials the pool: the job fails once the connect grace
+// (~6 s) is out.
+TEST(ExecModeTest, RemotePoolNoWorkerJoinsFailsWithinTheConnectGrace) {
+  auto pool = RemoteWorkerPool::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  std::vector<std::string> docs = Corpus();
+  auto spec = WordCountSpec();
+  spec.remote_task_id = "mp-wordcount";
+  Options o = MpOptions();
+  o.exec_mode = ExecMode::kRemote;
+  o.remote_pool = pool->get();
+  JobCounters counters;
+  const auto start = std::chrono::steady_clock::now();
+  auto result =
+      RunJob(spec, std::span<const std::string>(docs), o, &counters);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ExpectNamedError(result.status(), "mp-wordcount", "connect grace");
+  EXPECT_LT(seconds, 12.0);
+}
+
+// Runs only in a build that cannot fork workers (CI's TSan job).
+TEST(ExecModeTest, ForkFailsWhereForkedWorkersAreUnsupported) {
+  if (ForkExecutionSupported()) {
+    GTEST_SKIP() << "this build forks workers; the TSan build runs this";
+  }
+  std::vector<std::string> docs = Corpus();
+  Options o = MpOptions();
+  o.exec_mode = ExecMode::kFork;
+  auto result =
+      RunJob(WordCountSpec(), std::span<const std::string>(docs), o, nullptr);
+  ExpectNamedError(result.status(), "mp-wordcount", "fork");
 }
 
 }  // namespace

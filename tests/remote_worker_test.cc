@@ -1,6 +1,7 @@
 // Remote worker subsystem suite (mapreduce/remote_worker.h): the wire
-// payloads that carry the registered-job model (extended hello with
-// capability flags, kJobSetup, kTaskAssign), the process-global JobRegistry,
+// payloads that carry the registered-job model (kHello, kJobSetup; the
+// kTaskAssign codec lives in multiprocess_test.cc), the process-global
+// JobRegistry,
 // and — the contract the subsystem exists for — multi-host bit-identity:
 // the same seed and dataset run under inproc, fork, and remote execution
 // (two separately exec'd ddp_worker processes on localhost) must produce
@@ -44,33 +45,21 @@ namespace {
 
 // ------------------------------------------------------------- wire codecs
 
-TEST(RemoteCodecTest, HelloFlagsRoundTripAndBackCompat) {
+// A hello is (worker id, generation) and nothing after it: a trailing
+// varint is rejected.
+TEST(RemoteCodecTest, HelloRoundTripRejectsTrailingVarint) {
   mr::HelloMsg hello;
   hello.worker_id = (uint64_t{1} << 63) | 4242;
   hello.generation = 3;
-  hello.flags = mr::kWorkerHelloRemote;
   mr::HelloMsg decoded;
   ASSERT_TRUE(mr::HelloMsg::Decode(hello.Encode(), &decoded).ok());
   EXPECT_EQ(decoded.worker_id, hello.worker_id);
   EXPECT_EQ(decoded.generation, hello.generation);
-  EXPECT_EQ(decoded.flags, mr::kWorkerHelloRemote);
 
-  // A pre-flags hello (worker_id + generation only) must still decode, with
-  // flags defaulting to 0 — fork workers keep their old wire bytes.
-  std::string legacy;
-  BufferWriter w(&legacy);
-  w.PutVarint64(17);
-  w.PutVarint64(2);
-  ASSERT_TRUE(mr::HelloMsg::Decode(legacy, &decoded).ok());
-  EXPECT_EQ(decoded.worker_id, 17u);
-  EXPECT_EQ(decoded.generation, 2u);
-  EXPECT_EQ(decoded.flags, 0u);
-
-  // A flags == 0 hello encodes byte-identically to the legacy form.
-  mr::HelloMsg plain;
-  plain.worker_id = 17;
-  plain.generation = 2;
-  EXPECT_EQ(plain.Encode(), legacy);
+  std::string trailing = hello.Encode();
+  BufferWriter w(&trailing);
+  w.PutVarint64(1);
+  EXPECT_FALSE(mr::HelloMsg::Decode(trailing, &decoded).ok());
 }
 
 TEST(RemoteCodecTest, JobSetupRoundTrip) {
@@ -113,20 +102,6 @@ TEST(RemoteCodecTest, JobSetupRoundTrip) {
   EXPECT_FALSE(
       mr::JobSetupMsg::Decode("\x01garbage that is not a setup", &decoded)
           .ok());
-}
-
-TEST(RemoteCodecTest, TaskAssignRoundTrip) {
-  mr::TaskAssignMsg assign;
-  assign.task = 12;
-  assign.attempt = 2;
-  assign.quarantined = true;
-  assign.input = std::string("\x00serialized input\xff", 19);
-  mr::TaskAssignMsg decoded;
-  ASSERT_TRUE(mr::TaskAssignMsg::Decode(assign.Encode(), &decoded).ok());
-  EXPECT_EQ(decoded.task, assign.task);
-  EXPECT_EQ(decoded.attempt, assign.attempt);
-  EXPECT_EQ(decoded.quarantined, assign.quarantined);
-  EXPECT_EQ(decoded.input, assign.input);
 }
 
 // The task-input decoders of a registered runner bound a declared count by
@@ -181,7 +156,6 @@ TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
     if (!ch.ok()) return;
     mr::HelloMsg hello;
     hello.worker_id = (uint64_t{1} << 63) | 17;
-    hello.flags = mr::kWorkerHelloRemote;
     if (!(*ch)->Send({mr::MessageType::kHello, hello.Encode()}).ok()) return;
     // Serve until the supervisor closes the channel.
     mr::Frame frame;
@@ -212,7 +186,8 @@ TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
   config.remote_task_input = [](size_t) -> Result<std::string> {
     return std::string();
   };
-  mr::WorkerTaskFn fn = [](size_t, size_t, bool, mr::TaskResult*) {
+  mr::WorkerTaskFn fn = [](uint64_t, uint64_t, bool, const std::string&,
+                           mr::TaskResult*) {
     return Status::Internal("a remote phase forks no workers");
   };
   mr::CommitFn commit = [](size_t, bool, double, std::string,

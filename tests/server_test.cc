@@ -389,6 +389,38 @@ TEST_F(ServerTest, FullQueueRejectsWithReason) {
   EXPECT_EQ(polled->detail, submitted->detail);
 }
 
+// The exec_mode byte comes from a client: a mode this server cannot run is
+// rejected at submit, never run on another substrate.
+TEST_F(ServerTest, SubmitRejectsUnknownExecMode) {
+  auto srv = DdpServer::Start(BaseConfig());
+  ASSERT_TRUE(srv.ok());
+  auto client = Connect(**srv);
+  ASSERT_TRUE(client.ok());
+  JobParams params = BaseParams();
+  params.exec_mode = 3;
+  auto submitted = (*client)->Submit(Submission(params));
+  ASSERT_TRUE(submitted.ok());
+  EXPECT_EQ(submitted->state, static_cast<uint8_t>(JobState::kRejected));
+  EXPECT_NE(submitted->detail.find("exec_mode"), std::string::npos)
+      << submitted->detail;
+}
+
+TEST_F(ServerTest, SubmitRejectsRemoteExecModeWithoutRemoteWorkers) {
+  ServerConfig config = BaseConfig();
+  config.enable_remote_workers = false;
+  auto srv = DdpServer::Start(config);
+  ASSERT_TRUE(srv.ok());
+  auto client = Connect(**srv);
+  ASSERT_TRUE(client.ok());
+  JobParams params = BaseParams();
+  params.exec_mode = 2;
+  auto submitted = (*client)->Submit(Submission(params));
+  ASSERT_TRUE(submitted.ok());
+  EXPECT_EQ(submitted->state, static_cast<uint8_t>(JobState::kRejected));
+  EXPECT_NE(submitted->detail.find("remote workers"), std::string::npos)
+      << submitted->detail;
+}
+
 TEST_F(ServerTest, AdmissionBudgetRejectsOversizedJobs) {
   ServerConfig config = BaseConfig();
   config.admission_budget_bytes = 1 << 20;

@@ -18,7 +18,8 @@
 //   --remote-listen H:P      enable the remote worker pool: bind a second
 //                            listener for exec'd ddp_worker processes
 //                            (port 0 picks an ephemeral port); jobs
-//                            submitted with exec_mode 2 run on it
+//                            submitted with exec_mode 2 run on it, and
+//                            without it they are rejected
 //   --remote-port-file FILE  write the remote listener's bound port
 //   --stats-out FILE         write the metrics registry JSON at exit
 //

@@ -12,7 +12,6 @@
 //                            and reaps the children on shutdown.
 //   --worker-id ID           explicit worker id (default 0 derives
 //                            (1 << 63) | pid, disjoint from fork-worker ids)
-//   --heartbeat S            heartbeat interval seconds (default 0.25)
 //   --dial-deadline S        per-dial retry budget seconds (default 5)
 //   --chaos-crash-task K     crash-test hook: on the Kth task assignment
 //                            served, die mid-shuffle after shipping half the
@@ -21,15 +20,17 @@
 //                            Applies to this process's own loop, never to
 //                            spawned children.
 //
-// The binary dials the supervisor's TcpListener, registers over an extended
-// hello (kWorkerHelloRemote capability flag), and executes whatever
-// registered jobs the supervisor installs with kJobSetup — every DDP driver
-// job is registered at startup via RegisterAllRemoteJobs(). It exits 0 on a
-// clean kShutdown, non-zero if the channel dies for good or a child fails.
+// Any other flag is a usage error. The binary dials the supervisor's
+// TcpListener, says hello, and executes whatever registered jobs the
+// supervisor installs with kJobSetup — every DDP driver job is registered at
+// startup via RegisterAllRemoteJobs(). The supervisor sets the heartbeat
+// interval and the shuffle credit window. It exits 0 on a clean kShutdown,
+// non-zero if the channel dies for good or a child fails.
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -43,17 +44,21 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: ddp_worker --connect HOST:PORT [--workers N]\n"
-               "                  [--worker-id ID] [--heartbeat S]\n"
-               "                  [--dial-deadline S] [--chaos-crash-task K]\n");
+               "                  [--worker-id ID] [--dial-deadline S]\n"
+               "                  [--chaos-crash-task K]\n");
   return 2;
 }
 
+/// `--key value` pairs of the known flags; anything else makes it bad().
 class Args {
  public:
   Args(int argc, char** argv) {
+    const std::set<std::string> known = {"connect", "workers", "worker-id",
+                                         "dial-deadline", "chaos-crash-task"};
     for (int i = 1; i < argc; ++i) {
       std::string a = argv[i];
-      if (a.rfind("--", 0) == 0 && i + 1 < argc) {
+      if (a.rfind("--", 0) == 0 && known.count(a.substr(2)) > 0 &&
+          i + 1 < argc) {
         flags_[a.substr(2)] = argv[++i];
       } else {
         bad_ = true;
@@ -107,7 +112,6 @@ int Main(int argc, char** argv) {
   options.host = endpoint->host;
   options.port = endpoint->port;
   options.worker_id = static_cast<uint64_t>(args.GetInt("worker-id", 0));
-  options.heartbeat_seconds = args.GetDouble("heartbeat", 0.25);
   options.dial_deadline_seconds = args.GetDouble("dial-deadline", 5.0);
   options.chaos_crash_task = args.GetInt("chaos-crash-task", -1);
 
@@ -119,7 +123,6 @@ int Main(int argc, char** argv) {
     std::vector<std::string> child_args = {
         "--connect",       endpoint->ToString(),
         "--workers",       "1",
-        "--heartbeat",     std::to_string(options.heartbeat_seconds),
         "--dial-deadline", std::to_string(options.dial_deadline_seconds),
     };
     Result<int64_t> pid = mr::SpawnWorkerProcess(argv[0], child_args);
