@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "common/random.h"
@@ -92,19 +91,11 @@ Result<DdpRunResult> RunDistributedDp(DistributedDpAlgorithm* algorithm,
   DistanceCounter counter;
   CountingMetric metric(&counter);
 
-  // Driver recovery: every job below runs against a checkpoint store (when
-  // configured), keyed by its position in the pipeline. The sequence is
-  // rewound at the start of each (re-)run so a resumed pipeline requests the
-  // same keys and replays completed jobs instead of re-executing them.
-  mr::Options mr_options = options.mr;
-  std::optional<mr::CheckpointStore> owned_store;
-  if (mr_options.checkpoint == nullptr && !options.checkpoint_dir.empty()) {
-    owned_store.emplace(options.checkpoint_dir);
-    mr_options.checkpoint = &*owned_store;
-  }
-  if (mr_options.checkpoint != nullptr) {
-    mr_options.checkpoint->ResetSequence();
-  }
+  // Driver recovery: every job below runs against `mr.checkpoint` (when
+  // set), keyed by its position in the pipeline. The sequence is rewound at
+  // the start of each (re-)run so a resumed pipeline requests the same keys
+  // and replays completed jobs instead of re-executing them.
+  if (options.mr.checkpoint != nullptr) options.mr.checkpoint->ResetSequence();
 
   if (options.dc > 0.0) {
     result.dc = options.dc;
@@ -112,14 +103,14 @@ Result<DdpRunResult> RunDistributedDp(DistributedDpAlgorithm* algorithm,
     DDP_TRACE_SPAN(dc_span, obs::kCatPipeline, obs::kSpanChooseDc);
     DDP_ASSIGN_OR_RETURN(
         result.dc, ChooseCutoffMapReduce(dataset, metric, options.cutoff,
-                                         mr_options, &result.stats));
+                                         options.mr, &result.stats));
   }
 
   {
     DDP_TRACE_SPAN(scores_span, obs::kCatPipeline, obs::kSpanComputeScores);
     DDP_ASSIGN_OR_RETURN(result.scores,
                          algorithm->ComputeScores(dataset, result.dc, metric,
-                                                  mr_options, &result.stats));
+                                                  options.mr, &result.stats));
   }
 
   // Final step (Sec. III Step 3): decision graph, peaks, assignment —
@@ -145,7 +136,7 @@ Result<DdpRunResult> RunDistributedDp(DistributedDpAlgorithm* algorithm,
     if (options.use_mr_assignment) {
       DDP_ASSIGN_OR_RETURN(MrAssignmentResult assigned,
                            AssignClustersMapReduce(result.scores, peaks,
-                                                   mr_options));
+                                                   options.mr));
       for (const mr::JobCounters& job : assigned.stats.jobs) {
         result.stats.Add(job);
       }

@@ -67,12 +67,6 @@ struct DdpOptions {
   /// preprocessing, scores, assignment — spill and merge-stream through
   /// disk, with output bit-identical to the in-memory run.
   mr::Options mr;
-  /// When non-empty, the driver persists every MapReduce job's output under
-  /// this directory and resumes from the last completed job on re-run (see
-  /// mapreduce/checkpoint.h). A killed pipeline re-run with the same options
-  /// and dataset produces bit-identical results without redoing finished
-  /// work. Ignored when `mr.checkpoint` is already set by the caller.
-  std::string checkpoint_dir;
   /// Cutoff preprocessing (ignored when dc > 0).
   CutoffOptions cutoff;
   /// Explicit cutoff distance; <= 0 means "run the preprocessing job".

@@ -102,8 +102,7 @@ struct PhaseSpec {
   std::function<std::unique_ptr<TaskSlot>()> new_slot;
   TaskBody body;
   const SlotCodec* codec = nullptr;
-  /// Remote crews: the encoded JobSetupMsg and one task's input by value.
-  std::string remote_setup;
+  /// Remote crews: one task's input by value.
   std::function<Result<std::string>(size_t task)> remote_input;
 };
 
@@ -411,44 +410,21 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
 }
 
 /// The supervised counterpart of RunRobustPhase: runs the phase's tasks on
-/// forked workers — or, with `remote`, on exec'd ddp_worker processes from
-/// `options.remote_pool` — under a WorkerSupervisor. Each worker runs
-/// RunWorkerAttempt; the parent decodes each committed result payload into
-/// a fresh slot and grafts the attempt's streamed runs back in.
-Status RunSupervisedPhase(const PhaseSpec& spec, const Options& options,
-                          const std::string& spill_dir, bool remote,
-                          PhaseStats* pstats, JobCounters* counters,
-                          TaskSlots* outputs) {
+/// forked workers — or, under ExecMode::kRemote, on exec'd ddp_worker
+/// processes from `options.remote_pool`, which install `remote_setup` (the
+/// encoded JobSetupMsg) — under a WorkerSupervisor, which adds its
+/// accounting to `counters`. Each worker runs RunWorkerAttempt; the parent
+/// decodes each committed result payload into a fresh slot and grafts the
+/// attempt's streamed runs back in.
+Status RunSupervisedPhase(const PhaseSpec& spec, std::string remote_setup,
+                          const Options& options, PhaseStats* pstats,
+                          JobCounters* counters, TaskSlots* outputs) {
   outputs->clear();
   outputs->resize(spec.num_tasks);
   if (spec.num_tasks == 0) return Status::OK();
-
-  SupervisorConfig cfg;
-  cfg.job_name = spec.chaos.job_name;
-  cfg.phase = spec.chaos.phase;
-  cfg.num_workers = options.ResolvedWorkers();
-  cfg.num_tasks = spec.num_tasks;
-  cfg.max_task_attempts = options.max_task_attempts;
-  cfg.max_worker_restarts = options.max_worker_restarts;
-  cfg.quarantine_after_crashes = options.quarantine_after_crashes;
-  cfg.skip_bad_records = options.skip_bad_records;
-  cfg.task_deadline_seconds = options.task_deadline_seconds;
-  cfg.backoff_seed = options.faults.seed;
-  cfg.spill_dir = spill_dir;
-  cfg.progress_heartbeat_seconds = options.heartbeat_seconds;
-  // The shuffle backpressure window tracks the job's memory budget: a
-  // budgeted job bounds its shipped-but-uncommitted bytes the same way it
-  // bounds its map buffers (floored at 4 KiB so tiny test budgets still
-  // make progress one frame at a time). 0 lets the supervisor default.
-  cfg.stream_window_bytes =
-      options.memory_budget_bytes > 0
-          ? std::max<uint64_t>(options.memory_budget_bytes, 4096)
-          : 0;
-  if (remote) {
-    cfg.remote_pool = options.remote_pool;
-    cfg.remote_setup_payload = spec.remote_setup;
-    cfg.remote_task_input = spec.remote_input;
-  }
+  const SupervisedPhase phase{spec.chaos.job_name, spec.chaos.phase,
+                              spec.num_tasks, std::move(remote_setup),
+                              spec.remote_input};
 
   // Runs in a forked worker, whose input rode copy-on-write. Remote
   // workers run the same wrapper, rebuilt from the JobSetupMsg
@@ -495,23 +471,7 @@ Status RunSupervisedPhase(const PhaseSpec& spec, const Options& options,
     return Status::OK();
   };
 
-  SupervisorStats sstats;
-  Status st = WorkerSupervisor::RunPhase(cfg, fn, commit, &sstats);
-  pstats->retries += sstats.retries;
-  pstats->deadline_kills += sstats.deadline_kills;
-  counters->worker_crashes += sstats.worker_crashes;
-  counters->worker_hangs += sstats.worker_hangs;
-  counters->worker_kills += sstats.worker_kills;
-  counters->worker_restarts += sstats.worker_restarts;
-  counters->quarantined_tasks += sstats.quarantined_tasks;
-  counters->spill_files_reaped += sstats.spill_files_reaped;
-  counters->shuffle_streamed_bytes += sstats.shuffle_streamed_bytes;
-  counters->shuffle_resent_runs += sstats.shuffle_resent_runs;
-  counters->channel_reconnects += sstats.channel_reconnects;
-  counters->workers_registered += sstats.workers_registered;
-  counters->workers_evicted += sstats.workers_evicted;
-  counters->tasks_reassigned += sstats.tasks_reassigned;
-  return st;
+  return WorkerSupervisor::RunPhase(options, phase, fn, commit, counters);
 }
 
 /// The encoded JobSetupMsg a remote worker installs for one phase: the
@@ -564,15 +524,16 @@ Result<std::string> EncodeReduceSources(
   return bytes;
 }
 
-/// Merges both phases' robustness accounting into the counters.
+/// Merges both in-process phases' robustness accounting into the counters,
+/// adding to the retry and deadline-kill counts a supervised phase fills.
 void CountAttempts(const PhaseStats& map, const PhaseStats& reduce,
                    JobCounters* counters) {
-  counters->map_task_retries = map.retries;
-  counters->reduce_task_retries = reduce.retries;
+  counters->map_task_retries += map.retries;
+  counters->reduce_task_retries += reduce.retries;
   counters->speculative_launches =
       map.speculative_launches + reduce.speculative_launches;
   counters->speculative_wins = map.speculative_wins + reduce.speculative_wins;
-  counters->deadline_kills = map.deadline_kills + reduce.deadline_kills;
+  counters->deadline_kills += map.deadline_kills + reduce.deadline_kills;
   counters->task_exceptions = map.exceptions + reduce.exceptions;
   std::vector<double> durations = map.durations;
   durations.insert(durations.end(), reduce.durations.begin(),
@@ -590,6 +551,11 @@ void CountAttempts(const PhaseStats& map, const PhaseStats& reduce,
 }
 
 }  // namespace
+
+std::string JobSpillDir(const Options& options) {
+  return options.memory_budget_bytes > 0 ? ResolveSpillDir(options.spill_dir)
+                                         : std::string();
+}
 
 SlotCodec MapSlotCodec(size_t num_partitions) {
   SlotCodec codec;
@@ -777,8 +743,8 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   params.num_partitions = num_partitions;
   params.memory_budget_bytes = options.memory_budget_bytes;
   params.faults = options.faults;
+  params.spill_dir = JobSpillDir(options);
   if (spilling) {
-    params.spill_dir = ResolveSpillDir(options.spill_dir);
     // Startup reap: spill files stamped with the pid of a process that no
     // longer exists are leftovers of a crashed run; delete them before this
     // job adds its own.
@@ -786,16 +752,17 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   }
 
   // The one engine entry: the in-process scheduler, or a supervised phase.
-  auto run_phase = [&](PhaseSpec* spec, PhaseStats* stats,
+  auto run_phase = [&](const PhaseSpec* spec, PhaseStats* stats,
                        TaskSlots* outputs) -> Status {
     if (pool != nullptr) {
       return RunRobustPhase(pool.get(), *spec, options, stats, outputs);
     }
+    std::string remote_setup;
     if (remote) {
-      spec->remote_setup =
+      remote_setup =
           EncodeRemoteSetup(job, options, num_partitions, spec->chaos.phase);
     }
-    return RunSupervisedPhase(*spec, options, params.spill_dir, remote, stats,
+    return RunSupervisedPhase(*spec, std::move(remote_setup), options, stats,
                               &counters, outputs);
   };
 

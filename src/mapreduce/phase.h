@@ -34,6 +34,8 @@
 namespace ddp {
 namespace mr {
 
+class RemoteWorkerPool;  // remote_worker.h
+
 /// Execution substrate for the map and reduce phases. A job runs on the
 /// substrate it asks for or fails with an error naming what is missing;
 /// nothing falls back to another substrate. Output is bit-identical on all
@@ -226,6 +228,12 @@ struct SlotCodec {
 /// they are, and a streamed-in run naming a partition at or past
 /// `num_partitions` is an IoError.
 SlotCodec MapSlotCodec(size_t num_partitions);
+
+/// Where a job's spill files live: the resolved `options.spill_dir` under a
+/// memory budget, else empty, since an unbudgeted job never spills. Map
+/// tasks spill there, and a supervisor writes its shuffle files and reaps
+/// dead workers' orphans there.
+std::string JobSpillDir(const Options& options);
 
 /// The job-wide knobs a map task shapes its output by.
 struct MapTaskParams {

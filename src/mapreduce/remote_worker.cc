@@ -6,6 +6,7 @@
 #include <utility>
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -108,7 +109,7 @@ int RunRemoteWorker(const RemoteWorkerOptions& options) {
   const uint64_t connect_seed = SplitSeed(options.backoff_seed, worker_id);
   const std::string host = options.host;
   const uint16_t port = options.port;
-  const double deadline = std::max(2.0, options.dial_deadline_seconds);
+  const double deadline = options.dial_deadline_seconds;
   auto dial = [host, port, connect_backoff, connect_seed,
                deadline]() -> Result<std::unique_ptr<CommChannel>> {
     DDP_ASSIGN_OR_RETURN(auto ch,
@@ -133,7 +134,6 @@ int RunRemoteWorker(const RemoteWorkerOptions& options) {
   WorkerMainConfig wc;
   wc.worker_id = worker_id;
   wc.reconnect = dial;
-  wc.check_parent = false;
   wc.on_job_setup = [runner](const JobSetupMsg& setup) -> Status {
     DDP_ASSIGN_OR_RETURN(*runner, JobRegistry::Global().Create(setup));
     return Status::OK();
@@ -161,6 +161,14 @@ int RunRemoteWorker(const RemoteWorkerOptions& options) {
 
 Result<int64_t> SpawnWorkerProcess(const std::string& binary,
                                    const std::vector<std::string>& args) {
+  // Refuse here what execv would refuse in the child: a child that _exits
+  // at exec looks, to its supervisor, like a worker that never dials in.
+  struct stat st{};
+  if (::stat(binary.c_str(), &st) != 0 || !S_ISREG(st.st_mode) ||
+      ::access(binary.c_str(), X_OK) != 0) {
+    return Status::InvalidArgument("cannot spawn " + binary +
+                                   ": not an executable regular file");
+  }
   std::vector<std::string> argv_store;
   argv_store.reserve(args.size() + 1);
   argv_store.push_back(binary);

@@ -33,9 +33,9 @@
 ///    driver job.
 ///  * `RemoteWorkerPool` — supervisor-side: one phase-outliving TcpListener
 ///    plus the parked channels of idle workers between phases. A
-///    `WorkerSupervisor` with `SupervisorConfig::remote_pool` set admits
-///    workers from it and parks healthy ones back at phase teardown. One
-///    job at a time may use a pool.
+///    `WorkerSupervisor` running a phase under ExecMode::kRemote admits
+///    workers from `Options::remote_pool` and parks healthy ones back at
+///    phase teardown. One job at a time may use a pool.
 ///  * `RunRemoteWorker` — worker-side: dial, register, serve. The loop is
 ///    WorkerLoop, so heartbeat, streamed shuffle, backpressure, reconnect-
 ///    resume, and chaos crash semantics are byte-identical to fork workers:
@@ -129,7 +129,7 @@ struct RemoteWorkerOptions {
   /// supervisor's fork-worker ids on any host.
   uint64_t worker_id = 0;
   /// How long one dial (initial or reconnect) keeps retrying with the
-  /// seeded backoff before giving up.
+  /// seeded backoff before giving up; 0 dials once.
   double dial_deadline_seconds = 5.0;
   uint64_t backoff_seed = 1;
   /// >= 0: deterministic chaos — on the Kth kTaskAssign served (0-based),
@@ -144,7 +144,9 @@ int RunRemoteWorker(const RemoteWorkerOptions& options);
 
 /// fork+execv of a worker (or any) binary, for tools and tests that launch
 /// ddp_worker processes; lives here so raw fork/execv stay in
-/// src/mapreduce/. `args` excludes argv[0].
+/// src/mapreduce/. `args` excludes argv[0]. A `binary` that is not an
+/// executable regular file is an InvalidArgument naming it, and no process
+/// is forked.
 Result<int64_t> SpawnWorkerProcess(const std::string& binary,
                                    const std::vector<std::string>& args);
 

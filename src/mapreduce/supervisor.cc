@@ -20,6 +20,8 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/serde.h"
+#include "mapreduce/counters.h"
+#include "mapreduce/phase.h"
 #include "mapreduce/remote_worker.h"
 #include "mapreduce/spill.h"
 #include "obs/heartbeat.h"
@@ -303,12 +305,10 @@ struct AttemptStream {
 };
 
 struct Worker {
-  pid_t pid = -1;  // -1 for remote workers: their process is not our child
+  /// A forked worker's pid; -1 for a remote worker, whose process (an
+  /// exec'd ddp_worker, maybe on another host) is not our child.
+  pid_t pid = -1;
   uint64_t id = 0;
-  /// Remote workers run a registered job in an exec'd ddp_worker process;
-  /// they are fed kTaskAssign frames and evicted (never killed or reaped)
-  /// when they disappear.
-  bool remote = false;
   /// Null while a remote worker is reconnecting after a drop.
   std::unique_ptr<CommChannel> ch;
   bool busy = false;
@@ -318,6 +318,14 @@ struct Worker {
   Clock::time_point last_beat{};
   AttemptStream stream;
   std::unique_ptr<obs::Span> span;
+};
+
+/// Why a worker leaves a phase before teardown.
+enum class Drop {
+  kChannel,   // its channel failed: EOF or a corrupt frame
+  kProtocol,  // it broke the stream protocol or sent a bad result
+  kSilence,   // no heartbeat (or no redial) within the grace
+  kDeadline,  // its attempt overran the task deadline
 };
 
 struct TaskState {
@@ -338,38 +346,56 @@ void ReapPid(pid_t pid) {
 
 }  // namespace
 
-Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
+Status WorkerSupervisor::RunPhase(const Options& options,
+                                  const SupervisedPhase& phase,
                                   const WorkerTaskFn& fn, const CommitFn& commit,
-                                  SupervisorStats* stats) {
-  if (cfg.num_tasks == 0) return Status::OK();
-  const char* phase_name = cfg.phase == 0 ? "map" : "reduce";
+                                  JobCounters* counters) {
+  if (phase.num_tasks == 0) return Status::OK();
+  const char* phase_name = phase.phase == 0 ? "map" : "reduce";
+  const bool remote = options.exec_mode == ExecMode::kRemote;
+  if (remote && options.remote_pool == nullptr) {
+    return Status::InvalidArgument(phase.job_name +
+                                   ": exec mode remote needs a remote pool");
+  }
 
   DDP_TRACE_SPAN(phase_span, obs::kCatMr, obs::kSpanSupervisedPhase);
   if (phase_span.active()) {
-    phase_span.AddArg("job", cfg.job_name);
+    phase_span.AddArg("job", phase.job_name);
     phase_span.AddArg("phase", std::string_view(phase_name));
-    phase_span.AddArg("tasks", static_cast<uint64_t>(cfg.num_tasks));
+    phase_span.AddArg("tasks", static_cast<uint64_t>(phase.num_tasks));
   }
   obs::Histogram* crash_hist = obs::MetricsRegistry::Global().GetHistogram(
       obs::kMetricMrWorkerCrashLatencySeconds);
   obs::Histogram* ship_hist =
       obs::MetricsRegistry::Global().GetHistogram(obs::kMetricMrRunShipSeconds);
+  // The phase span reports this phase's share of the job's counters.
+  const JobCounters at_start = *counters;
+  uint64_t& retries = phase.phase == 0 ? counters->map_task_retries
+                                       : counters->reduce_task_retries;
 
   // Remote workers dial the pool's phase-outliving listener, so they keep
   // one stable endpoint across phases; forked workers need none.
-  TcpListener* listener =
-      cfg.remote_pool != nullptr ? cfg.remote_pool->listener() : nullptr;
+  TcpListener* listener = remote ? options.remote_pool->listener() : nullptr;
 
-  const uint64_t window = cfg.stream_window_bytes > 0
-                              ? cfg.stream_window_bytes
-                              : (uint64_t{4} << 20);
+  // The shuffle backpressure window tracks the job's memory budget: a
+  // budgeted job bounds its shipped-but-uncommitted bytes the same way it
+  // bounds its map buffers (floored at 4 KiB so tiny test budgets still
+  // make progress one frame at a time).
+  const uint64_t window =
+      options.memory_budget_bytes > 0
+          ? std::max<uint64_t>(options.memory_budget_bytes, 4096)
+          : (uint64_t{4} << 20);
   const uint64_t ack_threshold = std::max<uint64_t>(1, window / 2);
+  // Only a budgeted job spills, so only then do disk runs arrive for the
+  // supervisor's shuffle files, and only then can a dead forked worker
+  // leave spill files to reap.
+  const std::string spill_dir = internal::JobSpillDir(options);
   // How long a disconnected remote worker (or an empty remote crew) is
   // waited for before it is evicted (or the phase fails).
   const double connect_grace = kReconnectGraceSeconds + 1.0;
 
   std::vector<Worker> workers;
-  std::vector<TaskState> tasks(cfg.num_tasks);
+  std::vector<TaskState> tasks(phase.num_tasks);
   std::atomic<size_t> completed{0};
   size_t restarts_used = 0;
   uint64_t next_worker_id = 1;
@@ -377,13 +403,35 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
 
   // A remote phase forks no workers; a fork phase needs at least one.
   const size_t fork_target =
-      cfg.remote_pool != nullptr
-          ? 0
-          : std::max<size_t>(1, std::min(cfg.num_workers, cfg.num_tasks));
+      remote ? 0
+             : std::max<size_t>(
+                   1, std::min(options.ResolvedWorkers(), phase.num_tasks));
   const ExponentialBackoff respawn_backoff(
-      kRespawnBackoff, SplitSeed(cfg.backoff_seed, 0x5e5u));
-  auto task_backoff = [&cfg](size_t t) {
-    return ExponentialBackoff(kRetryBackoff, SplitSeed(cfg.backoff_seed, t));
+      kRespawnBackoff, SplitSeed(options.faults.seed, 0x5e5u));
+  auto task_backoff = [&options](size_t t) {
+    return ExponentialBackoff(kRetryBackoff, SplitSeed(options.faults.seed, t));
+  };
+
+  // Registers a worker that joined the phase over `ch`: a forked child
+  // (`pid`) or an admitted remote worker (pid -1).
+  auto join = [&](pid_t pid, uint64_t id, std::unique_ptr<CommChannel> ch) {
+    Worker w;
+    w.pid = pid;
+    w.id = id;
+    w.ch = std::move(ch);
+    w.last_beat = Clock::now();
+    w.span = std::make_unique<obs::Span>(
+        obs::kCatMr, remote ? obs::kSpanRemoteWorker : obs::kSpanWorker);
+    if (w.span->active()) {
+      w.span->AddArg("job", phase.job_name);
+      w.span->AddArg("phase", std::string_view(phase_name));
+      if (remote) {
+        w.span->AddArg("worker_id", id);
+      } else {
+        w.span->AddArg("pid", static_cast<uint64_t>(pid));
+      }
+    }
+    workers.push_back(std::move(w));
   };
 
   auto spawn_worker = [&]() -> Status {
@@ -408,152 +456,8 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       WorkerMain(std::move(ends.second), fn, wc);
     }
     ends.second->Close();
-    Worker w;
-    w.pid = pid;
-    w.id = id;
-    w.ch = std::move(ends.first);
-    w.last_beat = Clock::now();
-    w.span = std::make_unique<obs::Span>(obs::kCatMr, obs::kSpanWorker);
-    if (w.span->active()) {
-      w.span->AddArg("job", cfg.job_name);
-      w.span->AddArg("phase", std::string_view(phase_name));
-      w.span->AddArg("pid", static_cast<uint64_t>(pid));
-    }
-    workers.push_back(std::move(w));
+    join(pid, id, std::move(ends.first));
     return Status::OK();
-  };
-
-  // Charges a failed attempt of `t` and decides retry / quarantine / abort.
-  // `crashed` marks worker-killing failures (they feed the poison counter).
-  auto charge_failure = [&](size_t t, bool crashed, const Status& why) {
-    TaskState& ts = tasks[t];
-    ts.in_flight = false;
-    if (ts.done) return;
-    if (crashed) {
-      ++ts.consecutive_crashes;
-    } else {
-      ts.consecutive_crashes = 0;
-    }
-    ++ts.failed_attempts;
-    if (!ts.quarantined &&
-        ts.consecutive_crashes >= cfg.quarantine_after_crashes) {
-      if (cfg.skip_bad_records) {
-        // Poisonous record: re-run the task in quarantine with a fresh
-        // attempt budget — Hadoop's skip-mode re-execution.
-        ts.quarantined = true;
-        ts.failed_attempts = 0;
-        ts.consecutive_crashes = 0;
-        ++stats->quarantined_tasks;
-        DDP_METRIC_COUNTER_ADD(obs::kMetricMrQuarantinedTasks, 1);
-        DDP_LOG(Warning) << cfg.job_name << " " << phase_name << " task " << t
-                         << " crashed " << cfg.quarantine_after_crashes
-                         << " consecutive workers; quarantining";
-      } else {
-        job_error = Status::Internal(
-            std::string(phase_name) + " task " + std::to_string(t) +
-            " crashed " + std::to_string(ts.consecutive_crashes) +
-            " consecutive workers (poisonous record; enable "
-            "skip_bad_records to quarantine): " +
-            why.ToString());
-        return;
-      }
-    } else if (ts.failed_attempts >= cfg.max_task_attempts) {
-      job_error = Status::Internal(
-          std::string(phase_name) + " task " + std::to_string(t) +
-          " failed after " + std::to_string(cfg.max_task_attempts) +
-          " attempts; last error: " + why.ToString());
-      return;
-    }
-    ++stats->retries;
-    ts.not_before =
-        Clock::now() +
-        FromSeconds(task_backoff(t).DelaySeconds(
-            ts.failed_attempts == 0 ? 0 : ts.failed_attempts - 1));
-  };
-
-  // Tears down worker `wi` after its death or kill. `hang` marks workers we
-  // SIGKILLed for deadline/heartbeat silence; everything else is a crash.
-  auto handle_worker_death = [&](size_t wi, bool hang, bool deadline_hit) {
-    Worker w = std::move(workers[wi]);
-    workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(wi));
-    if (w.ch != nullptr) w.ch->Close();
-    ReapPid(w.pid);
-    if (hang) {
-      ++stats->worker_hangs;
-      if (deadline_hit) ++stats->deadline_kills;
-    } else {
-      ++stats->worker_crashes;
-      DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerCrashes, 1);
-    }
-    if (w.span != nullptr) {
-      if (w.span->active()) {
-        w.span->AddArg("exit", hang ? "hang" : "crash");
-        w.span->MarkCancelled();
-      }
-      w.span.reset();
-    }
-    if (w.busy) {
-      crash_hist->RecordSeconds(SecondsSince(w.dispatched, Clock::now()));
-      charge_failure(w.task, /*crashed=*/!hang,
-                     hang ? Status::DeadlineExceeded("worker hang")
-                          : Status::Internal("worker crashed"));
-    }
-    // `w.stream` dies with the worker: its partially-streamed runs and the
-    // supervisor-side spill file of this attempt are dropped (the writer
-    // handle unlinks on destruction), and the dead worker's own files are
-    // orphans the reaper collects.
-    if (!cfg.spill_dir.empty()) {
-      stats->spill_files_reaped += ReapOrphanSpillFiles(cfg.spill_dir);
-    }
-  };
-
-  // Drops remote worker `wi` from the phase. Its process is not our child —
-  // no SIGKILL, no waitpid, no local spill orphans — so "death" is an
-  // eviction: the worker is forgotten and its in-flight task (if any) is
-  // reassigned to a surviving worker through the normal retry path.
-  auto evict_remote = [&](size_t wi, bool deadline_hit) {
-    Worker w = std::move(workers[wi]);
-    workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(wi));
-    if (w.ch != nullptr) w.ch->Close();
-    ++stats->workers_evicted;
-    DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkersEvicted, 1);
-    if (deadline_hit) ++stats->deadline_kills;
-    if (w.span != nullptr) {
-      if (w.span->active()) {
-        w.span->AddArg("exit", "evicted");
-        w.span->MarkCancelled();
-      }
-      w.span.reset();
-    }
-    if (w.busy) {
-      crash_hist->RecordSeconds(SecondsSince(w.dispatched, Clock::now()));
-      ++stats->tasks_reassigned;
-      DDP_METRIC_COUNTER_ADD(obs::kMetricMrTasksReassigned, 1);
-      charge_failure(w.task, /*crashed=*/true,
-                     deadline_hit
-                         ? Status::DeadlineExceeded("remote worker deadline")
-                         : Status::Internal("remote worker lost"));
-    }
-  };
-
-  auto kill_worker = [&](size_t wi, bool hang, bool deadline_hit) {
-    if (workers[wi].remote) {
-      evict_remote(wi, deadline_hit);
-      return;
-    }
-    ::kill(workers[wi].pid, SIGKILL);
-    ++stats->worker_kills;
-    DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerKills, 1);
-    handle_worker_death(wi, hang, deadline_hit);
-  };
-
-  // Discards the run that was arriving when a connection dropped; the
-  // worker re-ships it from the committed boundary after reconnecting.
-  auto discard_open_run = [&](Worker& w) {
-    if (!w.stream.open.has_value()) return;
-    w.stream.open.reset();
-    ++stats->shuffle_resent_runs;
-    DDP_METRIC_COUNTER_ADD(obs::kMetricMrShuffleResentRuns, 1);
   };
 
   // Admits a remote worker: install the phase's registered job over
@@ -570,25 +474,130 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
         return;
       }
     }
-    if (!ch->Send(Frame{MessageType::kJobSetup, cfg.remote_setup_payload})
-             .ok()) {
+    if (!ch->Send(Frame{MessageType::kJobSetup, phase.remote_setup}).ok()) {
       ch->Close();
       return;
     }
-    Worker w;
-    w.remote = true;
-    w.id = id;
-    w.ch = std::move(ch);
-    w.last_beat = Clock::now();
-    w.span = std::make_unique<obs::Span>(obs::kCatMr, obs::kSpanRemoteWorker);
-    if (w.span->active()) {
-      w.span->AddArg("job", cfg.job_name);
-      w.span->AddArg("phase", std::string_view(phase_name));
-      w.span->AddArg("worker_id", id);
-    }
-    workers.push_back(std::move(w));
-    ++stats->workers_registered;
+    join(/*pid=*/-1, id, std::move(ch));
+    ++counters->workers_registered;
     DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkersRegistered, 1);
+  };
+
+  // Charges a failed attempt of `t` and decides retry / quarantine / abort.
+  // `crashed` marks worker-killing failures (they feed the poison counter).
+  auto charge_failure = [&](size_t t, bool crashed, const Status& why) {
+    TaskState& ts = tasks[t];
+    ts.in_flight = false;
+    if (ts.done) return;
+    if (crashed) {
+      ++ts.consecutive_crashes;
+    } else {
+      ts.consecutive_crashes = 0;
+    }
+    ++ts.failed_attempts;
+    if (!ts.quarantined &&
+        ts.consecutive_crashes >= options.quarantine_after_crashes) {
+      if (options.skip_bad_records) {
+        // Poisonous record: re-run the task in quarantine with a fresh
+        // attempt budget — Hadoop's skip-mode re-execution.
+        ts.quarantined = true;
+        ts.failed_attempts = 0;
+        ts.consecutive_crashes = 0;
+        ++counters->quarantined_tasks;
+        DDP_METRIC_COUNTER_ADD(obs::kMetricMrQuarantinedTasks, 1);
+        DDP_LOG(Warning) << phase.job_name << " " << phase_name << " task "
+                         << t << " crashed "
+                         << options.quarantine_after_crashes
+                         << " consecutive workers; quarantining";
+      } else {
+        job_error = Status::Internal(
+            std::string(phase_name) + " task " + std::to_string(t) +
+            " crashed " + std::to_string(ts.consecutive_crashes) +
+            " consecutive workers (poisonous record; enable "
+            "skip_bad_records to quarantine): " +
+            why.ToString());
+        return;
+      }
+    } else if (ts.failed_attempts >= options.max_task_attempts) {
+      job_error = Status::Internal(
+          std::string(phase_name) + " task " + std::to_string(t) +
+          " failed after " + std::to_string(options.max_task_attempts) +
+          " attempts; last error: " + why.ToString());
+      return;
+    }
+    ++retries;
+    ts.not_before =
+        Clock::now() +
+        FromSeconds(task_backoff(t).DelaySeconds(
+            ts.failed_attempts == 0 ? 0 : ts.failed_attempts - 1));
+  };
+
+  // Every way worker `wi` leaves the phase before teardown. A forked worker
+  // is SIGKILLed and reaped, and the spill files its death orphaned are
+  // reaped; a remote worker's process is not our child, so it is evicted
+  // (forgotten) instead. A busy worker's attempt is charged: as a hang when
+  // a forked worker went silent or overran its deadline, otherwise as a
+  // crash, which for a remote worker reassigns the task to a survivor
+  // through the normal retry path. `w.stream` dies with the worker: its
+  // partially-streamed runs and this attempt's supervisor-side spill file
+  // are dropped (the writer handle unlinks on destruction).
+  auto drop_worker = [&](size_t wi, Drop cause) {
+    Worker w = std::move(workers[wi]);
+    workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(wi));
+    // Kill before closing: a forked worker that saw its channel's EOF
+    // first could exit on its own and unlink the spill files the reaper
+    // below counts as orphans.
+    if (!remote) ::kill(w.pid, SIGKILL);
+    if (w.ch != nullptr) w.ch->Close();
+    const bool deadline = cause == Drop::kDeadline;
+    const bool hang = !remote && (deadline || cause == Drop::kSilence);
+    if (deadline) ++counters->deadline_kills;
+    if (remote) {
+      ++counters->workers_evicted;
+      DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkersEvicted, 1);
+    } else {
+      ReapPid(w.pid);
+      if (cause != Drop::kChannel) {
+        ++counters->worker_kills;
+        DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerKills, 1);
+      }
+      if (hang) {
+        ++counters->worker_hangs;
+      } else {
+        ++counters->worker_crashes;
+        DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerCrashes, 1);
+      }
+    }
+    if (w.span->active()) {
+      w.span->AddArg("exit", remote ? "evicted" : hang ? "hang" : "crash");
+      w.span->MarkCancelled();
+    }
+    w.span.reset();
+    if (w.busy) {
+      crash_hist->RecordSeconds(SecondsSince(w.dispatched, Clock::now()));
+      if (remote) {
+        ++counters->tasks_reassigned;
+        DDP_METRIC_COUNTER_ADD(obs::kMetricMrTasksReassigned, 1);
+      }
+      charge_failure(
+          w.task, /*crashed=*/!hang,
+          hang       ? Status::DeadlineExceeded("worker hang")
+          : !remote  ? Status::Internal("worker crashed")
+          : deadline ? Status::DeadlineExceeded("remote worker deadline")
+                     : Status::Internal("remote worker lost"));
+    }
+    if (!remote && !spill_dir.empty()) {
+      counters->spill_files_reaped += ReapOrphanSpillFiles(spill_dir);
+    }
+  };
+
+  // Discards the run that was arriving when a connection dropped; the
+  // worker re-ships it from the committed boundary after reconnecting.
+  auto discard_open_run = [&](Worker& w) {
+    if (!w.stream.open.has_value()) return;
+    w.stream.open.reset();
+    ++counters->shuffle_resent_runs;
+    DDP_METRIC_COUNTER_ADD(obs::kMetricMrShuffleResentRuns, 1);
   };
 
   // Accepts one pending connection off the pool's listener: a remote worker
@@ -609,7 +618,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     }
     Worker* w = nullptr;
     for (Worker& cand : workers) {
-      if (cand.remote && cand.id == hello.worker_id) {
+      if (cand.id == hello.worker_id) {
         w = &cand;
         break;
       }
@@ -622,7 +631,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     w->ch = std::move(ch);
     w->last_beat = Clock::now();
     if (hello.generation > 0) {
-      ++stats->channel_reconnects;
+      ++counters->channel_reconnects;
       DDP_METRIC_COUNTER_ADD(obs::kMetricMrChannelReconnects, 1);
       discard_open_run(*w);
       RunAckMsg ack;
@@ -640,14 +649,16 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   };
 
   // ---- Streamed-shuffle frame handlers. A protocol violation (bad seq,
-  // size overrun, CRC mismatch) means record boundaries are unreliable:
-  // kill the worker and retry its attempt from scratch.
+  // size overrun, CRC mismatch, a disk run from a job that cannot spill)
+  // means record boundaries are unreliable: drop the worker and retry its
+  // attempt from scratch.
 
   auto handle_run_begin = [&](Worker& w, const std::string& payload) -> bool {
     RunBeginMsg msg;
     if (!RunBeginMsg::Decode(payload, &msg).ok() || !w.busy ||
         msg.task != w.task || msg.attempt != w.attempt ||
-        msg.seq != w.stream.committed.size() || w.stream.open.has_value()) {
+        msg.seq != w.stream.committed.size() || w.stream.open.has_value() ||
+        (msg.spill_index != kTailRunIndex && spill_dir.empty())) {
       return false;
     }
     // The declared length comes from another process, so reserve at most
@@ -695,12 +706,11 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       // file. Its EndRun writes a fresh trailer, so the committed extent
       // is a byte-faithful SpillRun.
       if (w.stream.writer == nullptr) {
-        const std::string dir = internal::ResolveSpillDir(cfg.spill_dir);
         const std::string basename =
-            cfg.job_name + "-" + phase_name + "-shuffle-" +
+            phase.job_name + "-" + phase_name + "-shuffle-" +
             internal::SpillOwnerTag() + "-u" +
             std::to_string(internal::NextSpillFileId()) + ".spill";
-        auto created = SpillFileWriter::Create(dir, basename);
+        auto created = SpillFileWriter::Create(spill_dir, basename);
         if (!created.ok()) {
           job_error = created.status();
           return true;  // job fails; no point killing the worker over it
@@ -720,7 +730,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     }
     w.stream.committed.push_back(std::move(cr));
     w.stream.committed_bytes += open.begin.length;
-    stats->shuffle_streamed_bytes += open.begin.length;
+    counters->shuffle_streamed_bytes += open.begin.length;
     DDP_METRIC_COUNTER_ADD(obs::kMetricMrShuffleStreamedBytes, open.begin.length);
     ship_hist->RecordSeconds(SecondsSince(open.started, Clock::now()));
     // Credit-based backpressure: ack at least every half window so a
@@ -740,8 +750,8 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
 
   // ---- Initial crew: the remote workers parked by an earlier phase, or
   // the forked crew, of which at least the first worker must fork.
-  if (cfg.remote_pool != nullptr) {
-    for (RemoteWorkerPool::Parked& parked : cfg.remote_pool->TakeParked()) {
+  if (remote) {
+    for (RemoteWorkerPool::Parked& parked : options.remote_pool->TakeParked()) {
       admit_remote(parked.id, std::move(parked.channel), /*resumed=*/false);
     }
   }
@@ -749,23 +759,23 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     Status st = spawn_worker();
     if (!st.ok()) {
       if (workers.empty()) {
-        return Status::Internal(cfg.job_name + " " + phase_name +
+        return Status::Internal(phase.job_name + " " + phase_name +
                                 ": cannot fork a worker: " + st.ToString());
       }
-      DDP_LOG(Warning) << cfg.job_name << ": spawned only " << workers.size()
-                       << "/" << fork_target
+      DDP_LOG(Warning) << phase.job_name << ": spawned only "
+                       << workers.size() << "/" << fork_target
                        << " workers: " << st.ToString();
       break;
     }
   }
 
   std::optional<obs::ProgressHeartbeat> progress;
-  if (cfg.progress_heartbeat_seconds > 0.0) {
-    progress.emplace(cfg.progress_heartbeat_seconds, [&completed, &cfg,
-                                                      phase_name] {
-      return cfg.job_name + " " + phase_name + " (fork): " +
+  if (options.heartbeat_seconds > 0.0) {
+    progress.emplace(options.heartbeat_seconds, [&completed, &phase,
+                                                 phase_name] {
+      return phase.job_name + " " + phase_name + " (fork): " +
              std::to_string(completed.load(std::memory_order_relaxed)) + "/" +
-             std::to_string(cfg.num_tasks) + " tasks done";
+             std::to_string(phase.num_tasks) + " tasks done";
     });
   }
 
@@ -773,17 +783,17 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   Clock::time_point last_crew = Clock::now();
 
   // ---- Event loop: dispatch, poll, classify, repeat.
-  while (completed.load(std::memory_order_relaxed) < cfg.num_tasks &&
+  while (completed.load(std::memory_order_relaxed) < phase.num_tasks &&
          job_error.ok()) {
     const Clock::time_point now = Clock::now();
 
     // Respawn toward the forked target crew while the restart budget lasts.
     if (workers.size() < fork_target && now >= next_respawn) {
-      if (restarts_used < cfg.max_worker_restarts) {
+      if (restarts_used < options.max_worker_restarts) {
         Status st = spawn_worker();
         if (st.ok()) {
           ++restarts_used;
-          ++stats->worker_restarts;
+          ++counters->worker_restarts;
           DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerRestarts, 1);
         } else if (workers.empty()) {
           job_error = Status::Internal("cannot respawn any worker: " +
@@ -795,18 +805,18 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       } else if (workers.empty()) {
         job_error = Status::Internal(
             "all workers dead and the restart budget (" +
-            std::to_string(cfg.max_worker_restarts) + ") is exhausted");
+            std::to_string(options.max_worker_restarts) + ") is exhausted");
         break;
       }
     }
     // Remote-crew watchdog: with a pool, an empty crew is legitimate while
     // remote workers are still dialing in, but only for the connect grace.
-    if (cfg.remote_pool != nullptr) {
+    if (remote) {
       if (!workers.empty()) {
         last_crew = now;
       } else if (SecondsSince(last_crew, now) > connect_grace) {
         job_error = Status::Internal(
-            cfg.job_name + " " + phase_name +
+            phase.job_name + " " + phase_name +
             ": no remote worker within the connect grace (pool on port " +
             std::to_string(listener->port()) + ")");
         break;
@@ -819,14 +829,14 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     for (Worker& w : workers) {
       if (!job_error.ok()) break;
       if (w.busy || w.ch == nullptr) continue;
-      for (size_t t = 0; t < cfg.num_tasks; ++t) {
+      for (size_t t = 0; t < phase.num_tasks; ++t) {
         TaskState& ts = tasks[t];
         if (ts.done || ts.in_flight || now < ts.not_before) continue;
         TaskAssignMsg msg{t, ts.next_attempt, ts.quarantined, window, {}};
-        if (w.remote) {
+        if (remote) {
           // Remote workers get the task's serialized input by value: they
           // share no address space, so nothing can ride copy-on-write.
-          auto input = cfg.remote_task_input(t);
+          auto input = phase.remote_input(t);
           if (!input.ok()) {
             job_error = input.status();
             break;
@@ -889,7 +899,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     for (size_t i = 0; i < pfds.size() && job_error.ok(); ++i) {
       if (i == listener_slot) continue;
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      // Re-find the worker: earlier death handling may have reshuffled.
+      // Re-find the worker: an earlier drop may have reshuffled.
       size_t wi = workers.size();
       for (size_t j = 0; j < workers.size(); ++j) {
         if (workers[j].id == pfd_ids[i]) {
@@ -905,7 +915,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       Frame frame;
       Status received = w.ch->Recv(&frame, /*timeout_seconds=*/30.0);
       if (!received.ok()) {
-        if (w.remote) {
+        if (remote) {
           // No waitpid can tell a remote crash from a network drop: hold
           // the attempt and committed runs for the reconnect grace; the
           // hang scan evicts (and reassigns) if no redial arrives.
@@ -916,10 +926,8 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
           continue;
         }
         // EOF or a corrupt frame on a forked worker's socketpair: record
-        // boundaries are gone and the worker is unusable. Make sure it is
-        // dead, then classify.
-        ::kill(w.pid, SIGKILL);
-        handle_worker_death(wi, /*hang=*/false, /*deadline_hit=*/false);
+        // boundaries are gone and the worker is unusable.
+        drop_worker(wi, Drop::kChannel);
         continue;
       }
       w.last_beat = Clock::now();
@@ -934,29 +942,15 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
         } else {
           protocol_ok = handle_run_end(w, frame.payload);
         }
-        if (!protocol_ok) {
-          if (w.remote) {
-            evict_remote(wi, /*deadline_hit=*/false);
-          } else {
-            ::kill(w.pid, SIGKILL);
-            ++stats->worker_kills;
-            handle_worker_death(wi, /*hang=*/false, /*deadline_hit=*/false);
-          }
-        }
+        if (!protocol_ok) drop_worker(wi, Drop::kProtocol);
         continue;
       }
       if (frame.type == MessageType::kResult) {
         ResultMsg msg;
         Status decoded = ResultMsg::Decode(frame.payload, &msg);
-        if (!decoded.ok() || msg.task >= cfg.num_tasks ||
+        if (!decoded.ok() || msg.task >= phase.num_tasks ||
             w.stream.open.has_value()) {
-          if (w.remote) {
-            evict_remote(wi, /*deadline_hit=*/false);
-          } else {
-            ::kill(w.pid, SIGKILL);
-            ++stats->worker_kills;
-            handle_worker_death(wi, /*hang=*/false, /*deadline_hit=*/false);
-          }
+          drop_worker(wi, Drop::kProtocol);
           continue;
         }
         w.busy = false;
@@ -980,7 +974,6 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
           ts.done = true;
           ts.in_flight = false;
           completed.fetch_add(1, std::memory_order_relaxed);
-          stats->durations.push_back(msg.seconds);
           Status committed =
               commit(msg.task, ts.quarantined, msg.seconds,
                      std::move(msg.payload), std::move(stream.committed));
@@ -998,54 +991,44 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     if (!job_error.ok()) break;
 
     // Hang scan: deadline overruns, heartbeat silence, and remote workers
-    // that out-stayed the reconnect grace are killed (forked) or evicted
-    // (remote) and charged like an in-process deadline kill.
+    // that out-stayed the reconnect grace are dropped and charged like an
+    // in-process deadline kill.
     const Clock::time_point scan_now = Clock::now();
     for (size_t wi = workers.size(); wi-- > 0;) {
       Worker& w = workers[wi];
       if (w.ch == nullptr) {
         if (SecondsSince(w.last_beat, scan_now) > connect_grace) {
-          kill_worker(wi, /*hang=*/true, /*deadline_hit=*/false);
+          drop_worker(wi, Drop::kSilence);
         }
         continue;
       }
       if (!w.busy) continue;
-      const bool deadline_hit =
-          cfg.task_deadline_seconds > 0.0 &&
-          SecondsSince(w.dispatched, scan_now) > cfg.task_deadline_seconds;
-      const bool silent = SecondsSince(w.last_beat, scan_now) >
-                          kHeartbeatGrace * kWorkerHeartbeatSeconds;
-      if (deadline_hit || silent) {
-        kill_worker(wi, /*hang=*/true, deadline_hit);
+      const double deadline = options.task_deadline_seconds;
+      if (deadline > 0.0 && SecondsSince(w.dispatched, scan_now) > deadline) {
+        drop_worker(wi, Drop::kDeadline);
+      } else if (SecondsSince(w.last_beat, scan_now) >
+                 kHeartbeatGrace * kWorkerHeartbeatSeconds) {
+        drop_worker(wi, Drop::kSilence);
       }
     }
   }
 
-  // ---- Teardown: polite shutdown, bounded wait, then force. The pool's
-  // listener is left open — it outlives the phase.
-  // Remote workers outlive the phase: park healthy idle ones back into the
-  // pool for the next phase; anything mid-attempt or disconnected is told
-  // to shut down instead (its process is not our child — nothing to reap).
+  // ---- Teardown. Remote workers outlive the phase: healthy idle ones are
+  // parked back into the pool for the next phase, and the pool's listener
+  // stays open. Every other worker is told to shut down, and then the
+  // forked ones are reaped, with a bounded wait before force. Sending
+  // every kShutdown before the first reap lets the crew exit in parallel.
   for (Worker& w : workers) {
-    if (!w.remote) continue;
-    if (w.ch != nullptr && !w.busy) {
-      cfg.remote_pool->Park(w.id, std::move(w.ch));
-    } else if (w.ch != nullptr) {
+    if (w.ch == nullptr) continue;
+    if (remote && !w.busy) {
+      options.remote_pool->Park(w.id, std::move(w.ch));
+    } else {
       (void)w.ch->Send(Frame{MessageType::kShutdown, ""});
       w.ch->Close();
     }
-    if (w.span != nullptr) w.span.reset();
-  }
-  workers.erase(std::remove_if(workers.begin(), workers.end(),
-                               [](const Worker& w) { return w.remote; }),
-                workers.end());
-  for (Worker& w : workers) {
-    if (w.ch != nullptr) (void)w.ch->Send(Frame{MessageType::kShutdown, ""});
   }
   for (Worker& w : workers) {
-    if (w.ch != nullptr) w.ch->Close();
-  }
-  for (Worker& w : workers) {
+    if (w.pid < 0) continue;
     const Clock::time_point give_up = Clock::now() + FromSeconds(2.0);
     bool reaped = false;
     while (Clock::now() < give_up) {
@@ -1059,23 +1042,28 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     }
     if (!reaped) {
       ::kill(w.pid, SIGKILL);
-      ++stats->worker_kills;
+      ++counters->worker_kills;
       ReapPid(w.pid);
     }
-    if (w.span != nullptr) w.span.reset();
   }
   workers.clear();
-  if (!job_error.ok() && !cfg.spill_dir.empty()) {
-    stats->spill_files_reaped += ReapOrphanSpillFiles(cfg.spill_dir);
+  if (!job_error.ok() && !spill_dir.empty()) {
+    counters->spill_files_reaped += ReapOrphanSpillFiles(spill_dir);
   }
   if (!job_error.ok() && phase_span.active()) phase_span.MarkCancelled();
   if (phase_span.active()) {
-    phase_span.AddArg("worker_crashes", stats->worker_crashes);
-    phase_span.AddArg("worker_restarts", stats->worker_restarts);
-    phase_span.AddArg("streamed_bytes", stats->shuffle_streamed_bytes);
-    phase_span.AddArg("reconnects", stats->channel_reconnects);
-    phase_span.AddArg("workers_registered", stats->workers_registered);
-    phase_span.AddArg("tasks_reassigned", stats->tasks_reassigned);
+    phase_span.AddArg("worker_crashes",
+                      counters->worker_crashes - at_start.worker_crashes);
+    phase_span.AddArg("worker_restarts",
+                      counters->worker_restarts - at_start.worker_restarts);
+    phase_span.AddArg("streamed_bytes", counters->shuffle_streamed_bytes -
+                                            at_start.shuffle_streamed_bytes);
+    phase_span.AddArg("reconnects", counters->channel_reconnects -
+                                        at_start.channel_reconnects);
+    phase_span.AddArg("workers_registered", counters->workers_registered -
+                                                at_start.workers_registered);
+    phase_span.AddArg("tasks_reassigned",
+                      counters->tasks_reassigned - at_start.tasks_reassigned);
   }
   return job_error;
 }

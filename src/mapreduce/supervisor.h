@@ -11,19 +11,24 @@
 #include "mapreduce/spill.h"
 
 /// \file supervisor.h
-/// Crash-fault-tolerant supervision of forked worker processes — the "job
-/// tracker over real processes" counterpart of the in-process scheduler in
-/// phase.cc, whose supervised-phase adapter drives it. A `WorkerSupervisor`
-/// forks `num_workers` children (plain fork, no exec: the type-erased task
-/// closures cannot cross an exec boundary, so workers inherit the job's
-/// closures and input copy-on-write), feeds them task attempts over a
-/// `CommChannel` (a socketpair per forked worker; remote workers dial in
-/// over TCP, see remote_worker.h), and supervises:
+/// Crash-fault-tolerant supervision of worker processes — the "job tracker
+/// over real processes" counterpart of the in-process scheduler in
+/// phase.cc, whose supervised-phase adapter drives it with the job's
+/// mr::Options and JobCounters. A `WorkerSupervisor` runs one phase on one
+/// kind of crew: `ResolvedWorkers()` forked children (plain fork, no exec:
+/// the type-erased task closures cannot cross an exec boundary, so workers
+/// inherit the job's closures and input copy-on-write, and talk over a
+/// socketpair), or exec'd remote workers that dial in over TCP
+/// (remote_worker.h). Both kinds join the phase through one path and
+/// leave it through one path; they differ only where the substrate forces
+/// it (a forked worker is SIGKILLed and reaped, a remote one is evicted).
+/// It supervises:
 ///
-///  * crash — the worker died unexpectedly (channel EOF + waitpid). The
-///    in-flight attempt is charged and retried after a seeded exponential
-///    backoff; a replacement worker is forked while the phase-wide restart
-///    budget (`max_worker_restarts`) lasts.
+///  * crash — the worker died unexpectedly (channel EOF + waitpid), or
+///    broke the stream protocol and was killed. The in-flight attempt is
+///    charged and retried after a seeded exponential backoff; a
+///    replacement worker is forked while the phase-wide restart budget
+///    (`max_worker_restarts`) lasts.
 ///  * hang — the attempt overran `task_deadline_seconds`, or the worker's
 ///    heartbeat (a child-side ProgressHeartbeat that sends a kHeartbeat
 ///    frame per beat) went silent past the grace window. The worker is
@@ -52,7 +57,8 @@
 /// disk-backed runs are appended to a supervisor-owned spill file. Flow
 /// control is credit-based: the supervisor acks committed bytes
 /// (cumulative, at least every half window) and the worker opens a new run
-/// only while un-acked bytes stay under `stream_window_bytes`, which every
+/// only while un-acked bytes stay under the credit window — the job's
+/// memory budget floored at 4 KiB, or 4 MiB without one — which every
 /// kTaskAssign carries to forked and remote workers alike, so neither side
 /// ever holds more than one run plus a window of the shuffle in memory.
 /// The slim kResult frame that follows carries counters only, and arrives
@@ -73,65 +79,20 @@
 namespace ddp {
 namespace mr {
 
-/// Robustness accounting for one supervised phase.
-struct SupervisorStats {
-  uint64_t worker_crashes = 0;   // unexpected worker deaths
-  uint64_t worker_hangs = 0;     // workers killed for deadline/silence
-  uint64_t worker_kills = 0;     // SIGKILLs issued by the supervisor
-  uint64_t worker_restarts = 0;  // replacement workers forked
-  uint64_t quarantined_tasks = 0;
-  uint64_t retries = 0;          // failed attempts that were retried
-  uint64_t deadline_kills = 0;   // hangs triggered by the task deadline
-  uint64_t spill_files_reaped = 0;
-  uint64_t shuffle_streamed_bytes = 0;  // run bytes committed off the wire
-  uint64_t shuffle_resent_runs = 0;     // runs re-shipped after a reconnect
-  uint64_t channel_reconnects = 0;      // remote worker connections redialed
-  uint64_t workers_registered = 0;  // remote workers admitted to the phase
-  uint64_t workers_evicted = 0;     // remote workers dropped (death/silence)
-  uint64_t tasks_reassigned = 0;    // in-flight tasks moved off evicted workers
-  std::vector<double> durations;  // committed attempt seconds
-};
+struct Options;      // phase.h, which includes this header
+struct JobCounters;  // counters.h
 
-class RemoteWorkerPool;
-
-struct SupervisorConfig {
+/// The facts of one supervised phase. Nothing here is a knob: everything
+/// the supervisor can tune comes from the job's mr::Options.
+struct SupervisedPhase {
   std::string job_name;
   int phase = 0;  // 0 = map, 1 = reduce (naming and chaos-phase parity)
-  size_t num_workers = 1;
   size_t num_tasks = 0;
-  size_t max_task_attempts = 4;
-  /// Replacement workers the phase may fork after the initial crew.
-  size_t max_worker_restarts = 8;
-  /// Consecutive worker-killing crashes before a task is declared
-  /// poisonous. The quarantined task gets a fresh attempt budget.
-  size_t quarantine_after_crashes = 2;
-  bool skip_bad_records = false;
-  double task_deadline_seconds = 0.0;
-  /// Seeds the retry and respawn backoff jitter.
-  uint64_t backoff_seed = 1;
-  /// Non-empty: reap orphan spill files of dead processes from this
-  /// directory after each worker death (see spill.h ReapOrphanSpillFiles).
-  /// Also where the supervisor writes its own shuffle spill files when
-  /// workers stream disk-backed runs (resolved via ResolveSpillDir).
-  std::string spill_dir;
-  /// Parent-side progress heartbeat interval (mr::Options::heartbeat_seconds).
-  double progress_heartbeat_seconds = 0.0;
-  /// Per-worker cap on shipped-but-unacked run bytes (the shuffle
-  /// backpressure window), sent with every task. 0 derives a default: the
-  /// job's memory budget when one is set (floored at 4 KiB), else 4 MiB.
-  uint64_t stream_window_bytes = 0;
-  /// Non-null: schedule on exec'd remote workers (remote_worker.h) instead
-  /// of forking a crew. Remote workers are admitted off the pool's listener
-  /// (parked channels first), installed with `remote_setup_payload` over a
-  /// kJobSetup frame, and fed kTaskAssign frames whose input bytes come from
-  /// `remote_task_input`. An evicted remote worker's in-flight task is
-  /// reassigned to a surviving worker (counted in `tasks_reassigned`). The
-  /// pool outlives the phase: healthy idle workers are parked back into it.
-  RemoteWorkerPool* remote_pool = nullptr;
-  /// Encoded JobSetupMsg installing this phase's registered job.
-  std::string remote_setup_payload;
-  /// Serialized input for one task, shipped inside its kTaskAssign frame.
-  std::function<Result<std::string>(size_t task)> remote_task_input;
+  /// Remote crews only: the encoded JobSetupMsg every admitted worker
+  /// installs, and one task's serialized input, shipped inside its
+  /// kTaskAssign frame.
+  std::string remote_setup;
+  std::function<Result<std::string>(size_t task)> remote_input;
 };
 
 /// What one task attempt produces inside the worker: a slim result payload
@@ -336,13 +297,21 @@ struct RunAckMsg {
 
 class WorkerSupervisor {
  public:
-  /// Runs tasks [0, num_tasks) on forked workers, or on remote workers from
-  /// `config.remote_pool` when one is set, committing each task's result
-  /// (and streamed runs) through `commit`. Fails when the first worker
-  /// cannot be forked, or when a remote crew stays empty for the connect
-  /// grace (~6 s); nothing ever runs in-process instead.
-  static Status RunPhase(const SupervisorConfig& config, const WorkerTaskFn& fn,
-                         const CommitFn& commit, SupervisorStats* stats);
+  /// Runs tasks [0, phase.num_tasks) on the crew `options` asks for:
+  /// `options.remote_pool`'s remote workers under ExecMode::kRemote, else
+  /// ResolvedWorkers() forked ones. Commits each task's result (and
+  /// streamed runs) through `commit`, and adds the phase's robustness and
+  /// streaming accounting to `counters`: retries go to the map or reduce
+  /// retry counter by `phase.phase`. The credit window, the supervisor's
+  /// spill dir (internal::JobSpillDir; a job without a memory budget has
+  /// none, and a disk run from its workers breaks the stream protocol),
+  /// backoff seed, deadlines and budgets all derive from `options`. Fails
+  /// when the first worker cannot be forked, or when a remote crew stays
+  /// empty for the connect grace (~6 s); nothing ever runs in-process
+  /// instead.
+  static Status RunPhase(const Options& options, const SupervisedPhase& phase,
+                         const WorkerTaskFn& fn, const CommitFn& commit,
+                         JobCounters* counters);
 };
 
 /// Child-side knobs for WorkerMain / WorkerLoop.
@@ -350,11 +319,9 @@ struct WorkerMainConfig {
   uint64_t worker_id = 0;
   /// Re-establishes the channel after a drop (remote workers). Null for
   /// forked workers: a socketpair cannot be redialed, so a channel error
-  /// is fatal.
+  /// is fatal, and the worker watches getppid() instead to notice that
+  /// its supervisor died.
   std::function<Result<std::unique_ptr<CommChannel>>()> reconnect;
-  /// Forked children watch getppid() to detect supervisor death; an exec'd
-  /// remote worker has no parent relationship to watch, so it sets false.
-  bool check_parent = true;
   /// Installs a registered job when a kJobSetup frame arrives (remote
   /// workers). Null: the worker exits on kJobSetup.
   std::function<Status(const JobSetupMsg& setup)> on_job_setup;

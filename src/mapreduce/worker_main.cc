@@ -104,10 +104,11 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
   // Workers inherit the parent's stderr; only warnings and errors are worth
   // duplicating num_workers times.
   SetLogLevel(LogLevel::kWarning);
-  // Forked children watch getppid() to notice supervisor death; an exec'd
-  // remote worker (check_parent == false) has no parent to watch and relies
-  // on channel errors instead.
-  const pid_t supervisor_pid = cfg.check_parent ? ::getppid() : -1;
+  // A worker that cannot redial (a forked child) watches getppid() to
+  // notice supervisor death; an exec'd remote worker has no parent to watch
+  // and relies on channel errors and its redial deadline instead.
+  const bool watch_parent = cfg.reconnect == nullptr;
+  const pid_t supervisor_pid = watch_parent ? ::getppid() : -1;
 
   ChannelHolder holder;
   holder.ch = std::move(channel);
@@ -228,9 +229,6 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
   // Re-establishes the channel and re-identifies. False: unrecoverable.
   auto reconnect = [&]() -> bool {
     if (cfg.reconnect == nullptr) return false;
-    if (cfg.check_parent && ::getppid() != supervisor_pid) {
-      return false;  // orphaned
-    }
     auto next = cfg.reconnect();
     if (!next.ok()) return false;
     holder.Replace(std::move(next).value());
@@ -300,7 +298,7 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
     if (received.IsDeadlineExceeded()) {
       // Idle tick: if the supervisor died we are an orphan — exit rather
       // than wait forever on a socket nobody will write to again.
-      if (cfg.check_parent && ::getppid() != supervisor_pid) {
+      if (watch_parent && ::getppid() != supervisor_pid) {
         exit_code = 1;
         break;
       }

@@ -568,7 +568,8 @@ Result<std::string> DdpServer::RunJobPipeline(
     return Status::IoError("cannot create checkpoint dir " +
                            ckpt_dir.string() + ": " + ec.message());
   }
-  options.checkpoint_dir = ckpt_dir.string();
+  mr::CheckpointStore checkpoint(ckpt_dir.string());
+  options.mr.checkpoint = &checkpoint;
   // HandleSubmit admitted only exec modes this server can run. Remote jobs
   // run on ddp_worker processes that dialed the server's remote listener.
   options.mr.exec_mode = static_cast<mr::ExecMode>(params.exec_mode);

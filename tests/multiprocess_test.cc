@@ -506,42 +506,53 @@ TEST(SpillReaperTest, ReapsDeadOwnersKeepsLiveUntaggedAndForeign) {
 
 // --------------------------------------------------- supervisor end-to-end
 
+// Runs a phase on `workers` forked workers.
+Options ForkOptions(size_t workers) {
+  Options o;
+  o.exec_mode = ExecMode::kFork;
+  o.num_workers = workers;
+  return o;
+}
+
+// A map phase of `num_tasks` tasks.
+SupervisedPhase MapPhase(const std::string& job_name, size_t num_tasks) {
+  SupervisedPhase phase;
+  phase.job_name = job_name;
+  phase.num_tasks = num_tasks;
+  return phase;
+}
+
 TEST(SupervisorTest, RunsEveryTaskAndCommitsByTaskId) {
   if (!ForkExecutionSupported()) {
     GTEST_SKIP() << "forked workers unsupported in this build";
   }
-  SupervisorConfig config;
-  config.job_name = "unit";
-  config.num_workers = 3;
-  config.num_tasks = 17;
+  const SupervisedPhase phase = MapPhase("unit", 17);
   WorkerTaskFn fn = [](uint64_t task, uint64_t, bool, const std::string&,
                        TaskResult* result) {
     result->payload = "task-" + std::to_string(task);
     return Status::OK();
   };
-  std::vector<std::string> committed(config.num_tasks);
+  std::vector<std::string> committed(phase.num_tasks);
   CommitFn commit = [&committed](size_t task, bool, double, std::string payload,
                                  std::vector<SpillRun>) {
     committed[task] = std::move(payload);
     return Status::OK();
   };
-  SupervisorStats stats;
-  ASSERT_TRUE(WorkerSupervisor::RunPhase(config, fn, commit, &stats).ok());
+  JobCounters counters;
+  ASSERT_TRUE(
+      WorkerSupervisor::RunPhase(ForkOptions(3), phase, fn, commit, &counters)
+          .ok());
   for (size_t t = 0; t < committed.size(); ++t) {
     EXPECT_EQ(committed[t], "task-" + std::to_string(t));
   }
-  EXPECT_EQ(stats.worker_crashes, 0u);
-  EXPECT_EQ(stats.durations.size(), committed.size());
+  EXPECT_EQ(counters.worker_crashes, 0u);
 }
 
 TEST(SupervisorTest, FirstAttemptCrashIsRetriedOnAFreshWorker) {
   if (!ForkExecutionSupported()) {
     GTEST_SKIP() << "forked workers unsupported in this build";
   }
-  SupervisorConfig config;
-  config.job_name = "crash-once";
-  config.num_workers = 2;
-  config.num_tasks = 6;
+  const SupervisedPhase phase = MapPhase("crash-once", 6);
   // Task 2's first attempt SIGKILLs its worker; every retry succeeds. This
   // runs in the child, so the "state" is per-attempt by construction.
   WorkerTaskFn fn = [](uint64_t task, uint64_t attempt, bool,
@@ -556,51 +567,56 @@ TEST(SupervisorTest, FirstAttemptCrashIsRetriedOnAFreshWorker) {
     ++committed;
     return Status::OK();
   };
-  SupervisorStats stats;
-  ASSERT_TRUE(WorkerSupervisor::RunPhase(config, fn, commit, &stats).ok());
-  EXPECT_EQ(committed, config.num_tasks);
-  EXPECT_EQ(stats.worker_crashes, 1u);
-  EXPECT_GE(stats.worker_restarts, 1u);
-  EXPECT_GE(stats.retries, 1u);
+  JobCounters counters;
+  ASSERT_TRUE(
+      WorkerSupervisor::RunPhase(ForkOptions(2), phase, fn, commit, &counters)
+          .ok());
+  EXPECT_EQ(committed, phase.num_tasks);
+  EXPECT_EQ(counters.worker_crashes, 1u);
+  EXPECT_GE(counters.worker_restarts, 1u);
+  EXPECT_GE(counters.map_task_retries, 1u);
 }
 
-// Streams two in-memory tail runs per attempt through the supervisor and
-// checks they come back committed in stream order, trailers verified and
-// stripped, bytes intact.
+// Streams two runs per attempt through the supervisor and checks they come
+// back committed in stream order, trailers verified and stripped, bytes
+// intact.
 TEST(SupervisorTest, StreamsTailRunsOverPipe) {
   if (!ForkExecutionSupported()) {
     GTEST_SKIP() << "forked workers unsupported in this build";
   }
-  SupervisorConfig config;
-  config.job_name = "stream";
-  config.num_workers = 2;
-  config.num_tasks = 9;
-  config.stream_window_bytes = 64;  // tiny window: acks must flow to finish
-  WorkerTaskFn fn = [](uint64_t task, uint64_t, bool, const std::string&,
-                       TaskResult* result) {
+  const SupervisedPhase phase = MapPhase("stream", 9);
+  Options options = ForkOptions(2);
+  // The smallest credit window, 4 KiB. A worker opens a run only while its
+  // unacked bytes are within the window, and each attempt's first run is
+  // larger, so its second run waits for the supervisor's ack.
+  options.memory_budget_bytes = 4096;
+  const size_t run_bytes = 5000;
+  WorkerTaskFn fn = [run_bytes](uint64_t task, uint64_t, bool,
+                                const std::string&, TaskResult* result) {
     result->payload = "p" + std::to_string(task);
     SpillRun a;
     a.partition = 0;
     a.spill_index = 0;
-    a.bytes = "run-a-for-task-" + std::to_string(task);
+    a.bytes = std::string(run_bytes, 'a') + std::to_string(task);
     result->runs.push_back(std::move(a));
     SpillRun b;
     b.partition = 1;
     b.spill_index = kTailRunIndex;
-    b.bytes = std::string(300, 'x') + std::to_string(task);  // > window
+    b.bytes = std::string(run_bytes, 'x') + std::to_string(task);
     result->runs.push_back(std::move(b));
     return Status::OK();
   };
-  std::vector<std::vector<SpillRun>> got(config.num_tasks);
-  std::vector<std::string> payloads(config.num_tasks);
+  std::vector<std::vector<SpillRun>> got(phase.num_tasks);
+  std::vector<std::string> payloads(phase.num_tasks);
   CommitFn commit = [&](size_t task, bool, double, std::string payload,
                         std::vector<SpillRun> runs) {
     payloads[task] = std::move(payload);
     got[task] = std::move(runs);
     return Status::OK();
   };
-  SupervisorStats stats;
-  ASSERT_TRUE(WorkerSupervisor::RunPhase(config, fn, commit, &stats).ok());
+  JobCounters counters;
+  ASSERT_TRUE(
+      WorkerSupervisor::RunPhase(options, phase, fn, commit, &counters).ok());
   for (size_t t = 0; t < got.size(); ++t) {
     EXPECT_EQ(payloads[t], "p" + std::to_string(t));
     ASSERT_EQ(got[t].size(), 2u) << "task " << t;
@@ -610,7 +626,7 @@ TEST(SupervisorTest, StreamsTailRunsOverPipe) {
     EXPECT_EQ(got[t][0].spill_index, 0u);
     EXPECT_TRUE(got[t][0].bytes.empty());
     ASSERT_NE(got[t][0].file, nullptr);
-    const std::string want_a = "run-a-for-task-" + std::to_string(t);
+    const std::string want_a = std::string(run_bytes, 'a') + std::to_string(t);
     ASSERT_EQ(got[t][0].length, want_a.size() + 4);  // + CRC trailer
     std::ifstream in(got[t][0].file->path(), std::ios::binary);
     ASSERT_TRUE(in.good());
@@ -624,28 +640,27 @@ TEST(SupervisorTest, StreamsTailRunsOverPipe) {
     EXPECT_EQ(got[t][1].partition, 1u);
     EXPECT_EQ(got[t][1].spill_index, kTailRunIndex);
     EXPECT_EQ(got[t][1].file, nullptr);
-    EXPECT_EQ(got[t][1].bytes, std::string(300, 'x') + std::to_string(t));
+    EXPECT_EQ(got[t][1].bytes,
+              std::string(run_bytes, 'x') + std::to_string(t));
   }
   // Streamed accounting counts wire bytes (trailers included), so it must
-  // exceed the sum of the raw tail bytes.
-  EXPECT_GT(stats.shuffle_streamed_bytes, config.num_tasks * 300u);
+  // exceed the sum of the raw run bytes.
+  EXPECT_GT(counters.shuffle_streamed_bytes, phase.num_tasks * 2 * run_bytes);
 }
 
-// Credit-window edge: one run whose bytes alone exceed stream_window_bytes
-// many times over. The worker cannot hold a full window of credit for it up
-// front, so progress depends on the ack flow refilling the window
-// mid-run — a deadlock here would hang the phase, not fail it. The run must
-// land complete and intact.
+// Credit-window edge: one run whose bytes alone exceed the credit window
+// many times over, then a small one. A fresh attempt has no unacked bytes,
+// so the big run ships whole without credit it could never hold, and the
+// small run waits for the supervisor's ack of it — a lost ack would hang
+// the phase, not fail it. Both runs must land complete and intact.
 TEST(SupervisorTest, SingleRunExceedingWindowStreamsOverPipe) {
   if (!ForkExecutionSupported()) {
     GTEST_SKIP() << "forked workers unsupported in this build";
   }
-  SupervisorConfig config;
-  config.job_name = "stream_oversized";
-  config.num_workers = 2;
-  config.num_tasks = 4;
-  config.stream_window_bytes = 256;  // run below is 32x the window
-  const size_t run_bytes = 8192;
+  const SupervisedPhase phase = MapPhase("stream_oversized", 4);
+  Options options = ForkOptions(2);
+  options.memory_budget_bytes = 4096;  // the credit window
+  const size_t run_bytes = 32 * 4096;  // 32x the window
   WorkerTaskFn fn = [run_bytes](uint64_t task, uint64_t, bool,
                                 const std::string&, TaskResult* result) {
     SpillRun run;
@@ -653,23 +668,144 @@ TEST(SupervisorTest, SingleRunExceedingWindowStreamsOverPipe) {
     run.spill_index = kTailRunIndex;
     run.bytes = std::string(run_bytes, static_cast<char>('a' + task));
     result->runs.push_back(std::move(run));
+    SpillRun small;
+    small.partition = 1;
+    small.spill_index = kTailRunIndex;
+    small.bytes = "small-" + std::to_string(task);
+    result->runs.push_back(std::move(small));
     result->payload = std::to_string(task);
     return Status::OK();
   };
-  std::vector<std::vector<SpillRun>> got(config.num_tasks);
+  std::vector<std::vector<SpillRun>> got(phase.num_tasks);
   CommitFn commit = [&](size_t task, bool, double, std::string,
                         std::vector<SpillRun> runs) {
     got[task] = std::move(runs);
     return Status::OK();
   };
-  SupervisorStats stats;
-  ASSERT_TRUE(WorkerSupervisor::RunPhase(config, fn, commit, &stats).ok());
+  JobCounters counters;
+  ASSERT_TRUE(
+      WorkerSupervisor::RunPhase(options, phase, fn, commit, &counters).ok());
   for (size_t t = 0; t < got.size(); ++t) {
-    ASSERT_EQ(got[t].size(), 1u) << "task " << t;
+    ASSERT_EQ(got[t].size(), 2u) << "task " << t;
     EXPECT_EQ(got[t][0].bytes,
               std::string(run_bytes, static_cast<char>('a' + t)));
+    EXPECT_EQ(got[t][1].bytes, "small-" + std::to_string(t));
   }
-  EXPECT_GT(stats.shuffle_streamed_bytes, config.num_tasks * run_bytes);
+  EXPECT_GT(counters.shuffle_streamed_bytes, phase.num_tasks * run_bytes);
+}
+
+// A job without a memory budget never spills, so its supervisor has no
+// spill dir, and a disk run (a spill index other than kTailRunIndex) from
+// one of its workers breaks the stream protocol. The supervisor kills the
+// worker, which counts a kill and a crash, and the retry on a fresh worker
+// ships the same bytes as an in-memory run and commits.
+TEST(SupervisorTest, DiskRunFromAnUnbudgetedJobKillsTheWorker) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
+  const SupervisedPhase phase = MapPhase("unbudgeted-disk-run", 1);
+  WorkerTaskFn fn = [](uint64_t, uint64_t attempt, bool, const std::string&,
+                       TaskResult* result) {
+    SpillRun run;
+    run.spill_index = attempt == 0 ? 0 : kTailRunIndex;
+    run.bytes = "run-bytes";
+    result->runs.push_back(std::move(run));
+    result->payload = "done";
+    return Status::OK();
+  };
+  std::vector<SpillRun> committed;
+  CommitFn commit = [&committed](size_t, bool, double, std::string,
+                                 std::vector<SpillRun> runs) {
+    committed = std::move(runs);
+    return Status::OK();
+  };
+  JobCounters counters;
+  ASSERT_TRUE(
+      WorkerSupervisor::RunPhase(ForkOptions(1), phase, fn, commit, &counters)
+          .ok());
+  EXPECT_EQ(counters.worker_kills, 1u);
+  EXPECT_EQ(counters.worker_crashes, 1u);
+  EXPECT_EQ(counters.map_task_retries, 1u);
+  EXPECT_EQ(counters.spill_files_reaped, 0u);
+  ASSERT_EQ(committed.size(), 1u);
+  EXPECT_EQ(committed[0].spill_index, kTailRunIndex);
+  EXPECT_EQ(committed[0].file, nullptr);
+  EXPECT_EQ(committed[0].bytes, "run-bytes");
+}
+
+// A forked worker that streams a run whose CRC trailer does not match its
+// bytes breaks the stream protocol. The supervisor kills it, which counts a
+// kill and a crash, and retries the attempt on a fresh worker. The killed
+// worker's spill file is an orphan that the same drop path reaps, so once
+// the committed runs are dropped the spill dir is empty.
+TEST(SupervisorTest, CorruptRunKillsTheWorkerAndRetries) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "ddp_mp_corrupt_run_test";
+  fs::remove_all(dir);
+  const SupervisedPhase phase = MapPhase("corrupt-run", 1);
+  Options options = ForkOptions(1);
+  options.memory_budget_bytes = 4096;
+  options.spill_dir = dir.string();
+  WorkerTaskFn fn = [&dir](uint64_t, uint64_t attempt, bool,
+                           const std::string&, TaskResult* result) -> Status {
+    // Tagged with this worker's pid, as every spill file is, so the reaper
+    // can tell when its owner is dead.
+    DDP_ASSIGN_OR_RETURN(
+        auto writer,
+        SpillFileWriter::Create(dir.string(), "corrupt-" +
+                                                  internal::SpillOwnerTag() +
+                                                  "-u0.spill"));
+    const std::string bytes(100, static_cast<char>('a' + attempt));
+    writer->BeginRun();
+    writer->Append(bytes.data(), bytes.size());
+    DDP_ASSIGN_OR_RETURN(SpillExtent extent, writer->EndRun());
+    DDP_RETURN_NOT_OK(writer->Close());
+    if (attempt == 0) {
+      const auto last =
+          static_cast<std::streamoff>(extent.offset + extent.length - 1);
+      std::fstream f(writer->handle()->path(),
+                     std::ios::in | std::ios::out | std::ios::binary);
+      char c = 0;
+      f.seekg(last);
+      f.get(c);
+      f.seekp(last);
+      f.put(static_cast<char>(c ^ 0x5a));
+      if (!f.flush()) return Status::IoError("cannot flip the trailer byte");
+    }
+    SpillRun run;
+    run.file = writer->handle();
+    run.offset = extent.offset;
+    run.length = extent.length;
+    result->runs.push_back(std::move(run));
+    result->payload = "done";
+    return Status::OK();
+  };
+  std::vector<SpillRun> committed;
+  CommitFn commit = [&committed](size_t, bool, double, std::string,
+                                 std::vector<SpillRun> runs) {
+    committed = std::move(runs);
+    return Status::OK();
+  };
+  JobCounters counters;
+  ASSERT_TRUE(
+      WorkerSupervisor::RunPhase(options, phase, fn, commit, &counters).ok());
+  EXPECT_EQ(counters.worker_kills, 1u);
+  EXPECT_EQ(counters.worker_crashes, 1u);
+  EXPECT_EQ(counters.map_task_retries, 1u);
+  EXPECT_EQ(counters.spill_files_reaped, 1u);
+  ASSERT_EQ(committed.size(), 1u);
+  ASSERT_NE(committed[0].file, nullptr);
+  Result<std::string> stored = ReadFileExtent(
+      committed[0].file->path(), committed[0].offset, committed[0].length);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  ASSERT_TRUE(VerifyAndStripRunTrailer(&*stored).ok());
+  EXPECT_EQ(*stored, std::string(100, 'b'));  // attempt 1's bytes
+  committed.clear();
+  EXPECT_TRUE(fs::is_empty(dir));
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------------------------ worker loop
@@ -712,7 +848,6 @@ TEST(WorkerLoopTest, TaskFrameWindowHoldsRunsUntilAcked) {
   };
   WorkerMainConfig wc;
   wc.worker_id = 7;
-  wc.check_parent = false;
   int exit_code = -1;
   std::thread worker(
       [&exit_code, &fn, &wc, ch = std::move(worker_end)]() mutable {

@@ -18,6 +18,8 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -142,10 +144,11 @@ TEST(RemoteTaskInputTest, ReduceSourceDecoderRejectsCountAboveRemainingBytes) {
 // ---------------------------------------------------- hostile remote peers
 
 // A process that dials the worker-pool listener, takes a task and declares a
-// 2^40-byte run must not make the supervisor allocate that length: the run
-// buffer only ever holds bytes that arrive. The fake then ends the run at
-// zero bytes, a protocol violation that evicts it; with no worker left the
-// phase fails once the connect grace runs out, as a Status, never a throw.
+// 2^40-byte in-memory run must not make the supervisor allocate that length:
+// the run buffer reserves at most the credit window. The fake then ends the
+// run at zero bytes, a protocol violation that evicts it; with no worker
+// left the phase fails once the connect grace runs out, as a Status, never
+// a throw.
 TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
   auto pool = mr::RemoteWorkerPool::Listen("127.0.0.1", 0);
   ASSERT_TRUE(pool.ok()) << pool.status().ToString();
@@ -168,6 +171,9 @@ TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
       mr::RunBeginMsg begin;
       begin.task = assign.task;
       begin.attempt = assign.attempt;
+      // A tail run: the job has no memory budget, so a disk run would be
+      // refused before its length is read.
+      begin.spill_index = mr::kTailRunIndex;
       begin.length = uint64_t{1} << 40;
       mr::RunEndMsg end;
       end.task = assign.task;
@@ -177,13 +183,14 @@ TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
     }
   });
 
-  mr::SupervisorConfig config;
-  config.job_name = "hostile-run";
-  config.num_workers = 0;
-  config.num_tasks = 1;
-  config.remote_pool = pool->get();
-  config.remote_setup_payload = mr::JobSetupMsg{}.Encode();
-  config.remote_task_input = [](size_t) -> Result<std::string> {
+  mr::Options options;
+  options.exec_mode = mr::ExecMode::kRemote;
+  options.remote_pool = pool->get();
+  mr::SupervisedPhase phase;
+  phase.job_name = "hostile-run";
+  phase.num_tasks = 1;
+  phase.remote_setup = mr::JobSetupMsg{}.Encode();
+  phase.remote_input = [](size_t) -> Result<std::string> {
     return std::string();
   };
   mr::WorkerTaskFn fn = [](uint64_t, uint64_t, bool, const std::string&,
@@ -192,19 +199,64 @@ TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
   };
   mr::CommitFn commit = [](size_t, bool, double, std::string,
                            std::vector<mr::SpillRun>) { return Status::OK(); };
-  mr::SupervisorStats stats;
+  mr::JobCounters counters;
   Status st;
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_NO_THROW(st = mr::WorkerSupervisor::RunPhase(config, fn, commit,
-                                                      &stats));
+  EXPECT_NO_THROW(st = mr::WorkerSupervisor::RunPhase(options, phase, fn,
+                                                      commit, &counters));
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
   fake.join();
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(stats.workers_registered, 1u);
-  EXPECT_EQ(stats.workers_evicted, 1u);
+  EXPECT_EQ(counters.workers_registered, 1u);
+  EXPECT_EQ(counters.workers_evicted, 1u);
   EXPECT_LT(seconds, 30.0);
+}
+
+// --------------------------------------------------------- worker processes
+
+// The children of the calling thread, as the kernel lists them.
+std::string ChildPids() {
+  std::ifstream in("/proc/thread-self/children");
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// A path execv would refuse is refused before any fork: the error names the
+// path, and no child is left to exit at exec (which a supervisor would only
+// see as a worker that never dials in).
+TEST(SpawnWorkerProcessTest, RefusesAPathThatIsNotAnExecutableFile) {
+  const std::string before = ChildPids();
+  const std::string missing = "/nonexistent/ddp_worker";
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  for (const std::string& path : {missing, dir}) {
+    Result<int64_t> pid = mr::SpawnWorkerProcess(path, {"--connect", "x"});
+    ASSERT_FALSE(pid.ok()) << path;
+    EXPECT_NE(pid.status().message().find(path), std::string::npos)
+        << pid.status().ToString();
+  }
+  EXPECT_EQ(ChildPids(), before);
+}
+
+// --dial-deadline bounds how long a worker keeps redialing a supervisor
+// that is not there.
+TEST(SpawnWorkerProcessTest, WorkerGivesUpAtItsDialDeadline) {
+  uint16_t port = 0;
+  {
+    auto listener = mr::TcpListener::Listen("127.0.0.1", 0);
+    ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+    port = (*listener)->port();
+  }  // closed: nothing listens on `port` any more
+  const auto start = std::chrono::steady_clock::now();
+  Result<int64_t> pid = mr::SpawnWorkerProcess(
+      DDP_WORKER_BIN, {"--connect", "127.0.0.1:" + std::to_string(port),
+                       "--dial-deadline", "0.2"});
+  ASSERT_TRUE(pid.ok()) << pid.status().ToString();
+  EXPECT_NE(mr::WaitWorkerProcess(*pid), 0);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.5);
 }
 
 // ------------------------------------------------------------ job registry

@@ -12,7 +12,8 @@
 //                            and reaps the children on shutdown.
 //   --worker-id ID           explicit worker id (default 0 derives
 //                            (1 << 63) | pid, disjoint from fork-worker ids)
-//   --dial-deadline S        per-dial retry budget seconds (default 5)
+//   --dial-deadline S        per-dial retry budget seconds (default 5;
+//                            0 dials once)
 //   --chaos-crash-task K     crash-test hook: on the Kth task assignment
 //                            served, die mid-shuffle after shipping half the
 //                            attempt's runs (exactly the fault
