@@ -26,6 +26,36 @@ namespace {
 // is allocated.
 constexpr uint64_t kMaxFramePayloadBytes = uint64_t{1} << 30;
 
+// The [u8 type][varint64 payload length] prefix of a frame.
+struct ParsedHeader {
+  uint8_t type = 0;
+  uint64_t payload_bytes = 0;
+  size_t size = 0;  // encoded bytes
+};
+
+enum class HeaderParse { kIncomplete, kOk, kCorrupt };
+
+// Parses a frame header off the front of `n` received bytes. A varint that
+// runs past 64 bits is corrupt; one cut short by `n` is incomplete.
+HeaderParse ParseFrameHeader(const char* data, size_t n, ParsedHeader* out) {
+  if (n == 0) return HeaderParse::kIncomplete;
+  uint64_t len = 0;
+  int shift = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (shift >= 64) return HeaderParse::kCorrupt;
+    const uint8_t b = static_cast<uint8_t>(data[i]);
+    len |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) {
+      out->type = static_cast<uint8_t>(data[0]);
+      out->payload_bytes = len;
+      out->size = i + 1;
+      return HeaderParse::kOk;
+    }
+    shift += 7;
+  }
+  return HeaderParse::kIncomplete;
+}
+
 uint32_t LoadCrcTrailer(const uint8_t t[4]) {
   return static_cast<uint32_t>(t[0]) | (static_cast<uint32_t>(t[1]) << 8) |
          (static_cast<uint32_t>(t[2]) << 16) |
@@ -146,81 +176,124 @@ Status FdChannel::Send(const Frame& frame) {
   return Status::OK();
 }
 
-Status FdChannel::ReadExact(void* out, size_t n, double deadline_seconds) {
+Status FdChannel::ReadSome(char* out, size_t n, double wait_seconds,
+                           size_t* got) {
   using Clock = std::chrono::steady_clock;
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(deadline_seconds));
-  size_t off = 0;
-  while (off < n) {
-    if (deadline_seconds > 0.0) {
+                         std::chrono::duration<double>(wait_seconds));
+  while (true) {
+    // Try first: the caller usually knows bytes are waiting, and a ready
+    // socket then costs one call instead of a poll and a read.
+    const ssize_t r = ::recv(fd_, out, n, MSG_DONTWAIT);
+    if (r > 0) {
+      *got = static_cast<size_t>(r);
+      return Status::OK();
+    }
+    if (r == 0) return Status::IoError("channel closed");
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return Status::IoError(std::string("channel read failed: ") +
+                             std::strerror(errno));
+    }
+    int wait_ms = -1;
+    if (wait_seconds > 0.0) {
       const auto now = Clock::now();
       if (now >= deadline) {
         return Status::DeadlineExceeded("channel read timed out");
       }
-      struct pollfd pfd {fd_, POLLIN, 0};
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - now);
-      const int rc =
-          ::poll(&pfd, 1, static_cast<int>(std::max<int64_t>(
-                              1, static_cast<int64_t>(left.count()))));
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return Status::IoError(std::string("channel poll failed: ") +
-                               std::strerror(errno));
-      }
-      if (rc == 0) continue;  // loop re-checks the deadline
+      wait_ms = static_cast<int>(
+          std::max<int64_t>(1, static_cast<int64_t>(left.count())));
     }
-    const ssize_t got =
-        ::read(fd_, static_cast<char*>(out) + off, n - off);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("channel read failed: ") +
+    struct pollfd pfd {fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, wait_ms) < 0 && errno != EINTR) {
+      return Status::IoError(std::string("channel poll failed: ") +
                              std::strerror(errno));
     }
-    if (got == 0) return Status::IoError("channel closed");
-    off += static_cast<size_t>(got);
   }
+}
+
+Status FdChannel::Fill(double wait_seconds) {
+  if (rpos_ > 0) {
+    std::memmove(rbuf_.get(), rbuf_.get() + rpos_, rend_ - rpos_);
+    rend_ -= rpos_;
+    rpos_ = 0;
+  }
+  size_t got = 0;
+  DDP_RETURN_NOT_OK(ReadSome(rbuf_.get() + rend_, kRecvBufferBytes - rend_,
+                             wait_seconds, &got));
+  rend_ += got;
   return Status::OK();
+}
+
+bool FdChannel::HasBufferedFrame() const {
+  if (fd_ < 0 || rpos_ == rend_) return false;
+  ParsedHeader header;
+  const HeaderParse parsed =
+      ParseFrameHeader(rbuf_.get() + rpos_, rend_ - rpos_, &header);
+  if (parsed != HeaderParse::kOk) return parsed == HeaderParse::kCorrupt;
+  return header.payload_bytes > kMaxFramePayloadBytes ||
+         rend_ - rpos_ >= header.size + header.payload_bytes + 4;
 }
 
 Status FdChannel::Recv(Frame* frame, double timeout_seconds) {
   if (fd_ < 0) return Status::IoError("channel closed");
-  uint8_t type = 0;
-  DDP_RETURN_NOT_OK(ReadExact(&type, 1, timeout_seconds));
+  if (rbuf_ == nullptr) rbuf_.reset(new char[kRecvBufferBytes]);
+  if (rpos_ == rend_) DDP_RETURN_NOT_OK(Fill(timeout_seconds));
   // Once a frame has started, the rest must follow promptly: a peer that
   // dies mid-frame hits EOF; a wedged peer hits the inner deadline and is
   // treated as a hang by the supervisor.
-  const double body_deadline = timeout_seconds > 0.0 ? timeout_seconds : 30.0;
-  uint64_t len = 0;
-  int shift = 0;
+  const double body_wait = timeout_seconds > 0.0 ? timeout_seconds : 30.0;
+  ParsedHeader header;
   while (true) {
-    uint8_t b = 0;
-    DDP_RETURN_NOT_OK(ReadExact(&b, 1, body_deadline));
-    if (shift >= 64) return Status::IoError("corrupt frame length");
-    len |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
+    const HeaderParse parsed =
+        ParseFrameHeader(rbuf_.get() + rpos_, rend_ - rpos_, &header);
+    if (parsed == HeaderParse::kCorrupt) {
+      return Status::IoError("corrupt frame length");
+    }
+    if (parsed == HeaderParse::kOk) break;
+    DDP_RETURN_NOT_OK(Fill(body_wait));
   }
+  const uint64_t len = header.payload_bytes;
   if (len > kMaxFramePayloadBytes) {
     return Status::IoError("frame declares " + std::to_string(len) +
                            " payload bytes, above the channel cap");
   }
-  frame->type = static_cast<MessageType>(type);
-  // Grow the payload as bytes arrive instead of trusting the declared
-  // length up front: a peer that declares a large frame and then stalls or
-  // closes costs at most one step.
-  constexpr size_t kRecvStep = size_t{1} << 20;
-  frame->payload.clear();
-  while (frame->payload.size() < len) {
-    const size_t have = frame->payload.size();
-    const size_t step = std::min(kRecvStep, static_cast<size_t>(len) - have);
-    frame->payload.resize(have + step);
-    DDP_RETURN_NOT_OK(
-        ReadExact(frame->payload.data() + have, step, body_deadline));
-  }
+  frame->type = static_cast<MessageType>(header.type);
+  const size_t frame_bytes = header.size + static_cast<size_t>(len) + 4;
   uint8_t trailer[4];
-  DDP_RETURN_NOT_OK(ReadExact(trailer, sizeof(trailer), body_deadline));
+  if (frame_bytes <= kRecvBufferBytes) {
+    while (rend_ - rpos_ < frame_bytes) DDP_RETURN_NOT_OK(Fill(body_wait));
+    const char* payload = rbuf_.get() + rpos_ + header.size;
+    frame->payload.assign(payload, static_cast<size_t>(len));
+    std::memcpy(trailer, payload + len, sizeof(trailer));
+    rpos_ += frame_bytes;
+  } else {
+    // Grow the payload as bytes arrive instead of trusting the declared
+    // length up front: a peer that declares a large frame and then stalls
+    // or closes costs at most one step.
+    constexpr size_t kRecvStep = size_t{1} << 20;
+    rpos_ += header.size;
+    const size_t buffered = std::min(rend_ - rpos_, static_cast<size_t>(len));
+    frame->payload.assign(rbuf_.get() + rpos_, buffered);
+    rpos_ += buffered;
+    while (frame->payload.size() < len) {
+      size_t have = frame->payload.size();
+      const size_t step = std::min(kRecvStep, static_cast<size_t>(len) - have);
+      frame->payload.resize(have + step);
+      for (const size_t end = have + step; have < end;) {
+        size_t got = 0;
+        DDP_RETURN_NOT_OK(ReadSome(frame->payload.data() + have, end - have,
+                                   body_wait, &got));
+        have += got;
+      }
+    }
+    while (rend_ - rpos_ < sizeof(trailer)) DDP_RETURN_NOT_OK(Fill(body_wait));
+    std::memcpy(trailer, rbuf_.get() + rpos_, sizeof(trailer));
+    rpos_ += sizeof(trailer);
+  }
   if (LoadCrcTrailer(trailer) !=
       Crc32(frame->payload.data(), frame->payload.size())) {
     return Status::IoError("channel frame CRC mismatch");

@@ -104,6 +104,12 @@ class CommChannel {
   /// IoError before allocating for it.
   virtual Status Recv(Frame* frame, double timeout_seconds) = 0;
 
+  /// True when the next Recv returns without touching the descriptor: a
+  /// whole frame (or a header Recv rejects) already sits in the channel's
+  /// receive buffer. poll() cannot see such bytes, so an event loop must
+  /// treat the channel as ready. Call from the receiving thread only.
+  virtual bool HasBufferedFrame() const { return false; }
+
   /// Pollable descriptor for readiness multiplexing, or -1 if the channel
   /// has none (loopback).
   virtual int fd() const { return -1; }
@@ -124,6 +130,12 @@ std::string EncodeFrame(const Frame& frame);
 /// A CommChannel over one stream-socket descriptor — the shared engine of
 /// PipeChannel (socketpair) and TcpChannel (connected TCP socket). Owns the
 /// descriptor.
+///
+/// Receiving is buffered: Recv reads up to kRecvBufferBytes at a time into
+/// a per-channel buffer and cuts whole frames out of it, so a burst of
+/// small frames costs one read. A frame larger than the buffer has its
+/// payload read straight into the frame, grown in 1 MiB steps as bytes
+/// arrive.
 class FdChannel : public CommChannel {
  public:
   explicit FdChannel(int fd) : fd_(fd) {}
@@ -137,16 +149,27 @@ class FdChannel : public CommChannel {
   /// stack, the payload in place, so sending copies no payload byte.
   Status Send(const Frame& frame) override;
   Status Recv(Frame* frame, double timeout_seconds) override;
+  bool HasBufferedFrame() const override;
   int fd() const override { return fd_; }
   void ShutdownWrite() override;
   void Close() override;
 
+  static constexpr size_t kRecvBufferBytes = 64 * 1024;
+
  private:
-  /// Reads exactly n bytes, polling with the deadline between short reads.
-  Status ReadExact(void* out, size_t n, double deadline_seconds);
+  /// Moves the unconsumed bytes to the front of the receive buffer, then
+  /// appends what one read returns. The caller needs fewer bytes than the
+  /// buffer holds, so there is always room.
+  Status Fill(double wait_seconds);
+  /// Reads between 1 and `n` bytes into `out`, waiting at most
+  /// `wait_seconds` (<= 0: forever) for the first to arrive.
+  Status ReadSome(char* out, size_t n, double wait_seconds, size_t* got);
 
   std::mutex send_mu_;
   int fd_ = -1;
+  std::unique_ptr<char[]> rbuf_;  // kRecvBufferBytes, allocated at first Recv
+  size_t rpos_ = 0;               // first unconsumed byte of rbuf_
+  size_t rend_ = 0;               // end of the bytes read into rbuf_
 };
 
 /// One end of a socketpair.

@@ -510,9 +510,8 @@ Result<std::string> EncodeReduceSources(
   w.PutVarint64(runs.size());
   for (const SpillRun* run : runs) {
     if (run->file != nullptr) {
-      DDP_ASSIGN_OR_RETURN(
-          std::string seg,
-          ReadFileExtent(run->file->path(), run->offset, run->length));
+      std::string seg(static_cast<size_t>(run->length), '\0');
+      DDP_RETURN_NOT_OK(run->file->ReadAt(run->offset, seg.data(), seg.size()));
       DDP_RETURN_NOT_OK(VerifyAndStripRunTrailer(&seg));
       w.PutByte(1);
       w.PutString(seg);

@@ -3,9 +3,11 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -51,16 +53,33 @@ bool ParseOwnerPid(const std::string& name, long* pid) {
 
 }  // namespace
 
-SpillFileHandle::SpillFileHandle(std::string path)
-    : path_(std::move(path)), owner_pid_(CurrentPid()) {}
+SpillFileHandle::SpillFileHandle(std::string path, int fd)
+    : path_(std::move(path)), fd_(fd), owner_pid_(CurrentPid()) {}
 
 SpillFileHandle::~SpillFileHandle() {
+  if (fd_ >= 0) ::close(fd_);
   // Unlink only in the owning process: a forked worker inherits the
   // parent's handles, and the copy that merely inherited the handle must
   // not destroy the file.
   if (owner_pid_ != CurrentPid()) return;
   std::error_code ec;
   fs::remove(path_, ec);  // best effort; a vanished file is fine
+}
+
+Status SpillFileHandle::ReadAt(uint64_t offset, char* out, size_t n) const {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd_, out, n, static_cast<off_t>(offset));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("cannot read spill file " + path_ + ": " +
+                             std::strerror(errno));
+    }
+    if (got == 0) return Status::IoError("short read from spill file " + path_);
+    out += got;
+    n -= static_cast<size_t>(got);
+    offset += static_cast<uint64_t>(got);
+  }
+  return Status::OK();
 }
 
 uint64_t ReapOrphanSpillFiles(const std::string& dir) {
@@ -82,12 +101,11 @@ uint64_t ReapOrphanSpillFiles(const std::string& dir) {
   return reaped;
 }
 
-void AppendRunTrailer(std::string* segment) {
-  const uint32_t crc = Crc32(segment->data(), segment->size());
-  segment->push_back(static_cast<char>(crc & 0xFF));
-  segment->push_back(static_cast<char>((crc >> 8) & 0xFF));
-  segment->push_back(static_cast<char>((crc >> 16) & 0xFF));
-  segment->push_back(static_cast<char>((crc >> 24) & 0xFF));
+std::string RunTrailer(std::string_view frames) {
+  const uint32_t crc = Crc32(frames.data(), frames.size());
+  return {static_cast<char>(crc & 0xFF), static_cast<char>((crc >> 8) & 0xFF),
+          static_cast<char>((crc >> 16) & 0xFF),
+          static_cast<char>((crc >> 24) & 0xFF)};
 }
 
 Status VerifyAndStripRunTrailer(std::string* segment) {
@@ -107,20 +125,6 @@ Status VerifyAndStripRunTrailer(std::string* segment) {
   return Status::OK();
 }
 
-Result<std::string> ReadFileExtent(const std::string& path, uint64_t offset,
-                                   uint64_t length) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open spill file " + path);
-  in.seekg(static_cast<std::streamoff>(offset));
-  std::string out;
-  out.resize(static_cast<size_t>(length));
-  in.read(out.data(), static_cast<std::streamsize>(length));
-  if (static_cast<uint64_t>(in.gcount()) != length) {
-    return Status::IoError("short read from spill file " + path);
-  }
-  return out;
-}
-
 Result<std::unique_ptr<SpillFileWriter>> SpillFileWriter::Create(
     const std::string& dir, const std::string& basename) {
   std::error_code ec;
@@ -134,13 +138,37 @@ Result<std::unique_ptr<SpillFileWriter>> SpillFileWriter::Create(
     if (c == '/' || c == '\\') c = '_';
   }
   std::string path = (fs::path(dir) / name).string();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::Internal("cannot open spill file " + path);
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0666);
+  if (fd < 0) {
+    return Status::Internal("cannot open spill file " + path + ": " +
+                            std::strerror(errno));
   }
-  auto handle = std::make_shared<SpillFileHandle>(path);
+  auto handle = std::make_shared<SpillFileHandle>(std::move(path), fd);
   return std::unique_ptr<SpillFileWriter>(
-      new SpillFileWriter(std::move(handle), std::move(out)));
+      new SpillFileWriter(std::move(handle)));
+}
+
+namespace {
+// Spill I/O granularity: writes are buffered up to this many bytes, and a
+// segment reader reads at most this many per pread.
+constexpr size_t kIoChunk = 64 * 1024;
+}  // namespace
+
+void SpillFileWriter::WriteOut(const char* data, size_t n) {
+  while (n > 0 && error_.ok()) {
+    const ssize_t put = ::pwrite(handle_->fd_, data, n,
+                                 static_cast<off_t>(flushed_));
+    if (put < 0) {
+      if (errno == EINTR) continue;
+      error_ = Status::Internal("write failed on spill file " +
+                                handle_->path() + ": " + std::strerror(errno));
+      return;
+    }
+    data += put;
+    n -= static_cast<size_t>(put);
+    flushed_ += static_cast<uint64_t>(put);
+  }
 }
 
 void SpillFileWriter::BeginRun() {
@@ -149,9 +177,18 @@ void SpillFileWriter::BeginRun() {
 }
 
 void SpillFileWriter::Append(const void* data, size_t n) {
-  out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
-  crc_ = Crc32(data, n, crc_);
+  const char* bytes = static_cast<const char*>(data);
+  crc_ = Crc32(bytes, n, crc_);
   offset_ += n;
+  if (buf_.size() + n > kIoChunk) {
+    WriteOut(buf_.data(), buf_.size());
+    buf_.clear();
+  }
+  if (n >= kIoChunk) {
+    WriteOut(bytes, n);
+  } else {
+    buf_.append(bytes, n);
+  }
 }
 
 Result<SpillExtent> SpillFileWriter::EndRun() {
@@ -160,36 +197,15 @@ Result<SpillExtent> SpillFileWriter::EndRun() {
   trailer[1] = static_cast<char>((crc_ >> 8) & 0xFF);
   trailer[2] = static_cast<char>((crc_ >> 16) & 0xFF);
   trailer[3] = static_cast<char>((crc_ >> 24) & 0xFF);
-  out_.write(trailer, sizeof(trailer));
-  offset_ += sizeof(trailer);
-  if (!out_) {
-    return Status::Internal("write failed on spill file " + handle_->path());
-  }
+  Append(trailer, sizeof(trailer));
+  if (!error_.ok()) return error_;
   return SpillExtent{run_start_, offset_ - run_start_};
 }
 
 Status SpillFileWriter::Close() {
-  out_.flush();
-  if (!out_) {
-    return Status::Internal("flush failed on spill file " + handle_->path());
-  }
-  out_.close();
-  return Status::OK();
-}
-
-namespace {
-constexpr size_t kReadChunk = 64 * 1024;
-}  // namespace
-
-Status SpillSegmentReader::OpenIfNeeded() {
-  if (opened_) return Status::OK();
-  in_.open(file_->path(), std::ios::binary);
-  if (!in_) {
-    return Status::IoError("cannot open spill file " + file_->path());
-  }
-  in_.seekg(static_cast<std::streamoff>(offset_));
-  opened_ = true;
-  return Status::OK();
+  WriteOut(buf_.data(), buf_.size());
+  std::string().swap(buf_);
+  return error_;
 }
 
 Status SpillSegmentReader::Ensure(size_t n) {
@@ -197,16 +213,12 @@ Status SpillSegmentReader::Ensure(size_t n) {
   // Compact the consumed prefix, then top up from disk.
   buf_.erase(0, pos_);
   pos_ = 0;
-  DDP_RETURN_NOT_OK(OpenIfNeeded());
   while (buf_.size() < n && remaining_ > 0) {
     const size_t want =
-        static_cast<size_t>(std::min<uint64_t>(remaining_, kReadChunk));
+        static_cast<size_t>(std::min<uint64_t>(remaining_, kIoChunk));
     const size_t old = buf_.size();
     buf_.resize(old + want);
-    in_.read(&buf_[old], static_cast<std::streamsize>(want));
-    if (static_cast<size_t>(in_.gcount()) != want) {
-      return Status::IoError("short read from spill file " + file_->path());
-    }
+    DDP_RETURN_NOT_OK(file_->ReadAt(offset_, &buf_[old], want));
     crc_ = Crc32(buf_.data() + old, want, crc_);
     offset_ += want;
     remaining_ -= want;
@@ -224,12 +236,8 @@ Status SpillSegmentReader::NextFrame(std::string_view* payload, bool* eof) {
   }
   if (remaining_ == 0 && pos_ == buf_.size()) {
     // Clean end of run: verify the accumulated CRC against the trailer.
-    DDP_RETURN_NOT_OK(OpenIfNeeded());
     char trailer[4];
-    in_.read(trailer, sizeof(trailer));
-    if (static_cast<size_t>(in_.gcount()) != sizeof(trailer)) {
-      return Status::IoError("missing CRC trailer in " + file_->path());
-    }
+    DDP_RETURN_NOT_OK(file_->ReadAt(offset_, trailer, sizeof(trailer)));
     const uint32_t stored =
         static_cast<uint32_t>(static_cast<uint8_t>(trailer[0])) |
         (static_cast<uint32_t>(static_cast<uint8_t>(trailer[1])) << 8) |

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -27,15 +26,21 @@
 ///    (`mr::Options::memory_budget_bytes > 0`), whenever the buffered
 ///    payload bytes exceed it, it key-sorts each partition's in-memory
 ///    segment (stably, preserving emission order within equal keys) and
-///    flushes it to a spill file: one spill writes one file holding one
-///    CRC32-trailed run per non-empty partition, exactly like Hadoop's spill
-///    files + index. A task that never reaches its budget keeps the same
-///    sorted runs in memory.
+///    spills it: one CRC32-trailed run per non-empty partition, appended to
+///    the map attempt's one spill file. The file is created at the first
+///    spill and closed at `Finish`, like Hadoop's one map output file plus
+///    index per map attempt; each run records its spill index, offset and
+///    length. A task that never reaches its budget keeps the same sorted
+///    runs in memory.
 ///  * `SpillRun` is the one run type: an extent of a spill file, or frames
 ///    held in memory (`spill_index == kTailRunIndex`).
+///  * `SpillFileHandle` owns a spill file and the one descriptor every
+///    reader `pread`s its runs through; `SpillFileWriter` appends runs to
+///    it and `SpillSegmentReader` streams one run back.
 ///  * The reduce side is `MergingGroupReader`: a streaming k-way merge over
 ///    that partition's runs, feeding reduce one key group at a time without
-///    ever materializing the partition.
+///    ever materializing the partition. It holds one descriptor per map
+///    attempt, however many runs that attempt spilled.
 ///
 /// Determinism contract (the merge order): a key's values reach reduce in
 /// (map task id, emission index) order — input order, since map tasks own
@@ -46,12 +51,12 @@
 /// every budget, on every substrate.
 ///
 /// Spill files are owned by RAII handles: a failed, cancelled, or
-/// speculative-loser attempt unlinks its files when its emitter is
+/// speculative-loser attempt unlinks its file when its emitter is
 /// destroyed, and committed files are unlinked when the job's map outputs
 /// are dropped, so no run of `RunJob` leaks spill files.
 ///
 /// Multi-process execution adds cross-process ownership: spill file names
-/// carry the creating process id (`...-p<pid>-u<id>-s<n>.spill`), handles
+/// carry the creating process id (`<prefix>-p<pid>-u<id>.spill`), handles
 /// unlink only in the process that created them, and `ReapOrphanSpillFiles`
 /// deletes files whose stamped owner process no longer exists — the
 /// cleanup path for attempts that died with SIGKILL and never ran their
@@ -60,12 +65,16 @@
 namespace ddp {
 namespace mr {
 
-/// Owns one spill file on disk; unlinks it on destruction. Shared by every
-/// run reference into the file. Ownership is process-local: a handle
-/// inherited by a forked child never unlinks.
+/// Owns one spill file on disk and one descriptor on it, opened with
+/// O_CLOEXEC when the file is created. Every run of the file is read with
+/// `pread` through that descriptor, so readers share it without seeking.
+/// Shared by every run reference into the file; closes the descriptor and
+/// unlinks the file on destruction. Ownership is process-local: a handle
+/// inherited by a forked child reads through the inherited descriptor but
+/// never unlinks.
 class SpillFileHandle {
  public:
-  explicit SpillFileHandle(std::string path);
+  SpillFileHandle(std::string path, int fd);
   ~SpillFileHandle();
 
   SpillFileHandle(const SpillFileHandle&) = delete;
@@ -73,8 +82,15 @@ class SpillFileHandle {
 
   const std::string& path() const { return path_; }
 
+  /// Reads exactly `n` bytes at `offset` into `out`. IoError on a failed or
+  /// short read.
+  Status ReadAt(uint64_t offset, char* out, size_t n) const;
+
  private:
+  friend class SpillFileWriter;
+
   std::string path_;
+  int fd_ = -1;
   long owner_pid_ = 0;
 };
 
@@ -111,30 +127,25 @@ struct SpillExtent {
   uint64_t length = 0;
 };
 
-/// Appends the 4-byte little-endian CRC32 trailer of `segment`'s current
-/// contents to it — turning a bare frame sequence (an in-memory tail) into
-/// the exact byte shape of an on-disk run, ready to ship over a channel.
-void AppendRunTrailer(std::string* segment);
+/// The 4-byte little-endian CRC32 trailer of `frames`. A bare frame
+/// sequence (an in-memory tail) followed by its trailer has the exact byte
+/// shape of an on-disk run, ready to ship over a channel.
+std::string RunTrailer(std::string_view frames);
 
 /// Verifies that `segment` ends with a CRC32 trailer matching the bytes
 /// before it and strips the trailer in place. IoError on a short segment or
 /// a mismatch — the receiving side's integrity gate for a shipped run.
 Status VerifyAndStripRunTrailer(std::string* segment);
 
-/// Reads `length` bytes at `offset` from `path` — the byte-faithful lift of
-/// one run extent out of a spill file, used when a run must cross a process
-/// boundary (a worker shipping it, a remote task's input) instead of being
-/// read in place.
-Result<std::string> ReadFileExtent(const std::string& path, uint64_t offset,
-                                   uint64_t length);
-
 /// Sequential writer for one spill file: any number of CRC-trailed runs.
-/// Create -> (BeginRun, Append*, EndRun)* -> Close. Write errors surface as
-/// retryable Internal statuses (a retried attempt writes fresh files).
+/// Create -> (BeginRun, Append*, EndRun)* -> Close. Bytes are buffered and
+/// written with `pwrite` through the handle's descriptor; they are readable
+/// once Close returns. Write errors surface as retryable Internal statuses
+/// from EndRun and Close (a retried attempt writes a fresh file).
 class SpillFileWriter {
  public:
-  /// Opens `<dir>/<basename>` for writing, creating `dir` (and parents) if
-  /// missing. `basename` is sanitized ('/' becomes '_').
+  /// Creates `<dir>/<basename>` and the handle's descriptor, creating `dir`
+  /// (and parents) if missing. `basename` is sanitized ('/' becomes '_').
   static Result<std::unique_ptr<SpillFileWriter>> Create(
       const std::string& dir, const std::string& basename);
 
@@ -146,17 +157,24 @@ class SpillFileWriter {
   void Append(const void* data, size_t n);
   /// Writes the run's CRC32 trailer and returns its extent.
   Result<SpillExtent> EndRun();
+  /// Writes out every buffered byte.
   Status Close();
 
  private:
-  SpillFileWriter(std::shared_ptr<SpillFileHandle> handle, std::ofstream out)
-      : handle_(std::move(handle)), out_(std::move(out)) {}
+  explicit SpillFileWriter(std::shared_ptr<SpillFileHandle> handle)
+      : handle_(std::move(handle)) {}
+
+  /// Writes `n` bytes at the end of what is on disk; records the first
+  /// failure in `error_`.
+  void WriteOut(const char* data, size_t n);
 
   std::shared_ptr<SpillFileHandle> handle_;
-  std::ofstream out_;
-  uint64_t offset_ = 0;
+  std::string buf_;       // appended bytes not yet written out
+  uint64_t flushed_ = 0;  // bytes already on disk
+  uint64_t offset_ = 0;   // bytes appended, buffered ones included
   uint64_t run_start_ = 0;
   uint32_t crc_ = 0;
+  Status error_;
 };
 
 /// A stream of length-framed records — the common shape of a spill run on
@@ -172,8 +190,8 @@ class FrameStream {
   virtual Status NextFrame(std::string_view* payload, bool* eof) = 0;
 };
 
-/// Streams frames from one CRC-trailed run of a spill file. The file is
-/// opened lazily on first read; each reader owns its own stream position,
+/// Streams frames from one CRC-trailed run of a spill file, read with
+/// `pread` through the file's handle. Each reader keeps its own position,
 /// so concurrent reduce attempts can read the same file independently. The
 /// CRC32 of everything read is verified against the trailer at end of run.
 class SpillSegmentReader : public FrameStream {
@@ -188,12 +206,9 @@ class SpillSegmentReader : public FrameStream {
   Status NextFrame(std::string_view* payload, bool* eof) override;
 
  private:
-  Status OpenIfNeeded();
   Status Ensure(size_t n);  // buffers at least n unconsumed bytes
 
   std::shared_ptr<SpillFileHandle> file_;
-  std::ifstream in_;
-  bool opened_ = false;
   uint64_t offset_;      // file offset of the next unread byte
   uint64_t remaining_;   // frame-data bytes not yet read from disk
   bool bad_extent_;
@@ -233,11 +248,13 @@ std::string SpillOwnerTag();
 /// Map-side buffer that every map task emits through. Serializes every
 /// (key, value) payload back to back into its partition's byte arena, keeps
 /// a (decoded key, payload extent) entry per record, and spills sorted runs
-/// whenever the buffered payload bytes reach a nonzero budget. A task that
-/// never hit the budget keeps its output as sorted in-memory runs and never
-/// touches disk; a task that spilled flushes its remainder as a final run at
-/// Finish(). Either way `runs()` is in merge-ordinal order. `Traits`
-/// supplies Hash/Less for the key (mr::KeyTraits in practice).
+/// whenever the buffered payload bytes reach a nonzero budget. Every spill
+/// appends to one file, created at the first spill. A task that never hit
+/// the budget keeps its output as sorted in-memory runs and never touches
+/// disk; a task that spilled flushes its remainder as a final spill and
+/// closes the file at Finish(). Either way `runs()` is in merge-ordinal
+/// order. `Traits` supplies Hash/Less for the key (mr::KeyTraits in
+/// practice).
 template <typename MidK, typename MidV, typename Traits>
 class SpillingBuffer {
  public:
@@ -277,12 +294,18 @@ class SpillingBuffer {
   /// Seals the buffer; call once, after the last Add/AddPoisonFrame.
   /// A task that never hit the budget sorts and encodes its output into
   /// one in-memory run per non-empty partition; a task that spilled
-  /// flushes the remainder as a final spill (Hadoop's close-time flush), so
-  /// its entire output — poison frames included — lives in sorted runs on
-  /// disk. Returns the first deferred spill error.
+  /// flushes the remainder as a final spill (Hadoop's close-time flush) and
+  /// closes its file, so its entire output — poison frames included — lives
+  /// in sorted runs on disk. Returns the first deferred spill error.
   Status Finish() {
     if (!status_.ok()) return status_;
-    if (spill_count_ > 0) return Spill();
+    if (writer_ != nullptr) {
+      DDP_RETURN_NOT_OK(Spill());
+      Stopwatch watch;
+      const Status closed = writer_->Close();
+      spill_seconds_ += watch.ElapsedSeconds();
+      return closed;
+    }
     for (size_t p = 0; p < pending_.size(); ++p) {
       if (pending_[p].empty() && poison_[p] == 0) continue;
       SortPartition(p);
@@ -312,7 +335,7 @@ class SpillingBuffer {
   const std::vector<uint64_t>& payload_bytes() const { return payload_bytes_; }
   std::vector<SpillRun>& runs() { return runs_; }
   uint64_t spilled_bytes() const { return spilled_bytes_; }
-  uint64_t spill_files() const { return spill_file_count_; }
+  uint64_t spill_files() const { return writer_ != nullptr ? 1 : 0; }
   double spill_seconds() const { return spill_seconds_; }
 
  private:
@@ -351,12 +374,14 @@ class SpillingBuffer {
     if (!any) return Status::OK();
     Stopwatch watch;
     DDP_TRACE_SPAN(spill_span, obs::kCatSpill, obs::kSpanSpillWrite);
-    DDP_ASSIGN_OR_RETURN(
-        std::unique_ptr<SpillFileWriter> writer,
-        SpillFileWriter::Create(
-            dir_, prefix_ + "-" + SpillOwnerTag() + "-u" +
-                      std::to_string(NextSpillFileId()) + "-s" +
-                      std::to_string(spill_count_) + ".spill"));
+    if (writer_ == nullptr) {
+      DDP_ASSIGN_OR_RETURN(
+          writer_, SpillFileWriter::Create(
+                       dir_, prefix_ + "-" + SpillOwnerTag() + "-u" +
+                                 std::to_string(NextSpillFileId()) + ".spill"));
+    }
+    SpillFileWriter* writer = writer_.get();
+    const uint64_t start = writer->bytes_written();
     std::string frame;
     for (size_t p = 0; p < pending_.size(); ++p) {
       if (pending_[p].empty() && poison_[p] == 0) continue;
@@ -382,11 +407,9 @@ class SpillingBuffer {
       pending_[p].clear();
       arena_[p].clear();
     }
-    const uint64_t written = writer->bytes_written();
+    const uint64_t written = writer->bytes_written() - start;
     spilled_bytes_ += written;
-    DDP_RETURN_NOT_OK(writer->Close());
     ++spill_count_;
-    ++spill_file_count_;
     buffered_bytes_ = 0;
     const double seconds = watch.ElapsedSeconds();
     spill_seconds_ += seconds;
@@ -407,11 +430,11 @@ class SpillingBuffer {
   std::vector<uint64_t> poison_;
   std::vector<uint64_t> payload_bytes_;
   std::vector<SpillRun> runs_;
+  std::unique_ptr<SpillFileWriter> writer_;  // the task's one spill file
   Status status_;
   uint64_t buffered_bytes_ = 0;
   uint64_t records_ = 0;
   uint32_t spill_count_ = 0;
-  uint64_t spill_file_count_ = 0;
   uint64_t spilled_bytes_ = 0;
   double spill_seconds_ = 0.0;
 };

@@ -14,6 +14,7 @@
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include "common/backoff.h"
@@ -865,23 +866,30 @@ Status WorkerSupervisor::RunPhase(const Options& options,
 
     // Wait for worker traffic; the 10ms cap bounds backoff-gate, respawn,
     // and hang-scan latency. The remote pool's listener polls alongside the
-    // workers.
+    // workers. A channel already holding a whole frame in its receive
+    // buffer is ready though poll cannot see it, so then poll only
+    // collects the others' readiness and does not wait.
     std::vector<struct pollfd> pfds;
     std::vector<uint64_t> pfd_ids;  // worker ids; remote workers have no pid
+    std::vector<bool> pfd_buffered;
     pfds.reserve(workers.size() + 1);
+    bool any_buffered = false;
     for (const Worker& w : workers) {
       if (w.ch == nullptr) continue;
       pfds.push_back({w.ch->fd(), POLLIN, 0});
       pfd_ids.push_back(w.id);
+      pfd_buffered.push_back(w.ch->HasBufferedFrame());
+      any_buffered = any_buffered || pfd_buffered.back();
     }
     size_t listener_slot = pfds.size();
     if (listener != nullptr) {
       pfds.push_back({listener->fd(), POLLIN, 0});
       pfd_ids.push_back(0);  // worker ids start at 1; 0 is the listener
+      pfd_buffered.push_back(false);
     }
     if (!pfds.empty()) {
-      const int rc = ::poll(pfds.data(),
-                            static_cast<nfds_t>(pfds.size()), /*timeout=*/10);
+      const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+                            /*timeout=*/any_buffered ? 0 : 10);
       if (rc < 0 && errno != EINTR) {
         job_error = Status::Internal(std::string("supervisor poll failed: ") +
                                      std::strerror(errno));
@@ -898,7 +906,10 @@ Status WorkerSupervisor::RunPhase(const Options& options,
 
     for (size_t i = 0; i < pfds.size() && job_error.ok(); ++i) {
       if (i == listener_slot) continue;
-      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0 &&
+          !pfd_buffered[i]) {
+        continue;
+      }
       // Re-find the worker: an earlier drop may have reshuffled.
       size_t wi = workers.size();
       for (size_t j = 0; j < workers.size(); ++j) {
@@ -1031,6 +1042,9 @@ Status WorkerSupervisor::RunPhase(const Options& options,
     if (w.pid < 0) continue;
     const Clock::time_point give_up = Clock::now() + FromSeconds(2.0);
     bool reaped = false;
+    // A worker told to shut down exits in well under a millisecond, so the
+    // nap between reap polls starts short and doubles up to 5 ms.
+    long nap_us = 50;
     while (Clock::now() < give_up) {
       int wstatus = 0;
       const pid_t got = ::waitpid(w.pid, &wstatus, WNOHANG);
@@ -1038,7 +1052,9 @@ Status WorkerSupervisor::RunPhase(const Options& options,
         reaped = true;
         break;
       }
-      ::poll(nullptr, 0, 5);  // 5ms nap between reap polls
+      const struct timespec nap {0, nap_us * 1000};
+      ::nanosleep(&nap, nullptr);
+      nap_us = std::min(nap_us * 2, 5000L);
     }
     if (!reaped) {
       ::kill(w.pid, SIGKILL);

@@ -2,6 +2,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include <unistd.h>
@@ -175,32 +176,44 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
       if (want_crash && i >= crash_at) CrashSelf();
       DDP_RETURN_NOT_OK(drain_until(p.window));
       const SpillRun& run = p.result.runs[i];
-      std::string data;
-      if (run.file != nullptr) {
-        DDP_ASSIGN_OR_RETURN(
-            data, ReadFileExtent(run.file->path(), run.offset, run.length));
-      } else {
-        // Copied (a reconnect may need to re-ship it) into room for the
-        // trailer, so appending it does not reallocate the run.
-        data.reserve(run.bytes.size() + 4);
-        data.assign(run.bytes);
-        AppendRunTrailer(&data);
-      }
+      // A disk run ships its file extent as it is; an in-memory run ships
+      // its frames and then their CRC trailer, the shape of a disk run.
+      const bool on_disk = run.file != nullptr;
+      const uint64_t length = on_disk ? run.length : run.bytes.size() + 4;
+      const std::string trailer =
+          on_disk ? std::string() : RunTrailer(run.bytes);
       RunBeginMsg begin;
       begin.task = p.task;
       begin.attempt = p.attempt;
       begin.seq = i;
       begin.partition = run.partition;
       begin.spill_index = run.spill_index;
-      begin.length = data.size();
+      begin.length = length;
       DDP_RETURN_NOT_OK(
           holder.Send(Frame{MessageType::kRunBegin, begin.Encode()}));
       const bool drop_here = want_drop && !p.dropped && i == drop_at;
-      size_t off = 0;
+      uint64_t off = 0;
       do {
-        const size_t n = std::min(kChunk, data.size() - off);
-        DDP_RETURN_NOT_OK(
-            holder.Send(Frame{MessageType::kRunData, data.substr(off, n)}));
+        const size_t n =
+            static_cast<size_t>(std::min<uint64_t>(kChunk, length - off));
+        Frame chunk{MessageType::kRunData, std::string()};
+        if (on_disk) {
+          chunk.payload.resize(n);
+          DDP_RETURN_NOT_OK(
+              run.file->ReadAt(run.offset + off, chunk.payload.data(), n));
+        } else {
+          // Bytes [off, off + n) of the frames followed by the trailer.
+          const std::string_view frames = run.bytes;
+          const size_t from = static_cast<size_t>(off);
+          chunk.payload.reserve(n);
+          chunk.payload.append(frames.substr(std::min(from, frames.size()), n));
+          const size_t have = chunk.payload.size();
+          if (have < n) {
+            chunk.payload.append(trailer, from + have - frames.size(),
+                                 n - have);
+          }
+        }
+        DDP_RETURN_NOT_OK(holder.Send(chunk));
         off += n;
         if (drop_here) {
           // Chaos: vanish mid-run after the first chunk. The partial run is
@@ -209,13 +222,13 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
           holder.ShutdownWriteCurrent();
           return Status::IoError("injected channel drop");
         }
-      } while (off < data.size());
+      } while (off < length);
       RunEndMsg end;
       end.task = p.task;
       end.attempt = p.attempt;
       end.seq = i;
       DDP_RETURN_NOT_OK(holder.Send(Frame{MessageType::kRunEnd, end.Encode()}));
-      sent_bytes += data.size();
+      sent_bytes += length;
     }
     if (want_crash && crash_at >= total_runs) CrashSelf();
     if (want_drop && total_runs == 0 && !p.dropped) {

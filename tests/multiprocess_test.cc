@@ -21,6 +21,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -32,6 +33,7 @@
 
 #include <pthread.h>
 #include <signal.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -159,6 +161,96 @@ TEST(ChannelTest, RecvRejectsDeclaredLengthAboveTheCap) {
   WriteRawHeader(child->fd(), uint64_t{1} << 40);
   Frame got;
   EXPECT_TRUE(parent->Recv(&got, 2.0).IsIoError());
+}
+
+// Writes all of `bytes` to `fd`.
+void WriteAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    off += static_cast<size_t>(n);
+  }
+}
+
+// One frame written in two parts, cut at every byte boundary. The second
+// part is written only once the receiver has drained the first, so every
+// Recv reassembles its frame across reads. Payloads of 0, 1 and 200 bytes
+// cover one- and two-byte length varints.
+TEST(ChannelTest, RecvReassemblesAFrameSplitAtEveryByte) {
+  auto pair = PipeChannel::CreatePair();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  auto [parent, child] = std::move(*pair);
+  for (size_t payload_bytes : {size_t{0}, size_t{1}, size_t{200}}) {
+    std::string payload;
+    for (size_t i = 0; i < payload_bytes; ++i) {
+      payload.push_back(static_cast<char>(i * 7 + 3));
+    }
+    const Frame sent{MessageType::kRunData, payload};
+    const std::string wire = EncodeFrame(sent);
+    for (size_t cut = 1; cut < wire.size(); ++cut) {
+      std::thread writer([&] {
+        WriteAll(child->fd(), wire.substr(0, cut));
+        int queued = 1;
+        while (::ioctl(parent->fd(), FIONREAD, &queued) == 0 && queued > 0) {
+          std::this_thread::yield();
+        }
+        WriteAll(child->fd(), wire.substr(cut));
+      });
+      Frame got;
+      const Status st = parent->Recv(&got, 5.0);
+      writer.join();
+      ASSERT_TRUE(st.ok()) << "cut " << cut << ": " << st.ToString();
+      EXPECT_EQ(got.type, sent.type);
+      EXPECT_EQ(got.payload, sent.payload) << "cut " << cut;
+      EXPECT_FALSE(parent->HasBufferedFrame());
+    }
+  }
+}
+
+// Many frames in one write: the first Recv reads them all into the
+// channel's buffer, and every later one is cut out of it without reading
+// the descriptor, which HasBufferedFrame reports. Then a frame larger than
+// the buffer, between small ones, comes through whole.
+TEST(ChannelTest, RecvCutsManyFramesOutOfOneWrite) {
+  auto pair = PipeChannel::CreatePair();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  auto [parent, child] = std::move(*pair);
+  std::vector<Frame> frames;
+  std::string burst;
+  for (size_t i = 0; i < 200; ++i) {
+    Frame f{i % 3 == 0 ? MessageType::kHeartbeat : MessageType::kRunData,
+            std::string((i * 37) % 251, static_cast<char>('a' + i % 26))};
+    burst += EncodeFrame(f);
+    frames.push_back(std::move(f));
+  }
+  ASSERT_LT(burst.size(), FdChannel::kRecvBufferBytes);
+  ASSERT_EQ(::write(child->fd(), burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  for (size_t i = 0; i < frames.size(); ++i) {
+    Frame got;
+    ASSERT_TRUE(parent->Recv(&got, 2.0).ok()) << "frame " << i;
+    EXPECT_EQ(got.type, frames[i].type) << "frame " << i;
+    EXPECT_EQ(got.payload, frames[i].payload) << "frame " << i;
+    EXPECT_EQ(parent->HasBufferedFrame(), i + 1 < frames.size())
+        << "frame " << i;
+  }
+
+  const Frame small{MessageType::kRunEnd, "small"};
+  const Frame large{MessageType::kRunData,
+                    std::string(FdChannel::kRecvBufferBytes * 3 + 5, 'L')};
+  const std::string mixed = EncodeFrame(small) + EncodeFrame(large) +
+                            EncodeFrame(small) + EncodeFrame(small);
+  std::thread writer([&] { WriteAll(child->fd(), mixed); });
+  for (const Frame* want : {&small, &large, &small, &small}) {
+    Frame got;
+    ASSERT_TRUE(parent->Recv(&got, 5.0).ok());
+    EXPECT_EQ(got.type, want->type);
+    EXPECT_EQ(got.payload, want->payload);
+  }
+  writer.join();
+  EXPECT_FALSE(parent->HasBufferedFrame());
 }
 
 TEST(ChannelTest, RecvAllocatesOnlyAsPayloadBytesArrive) {
@@ -450,7 +542,7 @@ TEST(SupervisorCodecTest, DecodeRejectsGarbage) {
 TEST(RunTrailerTest, AppendVerifyStripRoundTripAndCorruption) {
   const std::string original = "frame bytes standing in for sorted records";
   std::string segment = original;
-  AppendRunTrailer(&segment);
+  segment += RunTrailer(segment);
   ASSERT_EQ(segment.size(), original.size() + 4);
 
   // The happy path: a shipped run verifies and strips back to its frames.
@@ -798,11 +890,60 @@ TEST(SupervisorTest, CorruptRunKillsTheWorkerAndRetries) {
   EXPECT_EQ(counters.spill_files_reaped, 1u);
   ASSERT_EQ(committed.size(), 1u);
   ASSERT_NE(committed[0].file, nullptr);
-  Result<std::string> stored = ReadFileExtent(
-      committed[0].file->path(), committed[0].offset, committed[0].length);
-  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
-  ASSERT_TRUE(VerifyAndStripRunTrailer(&*stored).ok());
-  EXPECT_EQ(*stored, std::string(100, 'b'));  // attempt 1's bytes
+  std::string stored(committed[0].length, '\0');
+  const Status read = committed[0].file->ReadAt(committed[0].offset,
+                                                stored.data(), stored.size());
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  ASSERT_TRUE(VerifyAndStripRunTrailer(&stored).ok());
+  EXPECT_EQ(stored, std::string(100, 'b'));  // attempt 1's bytes
+  committed.clear();
+  EXPECT_TRUE(fs::is_empty(dir));
+  fs::remove_all(dir);
+}
+
+// A forked worker's map attempt spills many times, all into its one spill
+// file, and is SIGKILLed before it ships a run. Its death orphans exactly
+// that file, which the supervisor reaps; the retry on a fresh worker ships
+// every run, and dropping the committed runs empties the spill dir.
+TEST(SupervisorTest, KilledWorkersOneSpillFileIsReaped) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "ddp_mp_killed_spill_test";
+  fs::remove_all(dir);
+  const SupervisedPhase phase = MapPhase("killed-spill", 1);
+  Options options = ForkOptions(1);
+  options.memory_budget_bytes = 4096;
+  options.spill_dir = dir.string();
+  WorkerTaskFn fn = [&dir](uint64_t, uint64_t attempt, bool,
+                           const std::string&, TaskResult* result) -> Status {
+    internal::SpillingBuffer<uint32_t, uint64_t, KeyTraits<uint32_t>> buffer(
+        /*num_partitions=*/3, /*budget_bytes=*/64, dir.string(), "killed");
+    for (uint32_t i = 0; i < 200; ++i) buffer.Add(i % 11, i);
+    DDP_RETURN_NOT_OK(buffer.Finish());
+    result->runs = std::move(buffer.runs());
+    result->payload = std::to_string(result->runs.back().spill_index + 1);
+    if (attempt == 0) result->crash_after_runs = 0;
+    return Status::OK();
+  };
+  std::vector<SpillRun> committed;
+  std::string spills;
+  CommitFn commit = [&](size_t, bool, double, std::string payload,
+                        std::vector<SpillRun> runs) {
+    spills = std::move(payload);
+    committed = std::move(runs);
+    return Status::OK();
+  };
+  JobCounters counters;
+  ASSERT_TRUE(
+      WorkerSupervisor::RunPhase(options, phase, fn, commit, &counters).ok());
+  EXPECT_EQ(counters.worker_crashes, 1u);
+  EXPECT_EQ(counters.map_task_retries, 1u);
+  EXPECT_EQ(counters.spill_files_reaped, 1u);
+  EXPECT_GE(std::stoul(spills), 4u);  // spills of the attempt
+  ASSERT_FALSE(committed.empty());
+  EXPECT_EQ(committed.back().spill_index + 1, std::stoul(spills));
   committed.clear();
   EXPECT_TRUE(fs::is_empty(dir));
   fs::remove_all(dir);

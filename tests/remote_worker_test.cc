@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/socket.h>
+
 #include "common/serde.h"
 #include "dataset/generators.h"
 #include "ddp/basic_ddp.h"
@@ -36,6 +38,7 @@
 #include "ddp/remote_jobs.h"
 #include "mapreduce/remote_job.h"
 #include "mapreduce/remote_worker.h"
+#include "mapreduce/spill.h"
 #include "mapreduce/supervisor.h"
 
 #ifndef DDP_WORKER_BIN
@@ -212,6 +215,103 @@ TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
   EXPECT_EQ(counters.workers_registered, 1u);
   EXPECT_EQ(counters.workers_evicted, 1u);
   EXPECT_LT(seconds, 30.0);
+}
+
+// A worker whose whole attempt (a run in 200 kRunData chunks, and its
+// result) arrives in one write and which then says nothing more: every
+// frame after the first waits in the supervisor's receive buffer, where
+// poll cannot see it. The supervisor must take those frames as ready, so
+// the attempt commits at once, with no eviction and no retry. Were it to
+// wait in poll for each (10 ms), the phase would take over 2 s; were it to
+// wait for bytes on the socket, the hang scan would evict the silent
+// worker.
+TEST(BufferedReceiveTest, WholeAttemptInOneWriteCommitsWithoutWaiting) {
+  auto pool = mr::RemoteWorkerPool::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const uint16_t port = (*pool)->port();
+  // A 2,000-byte tail run, trailer included: 200 chunks of 10 bytes.
+  const std::string frames_bytes(1996, 'f');
+  const std::string run = frames_bytes + mr::RunTrailer(frames_bytes);
+  std::thread fake([port, &run] {
+    auto ch = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
+                                      /*deadline_seconds=*/5.0);
+    if (!ch.ok()) return;
+    mr::HelloMsg hello;
+    hello.worker_id = 41;
+    if (!(*ch)->Send({mr::MessageType::kHello, hello.Encode()}).ok()) return;
+    mr::Frame frame;
+    while ((*ch)->Recv(&frame, /*timeout_seconds=*/30.0).ok()) {
+      mr::TaskAssignMsg assign;
+      if (frame.type != mr::MessageType::kTaskAssign ||
+          !mr::TaskAssignMsg::Decode(frame.payload, &assign).ok()) {
+        continue;
+      }
+      mr::RunBeginMsg begin;
+      begin.task = assign.task;
+      begin.attempt = assign.attempt;
+      begin.spill_index = mr::kTailRunIndex;
+      begin.length = run.size();
+      std::string burst =
+          mr::EncodeFrame({mr::MessageType::kRunBegin, begin.Encode()});
+      for (size_t off = 0; off < run.size(); off += 10) {
+        burst += mr::EncodeFrame(
+            {mr::MessageType::kRunData, run.substr(off, 10)});
+      }
+      mr::RunEndMsg end;
+      end.task = assign.task;
+      end.attempt = assign.attempt;
+      burst += mr::EncodeFrame({mr::MessageType::kRunEnd, end.Encode()});
+      mr::ResultMsg result;
+      result.task = assign.task;
+      result.attempt = assign.attempt;
+      result.payload = "done";
+      burst += mr::EncodeFrame({mr::MessageType::kResult, result.Encode()});
+      if (::send((*ch)->fd(), burst.data(), burst.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(burst.size())) {
+        return;
+      }
+    }
+  });
+
+  mr::Options options;
+  options.exec_mode = mr::ExecMode::kRemote;
+  options.remote_pool = pool->get();
+  mr::SupervisedPhase phase;
+  phase.job_name = "one-write";
+  phase.num_tasks = 1;
+  phase.remote_setup = mr::JobSetupMsg{}.Encode();
+  phase.remote_input = [](size_t) -> Result<std::string> {
+    return std::string();
+  };
+  mr::WorkerTaskFn fn = [](uint64_t, uint64_t, bool, const std::string&,
+                           mr::TaskResult*) {
+    return Status::Internal("a remote phase forks no workers");
+  };
+  std::string payload;
+  std::vector<mr::SpillRun> runs;
+  mr::CommitFn commit = [&](size_t, bool, double, std::string p,
+                            std::vector<mr::SpillRun> r) {
+    payload = std::move(p);
+    runs = std::move(r);
+    return Status::OK();
+  };
+  mr::JobCounters counters;
+  const auto start = std::chrono::steady_clock::now();
+  const Status st =
+      mr::WorkerSupervisor::RunPhase(options, phase, fn, commit, &counters);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  pool->reset();  // closes the parked channel, so the fake returns
+  fake.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(payload, "done");
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].bytes, frames_bytes);
+  EXPECT_EQ(counters.workers_registered, 1u);
+  EXPECT_EQ(counters.workers_evicted, 0u);
+  EXPECT_EQ(counters.map_task_retries, 0u);
+  EXPECT_LT(seconds, 1.0);
 }
 
 // --------------------------------------------------------- worker processes

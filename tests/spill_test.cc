@@ -9,13 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "dataset/generators.h"
 #include "ddp/basic_ddp.h"
@@ -133,6 +137,62 @@ TEST(SpillFileTest, CorruptionFailsTheCrcCheck) {
 }
 
 // ---------------------------------------------------------------------------
+// SpillingBuffer: every spill of one map attempt appends to one file.
+
+TEST(SpillingBufferTest, SpillsOfOneTaskAppendToOneFile) {
+  SpillDirGuard guard("ddp_spill_one_file_test");
+  std::map<uint32_t, std::vector<uint64_t>> expected;
+  {
+    internal::SpillingBuffer<uint32_t, uint64_t, KeyTraits<uint32_t>> buffer(
+        /*num_partitions=*/4, /*budget_bytes=*/64, guard.dir(), "one-file");
+    for (uint32_t i = 0; i < 300; ++i) {
+      buffer.Add(i % 23, uint64_t{i} * 7);
+      expected[i % 23].push_back(uint64_t{i} * 7);
+    }
+    ASSERT_TRUE(buffer.Finish().ok());
+    EXPECT_EQ(buffer.spill_files(), 1u);
+    ASSERT_EQ(guard.FileCount(), 1u);
+    const std::string name =
+        fs::directory_iterator(guard.dir())->path().filename().string();
+    EXPECT_EQ(name.find("-s"), std::string::npos) << name;
+
+    // Runs come in spill order, every spill index from 0 up, all in the
+    // one file; reading them back yields each key's values in emission
+    // order.
+    const std::vector<SpillRun>& runs = buffer.runs();
+    ASSERT_FALSE(runs.empty());
+    std::set<uint32_t> indices;
+    std::map<uint32_t, std::vector<uint64_t>> read;
+    for (const SpillRun& run : runs) {
+      EXPECT_EQ(run.file, runs.front().file);
+      if (!indices.empty()) {
+        EXPECT_GE(run.spill_index, *indices.rbegin());
+      }
+      indices.insert(run.spill_index);
+      SpillSegmentReader reader(run.file, run.offset, run.length);
+      std::string_view frame;
+      bool eof = false;
+      while (true) {
+        ASSERT_TRUE(reader.NextFrame(&frame, &eof).ok());
+        if (eof) break;
+        BufferReader rec(frame.data(), frame.size());
+        uint32_t key = 0;
+        uint64_t value = 0;
+        ASSERT_TRUE(Serde<uint32_t>::Read(&rec, &key).ok());
+        ASSERT_TRUE(Serde<uint64_t>::Read(&rec, &value).ok());
+        read[key].push_back(value);
+      }
+    }
+    EXPECT_EQ(*indices.begin(), 0u);
+    EXPECT_EQ(*indices.rbegin(), indices.size() - 1);
+    EXPECT_GE(indices.size(), 10u);
+    EXPECT_EQ(read, expected);
+  }
+  // The buffer and its runs are gone, so is the file.
+  EXPECT_EQ(guard.FileCount(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // RunJob: bit-identical output across budgets, spill accounting, no leaks.
 
 // A job with enough skew and volume that small budgets force many runs per
@@ -217,9 +277,12 @@ TEST(SpillRunJobTest, OutputBitIdenticalAcrossBudgets) {
       EXPECT_EQ(counters.merge_passes, 0u);
     } else if (budget <= 4096) {
       if (budget == 256) {
-        // The tightest budget must really exercise the external path: at
-        // least four spill files (runs) per map task, all merged reduce-side.
-        EXPECT_GE(counters.spill_files, 4u * num_map_tasks);
+        // The tightest budget must really exercise the external path: every
+        // map task spills into its one file, at least four times on average
+        // (every spill but a task's last writes at least the budget), all
+        // merged reduce-side.
+        EXPECT_EQ(counters.spill_files, num_map_tasks);
+        EXPECT_GE(counters.spilled_bytes, 4u * budget * num_map_tasks);
       }
       EXPECT_GT(counters.spill_files, 0u) << "budget=" << budget;
       EXPECT_GT(counters.spilled_bytes, 0u);
@@ -494,6 +557,77 @@ TEST_P(SpillDdpTest, KilledDriverResumesWithPopulatedSpillDir) {
 
 INSTANTIATE_TEST_SUITE_P(Pipelines, SpillDdpTest,
                          ::testing::Values("lsh-ddp", "basic-ddp"));
+
+// The open descriptors of the calling process.
+rlim_t OpenDescriptors() {
+  rlim_t n = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// Lowers the process's soft descriptor limit while in scope.
+class DescriptorLimit {
+ public:
+  explicit DescriptorLimit(rlim_t soft) {
+    ok_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+    struct rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ok_ && ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~DescriptorLimit() {
+    if (ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+
+  bool ok() const { return ok_; }
+
+ private:
+  struct rlimit saved_ {};
+  bool ok_ = false;
+};
+
+// An in-process LSH pipeline at 4 KiB spills hundreds of runs into every
+// reduce partition, and four reducers merge at once. Under a descriptor
+// limit far below one partition's run count it must still match the
+// unbudgeted run byte for byte: a merge holds one descriptor per map
+// attempt's spill file, not one per run.
+TEST(SpillDescriptorTest, FourKiBPipelineRunsUnderASmallDescriptorLimit) {
+  SpillDirGuard guard("ddp_spill_fd_limit");
+  auto dataset = gen::KddLike(/*seed=*/1, 1500);
+  ASSERT_TRUE(dataset.ok());
+  DdpOptions options = BaseDdpOptions();
+  options.mr.num_workers = 4;
+  LshDdp unbudgeted_algo;
+  auto unbudgeted = RunDistributedDp(&unbudgeted_algo, *dataset, options);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
+
+  constexpr uint64_t kBudget = 4096;
+  options.mr.memory_budget_bytes = kBudget;
+  options.mr.spill_dir = guard.dir();
+  // Room for 16 map attempts' files and a few more.
+  const rlim_t limit = OpenDescriptors() + 32;
+  Result<DdpRunResult> budgeted = Status::Internal("not run");
+  {
+    DescriptorLimit lowered(limit);
+    ASSERT_TRUE(lowered.ok());
+    LshDdp algo;
+    budgeted = RunDistributedDp(&algo, *dataset, options);
+  }
+  ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
+  EXPECT_TRUE(BitIdentical(*unbudgeted, *budgeted));
+  EXPECT_EQ(guard.FileCount(), 0u);
+  // A partition's run holds at most the budget plus one record (smaller
+  // than the budget here), so the largest partition spilled more runs than
+  // this bound, which the limit must sit below.
+  uint64_t max_partition_bytes = 0;
+  for (const JobCounters& job : budgeted->stats.jobs) {
+    max_partition_bytes =
+        std::max(max_partition_bytes, job.max_partition_bytes);
+  }
+  EXPECT_GT(max_partition_bytes / (2 * kBudget), limit);
+}
 
 }  // namespace
 }  // namespace mr
