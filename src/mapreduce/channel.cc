@@ -96,33 +96,6 @@ std::string EncodeFrame(const Frame& frame) {
   return bytes;
 }
 
-Status DecodeFrame(const std::string& bytes, Frame* frame) {
-  BufferReader r(bytes);
-  uint8_t type = 0;
-  DDP_RETURN_NOT_OK(r.GetByte(&type));
-  uint64_t len = 0;
-  DDP_RETURN_NOT_OK(r.GetVarint64(&len));
-  if (r.remaining() < 4 || len > r.remaining() - 4) {
-    return Status::IoError("truncated channel frame");
-  }
-  frame->type = static_cast<MessageType>(type);
-  frame->payload.clear();
-  frame->payload.reserve(static_cast<size_t>(len));
-  BufferReader payload(nullptr, size_t{0});
-  DDP_RETURN_NOT_OK(r.Slice(static_cast<size_t>(len), &payload));
-  frame->payload.resize(static_cast<size_t>(len));
-  DDP_RETURN_NOT_OK(
-      payload.GetRaw(frame->payload.data(), frame->payload.size()));
-  uint8_t trailer[4];
-  DDP_RETURN_NOT_OK(r.GetRaw(trailer, sizeof(trailer)));
-  if (!r.exhausted()) return Status::IoError("trailing bytes after frame");
-  if (LoadCrcTrailer(trailer) !=
-      Crc32(frame->payload.data(), frame->payload.size())) {
-    return Status::IoError("channel frame CRC mismatch");
-  }
-  return Status::OK();
-}
-
 FdChannel::~FdChannel() { Close(); }
 
 void FdChannel::Close() {
@@ -448,63 +421,6 @@ Result<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
         std::max(1.0, schedule.DelaySeconds(attempt) * 1e3)));
   }
   return Status::IoError("tcp connect to " + host + " failed: " + last_error);
-}
-
-std::pair<std::unique_ptr<LoopbackChannel>, std::unique_ptr<LoopbackChannel>>
-LoopbackChannel::MakePair() {
-  auto a = std::make_shared<Queue>();
-  auto b = std::make_shared<Queue>();
-  auto left = std::make_unique<LoopbackChannel>();
-  auto right = std::make_unique<LoopbackChannel>();
-  left->incoming_ = a;
-  left->outgoing_ = b;
-  right->incoming_ = b;
-  right->outgoing_ = a;
-  return {std::move(left), std::move(right)};
-}
-
-Status LoopbackChannel::Send(const Frame& frame) {
-  std::string bytes = EncodeFrame(frame);
-  std::lock_guard<std::mutex> lock(outgoing_->mu);
-  if (outgoing_->closed) return Status::IoError("channel closed");
-  outgoing_->frames.push_back(std::move(bytes));
-  outgoing_->cv.notify_all();
-  return Status::OK();
-}
-
-Status LoopbackChannel::Recv(Frame* frame, double timeout_seconds) {
-  std::unique_lock<std::mutex> lock(incoming_->mu);
-  const auto ready = [this] {
-    return !incoming_->frames.empty() || incoming_->closed;
-  };
-  if (timeout_seconds > 0.0) {
-    if (!incoming_->cv.wait_for(
-            lock, std::chrono::duration<double>(timeout_seconds), ready)) {
-      return Status::DeadlineExceeded("channel read timed out");
-    }
-  } else {
-    incoming_->cv.wait(lock, ready);
-  }
-  if (incoming_->frames.empty()) return Status::IoError("channel closed");
-  std::string bytes = std::move(incoming_->frames.front());
-  incoming_->frames.pop_front();
-  lock.unlock();
-  return DecodeFrame(bytes, frame);
-}
-
-void LoopbackChannel::Close() {
-  for (auto& q : {incoming_, outgoing_}) {
-    if (q == nullptr) continue;
-    std::lock_guard<std::mutex> lock(q->mu);
-    q->closed = true;
-    q->cv.notify_all();
-  }
-}
-
-void LoopbackChannel::InjectRaw(std::string bytes) {
-  std::lock_guard<std::mutex> lock(incoming_->mu);
-  incoming_->frames.push_back(std::move(bytes));
-  incoming_->cv.notify_all();
 }
 
 }  // namespace mr

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <condition_variable>
 #include <string>
 #include <utility>
 
@@ -27,7 +25,7 @@
 /// worker ships it as raw kRunData payload bytes — a framed copy of the
 /// file extent, no re-serialization on either side.
 ///
-/// One channel per substrate, plus a test double:
+/// One channel per substrate, both over a descriptor (`FdChannel`):
 ///  * `PipeChannel` — a socketpair(AF_UNIX, SOCK_STREAM) endpoint created
 ///    before fork: how the supervisor talks to its forked workers. `Send`
 ///    is mutex guarded so a worker's heartbeat thread and its task loop can
@@ -40,9 +38,8 @@
 ///    can be re-established after a drop — the supervisor keeps the remote
 ///    worker's stream state and the worker resends from the last committed
 ///    run.
-///  * `LoopbackChannel` — an in-memory queue pair for protocol tests: what
-///    one endpoint sends the other receives, byte-for-byte through the same
-///    encoder/decoder as the descriptor paths.
+/// Protocol tests run over `PipeChannel::CreatePair()` in one process and
+/// write raw bytes to the peer's descriptor to corrupt a frame.
 
 namespace ddp {
 namespace mr {
@@ -100,31 +97,29 @@ class CommChannel {
   /// Receives the next frame, waiting at most `timeout_seconds` for it to
   /// start arriving (<= 0 waits forever). A clean peer close yields
   /// IoError("channel closed"); a missed deadline yields DeadlineExceeded.
-  /// A descriptor channel rejects a declared payload above 1 GiB as
-  /// IoError before allocating for it.
+  /// A declared payload above 1 GiB is an IoError before any allocation.
   virtual Status Recv(Frame* frame, double timeout_seconds) = 0;
 
   /// True when the next Recv returns without touching the descriptor: a
   /// whole frame (or a header Recv rejects) already sits in the channel's
   /// receive buffer. poll() cannot see such bytes, so an event loop must
   /// treat the channel as ready. Call from the receiving thread only.
-  virtual bool HasBufferedFrame() const { return false; }
+  virtual bool HasBufferedFrame() const = 0;
 
-  /// Pollable descriptor for readiness multiplexing, or -1 if the channel
-  /// has none (loopback).
-  virtual int fd() const { return -1; }
+  /// Pollable descriptor for readiness multiplexing.
+  virtual int fd() const = 0;
 
   /// Half-closes the sending direction (TCP FIN / SHUT_WR): the peer reads
   /// everything already sent and then a clean EOF, while this end can still
-  /// Recv. Channels without directional close treat it as a no-op.
-  virtual void ShutdownWrite() {}
+  /// Recv.
+  virtual void ShutdownWrite() = 0;
 
   virtual void Close() = 0;
 };
 
 /// Serializes `frame` into the on-wire byte sequence, in one string of
-/// exactly its size. Serves LoopbackChannel and the tests; FdChannel::Send
-/// writes the same bytes without building them in one buffer.
+/// exactly its size: the tests' reference for FdChannel::Send, which writes
+/// the same bytes without building them in one buffer.
 std::string EncodeFrame(const Frame& frame);
 
 /// A CommChannel over one stream-socket descriptor — the shared engine of
@@ -227,39 +222,6 @@ class TcpListener {
   int fd_ = -1;
   uint16_t port_ = 0;
 };
-
-/// In-memory channel endpoint for protocol tests. `MakePair` wires two
-/// endpoints so each Send lands in the peer's receive queue after a round
-/// trip through the wire encoding (CRC checks included).
-class LoopbackChannel : public CommChannel {
- public:
-  static std::pair<std::unique_ptr<LoopbackChannel>,
-                   std::unique_ptr<LoopbackChannel>>
-  MakePair();
-
-  Status Send(const Frame& frame) override;
-  Status Recv(Frame* frame, double timeout_seconds) override;
-  void Close() override;
-
-  /// Test hook: appends raw bytes to this endpoint's receive queue as if
-  /// the peer had written them (for corruption tests).
-  void InjectRaw(std::string bytes);
-
- private:
-  struct Queue {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::string> frames;  // encoded wire bytes, one per frame
-    bool closed = false;
-  };
-
-  std::shared_ptr<Queue> incoming_;
-  std::shared_ptr<Queue> outgoing_;
-};
-
-/// Decodes one wire-encoded frame (shared by LoopbackChannel and tests;
-/// FdChannel decodes incrementally off the descriptor).
-Status DecodeFrame(const std::string& bytes, Frame* frame);
 
 }  // namespace mr
 }  // namespace ddp

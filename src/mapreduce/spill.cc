@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace ddp {
@@ -22,9 +23,17 @@ namespace {
 long CurrentPid() { return static_cast<long>(::getpid()); }
 
 /// True when `pid` names a live process (or liveness cannot be probed, in
-/// which case the reaper stays conservative and keeps the file).
+/// which case the reaper stays conservative and keeps the file). kill(pid,
+/// 0) succeeds on a zombie, so waitid asks first whether `pid` is an exited
+/// child of ours (WNOWAIT leaves it waitable; other pids fail with ECHILD).
 bool ProcessAlive(long pid) {
   if (pid <= 0) return true;
+  siginfo_t info{};
+  if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+               WEXITED | WNOHANG | WNOWAIT) == 0 &&
+      info.si_pid != 0) {
+    return false;
+  }
   if (::kill(static_cast<pid_t>(pid), 0) == 0) return true;
   return errno != ESRCH;
 }
@@ -210,18 +219,24 @@ Status SpillFileWriter::Close() {
 
 Status SpillSegmentReader::Ensure(size_t n) {
   if (buf_.size() - pos_ >= n) return Status::OK();
-  // Compact the consumed prefix, then top up from disk.
+  // Compact the consumed prefix, then top up from disk. The chunk that
+  // ends the run reads its trailer too when it fits, so a run of at most
+  // kIoChunk bytes is one read.
   buf_.erase(0, pos_);
   pos_ = 0;
   while (buf_.size() < n && remaining_ > 0) {
-    const size_t want =
+    const size_t frames =
         static_cast<size_t>(std::min<uint64_t>(remaining_, kIoChunk));
+    const size_t trailer = remaining_ + 4 <= kIoChunk ? 4 : 0;
     const size_t old = buf_.size();
-    buf_.resize(old + want);
-    DDP_RETURN_NOT_OK(file_->ReadAt(offset_, &buf_[old], want));
-    crc_ = Crc32(buf_.data() + old, want, crc_);
-    offset_ += want;
-    remaining_ -= want;
+    buf_.resize(old + frames + trailer);
+    DDP_RETURN_NOT_OK(file_->ReadAt(offset_, &buf_[old], frames + trailer));
+    std::memcpy(trailer_, buf_.data() + old + frames, trailer);
+    have_trailer_ = trailer > 0;
+    buf_.resize(old + frames);
+    crc_ = Crc32(buf_.data() + old, frames, crc_);
+    offset_ += frames;
+    remaining_ -= frames;
   }
   if (buf_.size() - pos_ < n) {
     return Status::IoError("spill run truncated in " + file_->path());
@@ -236,13 +251,12 @@ Status SpillSegmentReader::NextFrame(std::string_view* payload, bool* eof) {
   }
   if (remaining_ == 0 && pos_ == buf_.size()) {
     // Clean end of run: verify the accumulated CRC against the trailer.
-    char trailer[4];
-    DDP_RETURN_NOT_OK(file_->ReadAt(offset_, trailer, sizeof(trailer)));
-    const uint32_t stored =
-        static_cast<uint32_t>(static_cast<uint8_t>(trailer[0])) |
-        (static_cast<uint32_t>(static_cast<uint8_t>(trailer[1])) << 8) |
-        (static_cast<uint32_t>(static_cast<uint8_t>(trailer[2])) << 16) |
-        (static_cast<uint32_t>(static_cast<uint8_t>(trailer[3])) << 24);
+    if (!have_trailer_) DDP_RETURN_NOT_OK(file_->ReadAt(offset_, trailer_, 4));
+    const auto* t = reinterpret_cast<const uint8_t*>(trailer_);
+    const uint32_t stored = static_cast<uint32_t>(t[0]) |
+                            (static_cast<uint32_t>(t[1]) << 8) |
+                            (static_cast<uint32_t>(t[2]) << 16) |
+                            (static_cast<uint32_t>(t[3]) << 24);
     if (stored != crc_) {
       return Status::IoError("spill run CRC mismatch in " + file_->path());
     }

@@ -190,10 +190,10 @@ class FrameStream {
   virtual Status NextFrame(std::string_view* payload, bool* eof) = 0;
 };
 
-/// Streams frames from one CRC-trailed run of a spill file, read with
-/// `pread` through the file's handle. Each reader keeps its own position,
-/// so concurrent reduce attempts can read the same file independently. The
-/// CRC32 of everything read is verified against the trailer at end of run.
+/// Streams frames from one CRC-trailed run of a spill file, `pread` in
+/// chunks of at most 64 KiB (the last takes the trailer along when it fits)
+/// at the reader's own position, so concurrent reduce attempts share a
+/// file. The CRC32 of the frames is checked against the trailer at the end.
 class SpillSegmentReader : public FrameStream {
  public:
   SpillSegmentReader(std::shared_ptr<SpillFileHandle> file, uint64_t offset,
@@ -212,6 +212,8 @@ class SpillSegmentReader : public FrameStream {
   uint64_t offset_;      // file offset of the next unread byte
   uint64_t remaining_;   // frame-data bytes not yet read from disk
   bool bad_extent_;
+  bool have_trailer_ = false;
+  char trailer_[4] = {};
   uint32_t crc_ = 0;
   std::string buf_;
   size_t pos_ = 0;  // consumed prefix of buf_

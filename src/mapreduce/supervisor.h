@@ -1,80 +1,68 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/backoff.h"
 #include "common/result.h"
 #include "mapreduce/channel.h"
 #include "mapreduce/spill.h"
+#include "obs/trace.h"
 
 /// \file supervisor.h
 /// Crash-fault-tolerant supervision of worker processes — the "job tracker
 /// over real processes" counterpart of the in-process scheduler in
 /// phase.cc, whose supervised-phase adapter drives it with the job's
-/// mr::Options and JobCounters. A `WorkerSupervisor` runs one phase on one
-/// kind of crew: `ResolvedWorkers()` forked children (plain fork, no exec:
-/// the type-erased task closures cannot cross an exec boundary, so workers
-/// inherit the job's closures and input copy-on-write, and talk over a
-/// socketpair), or exec'd remote workers that dial in over TCP
-/// (remote_worker.h). Both kinds join the phase through one path and
-/// leave it through one path; they differ only where the substrate forces
-/// it (a forked worker is SIGKILLed and reaped, a remote one is evicted).
-/// It supervises:
+/// mr::Options and JobCounters. `WorkerSupervisor::RunPhase` runs one phase
+/// on one kind of crew: `ResolvedWorkers()` forked children (plain fork, no
+/// exec: the type-erased task closures cannot cross an exec boundary, so
+/// workers inherit the job's closures and input copy-on-write, and talk
+/// over a socketpair), or exec'd remote workers that dial in over TCP
+/// (remote_worker.h). A `PhaseMachine` (phase_machine.cc) makes every
+/// decision and holds no descriptor, pid, thread or clock: it learns of the
+/// world through events (a frame on a link, a link lost, a connection
+/// offered, the time) and acts only through `PhaseIo`. RunPhase is the
+/// driver that implements PhaseIo over socketpairs, TCP, fork/waitpid and
+/// spill files and feeds the machine from one poll loop;
+/// tests/supervisor_sim_test.cc implements it in memory. The policy:
 ///
-///  * crash — the worker died unexpectedly (channel EOF + waitpid), or
-///    broke the stream protocol and was killed. The in-flight attempt is
-///    charged and retried after a seeded exponential backoff; a
-///    replacement worker is forked while the phase-wide restart budget
-///    (`max_worker_restarts`) lasts.
-///  * hang — the attempt overran `task_deadline_seconds`, or the worker's
-///    heartbeat (a child-side ProgressHeartbeat that sends a kHeartbeat
-///    frame per beat) went silent past the grace window. The worker is
-///    SIGKILLed and the attempt charged, exactly like an in-process
-///    deadline kill.
+///  * crash — a forked worker whose channel failed, or any worker that
+///    broke the stream protocol, is dropped; its attempt is charged and
+///    retried after a seeded backoff, and a forked crew respawns while
+///    `max_worker_restarts` lasts.
+///  * hang — an attempt past `task_deadline_seconds`, or a busy worker
+///    silent past kHeartbeatGraceSeconds, is dropped and charged like an
+///    in-process deadline kill.
 ///  * poison — a task whose attempts killed `quarantine_after_crashes`
-///    consecutive workers. With `skip_bad_records` the task is re-run
-///    quarantined (the worker suppresses the poisonous record and counts it
-///    skipped, Hadoop's skip-mode); otherwise the job fails.
-///  * disconnect (remote workers only) — a remote worker's connection
-///    dropped. Nothing tells a remote crash from a network drop, so the
-///    supervisor keeps the attempt in flight and the already-committed
-///    runs; the worker redials with a seeded backoff, re-identifies itself
-///    (kHello carries worker id + generation), and a resume kRunAck tells
-///    it which run boundary to restart from. A worker still gone after the
-///    reconnect grace is evicted and its task reassigned. A forked worker's
-///    socketpair cannot be re-established: any channel error there is a
-///    crash.
+///    consecutive workers re-runs quarantined under `skip_bad_records`
+///    (Hadoop's skip mode); otherwise the job fails.
+///  * disconnect — a remote worker's lost connection is held, attempt and
+///    committed runs kept, for kConnectGraceSeconds; a redial with a higher
+///    hello generation resumes from the last committed run, and a worker
+///    still gone is evicted and its task reassigned.
+///  * admission — a new connection must say hello, among the crew's events,
+///    within kHelloSeconds, or it is closed.
 ///
-/// The streamed shuffle: a successful attempt does NOT relay its map output
-/// through the result payload. The worker ships each of its SpillRuns as
-/// its own kRunBegin / kRunData* / kRunEnd exchange — a disk run's bytes on
-/// the wire are byte-identical to its bytes on disk, CRC trailer included,
-/// and an in-memory run gets a trailer appended — and the supervisor
-/// commits every run as it completes: in-memory runs stay in memory,
-/// disk-backed runs are appended to a supervisor-owned spill file. Flow
-/// control is credit-based: the supervisor acks committed bytes
-/// (cumulative, at least every half window) and the worker opens a new run
-/// only while un-acked bytes stay under the credit window — the job's
-/// memory budget floored at 4 KiB, or 4 MiB without one — which every
-/// kTaskAssign carries to forked and remote workers alike, so neither side
-/// ever holds more than one run plus a window of the shuffle in memory.
-/// The slim kResult frame that follows carries counters only, and arrives
-/// after every run frame by stream ordering — so a committed result always
-/// has its full run set.
-///
-/// Results are committed per task index, so scheduling order, crashes,
-/// respawns, and reconnects never affect output order — the bit-identity
-/// argument of the multi-process mode reduces to "task bodies are pure,
-/// the commit slot is the task id, and the merge tie-break ordinal (map
-/// task, spill index, tail) rides inside the run stream"
-/// (docs/architecture.md, "Multi-process execution").
-///
-/// Raw process-control calls (fork/kill/waitpid) and raw sockets live in
-/// src/mapreduce/ and nowhere else; ddp_lint's process-control rule keeps
-/// it that way.
+/// The streamed shuffle: a worker ships each SpillRun of a successful
+/// attempt as kRunBegin / kRunData* / kRunEnd — a disk run byte-identical
+/// to its file extent, an in-memory run with a trailer appended — and the
+/// supervisor commits each run as it completes (in memory, or appended to
+/// a shuffle file it owns). Flow control is credit-based: the supervisor
+/// acks committed bytes at least every half window, and the worker opens a
+/// run only while its un-acked bytes fit the window each kTaskAssign
+/// carries (the memory budget floored at 4 KiB, or 4 MiB without one). A
+/// slim kResult follows every run frame, so a committed result has its
+/// full run set. Results commit per task index, so scheduling, crashes,
+/// respawns and reconnects never affect output order (docs/architecture.md,
+/// "Multi-process execution"). Raw process control lives in src/mapreduce/
+/// alone (raw sockets also in src/server/), as ddp_lint's R7 enforces.
 
 namespace ddp {
 namespace mr {
@@ -295,6 +283,156 @@ struct RunAckMsg {
   static Status Decode(const std::string& bytes, RunAckMsg* out);
 };
 
+/// Why a worker leaves a phase before teardown.
+enum class Drop {
+  kChannel,   // its channel failed: EOF or a corrupt frame
+  kProtocol,  // it broke the stream protocol or sent a bad result
+  kSilence,   // no heartbeat (or no redial) within the grace
+  kDeadline,  // its attempt overran the task deadline
+};
+
+/// Everything a PhaseMachine does to the world. A link is the driver's id
+/// for one channel: a forked worker's socketpair, an accepted connection or
+/// a parked one. Ids start at 1 and are never reused within a phase.
+class PhaseIo {
+ public:
+  virtual ~PhaseIo() = default;
+
+  /// Sends one frame. An error means the peer is gone; the link's loss
+  /// event follows.
+  virtual Status Send(uint64_t link, const Frame& frame) = 0;
+  /// Forks worker `id`; returns its link and (for its trace span) its pid.
+  virtual Result<std::pair<uint64_t, uint64_t>> Spawn(uint64_t id) = 0;
+  /// Reaps the forked worker on `link`, SIGKILLing it unless it exits
+  /// within `grace_seconds`. True when it had to be killed.
+  virtual bool KillAndReap(uint64_t link, double grace_seconds) = 0;
+  virtual void Close(uint64_t link) = 0;
+  /// Hands remote worker `id`'s link back to the pool for the next phase.
+  virtual void Park(uint64_t link, uint64_t id) = 0;
+  /// Appends one verified disk run, its frames without the trailer, to the
+  /// shuffle file of `begin`'s attempt, and returns the run as committed.
+  virtual Result<SpillRun> AppendRun(const RunBeginMsg& begin,
+                                     std::string_view frames) = 0;
+  /// Deletes the spill files whose owner process died; returns how many.
+  virtual uint64_t ReapOrphans() = 0;
+};
+
+class PhaseMachine {
+ public:
+  /// A busy worker silent for more than this is declared hung.
+  static constexpr double kHeartbeatGraceSeconds = 8 * kWorkerHeartbeatSeconds;
+  /// How long a disconnected remote worker (or an empty remote crew) is
+  /// waited for before it is evicted (or the phase fails).
+  static constexpr double kConnectGraceSeconds = 6.0;
+  /// How long an offered connection may take to say hello.
+  static constexpr double kHelloSeconds = 2.0;
+
+  /// `commit` runs once per task, as its first successful attempt's kResult
+  /// arrives; `io` outlives the machine.
+  PhaseMachine(const Options& options, const SupervisedPhase& phase,
+               CommitFn commit, JobCounters* counters, PhaseIo* io);
+
+  /// Admits the remote workers parked by an earlier phase, as (link, worker
+  /// id) pairs, and forks the initial crew, whose first fork must succeed.
+  Status Start(const std::vector<std::pair<uint64_t, uint64_t>>& parked,
+               double now);
+  /// A frame arrived on `link`; its payload may be moved from.
+  void OnFrame(uint64_t link, Frame* frame, double now);
+  /// `link` failed: EOF, a corrupt frame or a receive error.
+  void OnLost(uint64_t link, double now);
+  /// A new connection on the pool's listener; it must say hello first.
+  void OnOffer(uint64_t link, double now) { pending_.emplace_back(link, now); }
+  /// The time: hello, hang and grace deadlines, respawns, dispatch.
+  void Tick(double now);
+  /// Fails the phase from outside (the driver's poll failed).
+  void Fail(Status why) {
+    if (error_.ok()) error_ = std::move(why);
+  }
+
+  /// True once every task committed or the phase failed.
+  bool done() const { return !error_.ok() || completed() == tasks_.size(); }
+  size_t completed() const {
+    return completed_.load(std::memory_order_relaxed);
+  }
+
+  /// Parks idle remote workers, shuts the others down and reaps the forked
+  /// ones; returns the phase's status.
+  Status Teardown();
+
+ private:
+  struct OpenRun {
+    RunBeginMsg begin;
+    std::string buf;  // run bytes so far, trailer included
+    double started = 0.0;
+  };
+  /// One attempt's committed runs, acks and run in flight; dropped whole.
+  struct Stream {
+    std::vector<SpillRun> committed;
+    uint64_t committed_bytes = 0;
+    uint64_t last_acked_bytes = 0;
+    std::optional<OpenRun> open;
+  };
+  struct Worker {
+    uint64_t id = 0;
+    uint64_t link = 0;  // 0 while a remote worker is reconnecting
+    bool busy = false;
+    size_t task = 0;
+    size_t attempt = 0;
+    double dispatched = 0.0;
+    double last_beat = 0.0;
+    Stream stream;
+    std::unique_ptr<obs::Span> span;
+  };
+  struct TaskState {
+    size_t failed_attempts = 0;
+    size_t next_attempt = 0;
+    bool done = false;
+    bool in_flight = false;
+    bool quarantined = false;
+    size_t consecutive_crashes = 0;
+    double not_before = 0.0;  // backoff gate for the next attempt
+  };
+
+  size_t Find(uint64_t link) const;  // workers_.size() when none
+  Status Spawn(double now);
+  void Join(uint64_t id, uint64_t link, uint64_t pid, double now);
+  void Admit(uint64_t link, uint64_t id, bool resumed, double now);
+  void Hello(uint64_t link, const Frame& frame, double now);
+  void ChargeFailure(size_t t, bool crashed, const Status& why, double now);
+  void DropWorker(size_t wi, Drop cause, double now);
+  void DiscardOpenRun(Worker& w);
+  void SendAck(Worker& w);
+  bool RunBegin(Worker& w, const std::string& payload, double now);
+  bool RunData(Worker& w, std::string* payload);
+  bool RunEnd(Worker& w, const std::string& payload, double now);
+  void OnResult(size_t wi, const std::string& payload, double now);
+  void Dispatch(double now);
+
+  const Options& options_;
+  const SupervisedPhase& phase_;
+  const CommitFn commit_;
+  JobCounters* const counters_;
+  PhaseIo* const io_;
+  const char* const phase_name_;
+  const bool remote_;
+  const bool spills_;  // only a budgeted job's workers ship disk runs
+  const uint64_t window_;
+  const size_t fork_target_;
+  const ExponentialBackoff respawn_backoff_;
+
+  std::vector<Worker> workers_;
+  std::vector<TaskState> tasks_;
+  /// Offered connections still owing their hello: (link, offered at).
+  std::vector<std::pair<uint64_t, double>> pending_;
+  // Read by the driver's progress-heartbeat thread.
+  std::atomic<size_t> completed_{0};
+  size_t restarts_used_ = 0;
+  uint64_t next_worker_id_ = 1;
+  double next_respawn_ = 0.0;
+  double last_crew_ = 0.0;
+  Status error_;
+};
+
 class WorkerSupervisor {
  public:
   /// Runs tasks [0, phase.num_tasks) on the crew `options` asks for:
@@ -314,7 +452,7 @@ class WorkerSupervisor {
                          JobCounters* counters);
 };
 
-/// Child-side knobs for WorkerMain / WorkerLoop.
+/// Child-side knobs for WorkerLoop.
 struct WorkerMainConfig {
   uint64_t worker_id = 0;
   /// Re-establishes the channel after a drop (remote workers). Null for
@@ -335,12 +473,6 @@ struct WorkerMainConfig {
 /// (remote workers return to main; forked children must _exit instead).
 int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
                const WorkerMainConfig& config);
-
-/// Forked-child entry: WorkerLoop, then _exit so a forked child cannot run
-/// parent destructors.
-[[noreturn]] void WorkerMain(std::unique_ptr<CommChannel> channel,
-                             const WorkerTaskFn& fn,
-                             const WorkerMainConfig& config);
 
 }  // namespace mr
 }  // namespace ddp

@@ -378,13 +378,5 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
   return exit_code;
 }
 
-void WorkerMain(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
-                const WorkerMainConfig& cfg) {
-  // Exit discipline: a forked child leaves ONLY through _exit — running the
-  // parent's static destructors in a forked image would touch state whose
-  // owning threads do not exist here.
-  ::_exit(WorkerLoop(std::move(channel), fn, cfg));
-}
-
 }  // namespace mr
 }  // namespace ddp

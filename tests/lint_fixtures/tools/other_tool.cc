@@ -1,6 +1,6 @@
-// Fixture: the R7 exemption is pinned to the ddp_worker.cc file name, not
-// to the tools/ directory — any other tool keeps the ban (violation on
-// line 5).
+// Fixture: R7 exempts no tool — process control belongs to
+// src/mapreduce/ and src/server/ alone, so a tool keeps the ban (violation
+// on line 5).
 int Escape() {
   int child = fork();
   return child;

@@ -164,15 +164,13 @@ TEST(LintTest, ProcessControlConfinedToMapreduce) {
   // line 8 is not a POSIX primitive.
   EXPECT_EQ(r.out,
             f +
-                ":5: [process-control] fork() outside src/mapreduce/, "
-                "src/server/, or tools/ddp_worker.cc; process lifecycle "
-                "belongs to the worker supervisor (use the "
-                "CommChannel/WorkerSupervisor API)\n" +
+                ":5: [process-control] fork() outside src/mapreduce/ or "
+                "src/server/; process lifecycle belongs to the worker "
+                "supervisor (use the CommChannel/WorkerSupervisor API)\n" +
                 f +
-                ":7: [process-control] kill() outside src/mapreduce/, "
-                "src/server/, or tools/ddp_worker.cc; process lifecycle "
-                "belongs to the worker supervisor (use the "
-                "CommChannel/WorkerSupervisor API)\n");
+                ":7: [process-control] kill() outside src/mapreduce/ or "
+                "src/server/; process lifecycle belongs to the worker "
+                "supervisor (use the CommChannel/WorkerSupervisor API)\n");
 }
 
 TEST(LintTest, SocketPrimitivesConfinedToMapreduce) {
@@ -184,20 +182,17 @@ TEST(LintTest, SocketPrimitivesConfinedToMapreduce) {
   // server.listen (line 13) are not POSIX primitives.
   EXPECT_EQ(r.out,
             f +
-                ":6: [process-control] socket() outside src/mapreduce/, "
-                "src/server/, or tools/ddp_worker.cc; process lifecycle "
-                "belongs to the worker supervisor (use the "
-                "CommChannel/WorkerSupervisor API)\n" +
+                ":6: [process-control] socket() outside src/mapreduce/ or "
+                "src/server/; process lifecycle belongs to the worker "
+                "supervisor (use the CommChannel/WorkerSupervisor API)\n" +
                 f +
-                ":7: [process-control] listen() outside src/mapreduce/, "
-                "src/server/, or tools/ddp_worker.cc; process lifecycle "
-                "belongs to the worker supervisor (use the "
-                "CommChannel/WorkerSupervisor API)\n" +
+                ":7: [process-control] listen() outside src/mapreduce/ or "
+                "src/server/; process lifecycle belongs to the worker "
+                "supervisor (use the CommChannel/WorkerSupervisor API)\n" +
                 f +
-                ":8: [process-control] connect() outside src/mapreduce/, "
-                "src/server/, or tools/ddp_worker.cc; process lifecycle "
-                "belongs to the worker supervisor (use the "
-                "CommChannel/WorkerSupervisor API)\n");
+                ":8: [process-control] connect() outside src/mapreduce/ or "
+                "src/server/; process lifecycle belongs to the worker "
+                "supervisor (use the CommChannel/WorkerSupervisor API)\n");
 }
 
 TEST(LintTest, ServerDirMayUseSockets) {
@@ -208,26 +203,17 @@ TEST(LintTest, ServerDirMayUseSockets) {
   EXPECT_EQ(r.out, "");
 }
 
-TEST(LintTest, WorkerBinaryMayUseProcessControl) {
-  // tools/ddp_worker.cc shares the R7 exemption: the worker binary is the
-  // subsystem's process entry point (it spawns and reaps its own sibling
-  // workers for --workers N).
-  RunResult r = RunLint(Fixture("tools/ddp_worker.cc"));
-  EXPECT_EQ(r.exit_code, 0);
-  EXPECT_EQ(r.out, "");
-}
-
 TEST(LintTest, OtherToolsKeepProcessControlBan) {
-  // The exemption is pinned to the ddp_worker.cc file name, not to tools/.
+  // No tool is exempt, the worker binary included: ddp_worker.cc serves one
+  // worker per process and spawns none.
   std::string f = Fixture("tools/other_tool.cc");
   RunResult r = RunLint(f);
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_EQ(r.out,
             f +
-                ":5: [process-control] fork() outside src/mapreduce/, "
-                "src/server/, or tools/ddp_worker.cc; process lifecycle "
-                "belongs to the worker supervisor (use the "
-                "CommChannel/WorkerSupervisor API)\n");
+                ":5: [process-control] fork() outside src/mapreduce/ or "
+                "src/server/; process lifecycle belongs to the worker "
+                "supervisor (use the CommChannel/WorkerSupervisor API)\n");
 }
 
 // The token-stream rewrite of the linter must not change a single byte of
@@ -264,10 +250,9 @@ TEST(LintTest, LegacyRulesOutputUnchangedByRewrite) {
           "[a-z0-9_.]+ so exported traces and metric keys stay greppable and "
           "collator-safe\n" +
       cc +
-          ":37: [process-control] fork() outside src/mapreduce/, "
-          "src/server/, or tools/ddp_worker.cc; process lifecycle belongs to "
-          "the worker supervisor (use the CommChannel/WorkerSupervisor "
-          "API)\n" +
+          ":37: [process-control] fork() outside src/mapreduce/ or "
+          "src/server/; process lifecycle belongs to the worker supervisor "
+          "(use the CommChannel/WorkerSupervisor API)\n" +
       h + ":1: [header-hygiene] header is missing #pragma once\n" +
       h +
           ":3: [header-hygiene] using namespace in a header leaks into every "

@@ -217,6 +217,91 @@ TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
   EXPECT_LT(seconds, 30.0);
 }
 
+// A fake remote worker: dials `port`, says hello as worker 41 and answers
+// each task with its whole attempt in one write (`run` as a tail run in
+// 10-byte kRunData chunks, then a "done" result), until its channel closes.
+void ServeWholeAttemptsInOneWrite(uint16_t port, const std::string& run) {
+  auto ch = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
+                                    /*deadline_seconds=*/5.0);
+  if (!ch.ok()) return;
+  mr::HelloMsg hello;
+  hello.worker_id = 41;
+  if (!(*ch)->Send({mr::MessageType::kHello, hello.Encode()}).ok()) return;
+  mr::Frame frame;
+  while ((*ch)->Recv(&frame, /*timeout_seconds=*/30.0).ok()) {
+    mr::TaskAssignMsg assign;
+    if (frame.type != mr::MessageType::kTaskAssign ||
+        !mr::TaskAssignMsg::Decode(frame.payload, &assign).ok()) {
+      continue;
+    }
+    mr::RunBeginMsg begin;
+    begin.task = assign.task;
+    begin.attempt = assign.attempt;
+    begin.spill_index = mr::kTailRunIndex;
+    begin.length = run.size();
+    std::string burst =
+        mr::EncodeFrame({mr::MessageType::kRunBegin, begin.Encode()});
+    for (size_t off = 0; off < run.size(); off += 10) {
+      burst +=
+          mr::EncodeFrame({mr::MessageType::kRunData, run.substr(off, 10)});
+    }
+    mr::RunEndMsg end;
+    end.task = assign.task;
+    end.attempt = assign.attempt;
+    burst += mr::EncodeFrame({mr::MessageType::kRunEnd, end.Encode()});
+    mr::ResultMsg result;
+    result.task = assign.task;
+    result.attempt = assign.attempt;
+    result.payload = "done";
+    burst += mr::EncodeFrame({mr::MessageType::kResult, result.Encode()});
+    if (::send((*ch)->fd(), burst.data(), burst.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(burst.size())) {
+      return;
+    }
+  }
+}
+
+// What one single-task remote phase on `pool` committed, and how long it
+// took.
+struct OnePhase {
+  Status status;
+  std::string payload;
+  std::vector<mr::SpillRun> runs;
+  mr::JobCounters counters;
+  double seconds = 0.0;
+};
+
+OnePhase RunOneTaskPhase(mr::RemoteWorkerPool* pool, const std::string& name) {
+  mr::Options options;
+  options.exec_mode = mr::ExecMode::kRemote;
+  options.remote_pool = pool;
+  mr::SupervisedPhase phase;
+  phase.job_name = name;
+  phase.num_tasks = 1;
+  phase.remote_setup = mr::JobSetupMsg{}.Encode();
+  phase.remote_input = [](size_t) -> Result<std::string> {
+    return std::string();
+  };
+  mr::WorkerTaskFn fn = [](uint64_t, uint64_t, bool, const std::string&,
+                           mr::TaskResult*) {
+    return Status::Internal("a remote phase forks no workers");
+  };
+  OnePhase out;
+  mr::CommitFn commit = [&out](size_t, bool, double, std::string p,
+                               std::vector<mr::SpillRun> r) {
+    out.payload = std::move(p);
+    out.runs = std::move(r);
+    return Status::OK();
+  };
+  const auto start = std::chrono::steady_clock::now();
+  out.status =
+      mr::WorkerSupervisor::RunPhase(options, phase, fn, commit, &out.counters);
+  out.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  return out;
+}
+
 // A worker whose whole attempt (a run in 200 kRunData chunks, and its
 // result) arrives in one write and which then says nothing more: every
 // frame after the first waits in the supervisor's receive buffer, where
@@ -232,86 +317,46 @@ TEST(BufferedReceiveTest, WholeAttemptInOneWriteCommitsWithoutWaiting) {
   // A 2,000-byte tail run, trailer included: 200 chunks of 10 bytes.
   const std::string frames_bytes(1996, 'f');
   const std::string run = frames_bytes + mr::RunTrailer(frames_bytes);
-  std::thread fake([port, &run] {
-    auto ch = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
-                                      /*deadline_seconds=*/5.0);
-    if (!ch.ok()) return;
-    mr::HelloMsg hello;
-    hello.worker_id = 41;
-    if (!(*ch)->Send({mr::MessageType::kHello, hello.Encode()}).ok()) return;
-    mr::Frame frame;
-    while ((*ch)->Recv(&frame, /*timeout_seconds=*/30.0).ok()) {
-      mr::TaskAssignMsg assign;
-      if (frame.type != mr::MessageType::kTaskAssign ||
-          !mr::TaskAssignMsg::Decode(frame.payload, &assign).ok()) {
-        continue;
-      }
-      mr::RunBeginMsg begin;
-      begin.task = assign.task;
-      begin.attempt = assign.attempt;
-      begin.spill_index = mr::kTailRunIndex;
-      begin.length = run.size();
-      std::string burst =
-          mr::EncodeFrame({mr::MessageType::kRunBegin, begin.Encode()});
-      for (size_t off = 0; off < run.size(); off += 10) {
-        burst += mr::EncodeFrame(
-            {mr::MessageType::kRunData, run.substr(off, 10)});
-      }
-      mr::RunEndMsg end;
-      end.task = assign.task;
-      end.attempt = assign.attempt;
-      burst += mr::EncodeFrame({mr::MessageType::kRunEnd, end.Encode()});
-      mr::ResultMsg result;
-      result.task = assign.task;
-      result.attempt = assign.attempt;
-      result.payload = "done";
-      burst += mr::EncodeFrame({mr::MessageType::kResult, result.Encode()});
-      if (::send((*ch)->fd(), burst.data(), burst.size(), MSG_NOSIGNAL) !=
-          static_cast<ssize_t>(burst.size())) {
-        return;
-      }
-    }
-  });
-
-  mr::Options options;
-  options.exec_mode = mr::ExecMode::kRemote;
-  options.remote_pool = pool->get();
-  mr::SupervisedPhase phase;
-  phase.job_name = "one-write";
-  phase.num_tasks = 1;
-  phase.remote_setup = mr::JobSetupMsg{}.Encode();
-  phase.remote_input = [](size_t) -> Result<std::string> {
-    return std::string();
-  };
-  mr::WorkerTaskFn fn = [](uint64_t, uint64_t, bool, const std::string&,
-                           mr::TaskResult*) {
-    return Status::Internal("a remote phase forks no workers");
-  };
-  std::string payload;
-  std::vector<mr::SpillRun> runs;
-  mr::CommitFn commit = [&](size_t, bool, double, std::string p,
-                            std::vector<mr::SpillRun> r) {
-    payload = std::move(p);
-    runs = std::move(r);
-    return Status::OK();
-  };
-  mr::JobCounters counters;
-  const auto start = std::chrono::steady_clock::now();
-  const Status st =
-      mr::WorkerSupervisor::RunPhase(options, phase, fn, commit, &counters);
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
+  std::thread fake([port, &run] { ServeWholeAttemptsInOneWrite(port, run); });
+  const OnePhase got = RunOneTaskPhase(pool->get(), "one-write");
   pool->reset();  // closes the parked channel, so the fake returns
   fake.join();
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(payload, "done");
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].bytes, frames_bytes);
-  EXPECT_EQ(counters.workers_registered, 1u);
-  EXPECT_EQ(counters.workers_evicted, 0u);
-  EXPECT_EQ(counters.map_task_retries, 0u);
-  EXPECT_LT(seconds, 1.0);
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.payload, "done");
+  ASSERT_EQ(got.runs.size(), 1u);
+  EXPECT_EQ(got.runs[0].bytes, frames_bytes);
+  EXPECT_EQ(got.counters.workers_registered, 1u);
+  EXPECT_EQ(got.counters.workers_evicted, 0u);
+  EXPECT_EQ(got.counters.map_task_retries, 0u);
+  EXPECT_LT(got.seconds, 1.0);
+}
+
+// A connection that never says a word sits ahead of the worker in the
+// listener's queue. It waits for its hello in the same poll as the crew
+// (and is closed after 2 s), so the worker behind it is admitted at once
+// and the phase commits in well under the hello timeout, with no eviction
+// and no retry.
+TEST(BufferedReceiveTest, SilentConnectionDoesNotStallThePhase) {
+  auto pool = mr::RemoteWorkerPool::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const uint16_t port = (*pool)->port();
+  auto silent = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
+                                        /*deadline_seconds=*/5.0);
+  ASSERT_TRUE(silent.ok()) << silent.status().ToString();
+  const std::string frames_bytes(96, 's');
+  const std::string run = frames_bytes + mr::RunTrailer(frames_bytes);
+  std::thread fake([port, &run] { ServeWholeAttemptsInOneWrite(port, run); });
+  const OnePhase got = RunOneTaskPhase(pool->get(), "silent-peer");
+  pool->reset();
+  fake.join();
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.payload, "done");
+  ASSERT_EQ(got.runs.size(), 1u);
+  EXPECT_EQ(got.runs[0].bytes, frames_bytes);
+  EXPECT_EQ(got.counters.workers_registered, 1u);
+  EXPECT_EQ(got.counters.workers_evicted, 0u);
+  EXPECT_EQ(got.counters.map_task_retries, 0u);
+  EXPECT_LT(got.seconds, 1.0);
 }
 
 // --------------------------------------------------------- worker processes
@@ -357,6 +402,34 @@ TEST(SpawnWorkerProcessTest, WorkerGivesUpAtItsDialDeadline) {
                                           start)
                 .count(),
             1.5);
+}
+
+// A worker that has exited but that nobody has reaped yet is a zombie, and
+// kill(pid, 0) still calls a zombie alive. The reaper asks waitid first, so
+// a file stamped with such a worker's pid is reaped while the worker is
+// still unreaped, and WaitWorkerProcess still gets its exit code.
+TEST(SpawnWorkerProcessTest, ExitedUnreapedWorkersSpillFileIsReaped) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "ddp_zombie_reap_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // A flag ddp_worker does not know: it exits at once with a usage error.
+  Result<int64_t> pid = mr::SpawnWorkerProcess(DDP_WORKER_BIN, {"--bogus"});
+  ASSERT_TRUE(pid.ok()) << pid.status().ToString();
+  const fs::path file =
+      dir / ("zombie-p" + std::to_string(*pid) + "-u0.spill");
+  std::ofstream(file) << "x";
+  uint64_t reaped = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (reaped == 0 && std::chrono::steady_clock::now() < give_up) {
+    reaped = mr::ReapOrphanSpillFiles(dir.string());
+    if (reaped == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(reaped, 1u);
+  EXPECT_FALSE(fs::exists(file));
+  EXPECT_EQ(mr::WaitWorkerProcess(*pid), 2);
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------------------------ job registry

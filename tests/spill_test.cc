@@ -136,6 +136,97 @@ TEST(SpillFileTest, CorruptionFailsTheCrcCheck) {
   EXPECT_NE(st.message().find("CRC"), std::string::npos) << st.ToString();
 }
 
+// Writes one run holding a single frame whose frame bytes (length varint
+// and payload) total `frame_bytes`, after a 10-byte run, so the run starts
+// at a nonzero offset. Returns the run's extent.
+SpillExtent WriteOneFrameRun(SpillFileWriter* writer, size_t frame_bytes,
+                             std::string* payload) {
+  std::string frame;
+  BufferWriter w(&frame);
+  w.PutRaw("0123456789", 10);
+  writer->BeginRun();
+  writer->Append(frame.data(), frame.size());
+  EXPECT_TRUE(writer->EndRun().ok());
+  frame.clear();
+  size_t header = 1;
+  while (((frame_bytes - header) >> (7 * header)) != 0) ++header;
+  *payload = std::string(frame_bytes - header, 'p');
+  for (size_t i = 0; i < payload->size(); i += 97) (*payload)[i] = 'q';
+  w.PutVarint64(payload->size());
+  w.PutRaw(payload->data(), payload->size());
+  EXPECT_EQ(frame.size(), frame_bytes);
+  writer->BeginRun();
+  writer->Append(frame.data(), frame.size());
+  auto extent = writer->EndRun();
+  EXPECT_TRUE(extent.ok());
+  EXPECT_TRUE(writer->Close().ok());
+  return *extent;
+}
+
+// A run is read in 64 KiB chunks, and the chunk that ends the run also
+// reads the CRC trailer when it fits. Frame totals around 64 KiB put the
+// trailer wholly inside the first 64 KiB, across the 64 KiB boundary, or
+// past it; each run round-trips.
+TEST(SpillFileTest, TrailerAcrossTheReadBoundaryRoundTrips) {
+  SpillDirGuard guard("ddp_spill_trailer_edge_test");
+  for (size_t frame_bytes = 65530; frame_bytes <= 65537; ++frame_bytes) {
+    auto writer = SpillFileWriter::Create(
+        guard.dir(), "edge-" + std::to_string(frame_bytes) + ".spill");
+    ASSERT_TRUE(writer.ok());
+    std::string payload;
+    const SpillExtent extent =
+        WriteOneFrameRun(writer->get(), frame_bytes, &payload);
+    ASSERT_EQ(extent.length, frame_bytes + 4);
+    SpillSegmentReader reader((*writer)->handle(), extent.offset,
+                              extent.length);
+    std::string_view out;
+    bool eof = false;
+    ASSERT_TRUE(reader.NextFrame(&out, &eof).ok()) << frame_bytes;
+    ASSERT_FALSE(eof);
+    EXPECT_TRUE(out == payload) << frame_bytes;
+    const Status end = reader.NextFrame(&out, &eof);
+    ASSERT_TRUE(end.ok()) << frame_bytes << ": " << end.ToString();
+    EXPECT_TRUE(eof) << frame_bytes;
+  }
+}
+
+// CorruptionFailsTheCrcCheck flips a payload byte; here the trailer itself
+// is flipped, in a run that fits one read and in one whose trailer straddles
+// the read boundary.
+TEST(SpillFileTest, FlippedTrailerByteFailsTheCrcCheck) {
+  SpillDirGuard guard("ddp_spill_trailer_flip_test");
+  for (size_t frame_bytes : {size_t{100}, size_t{65534}}) {
+    for (uint64_t byte = 0; byte < 4; ++byte) {
+      auto writer = SpillFileWriter::Create(
+          guard.dir(), "flip-" + std::to_string(frame_bytes) + "-" +
+                           std::to_string(byte) + ".spill");
+      ASSERT_TRUE(writer.ok());
+      std::string payload;
+      const SpillExtent extent =
+          WriteOneFrameRun(writer->get(), frame_bytes, &payload);
+      {
+        std::fstream f((*writer)->handle()->path(),
+                       std::ios::binary | std::ios::in | std::ios::out);
+        const auto at =
+            static_cast<std::streamoff>(extent.offset + frame_bytes + byte);
+        f.seekg(at);
+        const char c = static_cast<char>(f.get());
+        f.seekp(at);
+        f.put(static_cast<char>(c ^ 0x20));
+      }
+      SpillSegmentReader reader((*writer)->handle(), extent.offset,
+                                extent.length);
+      std::string_view out;
+      bool eof = false;
+      Status st = reader.NextFrame(&out, &eof);
+      while (st.ok() && !eof) st = reader.NextFrame(&out, &eof);
+      ASSERT_FALSE(st.ok()) << frame_bytes << " byte " << byte;
+      EXPECT_TRUE(st.IsIoError());
+      EXPECT_NE(st.message().find("CRC"), std::string::npos) << st.ToString();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SpillingBuffer: every spill of one map attempt appends to one file.
 

@@ -263,22 +263,18 @@ void CheckHeaderHygiene(const SourceFile& f, std::vector<Finding>* out) {
 }
 
 // R7: raw process-control and socket primitives are confined to
-// src/mapreduce/, src/server/, and tools/ddp_worker.cc. In src/mapreduce/
-// the worker supervisor owns the process lifecycle
-// (spawn, heartbeat, kill, reap) and CommChannel owns the transport. A
-// fork/kill/waitpid anywhere else escapes the crash-fault model: it creates
-// children the supervisor will never reap, or signals pids whose ownership
-// it cannot see. A raw socket/bind/connect bypasses the framed, CRC-trailed
-// channel protocol and its reconnect semantics. src/server/ builds the
-// serving daemon on those primitives and shares the exemption, as does
-// tools/ddp_worker.cc — the worker subsystem's process entry point, which
-// owns the lifecycle of the sibling workers it spawns for --workers N. Use
-// the CommChannel/WorkerSupervisor API (or mr::CrashSelf in chaos tests)
-// elsewhere.
+// src/mapreduce/ and src/server/. In src/mapreduce/ the worker supervisor
+// owns the process lifecycle (spawn, heartbeat, kill, reap) and CommChannel
+// owns the transport. A fork/kill/waitpid anywhere else escapes the
+// crash-fault model: it creates children the supervisor will never reap, or
+// signals pids whose ownership it cannot see. A raw socket/bind/connect
+// bypasses the framed, CRC-trailed channel protocol and its reconnect
+// semantics. src/server/ builds the serving daemon on those primitives and
+// shares the exemption. Use the CommChannel/WorkerSupervisor API (or
+// mr::SpawnWorkerProcess, or mr::CrashSelf in chaos tests) elsewhere.
 void CheckProcessControl(const SourceFile& f, std::vector<Finding>* out) {
   if (PathContains(f.path, "src/mapreduce/") ||
-      PathContains(f.path, "src/server/") ||
-      PathContains(f.path, "tools/ddp_worker.cc")) {
+      PathContains(f.path, "src/server/")) {
     return;
   }
   static const std::vector<std::string> kCalls = {
@@ -330,10 +326,9 @@ void CheckProcessControl(const SourceFile& f, std::vector<Finding>* out) {
       }
       AddFinding(out, f, pos, kRuleProcess,
                  fn +
-                     "() outside src/mapreduce/, src/server/, or "
-                     "tools/ddp_worker.cc; process lifecycle belongs to the "
-                     "worker supervisor (use the CommChannel/WorkerSupervisor "
-                     "API)");
+                     "() outside src/mapreduce/ or src/server/; process "
+                     "lifecycle belongs to the worker supervisor (use the "
+                     "CommChannel/WorkerSupervisor API)");
     }
   }
 }

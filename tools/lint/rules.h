@@ -96,8 +96,8 @@ inline constexpr RuleDoc kRuleDocs[] = {
     {kRuleNames, "R5: span/metric name literals match [a-z0-9_.]+"},
     {kRuleHeader, "R6: headers use #pragma once, no using namespace"},
     {kRuleProcess,
-     "R7: fork/exec/kill/waitpid/socket calls confined to src/mapreduce/, "
-     "src/server/, and tools/ddp_worker.cc"},
+     "R7: fork/exec/kill/waitpid/socket calls confined to src/mapreduce/ "
+     "and src/server/"},
     {kRuleSerde,
      "R8: Encode/Decode pairs write and read the same field sequence"},
     {kRuleFrame,
