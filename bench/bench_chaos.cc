@@ -100,13 +100,15 @@ int Run() {
     char spec[32];
     std::snprintf(spec, sizeof(spec), "%llu(%llu)",
                   static_cast<unsigned long long>(
-                      stats.TotalSpeculativeLaunches()),
-                  static_cast<unsigned long long>(stats.TotalSpeculativeWins()));
+                      stats.Total(&mr::JobCounters::speculative_launches)),
+                  static_cast<unsigned long long>(
+                      stats.Total(&mr::JobCounters::speculative_wins)));
     std::printf("%-30s %8.3fs %8llu %9s %8llu %8.3fs %14.2f\n", s.name,
                 result->total_seconds,
                 static_cast<unsigned long long>(stats.TotalTaskRetries()),
                 spec,
-                static_cast<unsigned long long>(stats.TotalSkippedRecords()),
+                static_cast<unsigned long long>(
+                    stats.Total(&mr::JobCounters::skipped_records)),
                 worst_p99, worst_ratio);
     if (clean_seconds == 0.0) clean_seconds = result->total_seconds;
   }

@@ -145,9 +145,11 @@ int Run() {
       "forked + 15%% SIGKILLs:   %7.3f s (%.2fx; %llu crashes, %llu respawns, "
       "%llu orphan spills reaped)\n",
       crash.seconds, base.seconds > 0.0 ? crash.seconds / base.seconds : 0.0,
-      static_cast<unsigned long long>(crash.stats.TotalWorkerCrashes()),
+      static_cast<unsigned long long>(
+          crash.stats.Total(&mr::JobCounters::worker_crashes)),
       static_cast<unsigned long long>(crash.stats.TotalWorkerRestarts()),
-      static_cast<unsigned long long>(crash.stats.TotalSpillFilesReaped()));
+      static_cast<unsigned long long>(
+          crash.stats.Total(&mr::JobCounters::spill_files_reaped)));
 
   // 5. Remote workers: two separately exec'd ddp_worker processes dial an
   // ephemeral loopback listener and run every job by JobRegistry id; the
@@ -191,8 +193,10 @@ int Run() {
         base.seconds > 0.0 ? remote.seconds / base.seconds : 0.0,
         remote_jobs_per_sec,
         static_cast<unsigned long long>(remote.stats.TotalWorkersRegistered()),
-        static_cast<unsigned long long>(remote.stats.TotalWorkersEvicted()),
-        static_cast<unsigned long long>(remote.stats.TotalTasksReassigned()));
+        static_cast<unsigned long long>(
+            remote.stats.Total(&mr::JobCounters::workers_evicted)),
+        static_cast<unsigned long long>(
+            remote.stats.Total(&mr::JobCounters::tasks_reassigned)));
   } else {
     std::printf(
         "2 exec'd ddp_workers:    skipped (worker binary path not compiled "
@@ -266,18 +270,23 @@ int Run() {
         static_cast<unsigned long long>(rss_buffered_kb),
         static_cast<unsigned long long>(rss_delta_kb), crash.seconds,
         chaos.faults.worker_crash_rate,
-        static_cast<unsigned long long>(crash.stats.TotalWorkerCrashes()),
-        static_cast<unsigned long long>(crash.stats.TotalWorkerRestarts()),
-        static_cast<unsigned long long>(crash.stats.TotalWorkerHangs()),
-        static_cast<unsigned long long>(crash.stats.TotalSpillFilesReaped()),
         static_cast<unsigned long long>(
-            crash.stats.TotalChannelReconnects()),
+            crash.stats.Total(&mr::JobCounters::worker_crashes)),
+        static_cast<unsigned long long>(crash.stats.TotalWorkerRestarts()),
+        static_cast<unsigned long long>(
+            crash.stats.Total(&mr::JobCounters::worker_hangs)),
+        static_cast<unsigned long long>(
+            crash.stats.Total(&mr::JobCounters::spill_files_reaped)),
+        static_cast<unsigned long long>(
+            crash.stats.Total(&mr::JobCounters::channel_reconnects)),
         static_cast<unsigned long long>(fork.stats.TotalExecFallbacks() +
                                         crash.stats.TotalExecFallbacks()),
         remote_ran ? "true" : "false", remote.seconds, remote_jobs_per_sec,
         static_cast<unsigned long long>(remote.stats.TotalWorkersRegistered()),
-        static_cast<unsigned long long>(remote.stats.TotalWorkersEvicted()),
-        static_cast<unsigned long long>(remote.stats.TotalTasksReassigned()),
+        static_cast<unsigned long long>(
+            remote.stats.Total(&mr::JobCounters::workers_evicted)),
+        static_cast<unsigned long long>(
+            remote.stats.Total(&mr::JobCounters::tasks_reassigned)),
         identical ? "true" : "false");
     std::fclose(json);
     std::printf("wrote BENCH_mp.json\n");

@@ -71,10 +71,14 @@ int main() {
       "chaotic run survived: retries=%llu speculative=%llu (won %llu) "
       "skipped_records=%llu deadline_kills=%llu\n",
       static_cast<unsigned long long>(stats.TotalTaskRetries()),
-      static_cast<unsigned long long>(stats.TotalSpeculativeLaunches()),
-      static_cast<unsigned long long>(stats.TotalSpeculativeWins()),
-      static_cast<unsigned long long>(stats.TotalSkippedRecords()),
-      static_cast<unsigned long long>(stats.TotalDeadlineKills()));
+      static_cast<unsigned long long>(
+          stats.Total(&ddp::mr::JobCounters::speculative_launches)),
+      static_cast<unsigned long long>(
+          stats.Total(&ddp::mr::JobCounters::speculative_wins)),
+      static_cast<unsigned long long>(
+          stats.Total(&ddp::mr::JobCounters::skipped_records)),
+      static_cast<unsigned long long>(
+          stats.Total(&ddp::mr::JobCounters::deadline_kills)));
 
   bool identical = SameResults(baseline, *chaotic_run);
   std::printf("results identical to the failure-free run: %s\n",

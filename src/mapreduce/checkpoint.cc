@@ -48,6 +48,11 @@ void CheckpointStore::ResetSequence() {
   seq_ = 0;
 }
 
+uint64_t CheckpointStore::sequence() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return seq_;
+}
+
 void CheckpointStore::SetKillAfter(int64_t saves) {
   std::lock_guard<std::mutex> lock(mu_);
   kill_after_ = saves;

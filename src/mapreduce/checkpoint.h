@@ -48,6 +48,10 @@ class CheckpointStore {
   /// pipelines regenerate the same keys.
   void ResetSequence();
 
+  /// Keys handed out since the last reset: the jobs of the pipeline that
+  /// have started, replayed ones included.
+  uint64_t sequence() const;
+
   /// True when a valid (checksummed) entry exists for `key`.
   bool Has(const std::string& key) const;
 

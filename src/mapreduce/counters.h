@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,14 @@
 /// Per-job and per-run cost accounting. `shuffle_bytes` counts real
 /// serialized intermediate data (key + value encodings), which is the
 /// quantity Fig. 10(b) and Table IV report as "shuffled data".
+///
+/// `JobCounters` is the one record of a job's cost. Its `uint64_t` counters
+/// are listed once, in the table behind `CounterFields()` (counters.cc): a
+/// row names the field, its JSON key and the `mr.*` registry counter it
+/// feeds, if any. The per-job JSON, the run totals, `RunStats::Total`,
+/// `ToString` and `Publish` all loop over that table. Adding a counter is
+/// its field here and its row there; a counter that feeds the registry also
+/// needs its name in obs/metric_names.h and a row in docs/observability.md.
 
 namespace ddp {
 namespace mr {
@@ -23,7 +32,8 @@ struct JobCounters {
   uint64_t reduce_input_groups = 0;  // distinct keys
   uint64_t reduce_output_records = 0;
   /// Largest single reduce partition's serialized input — the skew signal
-  /// behind Fig. 12(a)'s small-M/large-pi slowdown.
+  /// behind Fig. 12(a)'s small-M/large-pi slowdown. A maximum, so the run
+  /// totals leave it out.
   uint64_t max_partition_bytes = 0;
   /// Out-of-core execution (Options::memory_budget_bytes > 0): bytes of
   /// sorted runs written to spill files (frame headers + CRC trailers
@@ -109,7 +119,24 @@ struct JobCounters {
   /// the same conventions (and writer) as the obs metrics snapshot, so
   /// `--stats-out` files parse with the same tooling.
   std::string ToJson() const;
+  /// Adds this job to the metrics registry: `mr.jobs` by one and each
+  /// counter by its row's `mr.*` metric. RunJobTasks calls it once per job,
+  /// when the job ends, however it ends.
+  void Publish() const;
 };
+
+/// One row of the counter list: a `uint64_t` counter of JobCounters, its
+/// JSON key, the `mr.*` registry counter it feeds (null for none), and
+/// whether the run totals sum it.
+struct CounterField {
+  uint64_t JobCounters::*field;
+  const char* key;
+  const char* metric;
+  bool summed;
+};
+
+/// The counter list, in JSON order.
+std::span<const CounterField> CounterFields();
 
 /// Accumulated counters over the jobs of one algorithm run.
 struct RunStats {
@@ -117,35 +144,50 @@ struct RunStats {
 
   void Add(JobCounters counters) { jobs.push_back(std::move(counters)); }
 
-  uint64_t TotalShuffleBytes() const;
-  uint64_t TotalShuffleRecords() const;
-  double TotalSeconds() const;
-  double TotalModeledSeconds() const;
-  uint64_t TotalTaskRetries() const;
-  uint64_t TotalSpeculativeLaunches() const;
-  uint64_t TotalSpeculativeWins() const;
-  uint64_t TotalDeadlineKills() const;
-  uint64_t TotalSkippedRecords() const;
-  uint64_t TotalTaskExceptions() const;
-  uint64_t TotalSpilledBytes() const;
-  uint64_t TotalSpillFiles() const;
-  uint64_t TotalMergePasses() const;
+  /// The sum of one counter over the run's jobs.
+  template <typename T>
+  T Total(T JobCounters::*field) const {
+    T total{};
+    for (const JobCounters& j : jobs) total += j.*field;
+    return total;
+  }
+
+  uint64_t TotalShuffleBytes() const {
+    return Total(&JobCounters::shuffle_bytes);
+  }
+  uint64_t TotalShuffleRecords() const {
+    return Total(&JobCounters::shuffle_records);
+  }
+  uint64_t TotalSpilledBytes() const {
+    return Total(&JobCounters::spilled_bytes);
+  }
+  uint64_t TotalSpillFiles() const { return Total(&JobCounters::spill_files); }
+  uint64_t TotalMergePasses() const {
+    return Total(&JobCounters::merge_passes);
+  }
+  uint64_t TotalShuffleStreamedBytes() const {
+    return Total(&JobCounters::shuffle_streamed_bytes);
+  }
+  uint64_t TotalWorkersRegistered() const {
+    return Total(&JobCounters::workers_registered);
+  }
+  uint64_t TotalWorkerRestarts() const {
+    return Total(&JobCounters::worker_restarts);
+  }
+  uint64_t TotalExecFallbacks() const {  // always 0 (see exec_fallbacks)
+    return Total(&JobCounters::exec_fallbacks);
+  }
+  double TotalSeconds() const { return Total(&JobCounters::total_seconds); }
+  double TotalModeledSeconds() const {
+    return Total(&JobCounters::modeled_seconds);
+  }
+  /// Map plus reduce retries.
+  uint64_t TotalTaskRetries() const {
+    return Total(&JobCounters::map_task_retries) +
+           Total(&JobCounters::reduce_task_retries);
+  }
   /// Jobs whose output came from a checkpoint rather than execution.
   uint64_t JobsLoadedFromCheckpoint() const;
-  /// Multi-process execution totals.
-  uint64_t TotalWorkerCrashes() const;
-  uint64_t TotalWorkerHangs() const;
-  uint64_t TotalWorkerKills() const;
-  uint64_t TotalWorkerRestarts() const;
-  uint64_t TotalQuarantinedTasks() const;
-  uint64_t TotalSpillFilesReaped() const;
-  uint64_t TotalExecFallbacks() const;  // always 0 (see exec_fallbacks)
-  uint64_t TotalShuffleStreamedBytes() const;
-  uint64_t TotalShuffleResentRuns() const;
-  uint64_t TotalChannelReconnects() const;
-  uint64_t TotalWorkersRegistered() const;
-  uint64_t TotalWorkersEvicted() const;
-  uint64_t TotalTasksReassigned() const;
 
   std::string ToString() const;
   /// {"jobs": [JobCounters::ToJson()...], "totals": {...}}.
@@ -154,4 +196,3 @@ struct RunStats {
 
 }  // namespace mr
 }  // namespace ddp
-

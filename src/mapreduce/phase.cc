@@ -85,16 +85,6 @@ std::vector<const SpillRun*> PartitionRuns(
   return runs;
 }
 
-/// Robustness accounting for one phase, merged into JobCounters.
-struct PhaseStats {
-  uint64_t retries = 0;
-  uint64_t speculative_launches = 0;
-  uint64_t speculative_wins = 0;
-  uint64_t deadline_kills = 0;
-  uint64_t exceptions = 0;
-  std::vector<double> durations;  // committed attempts only
-};
-
 /// One phase as the engine runs it.
 struct PhaseSpec {
   ChaosParams chaos;  // job name, phase and its failure rate
@@ -117,9 +107,13 @@ struct PhaseSpec {
 ///    relative to the committed median gets one backup attempt; the first
 ///    success commits (in this scheduler thread, so there is no commit
 ///    race), the sibling is cancelled and its slot discarded.
+///
+/// Retries, speculative launches and wins, deadline kills and exceptions go
+/// into `counters`; committed attempts' durations are appended to
+/// `durations`.
 Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
-                      const Options& options, PhaseStats* pstats,
-                      TaskSlots* outputs) {
+                      const Options& options, JobCounters* counters,
+                      std::vector<double>* durations, TaskSlots* outputs) {
   const size_t num_tasks = spec.num_tasks;
   outputs->clear();
   outputs->resize(num_tasks);
@@ -157,6 +151,10 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
   const int phase = spec.chaos.phase;
   const double deadline = options.task_deadline_seconds;
   const char* phase_name = PhaseName(phase);
+  uint64_t& retries =
+      phase == 0 ? counters->map_task_retries : counters->reduce_task_retries;
+  // This phase's committed durations, the median speculation measures by.
+  const size_t first_duration = durations->size();
 
   // Observability: one histogram of committed-attempt latencies per phase
   // kind (a single registry lookup per phase), a per-attempt trace span
@@ -285,10 +283,12 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
     double median = 0.0;
     const bool can_speculate =
         options.speculative_execution && num_tasks > 1 &&
-        pstats->durations.size() >=
+        durations->size() - first_duration >=
             std::max<size_t>(1, options.speculative_min_completed);
     if (can_speculate) {
-      scratch = pstats->durations;
+      scratch.assign(durations->begin() +
+                         static_cast<std::ptrdiff_t>(first_duration),
+                     durations->end());
       auto mid =
           scratch.begin() + static_cast<std::ptrdiff_t>(scratch.size() / 2);
       std::nth_element(scratch.begin(), mid, scratch.end());
@@ -316,7 +316,7 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
         if (elapsed > options.speculative_multiplier * median &&
             elapsed > 1e-3) {
           ts.backup_launched = true;
-          ++pstats->speculative_launches;
+          ++counters->speculative_launches;
           launch(t, /*speculative=*/true);
         }
       }
@@ -357,9 +357,9 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
           ++completed;
           completed_for_heartbeat.store(completed, std::memory_order_relaxed);
           (*outputs)[ev.task] = std::move(ev.out);
-          pstats->durations.push_back(ev.seconds);
+          durations->push_back(ev.seconds);
           attempt_hist->RecordSeconds(ev.seconds);
-          if (ev.speculative) ++pstats->speculative_wins;
+          if (ev.speculative) ++counters->speculative_wins;
           for (Running& r : ts.running) r.cancel->Cancel();
         } else if (ev.status.IsCancelled()) {
           // Legitimate cancellations come from a sibling's commit (task
@@ -369,8 +369,8 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
           // failure, so it does not consume the attempt budget.
           launch(ev.task, /*speculative=*/false);
         } else {
-          if (ev.exception) ++pstats->exceptions;
-          if (ev.status.IsDeadlineExceeded()) ++pstats->deadline_kills;
+          if (ev.exception) ++counters->task_exceptions;
+          if (ev.status.IsDeadlineExceeded()) ++counters->deadline_kills;
           ++ts.failed_attempts;
           if (ev.status.IsIoError()) {
             // Corrupt shuffle data is deterministic: retrying would re-read
@@ -383,7 +383,7 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
                 std::to_string(options.max_task_attempts) +
                 " attempts; last error: " + ev.status.ToString());
           } else {
-            ++pstats->retries;
+            ++retries;
             launch(ev.task, /*speculative=*/false);
           }
           if (!job_error.ok()) cancel_all();
@@ -417,8 +417,9 @@ Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
 /// decodes each committed result payload into a fresh slot and grafts the
 /// attempt's streamed runs back in.
 Status RunSupervisedPhase(const PhaseSpec& spec, std::string remote_setup,
-                          const Options& options, PhaseStats* pstats,
-                          JobCounters* counters, TaskSlots* outputs) {
+                          const Options& options, JobCounters* counters,
+                          std::vector<double>* durations,
+                          TaskSlots* outputs) {
   outputs->clear();
   outputs->resize(spec.num_tasks);
   if (spec.num_tasks == 0) return Status::OK();
@@ -463,7 +464,7 @@ Status RunSupervisedPhase(const PhaseSpec& spec, std::string remote_setup,
                              std::to_string(t) + " result");
     }
     (*outputs)[t] = std::move(out);
-    pstats->durations.push_back(seconds);
+    durations->push_back(seconds);
     attempt_hist->RecordSeconds(seconds);
     // A quarantined task is one suppressed poisonous record, routed through
     // the same skip accounting as corrupt-record skips.
@@ -523,20 +524,9 @@ Result<std::string> EncodeReduceSources(
   return bytes;
 }
 
-/// Merges both in-process phases' robustness accounting into the counters,
-/// adding to the retry and deadline-kill counts a supervised phase fills.
-void CountAttempts(const PhaseStats& map, const PhaseStats& reduce,
-                   JobCounters* counters) {
-  counters->map_task_retries += map.retries;
-  counters->reduce_task_retries += reduce.retries;
-  counters->speculative_launches =
-      map.speculative_launches + reduce.speculative_launches;
-  counters->speculative_wins = map.speculative_wins + reduce.speculative_wins;
-  counters->deadline_kills += map.deadline_kills + reduce.deadline_kills;
-  counters->task_exceptions = map.exceptions + reduce.exceptions;
-  std::vector<double> durations = map.durations;
-  durations.insert(durations.end(), reduce.durations.begin(),
-                   reduce.durations.end());
+/// The committed-attempt duration distribution of both phases.
+void CountAttemptDurations(std::vector<double> durations,
+                           JobCounters* counters) {
   if (durations.empty()) return;
   std::sort(durations.begin(), durations.end());
   const size_t n = durations.size();
@@ -673,7 +663,12 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   if (job_span.active()) {
     job_span.AddArg("input_records", static_cast<uint64_t>(job.input_records));
   }
-  DDP_METRIC_COUNTER_ADD(obs::kMetricMrJobs, 1);
+  // The registry learns the job's counters once, when the job ends,
+  // however it ends.
+  struct PublishAtExit {
+    const JobCounters& counters;
+    ~PublishAtExit() { counters.Publish(); }
+  } publish{counters};
 
   // ---- Checkpoint replay: a completed job's output is served from the
   // store, bit-identical, without re-running anything. The key sequence
@@ -751,18 +746,19 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   }
 
   // The one engine entry: the in-process scheduler, or a supervised phase.
-  auto run_phase = [&](const PhaseSpec* spec, PhaseStats* stats,
-                       TaskSlots* outputs) -> Status {
+  std::vector<double> durations;  // committed attempts of both phases
+  auto run_phase = [&](const PhaseSpec* spec, TaskSlots* outputs) -> Status {
     if (pool != nullptr) {
-      return RunRobustPhase(pool.get(), *spec, options, stats, outputs);
+      return RunRobustPhase(pool.get(), *spec, options, &counters, &durations,
+                            outputs);
     }
     std::string remote_setup;
     if (remote) {
       remote_setup =
           EncodeRemoteSetup(job, options, num_partitions, spec->chaos.phase);
     }
-    return RunSupervisedPhase(*spec, std::move(remote_setup), options, stats,
-                              &counters, outputs);
+    return RunSupervisedPhase(*spec, std::move(remote_setup), options,
+                              &counters, &durations, outputs);
   };
 
   // ---- Map phase. Each task's output is its sorted runs, in memory or
@@ -784,9 +780,8 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   };
   map.codec = &map_codec;
   map.remote_input = job.map_input;
-  PhaseStats map_stats;
   TaskSlots map_slots;
-  Status st = run_phase(&map, &map_stats, &map_slots);
+  Status st = run_phase(&map, &map_slots);
   if (!st.ok()) {
     map_span.MarkCancelled();
     job_span.MarkCancelled();
@@ -869,9 +864,8 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   reduce.remote_input = [&map_outputs](size_t p) {
     return EncodeReduceSources(map_outputs, p);
   };
-  PhaseStats reduce_stats;
   TaskSlots reduce_slots;
-  st = run_phase(&reduce, &reduce_stats, &reduce_slots);
+  st = run_phase(&reduce, &reduce_slots);
   if (!st.ok()) {
     reduce_span.MarkCancelled();
     job_span.MarkCancelled();
@@ -896,15 +890,12 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
       counters.group_size_log2_histogram[b] += ro.group_size_log2[b];
     }
   }
-  CountAttempts(map_stats, reduce_stats, &counters);
+  CountAttemptDurations(std::move(durations), &counters);
 
   // ---- Collect outputs (partition-major deterministic order).
   counters.reduce_output_records = job.collect(reduce_slots);
   counters.total_seconds = job_timer.ElapsedSeconds();
   DDP_METRIC_HISTOGRAM_SECONDS(obs::kMetricMrJobSeconds, counters.total_seconds);
-  DDP_METRIC_COUNTER_ADD(obs::kMetricMrShuffleBytes, counters.shuffle_bytes);
-  DDP_METRIC_COUNTER_ADD(obs::kMetricMrShuffleRecords, counters.shuffle_records);
-  DDP_METRIC_COUNTER_ADD(obs::kMetricMrSpilledBytes, counters.spilled_bytes);
   if (job_span.active()) {
     job_span.AddArg("shuffle_bytes", counters.shuffle_bytes);
     job_span.AddArg("output_records", counters.reduce_output_records);
@@ -927,14 +918,6 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
       DDP_LOG(Warning) << "checkpoint save failed for " << checkpoint_key
                        << ": " << saved.ToString();
     }
-  }
-
-  // Per-submission progress feed: dynamic names cannot use the
-  // static-caching DDP_METRIC_COUNTER_ADD macro, so look the counter up.
-  if (!options.metrics_prefix.empty()) {
-    obs::MetricsRegistry::Global()
-        .GetCounter(options.metrics_prefix + ".mr_jobs")
-        ->Add(1);
   }
 
   if (counters_out != nullptr) *counters_out = counters;

@@ -143,11 +143,6 @@ struct Options {
   /// cancelled-and-resubmitted pipeline resumes from the last completed
   /// job.
   std::shared_ptr<std::atomic<bool>> cancel_flag;
-  /// When non-empty, RunJob bumps the registry counter
-  /// "<metrics_prefix>.mr_jobs" as each MapReduce job finishes — the
-  /// per-submission progress feed of the serving layer, which namespaces it
-  /// "server.job.<n>". Must match the [a-z0-9_.]+ metric-name hygiene rule.
-  std::string metrics_prefix;
 
   size_t ResolvedWorkers() const {
     return num_workers == 0 ? DefaultParallelism() : num_workers;
@@ -300,6 +295,8 @@ struct JobTasks {
 /// substrate `options` asks for, counters, spans and metrics, checkpoint
 /// save. On success the job's result has been handed to `job.collect` (or
 /// `job.replay`); `counters_out`, when non-null, receives the counters.
+/// Every job that gets past the cancel check at its start, successful or
+/// not, publishes its counters to the metrics registry once, as it ends.
 Status RunJobTasks(const JobTasks& job, const Options& options,
                    JobCounters* counters_out);
 

@@ -119,7 +119,6 @@ void PhaseMachine::Admit(uint64_t link, uint64_t id, bool resumed,
   }
   Join(id, link, /*pid=*/0, now);
   ++counters_->workers_registered;
-  DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkersRegistered, 1);
 }
 
 // The first frame of an offered connection must be a hello: a remote worker
@@ -145,7 +144,6 @@ void PhaseMachine::Hello(uint64_t link, const Frame& frame, double now) {
   w->last_beat = now;
   if (hello.generation == 0) return;
   ++counters_->channel_reconnects;
-  DDP_METRIC_COUNTER_ADD(obs::kMetricMrChannelReconnects, 1);
   DiscardOpenRun(*w);
   SendAck(*w);
 }
@@ -189,7 +187,6 @@ void PhaseMachine::ChargeFailure(size_t t, bool crashed, const Status& why,
     ts.failed_attempts = 0;
     ts.consecutive_crashes = 0;
     ++counters_->quarantined_tasks;
-    DDP_METRIC_COUNTER_ADD(obs::kMetricMrQuarantinedTasks, 1);
     DDP_LOG(Warning) << phase_.job_name << " " << phase_name_ << " task " << t
                      << " crashed " << options_.quarantine_after_crashes
                      << " consecutive workers; quarantining";
@@ -213,9 +210,11 @@ void PhaseMachine::ChargeFailure(size_t t, bool crashed, const Status& why,
 // Every way worker `wi` leaves the phase before teardown. A forked worker
 // is SIGKILLed and reaped; a remote one, not our child, is evicted. Either
 // way the spill files of dead owners are reaped. A busy worker's attempt is
-// charged: as a hang when a forked worker went silent or overran its
-// deadline, otherwise as a crash, which for a remote worker reassigns the
-// task through the normal retry path. Its stream, runs and all, goes too.
+// charged: as a hang when the worker, forked or remote, went silent or
+// overran its deadline, otherwise as a crash. A remote worker that never
+// redialed is a crash: no waitpid can tell its death from a lost network.
+// A remote worker's task is reassigned through the normal retry path. Its
+// stream, runs and all, goes too.
 void PhaseMachine::DropWorker(size_t wi, Drop cause, double now) {
   Worker w = std::move(workers_[wi]);
   workers_.erase(workers_.begin() + static_cast<std::ptrdiff_t>(wi));
@@ -225,22 +224,13 @@ void PhaseMachine::DropWorker(size_t wi, Drop cause, double now) {
   if (!remote_) io_->KillAndReap(w.link, 0.0);
   if (w.link != 0) io_->Close(w.link);
   const bool deadline = cause == Drop::kDeadline;
-  const bool hang = !remote_ && (deadline || cause == Drop::kSilence);
+  const bool hang = deadline || cause == Drop::kSilence;
   if (deadline) ++counters_->deadline_kills;
   if (remote_) {
     ++counters_->workers_evicted;
-    DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkersEvicted, 1);
   } else {
-    if (cause != Drop::kChannel) {
-      ++counters_->worker_kills;
-      DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerKills, 1);
-    }
-    if (hang) {
-      ++counters_->worker_hangs;
-    } else {
-      ++counters_->worker_crashes;
-      DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerCrashes, 1);
-    }
+    if (cause != Drop::kChannel) ++counters_->worker_kills;
+    ++(hang ? counters_->worker_hangs : counters_->worker_crashes);
   }
   if (w.span->active()) {
     w.span->AddArg("exit", remote_ ? "evicted" : hang ? "hang" : "crash");
@@ -250,17 +240,14 @@ void PhaseMachine::DropWorker(size_t wi, Drop cause, double now) {
   if (w.busy) {
     DDP_METRIC_HISTOGRAM_SECONDS(obs::kMetricMrWorkerCrashLatencySeconds,
                                  now - w.dispatched);
-    if (remote_) {
-      ++counters_->tasks_reassigned;
-      DDP_METRIC_COUNTER_ADD(obs::kMetricMrTasksReassigned, 1);
-    }
-    ChargeFailure(
-        w.task, /*crashed=*/!hang,
-        hang       ? Status::DeadlineExceeded("worker hang")
-        : !remote_ ? Status::Internal("worker crashed")
-        : deadline ? Status::DeadlineExceeded("remote worker deadline")
-                   : Status::Internal("remote worker lost"),
-        now);
+    if (remote_) ++counters_->tasks_reassigned;
+    const std::string who = remote_ ? "remote worker" : "worker";
+    ChargeFailure(w.task, /*crashed=*/!hang,
+                  deadline ? Status::DeadlineExceeded(who + " deadline")
+                  : hang   ? Status::DeadlineExceeded(who + " hang")
+                  : remote_ ? Status::Internal("remote worker lost")
+                            : Status::Internal("worker crashed"),
+                  now);
   }
   if (spills_) counters_->spill_files_reaped += io_->ReapOrphans();
 }
@@ -271,7 +258,6 @@ void PhaseMachine::DiscardOpenRun(Worker& w) {
   if (!w.stream.open.has_value()) return;
   w.stream.open.reset();
   ++counters_->shuffle_resent_runs;
-  DDP_METRIC_COUNTER_ADD(obs::kMetricMrShuffleResentRuns, 1);
 }
 
 // ---- Streamed-shuffle frame handlers. A protocol violation (bad seq, size
@@ -339,7 +325,6 @@ bool PhaseMachine::RunEnd(Worker& w, const std::string& payload, double now) {
   s.committed.push_back(std::move(run));
   s.committed_bytes += open.begin.length;
   counters_->shuffle_streamed_bytes += open.begin.length;
-  DDP_METRIC_COUNTER_ADD(obs::kMetricMrShuffleStreamedBytes, open.begin.length);
   DDP_METRIC_HISTOGRAM_SECONDS(obs::kMetricMrRunShipSeconds,
                                now - open.started);
   // Credit-based backpressure: ack at least every half window so a blocked
@@ -446,7 +431,7 @@ void PhaseMachine::Tick(double now) {
     const double deadline = options_.task_deadline_seconds;
     if (w.link == 0) {
       if (now - w.last_beat > kConnectGraceSeconds) {
-        DropWorker(wi, Drop::kSilence, now);
+        DropWorker(wi, Drop::kNoRedial, now);
       }
     } else if (w.busy && deadline > 0.0 && now - w.dispatched > deadline) {
       DropWorker(wi, Drop::kDeadline, now);
@@ -462,7 +447,6 @@ void PhaseMachine::Tick(double now) {
       if (st.ok()) {
         ++restarts_used_;
         ++counters_->worker_restarts;
-        DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerRestarts, 1);
       } else if (workers_.empty()) {
         error_ =
             Status::Internal("cannot respawn any worker: " + st.ToString());

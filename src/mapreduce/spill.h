@@ -420,7 +420,6 @@ class SpillingBuffer {
       spill_span.AddArg("runs", static_cast<uint64_t>(runs_.size()));
     }
     DDP_METRIC_HISTOGRAM_SECONDS(obs::kMetricMrSpillWriteSeconds, seconds);
-    DDP_METRIC_COUNTER_ADD(obs::kMetricMrSpillWriteBytes, written);
     return Status::OK();
   }
 

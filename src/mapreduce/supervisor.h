@@ -287,8 +287,9 @@ struct RunAckMsg {
 enum class Drop {
   kChannel,   // its channel failed: EOF or a corrupt frame
   kProtocol,  // it broke the stream protocol or sent a bad result
-  kSilence,   // no heartbeat (or no redial) within the grace
+  kSilence,   // no heartbeat within the grace
   kDeadline,  // its attempt overran the task deadline
+  kNoRedial,  // a remote worker's link stayed down past the connect grace
 };
 
 /// Everything a PhaseMachine does to the world. A link is the driver's id

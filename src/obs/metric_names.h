@@ -92,7 +92,6 @@ inline constexpr const char* kMetricMrShuffleResentRuns =
     "mr.shuffle_resent_runs";
 inline constexpr const char* kMetricMrShuffleStreamedBytes =
     "mr.shuffle_streamed_bytes";
-inline constexpr const char* kMetricMrSpillWriteBytes = "mr.spill_write_bytes";
 inline constexpr const char* kMetricMrSpillWriteSeconds =
     "mr.spill_write_seconds";
 inline constexpr const char* kMetricMrSpilledBytes = "mr.spilled_bytes";

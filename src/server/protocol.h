@@ -118,8 +118,9 @@ struct JobStatusMsg {
   /// Rejection reason, failure message, or empty.
   std::string detail;
   uint64_t queue_position = 0;  // 0-based; meaningful while kQueued
-  /// MapReduce jobs of the pipeline finished so far (the streamed-progress
-  /// feed, read from the server.job.<id>.mr_jobs counter).
+  /// MapReduce jobs of the pipeline started so far, checkpoint replays
+  /// included (the streamed-progress feed: the sequence of the job's
+  /// checkpoint store).
   uint64_t mr_jobs_done = 0;
   double running_seconds = 0.0;
   uint8_t from_result_cache = 0;

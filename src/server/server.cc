@@ -14,6 +14,7 @@
 #include "ddp/lsh_ddp.h"
 #include "mapreduce/remote_worker.h"
 #include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ddp {
@@ -267,7 +268,9 @@ JobStatusMsg DdpServer::SnapshotLocked(const Job& job) const {
     }
     msg.queue_position = position;
   }
-  if (job.mr_jobs != nullptr) msg.mr_jobs_done = job.mr_jobs->value();
+  if (job.checkpoint != nullptr) {
+    msg.mr_jobs_done = job.checkpoint->sequence();
+  }
   if (job.state == JobState::kRunning) {
     msg.running_seconds = Now() - job.started_at;
   } else if (job.state == JobState::kDone ||
@@ -373,8 +376,6 @@ JobStatusMsg DdpServer::HandleSubmit(const JobSubmitMsg& msg) {
   job->admission_bytes = effective;
   admitted_bytes_ += effective;
   job->cancel_flag = std::make_shared<std::atomic<bool>>(false);
-  job->mr_jobs = obs::MetricsRegistry::Global().GetCounter(
-      "server.job." + std::to_string(job->id) + ".mr_jobs");
   inflight_by_key_[job->cache_key] = job->id;
   queue_.push_back(job);
   UpdateGaugesLocked();
@@ -568,8 +569,12 @@ Result<std::string> DdpServer::RunJobPipeline(
     return Status::IoError("cannot create checkpoint dir " +
                            ckpt_dir.string() + ": " + ec.message());
   }
-  mr::CheckpointStore checkpoint(ckpt_dir.string());
-  options.mr.checkpoint = &checkpoint;
+  auto checkpoint = std::make_unique<mr::CheckpointStore>(ckpt_dir.string());
+  options.mr.checkpoint = checkpoint.get();
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    job->checkpoint = std::move(checkpoint);
+  }
   // HandleSubmit admitted only exec modes this server can run. Remote jobs
   // run on ddp_worker processes that dialed the server's remote listener.
   options.mr.exec_mode = static_cast<mr::ExecMode>(params.exec_mode);
@@ -579,7 +584,6 @@ Result<std::string> DdpServer::RunJobPipeline(
   options.mr.faults.reduce_failure_rate = params.reduce_failure_rate;
   options.mr.faults.worker_crash_rate = params.worker_crash_rate;
   options.mr.cancel_flag = job->cancel_flag;
-  options.mr.metrics_prefix = "server.job." + std::to_string(job->id);
 
   LshDdp::Params lsh_params;
   lsh_params.accuracy = params.accuracy;

@@ -14,7 +14,7 @@
 #include "common/result.h"
 #include "common/stopwatch.h"
 #include "mapreduce/channel.h"
-#include "obs/metrics.h"
+#include "mapreduce/checkpoint.h"
 #include "server/cache.h"
 #include "server/protocol.h"
 
@@ -138,7 +138,9 @@ class DdpServer {
     double started_at = 0.0;  // valid once kRunning
     double finished_at = 0.0;
     std::shared_ptr<std::atomic<bool>> cancel_flag;
-    obs::Counter* mr_jobs = nullptr;  // server.job.<id>.mr_jobs
+    /// The pipeline's checkpoint store, once it runs: its key sequence is
+    /// the job's MapReduce progress.
+    std::unique_ptr<mr::CheckpointStore> checkpoint;
   };
 
   struct Connection {

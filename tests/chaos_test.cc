@@ -86,7 +86,7 @@ TEST_P(ChaosTest, FullGauntletIsBitIdenticalToCleanRun) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(BitIdentical(*baseline, *result));
   EXPECT_GT(result->stats.TotalTaskRetries(), 0u);
-  EXPECT_GT(result->stats.TotalSkippedRecords(), 0u);
+  EXPECT_GT(result->stats.Total(&mr::JobCounters::skipped_records), 0u);
 }
 
 TEST_P(ChaosTest, SweepOverRatesAndSeedsStaysBitIdentical) {
@@ -183,7 +183,8 @@ TEST(ChaosTraceTest, KilledAttemptSpansAreFlushedAndMarkedCancelled) {
   auto result = RunDistributedDp(&algo, *ds, chaos);
   recorder.Disable();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const uint64_t kills = result->stats.TotalDeadlineKills();
+  const uint64_t kills =
+      result->stats.Total(&mr::JobCounters::deadline_kills);
   EXPECT_GT(kills, 0u);
 
   // The MR pools are gone by now; the recorder must still hold every

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -40,6 +41,8 @@
 #include "mapreduce/remote_worker.h"
 #include "mapreduce/spill.h"
 #include "mapreduce/supervisor.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 
 #ifndef DDP_WORKER_BIN
 #error "DDP_WORKER_BIN must point at the ddp_worker executable"
@@ -146,77 +149,6 @@ TEST(RemoteTaskInputTest, ReduceSourceDecoderRejectsCountAboveRemainingBytes) {
 
 // ---------------------------------------------------- hostile remote peers
 
-// A process that dials the worker-pool listener, takes a task and declares a
-// 2^40-byte in-memory run must not make the supervisor allocate that length:
-// the run buffer reserves at most the credit window. The fake then ends the
-// run at zero bytes, a protocol violation that evicts it; with no worker
-// left the phase fails once the connect grace runs out, as a Status, never
-// a throw.
-TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
-  auto pool = mr::RemoteWorkerPool::Listen("127.0.0.1", 0);
-  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
-  const uint16_t port = (*pool)->port();
-  std::thread fake([port] {
-    auto ch = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
-                                      /*deadline_seconds=*/5.0);
-    if (!ch.ok()) return;
-    mr::HelloMsg hello;
-    hello.worker_id = (uint64_t{1} << 63) | 17;
-    if (!(*ch)->Send({mr::MessageType::kHello, hello.Encode()}).ok()) return;
-    // Serve until the supervisor closes the channel.
-    mr::Frame frame;
-    while ((*ch)->Recv(&frame, /*timeout_seconds=*/30.0).ok()) {
-      mr::TaskAssignMsg assign;
-      if (frame.type != mr::MessageType::kTaskAssign ||
-          !mr::TaskAssignMsg::Decode(frame.payload, &assign).ok()) {
-        continue;
-      }
-      mr::RunBeginMsg begin;
-      begin.task = assign.task;
-      begin.attempt = assign.attempt;
-      // A tail run: the job has no memory budget, so a disk run would be
-      // refused before its length is read.
-      begin.spill_index = mr::kTailRunIndex;
-      begin.length = uint64_t{1} << 40;
-      mr::RunEndMsg end;
-      end.task = assign.task;
-      end.attempt = assign.attempt;
-      (void)(*ch)->Send({mr::MessageType::kRunBegin, begin.Encode()});
-      (void)(*ch)->Send({mr::MessageType::kRunEnd, end.Encode()});
-    }
-  });
-
-  mr::Options options;
-  options.exec_mode = mr::ExecMode::kRemote;
-  options.remote_pool = pool->get();
-  mr::SupervisedPhase phase;
-  phase.job_name = "hostile-run";
-  phase.num_tasks = 1;
-  phase.remote_setup = mr::JobSetupMsg{}.Encode();
-  phase.remote_input = [](size_t) -> Result<std::string> {
-    return std::string();
-  };
-  mr::WorkerTaskFn fn = [](uint64_t, uint64_t, bool, const std::string&,
-                           mr::TaskResult*) {
-    return Status::Internal("a remote phase forks no workers");
-  };
-  mr::CommitFn commit = [](size_t, bool, double, std::string,
-                           std::vector<mr::SpillRun>) { return Status::OK(); };
-  mr::JobCounters counters;
-  Status st;
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_NO_THROW(st = mr::WorkerSupervisor::RunPhase(options, phase, fn,
-                                                      commit, &counters));
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  fake.join();
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(counters.workers_registered, 1u);
-  EXPECT_EQ(counters.workers_evicted, 1u);
-  EXPECT_LT(seconds, 30.0);
-}
-
 // A fake remote worker: dials `port`, says hello as worker 41 and answers
 // each task with its whole attempt in one write (`run` as a tail run in
 // 10-byte kRunData chunks, then a "done" result), until its channel closes.
@@ -300,6 +232,63 @@ OnePhase RunOneTaskPhase(mr::RemoteWorkerPool* pool, const std::string& name) {
                     std::chrono::steady_clock::now() - start)
                     .count();
   return out;
+}
+
+// A hostile remote worker declares a 2^40-byte in-memory run. The
+// supervisor must not allocate that length: the run buffer reserves at most
+// the credit window. The fake then ends the run at zero bytes, a protocol
+// violation that evicts it and charges its attempt. Once its channel closes
+// it dials again as a well-behaved worker under a new id, and the retried
+// task commits there: no throw, one eviction, one retry, and no wait for
+// the connect grace.
+TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
+  auto pool = mr::RemoteWorkerPool::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const uint16_t port = (*pool)->port();
+  const std::string frames_bytes(96, 'h');
+  const std::string run = frames_bytes + mr::RunTrailer(frames_bytes);
+  std::thread fake([port, &run] {
+    auto ch = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
+                                      /*deadline_seconds=*/5.0);
+    if (!ch.ok()) return;
+    mr::HelloMsg hello;
+    hello.worker_id = (uint64_t{1} << 63) | 17;
+    if (!(*ch)->Send({mr::MessageType::kHello, hello.Encode()}).ok()) return;
+    // Serve until the supervisor closes the channel.
+    mr::Frame frame;
+    while ((*ch)->Recv(&frame, /*timeout_seconds=*/30.0).ok()) {
+      mr::TaskAssignMsg assign;
+      if (frame.type != mr::MessageType::kTaskAssign ||
+          !mr::TaskAssignMsg::Decode(frame.payload, &assign).ok()) {
+        continue;
+      }
+      mr::RunBeginMsg begin;
+      begin.task = assign.task;
+      begin.attempt = assign.attempt;
+      // A tail run: the job has no memory budget, so a disk run would be
+      // refused before its length is read.
+      begin.spill_index = mr::kTailRunIndex;
+      begin.length = uint64_t{1} << 40;
+      mr::RunEndMsg end;
+      end.task = assign.task;
+      end.attempt = assign.attempt;
+      (void)(*ch)->Send({mr::MessageType::kRunBegin, begin.Encode()});
+      (void)(*ch)->Send({mr::MessageType::kRunEnd, end.Encode()});
+    }
+    ServeWholeAttemptsInOneWrite(port, run);
+  });
+  OnePhase got;
+  EXPECT_NO_THROW(got = RunOneTaskPhase(pool->get(), "hostile-run"));
+  pool->reset();  // closes the parked channel, so the fake returns
+  fake.join();
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.payload, "done");
+  ASSERT_EQ(got.runs.size(), 1u);
+  EXPECT_EQ(got.runs[0].bytes, frames_bytes);
+  EXPECT_EQ(got.counters.workers_registered, 2u);
+  EXPECT_EQ(got.counters.workers_evicted, 1u);
+  EXPECT_EQ(got.counters.map_task_retries, 1u);
+  EXPECT_LT(got.seconds, 1.0);
 }
 
 // A worker whose whole attempt (a run in 200 kRunData chunks, and its
@@ -472,19 +461,44 @@ enum class Mode { kInProc, kFork, kRemote };
 struct ModeResult {
   std::vector<int> assignment;
   double dc = 0.0;
-  uint64_t tasks_reassigned = 0;
-  uint64_t channel_reconnects = 0;
-  uint64_t shuffle_resent_runs = 0;
-  uint64_t workers_evicted = 0;
-  uint64_t map_task_retries = 0;
-  uint64_t reduce_task_retries = 0;
+  mr::RunStats stats;
 };
+
+using Counters = mr::JobCounters;
+
+// The registry's mr.jobs and the mr.* counters JobCounters feeds, by name.
+std::map<std::string, uint64_t> RegistryCounters() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  std::map<std::string, uint64_t> out;
+  out[obs::kMetricMrJobs] = registry.GetCounter(obs::kMetricMrJobs)->value();
+  for (const mr::CounterField& c : mr::CounterFields()) {
+    if (c.metric == nullptr) continue;
+    out[c.metric] = registry.GetCounter(c.metric)->value();
+  }
+  return out;
+}
+
+// The registry's counters are the jobs' JobCounters, published once as each
+// job ends: over a successful pipeline each moves by exactly the run's
+// total of its field, and mr.jobs by its job count.
+void ExpectRegistryMovedByTotals(std::map<std::string, uint64_t> before,
+                                 const mr::RunStats& stats) {
+  std::map<std::string, uint64_t> after = RegistryCounters();
+  EXPECT_EQ(after[obs::kMetricMrJobs] - before[obs::kMetricMrJobs],
+            stats.jobs.size());
+  for (const mr::CounterField& c : mr::CounterFields()) {
+    if (c.metric == nullptr) continue;
+    EXPECT_EQ(after[c.metric] - before[c.metric], stats.Total(c.field))
+        << c.metric;
+  }
+}
 
 // Runs the full pipeline for `algo` under `mode` and returns the
 // assignment. Remote mode binds a pool on an ephemeral port, execs
 // `workers` ddp_worker processes against it (the first gets
 // `crash_task` >= 0 as --chaos-crash-task), and reaps them afterwards.
-// `faults` and `spill_dir` pass through to the MapReduce options.
+// `faults` and `spill_dir` pass through to the MapReduce options. Every
+// successful run checks that the registry moved by the run's totals.
 Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
                                Mode mode, uint64_t budget = 0,
                                size_t workers = 2, int64_t crash_task = -1,
@@ -497,10 +511,13 @@ Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
   options.mr.memory_budget_bytes = budget;
   options.mr.spill_dir = spill_dir;
   options.mr.faults = faults;
-  if (faults.map_failure_rate > 0.0 || faults.reduce_failure_rate > 0.0) {
+  if (faults.map_failure_rate > 0.0 || faults.reduce_failure_rate > 0.0 ||
+      faults.worker_crash_rate > 0.0) {
     // Failure chaos must not exhaust a task's attempts anywhere in the
-    // pipeline.
+    // pipeline, and random worker crashes are not poison.
     options.mr.max_task_attempts = 16;
+    options.mr.max_worker_restarts = 256;
+    options.mr.quarantine_after_crashes = 16;
   }
   switch (mode) {
     case Mode::kInProc:
@@ -544,23 +561,18 @@ Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
   if (algo == "basic") algorithm = &basic_algo;
   if (algo == "eddpc") algorithm = &eddpc_algo;
 
+  const std::map<std::string, uint64_t> before = RegistryCounters();
   Result<DdpRunResult> run = RunDistributedDp(algorithm, ds, options);
   if (pool != nullptr) {
     pool->Shutdown();
     for (int64_t pid : pids) mr::WaitWorkerProcess(pid);
   }
   DDP_RETURN_NOT_OK(run.status());
+  ExpectRegistryMovedByTotals(before, run->stats);
   ModeResult out;
   out.assignment = std::move(run->clusters.assignment);
   out.dc = run->dc;
-  for (const mr::JobCounters& j : run->stats.jobs) {
-    out.tasks_reassigned += j.tasks_reassigned;
-    out.channel_reconnects += j.channel_reconnects;
-    out.shuffle_resent_runs += j.shuffle_resent_runs;
-    out.workers_evicted += j.workers_evicted;
-    out.map_task_retries += j.map_task_retries;
-    out.reduce_task_retries += j.reduce_task_retries;
-  }
+  out.stats = std::move(run->stats);
   return out;
 }
 
@@ -601,7 +613,7 @@ TEST_P(RemoteBitIdentityTest, SurvivesWorkerDeathMidShuffle) {
                             /*workers=*/2, /*crash_task=*/1);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_EQ(inproc->assignment, remote->assignment);
-  EXPECT_GT(remote->tasks_reassigned, 0u);
+  EXPECT_GT(remote->stats.Total(&Counters::tasks_reassigned), 0u);
 }
 
 TEST_P(RemoteBitIdentityTest, FourKiBSpillBudgetStaysIdentical) {
@@ -642,9 +654,9 @@ TEST_P(RemoteBitIdentityTest, DropChaosReconnectsAndStaysIdentical) {
                             /*workers=*/2, /*crash_task=*/-1, DropChaos());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_EQ(inproc->assignment, remote->assignment);
-  EXPECT_GT(remote->channel_reconnects, 0u);
-  EXPECT_GT(remote->shuffle_resent_runs, 0u);
-  EXPECT_EQ(remote->workers_evicted, 0u);
+  EXPECT_GT(remote->stats.Total(&Counters::channel_reconnects), 0u);
+  EXPECT_GT(remote->stats.Total(&Counters::shuffle_resent_runs), 0u);
+  EXPECT_EQ(remote->stats.Total(&Counters::workers_evicted), 0u);
 }
 
 // The same drops with every map task out of core, so resumed runs are
@@ -668,9 +680,9 @@ TEST_P(RemoteBitIdentityTest, DropChaosWithFourKiBSpillsLeavesNoFiles) {
                   /*crash_task=*/-1, DropChaos(), dir.string());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_EQ(inproc->assignment, remote->assignment);
-  EXPECT_GT(remote->channel_reconnects, 0u);
-  EXPECT_GT(remote->shuffle_resent_runs, 0u);
-  EXPECT_EQ(remote->workers_evicted, 0u);
+  EXPECT_GT(remote->stats.Total(&Counters::channel_reconnects), 0u);
+  EXPECT_GT(remote->stats.Total(&Counters::shuffle_resent_runs), 0u);
+  EXPECT_EQ(remote->stats.Total(&Counters::workers_evicted), 0u);
   if (fs::exists(dir)) {
     for (const auto& e : fs::directory_iterator(dir)) {
       ADD_FAILURE() << "leftover spill file " << e.path();
@@ -699,20 +711,43 @@ TEST_P(RemoteBitIdentityTest, FailureChaosRetriesMatchAcrossSubstrates) {
                             /*workers=*/2, /*crash_task=*/-1, faults);
   ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
   EXPECT_EQ(inproc->assignment, clean->assignment);
-  EXPECT_GT(inproc->map_task_retries, 0u);
-  EXPECT_GT(inproc->reduce_task_retries, 0u);
+  EXPECT_GT(inproc->stats.Total(&Counters::map_task_retries), 0u);
+  EXPECT_GT(inproc->stats.Total(&Counters::reduce_task_retries), 0u);
   for (Mode mode : {Mode::kFork, Mode::kRemote}) {
     auto run = RunPipeline(algo, ds, mode, /*budget=*/0, /*workers=*/2,
                            /*crash_task=*/-1, faults);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     EXPECT_EQ(run->assignment, clean->assignment);
-    EXPECT_EQ(run->map_task_retries, inproc->map_task_retries);
-    EXPECT_EQ(run->reduce_task_retries, inproc->reduce_task_retries);
+    EXPECT_EQ(run->stats.Total(&Counters::map_task_retries),
+              inproc->stats.Total(&Counters::map_task_retries));
+    EXPECT_EQ(run->stats.Total(&Counters::reduce_task_retries),
+              inproc->stats.Total(&Counters::reduce_task_retries));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, RemoteBitIdentityTest,
                          ::testing::Values("lsh", "basic", "eddpc"));
+
+// A forked crew that crashes and is respawned: the run's crash, kill and
+// restart totals reach the registry, as RunPipeline checks. The remote
+// eviction case is SurvivesWorkerDeathMidShuffle.
+TEST(RegistryCountersTest, ForkedCrashesAndRespawnsMoveTheRegistry) {
+  if (!mr::ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked/exec'd workers unsupported in this build";
+  }
+  Dataset ds = std::move(gen::S2Like(7, 400)).ValueOrDie();
+  mr::FaultInjection crashes;
+  crashes.worker_crash_rate = 0.15;
+  crashes.seed = 20260808;
+  auto inproc = RunPipeline("lsh", ds, Mode::kInProc);
+  ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
+  auto fork = RunPipeline("lsh", ds, Mode::kFork, /*budget=*/0,
+                          /*workers=*/2, /*crash_task=*/-1, crashes);
+  ASSERT_TRUE(fork.ok()) << fork.status().ToString();
+  EXPECT_EQ(inproc->assignment, fork->assignment);
+  EXPECT_GT(fork->stats.Total(&Counters::worker_crashes), 0u);
+  EXPECT_GT(fork->stats.TotalWorkerRestarts(), 0u);
+}
 
 // Inputs whose last map tasks would start past the end: 2 workers make 8 map
 // tasks, so 25 points split into tasks of 4 (task 7 would start at 28) and

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -220,6 +221,47 @@ TEST_F(ServerTest, ProgressPushesArriveWhileWaiting) {
   // At minimum the terminal push arrives (subscriptions push once more on a
   // terminal state before unsubscribing).
   EXPECT_GE(pushes, 1u);
+}
+
+// A job's progress is its checkpoint store's key sequence, so the registry
+// holds no per-job name however many jobs the server runs, and a finished
+// job's terminal push counts every MapReduce job of its pipeline.
+TEST_F(ServerTest, ProgressLeavesNoPerJobNameInTheRegistry) {
+  auto srv = DdpServer::Start(BaseConfig());
+  ASSERT_TRUE(srv.ok());
+  auto client = Connect(**srv);
+  ASSERT_TRUE(client.ok());
+  JobStatusMsg terminal;
+  (*client)->set_progress_handler([&terminal](const JobStatusMsg& push) {
+    if (push.state == static_cast<uint8_t>(JobState::kDone)) terminal = push;
+  });
+  for (uint64_t k = 3; k <= 5; ++k) {
+    JobParams params = BaseParams();
+    params.k = k;  // distinct cache keys: every job runs its pipeline
+    JobSubmitMsg msg = Submission(params);
+    msg.progress_seconds = 0.01;
+    auto submitted = (*client)->Submit(msg);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    const uint64_t job_id = submitted->job_id;
+    auto done = (*client)->WaitForResult(job_id, 60.0);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    ASSERT_EQ(done->state, static_cast<uint8_t>(JobState::kDone))
+        << done->detail;
+    // The terminal push trails the state change; poll until it arrives.
+    for (int i = 0; i < 500 && terminal.job_id != job_id; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      ASSERT_TRUE((*client)->Poll(job_id).ok());
+    }
+    auto result = (*client)->FetchResult(job_id);
+    ASSERT_TRUE(result.ok());
+    JobResultPayload payload;
+    ASSERT_TRUE(JobResultPayload::Decode(result->payload, &payload).ok());
+    ASSERT_EQ(terminal.job_id, job_id);
+    EXPECT_GT(terminal.mr_jobs_done, 0u);
+    EXPECT_EQ(terminal.mr_jobs_done, payload.mr_jobs);
+  }
+  EXPECT_EQ(obs::MetricsRegistry::Global().ToJson().find("server.job."),
+            std::string::npos);
 }
 
 // ------------------------------------------------ caches and admission

@@ -596,7 +596,7 @@ TEST_P(SpillDdpTest, ChaosGauntletUnderSpillingStaysBitIdentical) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(BitIdentical(*baseline, *result));
   EXPECT_GT(result->stats.TotalTaskRetries(), 0u);
-  EXPECT_GT(result->stats.TotalSkippedRecords(), 0u);
+  EXPECT_GT(result->stats.Total(&mr::JobCounters::skipped_records), 0u);
   EXPECT_GT(result->stats.TotalSpilledBytes(), 0u);
   EXPECT_EQ(guard.FileCount(), 0u);
 }

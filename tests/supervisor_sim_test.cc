@@ -20,7 +20,8 @@
 // a forked worker's death leaves is reaped by its drop; teardown releases
 // every shuffle-file handle; and the phase ends within a bound of simulated
 // time. A failing seed prints its schedule, and SimulateSchedule(seed)
-// replays that schedule alone.
+// replays that schedule alone. RemoteDropChargeTest plays a remote crew by
+// hand through the drops whose charge decides quarantine.
 
 #include <gtest/gtest.h>
 
@@ -741,10 +742,10 @@ void Sim::CheckDrops(Call call, const JobCounters& before) {
   uint64_t crashes = 0, hangs = 0, kills = 0, deadline = 0, evicted = 0,
            reassigned = 0;
   for (const Dropped& d : drops_) {
-    // A busy worker's attempt is charged: a forked hang or deadline resets
-    // the task's run of worker-killing failures, every other drop extends
-    // it.
-    const bool hang = !remote_ && call == Call::kTick;
+    // A busy worker's attempt is charged: a hang or deadline drop, forked or
+    // remote, resets the task's run of worker-killing failures; every other
+    // drop extends it, a remote worker that never redialed included.
+    const bool hang = call == Call::kTick && !d.held;
     if (d.busy) {
       ++charges_[d.task];
       consecutive_[d.task] = hang ? 0 : consecutive_[d.task] + 1;
@@ -763,11 +764,11 @@ void Sim::CheckDrops(Call call, const JobCounters& before) {
       ++kills;
       deadline += d.past_deadline ? 1 : 0;
     }
-    const char* cause =
-        call == Call::kLost ? "kChannel"
-        : call == Call::kFrame ? "kProtocol"
-        : d.past_deadline && !d.held ? "kDeadline"
-                                     : "kSilence";
+    const char* cause = call == Call::kLost    ? "kChannel"
+                        : call == Call::kFrame ? "kProtocol"
+                        : d.held               ? "kNoRedial"
+                        : d.past_deadline      ? "kDeadline"
+                                               : "kSilence";
     ++(*coverage_)[std::string(remote_ ? "remote " : "forked ") + cause];
     Log("  drop of worker " + std::to_string(d.id) + " as " + cause);
   }
@@ -1161,7 +1162,8 @@ TEST_F(SupervisorSimTest, SeededSchedulesKeepThePolicy) {
   for (const char* event :
        {"forked kChannel", "forked kProtocol", "forked kSilence",
         "forked kDeadline", "remote kProtocol", "remote kSilence",
-        "remote kDeadline", "resume a held attempt", "resume ack kNoTask",
+        "remote kDeadline", "remote kNoRedial", "resume a held attempt",
+        "resume ack kNoTask",
         "hello never came", "non-hello first frame", "hello twice",
         "failed shuffle-file append", "jump past the heartbeat grace",
         "jump past the task deadline", "jump past the reconnect grace",
@@ -1186,6 +1188,146 @@ TEST_F(SupervisorSimTest, ASeedReplaysItsSchedule) {
     EXPECT_EQ(SimulateSchedule(seed, &coverage, &second), "");
     EXPECT_EQ(first, second) << "seed " << seed;
   }
+}
+
+// ------------------------------------------------- scripted remote drops
+
+// PhaseIo for a remote crew the test plays by hand: every send succeeds and
+// is kept per link.
+class ScriptIo : public PhaseIo {
+ public:
+  Status Send(uint64_t link, const Frame& frame) override {
+    sent[link].push_back(frame);
+    return Status::OK();
+  }
+  Result<std::pair<uint64_t, uint64_t>> Spawn(uint64_t) override {
+    return Status::Internal("a remote phase forks no workers");
+  }
+  bool KillAndReap(uint64_t, double) override { return false; }
+  void Close(uint64_t) override {}
+  void Park(uint64_t, uint64_t) override {}
+  Result<SpillRun> AppendRun(const RunBeginMsg&, std::string_view) override {
+    return Status::Internal("the script ships no disk runs");
+  }
+  uint64_t ReapOrphans() override { return 0; }
+
+  std::map<uint64_t, std::vector<Frame>> sent;
+};
+
+// One single-task remote phase whose workers the test plays frame by frame
+// on a simulated clock. A task that kills two workers in a row is poison,
+// and skip_bad_records is off, so a second worker-killing drop fails it.
+struct ScriptedPhase {
+  explicit ScriptedPhase(double deadline) {
+    options.exec_mode = ExecMode::kRemote;
+    options.task_deadline_seconds = deadline;
+    options.quarantine_after_crashes = 2;
+    phase.job_name = "scripted";
+    phase.num_tasks = 1;
+    phase.remote_setup = JobSetupMsg{}.Encode();
+    phase.remote_input = [](size_t) -> Result<std::string> {
+      return std::string();
+    };
+    machine = std::make_unique<PhaseMachine>(
+        options, phase,
+        [this](size_t, bool, double, std::string payload,
+               std::vector<SpillRun>) {
+          committed = std::move(payload);
+          return Status::OK();
+        },
+        &counters, &io);
+    EXPECT_TRUE(machine->Start({}, now).ok());
+  }
+
+  void Deliver(uint64_t link, MessageType type, std::string payload) {
+    Frame frame{type, std::move(payload)};
+    machine->OnFrame(link, &frame, now);
+  }
+
+  // Worker `id` dials on `link` and says hello; the clock runs until the
+  // task is handed to it, and its assignment is returned.
+  TaskAssignMsg Join(uint64_t link, uint64_t id) {
+    machine->OnOffer(link, now);
+    HelloMsg hello;
+    hello.worker_id = id;
+    Deliver(link, MessageType::kHello, hello.Encode());
+    TaskAssignMsg assign;
+    while (!machine->done()) {
+      machine->Tick(now);
+      for (const Frame& f : io.sent[link]) {
+        if (f.type == MessageType::kTaskAssign) {
+          EXPECT_TRUE(TaskAssignMsg::Decode(f.payload, &assign).ok());
+          return assign;
+        }
+      }
+      now += 0.01;
+    }
+    return assign;
+  }
+
+  // Runs the clock `seconds` on in quarter-second ticks; the worker on
+  // `beating` (0 for none) heartbeats before each.
+  void Pass(double seconds, uint64_t beating) {
+    for (const double end = now + seconds; now < end && !machine->done();) {
+      now += 0.25;
+      if (beating != 0) Deliver(beating, MessageType::kHeartbeat, "");
+      machine->Tick(now);
+    }
+  }
+
+  Options options;
+  SupervisedPhase phase;
+  JobCounters counters;
+  ScriptIo io;
+  std::string committed;
+  std::unique_ptr<PhaseMachine> machine;
+  double now = 0.0;
+};
+
+// A remote worker dropped for overrunning the task deadline, or for going
+// silent, is charged as a hang, as a forked one is: two such drops in a row
+// are not a poisonous record, and the task commits on a third worker.
+TEST(RemoteDropChargeTest, DeadlineAndSilenceDropsAreHangs) {
+  for (const bool silent : {false, true}) {
+    SCOPED_TRACE(silent ? "silent workers" : "workers past the deadline");
+    ScriptedPhase p(/*deadline=*/3.0);
+    for (uint64_t link = 1; link <= 2; ++link) {
+      p.Join(link, 100 + link);
+      p.Pass(3.5, silent ? 0 : link);
+    }
+    const TaskAssignMsg assign = p.Join(3, 103);
+    ResultMsg result;
+    result.task = assign.task;
+    result.attempt = assign.attempt;
+    result.payload = "done";
+    p.Deliver(3, MessageType::kResult, result.Encode());
+    const Status st = p.machine->Teardown();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(p.committed, "done");
+    EXPECT_EQ(p.counters.deadline_kills, silent ? 0u : 2u);
+    EXPECT_EQ(p.counters.workers_evicted, 2u);
+    EXPECT_EQ(p.counters.tasks_reassigned, 2u);
+    EXPECT_EQ(p.counters.map_task_retries, 2u);
+    EXPECT_EQ(p.counters.worker_hangs + p.counters.worker_crashes, 0u);
+  }
+}
+
+// A remote worker that loses its link and does not redial within the
+// connect grace may be dead: it still counts toward quarantine.
+TEST(RemoteDropChargeTest, WorkersThatNeverRedialCountTowardQuarantine) {
+  ScriptedPhase p(/*deadline=*/0.0);
+  for (uint64_t link = 1; link <= 2 && !p.machine->done(); ++link) {
+    p.Join(link, 100 + link);
+    p.machine->OnLost(link, p.now);
+    p.Pass(PhaseMachine::kConnectGraceSeconds + 0.5, 0);
+  }
+  const Status st = p.machine->Teardown();
+  EXPECT_NE(st.ToString().find("2 consecutive workers (poisonous record"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(p.committed, "");
+  EXPECT_EQ(p.counters.workers_evicted, 2u);
+  EXPECT_EQ(p.counters.tasks_reassigned, 2u);
 }
 
 }  // namespace
