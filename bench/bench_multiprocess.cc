@@ -250,7 +250,6 @@ int Run() {
         "  \"worker_restarts\": %llu,\n"
         "  \"worker_hangs\": %llu,\n"
         "  \"spill_files_reaped\": %llu,\n"
-        "  \"channel_reconnects\": %llu,\n"
         "  \"exec_fallbacks\": %llu,\n"
         "  \"remote_ran\": %s,\n"
         "  \"remote_seconds\": %.6f,\n"
@@ -277,8 +276,6 @@ int Run() {
             crash.stats.Total(&mr::JobCounters::worker_hangs)),
         static_cast<unsigned long long>(
             crash.stats.Total(&mr::JobCounters::spill_files_reaped)),
-        static_cast<unsigned long long>(
-            crash.stats.Total(&mr::JobCounters::channel_reconnects)),
         static_cast<unsigned long long>(fork.stats.TotalExecFallbacks() +
                                         crash.stats.TotalExecFallbacks()),
         remote_ran ? "true" : "false", remote.seconds, remote_jobs_per_sec,

@@ -106,11 +106,6 @@ void FdChannel::Close() {
   }
 }
 
-void FdChannel::ShutdownWrite() {
-  std::lock_guard<std::mutex> lock(send_mu_);
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 Status FdChannel::Send(const Frame& frame) {
   const std::string header = FrameHeader(frame);
   const std::array<char, 4> trailer = CrcTrailer(frame.payload);
@@ -415,7 +410,7 @@ Result<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
     last_error = std::strerror(errno);
     ::close(fd);
     if (Clock::now() >= deadline) break;
-    // Seeded backoff keeps reconnect storms (many workers, one restarted
+    // Seeded backoff keeps dial storms (many workers, one restarted
     // supervisor) decorrelated yet reproducible in tests.
     NapMillis(static_cast<int>(
         std::max(1.0, schedule.DelaySeconds(attempt) * 1e3)));

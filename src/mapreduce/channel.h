@@ -34,10 +34,9 @@
 ///  * `TcpChannel`/`TcpListener` — the same framed protocol over TCP: how
 ///    exec'd remote workers (remote_worker.h) and ddp_server clients
 ///    connect. Workers dial with a seeded exponential backoff and identify
-///    themselves with a kHello frame. Unlike a socketpair, a TCP connection
-///    can be re-established after a drop — the supervisor keeps the remote
-///    worker's stream state and the worker resends from the last committed
-///    run.
+///    themselves with a kHello frame. A remote worker whose connection
+///    fails dials again and joins as a new worker; nothing of its stream is
+///    resumed.
 /// Protocol tests run over `PipeChannel::CreatePair()` in one process and
 /// write raw bytes to the peer's descriptor to corrupt a frame.
 
@@ -55,8 +54,8 @@ enum class MessageType : uint8_t {
   // Streamed shuffle (see supervisor.h): a worker ships each sorted run of
   // a successful attempt as kRunBegin (RunBeginMsg), kRunData chunks of raw
   // CRC-trailed segment bytes, then kRunEnd (RunEndMsg); the supervisor
-  // commits the run and answers kRunAck (RunAckMsg), which doubles as the
-  // flow-control credit and the resume point after a reconnect.
+  // commits the run and answers kRunAck (RunAckMsg), the flow-control
+  // credit.
   kRunBegin = 6,  // worker -> supervisor: a run follows
   kRunData = 7,   // worker -> supervisor: raw segment bytes of the open run
   kRunEnd = 8,    // worker -> supervisor: run complete, commit it
@@ -109,11 +108,6 @@ class CommChannel {
   /// Pollable descriptor for readiness multiplexing.
   virtual int fd() const = 0;
 
-  /// Half-closes the sending direction (TCP FIN / SHUT_WR): the peer reads
-  /// everything already sent and then a clean EOF, while this end can still
-  /// Recv.
-  virtual void ShutdownWrite() = 0;
-
   virtual void Close() = 0;
 };
 
@@ -146,7 +140,6 @@ class FdChannel : public CommChannel {
   Status Recv(Frame* frame, double timeout_seconds) override;
   bool HasBufferedFrame() const override;
   int fd() const override { return fd_; }
-  void ShutdownWrite() override;
   void Close() override;
 
   static constexpr size_t kRecvBufferBytes = 64 * 1024;

@@ -46,10 +46,6 @@ constexpr CounterField kCounterFields[] = {
     {&J::exec_fallbacks, "exec_fallbacks", nullptr, true},
     {&J::shuffle_streamed_bytes, "shuffle_streamed_bytes",
      obs::kMetricMrShuffleStreamedBytes, true},
-    {&J::shuffle_resent_runs, "shuffle_resent_runs",
-     obs::kMetricMrShuffleResentRuns, true},
-    {&J::channel_reconnects, "channel_reconnects",
-     obs::kMetricMrChannelReconnects, true},
     {&J::workers_registered, "workers_registered",
      obs::kMetricMrWorkersRegistered, true},
     {&J::workers_evicted, "workers_evicted", obs::kMetricMrWorkersEvicted,

@@ -76,18 +76,15 @@ struct JobCounters {
   uint64_t quarantined_tasks = 0;
   uint64_t spill_files_reaped = 0;
   uint64_t exec_fallbacks = 0;
-  /// Streamed shuffle (fork mode): run bytes the supervisor committed off
-  /// worker channels (CRC trailers included — real wire traffic), runs
-  /// re-shipped because a connection dropped mid-run, and TCP connections
-  /// re-established after a drop. All zero in-process and in relay-free
-  /// phases that shuffled nothing.
+  /// Streamed shuffle (forked and remote workers): run bytes the supervisor
+  /// committed off worker channels (CRC trailers included — real wire
+  /// traffic). Zero in-process and in phases that shuffled nothing.
   uint64_t shuffle_streamed_bytes = 0;
-  uint64_t shuffle_resent_runs = 0;
-  uint64_t channel_reconnects = 0;
   /// Remote execution (Options::exec_mode == ExecMode::kRemote): exec'd
-  /// ddp_worker processes admitted to a phase, remote workers dropped for
-  /// disconnect/deadline/protocol violations, and in-flight tasks moved off
-  /// evicted workers onto surviving ones. All zero in fork and in-process
+  /// ddp_worker processes admitted to a phase (a dropped worker that dials
+  /// again counts again), remote workers dropped for a failed link,
+  /// silence, a deadline or a protocol violation, and in-flight tasks moved
+  /// off dropped workers onto others. All zero in fork and in-process
   /// modes.
   uint64_t workers_registered = 0;
   uint64_t workers_evicted = 0;

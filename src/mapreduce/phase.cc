@@ -630,8 +630,8 @@ Status RunWorkerAttempt(const ChaosParams& chaos, size_t task, size_t attempt,
     result->crash_after_runs = static_cast<int64_t>(result->runs.size() / 2);
   }
   // Only a worker that can redial acts on the drop marker (WorkerLoop
-  // ignores it without a reconnect factory), so forked workers roll the
-  // same hash and carry on.
+  // ignores it on a forked worker), so forked workers roll the same hash
+  // and carry on.
   if (ShouldInjectFailure(faults, faults.channel_drop_rate, chaos.job_name,
                           chaos.phase + 12, task, attempt)) {
     result->drop_after_runs = static_cast<int64_t>(result->runs.size() / 2);

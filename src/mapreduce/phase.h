@@ -119,13 +119,14 @@ struct Options {
   /// 0 (default) starts no heartbeat thread at all.
   double heartbeat_seconds = 0.0;
 
-  /// Execution substrate (see ExecMode). Multi-process knobs below apply
-  /// only to kFork.
+  /// Execution substrate (see ExecMode).
   ExecMode exec_mode = ExecMode::kInProc;
-  /// Replacement workers each phase may fork after its initial crew dies.
+  /// kFork: replacement workers each phase may fork after its initial crew
+  /// dies. A remote phase forks none.
   size_t max_worker_restarts = 8;
-  /// Consecutive worker-killing crashes before a task is declared
-  /// poisonous and routed through skip_bad_records quarantine.
+  /// kFork and kRemote: consecutive worker-killing crashes, a remote
+  /// worker's lost link included, before a task is declared poisonous and
+  /// routed through skip_bad_records quarantine.
   size_t quarantine_after_crashes = 2;
 
   /// ExecMode::kRemote: the pool of exec'd ddp_worker processes

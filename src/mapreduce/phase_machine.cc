@@ -63,7 +63,7 @@ Status PhaseMachine::Start(
     const std::vector<std::pair<uint64_t, uint64_t>>& parked, double now) {
   next_respawn_ = now;
   last_crew_ = now;
-  for (const auto& [link, id] : parked) Admit(link, id, /*resumed=*/false, now);
+  for (const auto& [link, id] : parked) Admit(link, id, now);
   for (size_t i = 0; i < fork_target_; ++i) {
     Status st = Spawn(now);
     if (st.ok()) continue;
@@ -103,16 +103,9 @@ void PhaseMachine::Join(uint64_t id, uint64_t link, uint64_t pid, double now) {
 }
 
 // Admits a remote worker: install the phase's registered job over
-// kJobSetup, then schedule it like any other crew member. A worker whose
-// prior registration was evicted redials with generation > 0 and gets a
-// kNoTask resume ack first, telling it to drop any pending attempt.
-void PhaseMachine::Admit(uint64_t link, uint64_t id, bool resumed,
-                         double now) {
-  RunAckMsg ack;
-  ack.task = RunAckMsg::kNoTask;
-  if ((resumed && !io_->Send(link, Frame{MessageType::kRunAck, ack.Encode()})
-                       .ok()) ||
-      !io_->Send(link, Frame{MessageType::kJobSetup, phase_.remote_setup})
+// kJobSetup, then schedule it like any other crew member.
+void PhaseMachine::Admit(uint64_t link, uint64_t id, double now) {
+  if (!io_->Send(link, Frame{MessageType::kJobSetup, phase_.remote_setup})
            .ok()) {
     io_->Close(link);
     return;
@@ -121,43 +114,31 @@ void PhaseMachine::Admit(uint64_t link, uint64_t id, bool resumed,
   ++counters_->workers_registered;
 }
 
-// The first frame of an offered connection must be a hello: a remote worker
-// redialing after a drop is matched to its held slot by worker id and gets
-// a resume kRunAck; any other hello is a new admission. Anything else is not
-// one of ours.
+// The first frame of an offered connection must be a hello naming a worker
+// not in the crew: a remote worker dropped earlier dials again and joins as
+// a new one. A hello for a worker still in the crew is closed, not rebound
+// (that worker's old link is on its way to a loss event), and so is any
+// other first frame: it is not one of ours.
 void PhaseMachine::Hello(uint64_t link, const Frame& frame, double now) {
   HelloMsg hello;
   if (frame.type != MessageType::kHello ||
-      !HelloMsg::Decode(frame.payload, &hello).ok()) {
+      !HelloMsg::Decode(frame.payload, &hello).ok() ||
+      std::any_of(workers_.begin(), workers_.end(), [&](const Worker& c) {
+        return c.id == hello.worker_id;
+      })) {
     io_->Close(link);
     return;
   }
-  auto w = std::find_if(workers_.begin(), workers_.end(), [&](const Worker& c) {
-    return c.id == hello.worker_id;
-  });
-  if (w == workers_.end()) {
-    Admit(link, hello.worker_id, hello.generation > 0, now);
-    return;
-  }
-  if (w->link != 0) io_->Close(w->link);
-  w->link = link;
-  w->last_beat = now;
-  if (hello.generation == 0) return;
-  ++counters_->channel_reconnects;
-  DiscardOpenRun(*w);
-  SendAck(*w);
+  Admit(link, hello.worker_id, now);
 }
 
-// The cumulative ack of w's attempt, the credit and the resume point alike,
-// or a kNoTask ack when it has none in flight.
+// The cumulative ack of w's attempt: its shuffle credit.
 void PhaseMachine::SendAck(Worker& w) {
   RunAckMsg ack;
-  ack.task = w.busy ? w.task : RunAckMsg::kNoTask;
-  if (w.busy) {
-    ack.attempt = w.attempt;
-    ack.acked_runs = w.stream.committed.size();
-    ack.acked_bytes = w.stream.last_acked_bytes = w.stream.committed_bytes;
-  }
+  ack.task = w.task;
+  ack.attempt = w.attempt;
+  ack.acked_runs = w.stream.committed.size();
+  ack.acked_bytes = w.stream.last_acked_bytes = w.stream.committed_bytes;
   (void)io_->Send(w.link, Frame{MessageType::kRunAck, ack.Encode()});
 }
 
@@ -211,10 +192,10 @@ void PhaseMachine::ChargeFailure(size_t t, bool crashed, const Status& why,
 // is SIGKILLed and reaped; a remote one, not our child, is evicted. Either
 // way the spill files of dead owners are reaped. A busy worker's attempt is
 // charged: as a hang when the worker, forked or remote, went silent or
-// overran its deadline, otherwise as a crash. A remote worker that never
-// redialed is a crash: no waitpid can tell its death from a lost network.
-// A remote worker's task is reassigned through the normal retry path. Its
-// stream, runs and all, goes too.
+// overran its deadline, otherwise as a crash — a remote worker whose link
+// failed included, since no waitpid can tell its death from a lost
+// network. A remote worker's task is reassigned through the normal retry
+// path. Its stream, runs and all, goes too.
 void PhaseMachine::DropWorker(size_t wi, Drop cause, double now) {
   Worker w = std::move(workers_[wi]);
   workers_.erase(workers_.begin() + static_cast<std::ptrdiff_t>(wi));
@@ -222,7 +203,7 @@ void PhaseMachine::DropWorker(size_t wi, Drop cause, double now) {
   // could exit on its own and unlink the spill files the reaper below
   // counts as orphans.
   if (!remote_) io_->KillAndReap(w.link, 0.0);
-  if (w.link != 0) io_->Close(w.link);
+  io_->Close(w.link);
   const bool deadline = cause == Drop::kDeadline;
   const bool hang = deadline || cause == Drop::kSilence;
   if (deadline) ++counters_->deadline_kills;
@@ -250,14 +231,6 @@ void PhaseMachine::DropWorker(size_t wi, Drop cause, double now) {
                   now);
   }
   if (spills_) counters_->spill_files_reaped += io_->ReapOrphans();
-}
-
-// Discards the run that was arriving when a connection dropped; the worker
-// re-ships it from the committed boundary after reconnecting.
-void PhaseMachine::DiscardOpenRun(Worker& w) {
-  if (!w.stream.open.has_value()) return;
-  w.stream.open.reset();
-  ++counters_->shuffle_resent_runs;
 }
 
 // ---- Streamed-shuffle frame handlers. A protocol violation (bad seq, size
@@ -397,24 +370,16 @@ void PhaseMachine::OnFrame(uint64_t link, Frame* frame, double now) {
   if (!protocol_ok) DropWorker(wi, Drop::kProtocol, now);
 }
 
+// EOF or a corrupt frame: record boundaries are gone, and a worker's link
+// is unusable, forked or remote.
 void PhaseMachine::OnLost(uint64_t link, double now) {
   const size_t wi = Find(link);
-  if (wi < workers_.size() && !remote_) {
-    // EOF or a corrupt frame on a forked worker's socketpair: record
-    // boundaries are gone and the worker is unusable.
+  if (wi < workers_.size()) {
     DropWorker(wi, Drop::kChannel, now);
     return;
   }
   io_->Close(link);
   std::erase_if(pending_, [link](const auto& p) { return p.first == link; });
-  if (wi == workers_.size()) return;
-  // No waitpid can tell a remote crash from a network drop: hold the attempt
-  // and committed runs for the reconnect grace; the hang scan evicts (and
-  // reassigns) if no redial arrives.
-  Worker& w = workers_[wi];
-  w.link = 0;
-  w.last_beat = now;
-  DiscardOpenRun(w);
 }
 
 void PhaseMachine::Tick(double now) {
@@ -424,16 +389,11 @@ void PhaseMachine::Tick(double now) {
     io_->Close(p.first);
     return true;
   });
-  // Hang scan: deadline overruns, heartbeat silence, and remote workers
-  // that out-stayed the reconnect grace.
+  // Hang scan: deadline overruns and heartbeat silence.
   for (size_t wi = workers_.size(); wi-- > 0;) {
     const Worker& w = workers_[wi];
     const double deadline = options_.task_deadline_seconds;
-    if (w.link == 0) {
-      if (now - w.last_beat > kConnectGraceSeconds) {
-        DropWorker(wi, Drop::kNoRedial, now);
-      }
-    } else if (w.busy && deadline > 0.0 && now - w.dispatched > deadline) {
+    if (w.busy && deadline > 0.0 && now - w.dispatched > deadline) {
       DropWorker(wi, Drop::kDeadline, now);
     } else if (w.busy && now - w.last_beat > kHeartbeatGraceSeconds) {
       DropWorker(wi, Drop::kSilence, now);
@@ -478,11 +438,11 @@ void PhaseMachine::Tick(double now) {
   Dispatch(now);
 }
 
-// Dispatches ready tasks to idle, connected workers, lowest task id first;
-// commit order is by task id regardless.
+// Dispatches ready tasks to idle workers, lowest task id first; commit
+// order is by task id regardless.
 void PhaseMachine::Dispatch(double now) {
   for (Worker& w : workers_) {
-    if (w.busy || w.link == 0) continue;
+    if (w.busy) continue;
     for (size_t t = 0; t < tasks_.size(); ++t) {
       TaskState& ts = tasks_[t];
       if (ts.done || ts.in_flight || now < ts.not_before) continue;
@@ -523,7 +483,6 @@ Status PhaseMachine::Teardown() {
   for (const auto& p : pending_) io_->Close(p.first);
   pending_.clear();
   for (Worker& w : workers_) {
-    if (w.link == 0) continue;
     if (remote_ && !w.busy) {
       io_->Park(w.link, w.id);
     } else {

@@ -104,49 +104,30 @@ int RunRemoteWorker(const RemoteWorkerOptions& options) {
       options.worker_id != 0
           ? options.worker_id
           : ((uint64_t{1} << 63) | static_cast<uint64_t>(::getpid()));
-
   const ExponentialBackoff::Params connect_backoff{0.002, 2.0, 0.25, 0.25};
   const uint64_t connect_seed = SplitSeed(options.backoff_seed, worker_id);
-  const std::string host = options.host;
-  const uint16_t port = options.port;
-  const double deadline = options.dial_deadline_seconds;
-  auto dial = [host, port, connect_backoff, connect_seed,
-               deadline]() -> Result<std::unique_ptr<CommChannel>> {
-    DDP_ASSIGN_OR_RETURN(auto ch,
-                         TcpChannel::Connect(host, port, connect_backoff,
-                                             connect_seed, deadline));
-    return std::unique_ptr<CommChannel>(std::move(ch));
-  };
 
-  auto first = dial();
-  if (!first.ok()) {
-    DDP_LOG(Error) << "ddp_worker: cannot reach supervisor at " << host << ":"
-                   << port << ": " << first.status().ToString();
-    return 1;
-  }
-
-  // The installed job, swapped atomically under the loop's single thread
-  // (kJobSetup and kTaskAssign frames arrive in stream order).
-  auto runner = std::make_shared<JobRegistry::TaskRunner>();
-  auto assigns_served = std::make_shared<int64_t>(0);
+  // The installed job: kJobSetup and kTaskAssign frames arrive in stream
+  // order on the loop's one thread.
+  JobRegistry::TaskRunner runner;
+  int64_t assigns_served = 0;
   const int64_t crash_task = options.chaos_crash_task;
 
   WorkerMainConfig wc;
   wc.worker_id = worker_id;
-  wc.reconnect = dial;
-  wc.on_job_setup = [runner](const JobSetupMsg& setup) -> Status {
-    DDP_ASSIGN_OR_RETURN(*runner, JobRegistry::Global().Create(setup));
+  wc.on_job_setup = [&runner](const JobSetupMsg& setup) -> Status {
+    DDP_ASSIGN_OR_RETURN(runner, JobRegistry::Global().Create(setup));
     return Status::OK();
   };
-  WorkerTaskFn run_task = [runner, assigns_served, crash_task](
+  WorkerTaskFn run_task = [&runner, &assigns_served, crash_task](
                               uint64_t task, uint64_t attempt,
                               bool quarantined, const std::string& input,
                               TaskResult* result) -> Status {
-    if (*runner == nullptr) {
+    if (runner == nullptr) {
       return Status::Internal("task assigned before any job was installed");
     }
-    const int64_t served = (*assigns_served)++;
-    Status st = (*runner)(task, attempt, quarantined, input, result);
+    const int64_t served = assigns_served++;
+    Status st = runner(task, attempt, quarantined, input, result);
     if (st.ok() && crash_task >= 0 && served == crash_task) {
       // Deterministic chaos: die mid-shuffle on this assignment, exactly
       // like FaultInjection::worker_crash_rate's mid-shuffle coin.
@@ -156,7 +137,21 @@ int RunRemoteWorker(const RemoteWorkerOptions& options) {
     return st;
   };
 
-  return WorkerLoop(std::move(first).value(), run_task, wc);
+  // A worker whose link fails dials again and joins as a new worker: a
+  // plain hello, then the phase's kJobSetup. It stops when a dial finds no
+  // supervisor within the deadline.
+  for (;;) {
+    auto ch = TcpChannel::Connect(options.host, options.port, connect_backoff,
+                                  connect_seed, options.dial_deadline_seconds);
+    if (!ch.ok()) {
+      DDP_LOG(Error) << "ddp_worker: cannot reach supervisor at "
+                     << options.host << ":" << options.port << ": "
+                     << ch.status().ToString();
+      return 1;
+    }
+    const int code = WorkerLoop(std::move(ch).value(), run_task, wc);
+    if (code != kWorkerLinkLost) return code;
+  }
 }
 
 Result<int64_t> SpawnWorkerProcess(const std::string& binary,

@@ -37,10 +37,12 @@
 ///    workers from `Options::remote_pool` and parks healthy ones back at
 ///    phase teardown. One job at a time may use a pool.
 ///  * `RunRemoteWorker` — worker-side: dial, register, serve. The loop is
-///    WorkerLoop, so heartbeat, streamed shuffle, backpressure, reconnect-
-///    resume, and chaos crash semantics are byte-identical to fork workers:
-///    the heartbeat interval is kWorkerHeartbeatSeconds and the credit
-///    window rides each kTaskAssign, both set by the supervisor.
+///    WorkerLoop, so heartbeat, streamed shuffle, backpressure and chaos
+///    crash semantics are byte-identical to fork workers: the heartbeat
+///    interval is kWorkerHeartbeatSeconds and the credit window rides each
+///    kTaskAssign, both set by the supervisor. A worker whose link fails
+///    dials again and joins as a new worker; its attempt is retried, as a
+///    forked worker's is when it dies.
 ///
 /// Raw process-control calls (fork/execv/kill/waitpid — used by
 /// SpawnWorkerProcess for tests and tools that launch worker processes)
@@ -128,8 +130,8 @@ struct RemoteWorkerOptions {
   /// 0 derives (1 << 63) | pid — bit 63 keeps remote ids disjoint from the
   /// supervisor's fork-worker ids on any host.
   uint64_t worker_id = 0;
-  /// How long one dial (initial or reconnect) keeps retrying with the
-  /// seeded backoff before giving up; 0 dials once.
+  /// How long one dial (the first, or one after a lost link) keeps
+  /// retrying with the seeded backoff before giving up; 0 dials once.
   double dial_deadline_seconds = 5.0;
   uint64_t backoff_seed = 1;
   /// >= 0: deterministic chaos — on the Kth kTaskAssign served (0-based),
@@ -138,8 +140,9 @@ struct RemoteWorkerOptions {
   int64_t chaos_crash_task = -1;
 };
 
-/// Dials the supervisor and serves registered jobs until kShutdown or an
-/// unrecoverable channel error. Returns the process exit code.
+/// Dials the supervisor and serves registered jobs until kShutdown, dialing
+/// again whenever its link fails, until a dial finds no supervisor. Returns
+/// the process exit code: 0 after kShutdown, 1 when the supervisor is gone.
 int RunRemoteWorker(const RemoteWorkerOptions& options);
 
 /// fork+execv of a worker (or any) binary, for tools and tests that launch

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -22,10 +23,37 @@ namespace {
 
 long CurrentPid() { return static_cast<long>(::getpid()); }
 
+/// True when Linux reports `pid` inside exit: PF_EXITING (0x4) in the
+/// flags field of /proc/<pid>/stat. A dying process sets it on every thread
+/// before it closes its descriptors, so a worker whose socket just read EOF
+/// is already marked, though it is not yet a zombie.
+bool Exiting(long pid) {
+  const std::string path = "/proc/" + std::to_string(pid) + "/stat";
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  char buf[512];
+  const ssize_t n = ::read(fd, buf, sizeof(buf) - 1);
+  ::close(fd);
+  if (n <= 0) return false;
+  buf[n] = '\0';
+  // "pid (comm) state ppid pgrp session tty_nr tpgid flags ...": comm may
+  // hold spaces and parentheses, so the fields start after the last ')'.
+  const char* field = std::strrchr(buf, ')');
+  if (field == nullptr) return false;
+  ++field;
+  for (int skip = 0; skip < 6; ++skip) {  // state .. tpgid
+    while (*field == ' ') ++field;
+    while (*field != ' ' && *field != '\0') ++field;
+  }
+  return (std::strtoul(field, nullptr, 10) & 0x4) != 0;
+}
+
 /// True when `pid` names a live process (or liveness cannot be probed, in
 /// which case the reaper stays conservative and keeps the file). kill(pid,
 /// 0) succeeds on a zombie, so waitid asks first whether `pid` is an exited
 /// child of ours (WNOWAIT leaves it waitable; other pids fail with ECHILD).
+/// It also succeeds on a process still inside exit, which owns nothing any
+/// more.
 bool ProcessAlive(long pid) {
   if (pid <= 0) return true;
   siginfo_t info{};
@@ -34,7 +62,7 @@ bool ProcessAlive(long pid) {
       info.si_pid != 0) {
     return false;
   }
-  if (::kill(static_cast<pid_t>(pid), 0) == 0) return true;
+  if (::kill(static_cast<pid_t>(pid), 0) == 0) return !Exiting(pid);
   return errno != ESRCH;
 }
 

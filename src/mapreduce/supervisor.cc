@@ -73,14 +73,12 @@ std::string HelloMsg::Encode() const {
   std::string bytes;
   BufferWriter w(&bytes);
   w.PutVarint64(worker_id);
-  w.PutVarint64(generation);
   return bytes;
 }
 
 Status HelloMsg::Decode(const std::string& bytes, HelloMsg* out) {
   BufferReader r(bytes);
   DDP_RETURN_NOT_OK(r.GetVarint64(&out->worker_id));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->generation));
   if (!r.exhausted()) return Status::IoError("trailing bytes in HelloMsg");
   return Status::OK();
 }
@@ -494,8 +492,6 @@ Status WorkerSupervisor::RunPhase(const Options& options,
                       counters->worker_restarts - at_start.worker_restarts);
     phase_span.AddArg("streamed_bytes", counters->shuffle_streamed_bytes -
                                             at_start.shuffle_streamed_bytes);
-    phase_span.AddArg("reconnects", counters->channel_reconnects -
-                                        at_start.channel_reconnects);
     phase_span.AddArg("workers_registered", counters->workers_registered -
                                                 at_start.workers_registered);
     phase_span.AddArg("tasks_reassigned",

@@ -33,22 +33,22 @@
 /// spill files and feeds the machine from one poll loop;
 /// tests/supervisor_sim_test.cc implements it in memory. The policy:
 ///
-///  * crash — a forked worker whose channel failed, or any worker that
+///  * crash — a worker whose channel failed, forked or remote, or that
 ///    broke the stream protocol, is dropped; its attempt is charged and
 ///    retried after a seeded backoff, and a forked crew respawns while
-///    `max_worker_restarts` lasts.
+///    `max_worker_restarts` lasts. No `waitpid` can tell a remote crash
+///    from a network drop, and neither needs to: as in Hadoop, the attempt
+///    runs again elsewhere and nothing of it is resumed. A remote worker
+///    whose link failed dials again and joins as a new worker.
 ///  * hang — an attempt past `task_deadline_seconds`, or a busy worker
 ///    silent past kHeartbeatGraceSeconds, is dropped and charged like an
 ///    in-process deadline kill.
 ///  * poison — a task whose attempts killed `quarantine_after_crashes`
 ///    consecutive workers re-runs quarantined under `skip_bad_records`
 ///    (Hadoop's skip mode); otherwise the job fails.
-///  * disconnect — a remote worker's lost connection is held, attempt and
-///    committed runs kept, for kConnectGraceSeconds; a redial with a higher
-///    hello generation resumes from the last committed run, and a worker
-///    still gone is evicted and its task reassigned.
 ///  * admission — a new connection must say hello, among the crew's events,
-///    within kHelloSeconds, or it is closed.
+///    within kHelloSeconds, or it is closed; so is a hello naming a worker
+///    already in the crew.
 ///
 /// The streamed shuffle: a worker ships each SpillRun of a successful
 /// attempt as kRunBegin / kRunData* / kRunEnd — a disk run byte-identical
@@ -60,7 +60,7 @@
 /// carries (the memory budget floored at 4 KiB, or 4 MiB without one). A
 /// slim kResult follows every run frame, so a committed result has its
 /// full run set. Results commit per task index, so scheduling, crashes,
-/// respawns and reconnects never affect output order (docs/architecture.md,
+/// respawns and redials never affect output order (docs/architecture.md,
 /// "Multi-process execution"). Raw process control lives in src/mapreduce/
 /// alone (raw sockets also in src/server/), as ddp_lint's R7 enforces.
 
@@ -95,8 +95,8 @@ struct TaskResult {
   /// >= 0: SIGKILL self after shipping this many runs (mid-shuffle crash
   /// chaos, clamped to runs.size()).
   int64_t crash_after_runs = -1;
-  /// >= 0: drop the connection mid-run after shipping this many full runs
-  /// (reconnect chaos; ignored by workers that cannot redial).
+  /// >= 0: close the connection mid-run after shipping this many full runs
+  /// (link-loss chaos; ignored by workers that cannot redial).
   int64_t drop_after_runs = -1;
 };
 
@@ -150,9 +150,6 @@ struct ResultMsg {
 
 struct HelloMsg {
   uint64_t worker_id = 0;
-  /// 0 on first connect; incremented per reconnect. A generation > 0 hello
-  /// triggers the resume protocol.
-  uint64_t generation = 0;
 
   std::string Encode() const;
   static Status Decode(const std::string& bytes, HelloMsg* out);
@@ -196,11 +193,11 @@ struct FaultInjection {
   double worker_crash_rate = 0.0;
   double poison_task_rate = 0.0;
   /// Remote workers only: probability, per (task, attempt), that the
-  /// worker's connection drops mid-run while it streams the attempt's
-  /// shuffle runs. The worker redials, the supervisor discards the partial
-  /// run and answers with the last committed run boundary, and the stream
-  /// resumes — committed bytes are identical to an undropped run. Forked
-  /// workers ignore it: a socketpair cannot be re-established.
+  /// worker closes its connection mid-run while it streams the attempt's
+  /// shuffle runs. The supervisor drops it and retries the attempt, and the
+  /// worker dials again and joins as a new worker — committed bytes are
+  /// identical to an undropped run. Forked workers ignore it: a socketpair
+  /// cannot be redialed.
   double channel_drop_rate = 0.0;
   uint64_t seed = 1;
 };
@@ -267,13 +264,8 @@ struct RunEndMsg {
   static Status Decode(const std::string& bytes, RunEndMsg* out);
 };
 
-/// Cumulative commit acknowledgement — both the flow-control credit and
-/// the resume point after a reconnect. `task == kNoTask` in a resume ack
-/// means the supervisor has no attempt in flight for this worker (its last
-/// result already committed) and the worker should drop its pending state.
+/// Cumulative commit acknowledgement: the flow-control credit.
 struct RunAckMsg {
-  static constexpr uint64_t kNoTask = ~uint64_t{0};
-
   uint64_t task = 0;
   uint64_t attempt = 0;
   uint64_t acked_runs = 0;   // runs committed so far for this attempt
@@ -289,7 +281,6 @@ enum class Drop {
   kProtocol,  // it broke the stream protocol or sent a bad result
   kSilence,   // no heartbeat within the grace
   kDeadline,  // its attempt overran the task deadline
-  kNoRedial,  // a remote worker's link stayed down past the connect grace
 };
 
 /// Everything a PhaseMachine does to the world. A link is the driver's id
@@ -322,8 +313,7 @@ class PhaseMachine {
  public:
   /// A busy worker silent for more than this is declared hung.
   static constexpr double kHeartbeatGraceSeconds = 8 * kWorkerHeartbeatSeconds;
-  /// How long a disconnected remote worker (or an empty remote crew) is
-  /// waited for before it is evicted (or the phase fails).
+  /// How long an empty remote crew is waited for before the phase fails.
   static constexpr double kConnectGraceSeconds = 6.0;
   /// How long an offered connection may take to say hello.
   static constexpr double kHelloSeconds = 2.0;
@@ -375,7 +365,7 @@ class PhaseMachine {
   };
   struct Worker {
     uint64_t id = 0;
-    uint64_t link = 0;  // 0 while a remote worker is reconnecting
+    uint64_t link = 0;
     bool busy = false;
     size_t task = 0;
     size_t attempt = 0;
@@ -397,11 +387,10 @@ class PhaseMachine {
   size_t Find(uint64_t link) const;  // workers_.size() when none
   Status Spawn(double now);
   void Join(uint64_t id, uint64_t link, uint64_t pid, double now);
-  void Admit(uint64_t link, uint64_t id, bool resumed, double now);
+  void Admit(uint64_t link, uint64_t id, double now);
   void Hello(uint64_t link, const Frame& frame, double now);
   void ChargeFailure(size_t t, bool crashed, const Status& why, double now);
   void DropWorker(size_t wi, Drop cause, double now);
-  void DiscardOpenRun(Worker& w);
   void SendAck(Worker& w);
   bool RunBegin(Worker& w, const std::string& payload, double now);
   bool RunData(Worker& w, std::string* payload);
@@ -456,22 +445,26 @@ class WorkerSupervisor {
 /// Child-side knobs for WorkerLoop.
 struct WorkerMainConfig {
   uint64_t worker_id = 0;
-  /// Re-establishes the channel after a drop (remote workers). Null for
-  /// forked workers: a socketpair cannot be redialed, so a channel error
-  /// is fatal, and the worker watches getppid() instead to notice that
-  /// its supervisor died.
-  std::function<Result<std::unique_ptr<CommChannel>>()> reconnect;
-  /// Installs a registered job when a kJobSetup frame arrives (remote
-  /// workers). Null: the worker exits on kJobSetup.
+  /// Installs a registered job when a kJobSetup frame arrives. Set for
+  /// remote workers only, which is what marks one: it redials after its
+  /// link fails, so it acts on the drop marker and watches no parent. Null
+  /// (a forked worker): the worker exits on kJobSetup, and watches
+  /// getppid() to notice that its supervisor died.
   std::function<Status(const JobSetupMsg& setup)> on_job_setup;
 };
+
+/// WorkerLoop's return when the worker's channel failed or its stream broke
+/// midway: a remote worker dials again; a forked one exits with it.
+constexpr int kWorkerLinkLost = 3;
 
 /// The worker protocol loop shared by forked children and exec'd remote
 /// workers: identify with kHello, answer each kTaskAssign frame by running
 /// `fn` and streaming the attempt's runs then a kResult frame, beating
-/// kHeartbeat every kWorkerHeartbeatSeconds meanwhile, until kShutdown, an
-/// unrecoverable channel error, or orphaning. Returns the process exit code
-/// (remote workers return to main; forked children must _exit instead).
+/// kHeartbeat every kWorkerHeartbeatSeconds meanwhile, until kShutdown, a
+/// channel error (kWorkerLinkLost), or orphaning. An attempt's runs and
+/// spill files are released once its kResult is sent, or its stream fails.
+/// Returns the process exit code (remote workers return to main; forked
+/// children must _exit instead).
 int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
                const WorkerMainConfig& config);
 

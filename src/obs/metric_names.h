@@ -76,8 +76,6 @@ inline constexpr const char* kMetricLocalDpGroupSize = "local_dp.group_size";
 inline constexpr const char* kMetricLocalDpGroups = "local_dp.groups";
 
 // MapReduce substrate.
-inline constexpr const char* kMetricMrChannelReconnects =
-    "mr.channel_reconnects";
 inline constexpr const char* kMetricMrJobSeconds = "mr.job_seconds";
 inline constexpr const char* kMetricMrJobs = "mr.jobs";
 inline constexpr const char* kMetricMrMapAttemptSeconds =
@@ -88,8 +86,6 @@ inline constexpr const char* kMetricMrReduceAttemptSeconds =
 inline constexpr const char* kMetricMrRunShipSeconds = "mr.run_ship_seconds";
 inline constexpr const char* kMetricMrShuffleBytes = "mr.shuffle_bytes";
 inline constexpr const char* kMetricMrShuffleRecords = "mr.shuffle_records";
-inline constexpr const char* kMetricMrShuffleResentRuns =
-    "mr.shuffle_resent_runs";
 inline constexpr const char* kMetricMrShuffleStreamedBytes =
     "mr.shuffle_streamed_bytes";
 inline constexpr const char* kMetricMrSpillWriteSeconds =

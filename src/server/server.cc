@@ -24,6 +24,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Finished jobs whose records stay pollable: more than the ~740 jobs one
+/// 15 s serve-s2-mixed benchmark run completes.
+constexpr size_t kFinishedJobsKept = 1024;
+
 std::string CacheKeyDirName(const std::string& cache_key) {
   char out[16];
   std::snprintf(out, sizeof(out), "%08x",
@@ -119,6 +123,7 @@ void DdpServer::WaitShutdown() {
         job->detail = "cancelled by server shutdown";
         admitted_bytes_ -= job->admission_bytes;
         inflight_by_key_.erase(job->cache_key);
+        RetireLocked(job.get());
         DDP_METRIC_COUNTER_ADD(obs::kMetricServerJobsCancelled, 1);
       }
       queue_.clear();
@@ -164,6 +169,14 @@ void DdpServer::AcceptLoop() {
     conn->channel = std::move(*accepted);
     Connection* raw = conn.get();
     std::unique_lock<std::mutex> lock(conn_mu_);
+    // The handlers of closed connections are joined as new ones arrive, so
+    // a long-lived server keeps no thread stack or channel per connection
+    // it ever served.
+    std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+      if (!c->done.load(std::memory_order_acquire)) return false;
+      c->thread.join();
+      return true;
+    });
     connections_.push_back(std::move(conn));
     raw->thread = std::thread([this, raw] { ServeConnection(raw); });
   }
@@ -182,6 +195,7 @@ void DdpServer::ServeConnection(Connection* conn) {
     if (!HandleFrame(conn, frame, &subs).ok()) break;
   }
   conn->channel->Close();
+  conn->done.store(true, std::memory_order_release);
 }
 
 Status DdpServer::HandleFrame(Connection* conn, const mr::Frame& frame,
@@ -268,9 +282,8 @@ JobStatusMsg DdpServer::SnapshotLocked(const Job& job) const {
     }
     msg.queue_position = position;
   }
-  if (job.checkpoint != nullptr) {
-    msg.mr_jobs_done = job.checkpoint->sequence();
-  }
+  msg.mr_jobs_done = job.checkpoint != nullptr ? job.checkpoint->sequence()
+                                               : job.mr_jobs_done;
   if (job.state == JobState::kRunning) {
     msg.running_seconds = Now() - job.started_at;
   } else if (job.state == JobState::kDone ||
@@ -288,8 +301,21 @@ JobStatusMsg DdpServer::RejectLocked(const std::shared_ptr<Job>& job,
   job->state = JobState::kRejected;
   job->detail = std::move(reason);
   job->finished_at = Now();
+  RetireLocked(job.get());
   DDP_METRIC_COUNTER_ADD(obs::kMetricServerJobsRejected, 1);
   return SnapshotLocked(*job);
+}
+
+void DdpServer::RetireLocked(Job* job) {
+  if (job->checkpoint != nullptr) {
+    job->mr_jobs_done = job->checkpoint->sequence();
+    job->checkpoint.reset();
+  }
+  finished_.push_back(job->id);
+  if (finished_.size() > kFinishedJobsKept) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
+  }
 }
 
 JobStatusMsg DdpServer::HandleSubmit(const JobSubmitMsg& msg) {
@@ -341,6 +367,7 @@ JobStatusMsg DdpServer::HandleSubmit(const JobSubmitMsg& msg) {
     job->from_result_cache = true;
     job->result_payload = std::move(cached);
     job->finished_at = Now();
+    RetireLocked(job.get());
     DDP_METRIC_COUNTER_ADD(obs::kMetricServerJobsCompleted, 1);
     return SnapshotLocked(*job);
   }
@@ -401,6 +428,7 @@ JobStatusMsg DdpServer::HandleCancel(uint64_t job_id) {
     job->finished_at = Now();
     admitted_bytes_ -= job->admission_bytes;
     inflight_by_key_.erase(job->cache_key);
+    RetireLocked(job.get());
     DDP_METRIC_COUNTER_ADD(obs::kMetricServerJobsCancelled, 1);
     UpdateGaugesLocked();
     drain_cv_.notify_all();
@@ -527,6 +555,7 @@ void DdpServer::ExecuteJob(const std::shared_ptr<Job>& job) {
     job->detail = payload.status().ToString();
     DDP_METRIC_COUNTER_ADD(obs::kMetricServerJobsFailed, 1);
   }
+  RetireLocked(job.get());
   DDP_METRIC_HISTOGRAM_SECONDS(obs::kMetricServerJobSeconds, elapsed);
 }
 

@@ -22,7 +22,8 @@
 /// DdpServer — the clustering-as-a-service daemon. One instance owns:
 ///
 ///  * an accept loop on a TcpListener plus one handler thread per client
-///    connection, speaking the kJob* frames of protocol.h;
+///    connection, speaking the kJob* frames of protocol.h; a closed
+///    connection's thread is joined as the next connection is accepted;
 ///  * a bounded job queue behind admission control: a submission is
 ///    rejected (with the reason on the wire) when the queue is full or when
 ///    the sum of admitted jobs' effective memory budgets would exceed the
@@ -41,6 +42,10 @@
 /// cancel flags fire and each pipeline stops at its next job boundary —
 /// checkpoints already saved stay valid, so a resubmission resumes instead
 /// of recomputing.
+///
+/// Job records answer status and result polls: every queued and running
+/// job's, and the most recent finished ones' (a fixed window in server.cc).
+/// An older id reads "unknown job id", as a never-issued one does.
 ///
 /// Progress, queue depth, cache traffic, and job latency are all exported
 /// through MetricsRegistry under `server.*` (docs/observability.md).
@@ -138,14 +143,17 @@ class DdpServer {
     double started_at = 0.0;  // valid once kRunning
     double finished_at = 0.0;
     std::shared_ptr<std::atomic<bool>> cancel_flag;
-    /// The pipeline's checkpoint store, once it runs: its key sequence is
-    /// the job's MapReduce progress.
+    /// The pipeline's checkpoint store while it runs: its key sequence is
+    /// the job's MapReduce progress, kept as `mr_jobs_done` once the job
+    /// finishes and the store goes.
     std::unique_ptr<mr::CheckpointStore> checkpoint;
+    uint64_t mr_jobs_done = 0;
   };
 
   struct Connection {
     std::unique_ptr<mr::CommChannel> channel;
     std::thread thread;
+    std::atomic<bool> done{false};  // the handler returned; join it
   };
 
   /// Per-connection progress subscription for one job.
@@ -176,6 +184,9 @@ class DdpServer {
   JobStatusMsg SnapshotLocked(const Job& job) const;
   JobStatusMsg RejectLocked(const std::shared_ptr<Job>& job,
                             std::string reason);
+  /// Files a job that reached a terminal state among the finished ones,
+  /// forgetting the oldest past the window.
+  void RetireLocked(Job* job);
   void UpdateGaugesLocked();
   double Now() const { return clock_.ElapsedSeconds(); }
 
@@ -197,6 +208,7 @@ class DdpServer {
   uint64_t next_job_id_ = 1;
   std::deque<std::shared_ptr<Job>> queue_;
   std::map<uint64_t, std::shared_ptr<Job>> jobs_;
+  std::deque<uint64_t> finished_;  // ids in jobs_ that finished, oldest first
   std::map<std::string, uint64_t> inflight_by_key_;  // coalescing
   uint64_t admitted_bytes_ = 0;
   size_t running_ = 0;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -158,27 +159,39 @@ TEST_P(ChaosTest, KilledDriverResumesBitIdentical) {
 // speculative attempts cancelled before they start) must still flush their
 // trace spans, marked cancelled — even though the worker pools that
 // recorded them are destroyed before the snapshot is taken. The straggler
-// dawdle (1.2s) deliberately exceeds the deadline (0.3s), so the monitor
-// wakes the dawdlers and they self-report DeadlineExceeded; injection is a
-// pure function of the seed, so the kills are deterministic. The deadline
-// is sized so that legitimate attempts stay well under it even at
-// sanitizer (TSan ~10x) slowdowns — this test runs under TSan in CI.
+// dawdle deliberately exceeds the deadline, so the monitor wakes the
+// dawdlers and they self-report DeadlineExceeded; injection is a pure
+// function of the seed, so the kills are deterministic. Both are calibrated
+// on the build under test: a fault-free run of the same pipeline measures
+// its slowest attempt, the deadline is the larger of 0.3 s and three times
+// that, and the dawdle is four times the deadline. So legitimate attempts
+// stay well under the deadline at any slowdown, a Debug ThreadSanitizer
+// build's included.
 TEST(ChaosTraceTest, KilledAttemptSpansAreFlushedAndMarkedCancelled) {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-  recorder.Clear();
-  recorder.Enable();
-
   auto ds = gen::KddLike(/*seed=*/5, 400);
   ASSERT_TRUE(ds.ok());
   DdpOptions chaos = BaseOptions();
   chaos.mr.num_partitions = 4;  // fewer tasks: each kill waits a deadline
-  chaos.mr.faults.straggler_rate = 0.3;
-  chaos.mr.faults.straggler_slowdown = 1.0;
-  chaos.mr.faults.straggler_min_seconds = 1.2;
-  chaos.mr.faults.seed = 20260806;
-  chaos.mr.task_deadline_seconds = 0.3;
   chaos.mr.max_task_attempts = 24;
   chaos.mr.speculative_execution = true;
+  LshDdp calibration_algo;
+  auto calibration = RunDistributedDp(&calibration_algo, *ds, chaos);
+  ASSERT_TRUE(calibration.ok()) << calibration.status().ToString();
+  double slowest = 0.0;
+  for (const mr::JobCounters& job : calibration->stats.jobs) {
+    slowest = std::max(slowest, job.max_attempt_seconds);
+  }
+  const double deadline = std::max(0.3, 3.0 * slowest);
+  RecordProperty("deadline_seconds", std::to_string(deadline));
+
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Clear();
+  recorder.Enable();
+  chaos.mr.faults.straggler_rate = 0.3;
+  chaos.mr.faults.straggler_slowdown = 1.0;
+  chaos.mr.faults.straggler_min_seconds = 4.0 * deadline;
+  chaos.mr.faults.seed = 20260806;
+  chaos.mr.task_deadline_seconds = deadline;
   LshDdp algo;
   auto result = RunDistributedDp(&algo, *ds, chaos);
   recorder.Disable();

@@ -9,7 +9,7 @@
 // --exec-mode=fork with the in-process executor, including under chaos
 // schedules that SIGKILL workers mid-map and mid-shuffle, hang workers past
 // the task deadline, and poison tasks until they are quarantined. Mid-run
-// connection drops and reconnect-resume belong to remote workers
+// connection drops and redials belong to remote workers
 // (remote_worker_test.cc).
 //
 // Fork-mode tests skip themselves where forked workers are unsupported
@@ -289,7 +289,8 @@ TEST(ChannelTest, TcpConnectAcceptRoundTripAndReconnect) {
 
   // Drop: the client goes away, the server end reads IoError, and a fresh
   // connection to the same listener restores the framed protocol — the
-  // lifecycle a reconnecting worker exercises.
+  // lifecycle a remote worker whose link failed exercises when it dials
+  // again.
   (*client)->Close();
   EXPECT_TRUE((*server)->Recv(&got, 5.0).IsIoError());
   auto again = TcpChannel::Connect("127.0.0.1", lst.port(), bo, 8, 5.0);
@@ -473,11 +474,9 @@ TEST(SupervisorCodecTest, ResultMsgRoundTrip) {
 TEST(SupervisorCodecTest, StreamedShuffleMsgsRoundTrip) {
   HelloMsg h;
   h.worker_id = 5;
-  h.generation = 3;
   HelloMsg h2;
   ASSERT_TRUE(HelloMsg::Decode(h.Encode(), &h2).ok());
   EXPECT_EQ(h2.worker_id, h.worker_id);
-  EXPECT_EQ(h2.generation, h.generation);
 
   RunBeginMsg b;
   b.task = 9;
@@ -506,13 +505,13 @@ TEST(SupervisorCodecTest, StreamedShuffleMsgsRoundTrip) {
   EXPECT_EQ(e2.seq, e.seq);
 
   RunAckMsg a;
-  a.task = RunAckMsg::kNoTask;  // the no-attempt resume sentinel
+  a.task = ~uint64_t{0};  // the largest task id survives the varint
   a.attempt = 1;
   a.acked_runs = 7;
   a.acked_bytes = uint64_t{1} << 33;
   RunAckMsg a2;
   ASSERT_TRUE(RunAckMsg::Decode(a.Encode(), &a2).ok());
-  EXPECT_EQ(a2.task, RunAckMsg::kNoTask);
+  EXPECT_EQ(a2.task, a.task);
   EXPECT_EQ(a2.attempt, a.attempt);
   EXPECT_EQ(a2.acked_runs, a.acked_runs);
   EXPECT_EQ(a2.acked_bytes, a.acked_bytes);
@@ -823,9 +822,11 @@ TEST(SupervisorTest, DiskRunFromAnUnbudgetedJobKillsTheWorker) {
 
 // A forked worker that streams a run whose CRC trailer does not match its
 // bytes breaks the stream protocol. The supervisor kills it, which counts a
-// kill and a crash, and retries the attempt on a fresh worker. The killed
-// worker's spill file is an orphan that the same drop path reaps, so once
-// the committed runs are dropped the spill dir is empty.
+// kill and a crash, and retries the attempt on a fresh worker. A worker lets
+// an attempt's spill file go once its result is sent, which can beat the
+// kill, so the corrupt attempt's body holds its file for the worker's life:
+// the killed worker's file is then an orphan that the same drop path reaps,
+// and once the committed runs are dropped the spill dir is empty.
 TEST(SupervisorTest, CorruptRunKillsTheWorkerAndRetries) {
   if (!ForkExecutionSupported()) {
     GTEST_SKIP() << "forked workers unsupported in this build";
@@ -837,8 +838,10 @@ TEST(SupervisorTest, CorruptRunKillsTheWorkerAndRetries) {
   Options options = ForkOptions(1);
   options.memory_budget_bytes = 4096;
   options.spill_dir = dir.string();
-  WorkerTaskFn fn = [&dir](uint64_t, uint64_t attempt, bool,
-                           const std::string&, TaskResult* result) -> Status {
+  std::shared_ptr<SpillFileHandle> held;  // set in the worker's copy only
+  WorkerTaskFn fn = [&dir, &held](uint64_t, uint64_t attempt, bool,
+                                  const std::string&,
+                                  TaskResult* result) -> Status {
     // Tagged with this worker's pid, as every spill file is, so the reaper
     // can tell when its owner is dead.
     DDP_ASSIGN_OR_RETURN(
@@ -862,6 +865,7 @@ TEST(SupervisorTest, CorruptRunKillsTheWorkerAndRetries) {
       f.seekp(last);
       f.put(static_cast<char>(c ^ 0x5a));
       if (!f.flush()) return Status::IoError("cannot flip the trailer byte");
+      held = writer->handle();  // a forked worker never runs destructors
     }
     SpillRun run;
     run.file = writer->handle();
@@ -1108,7 +1112,6 @@ TEST(MultiprocessTest, ForkModeIsBitIdenticalToInProcess) {
   // The map output reached the reducers as streamed runs, not result
   // payloads: the supervisor-relay data path is gone.
   EXPECT_GT(fork_counters.shuffle_streamed_bytes, 0u);
-  EXPECT_EQ(fork_counters.channel_reconnects, 0u);  // pipes never reconnect
   // Shuffle accounting is computed from the same serialized intermediates
   // either way; the substrate must not change what gets shuffled.
   EXPECT_EQ(fork_counters.shuffle_bytes, inproc_counters.shuffle_bytes);

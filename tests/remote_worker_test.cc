@@ -7,8 +7,8 @@
 // (two separately exec'd ddp_worker processes on localhost) must produce
 // byte-identical assignments for all three DDP drivers, including when one
 // remote worker dies mid-shuffle, when a 4 KiB spill budget forces every
-// task out of core, and when remote connections drop mid-run and resume
-// from the last committed run boundary.
+// task out of core, and when remote connections drop mid-run and the
+// dropped workers dial again.
 //
 // Remote/fork tests skip themselves where forked workers are unsupported
 // (ForkExecutionSupported() == false, e.g. under TSan).
@@ -53,16 +53,14 @@ namespace {
 
 // ------------------------------------------------------------- wire codecs
 
-// A hello is (worker id, generation) and nothing after it: a trailing
-// varint is rejected.
+// A hello is a worker id and nothing after it: a trailing varint is
+// rejected.
 TEST(RemoteCodecTest, HelloRoundTripRejectsTrailingVarint) {
   mr::HelloMsg hello;
   hello.worker_id = (uint64_t{1} << 63) | 4242;
-  hello.generation = 3;
   mr::HelloMsg decoded;
   ASSERT_TRUE(mr::HelloMsg::Decode(hello.Encode(), &decoded).ok());
   EXPECT_EQ(decoded.worker_id, hello.worker_id);
-  EXPECT_EQ(decoded.generation, hello.generation);
 
   std::string trailing = hello.Encode();
   BufferWriter w(&trailing);
@@ -291,6 +289,54 @@ TEST(HostileRemoteWorkerTest, DeclaredRunLengthIsNotAllocated) {
   EXPECT_LT(got.seconds, 1.0);
 }
 
+// A remote worker ships part of a run and then its connection closes, as a
+// crashed worker's or a lost network's would. The supervisor drops it at
+// once, as it drops a forked worker whose socketpair fails: one eviction,
+// one reassigned task, one retry, charged as a crash. A second worker
+// commits the task, and the phase waits out no connect grace.
+TEST(RemoteLinkLossTest, LostLinkMidRunIsRetriedAtOnce) {
+  auto pool = mr::RemoteWorkerPool::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const uint16_t port = (*pool)->port();
+  const std::string frames_bytes(96, 'l');
+  const std::string run = frames_bytes + mr::RunTrailer(frames_bytes);
+  std::thread fake([port, &run] {
+    auto ch = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
+                                      /*deadline_seconds=*/5.0);
+    if (!ch.ok()) return;
+    mr::HelloMsg hello;
+    hello.worker_id = (uint64_t{1} << 63) | 23;
+    if (!(*ch)->Send({mr::MessageType::kHello, hello.Encode()}).ok()) return;
+    mr::Frame frame;
+    mr::TaskAssignMsg assign;
+    while (frame.type != mr::MessageType::kTaskAssign) {
+      if (!(*ch)->Recv(&frame, /*timeout_seconds=*/30.0).ok()) return;
+    }
+    if (!mr::TaskAssignMsg::Decode(frame.payload, &assign).ok()) return;
+    mr::RunBeginMsg begin;
+    begin.task = assign.task;
+    begin.attempt = assign.attempt;
+    begin.spill_index = mr::kTailRunIndex;
+    begin.length = run.size();
+    (void)(*ch)->Send({mr::MessageType::kRunBegin, begin.Encode()});
+    (void)(*ch)->Send({mr::MessageType::kRunData, run.substr(0, 10)});
+    (*ch)->Close();
+    ServeWholeAttemptsInOneWrite(port, run);
+  });
+  const OnePhase got = RunOneTaskPhase(pool->get(), "lost-link");
+  pool->reset();  // closes the parked channel, so the fake returns
+  fake.join();
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.payload, "done");
+  ASSERT_EQ(got.runs.size(), 1u);
+  EXPECT_EQ(got.runs[0].bytes, frames_bytes);
+  EXPECT_EQ(got.counters.workers_registered, 2u);
+  EXPECT_EQ(got.counters.workers_evicted, 1u);
+  EXPECT_EQ(got.counters.tasks_reassigned, 1u);
+  EXPECT_EQ(got.counters.map_task_retries, 1u);
+  EXPECT_LT(got.seconds, 1.0);
+}
+
 // A worker whose whole attempt (a run in 200 kRunData chunks, and its
 // result) arrives in one write and which then says nothing more: every
 // frame after the first waits in the supervisor's receive buffer, where
@@ -497,13 +543,15 @@ void ExpectRegistryMovedByTotals(std::map<std::string, uint64_t> before,
 // assignment. Remote mode binds a pool on an ephemeral port, execs
 // `workers` ddp_worker processes against it (the first gets
 // `crash_task` >= 0 as --chaos-crash-task), and reaps them afterwards.
-// `faults` and `spill_dir` pass through to the MapReduce options. Every
-// successful run checks that the registry moved by the run's totals.
+// `faults`, `spill_dir` and `deadline` (task_deadline_seconds) pass through
+// to the MapReduce options. Every successful run checks that the registry
+// moved by the run's totals.
 Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
                                Mode mode, uint64_t budget = 0,
                                size_t workers = 2, int64_t crash_task = -1,
                                const mr::FaultInjection& faults = {},
-                               const std::string& spill_dir = "") {
+                               const std::string& spill_dir = "",
+                               double deadline = 0.0) {
   DdpOptions options;
   options.selector = PeakSelector::TopK(12);
   options.use_mr_assignment = true;  // assign-jump rounds go remote too
@@ -511,13 +559,16 @@ Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
   options.mr.memory_budget_bytes = budget;
   options.mr.spill_dir = spill_dir;
   options.mr.faults = faults;
+  options.mr.task_deadline_seconds = deadline;
   if (faults.map_failure_rate > 0.0 || faults.reduce_failure_rate > 0.0 ||
-      faults.worker_crash_rate > 0.0) {
-    // Failure chaos must not exhaust a task's attempts anywhere in the
-    // pipeline, and random worker crashes are not poison.
-    options.mr.max_task_attempts = 16;
+      faults.worker_crash_rate > 0.0 || faults.channel_drop_rate > 0.0) {
+    // Chaos must not exhaust a task's attempts anywhere in the pipeline,
+    // and random worker crashes and link losses are not poison. Every link
+    // loss charges a crash: under DropChaos() one reduce task of the basic
+    // pipeline loses its link on its first 17 attempts.
+    options.mr.max_task_attempts = 32;
     options.mr.max_worker_restarts = 256;
-    options.mr.quarantine_after_crashes = 16;
+    options.mr.quarantine_after_crashes = 32;
   }
   switch (mode) {
     case Mode::kInProc:
@@ -608,12 +659,19 @@ TEST_P(RemoteBitIdentityTest, SurvivesWorkerDeathMidShuffle) {
   ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
   // Worker 0 SIGKILLs itself mid-shuffle while serving its second task; the
   // job must finish on the survivor, bit-identically, with the dead
-  // worker's in-flight task reassigned.
+  // worker's in-flight task reassigned as soon as its link fails: the
+  // pipeline ends well within the connect grace, which it never waits out.
+  const auto start = std::chrono::steady_clock::now();
   auto remote = RunPipeline(algo, ds, Mode::kRemote, /*budget=*/0,
                             /*workers=*/2, /*crash_task=*/1);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_EQ(inproc->assignment, remote->assignment);
-  EXPECT_GT(remote->stats.Total(&Counters::tasks_reassigned), 0u);
+  EXPECT_EQ(remote->stats.Total(&Counters::workers_evicted), 1u);
+  EXPECT_EQ(remote->stats.Total(&Counters::tasks_reassigned), 1u);
+  EXPECT_LT(seconds, mr::PhaseMachine::kConnectGraceSeconds / 2);
 }
 
 TEST_P(RemoteBitIdentityTest, FourKiBSpillBudgetStaysIdentical) {
@@ -630,10 +688,10 @@ TEST_P(RemoteBitIdentityTest, FourKiBSpillBudgetStaysIdentical) {
   EXPECT_EQ(inproc->assignment, remote->assignment);
 }
 
-// Remote connections drop mid-run (FaultInjection::channel_drop_rate): a
-// dropped worker redials, the supervisor matches it to its held slot by
-// worker id, discards the partial run, and the worker resumes from the last
-// committed run boundary. Output stays byte-identical and nobody is evicted.
+// Remote connections drop mid-run (FaultInjection::channel_drop_rate): the
+// worker closes its link, the supervisor drops it and retries its task, and
+// the worker dials again and is admitted as a new worker. Output stays
+// byte-identical.
 mr::FaultInjection DropChaos() {
   mr::FaultInjection faults;
   faults.channel_drop_rate = 0.6;
@@ -641,7 +699,17 @@ mr::FaultInjection DropChaos() {
   return faults;
 }
 
-TEST_P(RemoteBitIdentityTest, DropChaosReconnectsAndStaysIdentical) {
+// Every link loss evicts a worker and reassigns its task, and the dropped
+// worker comes back: without drops, each phase of a job admits the two
+// workers once, so more admissions than that are re-admissions.
+void ExpectDropsEvictedAndReadmitted(const mr::RunStats& stats) {
+  EXPECT_GT(stats.Total(&Counters::workers_evicted), 0u);
+  EXPECT_GT(stats.Total(&Counters::tasks_reassigned), 0u);
+  EXPECT_GT(stats.Total(&Counters::workers_registered),
+            2 * 2 * stats.jobs.size());
+}
+
+TEST_P(RemoteBitIdentityTest, DropChaosRedialsAndStaysIdentical) {
   if (!mr::ForkExecutionSupported()) {
     GTEST_SKIP() << "forked/exec'd workers unsupported in this build";
   }
@@ -654,14 +722,12 @@ TEST_P(RemoteBitIdentityTest, DropChaosReconnectsAndStaysIdentical) {
                             /*workers=*/2, /*crash_task=*/-1, DropChaos());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_EQ(inproc->assignment, remote->assignment);
-  EXPECT_GT(remote->stats.Total(&Counters::channel_reconnects), 0u);
-  EXPECT_GT(remote->stats.Total(&Counters::shuffle_resent_runs), 0u);
-  EXPECT_EQ(remote->stats.Total(&Counters::workers_evicted), 0u);
+  ExpectDropsEvictedAndReadmitted(remote->stats);
 }
 
-// The same drops with every map task out of core, so resumed runs are
-// disk-backed; no spill file, worker- or supervisor-owned, may outlive the
-// pipeline.
+// The same drops with every map task out of core, so dropped attempts
+// leave disk runs behind; no spill file, worker- or supervisor-owned, may
+// outlive the pipeline.
 TEST_P(RemoteBitIdentityTest, DropChaosWithFourKiBSpillsLeavesNoFiles) {
   if (!mr::ForkExecutionSupported()) {
     GTEST_SKIP() << "forked/exec'd workers unsupported in this build";
@@ -680,9 +746,7 @@ TEST_P(RemoteBitIdentityTest, DropChaosWithFourKiBSpillsLeavesNoFiles) {
                   /*crash_task=*/-1, DropChaos(), dir.string());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_EQ(inproc->assignment, remote->assignment);
-  EXPECT_GT(remote->stats.Total(&Counters::channel_reconnects), 0u);
-  EXPECT_GT(remote->stats.Total(&Counters::shuffle_resent_runs), 0u);
-  EXPECT_EQ(remote->stats.Total(&Counters::workers_evicted), 0u);
+  ExpectDropsEvictedAndReadmitted(remote->stats);
   if (fs::exists(dir)) {
     for (const auto& e : fs::directory_iterator(dir)) {
       ADD_FAILURE() << "leftover spill file " << e.path();
@@ -727,6 +791,40 @@ TEST_P(RemoteBitIdentityTest, FailureChaosRetriesMatchAcrossSubstrates) {
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, RemoteBitIdentityTest,
                          ::testing::Values("lsh", "basic", "eddpc"));
+
+// A live ddp_worker whose attempt dawdles past the task deadline is dropped
+// by the supervisor. The worker finds its link gone, dials again, is
+// admitted as a new worker and serves the retry and every later task, so
+// each job counts one admission per phase plus one per drop. Output equals
+// the in-process run.
+TEST(RemoteLinkLossTest, WorkerDroppedForADeadlineDialsAgainAndServes) {
+  if (!mr::ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked/exec'd workers unsupported in this build";
+  }
+  Dataset ds = std::move(gen::S2Like(7, 400)).ValueOrDie();
+  mr::FaultInjection stragglers;
+  stragglers.straggler_rate = 0.02;
+  stragglers.straggler_slowdown = 1.0;
+  stragglers.straggler_min_seconds = 1.0;
+  stragglers.seed = 20260808;
+  auto inproc = RunPipeline("lsh", ds, Mode::kInProc);
+  ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
+  auto remote = RunPipeline("lsh", ds, Mode::kRemote, /*budget=*/0,
+                            /*workers=*/1, /*crash_task=*/-1, stragglers,
+                            /*spill_dir=*/"", /*deadline=*/0.5);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ(inproc->assignment, remote->assignment);
+  const mr::RunStats& stats = remote->stats;
+  EXPECT_GT(stats.Total(&Counters::deadline_kills), 0u);
+  EXPECT_EQ(stats.Total(&Counters::workers_evicted),
+            stats.Total(&Counters::deadline_kills));
+  EXPECT_EQ(stats.Total(&Counters::tasks_reassigned),
+            stats.Total(&Counters::deadline_kills));
+  for (const Counters& job : stats.jobs) {
+    EXPECT_EQ(job.workers_registered, 2 + job.workers_evicted)
+        << job.job_name;
+  }
+}
 
 // A forked crew that crashes and is respawned: the run's crash, kill and
 // restart totals reach the registry, as RunPipeline checks. The remote

@@ -4,18 +4,23 @@
 // concurrent jobs against the bounded queue and the admission budget,
 // result-cache hits that are bit-identical to the cold run without
 // re-running any map/reduce work, dataset-cache reuse, cancel, client
-// disconnect mid-job, and the graceful-shutdown drain. Chaos, where used,
+// disconnect mid-job, the bounds on what closed connections and finished
+// jobs leave behind, and the graceful-shutdown drain. Chaos, where used,
 // is the seeded fault injection of the MapReduce runtime, so every failure
 // schedule is reproducible.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <pthread.h>
 
 #include "dataset/csv.h"
 #include "dataset/generators.h"
@@ -33,6 +38,28 @@ namespace fs = std::filesystem;
 
 uint64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+// This process's virtual size (VmSize in /proc/self/status), in bytes.
+uint64_t VmSizeBytes() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::strtoull(line.c_str() + 7, nullptr, 10) * 1024;
+    }
+  }
+  return 0;
+}
+
+// The stack a thread gets by default, as std::thread creates it.
+uint64_t DefaultThreadStackBytes() {
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  size_t bytes = 0;
+  pthread_attr_getstacksize(&attr, &bytes);
+  pthread_attr_destroy(&attr);
+  return bytes;
 }
 
 class ServerTest : public ::testing::Test {
@@ -599,6 +626,67 @@ TEST_F(ServerTest, ClientDisconnectMidJobLeavesServerServing) {
   auto done = (*client)->WaitForResult(job_id, 120.0);
   ASSERT_TRUE(done.ok());
   EXPECT_EQ(done->state, static_cast<uint8_t>(JobState::kDone));
+}
+
+// A closed connection's handler thread is joined when the next connection
+// is accepted, so sequential clients leave no thread stack behind: 64
+// connect/poll/close cycles grow the server's virtual size by less than
+// half a stack per connection. (Unjoined, each cycle keeps a whole stack;
+// a joined handler's stack is reused. What growth remains is allocator
+// arenas, 64 MiB of address space each, for handlers that overlap.)
+TEST_F(ServerTest, ClosedConnectionsLeaveNoThreadStacks) {
+  auto srv = DdpServer::Start(BaseConfig());
+  ASSERT_TRUE(srv.ok());
+  auto cycle = [&] {
+    auto client = Connect(**srv);
+    ASSERT_TRUE(client.ok());
+    auto polled = (*client)->Poll(/*job_id=*/987654);
+    ASSERT_TRUE(polled.ok());
+  };
+  // Warm up: the first handlers may set up allocator arenas, which later
+  // ones reuse.
+  for (int i = 0; i < 8; ++i) cycle();
+  const uint64_t before = VmSizeBytes();
+  ASSERT_GT(before, 0u);
+  constexpr uint64_t kCycles = 64;
+  for (uint64_t i = 0; i < kCycles; ++i) cycle();
+  const uint64_t after = VmSizeBytes();
+  RecordProperty("vmsize_growth_bytes",
+                 std::to_string(static_cast<int64_t>(after - before)));
+  EXPECT_LT(after, before + kCycles / 2 * DefaultThreadStackBytes())
+      << "grew by " << (after - before) << " bytes";
+}
+
+// The server keeps the records of its 1,024 most recent finished jobs
+// (kFinishedJobsKept in server.cc). A rejected submission is a finished job
+// too, so after 1,025 of them the first id reads as unknown, as a
+// never-issued one does, and the last still reads rejected.
+TEST_F(ServerTest, FinishedJobRecordsAreBounded) {
+  auto srv = DdpServer::Start(BaseConfig());
+  ASSERT_TRUE(srv.ok());
+  auto client = Connect(**srv);
+  ASSERT_TRUE(client.ok());
+  JobParams params = BaseParams();
+  params.algo = "none";  // rejected before the dataset is read
+  constexpr size_t kKept = 1024;
+  uint64_t first = 0;
+  uint64_t last = 0;
+  for (size_t i = 0; i <= kKept; ++i) {
+    auto submitted = (*client)->Submit(Submission(params));
+    ASSERT_TRUE(submitted.ok());
+    ASSERT_EQ(submitted->state, static_cast<uint8_t>(JobState::kRejected));
+    if (i == 0) first = submitted->job_id;
+    last = submitted->job_id;
+  }
+  auto forgotten = (*client)->Poll(first);
+  ASSERT_TRUE(forgotten.ok());
+  EXPECT_EQ(forgotten->detail, "unknown job id");
+  auto forgotten_result = (*client)->FetchResult(first);
+  ASSERT_TRUE(forgotten_result.ok());
+  EXPECT_EQ(forgotten_result->error, "unknown job id");
+  auto kept = (*client)->Poll(last);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->state, static_cast<uint8_t>(JobState::kRejected));
 }
 
 // ----------------------------------------------------------------- drain

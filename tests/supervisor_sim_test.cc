@@ -1,7 +1,8 @@
 // The supervisor's decisions under seeded schedules, with no process,
 // socket, sleep or wall clock. A PhaseMachine (src/mapreduce/
 // phase_machine.h) runs one phase against a simulated crew: forked workers
-// it spawns, or remote workers that are parked, dial in, drop and redial.
+// it spawns, or remote workers that are parked, dial in, drop and dial
+// again.
 // The simulated workers speak the worker protocol of worker_main.cc over
 // zero-latency links, run a real task body (a SpillingBuffer under a small
 // budget, so tasks ship both tail runs and disk runs) and check every frame
@@ -9,14 +10,15 @@
 // schedule: which worker sends next; crashes, hangs, protocol violations,
 // drops and redials at any frame boundary; silent and garbled connections;
 // duplicate hellos; failed attempts; a failed shuffle-file append; and
-// clock jumps past the heartbeat grace, the task deadline and the reconnect
+// clock jumps past the heartbeat grace, the task deadline and the connect
 // grace.
 //
 // The oracle, per schedule: the phase either commits every task with the
 // payload and run bytes of the fault-free run, or fails with an error the
 // policy names and the schedule earned; every drop moves exactly the
 // counters architecture.md's cause table assigns to it, checked event by
-// event; a worker counted killed was alive when it was killed; every orphan
+// event, and a lost link on either crew is exactly one channel drop; a
+// worker counted killed was alive when it was killed; every orphan
 // a forked worker's death leaves is reaped by its drop; teardown releases
 // every shuffle-file handle; and the phase ends within a bound of simulated
 // time. A failing seed prints its schedule, and SimulateSchedule(seed)
@@ -162,15 +164,13 @@ class Sim : public PhaseIo {
     bool alive = true;
     bool hung = false;  // reads and sends nothing, beats included
     bool reaped = false;
-    uint64_t generation = 0;
     bool hello_due = false;
-    bool awaiting_resume = false;
     bool installed = false;
     Fault fault = Fault::kNone;
     bool corrupt_run = false;  // the open run carries a bad trailer
     bool fail_next = false;
     bool ioerror_next = false;
-    // The attempt it ships, or holds until the next assignment commits it.
+    // The attempt it ships, until its result is sent.
     bool have = false;
     TaskAssignMsg assign;
     TaskResult result;
@@ -189,8 +189,7 @@ class Sim : public PhaseIo {
     bool in_crew = false;
     bool busy = false;
     double dispatched = 0.0;
-    bool held = false;
-    double held_since = 0.0;
+    bool dropped = false;  // a remote worker dropped at least once
   };
   enum class Call { kStart, kTick, kFrame, kLost, kOffer, kTeardown };
   struct Dropped {
@@ -198,7 +197,6 @@ class Sim : public PhaseIo {
     uint64_t task = 0;
     bool busy = false;
     bool past_deadline = false;
-    bool held = false;
   };
 
   uint64_t Draw(uint64_t n) { return n == 0 ? 0 : rng_() % n; }
@@ -220,7 +218,7 @@ class Sim : public PhaseIo {
   void StartAttempt(Worker& w, const TaskAssignMsg& assign);
   bool CanSend(const Worker& w) const;
   Frame NextFrame(Worker& w, bool* violating);
-  Dropped RecordDrop(Worker& w, bool held);
+  Dropped RecordDrop(Worker& w);
 
   void Deliver(Worker& w);
   void DeliverLoss();
@@ -403,34 +401,6 @@ void Sim::Receive(Worker& w, const Frame& frame) {
   for (size_t i = 0; i < ack.acked_runs && i < w.wire.size(); ++i) {
     bytes += w.wire[i].size();
   }
-  if (w.awaiting_resume) {
-    w.awaiting_resume = false;
-    if (ack.task == RunAckMsg::kNoTask) {
-      ++(*coverage_)["resume ack kNoTask"];
-      Release(w);
-      return;
-    }
-    if (!mine) {
-      Release(w);
-      return;
-    }
-    // The resume point must be a run boundary this worker shipped past.
-    if (ack.acked_runs > w.run || ack.acked_bytes != bytes) {
-      Violation("resume ack for " + std::to_string(ack.acked_runs) +
-                " runs / " + std::to_string(ack.acked_bytes) +
-                " bytes, but the worker ended " + std::to_string(w.run) +
-                " runs and those hold " + std::to_string(bytes) + " bytes");
-      return;
-    }
-    ++(*coverage_)["resume a held attempt"];
-    w.run = ack.acked_runs;
-    w.begun = false;
-    w.off = 0;
-    w.corrupt_run = false;
-    w.result_sent = false;
-    w.sent = w.acked = ack.acked_bytes;
-    return;
-  }
   if (!mine) return;  // a stale ack: the worker ignores it
   if (ack.acked_runs > w.run || ack.acked_bytes != bytes ||
       ack.acked_bytes < w.acked) {
@@ -443,7 +413,7 @@ void Sim::Receive(Worker& w, const Frame& frame) {
 }
 
 void Sim::StartAttempt(Worker& w, const TaskAssignMsg& assign) {
-  Release(w);  // a new task commits the previous result
+  Release(w);
   w.assign = assign;
   w.last_beat_sent = now_;
   Log("  worker " + std::to_string(w.id) + " runs task " +
@@ -490,7 +460,7 @@ void Sim::StartAttempt(Worker& w, const TaskAssignMsg& assign) {
 bool Sim::CanSend(const Worker& w) const {
   if (!w.alive || w.hung || w.link == 0) return false;
   if (w.hello_due) return true;
-  if (!w.have || w.result_sent || w.awaiting_resume) return false;
+  if (!w.have || w.result_sent) return false;
   return w.begun || w.run == w.wire.size() ||
          w.sent - w.acked <= w.assign.window_bytes;
 }
@@ -503,13 +473,15 @@ Frame Sim::NextFrame(Worker& w, bool* violating) {
     w.hello_due = false;
     HelloMsg hello;
     hello.worker_id = w.id;
-    hello.generation = w.generation;
     return {MessageType::kHello, hello.Encode()};
   }
   const uint64_t task = w.assign.task;
   const uint64_t attempt = w.assign.attempt;
   if (!w.begun && w.run == w.wire.size()) {
+    // The supervisor holds its own copy of every run it committed: the
+    // worker lets the attempt go as its result leaves.
     w.result_sent = true;
+    Release(w);
     return {MessageType::kResult, w.result_frame};
   }
   if (!w.begun) {
@@ -608,7 +580,7 @@ bool Sim::KillAndReap(uint64_t link, double grace_seconds) {
   }
   w->reaped = true;
   if (!teardown_ && grace_seconds == 0.0 && w->in_crew) {
-    drops_.push_back(RecordDrop(*w, false));
+    drops_.push_back(RecordDrop(*w));
   }
   if (!w->alive) return false;
   // SIGKILL: no cleanup, so its spill files are orphans.
@@ -631,22 +603,21 @@ void Sim::Close(uint64_t link) {
   }
   Worker* bound = ByBound(link);
   if (bound != nullptr) {
-    const bool replaced = hello_for_ == bound->id;
-    const bool lost = lost_link_ == link;
-    if (!teardown_ && !replaced && !lost && remote_ && bound->in_crew) {
-      drops_.push_back(RecordDrop(*bound, false));  // an eviction
+    if (!teardown_ && remote_ && bound->in_crew) {
+      drops_.push_back(RecordDrop(*bound));  // an eviction
     }
     bound->bound = 0;
   }
   Worker* w = ByLink(link);
   if (w == nullptr || !w->alive || w->hung) return;
-  // The worker reads EOF. A forked one exits, releasing its files; a remote
-  // one redials later.
-  w->link = 0;
-  if (!remote_) {
-    w->alive = false;
-    Release(*w);
+  if (hello_for_ == w->id && w->bound != link) {
+    ++(*coverage_)["a hello for an id already in the crew is closed"];
   }
+  // The worker reads EOF and lets its attempt go, releasing its files. A
+  // forked one exits; a remote one dials again later.
+  w->link = 0;
+  Release(*w);
+  if (!remote_) w->alive = false;
 }
 
 void Sim::Park(uint64_t link, uint64_t id) {
@@ -696,18 +667,17 @@ uint64_t Sim::ReapOrphans() {
 
 // ------------------------------------------------- events and accounting
 
-Sim::Dropped Sim::RecordDrop(Worker& w, bool held) {
+Sim::Dropped Sim::RecordDrop(Worker& w) {
   Dropped d;
   d.id = w.id;
   d.task = w.assign.task;
   d.busy = w.busy;
-  d.held = held;
   d.past_deadline = options_.task_deadline_seconds > 0.0 && w.busy &&
                     now_ - w.dispatched > options_.task_deadline_seconds;
   if (!remote_) ++forked_drops_;
   w.in_crew = false;
   w.busy = false;
-  w.held = false;
+  w.dropped = remote_;
   return d;
 }
 
@@ -716,14 +686,6 @@ void Sim::Event(Call call, Fn&& fn) {
   const JobCounters before = counters_;
   drops_.clear();
   call_kills_ = 0;
-  if (call == Call::kTick) {
-    // Held remote workers past the reconnect grace are evicted by this tick.
-    for (Worker& w : workers_) {
-      if (w.held && now_ - w.held_since > PhaseMachine::kConnectGraceSeconds) {
-        drops_.push_back(RecordDrop(w, true));
-      }
-    }
-  }
   fn();
   CheckDrops(call, before);
   hello_for_ = 0;
@@ -744,8 +706,8 @@ void Sim::CheckDrops(Call call, const JobCounters& before) {
   for (const Dropped& d : drops_) {
     // A busy worker's attempt is charged: a hang or deadline drop, forked or
     // remote, resets the task's run of worker-killing failures; every other
-    // drop extends it, a remote worker that never redialed included.
-    const bool hang = call == Call::kTick && !d.held;
+    // drop extends it, a remote worker's lost link included.
+    const bool hang = call == Call::kTick;
     if (d.busy) {
       ++charges_[d.task];
       consecutive_[d.task] = hang ? 0 : consecutive_[d.task] + 1;
@@ -753,7 +715,7 @@ void Sim::CheckDrops(Call call, const JobCounters& before) {
     if (remote_) {
       ++evicted;
       reassigned += d.busy ? 1 : 0;
-      deadline += !d.held && call == Call::kTick && d.past_deadline ? 1 : 0;
+      deadline += hang && d.past_deadline ? 1 : 0;
     } else if (call == Call::kLost) {
       ++crashes;
     } else if (call == Call::kFrame) {
@@ -766,7 +728,6 @@ void Sim::CheckDrops(Call call, const JobCounters& before) {
     }
     const char* cause = call == Call::kLost    ? "kChannel"
                         : call == Call::kFrame ? "kProtocol"
-                        : d.held               ? "kNoRedial"
                         : d.past_deadline      ? "kDeadline"
                                                : "kSilence";
     ++(*coverage_)[std::string(remote_ ? "remote " : "forked ") + cause];
@@ -838,10 +799,14 @@ void Sim::Deliver(Worker& w) {
     Violation(std::string(violating ? "a protocol violation went unpunished"
                                     : "a drop without a protocol violation"));
   }
-  if (hello && sender != nullptr && sender->link == link && sender->alive) {
-    // The machine kept the connection: it admitted or rebound the worker.
+  if (hello && sender != nullptr && sender->link == link && sender->alive &&
+      sender->bound != link) {
+    // The machine kept the connection: it admitted the worker.
     sender->bound = link;
-    sender->held = false;
+    if (!sender->in_crew) Violation("a hello kept without an admission");
+    if (sender->dropped) {
+      ++(*coverage_)["a dropped remote worker dials again and is admitted"];
+    }
   }
 }
 
@@ -855,14 +820,8 @@ void Sim::DeliverLoss() {
       " is lost");
   lost_link_ = link;
   Event(Call::kLost, [&] { machine_->OnLost(link, now_); });
-  Worker* w = ById(id);
-  if (bound && remote_) {
-    w->held = true;
-    w->held_since = now_;
-    w->bound = 0;
-  }
-  if (bound && !remote_ && drops_.size() != 1) {
-    Violation("a forked worker's lost link was not dropped once");
+  if (bound != (drops_.size() == 1) || drops_.size() > 1) {
+    Violation("a lost link was not exactly one drop of its worker");
   }
 }
 
@@ -874,8 +833,7 @@ void Sim::Advance(double dt, bool beat) {
   for (size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = workers_[i];
     if (!w.alive || w.hung || w.link == 0 || w.bound != w.link || !w.have ||
-        w.result_sent || w.awaiting_resume ||
-        now_ - w.last_beat_sent < kWorkerHeartbeatSeconds) {
+        w.result_sent || now_ - w.last_beat_sent < kWorkerHeartbeatSeconds) {
       continue;
     }
     w.last_beat_sent = now_;
@@ -886,11 +844,12 @@ void Sim::Advance(double dt, bool beat) {
   }
 }
 
+// A remote worker whose link failed dials again: a plain hello, and a job
+// to install once admitted.
 void Sim::Redial(Worker& w) {
   w.link = next_link_++;
-  ++w.generation;
   w.hello_due = true;
-  w.awaiting_resume = true;
+  w.installed = false;
   ++(*coverage_)["redial"];
   Log("  worker " + std::to_string(w.id) + " redials on link " +
       std::to_string(w.link));
@@ -932,6 +891,7 @@ void Sim::InjectFault() {
       ++(*coverage_)["connection drop"];
       lost_.emplace_back(w->link, w->id);
       w->link = 0;
+      Release(*w);  // the worker lets its attempt go with its link
     }
   } else if (kind == 4) {
     if (Worker* w = any([](const Worker& x) { return x.alive; })) {
@@ -969,7 +929,7 @@ void Sim::InjectFault() {
                      : PhaseMachine::kConnectGraceSeconds + 0.05;
     ++(*coverage_)[which == 0   ? "jump past the heartbeat grace"
                    : which == 1 ? "jump past the task deadline"
-                                : "jump past the reconnect grace"];
+                                : "jump past the connect grace"];
     Log("  fault: the clock jumps " + std::to_string(dt) + " s");
     Advance(dt, /*beat=*/false);
   }
@@ -1161,12 +1121,13 @@ TEST_F(SupervisorSimTest, SeededSchedulesKeepThePolicy) {
   }
   for (const char* event :
        {"forked kChannel", "forked kProtocol", "forked kSilence",
-        "forked kDeadline", "remote kProtocol", "remote kSilence",
-        "remote kDeadline", "remote kNoRedial", "resume a held attempt",
-        "resume ack kNoTask",
+        "forked kDeadline", "remote kChannel", "remote kProtocol",
+        "remote kSilence", "remote kDeadline",
+        "a dropped remote worker dials again and is admitted",
+        "a hello for an id already in the crew is closed",
         "hello never came", "non-hello first frame", "hello twice",
         "failed shuffle-file append", "jump past the heartbeat grace",
-        "jump past the task deadline", "jump past the reconnect grace",
+        "jump past the task deadline", "jump past the connect grace",
         "restart budget exhausted", "quarantine", "credit ack", "parked",
         "connection drop", "phase committed"}) {
     EXPECT_GT(coverage[event], 0) << "no schedule reached: " << event;
@@ -1312,15 +1273,16 @@ TEST(RemoteDropChargeTest, DeadlineAndSilenceDropsAreHangs) {
   }
 }
 
-// A remote worker that loses its link and does not redial within the
-// connect grace may be dead: it still counts toward quarantine.
-TEST(RemoteDropChargeTest, WorkersThatNeverRedialCountTowardQuarantine) {
+// A remote worker whose link fails may be dead: no waitpid can tell. It is
+// dropped at once and its attempt charged as a crash, so two link losses in
+// a row make the task poison, with no grace waited out.
+TEST(RemoteDropChargeTest, TwoLinkLossesInARowArePoison) {
   ScriptedPhase p(/*deadline=*/0.0);
   for (uint64_t link = 1; link <= 2 && !p.machine->done(); ++link) {
     p.Join(link, 100 + link);
     p.machine->OnLost(link, p.now);
-    p.Pass(PhaseMachine::kConnectGraceSeconds + 0.5, 0);
   }
+  EXPECT_TRUE(p.machine->done());
   const Status st = p.machine->Teardown();
   EXPECT_NE(st.ToString().find("2 consecutive workers (poisonous record"),
             std::string::npos)
@@ -1328,6 +1290,7 @@ TEST(RemoteDropChargeTest, WorkersThatNeverRedialCountTowardQuarantine) {
   EXPECT_EQ(p.committed, "");
   EXPECT_EQ(p.counters.workers_evicted, 2u);
   EXPECT_EQ(p.counters.tasks_reassigned, 2u);
+  EXPECT_LT(p.now, 1.0);
 }
 
 }  // namespace

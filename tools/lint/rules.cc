@@ -268,7 +268,7 @@ void CheckHeaderHygiene(const SourceFile& f, std::vector<Finding>* out) {
 // owns the transport. A fork/kill/waitpid anywhere else escapes the
 // crash-fault model: it creates children the supervisor will never reap, or
 // signals pids whose ownership it cannot see. A raw socket/bind/connect
-// bypasses the framed, CRC-trailed channel protocol and its reconnect
+// bypasses the framed, CRC-trailed channel protocol and its link-loss
 // semantics. src/server/ builds the serving daemon on those primitives and
 // shares the exemption. Use the CommChannel/WorkerSupervisor API (or
 // mr::SpawnWorkerProcess, or mr::CrashSelf in chaos tests) elsewhere.
