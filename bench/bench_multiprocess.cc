@@ -142,14 +142,12 @@ int Run() {
   chaos.quarantine_after_crashes = 24;  // random crashes are not poison
   MpRun crash = Measure(&chaos_algo, ds, dc, chaos);
   std::printf(
-      "forked + 15%% SIGKILLs:   %7.3f s (%.2fx; %llu crashes, %llu respawns, "
-      "%llu orphan spills reaped)\n",
+      "forked + 15%% SIGKILLs:   %7.3f s (%.2fx; %llu crashes, %llu "
+      "respawns)\n",
       crash.seconds, base.seconds > 0.0 ? crash.seconds / base.seconds : 0.0,
       static_cast<unsigned long long>(
           crash.stats.Total(&mr::JobCounters::worker_crashes)),
-      static_cast<unsigned long long>(crash.stats.TotalWorkerRestarts()),
-      static_cast<unsigned long long>(
-          crash.stats.Total(&mr::JobCounters::spill_files_reaped)));
+      static_cast<unsigned long long>(crash.stats.TotalWorkerRestarts()));
 
   // 5. Remote workers: two separately exec'd ddp_worker processes dial an
   // ephemeral loopback listener and run every job by JobRegistry id; the
@@ -249,7 +247,6 @@ int Run() {
         "  \"worker_crashes\": %llu,\n"
         "  \"worker_restarts\": %llu,\n"
         "  \"worker_hangs\": %llu,\n"
-        "  \"spill_files_reaped\": %llu,\n"
         "  \"exec_fallbacks\": %llu,\n"
         "  \"remote_ran\": %s,\n"
         "  \"remote_seconds\": %.6f,\n"
@@ -274,8 +271,6 @@ int Run() {
         static_cast<unsigned long long>(crash.stats.TotalWorkerRestarts()),
         static_cast<unsigned long long>(
             crash.stats.Total(&mr::JobCounters::worker_hangs)),
-        static_cast<unsigned long long>(
-            crash.stats.Total(&mr::JobCounters::spill_files_reaped)),
         static_cast<unsigned long long>(fork.stats.TotalExecFallbacks() +
                                         crash.stats.TotalExecFallbacks()),
         remote_ran ? "true" : "false", remote.seconds, remote_jobs_per_sec,

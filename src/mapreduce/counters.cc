@@ -42,7 +42,6 @@ constexpr CounterField kCounterFields[] = {
      true},
     {&J::quarantined_tasks, "quarantined_tasks", obs::kMetricMrQuarantinedTasks,
      true},
-    {&J::spill_files_reaped, "spill_files_reaped", nullptr, true},
     {&J::exec_fallbacks, "exec_fallbacks", nullptr, true},
     {&J::shuffle_streamed_bytes, "shuffle_streamed_bytes",
      obs::kMetricMrShuffleStreamedBytes, true},

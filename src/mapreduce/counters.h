@@ -64,17 +64,15 @@ struct JobCounters {
   uint64_t task_exceptions = 0;
   /// Multi-process execution (Options::exec_mode == ExecMode::kFork):
   /// unexpected worker deaths, workers SIGKILLed for deadline overrun or
-  /// heartbeat silence, SIGKILLs issued, replacement workers forked, tasks
-  /// quarantined after crashing consecutive workers, and orphan spill files
-  /// of dead processes deleted. `exec_fallbacks` always reads 0: a job runs
-  /// on the substrate it asked for or fails. It stays for readers of the
-  /// stats JSON.
+  /// heartbeat silence, SIGKILLs issued, replacement workers forked, and
+  /// tasks quarantined after crashing consecutive workers. `exec_fallbacks`
+  /// always reads 0: a job runs on the substrate it asked for or fails. It
+  /// stays for readers of the stats JSON.
   uint64_t worker_crashes = 0;
   uint64_t worker_hangs = 0;
   uint64_t worker_kills = 0;
   uint64_t worker_restarts = 0;
   uint64_t quarantined_tasks = 0;
-  uint64_t spill_files_reaped = 0;
   uint64_t exec_fallbacks = 0;
   /// Streamed shuffle (forked and remote workers): run bytes the supervisor
   /// committed off worker channels (CRC trailers included — real wire

@@ -140,9 +140,9 @@ template <typename MidK, typename MidV>
 class SpillingEmitter : public Emitter<MidK, MidV> {
  public:
   SpillingEmitter(size_t num_partitions, uint64_t budget_bytes,
-                  std::string spill_dir, std::string file_prefix)
+                  std::string spill_dir, std::string file_label)
       : buffer_(num_partitions, budget_bytes, std::move(spill_dir),
-                std::move(file_prefix)) {}
+                std::move(file_label)) {}
 
   void Emit(const MidK& key, const MidV& value) override {
     buffer_.Add(key, value);
@@ -265,9 +265,9 @@ Status ExecuteMapTask(const JobSpec<In, MidK, MidV, Out>& spec,
                       MapTaskOutput* out) {
   // A failed attempt's partial output is discarded, exactly like a lost
   // Hadoop task: the emitter is attempt-local and only committed by the
-  // scheduler on success. Spill files are attempt-local too — names carry a
-  // process-unique id, and a failed or abandoned attempt's RAII handles
-  // unlink its files on the way out.
+  // scheduler on success. Spill files are attempt-local too: they have no
+  // names to collide, and a failed or abandoned attempt's handles close, and
+  // so free, its file on the way out.
   const size_t num_partitions = params.num_partitions;
   SpillingEmitter<MidK, MidV> emitter(num_partitions,
                                       params.memory_budget_bytes,

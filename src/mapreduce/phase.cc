@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <deque>
 #include <exception>
+#include <initializer_list>
 #include <mutex>
 #include <optional>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "common/stopwatch.h"
 #include "obs/heartbeat.h"
 #include "obs/metric_names.h"
@@ -27,16 +29,21 @@ bool ShouldInjectFailure(const FaultInjection& faults, double rate,
                          const std::string& job_name, int phase, size_t task,
                          size_t attempt) {
   if (rate <= 0.0) return false;
-  uint64_t h = faults.seed ^ (uint64_t{0x9e3779b97f4a7c15} * (task + 1)) ^
-               (uint64_t{0xc2b2ae3d27d4eb4f} * (attempt + 1)) ^
-               (uint64_t{0x165667b19e3779f9} * static_cast<uint64_t>(phase + 1));
+  // The name is hashed to 64 bits first (FNV-1a); then seed, phase, task and
+  // attempt are folded in, each through SplitMix64's finalizer, whose every
+  // input bit moves every output bit. So names one character apart draw
+  // coins as independent as neighbouring seeds, tasks or attempts do.
+  uint64_t h = 0xcbf29ce484222325ULL;
   for (char c : job_name) {
-    h = h * uint64_t{0x100000001b3} ^ static_cast<uint8_t>(c);
+    h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
   }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+  for (const uint64_t field :
+       {faults.seed, static_cast<uint64_t>(phase), static_cast<uint64_t>(task),
+        static_cast<uint64_t>(attempt)}) {
+    h ^= field;
+    h = SplitMix64(&h);
+  }
+  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < rate;
 }
 
@@ -732,18 +739,11 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   if (job_span.active() && pool == nullptr) {
     job_span.AddArg("exec_mode", remote ? "remote" : "fork");
   }
-  const bool spilling = options.memory_budget_bytes > 0;
   MapTaskParams params;
   params.num_partitions = num_partitions;
   params.memory_budget_bytes = options.memory_budget_bytes;
   params.faults = options.faults;
   params.spill_dir = JobSpillDir(options);
-  if (spilling) {
-    // Startup reap: spill files stamped with the pid of a process that no
-    // longer exists are leftovers of a crashed run; delete them before this
-    // job adds its own.
-    counters.spill_files_reaped += ReapOrphanSpillFiles(params.spill_dir);
-  }
 
   // The one engine entry: the in-process scheduler, or a supervised phase.
   std::vector<double> durations;  // committed attempts of both phases
@@ -763,7 +763,8 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
 
   // ---- Map phase. Each task's output is its sorted runs, in memory or
   // (under a memory budget) spilled to disk; the RAII file handles inside
-  // the disk runs unlink the spill files when map_outputs dies.
+  // the disk runs close, and so free, the spill files when map_outputs
+  // dies.
   Stopwatch map_timer;
   DDP_TRACE_SPAN(map_span, obs::kCatMr, obs::kSpanMapPhase);
   if (map_span.active()) {
@@ -839,7 +840,9 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   if (reduce_span.active()) {
     reduce_span.AddArg("job", job.name);
     reduce_span.AddArg("partitions", static_cast<uint64_t>(num_partitions));
-    if (spilling) reduce_span.AddArg("spilling", "true");
+    if (options.memory_budget_bytes > 0) {
+      reduce_span.AddArg("spilling", "true");
+    }
   }
   PhaseSpec reduce;
   reduce.chaos = {options.faults, options.faults.reduce_failure_rate,
@@ -872,8 +875,8 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
     return st;
   }
   // Dropping the map outputs releases the spill-run handles: the last
-  // reference to each spill file unlinks it, so the spill dir is empty again
-  // once the job's reduce phase is done.
+  // reference to each spill file closes its descriptor, which frees it once
+  // the job's reduce phase is done.
   map_outputs.clear();
   map_outputs.shrink_to_fit();
   counters.reduce_seconds = reduce_timer.ElapsedSeconds();

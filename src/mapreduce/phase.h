@@ -227,8 +227,7 @@ SlotCodec MapSlotCodec(size_t num_partitions);
 
 /// Where a job's spill files live: the resolved `options.spill_dir` under a
 /// memory budget, else empty, since an unbudgeted job never spills. Map
-/// tasks spill there, and a supervisor writes its shuffle files and reaps
-/// dead workers' orphans there.
+/// tasks spill there, and a supervisor writes its shuffle files there.
 std::string JobSpillDir(const Options& options);
 
 /// The job-wide knobs a map task shapes its output by.

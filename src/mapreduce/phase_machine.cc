@@ -190,7 +190,7 @@ void PhaseMachine::ChargeFailure(size_t t, bool crashed, const Status& why,
 
 // Every way worker `wi` leaves the phase before teardown. A forked worker
 // is SIGKILLed and reaped; a remote one, not our child, is evicted. Either
-// way the spill files of dead owners are reaped. A busy worker's attempt is
+// way its spill files go with its descriptors. A busy worker's attempt is
 // charged: as a hang when the worker, forked or remote, went silent or
 // overran its deadline, otherwise as a crash — a remote worker whose link
 // failed included, since no waitpid can tell its death from a lost
@@ -200,8 +200,7 @@ void PhaseMachine::DropWorker(size_t wi, Drop cause, double now) {
   Worker w = std::move(workers_[wi]);
   workers_.erase(workers_.begin() + static_cast<std::ptrdiff_t>(wi));
   // Kill before closing: a forked worker that saw its channel's EOF first
-  // could exit on its own and unlink the spill files the reaper below
-  // counts as orphans.
+  // could exit on its own, and the kill this drop counts would hit nothing.
   if (!remote_) io_->KillAndReap(w.link, 0.0);
   io_->Close(w.link);
   const bool deadline = cause == Drop::kDeadline;
@@ -230,7 +229,6 @@ void PhaseMachine::DropWorker(size_t wi, Drop cause, double now) {
                             : Status::Internal("worker crashed"),
                   now);
   }
-  if (spills_) counters_->spill_files_reaped += io_->ReapOrphans();
 }
 
 // ---- Streamed-shuffle frame handlers. A protocol violation (bad seq, size
@@ -495,9 +493,6 @@ Status PhaseMachine::Teardown() {
     if (!remote_ && io_->KillAndReap(w.link, 2.0)) ++counters_->worker_kills;
   }
   workers_.clear();
-  if (!error_.ok() && spills_) {
-    counters_->spill_files_reaped += io_->ReapOrphans();
-  }
   return error_;
 }
 

@@ -1,17 +1,12 @@
 #include "mapreduce/spill.h"
 
 #include <atomic>
-#include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
 
 #include <fcntl.h>
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 namespace ddp {
@@ -19,88 +14,11 @@ namespace mr {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-long CurrentPid() { return static_cast<long>(::getpid()); }
-
-/// True when Linux reports `pid` inside exit: PF_EXITING (0x4) in the
-/// flags field of /proc/<pid>/stat. A dying process sets it on every thread
-/// before it closes its descriptors, so a worker whose socket just read EOF
-/// is already marked, though it is not yet a zombie.
-bool Exiting(long pid) {
-  const std::string path = "/proc/" + std::to_string(pid) + "/stat";
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  char buf[512];
-  const ssize_t n = ::read(fd, buf, sizeof(buf) - 1);
-  ::close(fd);
-  if (n <= 0) return false;
-  buf[n] = '\0';
-  // "pid (comm) state ppid pgrp session tty_nr tpgid flags ...": comm may
-  // hold spaces and parentheses, so the fields start after the last ')'.
-  const char* field = std::strrchr(buf, ')');
-  if (field == nullptr) return false;
-  ++field;
-  for (int skip = 0; skip < 6; ++skip) {  // state .. tpgid
-    while (*field == ' ') ++field;
-    while (*field != ' ' && *field != '\0') ++field;
-  }
-  return (std::strtoul(field, nullptr, 10) & 0x4) != 0;
-}
-
-/// True when `pid` names a live process (or liveness cannot be probed, in
-/// which case the reaper stays conservative and keeps the file). kill(pid,
-/// 0) succeeds on a zombie, so waitid asks first whether `pid` is an exited
-/// child of ours (WNOWAIT leaves it waitable; other pids fail with ECHILD).
-/// It also succeeds on a process still inside exit, which owns nothing any
-/// more.
-bool ProcessAlive(long pid) {
-  if (pid <= 0) return true;
-  siginfo_t info{};
-  if (::waitid(P_PID, static_cast<id_t>(pid), &info,
-               WEXITED | WNOHANG | WNOWAIT) == 0 &&
-      info.si_pid != 0) {
-    return false;
-  }
-  if (::kill(static_cast<pid_t>(pid), 0) == 0) return !Exiting(pid);
-  return errno != ESRCH;
-}
-
-/// Parses the LAST "-p<digits>-" ownership tag in a spill file name (a
-/// job name may itself contain one). Returns false when the name carries
-/// no tag.
-bool ParseOwnerPid(const std::string& name, long* pid) {
-  bool found = false;
-  size_t pos = 0;
-  while ((pos = name.find("-p", pos)) != std::string::npos) {
-    size_t digits = pos + 2;
-    size_t end = digits;
-    while (end < name.size() &&
-           std::isdigit(static_cast<unsigned char>(name[end]))) {
-      ++end;
-    }
-    if (end > digits && end < name.size() && name[end] == '-') {
-      *pid = std::stol(name.substr(digits, end - digits));
-      found = true;
-    }
-    pos += 2;
-  }
-  return found;
-}
-
-}  // namespace
-
-SpillFileHandle::SpillFileHandle(std::string path, int fd)
-    : path_(std::move(path)), fd_(fd), owner_pid_(CurrentPid()) {}
+SpillFileHandle::SpillFileHandle(std::string label, int fd)
+    : label_(std::move(label)), fd_(fd) {}
 
 SpillFileHandle::~SpillFileHandle() {
   if (fd_ >= 0) ::close(fd_);
-  // Unlink only in the owning process: a forked worker inherits the
-  // parent's handles, and the copy that merely inherited the handle must
-  // not destroy the file.
-  if (owner_pid_ != CurrentPid()) return;
-  std::error_code ec;
-  fs::remove(path_, ec);  // best effort; a vanished file is fine
 }
 
 Status SpillFileHandle::ReadAt(uint64_t offset, char* out, size_t n) const {
@@ -108,34 +26,17 @@ Status SpillFileHandle::ReadAt(uint64_t offset, char* out, size_t n) const {
     const ssize_t got = ::pread(fd_, out, n, static_cast<off_t>(offset));
     if (got < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError("cannot read spill file " + path_ + ": " +
+      return Status::IoError("cannot read spill file " + label_ + ": " +
                              std::strerror(errno));
     }
-    if (got == 0) return Status::IoError("short read from spill file " + path_);
+    if (got == 0) {
+      return Status::IoError("short read from spill file " + label_);
+    }
     out += got;
     n -= static_cast<size_t>(got);
     offset += static_cast<uint64_t>(got);
   }
   return Status::OK();
-}
-
-uint64_t ReapOrphanSpillFiles(const std::string& dir) {
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) return 0;  // missing or unreadable dir: nothing to reap
-  const long self = CurrentPid();
-  uint64_t reaped = 0;
-  for (const fs::directory_entry& entry : it) {
-    if (!entry.is_regular_file(ec) || ec) continue;
-    const fs::path& p = entry.path();
-    if (p.extension() != ".spill") continue;
-    long owner = 0;
-    if (!ParseOwnerPid(p.filename().string(), &owner)) continue;
-    if (owner == self || ProcessAlive(owner)) continue;
-    std::error_code rm_ec;
-    if (fs::remove(p, rm_ec) && !rm_ec) ++reaped;
-  }
-  return reaped;
 }
 
 std::string RunTrailer(std::string_view frames) {
@@ -163,25 +64,23 @@ Status VerifyAndStripRunTrailer(std::string* segment) {
 }
 
 Result<std::unique_ptr<SpillFileWriter>> SpillFileWriter::Create(
-    const std::string& dir, const std::string& basename) {
+    const std::string& dir, const std::string& name) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
     return Status::Internal("cannot create spill dir " + dir + ": " +
                             ec.message());
   }
-  std::string name = basename;
-  for (char& c : name) {
-    if (c == '/' || c == '\\') c = '_';
-  }
-  std::string path = (fs::path(dir) / name).string();
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0666);
+  // No name ever reaches the directory: the kernel frees the file's blocks
+  // when its last descriptor closes, however the processes holding one
+  // die. A filesystem without O_TMPFILE fails the attempt; a named file
+  // unlinked after its create would leak whenever a crash fell between.
+  const int fd = ::open(dir.c_str(), O_TMPFILE | O_RDWR | O_CLOEXEC, 0600);
   if (fd < 0) {
-    return Status::Internal("cannot open spill file " + path + ": " +
-                            std::strerror(errno));
+    return Status::Internal("cannot create an O_TMPFILE spill file in " +
+                            dir + ": " + std::strerror(errno));
   }
-  auto handle = std::make_shared<SpillFileHandle>(std::move(path), fd);
+  auto handle = std::make_shared<SpillFileHandle>(dir + "/" + name, fd);
   return std::unique_ptr<SpillFileWriter>(
       new SpillFileWriter(std::move(handle)));
 }
@@ -199,7 +98,7 @@ void SpillFileWriter::WriteOut(const char* data, size_t n) {
     if (put < 0) {
       if (errno == EINTR) continue;
       error_ = Status::Internal("write failed on spill file " +
-                                handle_->path() + ": " + std::strerror(errno));
+                                handle_->label() + ": " + std::strerror(errno));
       return;
     }
     data += put;
@@ -267,7 +166,7 @@ Status SpillSegmentReader::Ensure(size_t n) {
     remaining_ -= frames;
   }
   if (buf_.size() - pos_ < n) {
-    return Status::IoError("spill run truncated in " + file_->path());
+    return Status::IoError("spill run truncated in " + file_->label());
   }
   return Status::OK();
 }
@@ -286,7 +185,7 @@ Status SpillSegmentReader::NextFrame(std::string_view* payload, bool* eof) {
                             (static_cast<uint32_t>(t[2]) << 16) |
                             (static_cast<uint32_t>(t[3]) << 24);
     if (stored != crc_) {
-      return Status::IoError("spill run CRC mismatch in " + file_->path());
+      return Status::IoError("spill run CRC mismatch in " + file_->label());
     }
     *eof = true;
     return Status::OK();
@@ -298,7 +197,7 @@ Status SpillSegmentReader::NextFrame(std::string_view* payload, bool* eof) {
     DDP_RETURN_NOT_OK(Ensure(1));
     const uint8_t b = static_cast<uint8_t>(buf_[pos_++]);
     if (shift >= 64) {
-      return Status::IoError("corrupt frame length in " + file_->path());
+      return Status::IoError("corrupt frame length in " + file_->label());
     }
     len |= static_cast<uint64_t>(b & 0x7f) << shift;
     if ((b & 0x80) == 0) break;
@@ -353,7 +252,7 @@ uint64_t NextSpillFileId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::string SpillOwnerTag() { return "p" + std::to_string(CurrentPid()); }
+std::string SpillOwnerTag() { return "p" + std::to_string(::getpid()); }
 
 }  // namespace internal
 }  // namespace mr

@@ -50,37 +50,33 @@
 /// earlier emissions than its later ones. So the output is bit-identical at
 /// every budget, on every substrate.
 ///
-/// Spill files are owned by RAII handles: a failed, cancelled, or
-/// speculative-loser attempt unlinks its file when its emitter is
-/// destroyed, and committed files are unlinked when the job's map outputs
-/// are dropped, so no run of `RunJob` leaks spill files.
-///
-/// Multi-process execution adds cross-process ownership: spill file names
-/// carry the creating process id (`<prefix>-p<pid>-u<id>.spill`), handles
-/// unlink only in the process that created them, and `ReapOrphanSpillFiles`
-/// deletes files whose stamped owner process no longer exists — the
-/// cleanup path for attempts that died with SIGKILL and never ran their
-/// destructors.
+/// Spill files have no names: each is created with O_TMPFILE in the spill
+/// dir, so the kernel frees it when the last descriptor on it closes. A
+/// failed, cancelled, or speculative-loser attempt's file goes when its
+/// emitter is destroyed, committed files go when the job's map outputs are
+/// dropped, and a process that dies by SIGKILL takes its descriptors, and
+/// so its files, with it. Nothing is ever left in the spill dir to reap.
 
 namespace ddp {
 namespace mr {
 
-/// Owns one spill file on disk and one descriptor on it, opened with
+/// Owns one nameless spill file through its one descriptor, opened with
 /// O_CLOEXEC when the file is created. Every run of the file is read with
 /// `pread` through that descriptor, so readers share it without seeking.
-/// Shared by every run reference into the file; closes the descriptor and
-/// unlinks the file on destruction. Ownership is process-local: a handle
-/// inherited by a forked child reads through the inherited descriptor but
-/// never unlinks.
+/// Shared by every run reference into the file; closes the descriptor on
+/// destruction, which frees the file once no other process holds it (a
+/// forked child reads through the descriptor it inherited).
 class SpillFileHandle {
  public:
-  SpillFileHandle(std::string path, int fd);
+  SpillFileHandle(std::string label, int fd);
   ~SpillFileHandle();
 
   SpillFileHandle(const SpillFileHandle&) = delete;
   SpillFileHandle& operator=(const SpillFileHandle&) = delete;
 
-  const std::string& path() const { return path_; }
+  /// "<dir>/<name>" as given to `SpillFileWriter::Create`: the file has no
+  /// path, so this only tells errors apart.
+  const std::string& label() const { return label_; }
 
   /// Reads exactly `n` bytes at `offset` into `out`. IoError on a failed or
   /// short read.
@@ -89,18 +85,9 @@ class SpillFileHandle {
  private:
   friend class SpillFileWriter;
 
-  std::string path_;
+  std::string label_;
   int fd_ = -1;
-  long owner_pid_ = 0;
 };
-
-/// Deletes every `*.spill` file in `dir` whose stamped owner pid (the last
-/// `-p<pid>-` tag in the name) is no longer a live process, and returns how
-/// many were removed. Files of live processes, files owned by the calling
-/// process, and files without a pid tag are left alone. Missing `dir` is a
-/// no-op. Called at job start on the out-of-core path and by the worker
-/// supervisor after each worker death.
-uint64_t ReapOrphanSpillFiles(const std::string& dir);
 
 /// The spill index of an in-memory run (a map task's tail): tails sort after
 /// every disk run of their task in the merge ordinal (map task, spill
@@ -144,10 +131,12 @@ Status VerifyAndStripRunTrailer(std::string* segment);
 /// from EndRun and Close (a retried attempt writes a fresh file).
 class SpillFileWriter {
  public:
-  /// Creates `<dir>/<basename>` and the handle's descriptor, creating `dir`
-  /// (and parents) if missing. `basename` is sanitized ('/' becomes '_').
+  /// Creates a nameless file in `dir` (O_TMPFILE) and the handle's
+  /// descriptor, creating `dir` (and parents) if missing. `name` only
+  /// labels the file in error messages. A filesystem that refuses O_TMPFILE
+  /// is an error naming `dir`.
   static Result<std::unique_ptr<SpillFileWriter>> Create(
-      const std::string& dir, const std::string& basename);
+      const std::string& dir, const std::string& name);
 
   const std::shared_ptr<SpillFileHandle>& handle() const { return handle_; }
   uint64_t bytes_written() const { return offset_; }
@@ -237,14 +226,11 @@ namespace internal {
 /// subdirectory of the system temp directory.
 std::string ResolveSpillDir(const std::string& configured);
 
-/// Process-wide unique id for spill file names, so retried and speculative
-/// attempts of the same task never collide on disk. Forked children inherit
-/// the counter value, which is why spill names also carry the pid tag
-/// (`SpillOwnerTag`) — (pid, id) is unique even across workers forked from
-/// the same snapshot.
+/// A process-wide counter, and the calling process's tag "p<pid>". Spill
+/// files have no names to keep apart, so `ddp_bench`'s spill probe, which
+/// builds its labels from them, is their only caller; the benchmark
+/// revision of ROADMAP item 3 deletes them.
 uint64_t NextSpillFileId();
-
-/// The calling process's ownership tag for spill file names: "p<pid>".
 std::string SpillOwnerTag();
 
 /// Map-side buffer that every map task emits through. Serializes every
@@ -261,10 +247,10 @@ template <typename MidK, typename MidV, typename Traits>
 class SpillingBuffer {
  public:
   SpillingBuffer(size_t num_partitions, uint64_t budget_bytes,
-                 std::string spill_dir, std::string file_prefix)
+                 std::string spill_dir, std::string file_label)
       : budget_bytes_(budget_bytes),
         dir_(std::move(spill_dir)),
-        prefix_(std::move(file_prefix)),
+        label_(std::move(file_label)),
         pending_(num_partitions),
         arena_(num_partitions),
         poison_(num_partitions, 0),
@@ -377,10 +363,7 @@ class SpillingBuffer {
     Stopwatch watch;
     DDP_TRACE_SPAN(spill_span, obs::kCatSpill, obs::kSpanSpillWrite);
     if (writer_ == nullptr) {
-      DDP_ASSIGN_OR_RETURN(
-          writer_, SpillFileWriter::Create(
-                       dir_, prefix_ + "-" + SpillOwnerTag() + "-u" +
-                                 std::to_string(NextSpillFileId()) + ".spill"));
+      DDP_ASSIGN_OR_RETURN(writer_, SpillFileWriter::Create(dir_, label_));
     }
     SpillFileWriter* writer = writer_.get();
     const uint64_t start = writer->bytes_written();
@@ -425,7 +408,7 @@ class SpillingBuffer {
 
   const uint64_t budget_bytes_;
   const std::string dir_;
-  const std::string prefix_;
+  const std::string label_;
   std::vector<std::vector<Pending>> pending_;
   std::vector<std::string> arena_;  // per partition: payloads back to back
   std::vector<uint64_t> poison_;

@@ -408,9 +408,7 @@ class PhaseDriver : public PhaseIo {
           SpillFileWriter::Create(
               spill_dir_, phase_.job_name + "-" +
                               (phase_.phase == 0 ? "map" : "reduce") +
-                              "-shuffle-" + internal::SpillOwnerTag() + "-u" +
-                              std::to_string(internal::NextSpillFileId()) +
-                              ".spill"));
+                              "-shuffle-t" + std::to_string(begin.task)));
       s.attempt = begin.attempt;
     }
     s.writer->BeginRun();
@@ -419,8 +417,6 @@ class PhaseDriver : public PhaseIo {
     return SpillRun{s.writer->handle(), begin.partition, begin.spill_index,
                     extent.offset,      extent.length,   {}};
   }
-
-  uint64_t ReapOrphans() override { return ReapOrphanSpillFiles(spill_dir_); }
 
  private:
   /// A task's shuffle file: the disk runs of its attempt in flight, written

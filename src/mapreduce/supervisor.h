@@ -305,8 +305,6 @@ class PhaseIo {
   /// shuffle file of `begin`'s attempt, and returns the run as committed.
   virtual Result<SpillRun> AppendRun(const RunBeginMsg& begin,
                                      std::string_view frames) = 0;
-  /// Deletes the spill files whose owner process died; returns how many.
-  virtual uint64_t ReapOrphans() = 0;
 };
 
 class PhaseMachine {

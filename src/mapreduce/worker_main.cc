@@ -32,8 +32,8 @@
 /// parent's static destructors (thread pools, metric registries) in a
 /// forked image would touch state whose owning threads do not exist here.
 /// An attempt's spill files are released before its worker leaves the
-/// loop; files of a SIGKILLed worker are recovered by the supervisor's
-/// orphan reaper.
+/// loop; those of a SIGKILLed worker have no names and close with its
+/// descriptors.
 
 namespace ddp {
 namespace mr {

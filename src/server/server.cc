@@ -28,6 +28,12 @@ namespace {
 /// 15 s serve-s2-mixed benchmark run completes.
 constexpr size_t kFinishedJobsKept = 1024;
 
+/// Attempts per task of a job that injects failures, as the chaos suites
+/// give theirs. Under the default 4, a 0.3 failure rate exhausts some task
+/// of a ~70-task LSH pipeline about half the time, so a drill would mostly
+/// show the job failing rather than recovering.
+constexpr size_t kDrillTaskAttempts = 24;
+
 std::string CacheKeyDirName(const std::string& cache_key) {
   char out[16];
   std::snprintf(out, sizeof(out), "%08x",
@@ -187,12 +193,15 @@ void DdpServer::ServeConnection(Connection* conn) {
   while (!conns_stop_.load(std::memory_order_relaxed)) {
     mr::Frame frame;
     Status st = conn->channel->Recv(&frame, config_.poll_interval_seconds);
-    if (st.code() == StatusCode::kDeadlineExceeded) {
-      if (!PushProgress(conn, &subs).ok()) break;
-      continue;
+    if (st.ok()) {
+      if (!HandleFrame(conn, frame, &subs).ok()) break;
+    } else if (st.code() != StatusCode::kDeadlineExceeded) {
+      break;  // client went away (or framing corruption)
     }
-    if (!st.ok()) break;  // client went away (or framing corruption)
-    if (!HandleFrame(conn, frame, &subs).ok()) break;
+    // After every frame as well as on an idle tick, so a client that talks
+    // more often than the poll interval still gets its pushes; each
+    // subscription rate-limits itself.
+    if (!PushProgress(conn, &subs).ok()) break;
   }
   conn->channel->Close();
   conn->done.store(true, std::memory_order_release);
@@ -532,13 +541,6 @@ void DdpServer::ExecuteJob(const std::shared_ptr<Job>& job) {
   Result<std::string> payload = RunJobPipeline(job);
   const double elapsed = timer.ElapsedSeconds();
 
-  // Per-job spill dir: the spill files themselves are RAII-unlinked by the
-  // pipeline; this removes the now-empty directory.
-  std::error_code ec;
-  fs::remove_all(fs::path(work_dir_) / "spill" /
-                     ("job-" + std::to_string(job->id)),
-                 ec);
-
   std::unique_lock<std::mutex> lock(mu_);
   job->finished_at = Now();
   if (payload.ok()) {
@@ -579,20 +581,15 @@ Result<std::string> DdpServer::RunJobPipeline(
   }
   options.mr.num_workers = static_cast<size_t>(params.num_workers);
   options.mr.memory_budget_bytes = params.memory_budget_bytes;
-  const fs::path spill_dir =
-      fs::path(work_dir_) / "spill" / ("job-" + std::to_string(job->id));
-  std::error_code ec;
-  fs::create_directories(spill_dir, ec);
-  if (ec) {
-    return Status::IoError("cannot create spill dir " + spill_dir.string() +
-                           ": " + ec.message());
-  }
-  options.mr.spill_dir = spill_dir.string();
+  // Every job spills into one dir: spill files have no names to collide,
+  // and the first spill creates the dir.
+  options.mr.spill_dir = (fs::path(work_dir_) / "spill").string();
   // Checkpoints are keyed by the cache key, not the job id: a job cancelled
   // mid-drain and resubmitted resumes from its last completed MapReduce
   // job instead of starting over.
   const fs::path ckpt_dir =
       fs::path(work_dir_) / "ckpt" / CacheKeyDirName(job->cache_key);
+  std::error_code ec;
   fs::create_directories(ckpt_dir, ec);
   if (ec) {
     return Status::IoError("cannot create checkpoint dir " +
@@ -612,6 +609,10 @@ Result<std::string> DdpServer::RunJobPipeline(
   options.mr.faults.map_failure_rate = params.map_failure_rate;
   options.mr.faults.reduce_failure_rate = params.reduce_failure_rate;
   options.mr.faults.worker_crash_rate = params.worker_crash_rate;
+  if (params.map_failure_rate > 0.0 || params.reduce_failure_rate > 0.0 ||
+      params.worker_crash_rate > 0.0) {
+    options.mr.max_task_attempts = kDrillTaskAttempts;
+  }
   options.mr.cancel_flag = job->cancel_flag;
 
   LshDdp::Params lsh_params;

@@ -29,8 +29,9 @@
 ///    the sum of admitted jobs' effective memory budgets would exceed the
 ///    server budget;
 ///  * scheduler threads that run admitted jobs through RunDistributedDp —
-///    inproc or forked workers per the job's params — with a per-job spill
-///    dir, a per-cache-key checkpoint dir, and seeded determinism;
+///    inproc or forked workers per the job's params — with one spill dir
+///    shared by every job (spill files have no names, so they cannot
+///    collide), a per-cache-key checkpoint dir, and seeded determinism;
 ///  * the dataset cache (content digest -> loaded Dataset) and the result
 ///    cache ((digest, canonical params) -> encoded JobResultPayload) of
 ///    cache.h. A result-cache hit completes at submit time without
@@ -75,8 +76,8 @@ struct ServerConfig {
   /// Concurrent running jobs.
   size_t scheduler_threads = 2;
 
-  /// Root for per-job spill dirs and per-cache-key checkpoint dirs; empty
-  /// means "<system temp>/ddp-server-<port>".
+  /// Root for the jobs' spill dir ("spill") and per-cache-key checkpoint
+  /// dirs; empty means "<system temp>/ddp-server-<port>".
   std::string work_dir;
 
   /// Grace period for queued+running jobs after shutdown is requested;
@@ -84,8 +85,9 @@ struct ServerConfig {
   /// job boundary, keeping their checkpoints).
   double drain_timeout_seconds = 60.0;
 
-  /// Recv/accept poll granularity of the connection and accept loops; also
-  /// bounds how stale a kJobProgress push can be.
+  /// Recv/accept poll granularity of the connection and accept loops. A
+  /// connection pushes due kJobProgress frames after every frame it
+  /// handles and on every idle tick, so a push is never staler than this.
   double poll_interval_seconds = 0.05;
 
   /// Remote worker pool (exec_mode 2 jobs): when enabled the server binds a

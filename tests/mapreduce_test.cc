@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mapreduce/checkpoint.h"
@@ -512,6 +513,32 @@ TEST(FaultInjectionTest, FailureDecisionIsDeterministic) {
   EXPECT_EQ(a, b);
   EXPECT_FALSE(internal::ShouldInjectFailure(faults, 0.0, "job", 0, 3, 1));
   EXPECT_TRUE(internal::ShouldInjectFailure(faults, 1.0, "job", 0, 3, 1));
+}
+
+// Pipelines name their rounds by counting ("assign-jump-0", "-1", ...), so
+// names one character apart must draw independent coins: at rate 0.5, two
+// such names agree on about half of a grid of (task, attempt) pairs, not on
+// nearly all of them, which would replay one chaos schedule every round.
+TEST(FaultInjectionTest, NamesOneCharacterApartDrawIndependentCoins) {
+  FaultInjection faults;
+  faults.seed = 20260808;
+  const std::pair<const char*, const char*> neighbours[] = {
+      {"assign-jump-0", "assign-jump-1"},
+      {"kmeans-iter-1", "kmeans-iter-2"},
+      {"job-a", "job-b"}};
+  for (const auto& [a, b] : neighbours) {
+    size_t agree = 0;
+    for (size_t task = 0; task < 50; ++task) {
+      for (size_t attempt = 0; attempt < 20; ++attempt) {
+        agree += internal::ShouldInjectFailure(faults, 0.5, a, 0, task,
+                                               attempt) ==
+                 internal::ShouldInjectFailure(faults, 0.5, b, 0, task,
+                                               attempt);
+      }
+    }
+    EXPECT_GE(agree, 400u) << a << " vs " << b;
+    EXPECT_LE(agree, 600u) << a << " vs " << b;
+  }
 }
 
 TEST(SkewCounterTest, MaxPartitionTracksHotKey) {

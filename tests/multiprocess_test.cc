@@ -2,10 +2,10 @@
 // and TCP, including corrupt and truncated frames written raw to the peer's
 // descriptor and the bound on a peer's declared frame length), the shared
 // seeded backoff, the supervisor wire payloads (task/result and the
-// streamed-shuffle run frames), the worker loop's
-// credit window, the run trailer integrity gate, the orphan spill-file
-// reaper, the errors a job gets when the substrate it asks for cannot run,
-// and — the contract everything else serves — bit-identity of
+// streamed-shuffle run frames), the worker loop's credit window, the run
+// trailer integrity gate, nameless spill files that die with their last
+// descriptor, the errors a job gets when the substrate it asks for cannot
+// run, and — the contract everything else serves — bit-identity of
 // --exec-mode=fork with the in-process executor, including under chaos
 // schedules that SIGKILL workers mid-map and mid-shuffle, hang workers past
 // the task deadline, and poison tasks until they are quarantined. Mid-run
@@ -14,7 +14,7 @@
 //
 // Fork-mode tests skip themselves where forked workers are unsupported
 // (ForkExecutionSupported() == false: a TSan build), and one test runs only
-// there; the protocol, backoff, and reaper tests run everywhere.
+// there; the protocol and backoff tests run everywhere.
 
 #include <gtest/gtest.h>
 
@@ -47,6 +47,7 @@
 #include "mapreduce/spill.h"
 #include "mapreduce/supervisor.h"
 #include "obs/proc_stats.h"
+#include "open_fds.h"
 
 namespace ddp {
 namespace mr {
@@ -559,38 +560,6 @@ TEST(RunTrailerTest, AppendVerifyStripRoundTripAndCorruption) {
   EXPECT_TRUE(VerifyAndStripRunTrailer(&tiny).IsIoError());
 }
 
-// ----------------------------------------------------------- spill reaper
-
-TEST(SpillReaperTest, ReapsDeadOwnersKeepsLiveUntaggedAndForeign) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "ddp_mp_reaper_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  auto touch = [&](const std::string& name) {
-    std::ofstream(dir / name) << "x";
-  };
-  // Pid 999999999 exceeds every Linux pid_max; its owner is dead by
-  // construction. The last tag wins (a job name may carry one too).
-  touch("run-p999999999-u0-s0.spill");
-  touch("run-p999999999-u1-s0-p999999998-a1.spill");
-  touch("mine-" + internal::SpillOwnerTag() + "-u2-s0.spill");  // our own: kept
-  touch("untagged.spill");                            // no owner tag: kept
-  touch("not_a_spill.txt");                           // wrong suffix: kept
-
-  EXPECT_EQ(ReapOrphanSpillFiles(dir.string()), 2u);
-  EXPECT_FALSE(fs::exists(dir / "run-p999999999-u0-s0.spill"));
-  EXPECT_FALSE(fs::exists(dir / "run-p999999999-u1-s0-p999999998-a1.spill"));
-  EXPECT_TRUE(fs::exists(dir / ("mine-" + internal::SpillOwnerTag() + "-u2-s0.spill")));
-  EXPECT_TRUE(fs::exists(dir / "untagged.spill"));
-  EXPECT_TRUE(fs::exists(dir / "not_a_spill.txt"));
-
-  // Second sweep finds nothing; missing directory is a no-op.
-  EXPECT_EQ(ReapOrphanSpillFiles(dir.string()), 0u);
-  fs::remove_all(dir);
-  EXPECT_EQ(ReapOrphanSpillFiles(dir.string()), 0u);
-}
-
 // --------------------------------------------------- supervisor end-to-end
 
 // Runs a phase on `workers` forked workers.
@@ -704,25 +673,37 @@ TEST(SupervisorTest, StreamsTailRunsOverPipe) {
   JobCounters counters;
   ASSERT_TRUE(
       WorkerSupervisor::RunPhase(options, phase, fn, commit, &counters).ok());
+  // One shuffle file per task, each open once.
+  const std::vector<int> shuffle_fds =
+      DescriptorsInto(internal::JobSpillDir(options));
+  EXPECT_EQ(shuffle_fds.size(), phase.num_tasks);
   for (size_t t = 0; t < got.size(); ++t) {
     EXPECT_EQ(payloads[t], "p" + std::to_string(t));
     ASSERT_EQ(got[t].size(), 2u) << "task " << t;
     // Run a (a real spill index) is disk-backed on arrival: the supervisor
-    // appended it to a spill file it owns and wrote a fresh trailer.
+    // appended it to its task's shuffle file and wrote a fresh trailer.
+    // The files have no names, so the bytes are read back through this
+    // process's descriptors into the spill dir, and exactly one of them
+    // holds the task's run at its extent.
     EXPECT_EQ(got[t][0].partition, 0u);
     EXPECT_EQ(got[t][0].spill_index, 0u);
     EXPECT_TRUE(got[t][0].bytes.empty());
     ASSERT_NE(got[t][0].file, nullptr);
     const std::string want_a = std::string(run_bytes, 'a') + std::to_string(t);
     ASSERT_EQ(got[t][0].length, want_a.size() + 4);  // + CRC trailer
-    std::ifstream in(got[t][0].file->path(), std::ios::binary);
-    ASSERT_TRUE(in.good());
-    in.seekg(static_cast<std::streamoff>(got[t][0].offset));
-    std::string stored(got[t][0].length, '\0');
-    in.read(stored.data(), static_cast<std::streamsize>(stored.size()));
-    ASSERT_TRUE(in.good());
-    ASSERT_TRUE(VerifyAndStripRunTrailer(&stored).ok());
-    EXPECT_EQ(stored, want_a);
+    size_t holders = 0;
+    for (int fd : shuffle_fds) {
+      std::ifstream in(ReopenPath(fd), std::ios::binary);
+      ASSERT_TRUE(in.good());
+      in.seekg(static_cast<std::streamoff>(got[t][0].offset));
+      std::string stored(got[t][0].length, '\0');
+      in.read(stored.data(), static_cast<std::streamsize>(stored.size()));
+      if (in.good() && VerifyAndStripRunTrailer(&stored).ok() &&
+          stored == want_a) {
+        ++holders;
+      }
+    }
+    EXPECT_EQ(holders, 1u) << "task " << t;
     // The tail stays in memory, trailer verified and stripped.
     EXPECT_EQ(got[t][1].partition, 1u);
     EXPECT_EQ(got[t][1].spill_index, kTailRunIndex);
@@ -813,7 +794,6 @@ TEST(SupervisorTest, DiskRunFromAnUnbudgetedJobKillsTheWorker) {
   EXPECT_EQ(counters.worker_kills, 1u);
   EXPECT_EQ(counters.worker_crashes, 1u);
   EXPECT_EQ(counters.map_task_retries, 1u);
-  EXPECT_EQ(counters.spill_files_reaped, 0u);
   ASSERT_EQ(committed.size(), 1u);
   EXPECT_EQ(committed[0].spill_index, kTailRunIndex);
   EXPECT_EQ(committed[0].file, nullptr);
@@ -822,11 +802,10 @@ TEST(SupervisorTest, DiskRunFromAnUnbudgetedJobKillsTheWorker) {
 
 // A forked worker that streams a run whose CRC trailer does not match its
 // bytes breaks the stream protocol. The supervisor kills it, which counts a
-// kill and a crash, and retries the attempt on a fresh worker. A worker lets
-// an attempt's spill file go once its result is sent, which can beat the
-// kill, so the corrupt attempt's body holds its file for the worker's life:
-// the killed worker's file is then an orphan that the same drop path reaps,
-// and once the committed runs are dropped the spill dir is empty.
+// kill and a crash, and retries the attempt on a fresh worker. The first
+// attempt ships its run one byte short at the front, so the trailer it ends
+// with no longer covers the bytes before it. Once the committed runs are
+// dropped, nothing of either attempt's spill file is left.
 TEST(SupervisorTest, CorruptRunKillsTheWorkerAndRetries) {
   if (!ForkExecutionSupported()) {
     GTEST_SKIP() << "forked workers unsupported in this build";
@@ -838,39 +817,20 @@ TEST(SupervisorTest, CorruptRunKillsTheWorkerAndRetries) {
   Options options = ForkOptions(1);
   options.memory_budget_bytes = 4096;
   options.spill_dir = dir.string();
-  std::shared_ptr<SpillFileHandle> held;  // set in the worker's copy only
-  WorkerTaskFn fn = [&dir, &held](uint64_t, uint64_t attempt, bool,
-                                  const std::string&,
-                                  TaskResult* result) -> Status {
-    // Tagged with this worker's pid, as every spill file is, so the reaper
-    // can tell when its owner is dead.
-    DDP_ASSIGN_OR_RETURN(
-        auto writer,
-        SpillFileWriter::Create(dir.string(), "corrupt-" +
-                                                  internal::SpillOwnerTag() +
-                                                  "-u0.spill"));
+  WorkerTaskFn fn = [&dir](uint64_t, uint64_t attempt, bool,
+                           const std::string&, TaskResult* result) -> Status {
+    DDP_ASSIGN_OR_RETURN(auto writer,
+                         SpillFileWriter::Create(dir.string(), "corrupt"));
     const std::string bytes(100, static_cast<char>('a' + attempt));
     writer->BeginRun();
     writer->Append(bytes.data(), bytes.size());
     DDP_ASSIGN_OR_RETURN(SpillExtent extent, writer->EndRun());
     DDP_RETURN_NOT_OK(writer->Close());
-    if (attempt == 0) {
-      const auto last =
-          static_cast<std::streamoff>(extent.offset + extent.length - 1);
-      std::fstream f(writer->handle()->path(),
-                     std::ios::in | std::ios::out | std::ios::binary);
-      char c = 0;
-      f.seekg(last);
-      f.get(c);
-      f.seekp(last);
-      f.put(static_cast<char>(c ^ 0x5a));
-      if (!f.flush()) return Status::IoError("cannot flip the trailer byte");
-      held = writer->handle();  // a forked worker never runs destructors
-    }
+    const uint64_t skip = attempt == 0 ? 1 : 0;
     SpillRun run;
     run.file = writer->handle();
-    run.offset = extent.offset;
-    run.length = extent.length;
+    run.offset = extent.offset + skip;
+    run.length = extent.length - skip;
     result->runs.push_back(std::move(run));
     result->payload = "done";
     return Status::OK();
@@ -887,7 +847,6 @@ TEST(SupervisorTest, CorruptRunKillsTheWorkerAndRetries) {
   EXPECT_EQ(counters.worker_kills, 1u);
   EXPECT_EQ(counters.worker_crashes, 1u);
   EXPECT_EQ(counters.map_task_retries, 1u);
-  EXPECT_EQ(counters.spill_files_reaped, 1u);
   ASSERT_EQ(committed.size(), 1u);
   ASSERT_NE(committed[0].file, nullptr);
   std::string stored(committed[0].length, '\0');
@@ -898,14 +857,26 @@ TEST(SupervisorTest, CorruptRunKillsTheWorkerAndRetries) {
   EXPECT_EQ(stored, std::string(100, 'b'));  // attempt 1's bytes
   committed.clear();
   EXPECT_TRUE(fs::is_empty(dir));
+  EXPECT_EQ(DescriptorsInto(dir.string()), std::vector<int>{});
   fs::remove_all(dir);
 }
 
+// A map attempt's body: 200 records at a 64-byte budget spill many times
+// into `dir`, all into the attempt's one spill file, and become its runs.
+Status SpillRecords(const std::string& dir, TaskResult* result) {
+  internal::SpillingBuffer<uint32_t, uint64_t, KeyTraits<uint32_t>> buffer(
+      /*num_partitions=*/3, /*budget_bytes=*/64, dir, "records");
+  for (uint32_t i = 0; i < 200; ++i) buffer.Add(i % 11, i);
+  DDP_RETURN_NOT_OK(buffer.Finish());
+  result->runs = std::move(buffer.runs());
+  return Status::OK();
+}
+
 // A forked worker's map attempt spills many times, all into its one spill
-// file, and is SIGKILLed before it ships a run. Its death orphans exactly
-// that file, which the supervisor reaps; the retry on a fresh worker ships
-// every run, and dropping the committed runs empties the spill dir.
-TEST(SupervisorTest, KilledWorkersOneSpillFileIsReaped) {
+// file, and is SIGKILLed before it ships a run. The file dies with the
+// worker's descriptors; the retry on a fresh worker ships every run, and
+// once the committed runs are dropped nothing of a spill file is left.
+TEST(SupervisorTest, KilledWorkersSpillFileDiesWithIt) {
   if (!ForkExecutionSupported()) {
     GTEST_SKIP() << "forked workers unsupported in this build";
   }
@@ -918,11 +889,7 @@ TEST(SupervisorTest, KilledWorkersOneSpillFileIsReaped) {
   options.spill_dir = dir.string();
   WorkerTaskFn fn = [&dir](uint64_t, uint64_t attempt, bool,
                            const std::string&, TaskResult* result) -> Status {
-    internal::SpillingBuffer<uint32_t, uint64_t, KeyTraits<uint32_t>> buffer(
-        /*num_partitions=*/3, /*budget_bytes=*/64, dir.string(), "killed");
-    for (uint32_t i = 0; i < 200; ++i) buffer.Add(i % 11, i);
-    DDP_RETURN_NOT_OK(buffer.Finish());
-    result->runs = std::move(buffer.runs());
+    DDP_RETURN_NOT_OK(SpillRecords(dir.string(), result));
     result->payload = std::to_string(result->runs.back().spill_index + 1);
     if (attempt == 0) result->crash_after_runs = 0;
     return Status::OK();
@@ -940,12 +907,53 @@ TEST(SupervisorTest, KilledWorkersOneSpillFileIsReaped) {
       WorkerSupervisor::RunPhase(options, phase, fn, commit, &counters).ok());
   EXPECT_EQ(counters.worker_crashes, 1u);
   EXPECT_EQ(counters.map_task_retries, 1u);
-  EXPECT_EQ(counters.spill_files_reaped, 1u);
   EXPECT_GE(std::stoul(spills), 4u);  // spills of the attempt
   ASSERT_FALSE(committed.empty());
   EXPECT_EQ(committed.back().spill_index + 1, std::stoul(spills));
   committed.clear();
   EXPECT_TRUE(fs::is_empty(dir));
+  EXPECT_EQ(DescriptorsInto(dir.string()), std::vector<int>{});
+  fs::remove_all(dir);
+}
+
+// Spill files have no names on either side of a forked shuffle. A worker's
+// map attempt spills, then looks at the spill dir while its runs sit in its
+// spill file; the supervisor looks again while the committed disk runs sit
+// in its shuffle file. Both find the dir empty, though the supervisor holds
+// the file open.
+TEST(SupervisorTest, SpillFilesHaveNoNamesOnEitherSide) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "ddp_mp_nameless_test";
+  fs::remove_all(dir);
+  const SupervisedPhase phase = MapPhase("nameless", 2);
+  Options options = ForkOptions(1);
+  options.memory_budget_bytes = 4096;
+  options.spill_dir = dir.string();
+  WorkerTaskFn fn = [&dir](uint64_t, uint64_t, bool, const std::string&,
+                           TaskResult* result) -> Status {
+    DDP_RETURN_NOT_OK(SpillRecords(dir.string(), result));
+    result->payload = fs::is_empty(dir) ? "empty" : "listed";
+    return Status::OK();
+  };
+  size_t commits = 0;
+  CommitFn commit = [&](size_t task, bool, double, std::string payload,
+                        std::vector<SpillRun> runs) {
+    ++commits;
+    EXPECT_EQ(payload, "empty") << "worker side, task " << task;
+    EXPECT_TRUE(!runs.empty() && runs.front().file != nullptr)
+        << "no disk run, task " << task;
+    EXPECT_TRUE(fs::is_empty(dir)) << "supervisor side, task " << task;
+    EXPECT_FALSE(DescriptorsInto(dir.string()).empty());
+    return Status::OK();
+  };
+  JobCounters counters;
+  ASSERT_TRUE(
+      WorkerSupervisor::RunPhase(options, phase, fn, commit, &counters).ok());
+  EXPECT_EQ(commits, phase.num_tasks);
+  EXPECT_EQ(DescriptorsInto(dir.string()), std::vector<int>{});
   fs::remove_all(dir);
 }
 
@@ -1217,10 +1225,10 @@ TEST(MultiprocessTest, WorkerCrashChaosStaysBitIdentical) {
 }
 
 // Same chaos schedule with a spill budget: a worker killed mid-shuffle has
-// written spill files it will never commit; the supervisor's post-death
-// reap deletes them (they are stamped with the dead worker's pid), and the
-// retried attempt regenerates them. Output still matches the clean run.
-TEST(MultiprocessTest, CrashChaosWithSpillsReapsOrphansAndStaysIdentical) {
+// written a spill file it will never commit; the file has no name and dies
+// with the worker's descriptors, and the retried attempt writes it again.
+// Output still matches the clean run, and nothing of a spill file is left.
+TEST(MultiprocessTest, CrashChaosWithSpillsLeavesNothingAndStaysIdentical) {
   if (!ForkExecutionSupported()) {
     GTEST_SKIP() << "forked workers unsupported in this build";
   }
@@ -1248,7 +1256,6 @@ TEST(MultiprocessTest, CrashChaosWithSpillsReapsOrphansAndStaysIdentical) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(*clean, *result);
   EXPECT_GT(counters.worker_crashes, 0u);
-  // Everything left in the spill dir after the job belongs to nobody.
   uint64_t leftovers = 0;
   if (fs::exists(dir)) {
     for (const auto& e : fs::directory_iterator(dir)) {
@@ -1257,6 +1264,7 @@ TEST(MultiprocessTest, CrashChaosWithSpillsReapsOrphansAndStaysIdentical) {
     }
   }
   EXPECT_EQ(leftovers, 0u);
+  EXPECT_EQ(DescriptorsInto(dir.string()), std::vector<int>{});
   fs::remove_all(dir);
 }
 

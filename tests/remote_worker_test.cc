@@ -43,6 +43,7 @@
 #include "mapreduce/supervisor.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "open_fds.h"
 
 #ifndef DDP_WORKER_BIN
 #error "DDP_WORKER_BIN must point at the ddp_worker executable"
@@ -419,7 +420,8 @@ TEST(SpawnWorkerProcessTest, RefusesAPathThatIsNotAnExecutableFile) {
 }
 
 // --dial-deadline bounds how long a worker keeps redialing a supervisor
-// that is not there.
+// that is not there. A flag the worker does not know is a usage error: it
+// exits 2 at once.
 TEST(SpawnWorkerProcessTest, WorkerGivesUpAtItsDialDeadline) {
   uint16_t port = 0;
   {
@@ -437,34 +439,9 @@ TEST(SpawnWorkerProcessTest, WorkerGivesUpAtItsDialDeadline) {
                                           start)
                 .count(),
             1.5);
-}
-
-// A worker that has exited but that nobody has reaped yet is a zombie, and
-// kill(pid, 0) still calls a zombie alive. The reaper asks waitid first, so
-// a file stamped with such a worker's pid is reaped while the worker is
-// still unreaped, and WaitWorkerProcess still gets its exit code.
-TEST(SpawnWorkerProcessTest, ExitedUnreapedWorkersSpillFileIsReaped) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "ddp_zombie_reap_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  // A flag ddp_worker does not know: it exits at once with a usage error.
-  Result<int64_t> pid = mr::SpawnWorkerProcess(DDP_WORKER_BIN, {"--bogus"});
-  ASSERT_TRUE(pid.ok()) << pid.status().ToString();
-  const fs::path file =
-      dir / ("zombie-p" + std::to_string(*pid) + "-u0.spill");
-  std::ofstream(file) << "x";
-  uint64_t reaped = 0;
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (reaped == 0 && std::chrono::steady_clock::now() < give_up) {
-    reaped = mr::ReapOrphanSpillFiles(dir.string());
-    if (reaped == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(reaped, 1u);
-  EXPECT_FALSE(fs::exists(file));
-  EXPECT_EQ(mr::WaitWorkerProcess(*pid), 2);
-  fs::remove_all(dir);
+  Result<int64_t> bogus = mr::SpawnWorkerProcess(DDP_WORKER_BIN, {"--bogus"});
+  ASSERT_TRUE(bogus.ok()) << bogus.status().ToString();
+  EXPECT_EQ(mr::WaitWorkerProcess(*bogus), 2);
 }
 
 // ------------------------------------------------------------ job registry
@@ -727,7 +704,8 @@ TEST_P(RemoteBitIdentityTest, DropChaosRedialsAndStaysIdentical) {
 
 // The same drops with every map task out of core, so dropped attempts
 // leave disk runs behind; no spill file, worker- or supervisor-owned, may
-// outlive the pipeline.
+// outlive the pipeline: the spill dir lists nothing, and this process holds
+// no descriptor into it.
 TEST_P(RemoteBitIdentityTest, DropChaosWithFourKiBSpillsLeavesNoFiles) {
   if (!mr::ForkExecutionSupported()) {
     GTEST_SKIP() << "forked/exec'd workers unsupported in this build";
@@ -752,6 +730,7 @@ TEST_P(RemoteBitIdentityTest, DropChaosWithFourKiBSpillsLeavesNoFiles) {
       ADD_FAILURE() << "leftover spill file " << e.path();
     }
   }
+  EXPECT_EQ(DescriptorsInto(dir.string()), std::vector<int>{});
   fs::remove_all(dir);
 }
 

@@ -291,6 +291,56 @@ TEST_F(ServerTest, ProgressLeavesNoPerJobNameInTheRegistry) {
             std::string::npos);
 }
 
+// A client that sends frames more often than the server's poll interval
+// still gets its pushes: a connection pushes after every frame it handles,
+// not only when its receive times out. Polling every 10 ms against a 0.2 s
+// interval, the subscriber gets exactly one terminal push within 2 s of the
+// job being done.
+TEST_F(ServerTest, SubscriberPollingFasterThanThePollIntervalGetsItsPushes) {
+  using Clock = std::chrono::steady_clock;
+  ServerConfig config = BaseConfig();
+  config.poll_interval_seconds = 0.2;
+  auto srv = DdpServer::Start(config);
+  ASSERT_TRUE(srv.ok());
+  auto client = Connect(**srv);
+  ASSERT_TRUE(client.ok());
+  size_t terminal_pushes = 0;
+  Clock::time_point first_terminal;
+  (*client)->set_progress_handler([&](const JobStatusMsg& push) {
+    if (push.state != static_cast<uint8_t>(JobState::kDone)) return;
+    if (terminal_pushes++ == 0) first_terminal = Clock::now();
+  });
+  JobSubmitMsg msg = Submission(BaseParams());
+  msg.progress_seconds = 0.01;
+  auto submitted = (*client)->Submit(msg);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  const uint64_t job_id = submitted->job_id;
+  auto unfinished = [](uint8_t state) {
+    return state == static_cast<uint8_t>(JobState::kQueued) ||
+           state == static_cast<uint8_t>(JobState::kRunning);
+  };
+  uint8_t state = submitted->state;
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(60);
+  while (unfinished(state) && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    auto polled = (*client)->Poll(job_id);
+    ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+    state = polled->state;
+  }
+  ASSERT_EQ(state, static_cast<uint8_t>(JobState::kDone));
+  const Clock::time_point done = Clock::now();
+  // Same pace after done, until 2 s have passed or a quarter second past
+  // the terminal push, which shows no second one follows.
+  while (Clock::now() - done < std::chrono::seconds(2) &&
+         (terminal_pushes == 0 ||
+          Clock::now() - first_terminal < std::chrono::milliseconds(250))) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_TRUE((*client)->Poll(job_id).ok());
+  }
+  ASSERT_EQ(terminal_pushes, 1u);
+  EXPECT_LT(first_terminal - done, std::chrono::seconds(2));
+}
+
 // ------------------------------------------------ caches and admission
 
 TEST_F(ServerTest, ResultCacheHitIsBitIdenticalAndRunsNothing) {
@@ -544,7 +594,8 @@ TEST_F(ServerTest, IdenticalInFlightSubmissionsCoalesce) {
 
   auto done = (*client)->WaitForResult(first->job_id, 120.0);
   ASSERT_TRUE(done.ok());
-  EXPECT_EQ(done->state, static_cast<uint8_t>(JobState::kDone));
+  EXPECT_EQ(done->state, static_cast<uint8_t>(JobState::kDone))
+      << done->detail;
 }
 
 // ---------------------------------------------------- cancel + disconnect

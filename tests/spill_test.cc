@@ -3,14 +3,18 @@
 // contract — every memory budget, 0 (sorted runs kept in memory) and ones
 // forcing many spill runs per map task alike, must produce byte-for-byte the
 // same output, with and without chaos (poisoned records, task retries,
-// checkpoint kill/resume) layered on top. Spill files must also never leak:
-// the spill dir is empty again once a job (or a failed attempt) is done with
-// it.
+// checkpoint kill/resume) layered on top. Spill files must also never leak.
+// They have no names, so the spill dir stays empty while they live; a leak
+// is a descriptor into the dir still open once a job (or a failed attempt)
+// is done with it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -28,6 +32,7 @@
 #include "mapreduce/checkpoint.h"
 #include "mapreduce/mapreduce.h"
 #include "mapreduce/spill.h"
+#include "open_fds.h"
 
 namespace ddp {
 namespace mr {
@@ -53,6 +58,13 @@ class SpillDirGuard {
       ++n;
     }
     return n;
+  }
+
+  /// Nothing of a spill file is left: no entry in the dir, and no
+  /// descriptor of this process into it.
+  void ExpectClean(const std::string& where = "") const {
+    EXPECT_EQ(FileCount(), 0u) << where;
+    EXPECT_EQ(DescriptorsInto(dir_), std::vector<int>{}) << where;
   }
 
  private:
@@ -118,9 +130,12 @@ TEST(SpillFileTest, CorruptionFailsTheCrcCheck) {
   ASSERT_TRUE((*writer)->Close().ok());
   auto handle = (*writer)->handle();
 
-  // Flip one payload byte in the middle of the run.
+  // Flip one payload byte in the middle of the run, through the handle's
+  // one descriptor: the file has no name to open.
+  const std::vector<int> fds = DescriptorsInto(guard.dir());
+  ASSERT_EQ(fds.size(), 1u);
   {
-    std::fstream f(handle->path(),
+    std::fstream f(ReopenPath(fds[0]),
                    std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(static_cast<std::streamoff>(extent->offset + 50));
     f.put('y');
@@ -204,8 +219,10 @@ TEST(SpillFileTest, FlippedTrailerByteFailsTheCrcCheck) {
       std::string payload;
       const SpillExtent extent =
           WriteOneFrameRun(writer->get(), frame_bytes, &payload);
+      const std::vector<int> fds = DescriptorsInto(guard.dir());
+      ASSERT_EQ(fds.size(), 1u);
       {
-        std::fstream f((*writer)->handle()->path(),
+        std::fstream f(ReopenPath(fds[0]),
                        std::ios::binary | std::ios::in | std::ios::out);
         const auto at =
             static_cast<std::streamoff>(extent.offset + frame_bytes + byte);
@@ -242,10 +259,9 @@ TEST(SpillingBufferTest, SpillsOfOneTaskAppendToOneFile) {
     }
     ASSERT_TRUE(buffer.Finish().ok());
     EXPECT_EQ(buffer.spill_files(), 1u);
-    ASSERT_EQ(guard.FileCount(), 1u);
-    const std::string name =
-        fs::directory_iterator(guard.dir())->path().filename().string();
-    EXPECT_EQ(name.find("-s"), std::string::npos) << name;
+    // One file, held by one descriptor, and listed nowhere.
+    EXPECT_EQ(DescriptorsInto(guard.dir()).size(), 1u);
+    EXPECT_EQ(guard.FileCount(), 0u);
 
     // Runs come in spill order, every spill index from 0 up, all in the
     // one file; reading them back yields each key's values in emission
@@ -280,7 +296,7 @@ TEST(SpillingBufferTest, SpillsOfOneTaskAppendToOneFile) {
     EXPECT_EQ(read, expected);
   }
   // The buffer and its runs are gone, so is the file.
-  EXPECT_EQ(guard.FileCount(), 0u);
+  guard.ExpectClean();
 }
 
 // ---------------------------------------------------------------------------
@@ -382,8 +398,8 @@ TEST(SpillRunJobTest, OutputBitIdenticalAcrossBudgets) {
       EXPECT_NE(line.find("spilled_bytes="), std::string::npos) << line;
       EXPECT_NE(line.find("merge_passes="), std::string::npos) << line;
     }
-    // Every spill file is unlinked once the job is done.
-    EXPECT_EQ(guard.FileCount(), 0u) << "budget=" << budget;
+    // Every spill file is closed, and so freed, once the job is done.
+    guard.ExpectClean("budget=" + std::to_string(budget));
   }
 }
 
@@ -436,7 +452,7 @@ TEST(SpillRunJobTest, PoisonedRecordInsideSpillRunIsSkipped) {
   EXPECT_EQ(*result, *clean);
   EXPECT_GT(counters.skipped_records, 0u);
   EXPECT_GT(counters.spill_files, 0u);
-  EXPECT_EQ(guard.FileCount(), 0u);
+  guard.ExpectClean();
 
   // Without skip_bad_records the same poison aborts the job.
   poisoned.skip_bad_records = false;
@@ -444,7 +460,7 @@ TEST(SpillRunJobTest, PoisonedRecordInsideSpillRunIsSkipped) {
       RunJob(SkewedSumSpec(), std::span<const uint32_t>(input), poisoned);
   EXPECT_FALSE(aborted.ok());
   EXPECT_TRUE(aborted.status().IsIoError());
-  EXPECT_EQ(guard.FileCount(), 0u);
+  guard.ExpectClean();
 }
 
 TEST(SpillRunJobTest, TaskRetriesRecreateSpillFilesWithoutLeaking) {
@@ -473,7 +489,7 @@ TEST(SpillRunJobTest, TaskRetriesRecreateSpillFilesWithoutLeaking) {
   EXPECT_GT(counters.map_task_retries + counters.reduce_task_retries, 0u);
   // Failed attempts' spill files were replaced by their retries' files, and
   // everything is gone when the job finishes.
-  EXPECT_EQ(guard.FileCount(), 0u);
+  guard.ExpectClean();
 }
 
 TEST(SpillRunJobTest, SpeculativeAttemptsShareSpillDirSafely) {
@@ -500,7 +516,7 @@ TEST(SpillRunJobTest, SpeculativeAttemptsShareSpillDirSafely) {
       RunJob(SkewedSumSpec(), std::span<const uint32_t>(input), spec_opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(*result, *clean);
-  EXPECT_EQ(guard.FileCount(), 0u);
+  guard.ExpectClean();
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +585,7 @@ TEST_P(SpillDdpTest, ClusteringBitIdenticalAcrossBudgets) {
     const std::string stats = result->stats.ToString();
     EXPECT_NE(stats.find("spilled_bytes="), std::string::npos) << stats;
     EXPECT_NE(stats.find("merge_passes="), std::string::npos) << stats;
-    EXPECT_EQ(guard.FileCount(), 0u) << "budget=" << budget;
+    guard.ExpectClean("budget=" + std::to_string(budget));
   }
 }
 
@@ -598,7 +614,7 @@ TEST_P(SpillDdpTest, ChaosGauntletUnderSpillingStaysBitIdentical) {
   EXPECT_GT(result->stats.TotalTaskRetries(), 0u);
   EXPECT_GT(result->stats.Total(&mr::JobCounters::skipped_records), 0u);
   EXPECT_GT(result->stats.TotalSpilledBytes(), 0u);
-  EXPECT_EQ(guard.FileCount(), 0u);
+  guard.ExpectClean();
 }
 
 TEST_P(SpillDdpTest, KilledDriverResumesWithPopulatedSpillDir) {
@@ -641,8 +657,9 @@ TEST_P(SpillDdpTest, KilledDriverResumesWithPopulatedSpillDir) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(BitIdentical(*baseline, *resumed));
   EXPECT_GT(resumed->stats.JobsLoadedFromCheckpoint(), 0u);
-  // Only the stale file we planted remains.
+  // Only the stale file we planted remains, and nothing holds a spill file.
   EXPECT_EQ(guard.FileCount(), 1u);
+  EXPECT_EQ(DescriptorsInto(guard.dir()), std::vector<int>{});
   fs::remove_all(ckpt_dir);
 }
 
@@ -659,22 +676,24 @@ rlim_t OpenDescriptors() {
   return n;
 }
 
-// Lowers the process's soft descriptor limit while in scope.
-class DescriptorLimit {
+// Lowers one of the process's soft resource limits while in scope. Forked
+// workers inherit it.
+class SoftLimit {
  public:
-  explicit DescriptorLimit(rlim_t soft) {
-    ok_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+  SoftLimit(int resource, rlim_t soft) : resource_(resource) {
+    ok_ = ::getrlimit(resource_, &saved_) == 0;
     struct rlimit lowered = saved_;
     lowered.rlim_cur = soft;
-    ok_ = ok_ && ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+    ok_ = ok_ && ::setrlimit(resource_, &lowered) == 0;
   }
-  ~DescriptorLimit() {
-    if (ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  ~SoftLimit() {
+    if (ok_) ::setrlimit(resource_, &saved_);
   }
 
   bool ok() const { return ok_; }
 
  private:
+  const int resource_;
   struct rlimit saved_ {};
   bool ok_ = false;
 };
@@ -701,14 +720,14 @@ TEST(SpillDescriptorTest, FourKiBPipelineRunsUnderASmallDescriptorLimit) {
   const rlim_t limit = OpenDescriptors() + 32;
   Result<DdpRunResult> budgeted = Status::Internal("not run");
   {
-    DescriptorLimit lowered(limit);
+    SoftLimit lowered(RLIMIT_NOFILE, limit);
     ASSERT_TRUE(lowered.ok());
     LshDdp algo;
     budgeted = RunDistributedDp(&algo, *dataset, options);
   }
   ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
   EXPECT_TRUE(BitIdentical(*unbudgeted, *budgeted));
-  EXPECT_EQ(guard.FileCount(), 0u);
+  guard.ExpectClean();
   // A partition's run holds at most the budget plus one record (smaller
   // than the budget here), so the largest partition spilled more runs than
   // this bound, which the limit must sit below.
@@ -718,6 +737,50 @@ TEST(SpillDescriptorTest, FourKiBPipelineRunsUnderASmallDescriptorLimit) {
         std::max(max_partition_bytes, job.max_partition_bytes);
   }
   EXPECT_GT(max_partition_bytes / (2 * kBudget), limit);
+}
+
+// A disk that refuses a write. With SIGXFSZ ignored, a soft RLIMIT_FSIZE
+// makes every write past it fail with EFBIG; here the limit sits far below
+// one map attempt's spill file of a 4 KiB LSH pipeline. A failed spill write
+// fails its attempt, which is retried like any failed attempt until
+// max_task_attempts, so the job fails carrying the errno text. Forked
+// workers inherit the limit and fail the same way. Either way, nothing of a
+// spill file outlives the job.
+void ExpectSpillWriteFailureFailsTheJob(ExecMode mode) {
+  SpillDirGuard guard("ddp_spill_fsize_limit");
+  auto dataset = gen::KddLike(/*seed=*/5, 400);
+  ASSERT_TRUE(dataset.ok());
+  DdpOptions options = BaseDdpOptions();
+  options.mr.exec_mode = mode;
+  options.mr.memory_budget_bytes = 4096;
+  options.mr.spill_dir = guard.dir();
+  Result<DdpRunResult> result = Status::Internal("RLIMIT_FSIZE not lowered");
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_NE(saved_handler, SIG_ERR);
+  {
+    SoftLimit lowered(RLIMIT_FSIZE, 3 * 4096);
+    if (lowered.ok()) {
+      LshDdp algo;
+      result = RunDistributedDp(&algo, *dataset, options);
+    }
+  }
+  std::signal(SIGXFSZ, saved_handler);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(std::strerror(EFBIG)),
+            std::string::npos)
+      << result.status().ToString();
+  guard.ExpectClean();
+}
+
+TEST(SpillWriteFaultTest, InProcessJobFailsWithTheErrnoAndLeaksNothing) {
+  ExpectSpillWriteFailureFailsTheJob(ExecMode::kInProc);
+}
+
+TEST(SpillWriteFaultTest, ForkedJobFailsWithTheErrnoAndLeaksNothing) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
+  ExpectSpillWriteFailureFailsTheJob(ExecMode::kFork);
 }
 
 }  // namespace

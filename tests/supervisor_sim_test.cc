@@ -18,12 +18,13 @@
 // policy names and the schedule earned; every drop moves exactly the
 // counters architecture.md's cause table assigns to it, checked event by
 // event, and a lost link on either crew is exactly one channel drop; a
-// worker counted killed was alive when it was killed; every orphan
-// a forked worker's death leaves is reaped by its drop; teardown releases
+// worker counted killed was alive when it was killed; teardown releases
 // every shuffle-file handle; and the phase ends within a bound of simulated
-// time. A failing seed prints its schedule, and SimulateSchedule(seed)
-// replays that schedule alone. RemoteDropChargeTest plays a remote crew by
-// hand through the drops whose charge decides quarantine.
+// time. A simulated process that dies releases its runs at once, as the
+// kernel frees a dead process's nameless spill files. A failing seed prints
+// its schedule, and SimulateSchedule(seed) replays that schedule alone.
+// RemoteDropChargeTest plays a remote crew by hand through the drops whose
+// charge decides quarantine.
 
 #include <gtest/gtest.h>
 
@@ -154,7 +155,6 @@ class Sim : public PhaseIo {
   void Park(uint64_t link, uint64_t id) override;
   Result<SpillRun> AppendRun(const RunBeginMsg& begin,
                              std::string_view frames) override;
-  uint64_t ReapOrphans() override;
 
  private:
   struct Worker {
@@ -245,8 +245,6 @@ class Sim : public PhaseIo {
   std::set<uint64_t> strays_;  // offered links that belong to no worker
   std::vector<std::pair<uint64_t, uint64_t>> lost_;  // (link, worker id)
   uint64_t next_link_ = 1;
-  std::vector<TaskResult> morgue_;  // runs of processes that died unclean
-  uint64_t reaped_ = 0;
   uint64_t real_kills_ = 0;
   bool append_fault_ = false;
   bool append_failed_ = false;
@@ -345,11 +343,10 @@ void Sim::Release(Worker& w) {
   w.wire.clear();
 }
 
-// The process dies without cleanup: its spill files become orphans, and
-// the machine is owed the loss of its connection.
+// The process dies without cleanup: its spill files close with its
+// descriptors, and the machine is owed the loss of its connection.
 void Sim::Die(Worker& w) {
   w.alive = false;
-  if (w.have) morgue_.push_back(std::move(w.result));
   Release(w);
   if (w.link != 0) lost_.emplace_back(w.link, w.id);
   w.link = 0;
@@ -583,9 +580,8 @@ bool Sim::KillAndReap(uint64_t link, double grace_seconds) {
     drops_.push_back(RecordDrop(*w));
   }
   if (!w->alive) return false;
-  // SIGKILL: no cleanup, so its spill files are orphans.
+  // SIGKILL: no cleanup; its spill files close with its descriptors.
   w->alive = false;
-  if (w->have) morgue_.push_back(std::move(w->result));
   Release(*w);
   w->link = 0;
   ++real_kills_;
@@ -637,10 +633,7 @@ Result<SpillRun> Sim::AppendRun(const RunBeginMsg& begin,
     return Status::IoError("injected shuffle append failure");
   }
   if (shuffle_ == nullptr) {
-    auto created = SpillFileWriter::Create(
-        SimDir().string(), "sim-shuffle-" + internal::SpillOwnerTag() + "-u" +
-                               std::to_string(internal::NextSpillFileId()) +
-                               ".spill");
+    auto created = SpillFileWriter::Create(SimDir().string(), "sim-shuffle");
     if (!created.ok()) return created.status();
     shuffle_ = std::move(created).value();
     shuffle_handle_ = shuffle_->handle();
@@ -651,18 +644,6 @@ Result<SpillRun> Sim::AppendRun(const RunBeginMsg& begin,
   DDP_RETURN_NOT_OK(shuffle_->Close());  // readable at once
   return SpillRun{shuffle_->handle(), begin.partition, begin.spill_index,
                   extent.offset,      extent.length,   {}};
-}
-
-uint64_t Sim::ReapOrphans() {
-  std::set<const SpillFileHandle*> files;
-  for (const TaskResult& r : morgue_) {
-    for (const SpillRun& run : r.runs) {
-      if (run.file != nullptr) files.insert(run.file.get());
-    }
-  }
-  morgue_.clear();
-  reaped_ += files.size();
-  return files.size();
 }
 
 // ------------------------------------------------- events and accounting
@@ -1045,9 +1026,6 @@ std::string Sim::Run() {
     Event(Call::kTick, [&] { machine_->Tick(now_); });
   }
   if (!violation_.empty()) return violation_;
-  if (!remote_ && lost_.empty() && !morgue_.empty()) {
-    Violation("a forked worker's orphan spill files outlived its drop");
-  }
   Status status;
   teardown_ = true;
   Event(Call::kTeardown, [&] { status = machine_->Teardown(); });
@@ -1058,11 +1036,6 @@ std::string Sim::Run() {
     Violation("teardown left " +
               std::to_string(shuffle_handle_.use_count() - 1) +
               " shuffle-file handle(s) open");
-  }
-  if (counters_.spill_files_reaped != reaped_) {
-    Violation("spill_files_reaped " +
-              std::to_string(counters_.spill_files_reaped) + " but " +
-              std::to_string(reaped_) + " orphans were reaped");
   }
   if (counters_.worker_kills != real_kills_) {
     Violation("worker_kills " + std::to_string(counters_.worker_kills) +
@@ -1170,7 +1143,6 @@ class ScriptIo : public PhaseIo {
   Result<SpillRun> AppendRun(const RunBeginMsg&, std::string_view) override {
     return Status::Internal("the script ships no disk runs");
   }
-  uint64_t ReapOrphans() override { return 0; }
 
   std::map<uint64_t, std::vector<Frame>> sent;
 };
