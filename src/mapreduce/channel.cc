@@ -164,6 +164,7 @@ Status FdChannel::ReadSome(char* out, size_t n, double wait_seconds,
       return Status::IoError(std::string("channel read failed: ") +
                              std::strerror(errno));
     }
+    if (wait_seconds < 0.0) return Status::DeadlineExceeded("nothing to read");
     int wait_ms = -1;
     if (wait_seconds > 0.0) {
       const auto now = Clock::now();
@@ -209,7 +210,9 @@ bool FdChannel::HasBufferedFrame() const {
 Status FdChannel::Recv(Frame* frame, double timeout_seconds) {
   if (fd_ < 0) return Status::IoError("channel closed");
   if (rbuf_ == nullptr) rbuf_.reset(new char[kRecvBufferBytes]);
-  if (rpos_ == rend_) DDP_RETURN_NOT_OK(Fill(timeout_seconds));
+  if (rpos_ == rend_) {
+    DDP_RETURN_NOT_OK(Fill(timeout_seconds > 0.0 ? timeout_seconds : 0.0));
+  }
   // Once a frame has started, the rest must follow promptly: a peer that
   // dies mid-frame hits EOF; a wedged peer hits the inner deadline and is
   // treated as a hang by the supervisor.
@@ -269,10 +272,34 @@ Status FdChannel::Recv(Frame* frame, double timeout_seconds) {
   return Status::OK();
 }
 
+Status FdChannel::TryRecv(Frame* frame, bool* got) {
+  *got = false;
+  if (fd_ < 0) return Status::IoError("channel closed");
+  if (rbuf_ == nullptr) rbuf_.reset(new char[kRecvBufferBytes]);
+  if (!HasBufferedFrame()) {
+    const Status st = Fill(kNoWait);
+    if (!st.ok() && !st.IsDeadlineExceeded()) return st;
+  }
+  ParsedHeader header;
+  if (ParseFrameHeader(rbuf_.get() + rpos_, rend_ - rpos_, &header) ==
+          HeaderParse::kOk &&
+      header.payload_bytes > kRecvBufferBytes - header.size - 4) {
+    return Status::IoError("frame declares " +
+                           std::to_string(header.payload_bytes) +
+                           " payload bytes, above the receive buffer");
+  }
+  if (!HasBufferedFrame()) return Status::OK();
+  *got = true;
+  return Recv(frame, /*timeout_seconds=*/0.0);  // cut from the buffer
+}
+
 Result<std::pair<std::unique_ptr<PipeChannel>, std::unique_ptr<PipeChannel>>>
 PipeChannel::CreatePair() {
   int fds[2];
-  if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+  // Every channel descriptor is close-on-exec: an exec'd ddp_worker must
+  // not hold its supervisor's listener, or after the pool closes it would
+  // redial into its own inherited copy and wait there forever.
+  if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
     return Status::Internal(std::string("socketpair failed: ") +
                             std::strerror(errno));
   }
@@ -311,7 +338,7 @@ Result<std::unique_ptr<TcpListener>> TcpListener::Listen(
     const std::string& host, uint16_t port) {
   struct sockaddr_in addr;
   DDP_RETURN_NOT_OK(MakeSockAddr(host, port, &addr));
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return Status::Internal(std::string("socket failed: ") +
                             std::strerror(errno));
@@ -371,7 +398,7 @@ Result<std::unique_ptr<TcpChannel>> TcpListener::Accept(
     if (rc == 0) return Status::DeadlineExceeded("accept timed out");
     break;
   }
-  const int conn = ::accept(fd_, nullptr, nullptr);
+  const int conn = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
   if (conn < 0) {
     return Status::IoError(std::string("accept failed: ") +
                            std::strerror(errno));
@@ -393,7 +420,7 @@ Result<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
                          std::chrono::duration<double>(deadline_seconds));
   std::string last_error = "connect never attempted";
   for (uint64_t attempt = 0;; ++attempt) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) {
       return Status::Internal(std::string("socket failed: ") +
                               std::strerror(errno));

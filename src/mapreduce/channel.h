@@ -99,6 +99,11 @@ class CommChannel {
   /// A declared payload above 1 GiB is an IoError before any allocation.
   virtual Status Recv(Frame* frame, double timeout_seconds) = 0;
 
+  /// Receives the next frame once all of it has arrived, never waiting: OK
+  /// with `*got` false while it is partial. A frame the receive buffer
+  /// cannot hold is an IoError, so a peer can neither stall nor grow it.
+  virtual Status TryRecv(Frame* frame, bool* got) = 0;
+
   /// True when the next Recv returns without touching the descriptor: a
   /// whole frame (or a header Recv rejects) already sits in the channel's
   /// receive buffer. poll() cannot see such bytes, so an event loop must
@@ -138,6 +143,7 @@ class FdChannel : public CommChannel {
   /// stack, the payload in place, so sending copies no payload byte.
   Status Send(const Frame& frame) override;
   Status Recv(Frame* frame, double timeout_seconds) override;
+  Status TryRecv(Frame* frame, bool* got) override;
   bool HasBufferedFrame() const override;
   int fd() const override { return fd_; }
   void Close() override;
@@ -145,12 +151,16 @@ class FdChannel : public CommChannel {
   static constexpr size_t kRecvBufferBytes = 64 * 1024;
 
  private:
+  /// A wait of ReadSome and Fill that reads only what has arrived.
+  static constexpr double kNoWait = -1.0;
+
   /// Moves the unconsumed bytes to the front of the receive buffer, then
   /// appends what one read returns. The caller needs fewer bytes than the
   /// buffer holds, so there is always room.
   Status Fill(double wait_seconds);
   /// Reads between 1 and `n` bytes into `out`, waiting at most
-  /// `wait_seconds` (<= 0: forever) for the first to arrive.
+  /// `wait_seconds` (0: forever; kNoWait: not at all, DeadlineExceeded when
+  /// nothing has arrived) for the first to arrive.
   Status ReadSome(char* out, size_t n, double wait_seconds, size_t* got);
 
   std::mutex send_mu_;

@@ -116,17 +116,22 @@ Status CheckpointStore::SaveBytes(const std::string& key,
 
   const std::string path = PathFor(key);
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot write checkpoint " + tmp);
-    out.write(w.data().data(), static_cast<std::streamsize>(w.size()));
-    if (!out) return Status::IoError("short write to checkpoint " + tmp);
-  }
+  // A failed save leaves nothing behind.
+  auto fail = [&tmp](const std::string& why) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    return Status::IoError(why);
+  };
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return fail("cannot write checkpoint " + tmp);
+  out.write(w.data().data(), static_cast<std::streamsize>(w.size()));
+  // A payload that fits the stream's buffer fails only at the flush.
+  out.close();
+  if (!out) return fail("short write to checkpoint " + tmp);
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
-    return Status::IoError("cannot commit checkpoint " + path + ": " +
-                           ec.message());
+    return fail("cannot commit checkpoint " + path + ": " + ec.message());
   }
   return Status::OK();
 }

@@ -5,8 +5,6 @@
 #include <bit>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <deque>
 #include <exception>
 #include <initializer_list>
 #include <mutex>
@@ -56,6 +54,8 @@ void ReduceTaskStats::CountGroup(size_t size) {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 const char* PhaseName(int phase) { return phase == 0 ? "map" : "reduce"; }
 
 /// The chaos every attempt rolls after its body, on every substrate: an
@@ -103,336 +103,222 @@ struct PhaseSpec {
   std::function<Result<std::string>(size_t task)> remote_input;
 };
 
-/// The in-process task scheduler. Runs `spec.num_tasks` tasks on `pool`:
-///
-///  * A failed attempt (injected fault, thrown exception, missed deadline)
-///    is retried until `max_task_attempts` is exhausted, then fails the job.
-///  * An IoError from the body (corrupt shuffle data) is not retryable — the
-///    data would be equally corrupt on retry — and aborts the job, with all
-///    in-flight attempts cancelled so other partitions stop wasting work.
-///  * With speculative execution on, a task whose sole attempt runs long
-///    relative to the committed median gets one backup attempt; the first
-///    success commits (in this scheduler thread, so there is no commit
-///    race), the sibling is cancelled and its slot discarded.
-///
-/// Retries, speculative launches and wins, deadline kills and exceptions go
-/// into `counters`; committed attempts' durations are appended to
-/// `durations`.
-Status RunRobustPhase(ThreadPool* pool, const PhaseSpec& spec,
-                      const Options& options, JobCounters* counters,
-                      std::vector<double>* durations, TaskSlots* outputs) {
-  const size_t num_tasks = spec.num_tasks;
-  outputs->clear();
-  outputs->resize(num_tasks);
-  if (num_tasks == 0) return Status::OK();
+/// The in-process crew's PhaseIo: a link is a logical worker on the job's
+/// ThreadPool. The machine is only touched under `mu_`. The pool thread
+/// that finishes an attempt hands the machine its verdict, then runs what
+/// the machine dispatched to its own link and submits the rest, so no
+/// thread wakes per task; the calling thread only ticks. No slot is
+/// serialized: the commit takes the reporting attempt's slot.
+class InProcDriver : public PhaseIo {
+ public:
+  InProcDriver(ThreadPool* pool, const PhaseSpec& spec, const Options& options,
+               JobCounters* counters)
+      : pool_(pool), spec_(spec), options_(options), counters_(counters) {}
 
-  using Clock = std::chrono::steady_clock;
-  struct Event {
-    size_t task = 0;
-    size_t attempt = 0;
-    bool speculative = false;
-    bool exception = false;
-    Status status;
-    double seconds = 0.0;
-    std::unique_ptr<TaskSlot> out;
-  };
-  struct Running {
-    size_t attempt;
-    /// Nanoseconds-since-steady-epoch when the attempt actually began
-    /// executing; 0 while it is still queued behind other work. Deadlines
-    /// and the speculative threshold measure execution time, not queue
-    /// wait — on a small pool every queued attempt would otherwise look
-    /// like a straggler.
-    std::shared_ptr<std::atomic<int64_t>> started_ns;
-    std::shared_ptr<CancelToken> cancel;
-  };
-  struct TaskState {
-    size_t failed_attempts = 0;
-    size_t next_attempt = 0;
-    bool done = false;
-    bool backup_launched = false;
-    std::vector<Running> running;
-  };
+  /// The slot of the attempt whose verdict the machine is reading.
+  std::unique_ptr<TaskSlot> TakeReported() { return std::move(reported_); }
 
-  const std::string& job_name = spec.chaos.job_name;
-  const int phase = spec.chaos.phase;
-  const double deadline = options.task_deadline_seconds;
-  const char* phase_name = PhaseName(phase);
-  uint64_t& retries =
-      phase == 0 ? counters->map_task_retries : counters->reduce_task_retries;
-  // This phase's committed durations, the median speculation measures by.
-  const size_t first_duration = durations->size();
-
-  // Observability: one histogram of committed-attempt latencies per phase
-  // kind (a single registry lookup per phase), a per-attempt trace span
-  // created inside the worker closure (so it lands on the executing
-  // thread), and an optional progress heartbeat.
-  obs::Histogram* attempt_hist = obs::MetricsRegistry::Global().GetHistogram(
-      phase == 0 ? obs::kMetricMrMapAttemptSeconds
-                 : obs::kMetricMrReduceAttemptSeconds);
-  std::atomic<size_t> completed_for_heartbeat{0};
-  Stopwatch phase_timer;
-  std::optional<obs::ProgressHeartbeat> heartbeat;
-  if (options.heartbeat_seconds > 0.0) {
-    heartbeat.emplace(
-        options.heartbeat_seconds,
-        [&completed_for_heartbeat, &phase_timer, num_tasks, phase_name,
-         job_name] {
-          const size_t done =
-              completed_for_heartbeat.load(std::memory_order_relaxed);
-          const double elapsed = phase_timer.ElapsedSeconds();
-          char buf[160];
-          std::snprintf(buf, sizeof(buf),
-                        "%s %s: %zu/%zu tasks done (%.1f tasks/s)",
-                        job_name.c_str(), phase_name, done, num_tasks,
-                        elapsed > 0.0 ? static_cast<double>(done) / elapsed
-                                      : 0.0);
-          return std::string(buf);
-        });
+  /// Runs `machine` until the phase is done, tears it down, and waits for
+  /// the attempts still on pool threads, which reference this frame.
+  Status Run(PhaseMachine* machine) {
+    std::unique_lock<std::mutex> lock(mu_);
+    machine_ = machine;
+    DDP_RETURN_NOT_OK(machine->Start({}, Now()));
+    while (!machine->done()) {
+      machine->Tick(Now());
+      for (uint64_t link : std::exchange(started_, {})) Launch(link);
+      idle_.wait_for(lock, std::chrono::milliseconds(10),
+                     [machine] { return machine->done(); });
+    }
+    const Status status = machine->Teardown();
+    idle_.wait(lock, [this] { return running_ == 0; });
+    return status;
   }
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Event> events;  // guarded by mu
+  Status Send(uint64_t link, const Frame& frame) override {
+    if (frame.type != MessageType::kTaskAssign) return Status::OK();
+    Worker& w = workers_[link - 1];
+    DDP_RETURN_NOT_OK(TaskAssignMsg::Decode(frame.payload, &w.assign));
+    w.cancel = std::make_unique<CancelToken>();
+    started_.push_back(link);
+    return Status::OK();
+  }
+  Result<std::pair<uint64_t, uint64_t>> Spawn(uint64_t) override {
+    workers_.emplace_back();
+    return std::make_pair(uint64_t{workers_.size()}, uint64_t{0});
+  }
+  bool KillAndReap(uint64_t, double) override { return false; }
+  void Close(uint64_t) override {}
+  void Park(uint64_t, uint64_t) override {}
+  Result<SpillRun> AppendRun(const RunBeginMsg&, std::string_view) override {
+    return Status::Internal("an in-process attempt streams no runs");
+  }
+  void Cancel(uint64_t link) override { workers_[link - 1].cancel->Cancel(); }
 
-  // Everything below is touched only by this (scheduler) thread.
-  std::vector<TaskState> tasks(num_tasks);
-  size_t outstanding = 0;  // launched attempts whose events are unconsumed
-  size_t completed = 0;
-  Status job_error;
-
-  auto launch = [&](size_t t, bool speculative) {
-    TaskState& ts = tasks[t];
-    const size_t attempt = ts.next_attempt++;
-    auto cancel = std::make_shared<CancelToken>();
-    auto started_ns = std::make_shared<std::atomic<int64_t>>(0);
-    ts.running.push_back({attempt, started_ns, cancel});
-    ++outstanding;
-    pool->Submit([&, t, attempt, speculative, cancel, started_ns] {
-      Event ev;
-      ev.task = t;
-      ev.attempt = attempt;
-      ev.speculative = speculative;
-      // The attempt span lives on the worker thread so it nests under
-      // whatever else that worker traces (spill writes, kernel groups).
-      // Spans from attempts that never commit — cancelled speculative
-      // losers, deadline kills, abandoned retries — are still flushed,
-      // marked cancelled below.
-      DDP_TRACE_SPAN(span, obs::kCatMr,
-                     phase == 0 ? obs::kSpanMapAttempt
-                                : obs::kSpanReduceAttempt);
-      if (span.active()) {
-        span.AddArg("job", job_name);
-        span.AddArg("task", static_cast<uint64_t>(t));
-        span.AddArg("attempt", static_cast<uint64_t>(attempt));
-        if (speculative) span.AddArg("speculative", "true");
-      }
-      started_ns->store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            Clock::now().time_since_epoch())
-                            .count(),
-                        std::memory_order_release);
-      if (cancel->cancelled()) {
-        ev.status = Status::Cancelled("attempt cancelled before start");
-      } else {
-        ev.out = spec.new_slot();
-        Stopwatch watch;
-        try {
-          ev.status = spec.body(t, cancel.get(), ev.out.get());
-        } catch (const std::exception& e) {
-          ev.status = Status::Internal(std::string(phase_name) +
-                                       " function threw: " + e.what());
-          ev.exception = true;
-        } catch (...) {
-          ev.status = Status::Internal(std::string(phase_name) +
-                                       " function threw a non-std exception");
-          ev.exception = true;
-        }
-        InjectAttemptChaos(spec.chaos, t, attempt, watch, cancel.get(),
-                           &ev.status);
-        ev.seconds = watch.ElapsedSeconds();
-        // An overdue attempt reports DeadlineExceeded whether it noticed by
-        // itself or was woken by the monitor's Cancel (which would otherwise
-        // read as an abandoned attempt and orphan the task).
-        if (deadline > 0.0 && ev.seconds > deadline &&
-            (ev.status.ok() || ev.status.IsCancelled())) {
-          ev.status = Status::DeadlineExceeded(
-              std::string(phase_name) + " attempt overran the " +
-              std::to_string(deadline) + "s task deadline");
-        }
-      }
-      if (span.active() && !ev.status.ok()) {
-        // A cancelled or deadline-killed attempt's span is flushed, not
-        // dropped: it renders greyed-out-style in Perfetto via the
-        // cancelled arg, which is how speculative losers stay visible.
-        if (ev.status.IsCancelled() || ev.status.IsDeadlineExceeded()) {
-          span.MarkCancelled();
-        }
-        span.AddArg("status", ev.status.ToString());
-      }
-      // Notify under the lock: once the scheduler consumes the last event it
-      // may destroy mu/cv (they live on its stack), and holding mu here
-      // keeps it parked in wait() until the notification is fully issued.
-      std::lock_guard<std::mutex> lock(mu);
-      events.push_back(std::move(ev));
-      cv.notify_all();
-    });
+ private:
+  /// A logical worker's attempt; rewritten only while the worker is idle.
+  struct Worker {
+    TaskAssignMsg assign;
+    std::unique_ptr<CancelToken> cancel;
   };
 
-  auto cancel_all = [&] {
-    for (TaskState& ts : tasks) {
-      for (Running& r : ts.running) r.cancel->Cancel();
-    }
-  };
+  double Now() const {
+    return std::chrono::duration<double>(Clock::now() - start_).count();
+  }
 
-  std::vector<double> scratch;  // median computation
-  auto monitor_scan = [&] {
-    const auto now = Clock::now();
-    double median = 0.0;
-    const bool can_speculate =
-        options.speculative_execution && num_tasks > 1 &&
-        durations->size() - first_duration >=
-            std::max<size_t>(1, options.speculative_min_completed);
-    if (can_speculate) {
-      scratch.assign(durations->begin() +
-                         static_cast<std::ptrdiff_t>(first_duration),
-                     durations->end());
-      auto mid =
-          scratch.begin() + static_cast<std::ptrdiff_t>(scratch.size() / 2);
-      std::nth_element(scratch.begin(), mid, scratch.end());
-      median = *mid;
-    }
-    const int64_t now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               now.time_since_epoch())
-                               .count();
-    // Elapsed execution time; negative while the attempt is still queued.
-    auto exec_seconds = [now_ns](const Running& r) {
-      const int64_t s = r.started_ns->load(std::memory_order_acquire);
-      return s == 0 ? -1.0 : static_cast<double>(now_ns - s) * 1e-9;
-    };
-    for (size_t t = 0; t < num_tasks; ++t) {
-      TaskState& ts = tasks[t];
-      if (ts.done) continue;
-      if (deadline > 0.0) {
-        for (Running& r : ts.running) {
-          // Wake dawdling attempts; they self-report DeadlineExceeded.
-          if (exec_seconds(r) > deadline) r.cancel->Cancel();
-        }
-      }
-      if (can_speculate && !ts.backup_launched && ts.running.size() == 1) {
-        const double elapsed = exec_seconds(ts.running[0]);
-        if (elapsed > options.speculative_multiplier * median &&
-            elapsed > 1e-3) {
-          ts.backup_launched = true;
-          ++counters->speculative_launches;
-          launch(t, /*speculative=*/true);
-        }
-      }
-    }
-  };
+  // Under mu_: one more attempt on a pool thread.
+  void Launch(uint64_t link) {
+    ++running_;
+    pool_->Submit([this, link] { Serve(link); });
+  }
 
-  for (size_t t = 0; t < num_tasks; ++t) launch(t, /*speculative=*/false);
-
-  const bool needs_monitor = deadline > 0.0 || options.speculative_execution;
-  std::unique_lock<std::mutex> lock(mu);
-  while (completed < num_tasks && job_error.ok()) {
-    if (events.empty()) {
-      if (needs_monitor) {
-        cv.wait_for(lock, std::chrono::milliseconds(1),
-                    [&] { return !events.empty(); });
-      } else {
-        cv.wait(lock, [&] { return !events.empty(); });
-      }
-    }
-    while (!events.empty() && job_error.ok()) {
-      Event ev = std::move(events.front());
-      events.pop_front();
-      lock.unlock();
-      --outstanding;
-      TaskState& ts = tasks[ev.task];
-      for (size_t r = 0; r < ts.running.size(); ++r) {
-        if (ts.running[r].attempt == ev.attempt) {
-          ts.running.erase(ts.running.begin() +
-                           static_cast<std::ptrdiff_t>(r));
-          break;
-        }
-      }
-      if (!ts.done) {
-        if (ev.status.ok()) {
-          // First finisher commits; commits happen only on this thread, so
-          // "first" is well-defined and race-free.
-          ts.done = true;
-          ++completed;
-          completed_for_heartbeat.store(completed, std::memory_order_relaxed);
-          (*outputs)[ev.task] = std::move(ev.out);
-          durations->push_back(ev.seconds);
-          attempt_hist->RecordSeconds(ev.seconds);
-          if (ev.speculative) ++counters->speculative_wins;
-          for (Running& r : ts.running) r.cancel->Cancel();
-        } else if (ev.status.IsCancelled()) {
-          // Legitimate cancellations come from a sibling's commit (task
-          // done, filtered above) or a job abort (drained below). Reaching
-          // here means a monitor Cancel raced an attempt that had not
-          // produced work yet: relaunch so the task is not orphaned. Not a
-          // failure, so it does not consume the attempt budget.
-          launch(ev.task, /*speculative=*/false);
-        } else {
-          if (ev.exception) ++counters->task_exceptions;
-          if (ev.status.IsDeadlineExceeded()) ++counters->deadline_kills;
-          ++ts.failed_attempts;
-          if (ev.status.IsIoError()) {
-            // Corrupt shuffle data is deterministic: retrying would re-read
-            // the same bytes. Fail fast and stop sibling partitions early.
-            job_error = ev.status;
-          } else if (ts.failed_attempts >= options.max_task_attempts) {
-            job_error = Status::Internal(
-                std::string(phase_name) + " task " +
-                std::to_string(ev.task) + " failed after " +
-                std::to_string(options.max_task_attempts) +
-                " attempts; last error: " + ev.status.ToString());
-          } else {
-            ++retries;
-            launch(ev.task, /*speculative=*/false);
-          }
-          if (!job_error.ok()) cancel_all();
-        }
-      }
-      lock.lock();
-    }
-    if (job_error.ok() && needs_monitor && completed < num_tasks) {
-      lock.unlock();
-      monitor_scan();
-      lock.lock();
+  // A pool thread's loop: run the attempt on `link`, report its verdict,
+  // and go on with the next attempt the machine hands the same link.
+  void Serve(uint64_t link) {
+    for (bool more = true; more;) {
+      const Worker& w = workers_[link - 1];
+      std::unique_ptr<TaskSlot> slot;
+      bool threw = false;
+      ResultMsg verdict = RunAttempt(w.assign, w.cancel.get(), &slot, &threw);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (threw) ++counters_->task_exceptions;
+      reported_ = std::move(slot);
+      machine_->OnResult(link, std::move(verdict), Now());
+      reported_.reset();
+      more = std::erase(started_, link) > 0;
+      for (uint64_t other : std::exchange(started_, {})) Launch(other);
+      if ((!more && --running_ == 0) || machine_->done()) idle_.notify_all();
     }
   }
-  // Drain abandoned attempts before returning: submitted closures reference
-  // this stack frame.
-  while (outstanding > 0) {
-    cv.wait(lock, [&] { return !events.empty(); });
-    while (!events.empty()) {
-      events.pop_front();
-      --outstanding;
-    }
-  }
-  return job_error;
-}
 
-/// The supervised counterpart of RunRobustPhase: runs the phase's tasks on
-/// forked workers — or, under ExecMode::kRemote, on exec'd ddp_worker
-/// processes from `options.remote_pool`, which install `remote_setup` (the
-/// encoded JobSetupMsg) — under a WorkerSupervisor, which adds its
-/// accounting to `counters`. Each worker runs RunWorkerAttempt; the parent
-/// decodes each committed result payload into a fresh slot and grafts the
-/// attempt's streamed runs back in.
-Status RunSupervisedPhase(const PhaseSpec& spec, std::string remote_setup,
-                          const Options& options, JobCounters* counters,
-                          std::vector<double>* durations,
-                          TaskSlots* outputs) {
+  // One attempt on this thread, with the chaos every substrate rolls. Its
+  // span nests under what the attempt traces; a cancelled or
+  // deadline-killed attempt's span is flushed marked cancelled.
+  ResultMsg RunAttempt(const TaskAssignMsg& a, CancelToken* cancel,
+                       std::unique_ptr<TaskSlot>* slot, bool* threw) {
+    const char* phase_name = PhaseName(spec_.chaos.phase);
+    DDP_TRACE_SPAN(span, obs::kCatMr,
+                   spec_.chaos.phase == 0 ? obs::kSpanMapAttempt
+                                          : obs::kSpanReduceAttempt);
+    if (span.active()) {
+      span.AddArg("job", spec_.chaos.job_name);
+      span.AddArg("task", a.task);
+      span.AddArg("attempt", a.attempt);
+    }
+    Status st;
+    Stopwatch watch;
+    if (cancel->cancelled()) {
+      st = Status::Cancelled("attempt cancelled before start");
+    } else {
+      *slot = spec_.new_slot();
+      try {
+        st = spec_.body(a.task, cancel, slot->get());
+      } catch (const std::exception& e) {
+        st = Status::Internal(std::string(phase_name) +
+                              " function threw: " + e.what());
+        *threw = true;
+      } catch (...) {
+        st = Status::Internal(std::string(phase_name) +
+                              " function threw a non-std exception");
+        *threw = true;
+      }
+      InjectAttemptChaos(spec_.chaos, a.task, a.attempt, watch, cancel, &st);
+    }
+    const double seconds = watch.ElapsedSeconds();
+    // Under a deadline, an attempt that overran it or was cancelled (for
+    // it, unless it lost a race and its verdict no longer matters) failed.
+    const double deadline = options_.task_deadline_seconds;
+    if (deadline > 0.0 && (seconds > deadline || cancel->cancelled()) &&
+        (st.ok() || st.IsCancelled())) {
+      st = Status::DeadlineExceeded(std::string(phase_name) +
+                                    " attempt overran the " +
+                                    std::to_string(deadline) +
+                                    "s task deadline");
+    }
+    if (span.active() && !st.ok()) {
+      if (st.IsCancelled() || st.IsDeadlineExceeded()) span.MarkCancelled();
+      span.AddArg("status", st.ToString());
+    }
+    return ResultMsg{a.task, a.attempt, static_cast<int32_t>(st.code()),
+                     st.message(), seconds, /*payload=*/{}};
+  }
+
+  ThreadPool* const pool_;
+  const PhaseSpec& spec_;
+  const Options& options_;
+  JobCounters* const counters_;
+  const Clock::time_point start_ = Clock::now();
+
+  std::mutex mu_;
+  std::condition_variable idle_;  // the machine is done, or running_ is 0
+  PhaseMachine* machine_ = nullptr;
+  std::vector<Worker> workers_;     // by link - 1
+  std::vector<uint64_t> started_;   // links the machine just dispatched to
+  size_t running_ = 0;              // attempts on pool threads
+  std::unique_ptr<TaskSlot> reported_;
+};
+
+/// The one engine entry: runs the phase under a PhaseMachine on the crew
+/// `options` asks for — logical workers on `pool`, forked workers, or
+/// exec'd ddp_workers that install `remote_setup` (a JobSetupMsg). Each
+/// committed slot lands in `outputs`, its seconds in `durations`. A worker
+/// process runs RunWorkerAttempt; the parent decodes each committed result
+/// payload into a fresh slot and grafts its streamed runs back in.
+Status RunPhase(ThreadPool* pool, const PhaseSpec& spec,
+                std::string remote_setup, const Options& options,
+                JobCounters* counters, std::vector<double>* durations,
+                TaskSlots* outputs) {
   outputs->clear();
   outputs->resize(spec.num_tasks);
   if (spec.num_tasks == 0) return Status::OK();
   const SupervisedPhase phase{spec.chaos.job_name, spec.chaos.phase,
                               spec.num_tasks, std::move(remote_setup),
                               spec.remote_input};
+
+  obs::Histogram* attempt_hist = obs::MetricsRegistry::Global().GetHistogram(
+      spec.chaos.phase == 0 ? obs::kMetricMrMapAttemptSeconds
+                            : obs::kMetricMrReduceAttemptSeconds);
+  std::atomic<size_t> committed{0};
+  // Every commit, on every crew, lands here.
+  auto record = [&](size_t t, bool quarantined, double seconds,
+                    std::unique_ptr<TaskSlot> slot) {
+    (*outputs)[t] = std::move(slot);
+    durations->push_back(seconds);
+    attempt_hist->RecordSeconds(seconds);
+    // A quarantined task is one suppressed poisonous record, routed through
+    // the same skip accounting as corrupt-record skips.
+    if (quarantined) ++counters->skipped_records;
+    committed.fetch_add(1, std::memory_order_relaxed);
+  };
+
+  std::optional<obs::ProgressHeartbeat> heartbeat;
+  if (options.heartbeat_seconds > 0.0) {
+    // One progress line for every substrate, naming it.
+    const std::string line =
+        phase.job_name + " " + PhaseName(phase.phase) + " (" +
+        (pool != nullptr                             ? "inproc"
+         : options.exec_mode == ExecMode::kRemote ? "remote"
+                                                  : "fork") +
+        "): ";
+    heartbeat.emplace(options.heartbeat_seconds, [&, line] {
+      const size_t done = committed.load(std::memory_order_relaxed);
+      return line + std::to_string(done) + "/" +
+             std::to_string(phase.num_tasks) + " tasks done";
+    });
+  }
+
+  if (pool != nullptr) {
+    InProcDriver driver(pool, spec, options, counters);
+    PhaseMachine machine(
+        options, phase,
+        [&](size_t t, bool quarantined, double seconds, std::string,
+            std::vector<SpillRun>) {
+          record(t, quarantined, seconds, driver.TakeReported());
+          return Status::OK();
+        },
+        counters, &driver);
+    return driver.Run(&machine);
+  }
 
   // Runs in a forked worker, whose input rode copy-on-write. Remote
   // workers run the same wrapper, rebuilt from the JobSetupMsg
@@ -445,11 +331,6 @@ Status RunSupervisedPhase(const PhaseSpec& spec, std::string remote_setup,
     return RunWorkerAttempt(spec.chaos, t, attempt, quarantined, spec.body,
                             codec, slot.get(), result);
   };
-
-  obs::Histogram* attempt_hist = obs::MetricsRegistry::Global().GetHistogram(
-      spec.chaos.phase == 0 ? obs::kMetricMrMapAttemptSeconds
-                            : obs::kMetricMrReduceAttemptSeconds);
-
   // Runs in the supervising parent, in result-frame order.
   CommitFn commit = [&](size_t t, bool quarantined, double seconds,
                         std::string payload,
@@ -470,15 +351,9 @@ Status RunSupervisedPhase(const PhaseSpec& spec, std::string remote_setup,
       return Status::IoError("unexpected streamed runs in task " +
                              std::to_string(t) + " result");
     }
-    (*outputs)[t] = std::move(out);
-    durations->push_back(seconds);
-    attempt_hist->RecordSeconds(seconds);
-    // A quarantined task is one suppressed poisonous record, routed through
-    // the same skip accounting as corrupt-record skips.
-    if (quarantined) ++counters->skipped_records;
+    record(t, quarantined, seconds, std::move(out));
     return Status::OK();
   };
-
   return WorkerSupervisor::RunPhase(options, phase, fn, commit, counters);
 }
 
@@ -745,20 +620,14 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   params.faults = options.faults;
   params.spill_dir = JobSpillDir(options);
 
-  // The one engine entry: the in-process scheduler, or a supervised phase.
   std::vector<double> durations;  // committed attempts of both phases
-  auto run_phase = [&](const PhaseSpec* spec, TaskSlots* outputs) -> Status {
-    if (pool != nullptr) {
-      return RunRobustPhase(pool.get(), *spec, options, &counters, &durations,
-                            outputs);
-    }
-    std::string remote_setup;
-    if (remote) {
-      remote_setup =
-          EncodeRemoteSetup(job, options, num_partitions, spec->chaos.phase);
-    }
-    return RunSupervisedPhase(*spec, std::move(remote_setup), options,
-                              &counters, &durations, outputs);
+  auto run_phase = [&](const PhaseSpec* spec, TaskSlots* outputs) {
+    return RunPhase(
+        pool.get(), *spec,
+        remote ? EncodeRemoteSetup(job, options, num_partitions,
+                                   spec->chaos.phase)
+               : std::string(),
+        options, &counters, &durations, outputs);
   };
 
   // ---- Map phase. Each task's output is its sorted runs, in memory or

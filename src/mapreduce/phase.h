@@ -21,11 +21,12 @@
 /// a JobSpec into the hooks of `internal::JobTasks`, and
 /// `internal::RunJobTasks` does everything else — exec-mode checks,
 /// the map phase, the shuffle, the reduce phase, chaos, counters, spans,
-/// metrics and checkpoint keys. Each phase runs under one engine entry,
-/// in-process (the scheduler: retries, speculation, deadlines) or on forked
-/// and remote workers (supervisor.h), whose attempts all go through
-/// `RunWorkerAttempt`. A task body fills an attempt-local `TaskSlot`, and
-/// committing an attempt moves its slot into the task's output.
+/// metrics and checkpoint keys. Each phase runs under one engine entry and
+/// one scheduler, the PhaseMachine (supervisor.h), on the crew the options
+/// ask for: logical workers on the job's thread pool, or forked or remote
+/// workers, whose attempts all go through `RunWorkerAttempt`. A task body
+/// fills an attempt-local `TaskSlot`, and committing an attempt moves its
+/// slot into the task's output.
 ///
 /// There is one shuffle on every substrate: a map task's output is its
 /// key-sorted SpillRuns (spill.h), on disk or in memory, and every reduce
@@ -44,10 +45,10 @@ enum class ExecMode {
   /// Tasks run on a thread pool in this process.
   kInProc = 0,
   /// Tasks run in forked worker processes under a WorkerSupervisor
-  /// (supervisor.h): real crash isolation, heartbeat hang detection, seeded
-  /// backoff reattempts, poison-task quarantine. Needs a Serde for the
-  /// output type (reduce results cross the process boundary as bytes) and
-  /// a build that can fork workers (ForkExecutionSupported(): not TSan).
+  /// (supervisor.h): real crash isolation, heartbeat hang detection,
+  /// respawns and poison-task quarantine. Needs a Serde for the output type
+  /// (reduce results cross the process boundary as bytes) and a build that
+  /// can fork workers (ForkExecutionSupported(): not TSan).
   kFork = 1,
   /// Tasks run in separately exec'd ddp_worker processes (possibly on other
   /// hosts) that dialed `Options::remote_pool`'s listener. Tasks ship by *name*
@@ -58,13 +59,19 @@ enum class ExecMode {
   kRemote = 2,
 };
 
+/// Every field applies on every substrate unless its comment names the
+/// ones it applies on.
 struct Options {
-  /// Number of worker threads for the map and reduce phases.
+  /// Pool threads in-process, forked workers in fork mode (at most one per
+  /// task); the default partition and map task counts derive from it.
   size_t num_workers = 0;  // 0 => DefaultParallelism()
   /// Number of reduce partitions (0 => 4 * workers, Hadoop-style default).
   size_t num_partitions = 0;
-  /// Attempts per task before the whole job fails (Hadoop default: 4).
+  /// Attempts per task before the whole job fails (Hadoop default: 4). A
+  /// failed attempt is retried after a seeded backoff (2 ms, doubling up
+  /// to 0.25 s).
   size_t max_task_attempts = 4;
+  /// Chaos (supervisor.h); its worker-killing knobs act on process crews.
   FaultInjection faults;
   /// Cluster cost model (paper Eq. (9)): when > 0, JobCounters reports
   /// modeled_seconds = total_seconds + shuffle_bytes / this bandwidth,
@@ -74,17 +81,17 @@ struct Options {
 
   /// Wall-clock budget per task attempt; an attempt that exceeds it counts
   /// as a failed attempt (feeding max_task_attempts) instead of hanging the
-  /// job. 0 disables. Attempts sleeping in an injected straggler dawdle are
-  /// killed promptly; attempts stuck in user code are charged when they
-  /// return.
+  /// job. 0 disables. In-process, an overdue attempt is cancelled and
+  /// charged when it returns (a straggler dawdle returns at once); a forked
+  /// or remote worker past it is dropped and charged as a hang.
   double task_deadline_seconds = 0.0;
 
   /// Hadoop-style speculative execution: once `speculative_min_completed`
-  /// attempts have committed, a task whose sole running attempt has been in
-  /// flight longer than `speculative_multiplier` times the median committed
-  /// attempt time gets one backup attempt. First finisher commits; the loser
-  /// is cancelled and its output discarded. Output is bit-identical either
-  /// way because attempts are pure.
+  /// attempts of a phase have committed, a task whose only running attempt
+  /// has run longer than `speculative_multiplier` times their median gets
+  /// one backup attempt on an idle worker. The first success commits; the
+  /// loser's result is discarded (in-process, it is also cancelled).
+  /// Output is bit-identical either way because attempts are pure.
   bool speculative_execution = false;
   double speculative_multiplier = 3.0;
   size_t speculative_min_completed = 3;
@@ -110,26 +117,26 @@ struct Options {
   /// the output is bit-identical (see spill.h for the merge-order contract).
   uint64_t memory_budget_bytes = 0;
   /// Directory for spill files; empty means "<system temp>/ddp-spill".
-  /// Files are created with process-unique names and removed when the job's
-  /// intermediate state is dropped, so concurrent jobs can share it.
+  /// Spill and shuffle files have no names there (O_TMPFILE): each is freed
+  /// when its last descriptor closes, so concurrent jobs can share it.
   std::string spill_dir;
 
   /// Progress heartbeat (obs/heartbeat.h): when > 0, each map/reduce phase
-  /// logs tasks-done/total and the completion rate every this many seconds.
-  /// 0 (default) starts no heartbeat thread at all.
+  /// logs tasks-done/total, the completion rate and its substrate every
+  /// this many seconds. 0 (default) starts no heartbeat thread at all.
   double heartbeat_seconds = 0.0;
 
   /// Execution substrate (see ExecMode).
   ExecMode exec_mode = ExecMode::kInProc;
-  /// kFork: replacement workers each phase may fork after its initial crew
-  /// dies. A remote phase forks none.
+  /// kFork only: replacement workers each phase may fork after its initial
+  /// crew dies.
   size_t max_worker_restarts = 8;
-  /// kFork and kRemote: consecutive worker-killing crashes, a remote
+  /// kFork and kRemote only: consecutive worker-killing crashes, a remote
   /// worker's lost link included, before a task is declared poisonous and
   /// routed through skip_bad_records quarantine.
   size_t quarantine_after_crashes = 2;
 
-  /// ExecMode::kRemote: the pool of exec'd ddp_worker processes
+  /// kRemote only: the pool of exec'd ddp_worker processes
   /// (remote_worker.h) whose listener remote workers dial. Borrowed, not
   /// owned; one job may use a pool at a time. Required for kRemote: a null
   /// pool fails the job.
@@ -249,7 +256,7 @@ struct ChaosParams {
 
 /// Runs one worker-side task attempt into `slot` with the full worker chaos
 /// order: poison-task and mid-map crashes before the body, injected failure
-/// and straggler dawdle after it (the same helper the in-process scheduler
+/// and straggler dawdle after it (the same helper an in-process attempt
 /// rolls), mid-shuffle crash / mid-run channel drop markers on the
 /// extracted runs, then the serialized result payload.
 Status RunWorkerAttempt(const ChaosParams& chaos, size_t task, size_t attempt,

@@ -38,18 +38,20 @@ PhaseMachine::PhaseMachine(const Options& options, const SupervisedPhase& phase,
       counters_(counters),
       io_(io),
       phase_name_(phase.phase == 0 ? "map" : "reduce"),
-      remote_(options.exec_mode == ExecMode::kRemote),
+      crew_(options.exec_mode == ExecMode::kRemote ? Crew::kRemote
+            : options.exec_mode == ExecMode::kFork ? Crew::kForked
+                                                   : Crew::kInProc),
       spills_(!internal::JobSpillDir(options).empty()),
       // The credit window tracks the job's memory budget, floored at 4 KiB
       // so tiny test budgets still make progress one frame at a time.
       window_(options.memory_budget_bytes > 0
                   ? std::max<uint64_t>(options.memory_budget_bytes, 4096)
                   : (uint64_t{4} << 20)),
-      // A remote phase forks no workers; a fork phase needs at least one.
-      fork_target_(remote_ ? 0
-                           : std::max<size_t>(
-                                 1, std::min(options.ResolvedWorkers(),
-                                             phase.num_tasks))),
+      // A remote phase starts no workers; the others one per task at most.
+      crew_size_(crew_ == Crew::kRemote
+                     ? 0
+                     : std::max<size_t>(1, std::min(options.ResolvedWorkers(),
+                                                    phase.num_tasks))),
       respawn_backoff_(kBackoff, SplitSeed(options.faults.seed, 0x5e5u)),
       tasks_(phase.num_tasks) {}
 
@@ -64,7 +66,7 @@ Status PhaseMachine::Start(
   next_respawn_ = now;
   last_crew_ = now;
   for (const auto& [link, id] : parked) Admit(link, id, now);
-  for (size_t i = 0; i < fork_target_; ++i) {
+  for (size_t i = 0; i < crew_size_; ++i) {
     Status st = Spawn(now);
     if (st.ok()) continue;
     if (workers_.empty()) {
@@ -72,7 +74,7 @@ Status PhaseMachine::Start(
                               ": cannot fork a worker: " + st.ToString());
     }
     DDP_LOG(Warning) << phase_.job_name << ": spawned only " << workers_.size()
-                     << "/" << fork_target_ << " workers: " << st.ToString();
+                     << "/" << crew_size_ << " workers: " << st.ToString();
     break;
   }
   return Status::OK();
@@ -85,19 +87,22 @@ Status PhaseMachine::Spawn(double now) {
   return Status::OK();
 }
 
-// Registers a worker that joined the phase on `link`: a forked child or an
-// admitted remote worker. The one entry for both kinds.
+// Registers a worker that joined the phase on `link`, of any kind; only a
+// process gets a worker span.
 void PhaseMachine::Join(uint64_t id, uint64_t link, uint64_t pid, double now) {
   Worker w;
   w.id = id;
   w.link = link;
   w.last_beat = now;
-  w.span = std::make_unique<obs::Span>(
-      obs::kCatMr, remote_ ? obs::kSpanRemoteWorker : obs::kSpanWorker);
-  if (w.span->active()) {
+  const bool remote = crew_ == Crew::kRemote;
+  if (crew_ != Crew::kInProc) {
+    w.span = std::make_unique<obs::Span>(
+        obs::kCatMr, remote ? obs::kSpanRemoteWorker : obs::kSpanWorker);
+  }
+  if (w.span != nullptr && w.span->active()) {
     w.span->AddArg("job", phase_.job_name);
     w.span->AddArg("phase", std::string_view(phase_name_));
-    w.span->AddArg(remote_ ? "worker_id" : "pid", remote_ ? id : pid);
+    w.span->AddArg(remote ? "worker_id" : "pid", remote ? id : pid);
   }
   workers_.push_back(std::move(w));
 }
@@ -144,10 +149,10 @@ void PhaseMachine::SendAck(Worker& w) {
 
 // Charges a failed attempt of `t` and decides retry / quarantine / abort.
 // `crashed` marks worker-killing failures (they feed the poison counter).
+// A speculative loser's failure is not charged.
 void PhaseMachine::ChargeFailure(size_t t, bool crashed, const Status& why,
                                  double now) {
   TaskState& ts = tasks_[t];
-  ts.in_flight = false;
   if (ts.done) return;
   ts.consecutive_crashes = crashed ? ts.consecutive_crashes + 1 : 0;
   ++ts.failed_attempts;
@@ -182,51 +187,54 @@ void PhaseMachine::ChargeFailure(size_t t, bool crashed, const Status& why,
                        : counters_->reduce_task_retries);
   const ExponentialBackoff backoff(kBackoff,
                                    SplitSeed(options_.faults.seed, t));
+  ts.queued = true;
   ts.not_before =
       now + backoff.DelaySeconds(ts.failed_attempts == 0
                                      ? 0
                                      : ts.failed_attempts - 1);
 }
 
-// Every way worker `wi` leaves the phase before teardown. A forked worker
-// is SIGKILLed and reaped; a remote one, not our child, is evicted. Either
-// way its spill files go with its descriptors. A busy worker's attempt is
-// charged: as a hang when the worker, forked or remote, went silent or
-// overran its deadline, otherwise as a crash — a remote worker whose link
-// failed included, since no waitpid can tell its death from a lost
-// network. A remote worker's task is reassigned through the normal retry
-// path. Its stream, runs and all, goes too.
+// Every way a forked or remote worker `wi` leaves the phase before
+// teardown (an in-process one never does). A forked worker is SIGKILLed and
+// reaped; a remote one, not our child, is evicted. Either way its spill
+// files go with its descriptors. A busy worker's attempt is charged: as a
+// hang when the worker went silent or overran its deadline, otherwise as a
+// crash — a lost remote link included, since no waitpid can tell its death
+// from a lost network. Its stream, runs and all, goes too.
 void PhaseMachine::DropWorker(size_t wi, Drop cause, double now) {
   Worker w = std::move(workers_[wi]);
   workers_.erase(workers_.begin() + static_cast<std::ptrdiff_t>(wi));
+  const bool remote = crew_ == Crew::kRemote;
   // Kill before closing: a forked worker that saw its channel's EOF first
   // could exit on its own, and the kill this drop counts would hit nothing.
-  if (!remote_) io_->KillAndReap(w.link, 0.0);
+  if (!remote) io_->KillAndReap(w.link, 0.0);
   io_->Close(w.link);
   const bool deadline = cause == Drop::kDeadline;
   const bool hang = deadline || cause == Drop::kSilence;
   if (deadline) ++counters_->deadline_kills;
-  if (remote_) {
+  if (remote) {
     ++counters_->workers_evicted;
   } else {
     if (cause != Drop::kChannel) ++counters_->worker_kills;
     ++(hang ? counters_->worker_hangs : counters_->worker_crashes);
   }
   if (w.span->active()) {
-    w.span->AddArg("exit", remote_ ? "evicted" : hang ? "hang" : "crash");
+    w.span->AddArg("exit", remote ? "evicted" : hang ? "hang" : "crash");
     w.span->MarkCancelled();
   }
   w.span.reset();
   if (w.busy) {
     DDP_METRIC_HISTOGRAM_SECONDS(obs::kMetricMrWorkerCrashLatencySeconds,
                                  now - w.dispatched);
-    if (remote_) ++counters_->tasks_reassigned;
-    const std::string who = remote_ ? "remote worker" : "worker";
+    TaskState& ts = tasks_[w.task];
+    --ts.running;
+    if (remote && !ts.done) ++counters_->tasks_reassigned;
+    const std::string who = remote ? "remote worker" : "worker";
     ChargeFailure(w.task, /*crashed=*/!hang,
                   deadline ? Status::DeadlineExceeded(who + " deadline")
                   : hang   ? Status::DeadlineExceeded(who + " hang")
-                  : remote_ ? Status::Internal("remote worker lost")
-                            : Status::Internal("worker crashed"),
+                  : remote ? Status::Internal("remote worker lost")
+                           : Status::Internal("worker crashed"),
                   now);
   }
 }
@@ -278,7 +286,8 @@ bool PhaseMachine::RunEnd(Worker& w, const std::string& payload, double now) {
     return false;
   }
   SpillRun run;
-  if (open.begin.spill_index == kTailRunIndex) {
+  if (tasks_[w.task].done) {  // a speculative loser's: nothing keeps it
+  } else if (open.begin.spill_index == kTailRunIndex) {
     // In-memory run: kept as bare frames.
     run = SpillRun{nullptr, open.begin.partition, kTailRunIndex, 0,
                    open.begin.length, std::move(open.buf)};
@@ -308,13 +317,14 @@ bool PhaseMachine::RunEnd(Worker& w, const std::string& payload, double now) {
 }
 
 // A kResult follows every run of its attempt by stream ordering; one for
-// another attempt, or one that arrives mid-run, breaks the protocol.
-void PhaseMachine::OnResult(size_t wi, const std::string& payload,
-                            double now) {
+// another attempt, or one that arrives mid-run, breaks the protocol. The
+// first success commits and cancels the task's other attempts; a later
+// verdict for the task is discarded without a charge, runs and all.
+void PhaseMachine::OnResult(uint64_t link, ResultMsg msg, double now) {
+  const size_t wi = Find(link);
+  if (wi == workers_.size()) return;
   Worker& w = workers_[wi];
-  ResultMsg msg;
-  if (!ResultMsg::Decode(payload, &msg).ok() || !w.busy ||
-      msg.task != w.task || msg.attempt != w.attempt ||
+  if (!w.busy || msg.task != w.task || msg.attempt != w.attempt ||
       w.stream.open.has_value()) {
     DropWorker(wi, Drop::kProtocol, now);
     return;
@@ -322,25 +332,33 @@ void PhaseMachine::OnResult(size_t wi, const std::string& payload,
   w.busy = false;
   Stream stream = std::exchange(w.stream, Stream{});
   TaskState& ts = tasks_[msg.task];
+  --ts.running;
   // The worker survived the attempt, whatever its verdict: the poison
   // counter tracks worker-killing records only.
   ts.consecutive_crashes = 0;
   Status attempt_status = StatusFromWire(msg.status_code, msg.status_message);
-  if (attempt_status.ok()) {
+  if (ts.done) {  // a speculative loser
+  } else if (attempt_status.ok()) {
     ts.done = true;
-    ts.in_flight = false;
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    ++completed_;
+    committed_seconds_.push_back(msg.seconds);
+    if (w.backup) ++counters_->speculative_wins;
     Status committed = commit_(msg.task, ts.quarantined, msg.seconds,
                                std::move(msg.payload),
                                std::move(stream.committed));
     if (!committed.ok()) error_ = committed;
+    for (const Worker& loser : workers_) {
+      if (loser.busy && loser.task == msg.task) io_->Cancel(loser.link);
+    }
   } else if (attempt_status.IsIoError()) {
     // Deterministically corrupt input: retrying re-reads the same bytes.
-    // Fail fast, matching the in-process scheduler.
+    // Fail fast; teardown stops the phase's other attempts.
     error_ = attempt_status;
   } else {
+    if (attempt_status.IsDeadlineExceeded()) ++counters_->deadline_kills;
     ChargeFailure(msg.task, /*crashed=*/false, attempt_status, now);
   }
+  Dispatch(now);
 }
 
 void PhaseMachine::OnFrame(uint64_t link, Frame* frame, double now) {
@@ -362,7 +380,12 @@ void PhaseMachine::OnFrame(uint64_t link, Frame* frame, double now) {
   } else if (frame->type == MessageType::kRunEnd) {
     protocol_ok = RunEnd(w, frame->payload, now);
   } else if (frame->type == MessageType::kResult) {
-    OnResult(wi, frame->payload, now);
+    ResultMsg msg;
+    if (ResultMsg::Decode(frame->payload, &msg).ok()) {
+      OnResult(link, std::move(msg), now);
+    } else {
+      protocol_ok = false;
+    }
   }
   // kHello and kHeartbeat only refresh last_beat, done above.
   if (!protocol_ok) DropWorker(wi, Drop::kProtocol, now);
@@ -387,19 +410,26 @@ void PhaseMachine::Tick(double now) {
     io_->Close(p.first);
     return true;
   });
-  // Hang scan: deadline overruns and heartbeat silence.
+  // Hang scan: deadline overruns and heartbeat silence. An in-process
+  // attempt past the deadline keeps its thread: it is cancelled, and
+  // charged when it returns.
+  const double deadline = options_.task_deadline_seconds;
   for (size_t wi = workers_.size(); wi-- > 0;) {
-    const Worker& w = workers_[wi];
-    const double deadline = options_.task_deadline_seconds;
-    if (w.busy && deadline > 0.0 && now - w.dispatched > deadline) {
+    Worker& w = workers_[wi];
+    if (!w.busy) continue;
+    const bool overdue = deadline > 0.0 && now - w.dispatched > deadline;
+    if (crew_ == Crew::kInProc) {
+      if (overdue) io_->Cancel(w.link);
+    } else if (overdue) {
       DropWorker(wi, Drop::kDeadline, now);
-    } else if (w.busy && now - w.last_beat > kHeartbeatGraceSeconds) {
+    } else if (now - w.last_beat > kHeartbeatGraceSeconds) {
       DropWorker(wi, Drop::kSilence, now);
     }
   }
   if (done()) return;
   // Respawn toward the forked target crew while the restart budget lasts.
-  if (workers_.size() < fork_target_ && now >= next_respawn_) {
+  if (crew_ == Crew::kForked && workers_.size() < crew_size_ &&
+      now >= next_respawn_) {
     if (restarts_used_ < options_.max_worker_restarts) {
       Status st = Spawn(now);
       if (st.ok()) {
@@ -421,7 +451,7 @@ void PhaseMachine::Tick(double now) {
   // Remote-crew watchdog: an empty crew is legitimate while remote workers
   // are still dialing in, but only for the connect grace. (A crew run
   // without a pool, as the simulator runs one, names port 0.)
-  if (remote_) {
+  if (crew_ == Crew::kRemote) {
     if (!workers_.empty()) {
       last_crew_ = now;
     } else if (now - last_crew_ > kConnectGraceSeconds) {
@@ -434,40 +464,80 @@ void PhaseMachine::Tick(double now) {
     }
   }
   Dispatch(now);
+  Speculate(now);
 }
 
-// Dispatches ready tasks to idle workers, lowest task id first; commit
+// Hands task `t`'s next attempt to idle worker `w`. A dead peer shows up as
+// a failed send, and its loss event runs the death path; the attempt
+// number is not spent.
+bool PhaseMachine::Assign(Worker& w, size_t t, bool backup, double now) {
+  TaskState& ts = tasks_[t];
+  TaskAssignMsg msg{t, ts.next_attempt, ts.quarantined, window_, {}};
+  if (crew_ == Crew::kRemote) {
+    // Remote workers get the task's serialized input by value: they share
+    // no address space, so nothing can ride copy-on-write.
+    auto input = phase_.remote_input(t);
+    if (!input.ok()) {
+      error_ = input.status();
+      return false;
+    }
+    msg.input = std::move(input).value();
+  }
+  if (!io_->Send(w.link, Frame{MessageType::kTaskAssign, msg.Encode()}).ok()) {
+    return false;
+  }
+  w.busy = true;
+  w.task = t;
+  w.attempt = ts.next_attempt++;
+  w.backup = backup;
+  w.dispatched = now;
+  w.last_beat = now;
+  w.stream = Stream{};
+  ++ts.running;
+  return true;
+}
+
+// Dispatches queued tasks to idle workers, lowest task id first; commit
 // order is by task id regardless.
 void PhaseMachine::Dispatch(double now) {
   for (Worker& w : workers_) {
+    if (done()) return;
     if (w.busy) continue;
     for (size_t t = 0; t < tasks_.size(); ++t) {
       TaskState& ts = tasks_[t];
-      if (ts.done || ts.in_flight || now < ts.not_before) continue;
-      TaskAssignMsg msg{t, ts.next_attempt, ts.quarantined, window_, {}};
-      if (remote_) {
-        // Remote workers get the task's serialized input by value: they
-        // share no address space, so nothing can ride copy-on-write.
-        auto input = phase_.remote_input(t);
-        if (!input.ok()) {
-          error_ = input.status();
-          return;
-        }
-        msg.input = std::move(input).value();
-      }
-      // A dead peer shows up as a failed send, and its loss event runs the
-      // death path; the attempt number is not spent.
-      if (io_->Send(w.link, Frame{MessageType::kTaskAssign, msg.Encode()})
-              .ok()) {
-        w.busy = true;
-        w.task = t;
-        w.attempt = ts.next_attempt++;
-        w.dispatched = now;
-        w.last_beat = now;
-        w.stream = Stream{};
-        ts.in_flight = true;
-      }
+      if (ts.done || !ts.queued || now < ts.not_before) continue;
+      if (Assign(w, t, /*backup=*/false, now)) ts.queued = false;
       break;
+    }
+  }
+}
+
+// Once `speculative_min_completed` attempts of the phase have committed, a
+// task whose only running attempt has run `speculative_multiplier` times
+// their median gets one backup on an idle worker, after queued tasks.
+void PhaseMachine::Speculate(double now) {
+  if (!options_.speculative_execution || tasks_.size() < 2 ||
+      committed_seconds_.size() <
+          std::max<size_t>(1, options_.speculative_min_completed)) {
+    return;
+  }
+  std::vector<double> seconds = committed_seconds_;
+  const auto mid =
+      seconds.begin() + static_cast<std::ptrdiff_t>(seconds.size() / 2);
+  std::nth_element(seconds.begin(), mid, seconds.end());
+  const double threshold =
+      std::max(options_.speculative_multiplier * *mid, 1e-3);
+  for (size_t wi = 0; wi < workers_.size() && !done(); ++wi) {
+    const Worker& straggler = workers_[wi];
+    if (!straggler.busy || now - straggler.dispatched <= threshold) continue;
+    TaskState& ts = tasks_[straggler.task];
+    if (ts.done || ts.backup_launched || ts.running != 1) continue;
+    const auto idle = std::find_if(workers_.begin(), workers_.end(),
+                                   [](const Worker& w) { return !w.busy; });
+    if (idle == workers_.end()) return;
+    if (Assign(*idle, straggler.task, /*backup=*/true, now)) {
+      ts.backup_launched = true;
+      ++counters_->speculative_launches;
     }
   }
 }
@@ -476,21 +546,25 @@ void PhaseMachine::Dispatch(double now) {
 // parked back into the pool for the next phase. Every other worker is told
 // to shut down, and then the forked ones are reaped, with a bounded wait
 // before force. Sending every kShutdown before the first reap lets the crew
-// exit in parallel.
+// exit in parallel. A worker still running an attempt (a speculative loser,
+// or one of a failed phase) is cancelled and gets no grace.
 Status PhaseMachine::Teardown() {
   for (const auto& p : pending_) io_->Close(p.first);
   pending_.clear();
   for (Worker& w : workers_) {
-    if (remote_ && !w.busy) {
+    if (crew_ == Crew::kRemote && !w.busy) {
       io_->Park(w.link, w.id);
-    } else {
-      (void)io_->Send(w.link, Frame{MessageType::kShutdown, ""});
-      io_->Close(w.link);
+      continue;
     }
+    if (w.busy) io_->Cancel(w.link);
+    (void)io_->Send(w.link, Frame{MessageType::kShutdown, ""});
+    io_->Close(w.link);
   }
   for (Worker& w : workers_) {
-    // A worker told to shut down gets 2 s to exit before it is killed.
-    if (!remote_ && io_->KillAndReap(w.link, 2.0)) ++counters_->worker_kills;
+    if (crew_ == Crew::kForked &&
+        io_->KillAndReap(w.link, w.busy ? 0.0 : 2.0)) {
+      ++counters_->worker_kills;
+    }
   }
   workers_.clear();
   return error_;

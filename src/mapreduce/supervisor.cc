@@ -6,7 +6,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
+#include <set>
 #include <string_view>
 #include <utility>
 
@@ -22,7 +22,6 @@
 #include "mapreduce/phase.h"
 #include "mapreduce/remote_worker.h"
 #include "mapreduce/spill.h"
-#include "obs/heartbeat.h"
 #include "obs/metric_names.h"
 #include "obs/trace.h"
 
@@ -247,24 +246,26 @@ class PhaseDriver : public PhaseIo {
         // keep one stable endpoint across phases; forked workers need none.
         pool_(options.exec_mode == ExecMode::kRemote ? options.remote_pool
                                                      : nullptr),
-        spill_dir_(internal::JobSpillDir(options)),
-        shuffle_(phase.num_tasks) {}
+        spill_dir_(internal::JobSpillDir(options)) {}
 
   double Now() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// The phase's commit, run once the task's shuffle file is written out. A
-  /// file an earlier, failed attempt left is dropped unwritten.
+  /// The phase's commit, run once the committed attempt's shuffle file is
+  /// written out. The files of the task's other attempts, failed ones and
+  /// a speculative loser, are dropped unwritten.
   CommitFn Commit() {
     return [this](size_t task, bool quarantined, double seconds,
                   std::string payload, std::vector<SpillRun> runs) -> Status {
-      const auto writer = std::move(shuffle_[task].writer);
-      if (writer != nullptr &&
-          std::any_of(runs.begin(), runs.end(), [&](const SpillRun& r) {
-            return r.file == writer->handle();
-          })) {
-        DDP_RETURN_NOT_OK(writer->Close());
+      auto it = shuffle_.lower_bound({task, 0});
+      while (it != shuffle_.end() && it->first.first == task) {
+        if (std::any_of(runs.begin(), runs.end(), [&](const SpillRun& r) {
+              return r.file == it->second->handle();
+            })) {
+          DDP_RETURN_NOT_OK(it->second->Close());
+        }
+        it = shuffle_.erase(it);
       }
       return commit_(task, quarantined, seconds, std::move(payload),
                      std::move(runs));
@@ -315,7 +316,9 @@ class PhaseDriver : public PhaseIo {
       if (pool_ != nullptr && (pfds.back().revents & POLLIN) != 0) {
         auto accepted = pool_->listener()->Accept(/*timeout_seconds=*/0.25);
         if (accepted.ok()) {
-          machine->OnOffer(Add(std::move(accepted).value(), -1), Now());
+          const uint64_t link = Add(std::move(accepted).value(), -1);
+          offered_.insert(link);
+          machine->OnOffer(link, Now());
         }
       }
       for (size_t i = 0; i < ids.size() && !machine->done(); ++i) {
@@ -326,11 +329,18 @@ class PhaseDriver : public PhaseIo {
             !ch->HasBufferedFrame()) {
           continue;
         }
+        // An offered connection's first frame is taken only whole, without
+        // waiting, so a peer that sends part of one stalls nothing.
         Frame frame;
-        if (ch->Recv(&frame, /*timeout_seconds=*/30.0).ok()) {
-          machine->OnFrame(ids[i], &frame, Now());
-        } else {
+        bool got = true;
+        const Status st = offered_.count(ids[i]) > 0
+                              ? ch->TryRecv(&frame, &got)
+                              : ch->Recv(&frame, /*timeout_seconds=*/30.0);
+        if (!st.ok() || got) offered_.erase(ids[i]);
+        if (!st.ok()) {
           machine->OnLost(ids[i], Now());
+        } else if (got) {
+          machine->OnFrame(ids[i], &frame, Now());
         }
       }
     }
@@ -389,7 +399,10 @@ class PhaseDriver : public PhaseIo {
   }
 
   // A forked worker's pid outlives its link until KillAndReap.
-  void Close(uint64_t link) override { links_.erase(link); }
+  void Close(uint64_t link) override {
+    links_.erase(link);
+    offered_.erase(link);
+  }
 
   void Park(uint64_t link, uint64_t id) override {
     auto parked = links_.extract(link);
@@ -399,32 +412,26 @@ class PhaseDriver : public PhaseIo {
 
   Result<SpillRun> AppendRun(const RunBeginMsg& begin,
                              std::string_view frames) override {
-    Shuffle& s = shuffle_[begin.task];
-    if (s.writer == nullptr || s.attempt != begin.attempt) {
-      // A failed attempt's file goes once its committed runs are dropped.
-      s.writer.reset();
+    // A backup and its original stream at once, so each attempt has its
+    // own file.
+    std::unique_ptr<SpillFileWriter>& writer =
+        shuffle_[{begin.task, begin.attempt}];
+    if (writer == nullptr) {
       DDP_ASSIGN_OR_RETURN(
-          s.writer,
+          writer,
           SpillFileWriter::Create(
               spill_dir_, phase_.job_name + "-" +
                               (phase_.phase == 0 ? "map" : "reduce") +
                               "-shuffle-t" + std::to_string(begin.task)));
-      s.attempt = begin.attempt;
     }
-    s.writer->BeginRun();
-    s.writer->Append(frames.data(), frames.size());
-    DDP_ASSIGN_OR_RETURN(SpillExtent extent, s.writer->EndRun());
-    return SpillRun{s.writer->handle(), begin.partition, begin.spill_index,
-                    extent.offset,      extent.length,   {}};
+    writer->BeginRun();
+    writer->Append(frames.data(), frames.size());
+    DDP_ASSIGN_OR_RETURN(SpillExtent extent, writer->EndRun());
+    return SpillRun{writer->handle(), begin.partition, begin.spill_index,
+                    extent.offset,    extent.length,   {}};
   }
 
  private:
-  /// A task's shuffle file: the disk runs of its attempt in flight, written
-  /// out when the task commits.
-  struct Shuffle {
-    uint64_t attempt = 0;
-    std::unique_ptr<SpillFileWriter> writer;
-  };
 
   uint64_t Add(std::unique_ptr<CommChannel> ch, pid_t pid) {
     links_[next_link_] = std::move(ch);
@@ -439,8 +446,12 @@ class PhaseDriver : public PhaseIo {
   const std::string spill_dir_;
   std::map<uint64_t, std::unique_ptr<CommChannel>> links_;
   std::map<uint64_t, pid_t> pids_;  // forked workers' links, until reaped
+  std::set<uint64_t> offered_;      // accepted links owing their first frame
   uint64_t next_link_ = 1;
-  std::vector<Shuffle> shuffle_;  // by task
+  /// The shuffle file of each (task, attempt) that streamed a disk run:
+  /// written out when the attempt commits, dropped when its task does.
+  std::map<std::pair<uint64_t, uint64_t>, std::unique_ptr<SpillFileWriter>>
+      shuffle_;
   const Clock::time_point start_ = Clock::now();
 };
 
@@ -451,17 +462,11 @@ Status WorkerSupervisor::RunPhase(const Options& options,
                                   const WorkerTaskFn& fn, const CommitFn& commit,
                                   JobCounters* counters) {
   if (phase.num_tasks == 0) return Status::OK();
-  const char* phase_name = phase.phase == 0 ? "map" : "reduce";
-  if (options.exec_mode == ExecMode::kRemote &&
-      options.remote_pool == nullptr) {
-    return Status::InvalidArgument(phase.job_name +
-                                   ": exec mode remote needs a remote pool");
-  }
-
   DDP_TRACE_SPAN(phase_span, obs::kCatMr, obs::kSpanSupervisedPhase);
   if (phase_span.active()) {
     phase_span.AddArg("job", phase.job_name);
-    phase_span.AddArg("phase", std::string_view(phase_name));
+    phase_span.AddArg("phase",
+                      std::string_view(phase.phase == 0 ? "map" : "reduce"));
     phase_span.AddArg("tasks", static_cast<uint64_t>(phase.num_tasks));
   }
   // The phase span reports this phase's share of the job's counters.
@@ -469,15 +474,6 @@ Status WorkerSupervisor::RunPhase(const Options& options,
 
   PhaseDriver driver(options, phase, fn, commit);
   PhaseMachine machine(options, phase, driver.Commit(), counters, &driver);
-  std::optional<obs::ProgressHeartbeat> progress;
-  if (options.heartbeat_seconds > 0.0) {
-    progress.emplace(options.heartbeat_seconds, [&machine, &phase,
-                                                 phase_name] {
-      return phase.job_name + " " + phase_name + " (fork): " +
-             std::to_string(machine.completed()) + "/" +
-             std::to_string(phase.num_tasks) + " tasks done";
-    });
-  }
   const Status status = driver.Run(&machine);
 
   if (phase_span.active()) {

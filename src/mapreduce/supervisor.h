@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -17,32 +16,32 @@
 #include "obs/trace.h"
 
 /// \file supervisor.h
-/// Crash-fault-tolerant supervision of worker processes — the "job tracker
-/// over real processes" counterpart of the in-process scheduler in
-/// phase.cc, whose supervised-phase adapter drives it with the job's
-/// mr::Options and JobCounters. `WorkerSupervisor::RunPhase` runs one phase
-/// on one kind of crew: `ResolvedWorkers()` forked children (plain fork, no
-/// exec: the type-erased task closures cannot cross an exec boundary, so
-/// workers inherit the job's closures and input copy-on-write, and talk
-/// over a socketpair), or exec'd remote workers that dial in over TCP
-/// (remote_worker.h). A `PhaseMachine` (phase_machine.cc) makes every
-/// decision and holds no descriptor, pid, thread or clock: it learns of the
-/// world through events (a frame on a link, a link lost, a connection
-/// offered, the time) and acts only through `PhaseIo`. RunPhase is the
-/// driver that implements PhaseIo over socketpairs, TCP, fork/waitpid and
-/// spill files and feeds the machine from one poll loop;
-/// tests/supervisor_sim_test.cc implements it in memory. The policy:
+/// The one scheduler of the MapReduce runtime. A `PhaseMachine`
+/// (phase_machine.cc) decides every phase on every substrate. It holds no
+/// descriptor, pid, thread or clock: it learns of the world through events
+/// (a frame or a verdict from a worker, a link lost, a connection offered,
+/// the time) and acts only through `PhaseIo`, which three drivers implement:
+/// the in-process crew of logical workers on the job's ThreadPool
+/// (phase.cc); `WorkerSupervisor::RunPhase`'s poll loop over forked
+/// children (plain fork, no exec: workers inherit the job's closures and
+/// input copy-on-write, and talk over a socketpair) or exec'd remote workers
+/// that dial in over TCP (remote_worker.h); and the in-memory simulator of
+/// tests/supervisor_sim_test.cc. The policy:
 ///
-///  * crash — a worker whose channel failed, forked or remote, or that
-///    broke the stream protocol, is dropped; its attempt is charged and
-///    retried after a seeded backoff, and a forked crew respawns while
-///    `max_worker_restarts` lasts. No `waitpid` can tell a remote crash
-///    from a network drop, and neither needs to: as in Hadoop, the attempt
-///    runs again elsewhere and nothing of it is resumed. A remote worker
-///    whose link failed dials again and joins as a new worker.
-///  * hang — an attempt past `task_deadline_seconds`, or a busy worker
-///    silent past kHeartbeatGraceSeconds, is dropped and charged like an
-///    in-process deadline kill.
+///  * crash — a forked or remote worker whose channel failed, or that broke
+///    the stream protocol, is dropped; its attempt is charged and retried
+///    after a seeded backoff, like any failed attempt, and a forked crew
+///    respawns while `max_worker_restarts` lasts. No `waitpid` can tell a
+///    remote crash from a network drop, and neither needs to: as in Hadoop,
+///    the attempt runs again elsewhere; the remote worker dials again and
+///    joins as a new one. An in-process worker never leaves its crew.
+///  * hang — a forked or remote attempt past `task_deadline_seconds`, or a
+///    busy worker silent past kHeartbeatGraceSeconds, is dropped and charged
+///    as a hang; an in-process one is cancelled and charged when it returns.
+///  * straggler — with `speculative_execution`, a task whose only running
+///    attempt has run `speculative_multiplier` times the median committed
+///    attempt gets one backup on an idle worker. The first success commits;
+///    the loser's verdict and runs are discarded without a charge.
 ///  * poison — a task whose attempts killed `quarantine_after_crashes`
 ///    consecutive workers re-runs quarantined under `skip_bad_records`
 ///    (Hadoop's skip mode); otherwise the job fails.
@@ -54,15 +53,16 @@
 /// attempt as kRunBegin / kRunData* / kRunEnd — a disk run byte-identical
 /// to its file extent, an in-memory run with a trailer appended — and the
 /// supervisor commits each run as it completes (in memory, or appended to
-/// a shuffle file it owns). Flow control is credit-based: the supervisor
+/// the attempt's shuffle file). Flow control is credit-based: the supervisor
 /// acks committed bytes at least every half window, and the worker opens a
 /// run only while its un-acked bytes fit the window each kTaskAssign
 /// carries (the memory budget floored at 4 KiB, or 4 MiB without one). A
 /// slim kResult follows every run frame, so a committed result has its
 /// full run set. Results commit per task index, so scheduling, crashes,
-/// respawns and redials never affect output order (docs/architecture.md,
-/// "Multi-process execution"). Raw process control lives in src/mapreduce/
-/// alone (raw sockets also in src/server/), as ddp_lint's R7 enforces.
+/// respawns, redials and backups never affect output order
+/// (docs/architecture.md, "Multi-process execution"). Raw process control
+/// lives in src/mapreduce/ alone (raw sockets also in src/server/), as
+/// ddp_lint's R7 enforces.
 
 namespace ddp {
 namespace mr {
@@ -109,7 +109,7 @@ using WorkerTaskFn =
     std::function<Status(uint64_t task, uint64_t attempt, bool quarantined,
                          const std::string& input, TaskResult* result)>;
 
-/// Called in the supervising parent, in frame order, as each task's first
+/// Called by the PhaseMachine, in verdict order, as each task's first
 /// successful attempt arrives, with every run of that attempt already
 /// committed. A non-OK return fails the job.
 using CommitFn =
@@ -122,7 +122,7 @@ bool ForkExecutionSupported();
 
 /// Interval of the kHeartbeat frames every worker sends while it runs or
 /// ships an attempt. The supervisor declares a busy worker hung after
-/// kHeartbeatGrace (supervisor.cc) intervals of silence.
+/// PhaseMachine::kHeartbeatGraceSeconds of silence.
 constexpr double kWorkerHeartbeatSeconds = 0.25;
 
 /// SIGKILLs the calling process — the worker-side chaos injection for
@@ -166,8 +166,7 @@ struct FaultInjection {
   /// after finishing its work as if it ran on a slow node, stretching its
   /// wall time to ~`straggler_slowdown` times the compute time (but at least
   /// `straggler_min_seconds`, so micro-tasks still produce wall-clock-visible
-  /// stragglers). The dawdle is interruptible: abandoned attempts release
-  /// their worker as soon as the scheduler cancels them.
+  /// stragglers). An in-process dawdle ends when its attempt is cancelled.
   double straggler_rate = 0.0;
   double straggler_slowdown = 10.0;
   double straggler_min_seconds = 0.0;
@@ -284,16 +283,18 @@ enum class Drop {
 };
 
 /// Everything a PhaseMachine does to the world. A link is the driver's id
-/// for one channel: a forked worker's socketpair, an accepted connection or
-/// a parked one. Ids start at 1 and are never reused within a phase.
+/// for one worker: a forked worker's socketpair, an accepted connection, a
+/// parked one, or an in-process logical worker. Ids start at 1 and are
+/// never reused within a phase.
 class PhaseIo {
  public:
   virtual ~PhaseIo() = default;
 
   /// Sends one frame. An error means the peer is gone; the link's loss
-  /// event follows.
+  /// event follows. An in-process crew reads only kTaskAssign.
   virtual Status Send(uint64_t link, const Frame& frame) = 0;
-  /// Forks worker `id`; returns its link and (for its trace span) its pid.
+  /// Starts worker `id`: forks it, or adds an in-process logical worker.
+  /// Returns its link and (for a forked worker's trace span) its pid.
   virtual Result<std::pair<uint64_t, uint64_t>> Spawn(uint64_t id) = 0;
   /// Reaps the forked worker on `link`, SIGKILLing it unless it exits
   /// within `grace_seconds`. True when it had to be killed.
@@ -305,6 +306,9 @@ class PhaseIo {
   /// shuffle file of `begin`'s attempt, and returns the run as committed.
   virtual Result<SpillRun> AppendRun(const RunBeginMsg& begin,
                                      std::string_view frames) = 0;
+  /// Asks the attempt on `link` (a loser, overdue, or abandoned) to stop
+  /// early. Only an in-process one can; its verdict still arrives.
+  virtual void Cancel(uint64_t /*link*/) {}
 };
 
 class PhaseMachine {
@@ -316,22 +320,29 @@ class PhaseMachine {
   /// How long an offered connection may take to say hello.
   static constexpr double kHelloSeconds = 2.0;
 
-  /// `commit` runs once per task, as its first successful attempt's kResult
+  /// The crew a phase runs on, by `Options::exec_mode`.
+  enum class Crew { kInProc, kForked, kRemote };
+
+  /// `commit` runs once per task, as its first successful attempt's verdict
   /// arrives; `io` outlives the machine.
   PhaseMachine(const Options& options, const SupervisedPhase& phase,
                CommitFn commit, JobCounters* counters, PhaseIo* io);
 
   /// Admits the remote workers parked by an earlier phase, as (link, worker
-  /// id) pairs, and forks the initial crew, whose first fork must succeed.
+  /// id) pairs, and starts a forked or in-process crew, whose first worker
+  /// must start.
   Status Start(const std::vector<std::pair<uint64_t, uint64_t>>& parked,
                double now);
   /// A frame arrived on `link`; its payload may be moved from.
   void OnFrame(uint64_t link, Frame* frame, double now);
+  /// The verdict of the attempt on `link`: a decoded kResult, or an
+  /// in-process attempt's, whose payload is empty. Dispatches at once.
+  void OnResult(uint64_t link, ResultMsg msg, double now);
   /// `link` failed: EOF, a corrupt frame or a receive error.
   void OnLost(uint64_t link, double now);
   /// A new connection on the pool's listener; it must say hello first.
   void OnOffer(uint64_t link, double now) { pending_.emplace_back(link, now); }
-  /// The time: hello, hang and grace deadlines, respawns, dispatch.
+  /// The time: hello, hang and grace deadlines, respawns, dispatch, backups.
   void Tick(double now);
   /// Fails the phase from outside (the driver's poll failed).
   void Fail(Status why) {
@@ -339,13 +350,10 @@ class PhaseMachine {
   }
 
   /// True once every task committed or the phase failed.
-  bool done() const { return !error_.ok() || completed() == tasks_.size(); }
-  size_t completed() const {
-    return completed_.load(std::memory_order_relaxed);
-  }
+  bool done() const { return !error_.ok() || completed_ == tasks_.size(); }
 
-  /// Parks idle remote workers, shuts the others down and reaps the forked
-  /// ones; returns the phase's status.
+  /// Parks idle remote workers, stops the others (a busy one is cancelled,
+  /// or killed at once) and reaps the forked ones; returns the status.
   Status Teardown();
 
  private:
@@ -367,16 +375,19 @@ class PhaseMachine {
     bool busy = false;
     size_t task = 0;
     size_t attempt = 0;
+    bool backup = false;  // the attempt is a speculative backup
     double dispatched = 0.0;
     double last_beat = 0.0;
     Stream stream;
-    std::unique_ptr<obs::Span> span;
+    std::unique_ptr<obs::Span> span;  // none for an in-process worker
   };
   struct TaskState {
     size_t failed_attempts = 0;
     size_t next_attempt = 0;
     bool done = false;
-    bool in_flight = false;
+    bool queued = true;  // an attempt waits for dispatch
+    size_t running = 0;  // attempts in flight
+    bool backup_launched = false;
     bool quarantined = false;
     size_t consecutive_crashes = 0;
     double not_before = 0.0;  // backoff gate for the next attempt
@@ -393,8 +404,9 @@ class PhaseMachine {
   bool RunBegin(Worker& w, const std::string& payload, double now);
   bool RunData(Worker& w, std::string* payload);
   bool RunEnd(Worker& w, const std::string& payload, double now);
-  void OnResult(size_t wi, const std::string& payload, double now);
+  bool Assign(Worker& w, size_t t, bool backup, double now);
   void Dispatch(double now);
+  void Speculate(double now);
 
   const Options& options_;
   const SupervisedPhase& phase_;
@@ -402,18 +414,19 @@ class PhaseMachine {
   JobCounters* const counters_;
   PhaseIo* const io_;
   const char* const phase_name_;
-  const bool remote_;
+  const Crew crew_;
   const bool spills_;  // only a budgeted job's workers ship disk runs
   const uint64_t window_;
-  const size_t fork_target_;
+  const size_t crew_size_;  // workers a forked or in-process crew starts
   const ExponentialBackoff respawn_backoff_;
 
   std::vector<Worker> workers_;
   std::vector<TaskState> tasks_;
   /// Offered connections still owing their hello: (link, offered at).
   std::vector<std::pair<uint64_t, double>> pending_;
-  // Read by the driver's progress-heartbeat thread.
-  std::atomic<size_t> completed_{0};
+  /// Committed attempts' seconds, whose median speculation measures by.
+  std::vector<double> committed_seconds_;
+  size_t completed_ = 0;
   size_t restarts_used_ = 0;
   uint64_t next_worker_id_ = 1;
   double next_respawn_ = 0.0;
@@ -423,18 +436,15 @@ class PhaseMachine {
 
 class WorkerSupervisor {
  public:
-  /// Runs tasks [0, phase.num_tasks) on the crew `options` asks for:
-  /// `options.remote_pool`'s remote workers under ExecMode::kRemote, else
-  /// ResolvedWorkers() forked ones. Commits each task's result (and
-  /// streamed runs) through `commit`, and adds the phase's robustness and
-  /// streaming accounting to `counters`: retries go to the map or reduce
-  /// retry counter by `phase.phase`. The credit window, the supervisor's
-  /// spill dir (internal::JobSpillDir; a job without a memory budget has
-  /// none, and a disk run from its workers breaks the stream protocol),
-  /// backoff seed, deadlines and budgets all derive from `options`. Fails
-  /// when the first worker cannot be forked, or when a remote crew stays
-  /// empty for the connect grace (~6 s); nothing ever runs in-process
-  /// instead.
+  /// Runs tasks [0, phase.num_tasks) on a process crew: `options.remote_pool`'s
+  /// remote workers under ExecMode::kRemote, else ResolvedWorkers() forked
+  /// ones. Commits each task's result (and streamed runs) through `commit`,
+  /// and the machine adds the phase's accounting to `counters`. Everything
+  /// else derives from `options`, the spill dir from internal::JobSpillDir
+  /// (a job without a memory budget has none, and a disk run from its
+  /// workers breaks the stream protocol). Fails when the first worker cannot
+  /// be forked, or when a remote crew stays empty for the connect grace
+  /// (~6 s); nothing ever runs in-process instead.
   static Status RunPhase(const Options& options, const SupervisedPhase& phase,
                          const WorkerTaskFn& fn, const CommitFn& commit,
                          JobCounters* counters);

@@ -45,6 +45,24 @@ DdpOptions BaseOptions() {
   return o;
 }
 
+// The full gauntlet: failed attempts, stragglers with speculative backups,
+// a task deadline, and poisoned shuffle records under skip_bad_records.
+DdpOptions GauntletOptions() {
+  DdpOptions chaos = BaseOptions();
+  chaos.mr.faults.map_failure_rate = 0.25;
+  chaos.mr.faults.reduce_failure_rate = 0.25;
+  chaos.mr.faults.straggler_rate = 0.15;
+  chaos.mr.faults.straggler_slowdown = 10.0;
+  chaos.mr.faults.straggler_min_seconds = 0.03;
+  chaos.mr.faults.corruption_rate = 0.1;
+  chaos.mr.faults.seed = 20260806;
+  chaos.mr.max_task_attempts = 24;
+  chaos.mr.speculative_execution = true;
+  chaos.mr.skip_bad_records = true;
+  chaos.mr.task_deadline_seconds = 10.0;
+  return chaos;
+}
+
 bool BitIdentical(const DdpRunResult& a, const DdpRunResult& b) {
   return a.dc == b.dc && a.scores.rho == b.scores.rho &&
          a.scores.delta == b.scores.delta &&
@@ -69,19 +87,7 @@ TEST_P(ChaosTest, FullGauntletIsBitIdenticalToCleanRun) {
   auto baseline = RunDistributedDp(clean_algo.get(), dataset, clean);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  DdpOptions chaos = BaseOptions();
-  chaos.mr.faults.map_failure_rate = 0.25;
-  chaos.mr.faults.reduce_failure_rate = 0.25;
-  chaos.mr.faults.straggler_rate = 0.15;
-  chaos.mr.faults.straggler_slowdown = 10.0;
-  chaos.mr.faults.straggler_min_seconds = 0.03;
-  chaos.mr.faults.corruption_rate = 0.1;
-  chaos.mr.faults.seed = 20260806;
-  chaos.mr.max_task_attempts = 24;
-  chaos.mr.speculative_execution = true;
-  chaos.mr.skip_bad_records = true;
-  chaos.mr.task_deadline_seconds = 10.0;
-
+  DdpOptions chaos = GauntletOptions();
   auto algo = MakeAlgorithm(GetParam());
   auto result = RunDistributedDp(algo.get(), dataset, chaos);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -155,12 +161,32 @@ TEST_P(ChaosTest, KilledDriverResumesBitIdentical) {
   std::filesystem::remove_all(dir);
 }
 
+// An in-process crew has no worker process to lose, kill, respawn, admit
+// or evict, and streams no runs: under the whole gauntlet, every counter
+// docs/observability.md limits to the forked or remote substrates reads 0.
+TEST(ChaosSubstrateTest, InProcessGauntletMovesNoProcessCounter) {
+  auto ds = gen::KddLike(/*seed=*/5, 400);
+  ASSERT_TRUE(ds.ok());
+  LshDdp algo;
+  auto result = RunDistributedDp(&algo, *ds, GauntletOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->stats.TotalTaskRetries(), 0u);
+  for (uint64_t mr::JobCounters::*counter :
+       {&mr::JobCounters::worker_crashes, &mr::JobCounters::worker_kills,
+        &mr::JobCounters::worker_restarts, &mr::JobCounters::quarantined_tasks,
+        &mr::JobCounters::workers_registered,
+        &mr::JobCounters::workers_evicted, &mr::JobCounters::tasks_reassigned,
+        &mr::JobCounters::shuffle_streamed_bytes}) {
+    EXPECT_EQ(result->stats.Total(counter), 0u);
+  }
+}
+
 // Observability under chaos: attempts killed by the task deadline (and
 // speculative attempts cancelled before they start) must still flush their
 // trace spans, marked cancelled — even though the worker pools that
 // recorded them are destroyed before the snapshot is taken. The straggler
-// dawdle deliberately exceeds the deadline, so the monitor wakes the
-// dawdlers and they self-report DeadlineExceeded; injection is a pure
+// dawdle deliberately exceeds the deadline, so the machine's tick cancels
+// the dawdlers and they report DeadlineExceeded; injection is a pure
 // function of the seed, so the kills are deterministic. Both are calibrated
 // on the build under test: a fault-free run of the same pipeline measures
 // its slowest attempt, the deadline is the larger of 0.3 s and three times

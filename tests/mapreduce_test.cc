@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -14,10 +15,14 @@
 #include <utility>
 #include <vector>
 
+#include "dataset/generators.h"
+#include "ddp/driver.h"
+#include "ddp/lsh_ddp.h"
 #include "mapreduce/checkpoint.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/mapreduce.h"
 #include "mapreduce/supervisor.h"
+#include "soft_limit.h"
 
 namespace ddp {
 namespace mr {
@@ -952,6 +957,79 @@ TEST_F(CheckpointTest, DeclaredSizeThatWrapsTheBoundIsIoError) {
         << w.data();
   }
   EXPECT_TRUE(store.LoadBytes("0-job").status().IsIoError());
+}
+
+// The names of the files in `dir`, sorted.
+std::vector<std::string> FilesIn(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// A disk that refuses a checkpoint write. With SIGXFSZ ignored and a soft
+// RLIMIT_FSIZE of 100 bytes, a 500-byte save fails only when the stream
+// flushes at its close, and a 5,000-byte one at its write. Both report the
+// failure and leave neither an entry nor a .tmp behind, and an entry saved
+// before the limit still loads.
+TEST_F(CheckpointTest, FailedWriteIsReportedAndLeavesNothing) {
+  CheckpointStore store(dir_);
+  ASSERT_TRUE(store.SaveBytes("kept", "saved before the limit").ok());
+  Status small = Status::Internal("RLIMIT_FSIZE not lowered");
+  Status large = small;
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_NE(saved_handler, SIG_ERR);
+  {
+    SoftLimit lowered(RLIMIT_FSIZE, 100);
+    if (lowered.ok()) {
+      small = store.SaveBytes("k500", std::string(500, 's'));
+      large = store.SaveBytes("k5000", std::string(5000, 'l'));
+    }
+  }
+  std::signal(SIGXFSZ, saved_handler);
+  EXPECT_TRUE(small.IsIoError()) << small.ToString();
+  EXPECT_TRUE(large.IsIoError()) << large.ToString();
+  EXPECT_FALSE(store.Has("k500"));
+  EXPECT_FALSE(store.Has("k5000"));
+  EXPECT_EQ(FilesIn(dir_), std::vector<std::string>{"kept.ckpt"});
+  auto kept = store.LoadBytes("kept");
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(*kept, "saved before the limit");
+}
+
+// Checkpoint saves are best effort: a checkpointed in-process LSH pipeline
+// under a limit below its smallest entry (a 4-byte magic, a length and an
+// 8-byte checksum around the payload) succeeds with the unchecked run's
+// clusters, and leaves no entry and no .tmp behind.
+TEST_F(CheckpointTest, PipelineUnderAFailingDiskStillSucceeds) {
+  auto dataset = gen::KddLike(/*seed=*/5, 400);
+  ASSERT_TRUE(dataset.ok());
+  DdpOptions options;
+  options.mr.num_workers = 2;
+  options.selector = PeakSelector::TopK(5);
+  LshDdp clean_algo;
+  auto clean = RunDistributedDp(&clean_algo, *dataset, options);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  CheckpointStore store(dir_);
+  options.mr.checkpoint = &store;
+  Result<DdpRunResult> result = Status::Internal("RLIMIT_FSIZE not lowered");
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_NE(saved_handler, SIG_ERR);
+  {
+    SoftLimit lowered(RLIMIT_FSIZE, 16);
+    if (lowered.ok()) {
+      LshDdp algo;
+      result = RunDistributedDp(&algo, *dataset, options);
+    }
+  }
+  std::signal(SIGXFSZ, saved_handler);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->clusters.assignment, clean->clusters.assignment);
+  EXPECT_EQ(result->stats.JobsLoadedFromCheckpoint(), 0u);
+  EXPECT_EQ(FilesIn(dir_), std::vector<std::string>{});
 }
 
 TEST(OptionsTest, Defaults) {

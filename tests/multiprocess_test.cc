@@ -27,6 +27,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -1339,6 +1340,92 @@ TEST(MultiprocessTest, PoisonTasksQuarantineAndConverge) {
   auto failed = RunJob(WordCountSpec(), std::span<const std::string>(docs),
                        strict, nullptr);
   EXPECT_FALSE(failed.ok());
+}
+
+// ------------------------------------------ speculation on forked crews
+
+// SpeculationTest's job (mapreduce_test.cc): sums of 0..n-1 by residue mod
+// 13.
+using SumSpec =
+    JobSpec<uint64_t, uint64_t, uint64_t, std::pair<uint64_t, uint64_t>>;
+SumSpec ResidueSumSpec() {
+  SumSpec spec;
+  spec.name = "spec-exec";
+  spec.map = [](const uint64_t& v, Emitter<uint64_t, uint64_t>* out) {
+    out->Emit(v % 13, v);
+  };
+  spec.reduce = [](const uint64_t& k, std::span<const uint64_t> values,
+                   std::vector<std::pair<uint64_t, uint64_t>>* out) {
+    uint64_t s = 0;
+    for (uint64_t v : values) s += v;
+    out->push_back({k, s});
+  };
+  return spec;
+}
+
+// Runs the job over 0..n-1 in-process, then on a forked crew with
+// SpeculationTest's stragglers and speculation, and checks that backups
+// launched, some won, and the output matches: the first success commits and
+// a loser's later result is discarded. Returns the forked run's counters.
+JobCounters ExpectForkedBackupsRescueStragglers(size_t n, uint64_t budget,
+                                                const std::string& spill_dir) {
+  std::vector<uint64_t> input(n);
+  std::iota(input.begin(), input.end(), 0);
+  Options clean;
+  clean.num_workers = 4;
+  clean.num_partitions = 8;
+  auto baseline = RunJob(ResidueSumSpec(), std::span<const uint64_t>(input),
+                         clean);
+  EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  Options slow = clean;
+  slow.exec_mode = ExecMode::kFork;
+  slow.memory_budget_bytes = budget;
+  slow.spill_dir = spill_dir;
+  slow.faults.straggler_rate = 0.2;
+  slow.faults.straggler_slowdown = 10.0;
+  slow.faults.straggler_min_seconds = 0.25;
+  slow.faults.seed = 7;
+  slow.speculative_execution = true;
+  slow.speculative_multiplier = 3.0;
+  slow.speculative_min_completed = 3;
+  JobCounters counters;
+  auto result = RunJob(ResidueSumSpec(), std::span<const uint64_t>(input),
+                       slow, &counters);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (baseline.ok() && result.ok()) {
+    EXPECT_EQ(*baseline, *result);
+  }
+  EXPECT_GT(counters.speculative_launches, 0u);
+  EXPECT_GT(counters.speculative_wins, 0u);
+  EXPECT_LE(counters.speculative_wins, counters.speculative_launches);
+  return counters;
+}
+
+TEST(ForkedSpeculationTest, BackupAttemptsRescueInjectedStragglers) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
+  ExpectForkedBackupsRescueStragglers(512, /*budget=*/0, "");
+}
+
+// The same job out of core, with enough input that every map attempt
+// spills under a 4 KiB budget: a backup and its original stream disk runs
+// at once, each into its own shuffle file, and a loser's runs are dropped.
+// Afterwards nothing holds a descriptor into the spill dir.
+TEST(ForkedSpeculationTest, LosersStreamingDiskRunsLeaveNoDescriptor) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "ddp_mp_speculation_spill";
+  fs::remove_all(dir);
+  const JobCounters counters =
+      ExpectForkedBackupsRescueStragglers(32768, /*budget=*/4096, dir.string());
+  EXPECT_GT(counters.spill_files, 0u);
+  EXPECT_GT(counters.shuffle_streamed_bytes, 0u);
+  EXPECT_EQ(DescriptorsInto(dir.string()), std::vector<int>{});
+  fs::remove_all(dir);
 }
 
 // ------------------------------------ the substrate a job asks for runs

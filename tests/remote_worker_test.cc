@@ -29,6 +29,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include "common/serde.h"
 #include "dataset/generators.h"
@@ -367,22 +368,28 @@ TEST(BufferedReceiveTest, WholeAttemptInOneWriteCommitsWithoutWaiting) {
   EXPECT_LT(got.seconds, 1.0);
 }
 
-// A connection that never says a word sits ahead of the worker in the
-// listener's queue. It waits for its hello in the same poll as the crew
-// (and is closed after 2 s), so the worker behind it is admitted at once
-// and the phase commits in well under the hello timeout, with no eviction
-// and no retry.
-TEST(BufferedReceiveTest, SilentConnectionDoesNotStallThePhase) {
+// A stranger's connection sits ahead of the worker in the listener's queue,
+// having sent `first_bytes` (perhaps none) and nothing more. It waits for
+// its hello in the same poll as the crew, so the worker behind it must be
+// admitted at once and the phase commit in well under the hello timeout,
+// with no eviction and no retry.
+void ExpectStrangerStallsNothing(const std::string& first_bytes,
+                                 const std::string& job_name) {
   auto pool = mr::RemoteWorkerPool::Listen("127.0.0.1", 0);
   ASSERT_TRUE(pool.ok()) << pool.status().ToString();
   const uint16_t port = (*pool)->port();
-  auto silent = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
-                                        /*deadline_seconds=*/5.0);
-  ASSERT_TRUE(silent.ok()) << silent.status().ToString();
+  auto stranger = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
+                                          /*deadline_seconds=*/5.0);
+  ASSERT_TRUE(stranger.ok()) << stranger.status().ToString();
+  if (!first_bytes.empty()) {
+    ASSERT_EQ(::write((*stranger)->fd(), first_bytes.data(),
+                      first_bytes.size()),
+              static_cast<ssize_t>(first_bytes.size()));
+  }
   const std::string frames_bytes(96, 's');
   const std::string run = frames_bytes + mr::RunTrailer(frames_bytes);
   std::thread fake([port, &run] { ServeWholeAttemptsInOneWrite(port, run); });
-  const OnePhase got = RunOneTaskPhase(pool->get(), "silent-peer");
+  const OnePhase got = RunOneTaskPhase(pool->get(), job_name);
   pool->reset();
   fake.join();
   ASSERT_TRUE(got.status.ok()) << got.status.ToString();
@@ -393,6 +400,28 @@ TEST(BufferedReceiveTest, SilentConnectionDoesNotStallThePhase) {
   EXPECT_EQ(got.counters.workers_evicted, 0u);
   EXPECT_EQ(got.counters.map_task_retries, 0u);
   EXPECT_LT(got.seconds, 1.0);
+}
+
+// A connection that never says a word is never readable: the machine
+// closes it after 2 s.
+TEST(BufferedReceiveTest, SilentConnectionDoesNotStallThePhase) {
+  ExpectStrangerStallsNothing("", "silent-peer");
+}
+
+// One byte of a frame header: an offered connection is read without
+// waiting for the rest, which never comes.
+TEST(BufferedReceiveTest, HalfFrameHeaderDoesNotStallThePhase) {
+  ExpectStrangerStallsNothing(std::string(1, '\x01'), "half-header-peer");
+}
+
+// A first frame that declares 1 MiB, above the 64 KiB receive buffer (a
+// hello is a few bytes), and sends 10 bytes of it: closed at once, with
+// nothing allocated for it.
+TEST(BufferedReceiveTest, OversizedFirstFrameDoesNotStallThePhase) {
+  const std::string bytes =
+      mr::EncodeFrame({mr::MessageType::kHello, std::string(1 << 20, 'h')});
+  const size_t header = bytes.size() - (size_t{1} << 20) - 4;
+  ExpectStrangerStallsNothing(bytes.substr(0, header + 10), "oversized-peer");
 }
 
 // --------------------------------------------------------- worker processes
@@ -520,15 +549,15 @@ void ExpectRegistryMovedByTotals(std::map<std::string, uint64_t> before,
 // assignment. Remote mode binds a pool on an ephemeral port, execs
 // `workers` ddp_worker processes against it (the first gets
 // `crash_task` >= 0 as --chaos-crash-task), and reaps them afterwards.
-// `faults`, `spill_dir` and `deadline` (task_deadline_seconds) pass through
-// to the MapReduce options. Every successful run checks that the registry
-// moved by the run's totals.
+// `faults`, `spill_dir`, `deadline` (task_deadline_seconds) and
+// `speculate` (speculative_execution) pass through to the MapReduce options.
+// Every successful run checks that the registry moved by the run's totals.
 Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
                                Mode mode, uint64_t budget = 0,
                                size_t workers = 2, int64_t crash_task = -1,
                                const mr::FaultInjection& faults = {},
                                const std::string& spill_dir = "",
-                               double deadline = 0.0) {
+                               double deadline = 0.0, bool speculate = false) {
   DdpOptions options;
   options.selector = PeakSelector::TopK(12);
   options.use_mr_assignment = true;  // assign-jump rounds go remote too
@@ -537,6 +566,7 @@ Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
   options.mr.spill_dir = spill_dir;
   options.mr.faults = faults;
   options.mr.task_deadline_seconds = deadline;
+  options.mr.speculative_execution = speculate;
   if (faults.map_failure_rate > 0.0 || faults.reduce_failure_rate > 0.0 ||
       faults.worker_crash_rate > 0.0 || faults.channel_drop_rate > 0.0) {
     // Chaos must not exhaust a task's attempts anywhere in the pipeline,
@@ -770,6 +800,38 @@ TEST_P(RemoteBitIdentityTest, FailureChaosRetriesMatchAcrossSubstrates) {
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, RemoteBitIdentityTest,
                          ::testing::Values("lsh", "basic", "eddpc"));
+
+// SpeculationTest's stragglers (mapreduce_test.cc) on exec'd ddp_worker
+// processes: once three attempts of a phase commit, a task whose attempt
+// runs three times their median gets one backup on an idle worker. The
+// first success commits; a loser's later result is discarded, and a loser
+// still running at the phase's end is shut down, not parked. Output equals
+// the in-process run.
+TEST(RemoteSpeculationTest, BackupAttemptsRescueInjectedStragglers) {
+  if (!mr::ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked/exec'd workers unsupported in this build";
+  }
+  Dataset ds = std::move(gen::S2Like(7, 400)).ValueOrDie();
+  mr::FaultInjection faults;
+  faults.straggler_rate = 0.2;
+  faults.straggler_slowdown = 10.0;
+  faults.straggler_min_seconds = 0.25;
+  faults.seed = 7;
+  auto inproc = RunPipeline("lsh", ds, Mode::kInProc);
+  ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
+  auto remote = RunPipeline("lsh", ds, Mode::kRemote, /*budget=*/0,
+                            /*workers=*/4, /*crash_task=*/-1, faults,
+                            /*spill_dir=*/"", /*deadline=*/0.0,
+                            /*speculate=*/true);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ(inproc->assignment, remote->assignment);
+  const uint64_t launches =
+      remote->stats.Total(&Counters::speculative_launches);
+  const uint64_t wins = remote->stats.Total(&Counters::speculative_wins);
+  EXPECT_GT(launches, 0u);
+  EXPECT_GT(wins, 0u);
+  EXPECT_LE(wins, launches);
+}
 
 // A live ddp_worker whose attempt dawdles past the task deadline is dropped
 // by the supervisor. The worker finds its link gone, dials again, is

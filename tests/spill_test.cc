@@ -33,6 +33,7 @@
 #include "mapreduce/mapreduce.h"
 #include "mapreduce/spill.h"
 #include "open_fds.h"
+#include "soft_limit.h"
 
 namespace ddp {
 namespace mr {
@@ -675,28 +676,6 @@ rlim_t OpenDescriptors() {
   }
   return n;
 }
-
-// Lowers one of the process's soft resource limits while in scope. Forked
-// workers inherit it.
-class SoftLimit {
- public:
-  SoftLimit(int resource, rlim_t soft) : resource_(resource) {
-    ok_ = ::getrlimit(resource_, &saved_) == 0;
-    struct rlimit lowered = saved_;
-    lowered.rlim_cur = soft;
-    ok_ = ok_ && ::setrlimit(resource_, &lowered) == 0;
-  }
-  ~SoftLimit() {
-    if (ok_) ::setrlimit(resource_, &saved_);
-  }
-
-  bool ok() const { return ok_; }
-
- private:
-  const int resource_;
-  struct rlimit saved_ {};
-  bool ok_ = false;
-};
 
 // An in-process LSH pipeline at 4 KiB spills hundreds of runs into every
 // reduce partition, and four reducers merge at once. Under a descriptor

@@ -1,28 +1,34 @@
-// The supervisor's decisions under seeded schedules, with no process,
-// socket, sleep or wall clock. A PhaseMachine (src/mapreduce/
-// phase_machine.h) runs one phase against a simulated crew: forked workers
-// it spawns, or remote workers that are parked, dial in, drop and dial
-// again.
-// The simulated workers speak the worker protocol of worker_main.cc over
-// zero-latency links, run a real task body (a SpillingBuffer under a small
-// budget, so tasks ship both tail runs and disk runs) and check every frame
-// the supervisor sends them. Each seed picks the crew, the options and a
+// The scheduler's decisions under seeded schedules, with no process,
+// socket, thread, sleep or wall clock. A PhaseMachine (src/mapreduce/
+// phase_machine.cc) runs one phase against a simulated crew: forked workers
+// it spawns, remote workers that are parked, dial in, drop and dial again,
+// or in-process logical workers that report verdicts.
+// The simulated forked and remote workers speak the worker protocol of
+// worker_main.cc over zero-latency links; in-process ones report an
+// attempt's verdict as the in-process driver of phase.cc does. All run a
+// real task body (a SpillingBuffer under a small budget, so tasks ship both
+// tail runs and disk runs) and check everything the machine sends them.
+// Each seed picks the crew, the options (speculation among them) and a
 // schedule: which worker sends next; crashes, hangs, protocol violations,
-// drops and redials at any frame boundary; silent and garbled connections;
-// duplicate hellos; failed attempts; a failed shuffle-file append; and
-// clock jumps past the heartbeat grace, the task deadline and the connect
-// grace.
+// drops and redials at any frame boundary; in-process attempts that dawdle
+// until cancelled; silent and garbled connections; duplicate hellos;
+// failed attempts; a failed shuffle-file append; and clock jumps past the
+// heartbeat grace, the task deadline and the connect grace.
 //
 // The oracle, per schedule: the phase either commits every task with the
 // payload and run bytes of the fault-free run, or fails with an error the
 // policy names and the schedule earned; every drop moves exactly the
 // counters architecture.md's cause table assigns to it, checked event by
-// event, and a lost link on either crew is exactly one channel drop; a
-// worker counted killed was alive when it was killed; teardown releases
-// every shuffle-file handle; and the phase ends within a bound of simulated
-// time. A simulated process that dies releases its runs at once, as the
-// kernel frees a dead process's nameless spill files. A failing seed prints
-// its schedule, and SimulateSchedule(seed) replays that schedule alone.
+// event, and a lost link on either crew is exactly one channel drop; no
+// in-process worker is ever dropped, killed, closed or parked before
+// teardown, and its deadline kills are exactly its DeadlineExceeded
+// verdicts; a worker counted killed was alive when it was killed; a task
+// gets at most one backup, and never one without speculation; wins never
+// exceed launches; teardown releases every shuffle-file handle; and the
+// phase ends within a bound of simulated time. A simulated process that
+// dies releases its runs at once, as the kernel frees a dead process's
+// nameless spill files. A failing seed prints its schedule, and
+// SimulateSchedule(seed) replays that schedule alone.
 // RemoteDropChargeTest plays a remote crew by hand through the drops whose
 // charge decides quarantine.
 
@@ -140,9 +146,11 @@ enum class Fault {
 // Events seen over the whole schedule set.
 using Coverage = std::map<std::string, int>;
 
+using Crew = PhaseMachine::Crew;
+
 class Sim : public PhaseIo {
  public:
-  Sim(uint64_t seed, bool remote, Coverage* coverage);
+  Sim(uint64_t seed, Crew crew, Coverage* coverage);
 
   /// Runs the schedule; empty when every check held, else what failed.
   std::string Run();
@@ -155,6 +163,7 @@ class Sim : public PhaseIo {
   void Park(uint64_t link, uint64_t id) override;
   Result<SpillRun> AppendRun(const RunBeginMsg& begin,
                              std::string_view frames) override;
+  void Cancel(uint64_t link) override;
 
  private:
   struct Worker {
@@ -170,6 +179,10 @@ class Sim : public PhaseIo {
     bool corrupt_run = false;  // the open run carries a bad trailer
     bool fail_next = false;
     bool ioerror_next = false;
+    // In-process: the attempt reports once cancelled or at `dawdle_until`.
+    double started = 0.0;
+    double dawdle_until = 0.0;
+    bool cancelled = false;
     // The attempt it ships, until its result is sent.
     bool have = false;
     TaskAssignMsg assign;
@@ -196,6 +209,7 @@ class Sim : public PhaseIo {
     uint64_t id = 0;
     uint64_t task = 0;
     bool busy = false;
+    bool live = false;  // its task had not committed: a loser is not charged
     bool past_deadline = false;
   };
 
@@ -221,6 +235,7 @@ class Sim : public PhaseIo {
   Dropped RecordDrop(Worker& w);
 
   void Deliver(Worker& w);
+  void DeliverVerdict(Worker& w);
   void DeliverLoss();
   void Advance(double dt, bool beat);
   void InjectFault();
@@ -231,7 +246,9 @@ class Sim : public PhaseIo {
   void CheckOutcome(const Status& status);
 
   std::mt19937_64 rng_;
+  const Crew crew_;
   const bool remote_;
+  const bool inproc_;
   Coverage* coverage_;
   Options options_;
   SupervisedPhase phase_;
@@ -252,6 +269,7 @@ class Sim : public PhaseIo {
   size_t forked_drops_ = 0;
   std::vector<size_t> charges_;      // failed attempts, per task
   std::vector<size_t> consecutive_;  // worker-killing ones in a row
+  std::vector<size_t> dispatches_;   // attempts handed out, per task
   std::map<size_t, std::vector<RunBytes>> committed_;
   std::unique_ptr<SpillFileWriter> shuffle_;
   std::weak_ptr<SpillFileHandle> shuffle_handle_;
@@ -262,12 +280,22 @@ class Sim : public PhaseIo {
   uint64_t call_kills_ = 0;
   uint64_t hello_for_ = 0;    // the worker whose hello this event delivers
   uint64_t lost_link_ = 0;    // the link this event reports lost
+  uint64_t verdict_deadlines_ = 0;  // in-process DeadlineExceeded charges
   bool teardown_ = false;
+  // The in-process verdict the machine is reading: its slot's runs.
+  std::string reported_payload_;
+  std::vector<SpillRun> reported_runs_;
 };
 
-Sim::Sim(uint64_t seed, bool remote, Coverage* coverage)
-    : rng_(seed), remote_(remote), coverage_(coverage) {
-  options_.exec_mode = remote ? ExecMode::kRemote : ExecMode::kFork;
+Sim::Sim(uint64_t seed, Crew crew, Coverage* coverage)
+    : rng_(seed),
+      crew_(crew),
+      remote_(crew == Crew::kRemote),
+      inproc_(crew == Crew::kInProc),
+      coverage_(coverage) {
+  options_.exec_mode = remote_   ? ExecMode::kRemote
+                       : inproc_ ? ExecMode::kInProc
+                                 : ExecMode::kFork;
   options_.num_workers = 1 + Draw(3);
   options_.memory_budget_bytes = 4096;
   options_.spill_dir = SimDir().string();
@@ -276,6 +304,9 @@ Sim::Sim(uint64_t seed, bool remote, Coverage* coverage)
   options_.max_worker_restarts = Draw(5);
   options_.quarantine_after_crashes = 2;
   options_.skip_bad_records = Draw(2) == 0;
+  options_.speculative_execution = Draw(2) == 0;
+  options_.speculative_multiplier = 1.5 + static_cast<double>(Draw(3));
+  options_.speculative_min_completed = 1 + Draw(3);
   options_.faults.seed = seed;
   phase_.job_name = "sim";
   phase_.num_tasks = 1 + Draw(kMaxTasks);
@@ -283,19 +314,24 @@ Sim::Sim(uint64_t seed, bool remote, Coverage* coverage)
   phase_.remote_input = [](size_t t) -> Result<std::string> {
     return "input-" + std::to_string(t);
   };
-  if (!remote && Draw(4) == 0) {
+  if (crew == Crew::kForked && Draw(4) == 0) {
     poison_ = static_cast<int64_t>(Draw(phase_.num_tasks));
   }
   faults_left_ = Draw(6);
   charges_.assign(phase_.num_tasks, 0);
   consecutive_.assign(phase_.num_tasks, 0);
-  Log(std::string(remote ? "remote" : "forked") + " crew, " +
+  dispatches_.assign(phase_.num_tasks, 0);
+  Log(std::string(remote_ ? "remote" : inproc_ ? "in-process" : "forked") +
+      " crew, " +
       std::to_string(phase_.num_tasks) + " tasks, num_workers " +
       std::to_string(options_.num_workers) + ", restarts " +
       std::to_string(options_.max_worker_restarts) + ", deadline " +
       std::to_string(options_.task_deadline_seconds) + ", attempts " +
       std::to_string(options_.max_task_attempts) + ", skip_bad_records " +
-      std::to_string(options_.skip_bad_records) + ", poison task " +
+      std::to_string(options_.skip_bad_records) + ", speculation " +
+      std::to_string(options_.speculative_execution) + " x" +
+      std::to_string(options_.speculative_multiplier) + " after " +
+      std::to_string(options_.speculative_min_completed) + ", poison task " +
       std::to_string(poison_) + ", faults " + std::to_string(faults_left_));
 }
 
@@ -356,6 +392,14 @@ void Sim::Die(Worker& w) {
 
 void Sim::Receive(Worker& w, const Frame& frame) {
   if (w.hung) return;
+  if (inproc_ && frame.type != MessageType::kTaskAssign) {
+    // The in-process driver reads only kTaskAssign; teardown says kShutdown.
+    if (frame.type != MessageType::kShutdown || !teardown_) {
+      Violation("an in-process worker was sent frame type " +
+                std::to_string(static_cast<int>(frame.type)));
+    }
+    return;
+  }
   if (frame.type == MessageType::kShutdown) {
     // A clean exit: the worker releases its files itself.
     w.alive = false;
@@ -413,6 +457,8 @@ void Sim::StartAttempt(Worker& w, const TaskAssignMsg& assign) {
   Release(w);
   w.assign = assign;
   w.last_beat_sent = now_;
+  w.started = w.dawdle_until = now_;
+  w.cancelled = false;
   Log("  worker " + std::to_string(w.id) + " runs task " +
       std::to_string(assign.task) + " attempt " +
       std::to_string(assign.attempt) +
@@ -456,6 +502,10 @@ void Sim::StartAttempt(Worker& w, const TaskAssignMsg& assign) {
 
 bool Sim::CanSend(const Worker& w) const {
   if (!w.alive || w.hung || w.link == 0) return false;
+  if (inproc_) {
+    return w.have && !w.result_sent &&
+           (w.cancelled || now_ >= w.dawdle_until);
+  }
   if (w.hello_due) return true;
   if (!w.have || w.result_sent) return false;
   return w.begun || w.run == w.wire.size() ||
@@ -541,12 +591,23 @@ Status Sim::Send(uint64_t link, const Frame& frame) {
   // What the supervisor now believes, whether or not the worker reads it.
   if (frame.type == MessageType::kJobSetup) w->in_crew = true;
   if (frame.type == MessageType::kTaskAssign) {
-    w->busy = true;
-    w->dispatched = now_;
     TaskAssignMsg assign;
-    if (TaskAssignMsg::Decode(frame.payload, &assign).ok()) {
+    if (TaskAssignMsg::Decode(frame.payload, &assign).ok() &&
+        assign.task < phase_.num_tasks) {
+      // A task runs one attempt, or two while it has a backup.
+      size_t in_flight = 0;
+      for (const Worker& o : workers_) {
+        in_flight += o.busy && o.assign.task == assign.task ? 1 : 0;
+      }
+      if (in_flight >= (options_.speculative_execution ? 2u : 1u)) {
+        Violation(std::to_string(in_flight + 1) + " attempts of task " +
+                  std::to_string(assign.task) + " in flight");
+      }
+      ++dispatches_[assign.task];
       w->assign.task = assign.task;
     }
+    w->busy = true;
+    w->dispatched = now_;
   }
   Receive(*w, frame);
   return Status::OK();
@@ -557,7 +618,7 @@ Result<std::pair<uint64_t, uint64_t>> Sim::Spawn(uint64_t id) {
   Worker w;
   w.id = id;
   w.home = w.link = w.bound = next_link_++;
-  w.hello_due = true;
+  w.hello_due = !inproc_;  // a logical worker says nothing
   w.in_crew = true;
   w.last_beat_sent = now_;
   workers_.push_back(std::move(w));
@@ -566,6 +627,7 @@ Result<std::pair<uint64_t, uint64_t>> Sim::Spawn(uint64_t id) {
 }
 
 bool Sim::KillAndReap(uint64_t link, double grace_seconds) {
+  if (inproc_) Violation("an in-process worker was killed");
   Worker* w = nullptr;
   for (Worker& cand : workers_) {
     if (cand.home == link && link != 0) w = &cand;
@@ -590,6 +652,7 @@ bool Sim::KillAndReap(uint64_t link, double grace_seconds) {
 }
 
 void Sim::Close(uint64_t link) {
+  if (inproc_ && !teardown_) Violation("an in-process worker was closed");
   if (strays_.erase(link) > 0) {
     ++(*coverage_)[teardown_ ? "stray closed at teardown"
                    : hello_for_ == 0 && lost_link_ == 0
@@ -617,6 +680,7 @@ void Sim::Close(uint64_t link) {
 }
 
 void Sim::Park(uint64_t link, uint64_t id) {
+  if (inproc_) Violation("an in-process worker was parked");
   Worker* w = ByBound(link);
   if (!remote_ || !teardown_ || w == nullptr || w->id != id || w->busy) {
     Violation("parked a worker that is not an idle remote one");
@@ -626,6 +690,10 @@ void Sim::Park(uint64_t link, uint64_t id) {
 
 Result<SpillRun> Sim::AppendRun(const RunBeginMsg& begin,
                                 std::string_view frames) {
+  if (inproc_) Violation("an in-process attempt streamed a run");
+  if (committed_.count(begin.task) > 0) {
+    Violation("a committed task's loser had its run appended");
+  }
   if (append_fault_) {
     append_fault_ = false;
     append_failed_ = true;
@@ -646,6 +714,28 @@ Result<SpillRun> Sim::AppendRun(const RunBeginMsg& begin,
                   extent.offset,      extent.length,   {}};
 }
 
+// The machine cancels a loser when its task commits, an in-process attempt
+// past the deadline, and every running attempt at teardown. Only an
+// in-process attempt stops early; a process runs on.
+void Sim::Cancel(uint64_t link) {
+  Worker* w = ByBound(link);
+  if (w == nullptr || !w->busy) {
+    Violation("cancel of a worker that runs no attempt, on link " +
+              std::to_string(link));
+    return;
+  }
+  const bool loser = committed_.count(w->assign.task) > 0;
+  if (!teardown_ && !loser &&
+      (!inproc_ || options_.task_deadline_seconds <= 0.0 ||
+       now_ - w->dispatched <= options_.task_deadline_seconds)) {
+    Violation("cancel of a live attempt within its deadline");
+  }
+  ++(*coverage_)[teardown_ ? "cancel at teardown"
+                 : loser   ? "loser cancelled"
+                           : "in-process deadline cancel"];
+  if (inproc_) w->cancelled = true;
+}
+
 // ------------------------------------------------- events and accounting
 
 Sim::Dropped Sim::RecordDrop(Worker& w) {
@@ -653,6 +743,7 @@ Sim::Dropped Sim::RecordDrop(Worker& w) {
   d.id = w.id;
   d.task = w.assign.task;
   d.busy = w.busy;
+  d.live = committed_.count(w.assign.task) == 0;
   d.past_deadline = options_.task_deadline_seconds > 0.0 && w.busy &&
                     now_ - w.dispatched > options_.task_deadline_seconds;
   if (!remote_) ++forked_drops_;
@@ -669,8 +760,15 @@ void Sim::Event(Call call, Fn&& fn) {
   call_kills_ = 0;
   fn();
   CheckDrops(call, before);
+  if (counters_.speculative_launches > before.speculative_launches) {
+    ++(*coverage_)["backup launched"];
+  }
+  if (counters_.speculative_wins > before.speculative_wins) {
+    ++(*coverage_)["backup won"];
+  }
   hello_for_ = 0;
   lost_link_ = 0;
+  verdict_deadlines_ = 0;
   if (call == Call::kTick) {
     size_t crew = 0;
     for (const Worker& w : workers_) crew += w.in_crew ? 1 : 0;
@@ -684,18 +782,20 @@ void Sim::Event(Call call, Fn&& fn) {
 void Sim::CheckDrops(Call call, const JobCounters& before) {
   uint64_t crashes = 0, hangs = 0, kills = 0, deadline = 0, evicted = 0,
            reassigned = 0;
+  uint64_t deadline_verdicts = verdict_deadlines_;
   for (const Dropped& d : drops_) {
-    // A busy worker's attempt is charged: a hang or deadline drop, forked or
-    // remote, resets the task's run of worker-killing failures; every other
-    // drop extends it, a remote worker's lost link included.
+    // A busy worker's attempt is charged, unless its task already committed:
+    // a hang or deadline drop, forked or remote, resets the task's run of
+    // worker-killing failures; every other drop extends it, a remote
+    // worker's lost link included.
     const bool hang = call == Call::kTick;
-    if (d.busy) {
+    if (d.busy && d.live) {
       ++charges_[d.task];
       consecutive_[d.task] = hang ? 0 : consecutive_[d.task] + 1;
     }
     if (remote_) {
       ++evicted;
-      reassigned += d.busy ? 1 : 0;
+      reassigned += d.busy && d.live ? 1 : 0;
       deadline += hang && d.past_deadline ? 1 : 0;
     } else if (call == Call::kLost) {
       ++crashes;
@@ -715,6 +815,7 @@ void Sim::CheckDrops(Call call, const JobCounters& before) {
     Log("  drop of worker " + std::to_string(d.id) + " as " + cause);
   }
   if (call == Call::kTeardown) kills = call_kills_;
+  deadline += deadline_verdicts;
   const JobCounters& c = counters_;
   if (c.worker_crashes - before.worker_crashes != crashes ||
       c.worker_hangs - before.worker_hangs != hangs ||
@@ -744,8 +845,12 @@ void Sim::CheckDrops(Call call, const JobCounters& before) {
   }
 }
 
-// One frame from `w` to the machine.
+// One frame, or an in-process verdict, from `w` to the machine.
 void Sim::Deliver(Worker& w) {
+  if (inproc_) {
+    DeliverVerdict(w);
+    return;
+  }
   const uint64_t link = w.link;
   const bool hello = w.hello_due;
   bool violating = false;
@@ -759,13 +864,16 @@ void Sim::Deliver(Worker& w) {
     if (remote_ && w.bound == link) ++(*coverage_)["hello twice"];
   }
   if (result && w.bound == link && w.busy && !violating) {
-    // The worker survived its attempt, whatever its verdict.
+    // The worker survived its attempt, whatever its verdict; a loser's
+    // verdict is discarded without a charge.
     w.busy = false;
     consecutive_[w.assign.task] = 0;
     ResultMsg msg;
     EXPECT_TRUE(ResultMsg::Decode(w.result_frame, &msg).ok());
-    if (!w.result_ok && msg.status_code !=
-                            static_cast<int32_t>(StatusCode::kIoError)) {
+    if (committed_.count(w.assign.task) > 0) {
+      ++(*coverage_)["loser's result discarded"];
+    } else if (!w.result_ok &&
+               msg.status_code != static_cast<int32_t>(StatusCode::kIoError)) {
       ++charges_[w.assign.task];
     }
   }
@@ -791,6 +899,47 @@ void Sim::Deliver(Worker& w) {
   }
 }
 
+// An in-process attempt's verdict, as the in-process driver reports it: the
+// status its body returned, DeadlineExceeded when it overran the deadline
+// or was cancelled under one, and its slot's runs handed over for the
+// commit, never streamed.
+void Sim::DeliverVerdict(Worker& w) {
+  const uint64_t link = w.link;
+  const uint64_t task = w.assign.task;
+  ResultMsg msg;
+  EXPECT_TRUE(ResultMsg::Decode(w.result_frame, &msg).ok());
+  const double elapsed = now_ - w.started;
+  const double deadline = options_.task_deadline_seconds;
+  const bool live = committed_.count(task) == 0;
+  if (deadline > 0.0 && (elapsed > deadline || w.cancelled) && w.result_ok) {
+    msg.status_code = static_cast<int32_t>(StatusCode::kDeadlineExceeded);
+    msg.status_message = "attempt overran the task deadline";
+  }
+  msg.seconds = elapsed;
+  reported_payload_ = msg.status_code == 0 ? std::move(msg.payload) : "";
+  msg.payload.clear();
+  reported_runs_ = std::move(w.result.runs);
+  Log("  worker " + std::to_string(w.id) + " reports task " +
+      std::to_string(task) + " attempt " + std::to_string(msg.attempt) +
+      " status " + std::to_string(msg.status_code));
+  if (!live) {
+    ++(*coverage_)["loser's result discarded"];
+  } else if (msg.status_code != 0 &&
+             msg.status_code != static_cast<int32_t>(StatusCode::kIoError)) {
+    ++charges_[task];
+    if (msg.status_code ==
+        static_cast<int32_t>(StatusCode::kDeadlineExceeded)) {
+      ++verdict_deadlines_;
+    }
+  }
+  w.busy = false;
+  w.result_sent = true;
+  Release(w);
+  Event(Call::kFrame, [&] { machine_->OnResult(link, std::move(msg), now_); });
+  reported_runs_.clear();
+  if (!drops_.empty()) Violation("an in-process verdict dropped a worker");
+}
+
 void Sim::DeliverLoss() {
   const auto [link, id] = lost_.front();
   lost_.erase(lost_.begin());
@@ -811,7 +960,7 @@ void Sim::DeliverLoss() {
 void Sim::Advance(double dt, bool beat) {
   now_ += dt;
   if (!beat) return;
-  for (size_t i = 0; i < workers_.size(); ++i) {
+  for (size_t i = 0; i < workers_.size() && !inproc_; ++i) {
     Worker& w = workers_[i];
     if (!w.alive || w.hung || w.link == 0 || w.bound != w.link || !w.have ||
         w.result_sent || now_ - w.last_beat_sent < kWorkerHeartbeatSeconds) {
@@ -845,7 +994,17 @@ void Sim::InjectFault() {
     std::vector<Worker*> c = Pick(want);
     return c.empty() ? nullptr : c[Draw(c.size())];
   };
-  if (kind == 0 && ForkedOrCrewSpare()) {
+  if (kind <= 2 && inproc_) {
+    // An in-process attempt cannot crash its thread or break a protocol;
+    // it can dawdle, until cancelled or long after.
+    if (Worker* w = any([](const Worker& x) {
+          return x.have && !x.result_sent;
+        })) {
+      Log("  fault: worker " + std::to_string(w->id) + " dawdles");
+      ++(*coverage_)["in-process dawdle"];
+      w->dawdle_until = now_ + 5.0;
+    }
+  } else if (kind == 0 && ForkedOrCrewSpare()) {
     if (Worker* w = any([](const Worker& x) { return x.alive; })) {
       Log("  fault: worker " + std::to_string(w->id) + " crashes");
       ++(*coverage_)["crash"];
@@ -929,7 +1088,7 @@ void Sim::CheckOutcome(const Status& status) {
                   " committed runs that differ from the fault-free run");
       }
     }
-    ++(*coverage_)["phase committed"];
+    ++(*coverage_)[inproc_ ? "in-process phase committed" : "phase committed"];
     return;
   }
   const std::string why = status.ToString();
@@ -964,6 +1123,14 @@ std::string Sim::Run() {
       options_, phase_,
       [this](size_t task, bool, double, std::string payload,
              std::vector<SpillRun> runs) {
+        if (inproc_) {
+          // The verdict carries no slot: the driver's commit takes it.
+          if (!payload.empty() || !runs.empty()) {
+            Violation("an in-process commit carried a payload or runs");
+          }
+          payload = std::move(reported_payload_);
+          runs = std::move(reported_runs_);
+        }
         if (committed_.count(task) > 0) Violation("a task committed twice");
         if (payload != "task-" + std::to_string(task)) {
           Violation("task " + std::to_string(task) + " committed payload " +
@@ -1041,22 +1208,43 @@ std::string Sim::Run() {
     Violation("worker_kills " + std::to_string(counters_.worker_kills) +
               " but " + std::to_string(real_kills_) + " live kills");
   }
+  // Every attempt after a task's first is a retry, one per charge at most,
+  // or its one backup.
+  const size_t backups = options_.speculative_execution ? 1 : 0;
+  for (size_t t = 0; t < phase_.num_tasks; ++t) {
+    if (dispatches_[t] > 1 + backups + charges_[t]) {
+      Violation("task " + std::to_string(t) + " was dispatched " +
+                std::to_string(dispatches_[t]) + " times on " +
+                std::to_string(charges_[t]) + " charges");
+    }
+  }
+  if (counters_.speculative_launches > backups * phase_.num_tasks ||
+      counters_.speculative_wins > counters_.speculative_launches) {
+    Violation("speculative launches " +
+              std::to_string(counters_.speculative_launches) + ", wins " +
+              std::to_string(counters_.speculative_wins));
+  }
   if (counters_.quarantined_tasks > 0) ++(*coverage_)["quarantine"];
   Log(std::string("  outcome: ") + status.ToString());
   return violation_;
 }
 
-/// Runs one schedule, a pure function of `seed`: odd seeds on a remote
-/// crew, even ones on a forked crew. Empty when every check held; else the
+/// Runs one schedule, a pure function of `seed`: by seed mod 3 on a forked,
+/// a remote or an in-process crew. Empty when every check held; else the
 /// failure and the schedule, which `log` always receives.
 std::string SimulateSchedule(uint64_t seed, Coverage* coverage,
                              std::string* log) {
-  const bool remote = seed % 2 == 1;
-  Sim sim(seed, remote, coverage);
+  const Crew crew = seed % 3 == 0   ? Crew::kForked
+                    : seed % 3 == 1 ? Crew::kRemote
+                                    : Crew::kInProc;
+  Sim sim(seed, crew, coverage);
   const std::string failure = sim.Run();
   *log = sim.log();
   if (failure.empty()) return failure;
-  return "seed " + std::to_string(seed) + (remote ? " (remote)" : " (forked)") +
+  return "seed " + std::to_string(seed) +
+         (crew == Crew::kForked   ? " (forked)"
+          : crew == Crew::kRemote ? " (remote)"
+                                  : " (in-process)") +
          ": " + failure + "\nschedule:\n" + *log;
 }
 
@@ -1079,8 +1267,8 @@ class SupervisorSimTest : public ::testing::Test {
   LogLevel saved_level_ = LogLevel::kInfo;
 };
 
-// Two thousand seeds, half on each kind of crew. Every schedule passes the
-// oracle, and together they reach every event the policy has.
+// Two thousand seeds, a third on each kind of crew. Every schedule passes
+// the oracle, and together they reach every event the policy has.
 TEST_F(SupervisorSimTest, SeededSchedulesKeepThePolicy) {
   Coverage coverage;
   size_t failures = 0;
@@ -1102,7 +1290,10 @@ TEST_F(SupervisorSimTest, SeededSchedulesKeepThePolicy) {
         "failed shuffle-file append", "jump past the heartbeat grace",
         "jump past the task deadline", "jump past the connect grace",
         "restart budget exhausted", "quarantine", "credit ack", "parked",
-        "connection drop", "phase committed"}) {
+        "connection drop", "phase committed", "backup launched",
+        "backup won", "loser's result discarded", "loser cancelled",
+        "cancel at teardown", "in-process deadline cancel",
+        "in-process dawdle", "in-process phase committed"}) {
     EXPECT_GT(coverage[event], 0) << "no schedule reached: " << event;
   }
   std::string seen;
@@ -1114,7 +1305,7 @@ TEST_F(SupervisorSimTest, SeededSchedulesKeepThePolicy) {
 
 // A seed is its whole schedule: replayed alone, it takes the same steps.
 TEST_F(SupervisorSimTest, ASeedReplaysItsSchedule) {
-  for (uint64_t seed : {uint64_t{6}, uint64_t{7}}) {
+  for (uint64_t seed : {uint64_t{6}, uint64_t{7}, uint64_t{8}}) {
     Coverage coverage;
     std::string first;
     std::string second;
