@@ -117,8 +117,10 @@ class CommChannel {
 };
 
 /// Serializes `frame` into the on-wire byte sequence, in one string of
-/// exactly its size: the tests' reference for FdChannel::Send, which writes
-/// the same bytes without building them in one buffer.
+/// exactly its size: the bytes FdChannel::Send writes without building them
+/// in one buffer. DdpServer's driver sends these with non-blocking writes
+/// and keeps what a socket does not take, so a client that stops reading
+/// never blocks it.
 std::string EncodeFrame(const Frame& frame);
 
 /// A CommChannel over one stream-socket descriptor — the shared engine of

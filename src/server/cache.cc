@@ -66,7 +66,6 @@ uint64_t DatasetCache::resident_bytes() const {
 }
 
 bool ResultCache::Get(const std::string& key, std::string* payload) {
-  std::unique_lock<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     DDP_METRIC_COUNTER_ADD(obs::kMetricServerResultCacheMisses, 1);
@@ -79,7 +78,6 @@ bool ResultCache::Get(const std::string& key, std::string* payload) {
 }
 
 void ResultCache::Put(const std::string& key, std::string payload) {
-  std::unique_lock<std::mutex> lock(mu_);
   if (max_entries_ == 0) return;  // caching disabled
   Entry& entry = entries_[key];
   entry.payload = std::move(payload);
@@ -94,11 +92,6 @@ void ResultCache::Put(const std::string& key, std::string payload) {
   obs::MetricsRegistry::Global()
       .GetGauge(obs::kMetricServerResultCacheEntries)
       ->Set(static_cast<double>(entries_.size()));
-}
-
-size_t ResultCache::size() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return entries_.size();
 }
 
 }  // namespace server

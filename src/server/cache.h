@@ -23,7 +23,7 @@
 ///  * `ResultCache` maps (dataset digest, canonicalized params) to the
 ///    encoded JobResultPayload bytes of a completed run. A hit is served
 ///    verbatim — bit-identical to the run that stored it — without touching
-///    the MapReduce runtime.
+///    the MapReduce runtime. Only the server's machine uses it: no lock.
 ///
 /// Both are LRU with a hard bound (bytes for datasets, entries for
 /// results) and bump the server.* cache metrics on every lookup.
@@ -71,7 +71,7 @@ class ResultCache {
 
   void Put(const std::string& key, std::string payload);
 
-  size_t size() const;
+  size_t size() const { return entries_.size(); }
 
  private:
   struct Entry {
@@ -79,7 +79,6 @@ class ResultCache {
     uint64_t last_use = 0;
   };
 
-  mutable std::mutex mu_;
   size_t max_entries_;
   uint64_t tick_ = 0;
   std::map<std::string, Entry> entries_;

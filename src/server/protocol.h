@@ -84,8 +84,9 @@ struct JobSubmitMsg {
   /// of DDPB shards. The server digests the bytes, so the same data under
   /// two paths still shares cache entries.
   std::string dataset_path;
-  /// > 0 subscribes this connection to kJobProgress pushes for the job,
-  /// roughly every this many seconds.
+  /// > 0 subscribes this connection to kJobProgress pushes: a change of the
+  /// job's state or MR-job count at most once per this many seconds, and
+  /// the terminal push at once, whatever the interval.
   double progress_seconds = 0.0;
 
   std::string Encode() const;

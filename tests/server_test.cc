@@ -4,31 +4,41 @@
 // concurrent jobs against the bounded queue and the admission budget,
 // result-cache hits that are bit-identical to the cold run without
 // re-running any map/reduce work, dataset-cache reuse, cancel, client
-// disconnect mid-job, the bounds on what closed connections and finished
-// jobs leave behind, and the graceful-shutdown drain. Chaos, where used,
-// is the seeded fault injection of the MapReduce runtime, so every failure
+// disconnect mid-job, the bounds on threads, unread replies, client params
+// and finished jobs, a refusing disk, the graceful-shutdown drain, and
+// seeded mutations of the protocol decoders. Chaos, where used, is the
+// seeded fault injection of the MapReduce runtime, so every failure
 // schedule is reproducible.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <pthread.h>
 
+#include "common/backoff.h"
 #include "dataset/csv.h"
 #include "dataset/generators.h"
 #include "dataset/sharded_io.h"
+#include "mapreduce/channel.h"
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "soft_limit.h"
 
 namespace ddp {
 namespace server {
@@ -50,6 +60,23 @@ uint64_t VmSizeBytes() {
     }
   }
   return 0;
+}
+
+// Decodes `bytes` as a fresh Msg.
+template <typename Msg>
+Status DecodeAs(const std::string& bytes) {
+  Msg msg;
+  return Msg::Decode(bytes, &msg);
+}
+
+// This process's threads: the entries of /proc/self/task.
+size_t ThreadCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       fs::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
 }
 
 // The stack a thread gets by default, as std::thread creates it.
@@ -79,7 +106,6 @@ class ServerTest : public ::testing::Test {
     ServerConfig config;
     config.work_dir = dir_ + "/work";
     config.drain_timeout_seconds = 30.0;
-    config.poll_interval_seconds = 0.02;
     return config;
   }
 
@@ -176,6 +202,94 @@ TEST(ServerProtocolTest, DecodeRejectsGarbageAndTrailingBytes) {
   EXPECT_FALSE(JobPollMsg::Decode(extra, &poll).ok());
 }
 
+// Seeded mutations of every server protocol decoder's input: bit flips,
+// truncations, inserted bytes and inflated varints, a few at a time. Each
+// decode returns OK or an error Status and never throws; under ASan+UBSan it
+// also reads no byte outside its input and allocates nothing its input
+// cannot back.
+TEST(ServerProtocolTest, MutatedMessagesDecodeToOkOrAnError) {
+  JobParams params;
+  params.algo = "eddpc";
+  params.dc = 0.75;
+  params.k = 12;
+  params.memory_budget_bytes = 1 << 20;
+  params.map_failure_rate = 0.25;
+  JobSubmitMsg submit;
+  submit.params = params;
+  submit.dataset_path = "/data/points.ddpb";
+  submit.progress_seconds = 0.5;
+  JobPollMsg poll;
+  poll.job_id = 123456789;
+  JobCancelMsg cancel;
+  cancel.job_id = kShutdownJobId;
+  JobStatusMsg status;
+  status.job_id = 77;
+  status.state = static_cast<uint8_t>(JobState::kRunning);
+  status.detail = "cancel requested";
+  status.queue_position = 300;
+  status.mr_jobs_done = 4;
+  status.running_seconds = 2.5;
+  JobResultPayload payload;
+  payload.dc = 1.5;
+  payload.num_clusters = 3;
+  payload.assignment = {0, 1, 2, -1, 200, 1 << 20};
+  payload.distance_evaluations = 99999;
+  payload.mr_jobs = 6;
+  JobResultMsg result;
+  result.job_id = 77;
+  result.state = static_cast<uint8_t>(JobState::kDone);
+  result.payload = payload.Encode();
+
+  struct Decoder {
+    const char* name;
+    std::string sample;
+    Status (*decode)(const std::string&);
+  };
+  const std::vector<Decoder> decoders = {
+      {"JobParams", params.Encode(), DecodeAs<JobParams>},
+      {"JobSubmitMsg", submit.Encode(), DecodeAs<JobSubmitMsg>},
+      {"JobPollMsg", poll.Encode(), DecodeAs<JobPollMsg>},
+      {"JobCancelMsg", cancel.Encode(), DecodeAs<JobCancelMsg>},
+      {"JobStatusMsg", status.Encode(), DecodeAs<JobStatusMsg>},
+      {"JobResultMsg", result.Encode(), DecodeAs<JobResultMsg>},
+      {"JobResultPayload", payload.Encode(), DecodeAs<JobResultPayload>},
+  };
+  std::mt19937_64 rng(28);
+  for (const Decoder& d : decoders) {
+    ASSERT_TRUE(d.decode(d.sample).ok()) << d.name;
+    size_t errors = 0;
+    for (int i = 0; i < 3000; ++i) {
+      std::string bytes = d.sample;
+      for (uint64_t k = 1 + rng() % 3; k > 0; --k) {
+        const size_t at = bytes.empty() ? 0 : rng() % (bytes.size() + 1);
+        switch (rng() % 4) {
+          case 0:  // bit flip
+            if (at < bytes.size()) {
+              bytes[at] ^= static_cast<char>(1 << rng() % 8);
+            }
+            break;
+          case 1:  // truncation
+            bytes.resize(at);
+            break;
+          case 2:  // inserted bytes
+            bytes.insert(at,
+                         std::string(1 + rng() % 4, static_cast<char>(rng())));
+            break;
+          default:  // an inflated varint: ten bytes claiming ~2^64
+            bytes.insert(at, std::string(9, '\xff') + '\x01');
+            break;
+        }
+      }
+      try {
+        if (!d.decode(bytes).ok()) ++errors;
+      } catch (...) {
+        ADD_FAILURE() << d.name << " threw on mutation " << i;
+      }
+    }
+    EXPECT_GT(errors, 0u) << d.name;  // the mutations reach the checks
+  }
+}
+
 TEST(ServerProtocolTest, CanonicalKeySeparatesDistinctParams) {
   JobParams a;
   JobParams b = a;
@@ -239,7 +353,7 @@ TEST_F(ServerTest, ProgressPushesArriveWhileWaiting) {
   (*client)->set_progress_handler(
       [&pushes](const JobStatusMsg&) { ++pushes; });
   JobSubmitMsg msg = Submission(BaseParams());
-  msg.progress_seconds = 0.01;  // push on every poll tick
+  msg.progress_seconds = 0.01;  // push every change
   auto submitted = (*client)->Submit(msg);
   ASSERT_TRUE(submitted.ok());
   auto done = (*client)->WaitForResult(submitted->job_id, 60.0);
@@ -291,15 +405,12 @@ TEST_F(ServerTest, ProgressLeavesNoPerJobNameInTheRegistry) {
             std::string::npos);
 }
 
-// A client that sends frames more often than the server's poll interval
-// still gets its pushes: a connection pushes after every frame it handles,
-// not only when its receive times out. Polling every 10 ms against a 0.2 s
-// interval, the subscriber gets exactly one terminal push within 2 s of the
+// A subscriber that keeps polling gets its pushes between the replies:
+// polling every 10 ms, it gets exactly one terminal push within 2 s of the
 // job being done.
-TEST_F(ServerTest, SubscriberPollingFasterThanThePollIntervalGetsItsPushes) {
+TEST_F(ServerTest, PollingSubscriberGetsExactlyOneTerminalPush) {
   using Clock = std::chrono::steady_clock;
   ServerConfig config = BaseConfig();
-  config.poll_interval_seconds = 0.2;
   auto srv = DdpServer::Start(config);
   ASSERT_TRUE(srv.ok());
   auto client = Connect(**srv);
@@ -339,6 +450,50 @@ TEST_F(ServerTest, SubscriberPollingFasterThanThePollIntervalGetsItsPushes) {
   }
   ASSERT_EQ(terminal_pushes, 1u);
   EXPECT_LT(first_terminal - done, std::chrono::seconds(2));
+}
+
+// The terminal push leaves on the job's done event, whatever the
+// subscription's interval. A raw client that subscribes with a 30 s interval
+// and then only reads gets exactly one push within 10 s, the terminal one:
+// the job's earlier changes fall inside the interval, and nothing follows.
+TEST_F(ServerTest, SilentSubscriberGetsItsTerminalPushOnTheDoneEvent) {
+  using Clock = std::chrono::steady_clock;
+  auto srv = DdpServer::Start(BaseConfig());
+  ASSERT_TRUE(srv.ok());
+  auto channel = mr::TcpChannel::Connect("127.0.0.1", (*srv)->port(),
+                                         ExponentialBackoff::Params{},
+                                         /*seed=*/1, /*deadline_seconds=*/10.0);
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  JobSubmitMsg msg = Submission(BaseParams());
+  msg.progress_seconds = 30.0;
+  ASSERT_TRUE(
+      (*channel)->Send({mr::MessageType::kJobSubmit, msg.Encode()}).ok());
+  mr::Frame frame;
+  ASSERT_TRUE((*channel)->Recv(&frame, /*timeout_seconds=*/10.0).ok());
+  ASSERT_EQ(frame.type, mr::MessageType::kJobStatus);
+  JobStatusMsg ack;
+  ASSERT_TRUE(JobStatusMsg::Decode(frame.payload, &ack).ok());
+  ASSERT_NE(ack.state, static_cast<uint8_t>(JobState::kRejected));
+
+  // Every push within 10 s; a quarter second of quiet after the first ends
+  // the wait, which shows no second one follows.
+  std::vector<JobStatusMsg> pushes;
+  for (const auto give_up = Clock::now() + std::chrono::seconds(10);
+       Clock::now() < give_up;) {
+    const Status st = (*channel)->Recv(&frame, /*timeout_seconds=*/0.25);
+    if (st.IsDeadlineExceeded()) {
+      if (!pushes.empty()) break;
+      continue;
+    }
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(frame.type, mr::MessageType::kJobProgress);
+    JobStatusMsg push;
+    ASSERT_TRUE(JobStatusMsg::Decode(frame.payload, &push).ok());
+    pushes.push_back(push);
+  }
+  ASSERT_EQ(pushes.size(), 1u);
+  EXPECT_EQ(pushes[0].job_id, ack.job_id);
+  EXPECT_EQ(pushes[0].state, static_cast<uint8_t>(JobState::kDone));
 }
 
 // ------------------------------------------------ caches and admission
@@ -540,6 +695,30 @@ TEST_F(ServerTest, SubmitRejectsRemoteExecModeWithoutRemoteWorkers) {
       << submitted->detail;
 }
 
+// num_workers and num_layouts x pi size what a job allocates: a thread or
+// process per worker, and the LSH partitioner's hash functions. One above
+// each cap is rejected at submit, naming the field. The M x pi case keeps M
+// at 10, so a job that slipped through would stay cheap.
+TEST_F(ServerTest, SubmitRejectsParamsAboveTheResourceCaps) {
+  auto srv = DdpServer::Start(BaseConfig());
+  ASSERT_TRUE(srv.ok());
+  auto client = Connect(**srv);
+  ASSERT_TRUE(client.ok());
+  JobParams workers = BaseParams();
+  workers.num_workers = 65;
+  JobParams hashes = BaseParams();
+  hashes.num_layouts = 10;
+  hashes.pi = 410;  // 4,100 hash functions; pi 409 would be 4,090
+  for (const auto& [params, field] :
+       {std::make_pair(workers, "num_workers"), std::make_pair(hashes, "pi")}) {
+    auto submitted = (*client)->Submit(Submission(params));
+    ASSERT_TRUE(submitted.ok());
+    EXPECT_EQ(submitted->state, static_cast<uint8_t>(JobState::kRejected));
+    EXPECT_NE(submitted->detail.find(field), std::string::npos)
+        << submitted->detail;
+  }
+}
+
 TEST_F(ServerTest, AdmissionBudgetRejectsOversizedJobs) {
   ServerConfig config = BaseConfig();
   config.admission_budget_bytes = 1 << 20;
@@ -654,6 +833,45 @@ TEST_F(ServerTest, CancelQueuedOrRunningJobReachesTerminalState) {
   EXPECT_EQ(noop->state, static_cast<uint8_t>(JobState::kDone));
 }
 
+// A job cancelled while queued leaves the queue at once: with one scheduler
+// and room for one queued job, a slow job A runs, B queues behind it and is
+// cancelled, and C is then admitted at the head of the queue.
+TEST_F(ServerTest, CancelledQueuedJobFreesItsQueueSlot) {
+  ServerConfig config = BaseConfig();
+  config.scheduler_threads = 1;
+  config.max_queued_jobs = 1;
+  auto srv = DdpServer::Start(config);
+  ASSERT_TRUE(srv.ok());
+  auto client = Connect(**srv);
+  ASSERT_TRUE(client.ok());
+  JobParams slow = BaseParams();
+  slow.map_failure_rate = 0.3;  // seeded retries keep A running
+  auto a = (*client)->Submit(Submission(slow));
+  ASSERT_TRUE(a.ok());
+  ASSERT_NE(a->state, static_cast<uint8_t>(JobState::kRejected)) << a->detail;
+  JobParams b_params = BaseParams();
+  b_params.k = 4;
+  auto b = (*client)->Submit(Submission(b_params));
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(b->state, static_cast<uint8_t>(JobState::kQueued)) << b->detail;
+  auto cancelled = (*client)->Cancel(b->job_id);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled->state, static_cast<uint8_t>(JobState::kCancelled));
+
+  JobParams c_params = BaseParams();
+  c_params.k = 5;
+  auto c = (*client)->Submit(Submission(c_params));
+  ASSERT_TRUE(c.ok());
+  ASSERT_EQ(c->state, static_cast<uint8_t>(JobState::kQueued)) << c->detail;
+  EXPECT_EQ(c->queue_position, 0u);
+  for (uint64_t job_id : {a->job_id, c->job_id}) {
+    auto done = (*client)->WaitForResult(job_id, 120.0);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    EXPECT_EQ(done->state, static_cast<uint8_t>(JobState::kDone))
+        << done->detail;
+  }
+}
+
 TEST_F(ServerTest, ClientDisconnectMidJobLeavesServerServing) {
   auto srv = DdpServer::Start(BaseConfig());
   ASSERT_TRUE(srv.ok());
@@ -679,15 +897,32 @@ TEST_F(ServerTest, ClientDisconnectMidJobLeavesServerServing) {
   EXPECT_EQ(done->state, static_cast<uint8_t>(JobState::kDone));
 }
 
-// A closed connection's handler thread is joined when the next connection
-// is accepted, so sequential clients leave no thread stack behind: 64
+// One driver thread serves every connection, so clients cost the server no
+// thread. With 64 clients connected at once, each after one round trip, the
+// process runs exactly 1 + scheduler_threads threads more than before
+// Start. And sequential clients leave nothing behind: 64
 // connect/poll/close cycles grow the server's virtual size by less than
-// half a stack per connection. (Unjoined, each cycle keeps a whole stack;
-// a joined handler's stack is reused. What growth remains is allocator
-// arenas, 64 MiB of address space each, for handlers that overlap.)
+// half a thread stack per connection.
 TEST_F(ServerTest, ClosedConnectionsLeaveNoThreadStacks) {
-  auto srv = DdpServer::Start(BaseConfig());
+  const ServerConfig config = BaseConfig();
+  // A sanitizer runtime may start a helper thread at the process's first
+  // thread creation; make that happen before the count.
+  std::thread([] {}).join();
+  const size_t threads_before = ThreadCount();
+  auto srv = DdpServer::Start(config);
   ASSERT_TRUE(srv.ok());
+  {
+    std::vector<std::unique_ptr<DdpClient>> clients;
+    for (int i = 0; i < 64; ++i) {
+      auto client = Connect(**srv);
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      clients.push_back(std::move(client).value());
+    }
+    for (const std::unique_ptr<DdpClient>& client : clients) {
+      ASSERT_TRUE(client->Poll(/*job_id=*/987654).ok());
+    }
+    EXPECT_EQ(ThreadCount(), threads_before + 1 + config.scheduler_threads);
+  }
   auto cycle = [&] {
     auto client = Connect(**srv);
     ASSERT_TRUE(client.ok());
@@ -708,8 +943,130 @@ TEST_F(ServerTest, ClosedConnectionsLeaveNoThreadStacks) {
       << "grew by " << (after - before) << " bytes";
 }
 
+// No client can stall the server. One that floods result requests for a
+// finished job and never reads the replies is closed once its unsent bytes
+// pass the cap; meanwhile a second client's polls each complete within
+// 100 ms, and the drain afterwards returns within 5 s.
+TEST_F(ServerTest, ClientThatNeverReadsIsClosedAndStallsNoOne) {
+  using Clock = std::chrono::steady_clock;
+  auto srv = DdpServer::Start(BaseConfig());
+  ASSERT_TRUE(srv.ok());
+  auto client = Connect(**srv);
+  ASSERT_TRUE(client.ok());
+  auto submitted = (*client)->Submit(Submission(BaseParams()));
+  ASSERT_TRUE(submitted.ok());
+  const uint64_t job_id = submitted->job_id;
+  auto done = (*client)->WaitForResult(job_id, 60.0);
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done->state, static_cast<uint8_t>(JobState::kDone));
+  auto flooder = mr::TcpChannel::Connect("127.0.0.1", (*srv)->port(),
+                                         ExponentialBackoff::Params{},
+                                         /*seed=*/1, /*deadline_seconds=*/10.0);
+  ASSERT_TRUE(flooder.ok());
+
+  // Requests until the server closes the connection: each asks for a few
+  // hundred reply bytes, so the cap and the socket buffers fill after some
+  // ten thousand.
+  const auto give_up = Clock::now() + std::chrono::seconds(30);
+  std::atomic<bool> flooding{true};
+  Status flood_end;
+  std::thread flood([&] {
+    JobPollMsg poll;
+    poll.job_id = job_id;
+    const mr::Frame request{mr::MessageType::kJobResult, poll.Encode()};
+    while (flood_end.ok() && Clock::now() < give_up) {
+      flood_end = (*flooder)->Send(request);
+    }
+    flooding.store(false, std::memory_order_release);
+  });
+  double worst_ms = 0.0;
+  size_t polls = 0;
+  while (flooding.load(std::memory_order_acquire) && Clock::now() < give_up) {
+    const auto start = Clock::now();
+    auto polled = (*client)->Poll(job_id);
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    if (!polled.ok()) {
+      ADD_FAILURE() << polled.status().ToString();
+      break;
+    }
+    worst_ms = std::max(worst_ms, ms);
+    ++polls;
+  }
+  EXPECT_FALSE(flooding.load(std::memory_order_acquire))
+      << "the flooding client is still connected after 30 s";
+  EXPECT_GT(polls, 0u);
+  EXPECT_LT(worst_ms, 100.0);
+  RecordProperty("worst_poll_ms", std::to_string(worst_ms));
+
+  const auto drain_start = Clock::now();
+  (*srv)->RequestShutdown();
+  (*srv)->WaitShutdown();
+  EXPECT_LT(Clock::now() - drain_start, std::chrono::seconds(5));
+  flood.join();
+  EXPECT_FALSE(flood_end.ok()) << "the server never closed the flooder";
+}
+
+// A refusing disk fails a served job with the errno's text, caches nothing,
+// and leaves the server serving. A soft RLIMIT_FSIZE below one map attempt's
+// spill file (with SIGXFSZ ignored, so a write past it fails with EFBIG) is
+// held around a job with a 4 KiB budget over 400 74-d points, as
+// SpillWriteFaultTest runs: the job ends kFailed while a second client's
+// polls are answered. Once the limit is restored, the same key is no
+// result-cache hit and runs to kDone.
+TEST_F(ServerTest, RefusingDiskFailsTheJobAndCachesNothing) {
+  auto kdd = gen::KddLike(/*seed=*/5, 400);
+  ASSERT_TRUE(kdd.ok());
+  const std::string kdd_path = dir_ + "/kdd.csv";
+  ASSERT_TRUE(WriteCsvFile(kdd_path, *kdd).ok());
+  auto srv = DdpServer::Start(BaseConfig());
+  ASSERT_TRUE(srv.ok());
+  auto client = Connect(**srv);
+  ASSERT_TRUE(client.ok());
+  auto watcher = Connect(**srv);
+  ASSERT_TRUE(watcher.ok());
+  JobSubmitMsg msg = Submission(BaseParams());
+  msg.dataset_path = kdd_path;
+  msg.params.memory_budget_bytes = 4096;
+
+  JobStatusMsg failed;
+  size_t answered = 0;
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_NE(saved_handler, SIG_ERR);
+  {
+    SoftLimit lowered(RLIMIT_FSIZE, 3 * 4096);
+    EXPECT_TRUE(lowered.ok());
+    auto submitted = (*client)->Submit(msg);
+    if (lowered.ok() && submitted.ok()) {
+      failed = *submitted;
+      while (failed.state == static_cast<uint8_t>(JobState::kQueued) ||
+             failed.state == static_cast<uint8_t>(JobState::kRunning)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        auto polled = (*watcher)->Poll(submitted->job_id);
+        if (!polled.ok()) break;
+        ++answered;
+        failed = *polled;
+      }
+    }
+  }
+  std::signal(SIGXFSZ, saved_handler);
+  EXPECT_EQ(failed.state, static_cast<uint8_t>(JobState::kFailed))
+      << failed.detail;
+  EXPECT_NE(failed.detail.find(std::strerror(EFBIG)), std::string::npos)
+      << failed.detail;
+  EXPECT_GT(answered, 0u);
+
+  auto again = (*client)->Submit(msg);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->from_result_cache, 0);
+  auto done = (*client)->WaitForResult(again->job_id, 120.0);
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done->state, static_cast<uint8_t>(JobState::kDone)) << done->detail;
+}
+
 // The server keeps the records of its 1,024 most recent finished jobs
-// (kFinishedJobsKept in server.cc). A rejected submission is a finished job
+// (ServerMachine::kFinishedJobsKept). A rejected submission is a finished job
 // too, so after 1,025 of them the first id reads as unknown, as a
 // never-issued one does, and the last still reads rejected.
 TEST_F(ServerTest, FinishedJobRecordsAreBounded) {
