@@ -11,9 +11,9 @@
 /// reporting wall time and counted distance evaluations for the local
 /// rho + delta kernels. This is the per-reducer cost model behind every
 /// algorithm layer: the crossover points here justify the kAuto heuristic
-/// (k-d tree for large low-dimensional groups, centroid-projection triangle
-/// filtering for large high-dimensional groups, brute force for small ones).
-/// All backends produce bit-identical scores; only their costs differ.
+/// (k-d tree for large low-dimensional groups, the packed-panel brute scan
+/// for everything else). All backends produce bit-identical scores; only
+/// their costs differ.
 
 namespace ddp {
 namespace {
@@ -52,8 +52,7 @@ int Run() {
   bench::Banner("LocalDpEngine backend sweep: group size x dim",
                 "the per-bucket/cell/block kernel cost model");
   const LocalDpBackend backends[] = {LocalDpBackend::kBruteForce,
-                                     LocalDpBackend::kKdTree,
-                                     LocalDpBackend::kTriangleFilter};
+                                     LocalDpBackend::kKdTree};
   std::printf("%8s %5s | %-9s %12s %10s %10s %8s\n", "group", "dim", "backend",
               "dist evals", "rho ms", "delta ms", "vs brute");
   for (size_t dim : {2u, 8u, 32u}) {
@@ -79,8 +78,7 @@ int Run() {
     }
   }
   std::printf(
-      "kAuto picks: kdtree when n >= 256 and dim <= 16, triangle when\n"
-      "n >= 512 otherwise, brute below those floors.\n");
+      "kAuto picks: kdtree when n >= 256 and dim <= 16, brute otherwise.\n");
   return 0;
 }
 

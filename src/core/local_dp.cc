@@ -10,6 +10,10 @@
 
 #include <unistd.h>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "common/thread_pool.h"
 #include "dataset/kdtree.h"
 #include "obs/metric_names.h"
@@ -18,7 +22,130 @@
 
 namespace ddp {
 
+// ---- The packed-panel distance kernel.
+//
+// Candidate rows are copied kTile at a time into panels stored dim-major,
+// and a block of up to kBlock queries is compared with a whole panel at
+// once. Vector lanes hold different *pairs*, never different dimensions:
+// every lane runs SquaredEuclidean's exact operation sequence (s = 0; for d
+// ascending: s += (q[d] - x[d])^2), so each distance is bit-identical to
+// the scalar kernel the k-d tree uses. Neither body can fuse a multiply and
+// an add: the baseline targets SSE2 and the other "avx", neither of which
+// has FMA, and the root build also sets -ffp-contract=off. A body for a
+// target with FMA (avx2,fma or avx512f) would contract the builds without
+// that flag, such as ddp_bench's.
+namespace internal {
+
 namespace {
+
+// Two doubles: SSE2 is the x86-64 baseline, so no -march flag is needed.
+// Four of them cover one dimension of a panel with independent accumulators.
+typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
+
+Lanes2 Load2(const double* p) {
+  Lanes2 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void Store2(double* p, Lanes2 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// out[t] = SquaredEuclidean(q, member t of `panel`) for every member.
+void PanelSquaredDistances(const double* q, const double* panel, size_t dim,
+                           double* out) {
+  Lanes2 s0 = {0.0, 0.0};
+  Lanes2 s1 = s0;
+  Lanes2 s2 = s0;
+  Lanes2 s3 = s0;
+  for (size_t d = 0; d < dim; ++d, panel += kTile) {
+    const Lanes2 qd = {q[d], q[d]};
+    const Lanes2 e0 = qd - Load2(panel);
+    const Lanes2 e1 = qd - Load2(panel + 2);
+    const Lanes2 e2 = qd - Load2(panel + 4);
+    const Lanes2 e3 = qd - Load2(panel + 6);
+    s0 += e0 * e0;
+    s1 += e1 * e1;
+    s2 += e2 * e2;
+    s3 += e3 * e3;
+  }
+  Store2(out, s0);
+  Store2(out + 2, s1);
+  Store2(out + 4, s2);
+  Store2(out + 6, s3);
+}
+
+#if defined(__x86_64__)
+// lo, hi += (q[0] - x_lo)^2, (q[0] - x_hi)^2, lane by lane.
+__attribute__((target("avx"), always_inline)) inline void AccumulateAvx(
+    const double* q, __m256d x_lo, __m256d x_hi, __m256d& lo, __m256d& hi) {
+  const __m256d qd = _mm256_broadcast_sd(q);
+  const __m256d e_lo = _mm256_sub_pd(qd, x_lo);
+  const __m256d e_hi = _mm256_sub_pd(qd, x_hi);
+  lo = _mm256_add_pd(lo, _mm256_mul_pd(e_lo, e_lo));
+  hi = _mm256_add_pd(hi, _mm256_mul_pd(e_hi, e_hi));
+}
+#endif
+
+}  // namespace
+
+void PanelDistancesBaseline(const double* const* queries, size_t count,
+                            const double* panel, size_t dim, double* out) {
+  for (size_t b = 0; b < count; ++b) {
+    PanelSquaredDistances(queries[b], panel, dim, out + b * kTile);
+  }
+}
+
+#if defined(__x86_64__)
+// Always kBlock queries: a short block repeats its last query, and the
+// repeats' lanes are discarded.
+__attribute__((target("avx"))) void PanelDistancesAvx(
+    const double* const* queries, size_t count, const double* panel,
+    size_t dim, double* out) {
+  static_assert(kBlock == 4 && kTile == 8, "one ymm pair per query");
+  const double* q0 = queries[0];
+  const double* q1 = queries[std::min<size_t>(1, count - 1)];
+  const double* q2 = queries[std::min<size_t>(2, count - 1)];
+  const double* q3 = queries[std::min<size_t>(3, count - 1)];
+  __m256d lo0 = _mm256_setzero_pd();
+  __m256d hi0 = lo0, lo1 = lo0, hi1 = lo0, lo2 = lo0, hi2 = lo0, lo3 = lo0,
+          hi3 = lo0;
+  for (size_t d = 0; d < dim; ++d, panel += kTile) {
+    const __m256d x_lo = _mm256_loadu_pd(panel);
+    const __m256d x_hi = _mm256_loadu_pd(panel + 4);
+    AccumulateAvx(q0 + d, x_lo, x_hi, lo0, hi0);
+    AccumulateAvx(q1 + d, x_lo, x_hi, lo1, hi1);
+    AccumulateAvx(q2 + d, x_lo, x_hi, lo2, hi2);
+    AccumulateAvx(q3 + d, x_lo, x_hi, lo3, hi3);
+  }
+  _mm256_storeu_pd(out, lo0);
+  _mm256_storeu_pd(out + 4, hi0);
+  _mm256_storeu_pd(out + 8, lo1);
+  _mm256_storeu_pd(out + 12, hi1);
+  _mm256_storeu_pd(out + 16, lo2);
+  _mm256_storeu_pd(out + 20, hi2);
+  _mm256_storeu_pd(out + 24, lo3);
+  _mm256_storeu_pd(out + 28, hi3);
+}
+#endif
+
+bool CpuHasAvx() {
+#if defined(__x86_64__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx");
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+}  // namespace internal
+
+namespace {
+
+using internal::kBlock;
+using internal::kTile;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -116,124 +243,79 @@ uint64_t ForEachIndex(size_t n, bool parallel,
   return evals;
 }
 
-// Pivot projections for the triangle-inequality filter: distances from every
-// group member to the group centroid. |proj_i - proj_j| <= d_ij for any
-// metric pivot, so pairs with a large projection gap can be skipped. The
-// projections are counted evaluations (one per member).
-std::vector<double> CentroidProjections(const LocalPointView& view,
-                                        const CountingMetric& metric) {
-  const size_t n = view.size();
-  std::vector<double> centroid(view.dim(), 0.0);
-  for (size_t k = 0; k < n; ++k) {
-    std::span<const double> p = view.point(k);
-    for (size_t d = 0; d < view.dim(); ++d) centroid[d] += p[d];
+// Runs body(first, count) over the n queries in consecutive blocks of up to
+// kBlock, on the shared pool when asked, and returns the sum of the bodies'
+// results, as ForEachIndex does.
+uint64_t ForEachBlock(size_t n, bool parallel,
+                      const std::function<uint64_t(size_t, size_t)>& body) {
+  return ForEachIndex((n + kBlock - 1) / kBlock, parallel, [&](size_t t) {
+    const size_t first = t * kBlock;
+    return body(first, std::min(kBlock, n - first));
+  });
+}
+
+// The panel body this process runs: AVX when the CPU has it.
+void PanelDistances(const double* const* queries, size_t count,
+                    const double* panel, size_t dim, double* out) {
+#if defined(__x86_64__)
+  if (internal::CpuHasAvx()) {
+    internal::PanelDistancesAvx(queries, count, panel, dim, out);
+    return;
   }
-  for (double& c : centroid) c /= static_cast<double>(n);
-  std::vector<double> proj(n);
-  for (size_t k = 0; k < n; ++k) proj[k] = Euclidean(view.point(k), centroid);
-  metric.AddEvaluations(n);
-  return proj;
+#endif
+  internal::PanelDistancesBaseline(queries, count, panel, dim, out);
 }
 
-// ---- The packed-panel distance kernel.
-//
-// Candidate rows are copied kTile at a time into panels stored dim-major,
-// and one query is compared with a whole panel at once. Vector lanes hold
-// different *pairs*, never different dimensions: every lane runs
-// SquaredEuclidean's exact operation sequence (s = 0; for d ascending:
-// s += (q[d] - x[d])^2), so each distance is bit-identical to the scalar
-// kernel the k-d tree uses. The library builds with -ffp-contract=off, so
-// neither side can fuse the multiply-add differently.
-constexpr size_t kTile = 8;
-
-// Two doubles: SSE2 is the x86-64 baseline, so no -march flag is needed.
-// Four of them cover one dimension of a panel with independent accumulators.
-typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
-
-Lanes2 Load2(const double* p) {
-  Lanes2 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void Store2(double* p, Lanes2 v) { std::memcpy(p, &v, sizeof(v)); }
-
-// Rows of a point group packed into panels of kTile members. Member m of the
-// packing order is lane m % kTile of panel m / kTile, whose coordinate d sits
-// at panel[d * kTile + lane]. The tail panel is zero-padded; padding lanes
-// are computed and discarded like any other lane that is not kept.
+// Candidate rows packed into panels of kTile members. Member m is lane
+// m % kTile of panel m / kTile. The tail panel is zero-padded; padding lanes
+// are computed and discarded like any other pair that is not kept.
 class PackedPanels {
  public:
-  // Packs the view's rows in `order` (view positions), or in position order
-  // when `order` is empty.
-  PackedPanels(const LocalPointView& view, std::span<const uint32_t> order)
-      : dim_(view.dim()) {
-    const size_t n = order.empty() ? view.size() : order.size();
-    data_.assign((n + kTile - 1) / kTile * kTile * dim_, 0.0);
-    for (size_t m = 0; m < n; ++m) {
-      std::span<const double> row = view.point(order.empty() ? m : order[m]);
+  PackedPanels(std::span<const double* const> rows, size_t dim) : dim_(dim) {
+    data_.assign((rows.size() + kTile - 1) / kTile * kTile * dim_, 0.0);
+    for (size_t m = 0; m < rows.size(); ++m) {
       double* panel = data_.data() + m / kTile * kTile * dim_ + m % kTile;
-      for (size_t d = 0; d < dim_; ++d) panel[d * kTile] = row[d];
+      for (size_t d = 0; d < dim_; ++d) panel[d * kTile] = rows[m][d];
     }
   }
 
-  // Walks members [begin, end) for query `q` in ascending order. For each
-  // member m, keep(m) decides whether the pair is evaluated, against
-  // whatever state earlier visits left; kept members are passed to
-  // visit(m, d_sq). A panel is computed only if at least one of its members
-  // is kept at the panel's start (the callers' filters can only tighten as
-  // visits accumulate). Returns the number of evaluated pairs.
+  // Compares a block of 1 to kBlock queries with members [begin, end).
+  // keep(b, m) says whether the pair of query b and member m is evaluated;
+  // it must not depend on visits. A panel with no kept pair is skipped.
+  // Kept pairs go to visit(b, m, d_sq) query by query, each query's members
+  // in ascending order. Returns the number of kept pairs.
   template <typename Keep, typename Visit>
-  uint64_t Scan(const double* q, size_t begin, size_t end, const Keep& keep,
-                const Visit& visit) const {
+  uint64_t Scan(std::span<const double* const> queries, size_t begin,
+                size_t end, const Keep& keep, const Visit& visit) const {
     uint64_t evals = 0;
-    double d_sq[kTile] = {};
+    double d_sq[kBlock * kTile];
     for (size_t base = begin / kTile * kTile; base < end; base += kTile) {
       const size_t lo = std::max(begin, base);
       const size_t hi = std::min(end, base + kTile);
       bool any = false;
-      for (size_t m = lo; m < hi && !any; ++m) any = keep(m);
+      for (size_t b = 0; b < queries.size() && !any; ++b) {
+        for (size_t m = lo; m < hi && !any; ++m) any = keep(b, m);
+      }
       if (!any) continue;
-      PanelSquaredDistances(q, data_.data() + base * dim_, d_sq);
-      for (size_t m = lo; m < hi; ++m) {
-        if (!keep(m)) continue;
-        ++evals;
-        visit(m, d_sq[m - base]);
+      PanelDistances(queries.data(), queries.size(),
+                     data_.data() + base * dim_, dim_, d_sq);
+      for (size_t b = 0; b < queries.size(); ++b) {
+        for (size_t m = lo; m < hi; ++m) {
+          if (!keep(b, m)) continue;
+          ++evals;
+          visit(b, m, d_sq[b * kTile + m - base]);
+        }
       }
     }
     return evals;
   }
 
  private:
-  // out[t] = SquaredEuclidean(q, lane t of `panel`) for every lane.
-  void PanelSquaredDistances(const double* q, const double* panel,
-                             double* out) const {
-    Lanes2 s0 = {0.0, 0.0};
-    Lanes2 s1 = s0;
-    Lanes2 s2 = s0;
-    Lanes2 s3 = s0;
-    for (size_t d = 0; d < dim_; ++d, panel += kTile) {
-      const Lanes2 qd = {q[d], q[d]};
-      const Lanes2 e0 = qd - Load2(panel);
-      const Lanes2 e1 = qd - Load2(panel + 2);
-      const Lanes2 e2 = qd - Load2(panel + 4);
-      const Lanes2 e3 = qd - Load2(panel + 6);
-      s0 += e0 * e0;
-      s1 += e1 * e1;
-      s2 += e2 * e2;
-      s3 += e3 * e3;
-    }
-    Store2(out, s0);
-    Store2(out + 2, s1);
-    Store2(out + 4, s2);
-    Store2(out + 6, s3);
-  }
-
   size_t dim_;
   std::vector<double> data_;
 };
 
-constexpr auto kKeepAll = [](size_t) { return true; };
+constexpr auto kKeepAll = [](size_t, size_t) { return true; };
 
 }  // namespace
 
@@ -245,8 +327,6 @@ const char* LocalDpBackendName(LocalDpBackend backend) {
       return "brute";
     case LocalDpBackend::kKdTree:
       return "kdtree";
-    case LocalDpBackend::kTriangleFilter:
-      return "triangle";
   }
   return "unknown";
 }
@@ -255,10 +335,9 @@ Result<LocalDpBackend> ParseLocalDpBackend(std::string_view name) {
   if (name == "auto") return LocalDpBackend::kAuto;
   if (name == "brute") return LocalDpBackend::kBruteForce;
   if (name == "kdtree") return LocalDpBackend::kKdTree;
-  if (name == "triangle") return LocalDpBackend::kTriangleFilter;
   return Status::InvalidArgument("unknown local backend '" +
                                  std::string(name) +
-                                 "' (want auto|brute|kdtree|triangle)");
+                                 "' (want auto|brute|kdtree)");
 }
 
 LocalPointView LocalPointView::AllOf(const Dataset& dataset) {
@@ -284,9 +363,6 @@ LocalDpBackend LocalDpEngine::Resolve(size_t group_size, size_t dim) const {
   if (group_size >= options_.kd_min_group && dim <= options_.kd_max_dim) {
     return LocalDpBackend::kKdTree;
   }
-  if (group_size >= options_.triangle_min_group) {
-    return LocalDpBackend::kTriangleFilter;
-  }
   return LocalDpBackend::kBruteForce;
 }
 
@@ -302,17 +378,17 @@ std::vector<uint32_t> LocalDpEngine::Rho(const LocalPointView& view, double dc,
   const CountingMetric& metric = scope.metric();
   const bool gaussian = kernel == DensityKernel::kGaussian;
   const double dc_sq = dc * dc;
-  // Radius beyond which a pair cannot contribute: d_c for the cutoff
-  // kernel, the truncation radius for the gaussian one. reach * reach is
-  // the same expression GaussianKernelContributionSq truncates against.
-  const double reach = gaussian ? kGaussianKernelCut * dc : dc;
-  const double reach_sq = reach * reach;
   const bool parallel = options_.parallel_min_group > 0 &&
                         n >= options_.parallel_min_group;
   std::vector<double> soft;
   if (gaussian) soft.assign(n, 0.0);
 
   if (backend == LocalDpBackend::kKdTree) {
+    // Radius beyond which a pair cannot contribute: d_c for the cutoff
+    // kernel, the truncation radius for the gaussian one. reach * reach is
+    // the same expression GaussianKernelContributionSq truncates against.
+    const double reach = gaussian ? kGaussianKernelCut * dc : dc;
+    const double reach_sq = reach * reach;
     Result<KdTree> tree =
         KdTree::BuildFromRows(view.rows(), view.dim(), options_.kd_leaf_size);
     const KdTree& t = *tree;  // cannot fail: view non-empty, leaf_size >= 1
@@ -338,59 +414,58 @@ std::vector<uint32_t> LocalDpEngine::Rho(const LocalPointView& view, double dc,
       return 0;
     });
   } else {
-    // Brute force and the triangle filter share one loop; the filter skips
-    // pairs whose projection gap proves them out of reach.
-    const bool triangle = backend == LocalDpBackend::kTriangleFilter;
-    std::vector<double> proj;
-    if (triangle) proj = CentroidProjections(view, metric);
-    auto in_reach = [&](size_t i, size_t j) {
-      return !triangle || !(std::abs(proj[i] - proj[j]) >= reach);
-    };
-    const PackedPanels panels(view, {});
-    uint64_t evals = 0;
+    const PackedPanels panels(view.rows(), view.dim());
     if (parallel) {
       // Full-row scans: each point accumulates its own row (ascending
       // position order), so rows are independent and bit-identical to the
-      // sequential half-loop. Each surviving pair is evaluated from both
-      // sides.
-      evals = ForEachIndex(n, true, [&](size_t k) {
-        double s = 0.0;
-        uint32_t count = 0;
-        const uint64_t row_evals = panels.Scan(
-            view.point(k).data(), 0, n,
-            [&](size_t j) { return j != k && in_reach(k, j); },
-            [&](size_t, double d_sq) {
+      // sequential half-loop. Each pair is evaluated from both sides.
+      metric.AddEvaluations(
+          ForEachBlock(n, true, [&](size_t first, size_t count) {
+            double s[kBlock] = {};
+            uint32_t c[kBlock] = {};
+            const uint64_t evals = panels.Scan(
+                view.rows().subspan(first, count), 0, n,
+                [&](size_t b, size_t j) { return j != first + b; },
+                [&](size_t b, size_t, double d_sq) {
+                  if (gaussian) {
+                    s[b] += GaussianKernelContributionSq(d_sq, dc);
+                  } else if (d_sq < dc_sq) {
+                    ++c[b];
+                  }
+                });
+            for (size_t b = 0; b < count; ++b) {
               if (gaussian) {
-                s += GaussianKernelContributionSq(d_sq, dc);
-              } else if (d_sq < dc_sq) {
-                ++count;
+                soft[first + b] = s[b];
+              } else {
+                rho[first + b] = c[b];
               }
-            });
-        if (gaussian) {
-          soft[k] = s;
-        } else {
-          rho[k] = count;
-        }
-        return row_evals;
-      });
+            }
+            return evals;
+          }));
     } else {
-      for (size_t i = 0; i < n; ++i) {
-        evals += panels.Scan(
-            view.point(i).data(), i + 1, n,
-            [&](size_t j) { return in_reach(i, j); },
-            [&](size_t j, double d_sq) {
-              if (gaussian) {
-                double w = GaussianKernelContributionSq(d_sq, dc);
-                soft[i] += w;
-                soft[j] += w;
-              } else if (d_sq < dc_sq) {
-                ++rho[i];
-                ++rho[j];
-              }
-            });
-      }
+      // The half-loop: point i scans the points after it. A block scans
+      // from its first query on and drops each query's pairs at or before
+      // its own position. Every point still gets its terms in ascending
+      // position order: the pairs with earlier queries of its block land in
+      // its own panel, whose visits run query by query, before its own.
+      metric.AddEvaluations(
+          ForEachBlock(n, false, [&](size_t first, size_t count) {
+            return panels.Scan(
+                view.rows().subspan(first, count), first + 1, n,
+                [&](size_t b, size_t j) { return j > first + b; },
+                [&](size_t b, size_t j, double d_sq) {
+                  const size_t i = first + b;
+                  if (gaussian) {
+                    double w = GaussianKernelContributionSq(d_sq, dc);
+                    soft[i] += w;
+                    soft[j] += w;
+                  } else if (d_sq < dc_sq) {
+                    ++rho[i];
+                    ++rho[j];
+                  }
+                });
+          }));
     }
-    metric.AddEvaluations(evals);
   }
   if (gaussian) {
     for (size_t k = 0; k < n; ++k) rho[k] = QuantizeDensity(soft[k]);
@@ -454,29 +529,25 @@ LocalDeltaScores LocalDpEngine::Delta(const LocalPointView& view,
     return out;
   }
 
-  // Brute force and the triangle filter share one loop over panels packed in
-  // rank order, so the point at rank r scans panel members [0, r). The filter
-  // skips a candidate whose projection gap cannot improve on the running
-  // minimum.
-  const bool triangle = backend == LocalDpBackend::kTriangleFilter;
-  std::vector<double> proj;
-  if (triangle) proj = CentroidProjections(view, metric);
-  const PackedPanels panels(view, order);
-  metric.AddEvaluations(ForEachIndex(n - 1, parallel, [&](size_t r1) {
-    const size_t r = r1 + 1;
-    const size_t k = order[r];
-    LocalDeltaBest best;
-    const uint64_t evals = panels.Scan(
-        view.point(k).data(), 0, r,
-        [&](size_t s) {
-          if (!triangle) return true;
-          double gap = std::abs(proj[k] - proj[order[s]]);
-          return !(gap * gap > best.d_sq);
-        },
-        [&](size_t s, double d_sq) { best.Improve(d_sq, view.id(order[s])); });
-    commit(k, best);
-    return evals;
-  }));
+  // Panels packed in rank order, so the point at rank r scans members
+  // [0, r). A block of ranks scans up to its last query and drops each
+  // query's pairs at or past its own rank.
+  std::vector<const double*> ranked(n);
+  for (size_t r = 0; r < n; ++r) ranked[r] = view.rows()[order[r]];
+  const PackedPanels panels(ranked, view.dim());
+  metric.AddEvaluations(
+      ForEachBlock(n - 1, parallel, [&](size_t first, size_t count) {
+        const size_t r0 = first + 1;  // rank of the block's first query
+        LocalDeltaBest best[kBlock];
+        const uint64_t evals = panels.Scan(
+            std::span<const double* const>(ranked).subspan(r0, count), 0,
+            r0 + count - 1, [&](size_t b, size_t s) { return s < r0 + b; },
+            [&](size_t b, size_t s, double d_sq) {
+              best[b].Improve(d_sq, view.id(order[s]));
+            });
+        for (size_t b = 0; b < count; ++b) commit(order[r0 + b], best[b]);
+        return evals;
+      }));
   return out;
 }
 
@@ -493,23 +564,13 @@ void LocalDpEngine::RhoCross(const LocalPointView& left,
   const CountingMetric& metric = scope.metric();
   const double dc_sq = dc * dc;
   const bool both = !counts_right.empty();
-  const bool kd = [&] {
-    switch (options_.backend) {
-      case LocalDpBackend::kKdTree:
-        return true;
-      case LocalDpBackend::kAuto:
-        return nr >= options_.kd_min_group && left.dim() <= options_.kd_max_dim;
-      default:
-        return false;  // triangle has no cross-group pivot; use brute
-    }
-  }();
   // Parallelizing the both-sided pass would race on counts_right; the
   // one-sided pass shards cleanly over left rows.
   const bool parallel = !both && options_.parallel_min_group > 0 &&
                         nl * nr >= options_.parallel_min_group *
                                        options_.parallel_min_group;
 
-  if (kd) {
+  if (Resolve(nr, left.dim()) == LocalDpBackend::kKdTree) {
     Result<KdTree> tree =
         KdTree::BuildFromRows(right.rows(), right.dim(), options_.kd_leaf_size);
     const KdTree& t = *tree;
@@ -531,31 +592,21 @@ void LocalDpEngine::RhoCross(const LocalPointView& left,
     }
     return;
   }
-  const PackedPanels panels(right, {});
-  if (both) {
-    uint64_t evals = 0;
-    for (size_t i = 0; i < nl; ++i) {
-      evals += panels.Scan(left.point(i).data(), 0, nr, kKeepAll,
-                           [&](size_t j, double d_sq) {
-                             if (d_sq < dc_sq) {
-                               ++counts_left[i];
-                               ++counts_right[j];
-                             }
-                           });
-    }
-    metric.AddEvaluations(evals);
-  } else {
-    metric.AddEvaluations(ForEachIndex(nl, parallel, [&](size_t i) {
-      uint32_t count = 0;
-      const uint64_t evals =
-          panels.Scan(left.point(i).data(), 0, nr, kKeepAll,
-                      [&](size_t, double d_sq) {
-                        if (d_sq < dc_sq) ++count;
-                      });
-      counts_left[i] += count;
-      return evals;
-    }));
-  }
+  const PackedPanels panels(right.rows(), right.dim());
+  metric.AddEvaluations(
+      ForEachBlock(nl, parallel, [&](size_t first, size_t count) {
+        uint32_t c[kBlock] = {};
+        const uint64_t evals = panels.Scan(
+            left.rows().subspan(first, count), 0, nr, kKeepAll,
+            [&](size_t b, size_t j, double d_sq) {
+              if (d_sq < dc_sq) {
+                ++c[b];
+                if (both) ++counts_right[j];
+              }
+            });
+        for (size_t b = 0; b < count; ++b) counts_left[first + b] += c[b];
+        return evals;
+      }));
 }
 
 void LocalDpEngine::DeltaCross(const LocalPointView& queries,
@@ -570,22 +621,11 @@ void LocalDpEngine::DeltaCross(const LocalPointView& queries,
   KernelScope scope(obs::kSpanDeltaCross, nq + nc, options_.backend,
                     outer_metric);
   const CountingMetric& metric = scope.metric();
-  const bool kd = [&] {
-    switch (options_.backend) {
-      case LocalDpBackend::kKdTree:
-        return true;
-      case LocalDpBackend::kAuto:
-        return nc >= options_.kd_min_group &&
-               queries.dim() <= options_.kd_max_dim;
-      default:
-        return false;
-    }
-  }();
   const bool parallel = options_.parallel_min_group > 0 &&
                         nq * nc >= options_.parallel_min_group *
                                        options_.parallel_min_group;
 
-  if (kd) {
+  if (Resolve(nc, queries.dim()) == LocalDpBackend::kKdTree) {
     Result<KdTree> tree = KdTree::BuildFromRows(
         candidates.rows(), candidates.dim(), options_.kd_leaf_size);
     const KdTree& t = *tree;
@@ -611,20 +651,24 @@ void LocalDpEngine::DeltaCross(const LocalPointView& queries,
     });
     return;
   }
-  const PackedPanels panels(candidates, {});
-  metric.AddEvaluations(ForEachIndex(nq, parallel, [&](size_t k) {
-    const uint32_t rho_k = query_rho[k];
-    const PointId id_k = queries.id(k);
-    LocalDeltaBest b = best[k];
-    const uint64_t evals = panels.Scan(
-        queries.point(k).data(), 0, nc,
-        [&](size_t l) {
-          return DenserThan(candidate_rho[l], candidates.id(l), rho_k, id_k);
-        },
-        [&](size_t l, double d_sq) { b.Improve(d_sq, candidates.id(l)); });
-    best[k] = b;
-    return evals;
-  }));
+  const PackedPanels panels(candidates.rows(), candidates.dim());
+  metric.AddEvaluations(
+      ForEachBlock(nq, parallel, [&](size_t first, size_t count) {
+        const std::span<LocalDeltaBest> mine = best.subspan(first, count);
+        LocalDeltaBest block_best[kBlock];
+        std::copy(mine.begin(), mine.end(), block_best);
+        const uint64_t evals = panels.Scan(
+            queries.rows().subspan(first, count), 0, nc,
+            [&](size_t b, size_t l) {
+              return DenserThan(candidate_rho[l], candidates.id(l),
+                                query_rho[first + b], queries.id(first + b));
+            },
+            [&](size_t b, size_t l, double d_sq) {
+              block_best[b].Improve(d_sq, candidates.id(l));
+            });
+        std::copy_n(block_best, count, mine.begin());
+        return evals;
+      }));
 }
 
 void LocalDpEngine::DeltaCrossSymmetric(
@@ -635,20 +679,9 @@ void LocalDpEngine::DeltaCrossSymmetric(
   const size_t nl = left.size();
   const size_t nr = right.size();
   if (nl == 0 || nr == 0) return;
-  const bool kd = [&] {
-    switch (options_.backend) {
-      case LocalDpBackend::kKdTree:
-        return true;
-      case LocalDpBackend::kAuto:
-        // Two one-sided tree passes re-evaluate shared pairs, so they must
-        // both be large enough for pruning to beat the brute half price.
-        return std::min(nl, nr) >= options_.kd_min_group &&
-               left.dim() <= options_.kd_max_dim;
-      default:
-        return false;
-    }
-  }();
-  if (kd) {
+  // Two one-sided tree passes re-evaluate shared pairs, so they must both be
+  // large enough for pruning to beat the brute half price.
+  if (Resolve(std::min(nl, nr), left.dim()) == LocalDpBackend::kKdTree) {
     // The two one-sided passes carry their own kernel scopes.
     DeltaCross(left, rho_left, right, rho_right, outer_metric, best_left);
     DeltaCross(right, rho_right, left, rho_left, outer_metric, best_right);
@@ -659,22 +692,23 @@ void LocalDpEngine::DeltaCrossSymmetric(
   const CountingMetric& metric = scope.metric();
   // Brute: each cross pair's distance is evaluated exactly once and feeds
   // both sides — the Basic-DDP block-pair cost model.
-  const PackedPanels panels(right, {});
-  uint64_t evals = 0;
-  for (size_t i = 0; i < nl; ++i) {
-    const uint32_t rho_i = rho_left[i];
-    const PointId id_i = left.id(i);
-    evals += panels.Scan(
-        left.point(i).data(), 0, nr, kKeepAll, [&](size_t j, double d_sq) {
-          if (DenserThan(rho_right[j], right.id(j), rho_i, id_i)) {
-            best_left[i].Improve(d_sq, right.id(j));
-          }
-          if (DenserThan(rho_i, id_i, rho_right[j], right.id(j))) {
-            best_right[j].Improve(d_sq, id_i);
-          }
-        });
-  }
-  metric.AddEvaluations(evals);
+  const PackedPanels panels(right.rows(), right.dim());
+  metric.AddEvaluations(
+      ForEachBlock(nl, false, [&](size_t first, size_t count) {
+        return panels.Scan(
+            left.rows().subspan(first, count), 0, nr, kKeepAll,
+            [&](size_t b, size_t j, double d_sq) {
+              const size_t i = first + b;
+              if (DenserThan(rho_right[j], right.id(j), rho_left[i],
+                             left.id(i))) {
+                best_left[i].Improve(d_sq, right.id(j));
+              }
+              if (DenserThan(rho_left[i], left.id(i), rho_right[j],
+                             right.id(j))) {
+                best_right[j].Improve(d_sq, left.id(i));
+              }
+            });
+      }));
 }
 
 }  // namespace ddp

@@ -20,9 +20,9 @@
 /// engine — the sequential oracle over the whole dataset, LSH-DDP over
 /// bucket members, Basic-DDP over block pairs, EDDPC over Voronoi cells —
 /// so the hottest loop in the system lives in exactly one place and every
-/// acceleration (squared-distance comparisons, k-d tree queries, the
-/// centroid-projection triangle filter, thread-pool parallelism for
-/// oversized groups) benefits all of them at once.
+/// acceleration (squared-distance comparisons, the packed-panel kernel, k-d
+/// tree queries, thread-pool parallelism for oversized groups) benefits all
+/// of them at once.
 ///
 /// Determinism contract (docs/architecture.md "Local DP engine"):
 ///  * All backends compare in squared-distance space: a cutoff neighbor is
@@ -38,13 +38,12 @@ namespace ddp {
 
 /// Which local kernel implementation to run.
 enum class LocalDpBackend {
-  kAuto,            // pick by group size / dimensionality (see options)
-  kBruteForce,      // packed-panel pairwise scan over squared distances
-  kKdTree,          // k-d tree range/NN queries (low/moderate dimensions)
-  kTriangleFilter,  // centroid-projection triangle-inequality filtering
+  kAuto,        // pick by group size / dimensionality (see options)
+  kBruteForce,  // packed-panel pairwise scan over squared distances
+  kKdTree,      // k-d tree range/NN queries (low/moderate dimensions)
 };
 
-/// Stable lowercase name ("auto", "brute", "kdtree", "triangle").
+/// Stable lowercase name ("auto", "brute", "kdtree").
 const char* LocalDpBackendName(LocalDpBackend backend);
 
 /// Parses the names accepted by --local-backend.
@@ -93,19 +92,16 @@ class LocalPointView {
 struct LocalDpEngineOptions {
   LocalDpBackend backend = LocalDpBackend::kAuto;
   /// kAuto picks the k-d tree for groups of at least this size when the
-  /// dimensionality is at most kd_max_dim (space partitioning degrades to a
-  /// scan in high dimensions)...
+  /// dimensionality is at most kd_max_dim, and brute force otherwise (space
+  /// partitioning degrades to a scan in high dimensions, and the index setup
+  /// costs more than it saves on small groups).
   size_t kd_min_group = 256;
   size_t kd_max_dim = 16;
-  /// ...and otherwise the triangle filter for groups of at least this size;
-  /// smaller groups use brute force (the index/projection setup would cost
-  /// more than it saves).
-  size_t triangle_min_group = 512;
   /// Groups of at least this size spread their per-point kernel work over
   /// the process-wide thread pool. 0 disables parallelism. Parallelism never
-  /// changes results; the parallel brute/triangle rho path evaluates each
-  /// pair from both sides, so its *counted evaluations* (not results) differ
-  /// from the sequential half-loop.
+  /// changes results; the parallel brute rho path evaluates each pair from
+  /// both sides, so its *counted evaluations* (not results) differ from the
+  /// sequential half-loop.
   size_t parallel_min_group = 4096;
   size_t kd_leaf_size = 16;
 };
@@ -197,6 +193,35 @@ class LocalDpEngine {
  private:
   LocalDpEngineOptions options_;
 };
+
+namespace internal {
+
+/// The brute kernel's panel: kTile candidates stored dim-major, so
+/// coordinate d of member t sits at panel[d * kTile + t].
+inline constexpr size_t kTile = 8;
+
+/// Queries compared with one panel at once. In the AVX body, 4 queries x 2
+/// accumulators, the 2 panel rows of a dimension and 1 broadcast query
+/// coordinate fit AVX's 16 ymm registers.
+inline constexpr size_t kBlock = 4;
+
+/// The panel kernel's two bodies, declared here so a test can run both on
+/// one machine. Each sets out[b * kTile + t] to SquaredEuclidean(queries[b],
+/// member t of `panel`), bit for bit, for every b < count (1 to kBlock); the
+/// rows of `out` past count are unspecified. The engine runs
+/// PanelDistancesAvx when CpuHasAvx(), and PanelDistancesBaseline (2-lane
+/// SSE2 on x86-64) otherwise.
+void PanelDistancesBaseline(const double* const* queries, size_t count,
+                            const double* panel, size_t dim, double* out);
+#if defined(__x86_64__)
+void PanelDistancesAvx(const double* const* queries, size_t count,
+                       const double* panel, size_t dim, double* out);
+#endif
+
+/// Whether this CPU runs AVX, asked once per process (false off x86-64).
+bool CpuHasAvx();
+
+}  // namespace internal
 
 }  // namespace ddp
 

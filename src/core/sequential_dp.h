@@ -9,20 +9,18 @@
 
 /// \file sequential_dp.h
 /// The exact O(N^2) Density Peaks computation (Rodriguez & Laio, paper
-/// Sec. II-A), with the two sequential optimizations the paper mentions:
-/// sorted-rho delta scanning and triangle-inequality filtering via a pivot
-/// projection. This is the ground-truth oracle for all distributed variants
-/// and the local kernel run inside LSH buckets.
+/// Sec. II-A), with sorted-rho delta scanning, run through the LocalDpEngine
+/// (core/local_dp.h). This is the ground-truth oracle for all distributed
+/// variants and the local kernel run inside LSH buckets.
 
 namespace ddp {
 
 struct SequentialDpOptions {
   /// LocalDpEngine backend for both passes. Defaults to brute force — the
   /// oracle keeps its pinned evaluation counts (exactly n(n-1)/2 per pass)
-  /// unless acceleration is asked for: kTriangleFilter prunes with a
-  /// centroid-projection bound, kKdTree answers range and nearest-denser
-  /// queries with a k-d tree (dataset/kdtree.h; large savings in low
-  /// dimensions). Every backend gives identical results.
+  /// unless acceleration is asked for: kKdTree answers range and
+  /// nearest-denser queries with a k-d tree (dataset/kdtree.h; large savings
+  /// in low dimensions). Every backend gives identical results.
   LocalDpBackend backend = LocalDpBackend::kBruteForce;
   /// Density kernel (core/kernel.h). kGaussian yields quantized soft
   /// densities in the same uint32 domain.

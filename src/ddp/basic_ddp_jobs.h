@@ -136,7 +136,10 @@ struct BasicJobsCtx {
     DDP_RETURN_NOT_OK(r.GetVarint32(&ctx->num_blocks));
     uint8_t backend_byte = 0;
     DDP_RETURN_NOT_OK(r.GetByte(&backend_byte));
-    ctx->backend = static_cast<LocalDpBackend>(backend_byte);
+    DDP_ASSIGN_OR_RETURN(ctx->backend,
+                         jobctx::EnumFromByte(backend_byte,
+                                              LocalDpBackend::kKdTree,
+                                              "basic ctx backend"));
     DDP_ASSIGN_OR_RETURN(Dataset dataset, jobctx::DecodeDataset(&r));
     ctx->owned_dataset.emplace(std::move(dataset));
     DDP_RETURN_NOT_OK(Serde<std::vector<uint32_t>>::Read(&r, &ctx->rho));

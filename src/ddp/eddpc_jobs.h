@@ -210,7 +210,10 @@ struct EddpcJobsCtx {
     DDP_RETURN_NOT_OK(r.GetDouble(&ctx->dc));
     uint8_t backend_byte = 0;
     DDP_RETURN_NOT_OK(r.GetByte(&backend_byte));
-    ctx->backend = static_cast<LocalDpBackend>(backend_byte);
+    DDP_ASSIGN_OR_RETURN(ctx->backend,
+                         jobctx::EnumFromByte(backend_byte,
+                                              LocalDpBackend::kKdTree,
+                                              "eddpc ctx backend"));
     uint8_t filter_byte = 0;
     DDP_RETURN_NOT_OK(r.GetByte(&filter_byte));
     ctx->use_max_rho_filter = filter_byte != 0;

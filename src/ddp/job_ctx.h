@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -43,6 +44,19 @@ inline Result<Dataset> DecodeDataset(BufferReader* r) {
   std::vector<double> values;
   DDP_RETURN_NOT_OK(r->GetDoubles(&values));
   return Dataset::FromValues(static_cast<size_t>(dim), std::move(values));
+}
+
+/// The value of a decoded byte of an enum whose values run from 0 to
+/// `last`. A blob reaches a remote worker over the pool's TCP listener, so a
+/// byte past `last` is an error naming `field`, never a cast to a value the
+/// enum does not have.
+template <typename Enum>
+Result<Enum> EnumFromByte(uint8_t byte, Enum last, const char* field) {
+  if (byte > static_cast<uint8_t>(last)) {
+    return Status::IoError(std::string(field) + " byte " +
+                           std::to_string(byte) + " is out of range");
+  }
+  return static_cast<Enum>(byte);
 }
 
 inline Status ExpectExhausted(const BufferReader& r, const char* what) {

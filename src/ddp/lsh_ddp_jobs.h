@@ -124,12 +124,18 @@ struct LshJobsCtx {
     DDP_RETURN_NOT_OK(r.GetVarint64(&ctx->lsh_seed));
     uint8_t kernel_byte = 0;
     DDP_RETURN_NOT_OK(r.GetByte(&kernel_byte));
-    ctx->kernel = static_cast<DensityKernel>(kernel_byte);
+    DDP_ASSIGN_OR_RETURN(ctx->kernel,
+                         jobctx::EnumFromByte(kernel_byte,
+                                              DensityKernel::kGaussian,
+                                              "lsh ctx kernel"));
     DDP_RETURN_NOT_OK(r.GetVarint64(&ctx->probes));
     DDP_RETURN_NOT_OK(r.GetVarint64(&ctx->max_bucket));
     uint8_t backend_byte = 0;
     DDP_RETURN_NOT_OK(r.GetByte(&backend_byte));
-    ctx->backend = static_cast<LocalDpBackend>(backend_byte);
+    DDP_ASSIGN_OR_RETURN(ctx->backend,
+                         jobctx::EnumFromByte(backend_byte,
+                                              LocalDpBackend::kKdTree,
+                                              "lsh ctx backend"));
     DDP_ASSIGN_OR_RETURN(Dataset dataset, jobctx::DecodeDataset(&r));
     ctx->owned_dataset.emplace(std::move(dataset));
     DDP_RETURN_NOT_OK(

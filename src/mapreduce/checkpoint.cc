@@ -1,9 +1,12 @@
 #include "mapreduce/checkpoint.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "common/file_io.h"
 
@@ -116,23 +119,31 @@ Status CheckpointStore::SaveBytes(const std::string& key,
 
   const std::string path = PathFor(key);
   const std::string tmp = path + ".tmp";
-  // A failed save leaves nothing behind.
-  auto fail = [&tmp](const std::string& why) {
+  // A failed save leaves nothing behind, and names the errno of the call
+  // that failed: POSIX calls keep it, where a stream does not promise to.
+  auto fail = [&tmp](const std::string& why, int err) {
     std::error_code ignored;
     std::filesystem::remove(tmp, ignored);
-    return Status::IoError(why);
+    return Status::IoError(why + ": " + std::strerror(err));
   };
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return fail("cannot write checkpoint " + tmp);
-  out.write(w.data().data(), static_cast<std::streamsize>(w.size()));
-  // A payload that fits the stream's buffer fails only at the flush.
-  out.close();
-  if (!out) return fail("short write to checkpoint " + tmp);
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return fail("cannot write checkpoint " + tmp, errno);
+  const std::string& bytes = w.data();
+  for (size_t done = 0; done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const int err = errno;
+      ::close(fd);
+      return fail("short write to checkpoint " + tmp, err);
+    }
+    done += static_cast<size_t>(n);
+  }
+  if (::close(fd) != 0) return fail("cannot close checkpoint " + tmp, errno);
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return fail("cannot commit checkpoint " + path + ": " + ec.message());
-  }
+  if (ec) return fail("cannot commit checkpoint " + path, ec.value());
   return Status::OK();
 }
 

@@ -116,35 +116,6 @@ TEST(SequentialDpTest, RhoCountsEachPairOnce) {
   EXPECT_EQ(counter.value(), 100u * 99u / 2u);
 }
 
-TEST(SequentialDpTest, TriangleFilterGivesIdenticalResults) {
-  auto ds = gen::GaussianMixture(300, 4, 3, 50.0, 2.0, 13);
-  ASSERT_TRUE(ds.ok());
-  CountingMetric metric;
-  SequentialDpOptions plain;
-  SequentialDpOptions filtered;
-  filtered.backend = LocalDpBackend::kTriangleFilter;
-  auto a = ComputeExactDp(*ds, 3.0, metric, plain);
-  auto b = ComputeExactDp(*ds, 3.0, metric, filtered);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->rho, b->rho);
-  EXPECT_EQ(a->delta, b->delta);
-  EXPECT_EQ(a->upslope, b->upslope);
-}
-
-TEST(SequentialDpTest, TriangleFilterSavesDistanceComputations) {
-  // Spread clusters so the projection bound actually prunes.
-  auto ds = gen::GaussianMixture(400, 2, 4, 1000.0, 1.0, 21);
-  ASSERT_TRUE(ds.ok());
-  DistanceCounter c_plain, c_filtered;
-  SequentialDpOptions filtered;
-  filtered.backend = LocalDpBackend::kTriangleFilter;
-  ASSERT_TRUE(
-      ComputeExactRho(*ds, 2.0, CountingMetric(&c_plain), {}).ok());
-  ASSERT_TRUE(
-      ComputeExactRho(*ds, 2.0, CountingMetric(&c_filtered), filtered).ok());
-  EXPECT_LT(c_filtered.value(), c_plain.value());
-}
-
 TEST(SequentialDpTest, ExactlyOneAbsolutePeak) {
   auto ds = gen::GaussianMixture(200, 2, 3, 20.0, 1.0, 31);
   ASSERT_TRUE(ds.ok());

@@ -78,19 +78,6 @@ TEST(KernelTest, GaussianBreaksIntegerTies) {
   EXPECT_GT(soft_distinct.size(), hard_distinct.size());
 }
 
-TEST(KernelTest, TriangleFilterExactForGaussianKernel) {
-  auto ds = gen::GaussianMixture(250, 3, 4, 200.0, 1.5, 7);
-  ASSERT_TRUE(ds.ok());
-  CountingMetric metric;
-  SequentialDpOptions plain, filtered;
-  plain.kernel = filtered.kernel = DensityKernel::kGaussian;
-  filtered.backend = LocalDpBackend::kTriangleFilter;
-  auto a = ComputeExactRho(*ds, 2.0, metric, plain);
-  auto b = ComputeExactRho(*ds, 2.0, metric, filtered);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(*a, *b);  // truncation is part of the definition, so bit-equal
-}
-
 TEST(KernelTest, LocalGaussianRhoUnderestimates) {
   auto ds = gen::GaussianMixture(200, 2, 2, 20.0, 2.0, 9);
   ASSERT_TRUE(ds.ok());

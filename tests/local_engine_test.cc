@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -20,8 +23,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 constexpr LocalDpBackend kAllBackends[] = {LocalDpBackend::kBruteForce,
-                                           LocalDpBackend::kKdTree,
-                                           LocalDpBackend::kTriangleFilter};
+                                           LocalDpBackend::kKdTree};
 
 mr::Options FastMr() {
   mr::Options o;
@@ -49,18 +51,18 @@ TEST(LocalDpBackendTest, ParseRoundTrip) {
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(*a, LocalDpBackend::kAuto);
   EXPECT_FALSE(ParseLocalDpBackend("quadtree").ok());
+  EXPECT_FALSE(ParseLocalDpBackend("triangle").ok());
 }
 
 TEST(LocalDpBackendTest, AutoResolvesByGroupSizeAndDim) {
-  LocalDpEngine engine;  // defaults: kd >= 256 & dim <= 16, triangle >= 512
+  LocalDpEngine engine;  // defaults: kd >= 256 & dim <= 16, else brute
   EXPECT_EQ(engine.Resolve(10, 2), LocalDpBackend::kBruteForce);
   EXPECT_EQ(engine.Resolve(1000, 2), LocalDpBackend::kKdTree);
-  EXPECT_EQ(engine.Resolve(1000, 300), LocalDpBackend::kTriangleFilter);
+  EXPECT_EQ(engine.Resolve(1000, 300), LocalDpBackend::kBruteForce);
   EXPECT_EQ(engine.Resolve(300, 300), LocalDpBackend::kBruteForce);
   LocalDpEngineOptions pinned;
-  pinned.backend = LocalDpBackend::kTriangleFilter;
-  EXPECT_EQ(LocalDpEngine(pinned).Resolve(10, 2),
-            LocalDpBackend::kTriangleFilter);
+  pinned.backend = LocalDpBackend::kKdTree;
+  EXPECT_EQ(LocalDpEngine(pinned).Resolve(10, 300), LocalDpBackend::kKdTree);
 }
 
 // --------------------------------------------- Cross-backend equivalence
@@ -190,11 +192,13 @@ TEST(LocalEngineEquivalenceTest, ExactAlgorithmsMatchOracleUnderAllBackends) {
 
 // ------------------------------------- Packed-panel kernel vs scalar loops
 
-// The engine compares one query with panels of 8 candidates at once. These
-// tests pin it to a plain per-pair SquaredEuclidean loop written here, in the
-// engine's documented order: outputs bit for bit, and counted evaluations
-// exactly (the trip count of the pairs each backend evaluates). Group sizes
-// straddle the 8-member panel and the kd/triangle/parallel thresholds.
+// The engine compares blocks of up to 4 queries with panels of 8 candidates
+// at once. These tests pin it to a plain per-pair SquaredEuclidean loop
+// written here, in the engine's documented order: outputs bit for bit, and
+// counted evaluations exactly (the trip count of the pairs each backend
+// evaluates). Group sizes straddle the 4-query block, the 8-member panel and
+// the kd/parallel thresholds. They run whichever kernel body the CPU picks;
+// BothBodiesMatchScalarDistances runs each body.
 constexpr size_t kPanelSizes[] = {0,  1,  2,  7,  8,   9,   15, 16,
                                   17, 63, 64, 65, 511, 512, 513};
 constexpr size_t kPanelDims[] = {1, 2, 3, 74, 300};
@@ -226,21 +230,18 @@ double GridDc(size_t dim) { return 0.9 * std::sqrt(static_cast<double>(dim)); }
 
 struct ScalarRho {
   std::vector<uint32_t> rho;
-  uint64_t pair_evals = 0;  // sequential half-loop, filtered pairs only
+  uint64_t pair_evals = 0;  // sequential half-loop
 };
 
-// `proj` empty: brute force; otherwise the triangle filter's projections.
 ScalarRho ScalarRhoOf(const LocalPointView& view, double dc,
-                      DensityKernel kernel, const std::vector<double>& proj) {
+                      DensityKernel kernel) {
   const size_t n = view.size();
   const bool gaussian = kernel == DensityKernel::kGaussian;
-  const double reach = gaussian ? kGaussianKernelCut * dc : dc;
   ScalarRho out;
   out.rho.assign(n, 0);
   std::vector<double> soft(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (!proj.empty() && std::abs(proj[i] - proj[j]) >= reach) continue;
       ++out.pair_evals;
       const double d_sq = SquaredEuclidean(view.point(i), view.point(j));
       if (gaussian) {
@@ -265,8 +266,7 @@ struct ScalarDelta {
 };
 
 ScalarDelta ScalarDeltaOf(const LocalPointView& view,
-                          const std::vector<uint32_t>& rho,
-                          const std::vector<double>& proj) {
+                          const std::vector<uint32_t>& rho) {
   const size_t n = view.size();
   ScalarDelta out;
   out.scores.delta.assign(n, kInf);
@@ -282,10 +282,6 @@ ScalarDelta ScalarDeltaOf(const LocalPointView& view,
     LocalDeltaBest best;
     for (size_t s = 0; s < r; ++s) {
       const size_t l = order[s];
-      if (!proj.empty()) {
-        const double gap = std::abs(proj[k] - proj[l]);
-        if (gap * gap > best.d_sq) continue;
-      }
       ++out.evals;
       best.Improve(SquaredEuclidean(view.point(k), view.point(l)),
                    view.id(l));
@@ -298,37 +294,16 @@ ScalarDelta ScalarDeltaOf(const LocalPointView& view,
   return out;
 }
 
-// The triangle filter's pivot: each member's distance to the group centroid.
-std::vector<double> CentroidDistances(const LocalPointView& view) {
-  std::vector<double> centroid(view.dim(), 0.0);
-  for (size_t k = 0; k < view.size(); ++k) {
-    for (size_t d = 0; d < view.dim(); ++d) centroid[d] += view.point(k)[d];
-  }
-  for (double& c : centroid) c /= static_cast<double>(view.size());
-  std::vector<double> proj(view.size());
-  for (size_t k = 0; k < view.size(); ++k) {
-    proj[k] = Euclidean(view.point(k), centroid);
-  }
-  return proj;
-}
-
 TEST(PanelKernelTest, RhoAndDeltaMatchScalarLoops) {
   for (size_t dim : kPanelDims) {
     for (size_t n : kPanelSizes) {
       Dataset ds = GridPoints(n, dim, 1000 * dim + n);
       LocalPointView view = LocalPointView::AllOf(ds);
       const double dc = GridDc(dim);
-      const std::vector<double> no_proj;
-      const std::vector<double> proj =
-          n > 0 ? CentroidDistances(view) : no_proj;
       for (DensityKernel kernel :
            {DensityKernel::kCutoff, DensityKernel::kGaussian}) {
-        const ScalarRho brute_rho = ScalarRhoOf(view, dc, kernel, no_proj);
-        const ScalarRho tri_rho = ScalarRhoOf(view, dc, kernel, proj);
-        ASSERT_EQ(tri_rho.rho, brute_rho.rho);
-        const ScalarDelta brute_delta = ScalarDeltaOf(view, brute_rho.rho,
-                                                      no_proj);
-        const ScalarDelta tri_delta = ScalarDeltaOf(view, brute_rho.rho, proj);
+        const ScalarRho brute_rho = ScalarRhoOf(view, dc, kernel);
+        const ScalarDelta brute_delta = ScalarDeltaOf(view, brute_rho.rho);
         for (LocalDpBackend backend : kAllBackends) {
           uint64_t kd_evals[2] = {0, 0};
           for (size_t parallel_min : {0u, 32u}) {
@@ -362,18 +337,6 @@ TEST(PanelKernelTest, RhoAndDeltaMatchScalarLoops) {
                     << where;
                 EXPECT_EQ(delta_counter.value(), brute_delta.evals) << where;
                 break;
-              case LocalDpBackend::kTriangleFilter: {
-                // Plus one projection per member, on every call with n > 0
-                // (Delta returns early below two members).
-                const uint64_t rho_proj = n;
-                const uint64_t delta_proj = n > 1 ? n : 0;
-                EXPECT_EQ(rho_counter.value(),
-                          rho_proj + rho_factor * tri_rho.pair_evals)
-                    << where;
-                EXPECT_EQ(delta_counter.value(), delta_proj + tri_delta.evals)
-                    << where;
-                break;
-              }
               default:
                 // The tree prunes, so only its stability is pinned here:
                 // per-query counts never depend on the parallel path.
@@ -503,6 +466,62 @@ TEST(PanelKernelTest, CrossKernelsMatchScalarLoops) {
       }
     }
   }
+}
+
+// Each kernel body, run directly on random panels, against scalar
+// SquaredEuclidean: every lane of every query of a block of 1 to 4, bit for
+// bit. A body that fused the multiply and add would differ in the last bits.
+using PanelBody = void (*)(const double* const*, size_t, const double*,
+                           size_t, double*);
+
+void ExpectBodyMatchesScalar(PanelBody body, const char* name) {
+  using internal::kBlock;
+  using internal::kTile;
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> coord(-4.0, 4.0);
+  for (size_t dim : {1u, 2u, 3u, 7u, 8u, 9u, 74u, 300u}) {
+    for (size_t count = 1; count <= kBlock; ++count) {
+      std::vector<std::vector<double>> members(kTile, std::vector<double>(dim));
+      std::vector<double> panel(kTile * dim);
+      for (size_t t = 0; t < kTile; ++t) {
+        for (size_t d = 0; d < dim; ++d) {
+          members[t][d] = coord(rng);
+          panel[d * kTile + t] = members[t][d];
+        }
+      }
+      std::vector<std::vector<double>> queries(count,
+                                               std::vector<double>(dim));
+      std::vector<const double*> rows;
+      for (std::vector<double>& q : queries) {
+        for (double& x : q) x = coord(rng);
+        rows.push_back(q.data());
+      }
+      std::vector<double> out(kBlock * kTile,
+                              std::numeric_limits<double>::quiet_NaN());
+      body(rows.data(), count, panel.data(), dim, out.data());
+      for (size_t b = 0; b < count; ++b) {
+        for (size_t t = 0; t < kTile; ++t) {
+          const double want = SquaredEuclidean(queries[b], members[t]);
+          EXPECT_EQ(std::bit_cast<uint64_t>(out[b * kTile + t]),
+                    std::bit_cast<uint64_t>(want))
+              << name << " dim=" << dim << " count=" << count << " query=" << b
+              << " lane=" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(PanelKernelTest, BothBodiesMatchScalarDistances) {
+  ExpectBodyMatchesScalar(&internal::PanelDistancesBaseline, "baseline");
+#if defined(__x86_64__)
+  if (!internal::CpuHasAvx()) {
+    GTEST_SKIP() << "no AVX on this CPU; only the baseline body ran";
+  }
+  ExpectBodyMatchesScalar(&internal::PanelDistancesAvx, "avx");
+#else
+  GTEST_SKIP() << "the AVX body is compiled only on x86-64";
+#endif
 }
 
 // ------------------------------------------------------------ Edge cases

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -970,10 +972,10 @@ std::vector<std::string> FilesIn(const std::string& dir) {
 }
 
 // A disk that refuses a checkpoint write. With SIGXFSZ ignored and a soft
-// RLIMIT_FSIZE of 100 bytes, a 500-byte save fails only when the stream
-// flushes at its close, and a 5,000-byte one at its write. Both report the
-// failure and leave neither an entry nor a .tmp behind, and an entry saved
-// before the limit still loads.
+// RLIMIT_FSIZE of 100 bytes, a 500-byte and a 5,000-byte save both get
+// EFBIG once their write reaches the limit. Both report the failure with
+// its errno text and leave neither an entry nor a .tmp behind, and an entry
+// saved before the limit still loads.
 TEST_F(CheckpointTest, FailedWriteIsReportedAndLeavesNothing) {
   CheckpointStore store(dir_);
   ASSERT_TRUE(store.SaveBytes("kept", "saved before the limit").ok());
@@ -991,6 +993,10 @@ TEST_F(CheckpointTest, FailedWriteIsReportedAndLeavesNothing) {
   std::signal(SIGXFSZ, saved_handler);
   EXPECT_TRUE(small.IsIoError()) << small.ToString();
   EXPECT_TRUE(large.IsIoError()) << large.ToString();
+  EXPECT_NE(small.message().find(std::strerror(EFBIG)), std::string::npos)
+      << small.ToString();
+  EXPECT_NE(large.message().find(std::strerror(EFBIG)), std::string::npos)
+      << large.ToString();
   EXPECT_FALSE(store.Has("k500"));
   EXPECT_FALSE(store.Has("k5000"));
   EXPECT_EQ(FilesIn(dir_), std::vector<std::string>{"kept.ckpt"});

@@ -9,9 +9,11 @@
 #include "core/sequential_dp.h"
 #include "dataset/generators.h"
 #include "ddp/basic_ddp.h"
+#include "ddp/basic_ddp_jobs.h"
 #include "ddp/eddpc_jobs.h"
 #include "ddp/records.h"
 #include "ddp/lsh_ddp.h"
+#include "ddp/lsh_ddp_jobs.h"
 #include "ddp/pipeline_jobs.h"
 #include "eval/tau.h"
 #include "lsh/partitioner.h"
@@ -396,6 +398,67 @@ TEST(DecoderBoundTest, AssignJumpCtxRejectsCountsAboveRemainingBytes) {
   EXPECT_TRUE(pipejobs::AssignJumpCtx::DecodeNew(huge_parent.data())
                   .status()
                   .IsIoError());
+}
+
+// The job-context decoders read each enum from one byte. A byte past the
+// enum's last value is refused, never cast to a backend or kernel that does
+// not exist.
+TEST(DecoderBoundTest, CtxDecodersRejectOutOfRangeEnumBytes) {
+  const Dataset dataset =
+      Dataset::FromValues(2, {0.0, 1.0, 2.0, 3.0}).ValueOrDie();
+  auto lsh_blob = [&](uint8_t kernel, uint8_t backend) {
+    lshjobs::LshJobsCtx ctx;
+    ctx.dc = 1.0;
+    ctx.num_layouts = 1;
+    ctx.pi = 1;
+    ctx.width = 1.0;
+    ctx.kernel = static_cast<DensityKernel>(kernel);
+    ctx.backend = static_cast<LocalDpBackend>(backend);
+    ctx.dataset = &dataset;
+    BufferWriter w;
+    ctx.EncodeTo(&w);
+    return w.Release();
+  };
+  auto basic_blob = [&](uint8_t backend) {
+    basicjobs::BasicJobsCtx ctx;
+    ctx.dc = 1.0;
+    ctx.num_blocks = 1;
+    ctx.backend = static_cast<LocalDpBackend>(backend);
+    ctx.dataset = &dataset;
+    BufferWriter w;
+    ctx.EncodeTo(&w);
+    return w.Release();
+  };
+  auto eddpc_blob = [&](uint8_t backend) {
+    eddpcjobs::EddpcJobsCtx ctx;
+    ctx.dc = 1.0;
+    ctx.backend = static_cast<LocalDpBackend>(backend);
+    ctx.dataset = &dataset;
+    BufferWriter w;
+    ctx.EncodeTo(&w);
+    return w.Release();
+  };
+  const uint8_t kdtree = static_cast<uint8_t>(LocalDpBackend::kKdTree);
+  const uint8_t gaussian = static_cast<uint8_t>(DensityKernel::kGaussian);
+  EXPECT_TRUE(lshjobs::LshJobsCtx::DecodeNew(lsh_blob(gaussian, kdtree)).ok());
+  EXPECT_TRUE(basicjobs::BasicJobsCtx::DecodeNew(basic_blob(kdtree)).ok());
+  EXPECT_TRUE(eddpcjobs::EddpcJobsCtx::DecodeNew(eddpc_blob(kdtree)).ok());
+  for (uint8_t backend : {3, 255}) {
+    Status lsh = lshjobs::LshJobsCtx::DecodeNew(lsh_blob(0, backend)).status();
+    Status basic =
+        basicjobs::BasicJobsCtx::DecodeNew(basic_blob(backend)).status();
+    Status eddpc =
+        eddpcjobs::EddpcJobsCtx::DecodeNew(eddpc_blob(backend)).status();
+    for (const Status& s : {lsh, basic, eddpc}) {
+      EXPECT_TRUE(s.IsIoError()) << int{backend} << ": " << s.ToString();
+      EXPECT_NE(s.message().find("backend"), std::string::npos)
+          << s.ToString();
+    }
+  }
+  Status kernel = lshjobs::LshJobsCtx::DecodeNew(lsh_blob(2, 0)).status();
+  EXPECT_TRUE(kernel.IsIoError()) << kernel.ToString();
+  EXPECT_NE(kernel.message().find("kernel"), std::string::npos)
+      << kernel.ToString();
 }
 
 TEST(DecoderBoundTest, CentroidPartialRejectsSumCountAboveRemainingBytes) {

@@ -65,20 +65,6 @@ TEST_P(GeneratorFamilyTest, KdTreeRhoMatchesScanAtChosenCutoff) {
   EXPECT_EQ(*a, *b);
 }
 
-TEST_P(GeneratorFamilyTest, TriangleFilterMatchesScanAtChosenCutoff) {
-  Dataset ds = Make();
-  CountingMetric metric;
-  double dc = std::move(ChooseCutoff(ds, metric)).ValueOrDie();
-  SequentialDpOptions plain, filtered;
-  filtered.backend = LocalDpBackend::kTriangleFilter;
-  auto a = ComputeExactDp(ds, dc, metric, plain);
-  auto b = ComputeExactDp(ds, dc, metric, filtered);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->rho, b->rho);
-  EXPECT_EQ(a->delta, b->delta);
-  EXPECT_EQ(a->upslope, b->upslope);
-}
-
 TEST_P(GeneratorFamilyTest, CutoffSamplerIsStableAcrossSeeds) {
   // Different sampling seeds must land in the same ballpark (the percentile
   // of a fixed distribution).

@@ -19,7 +19,7 @@
 //   --percentile P               cutoff percentile (default 0.02)
 //   --kernel cutoff|gaussian     density kernel (lsh/seq only)
 //   --local-backend B            local rho/delta kernel backend:
-//                                auto|brute|kdtree|triangle (default auto;
+//                                auto|brute|kdtree (default auto;
 //                                bit-identical results, different cost)
 //   --block N                    Basic-DDP block size (default 500)
 //   --memory-budget B            out-of-core execution: spill map output to
@@ -101,7 +101,7 @@ int Usage() {
       "  ddp_cli cluster <in> [--algo lsh|basic|eddpc|seq] [--k N]\n"
       "          [--rho X --delta Y] [--accuracy A] [--m M] [--pi P]\n"
       "          [--dc D] [--percentile P] [--kernel cutoff|gaussian]\n"
-      "          [--local-backend auto|brute|kdtree|triangle]\n"
+      "          [--local-backend auto|brute|kdtree]\n"
       "          [--memory-budget BYTES] [--spill-dir DIR]\n"
       "          [--block N] [--halo] [--graph FILE] [--out FILE]\n"
       "          [--trace-out FILE] [--metrics-out FILE] [--stats-out FILE]\n"
