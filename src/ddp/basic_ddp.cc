@@ -1,11 +1,11 @@
 #include "ddp/basic_ddp.h"
 
-#include <cmath>
 #include <memory>
 #include <numeric>
 #include <vector>
 
 #include "ddp/basic_ddp_jobs.h"
+#include "ddp/records.h"
 
 namespace ddp {
 
@@ -61,7 +61,7 @@ Result<DpScores> BasicDdp::ComputeScores(const Dataset& dataset, double dc,
   partials.shrink_to_fit();
 
   std::vector<uint32_t> rho(n_points, 0);
-  for (const basicjobs::BasicRhoPartial& p : rho_final) rho[p.first] = p.second;
+  DDP_RETURN_NOT_OK(ddprec::AssembleRho(rho_final, rho_agg.name, &rho));
 
   // ---- Job 3: delta candidates. Same routing; values carry rho.
   auto delta_ctx = make_ctx();
@@ -84,14 +84,10 @@ Result<DpScores> BasicDdp::ComputeScores(const Dataset& dataset, double dc,
   DpScores scores;
   scores.Resize(n_points);
   scores.rho = std::move(rho);
-  for (const basicjobs::BasicDeltaOut& d : delta_final) {
-    // ddp-lint: allow(no-raw-sqrt) -- final assembly: one sqrt per point
-    // when delta_sq leaves the shuffled squared-space representation.
-    scores.delta[d.first] = std::sqrt(d.second.delta_sq);
-    scores.upslope[d.first] = d.second.upslope;
-  }
   // Points without candidates keep delta = +inf / invalid upslope: exactly
   // the absolute density peak.
+  DDP_RETURN_NOT_OK(
+      ddprec::AssembleDeltas(delta_final, delta_agg.name, &scores));
   return scores;
 }
 

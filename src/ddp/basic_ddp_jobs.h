@@ -36,14 +36,8 @@ struct BlockedPoint {
   uint32_t block = 0;
   ddprec::ScoredPointRecord point;  // rho unused (0) in the rho job
 
-  void SerializeTo(BufferWriter* w) const {
-    w->PutVarint32(block);
-    point.SerializeTo(w);
-  }
-  static Status DeserializeFrom(BufferReader* r, BlockedPoint* out) {
-    DDP_RETURN_NOT_OK(r->GetVarint32(&out->block));
-    return ddprec::ScoredPointRecord::DeserializeFrom(r, &out->point);
-  }
+  template <typename S>
+  static auto Fields(S& s) { return FieldRefs(s.block, s.point); }
   bool operator==(const BlockedPoint&) const = default;
 };
 
@@ -102,17 +96,11 @@ inline LocalPointView BlockView(
 
 /// Everything the Basic-DDP job closures read. `rho` is empty for the rho
 /// jobs and carries the summed densities for the delta job.
-struct BasicJobsCtx {
+struct BasicJobsCtx : jobctx::DatasetCtx {
   double dc = 0.0;
   uint32_t num_blocks = 0;
   LocalDpBackend backend = LocalDpBackend::kAuto;
   std::vector<uint32_t> rho;
-
-  const Dataset* dataset = nullptr;
-  const CountingMetric* metric = nullptr;
-
-  std::optional<Dataset> owned_dataset;
-  CountingMetric owned_metric;  // null counter: workers do not count
 
   LocalDpEngine Engine() const {
     LocalDpEngineOptions options;
@@ -120,32 +108,19 @@ struct BasicJobsCtx {
     return LocalDpEngine(options);
   }
 
-  void EncodeTo(BufferWriter* w) const {
-    w->PutDouble(dc);
-    w->PutVarint32(num_blocks);
-    w->PutByte(static_cast<uint8_t>(backend));
-    jobctx::EncodeDataset(w, *dataset);
-    Serde<std::vector<uint32_t>>::Write(w, rho);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.dc, s.num_blocks, s.backend, jobctx::DatasetField(s),
+                     s.rho);
   }
 
   static Result<std::shared_ptr<const BasicJobsCtx>> DecodeNew(
       const std::string& blob) {
-    auto ctx = std::make_shared<BasicJobsCtx>();
-    BufferReader r(blob);
-    DDP_RETURN_NOT_OK(r.GetDouble(&ctx->dc));
-    DDP_RETURN_NOT_OK(r.GetVarint32(&ctx->num_blocks));
-    uint8_t backend_byte = 0;
-    DDP_RETURN_NOT_OK(r.GetByte(&backend_byte));
-    DDP_ASSIGN_OR_RETURN(ctx->backend,
-                         jobctx::EnumFromByte(backend_byte,
-                                              LocalDpBackend::kKdTree,
-                                              "basic ctx backend"));
-    DDP_ASSIGN_OR_RETURN(Dataset dataset, jobctx::DecodeDataset(&r));
-    ctx->owned_dataset.emplace(std::move(dataset));
-    DDP_RETURN_NOT_OK(Serde<std::vector<uint32_t>>::Read(&r, &ctx->rho));
-    DDP_RETURN_NOT_OK(jobctx::ExpectExhausted(r, "basic"));
-    ctx->dataset = &*ctx->owned_dataset;
-    ctx->metric = &ctx->owned_metric;
+    DDP_ASSIGN_OR_RETURN(auto ctx,
+                         jobctx::DecodeFields<BasicJobsCtx>(blob, "basic"));
+    DDP_RETURN_NOT_OK(jobctx::CheckEnum(ctx->backend, LocalDpBackend::kKdTree,
+                                        "basic ctx backend"));
+    ctx->UseOwned();
     return std::shared_ptr<const BasicJobsCtx>(std::move(ctx));
   }
 };
@@ -158,7 +133,7 @@ MakeBasicRhoLocalJob(std::shared_ptr<const BasicJobsCtx> ctx) {
   mr::JobSpec<PointId, uint32_t, BlockedPoint, BasicRhoPartial> job;
   job.name = "basic-rho-local";
   job.remote_task_id = "basic-rho-local";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const PointId& id, mr::Emitter<uint32_t, BlockedPoint>* out) {
     std::span<const double> p = ctx->dataset->point(id);
     BlockedPoint rec;
@@ -241,7 +216,7 @@ MakeBasicDeltaLocalJob(std::shared_ptr<const BasicJobsCtx> ctx) {
   mr::JobSpec<PointId, uint32_t, BlockedPoint, BasicDeltaOut> job;
   job.name = "basic-delta-local";
   job.remote_task_id = "basic-delta-local";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const PointId& id, mr::Emitter<uint32_t, BlockedPoint>* out) {
     std::span<const double> p = ctx->dataset->point(id);
     BlockedPoint rec;

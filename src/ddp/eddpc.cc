@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "ddp/eddpc_jobs.h"
+#include "ddp/records.h"
 
 namespace ddp {
 
@@ -75,28 +76,15 @@ Result<DpScores> Eddpc::ComputeScores(const Dataset& dataset, double dc,
   homes.clear();
   homes.shrink_to_fit();
 
-  std::vector<double> cell_radius(num_pivots, 0.0);
-  std::vector<uint32_t> cell_max_rho(num_pivots, 0);
-  std::vector<uint8_t> cell_nonempty(num_pivots, 0);
+  // Job 3's ctx carries the cell statistics job 2 produced.
+  auto refine_ctx = make_ctx();
   std::vector<eddpcjobs::BoundInfo> bounds;
-  bounds.reserve(n_points);
-  for (const eddpcjobs::BoundOrStats& b : bounds_and_stats) {
-    if (b.is_stats) {
-      cell_radius[b.cell] = b.radius;
-      cell_max_rho[b.cell] = b.max_rho;
-      cell_nonempty[b.cell] = 1;
-    } else {
-      bounds.push_back(b.bound);
-    }
-  }
+  DDP_RETURN_NOT_OK(eddpcjobs::SplitBoundsAndStats(
+      bounds_and_stats, n_points, bound_job.name, refine_ctx.get(), &bounds));
   bounds_and_stats.clear();
   bounds_and_stats.shrink_to_fit();
 
   // ---- Job 3: cross-cell delta refinement with radius/max-rho filtering.
-  auto refine_ctx = make_ctx();
-  refine_ctx->cell_radius = cell_radius;
-  refine_ctx->cell_max_rho = cell_max_rho;
-  refine_ctx->cell_nonempty = cell_nonempty;
   auto refine_job = eddpcjobs::MakeEddpcDeltaRefineJob(std::move(refine_ctx));
   DDP_ASSIGN_OR_RETURN(
       std::vector<eddpcjobs::EddpcDeltaOut> refinements,
@@ -125,12 +113,8 @@ Result<DpScores> Eddpc::ComputeScores(const Dataset& dataset, double dc,
   DpScores scores;
   scores.Resize(n_points);
   for (const eddpcjobs::BoundInfo& b : bounds) scores.rho[b.id] = b.rho;
-  for (const eddpcjobs::EddpcDeltaOut& d : delta_final) {
-    // ddp-lint: allow(no-raw-sqrt) -- final assembly: one sqrt per point
-    // when delta_sq leaves the shuffled squared-space representation.
-    scores.delta[d.first] = std::sqrt(d.second.delta_sq);
-    scores.upslope[d.first] = d.second.upslope;
-  }
+  DDP_RETURN_NOT_OK(
+      ddprec::AssembleDeltas(delta_final, agg_job.name, &scores));
   return scores;
 }
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -38,20 +39,16 @@ struct CellPoint {
   uint8_t is_support = 0;
   ddprec::PointRecord point;
 
-  void SerializeTo(BufferWriter* w) const {
-    w->PutByte(is_support);
-    point.SerializeTo(w);
-  }
-  static Status DeserializeFrom(BufferReader* r, CellPoint* out) {
-    DDP_RETURN_NOT_OK(r->GetByte(&out->is_support));
-    return ddprec::PointRecord::DeserializeFrom(r, &out->point);
-  }
+  template <typename S>
+  static auto Fields(S& s) { return FieldRefs(AsByte(s.is_support), s.point); }
   bool operator==(const CellPoint&) const = default;
 };
 
 // Job 3 intermediate: a cell member (comparison target) or a delta query.
 // Queries carry their squared within-cell bound — the engine's canonical
-// comparison space — as the refinement seed.
+// comparison space — as the refinement seed. The one hand-written codec:
+// whether delta_ub_sq is on the wire depends on is_query, so no field list
+// can say it.
 struct MemberOrQuery {
   uint8_t is_query = 0;
   PointId id = 0;
@@ -78,7 +75,7 @@ struct MemberOrQuery {
 };
 
 // Per-point state threaded between jobs. Never shuffled, but it is a reduce
-// output type, so it carries member serde: that is what lets the jobs
+// output type, so it names its wire fields: that is what lets the jobs
 // producing it run their reduce phase in forked (and remote) workers, and
 // be checkpoint-replayable.
 struct HomeInfo {
@@ -86,16 +83,8 @@ struct HomeInfo {
   uint32_t rho = 0;
   uint32_t cell = 0;
 
-  void SerializeTo(BufferWriter* w) const {
-    w->PutVarint32(id);
-    w->PutVarint32(rho);
-    w->PutVarint32(cell);
-  }
-  static Status DeserializeFrom(BufferReader* r, HomeInfo* out) {
-    DDP_RETURN_NOT_OK(r->GetVarint32(&out->id));
-    DDP_RETURN_NOT_OK(r->GetVarint32(&out->rho));
-    return r->GetVarint32(&out->cell);
-  }
+  template <typename S>
+  static auto Fields(S& s) { return FieldRefs(s.id, s.rho, s.cell); }
 };
 
 struct BoundInfo {
@@ -106,21 +95,9 @@ struct BoundInfo {
   double delta_ub_sq = kEddpcInf;  // squared space, the refinement seed
   PointId upslope = kInvalidPointId;
 
-  void SerializeTo(BufferWriter* w) const {
-    w->PutVarint32(id);
-    w->PutVarint32(rho);
-    w->PutVarint32(cell);
-    w->PutDouble(delta_ub);
-    w->PutDouble(delta_ub_sq);
-    w->PutVarint32(upslope);
-  }
-  static Status DeserializeFrom(BufferReader* r, BoundInfo* out) {
-    DDP_RETURN_NOT_OK(r->GetVarint32(&out->id));
-    DDP_RETURN_NOT_OK(r->GetVarint32(&out->rho));
-    DDP_RETURN_NOT_OK(r->GetVarint32(&out->cell));
-    DDP_RETURN_NOT_OK(r->GetDouble(&out->delta_ub));
-    DDP_RETURN_NOT_OK(r->GetDouble(&out->delta_ub_sq));
-    return r->GetVarint32(&out->upslope);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.id, s.rho, s.cell, s.delta_ub, s.delta_ub_sq, s.upslope);
   }
 };
 
@@ -132,21 +109,9 @@ struct BoundOrStats {
   double radius = 0.0;   // max distance member -> pivot
   uint32_t max_rho = 0;  // densest member
 
-  void SerializeTo(BufferWriter* w) const {
-    w->PutByte(is_stats ? 1 : 0);
-    bound.SerializeTo(w);
-    w->PutVarint32(cell);
-    w->PutDouble(radius);
-    w->PutVarint32(max_rho);
-  }
-  static Status DeserializeFrom(BufferReader* r, BoundOrStats* out) {
-    uint8_t s = 0;
-    DDP_RETURN_NOT_OK(r->GetByte(&s));
-    out->is_stats = s != 0;
-    DDP_RETURN_NOT_OK(BoundInfo::DeserializeFrom(r, &out->bound));
-    DDP_RETURN_NOT_OK(r->GetVarint32(&out->cell));
-    DDP_RETURN_NOT_OK(r->GetDouble(&out->radius));
-    return r->GetVarint32(&out->max_rho);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.is_stats, s.bound, s.cell, s.radius, s.max_rho);
   }
 };
 
@@ -156,7 +121,7 @@ using EddpcDeltaOut = std::pair<PointId, ddprec::DeltaCandidate>;
 /// driver and shipped verbatim (the worker must never re-sample); the
 /// cell_* vectors are empty until the driver fills them between jobs 2 and
 /// 3 for the refine job.
-struct EddpcJobsCtx {
+struct EddpcJobsCtx : jobctx::DatasetCtx {
   double dc = 0.0;
   LocalDpBackend backend = LocalDpBackend::kAuto;
   bool use_max_rho_filter = true;
@@ -164,12 +129,6 @@ struct EddpcJobsCtx {
   std::vector<double> cell_radius;
   std::vector<uint32_t> cell_max_rho;
   std::vector<uint8_t> cell_nonempty;  // vector<bool> has no spanable form
-
-  const Dataset* dataset = nullptr;
-  const CountingMetric* metric = nullptr;
-
-  std::optional<Dataset> owned_dataset;
-  CountingMetric owned_metric;  // null counter: workers do not count
 
   uint32_t p_count() const { return static_cast<uint32_t>(pivots.size()); }
 
@@ -192,47 +151,50 @@ struct EddpcJobsCtx {
     return home;
   }
 
-  void EncodeTo(BufferWriter* w) const {
-    w->PutDouble(dc);
-    w->PutByte(static_cast<uint8_t>(backend));
-    w->PutByte(use_max_rho_filter ? 1 : 0);
-    Serde<std::vector<std::vector<double>>>::Write(w, pivots);
-    Serde<std::vector<double>>::Write(w, cell_radius);
-    Serde<std::vector<uint32_t>>::Write(w, cell_max_rho);
-    Serde<std::vector<uint8_t>>::Write(w, cell_nonempty);
-    jobctx::EncodeDataset(w, *dataset);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.dc, s.backend, s.use_max_rho_filter, s.pivots,
+                     s.cell_radius, s.cell_max_rho, s.cell_nonempty,
+                     jobctx::DatasetField(s));
   }
 
   static Result<std::shared_ptr<const EddpcJobsCtx>> DecodeNew(
       const std::string& blob) {
-    auto ctx = std::make_shared<EddpcJobsCtx>();
-    BufferReader r(blob);
-    DDP_RETURN_NOT_OK(r.GetDouble(&ctx->dc));
-    uint8_t backend_byte = 0;
-    DDP_RETURN_NOT_OK(r.GetByte(&backend_byte));
-    DDP_ASSIGN_OR_RETURN(ctx->backend,
-                         jobctx::EnumFromByte(backend_byte,
-                                              LocalDpBackend::kKdTree,
-                                              "eddpc ctx backend"));
-    uint8_t filter_byte = 0;
-    DDP_RETURN_NOT_OK(r.GetByte(&filter_byte));
-    ctx->use_max_rho_filter = filter_byte != 0;
-    DDP_RETURN_NOT_OK(
-        Serde<std::vector<std::vector<double>>>::Read(&r, &ctx->pivots));
-    DDP_RETURN_NOT_OK(
-        Serde<std::vector<double>>::Read(&r, &ctx->cell_radius));
-    DDP_RETURN_NOT_OK(
-        Serde<std::vector<uint32_t>>::Read(&r, &ctx->cell_max_rho));
-    DDP_RETURN_NOT_OK(
-        Serde<std::vector<uint8_t>>::Read(&r, &ctx->cell_nonempty));
-    DDP_ASSIGN_OR_RETURN(Dataset dataset, jobctx::DecodeDataset(&r));
-    ctx->owned_dataset.emplace(std::move(dataset));
-    DDP_RETURN_NOT_OK(jobctx::ExpectExhausted(r, "eddpc"));
-    ctx->dataset = &*ctx->owned_dataset;
-    ctx->metric = &ctx->owned_metric;
+    DDP_ASSIGN_OR_RETURN(auto ctx,
+                         jobctx::DecodeFields<EddpcJobsCtx>(blob, "eddpc"));
+    DDP_RETURN_NOT_OK(jobctx::CheckEnum(ctx->backend, LocalDpBackend::kKdTree,
+                                        "eddpc ctx backend"));
+    ctx->UseOwned();
     return std::shared_ptr<const EddpcJobsCtx>(std::move(ctx));
   }
 };
+
+/// Splits job 2's output into the per-point `bounds` and the per-cell
+/// statistics job 3 filters by, which it writes into `refine`, whose
+/// pivots name the cells. Ids come from workers: a cell past the pivots or
+/// a point at or past `n` fails naming `job`.
+inline Status SplitBoundsAndStats(std::span<const BoundOrStats> out, size_t n,
+                                  const std::string& job,
+                                  EddpcJobsCtx* refine,
+                                  std::vector<BoundInfo>* bounds) {
+  const size_t cells = refine->pivots.size();
+  refine->cell_radius.assign(cells, 0.0);
+  refine->cell_max_rho.assign(cells, 0);
+  refine->cell_nonempty.assign(cells, 0);
+  bounds->reserve(n);
+  for (const BoundOrStats& b : out) {
+    if (b.is_stats) {
+      DDP_RETURN_NOT_OK(ddprec::CheckId(b.cell, cells, "cell", job));
+      refine->cell_radius[b.cell] = b.radius;
+      refine->cell_max_rho[b.cell] = b.max_rho;
+      refine->cell_nonempty[b.cell] = 1;
+    } else {
+      DDP_RETURN_NOT_OK(ddprec::CheckId(b.bound.id, n, "point", job));
+      bounds->push_back(b.bound);
+    }
+  }
+  return Status::OK();
+}
 
 /// Job 1: exact rho via home + 2*d_c support replication.
 inline mr::JobSpec<PointId, uint32_t, CellPoint, HomeInfo> MakeEddpcRhoJob(
@@ -240,7 +202,7 @@ inline mr::JobSpec<PointId, uint32_t, CellPoint, HomeInfo> MakeEddpcRhoJob(
   mr::JobSpec<PointId, uint32_t, CellPoint, HomeInfo> job;
   job.name = "eddpc-rho";
   job.remote_task_id = "eddpc-rho";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const PointId& id, mr::Emitter<uint32_t, CellPoint>* out) {
     std::span<const double> p = ctx->dataset->point(id);
     std::vector<double> dist;
@@ -284,7 +246,7 @@ MakeEddpcDeltaBoundJob(std::shared_ptr<const EddpcJobsCtx> ctx) {
   mr::JobSpec<HomeInfo, uint32_t, ddprec::ScoredPointRecord, BoundOrStats> job;
   job.name = "eddpc-delta-bound";
   job.remote_task_id = "eddpc-delta-bound";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const HomeInfo& in,
                   mr::Emitter<uint32_t, ddprec::ScoredPointRecord>* out) {
     std::span<const double> p = ctx->dataset->point(in.id);
@@ -330,7 +292,7 @@ MakeEddpcDeltaRefineJob(std::shared_ptr<const EddpcJobsCtx> ctx) {
   mr::JobSpec<BoundInfo, uint32_t, MemberOrQuery, EddpcDeltaOut> job;
   job.name = "eddpc-delta-refine";
   job.remote_task_id = "eddpc-delta-refine";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const BoundInfo& in,
                   mr::Emitter<uint32_t, MemberOrQuery>* out) {
     std::span<const double> p = ctx->dataset->point(in.id);

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,14 +21,18 @@
 /// by a job body).
 ///
 /// Convention used by every ctx struct in the *_jobs.h headers:
-///   * Borrow pointers (`dataset`, `metric`) name what the closures read.
-///     On the driver side they point at driver-owned objects and the owned
-///     storage stays empty; after DecodeNew they point at the ctx's own
-///     `owned_*` members. Either way the ctx outlives the JobSpec closures
-///     because they capture it by shared_ptr.
-///   * `EncodeTo` writes the full blob; `DecodeNew` rebuilds an owned ctx
-///     and rejects trailing bytes. Workers count no distance evaluations
-///     (the owned CountingMetric has a null counter), matching fork mode,
+///   * Borrow pointers (`dataset`, `metric`, from DatasetCtx) name what the
+///     closures read. On the driver side they point at driver-owned objects
+///     and the owned storage stays empty; after DecodeNew they point at the
+///     ctx's own `owned_*` members. Either way the ctx outlives the JobSpec
+///     closures because they capture it by shared_ptr.
+///   * The ctx names its wire fields once (`Fields`, common/serde.h), the
+///     dataset as a DatasetField; Serde<Ctx>::Write is the blob a job's
+///     `remote_ctx` hook (CtxWriter) writes. `DecodeNew` reads the fields
+///     with DecodeFields, which rejects trailing bytes, then runs the steps
+///     no field list can say: enum range checks that name the field,
+///     rebuilding derived objects, and pointing the borrows at owned
+///     storage. Workers count no distance evaluations, matching fork mode,
 ///     where child-process counters are equally invisible to the driver.
 
 namespace ddp {
@@ -46,25 +52,76 @@ inline Result<Dataset> DecodeDataset(BufferReader* r) {
   return Dataset::FromValues(static_cast<size_t>(dim), std::move(values));
 }
 
-/// The value of a decoded byte of an enum whose values run from 0 to
-/// `last`. A blob reaches a remote worker over the pool's TCP listener, so a
-/// byte past `last` is an error naming `field`, never a cast to a value the
-/// enum does not have.
-template <typename Enum>
-Result<Enum> EnumFromByte(uint8_t byte, Enum last, const char* field) {
-  if (byte > static_cast<uint8_t>(last)) {
-    return Status::IoError(std::string(field) + " byte " +
-                           std::to_string(byte) + " is out of range");
-  }
-  return static_cast<Enum>(byte);
-}
+/// What the closures of a ctx over a dataset read: borrowed from the
+/// driver, or owned once decoded (the metric with a null counter: workers
+/// count no distance evaluations).
+struct DatasetCtx {
+  const Dataset* dataset = nullptr;
+  const CountingMetric* metric = nullptr;
 
-inline Status ExpectExhausted(const BufferReader& r, const char* what) {
-  if (!r.exhausted()) {
-    return Status::IoError(std::string(what) + " ctx has trailing bytes");
+  std::optional<Dataset> owned_dataset;
+  CountingMetric owned_metric;
+
+  /// Points the borrows at the owned storage of a decoded ctx.
+  void UseOwned() {
+    dataset = &*owned_dataset;
+    metric = &owned_metric;
+  }
+};
+
+/// The dataset in a DatasetCtx's field list: written from the borrow by
+/// EncodeDataset, read into the owned storage by DecodeDataset.
+template <typename Ctx>
+struct DatasetField {
+  explicit DatasetField(Ctx& c) : ctx(c) {}
+  Ctx& ctx;
+};
+
+/// Checks a decoded enum whose values run from 0 to `last`. A blob reaches
+/// a remote worker over the pool's TCP listener, so a byte past `last` is an
+/// error naming `field`, never a value the enum does not have.
+template <typename Enum>
+Status CheckEnum(Enum value, Enum last, const char* field) {
+  if (static_cast<int>(value) > static_cast<int>(last)) {
+    return Status::IoError(std::string(field) + " byte " +
+                           std::to_string(static_cast<int>(value)) +
+                           " is out of range");
   }
   return Status::OK();
 }
 
+/// The `remote_ctx` hook of a job that ships `ctx`.
+template <typename Ctx>
+std::function<void(BufferWriter*)> CtxWriter(std::shared_ptr<const Ctx> ctx) {
+  return [ctx](BufferWriter* w) { Serde<Ctx>::Write(w, *ctx); };
+}
+
+/// Reads a ctx's wire fields from `blob` into a new ctx, rejecting trailing
+/// bytes; `what` names the ctx in the error.
+template <typename Ctx>
+Result<std::shared_ptr<Ctx>> DecodeFields(const std::string& blob,
+                                          const char* what) {
+  auto ctx = std::make_shared<Ctx>();
+  BufferReader r(blob);
+  DDP_RETURN_NOT_OK(Serde<Ctx>::Read(&r, ctx.get()));
+  if (!r.exhausted()) {
+    return Status::IoError(std::string(what) + " ctx has trailing bytes");
+  }
+  return ctx;
+}
+
 }  // namespace jobctx
+
+template <typename Ctx>
+struct Serde<jobctx::DatasetField<Ctx>> {
+  static void Write(BufferWriter* w, const jobctx::DatasetField<Ctx>& f) {
+    jobctx::EncodeDataset(w, *f.ctx.dataset);
+  }
+  static Status Read(BufferReader* r, jobctx::DatasetField<Ctx>* f) {
+    DDP_ASSIGN_OR_RETURN(Dataset dataset, jobctx::DecodeDataset(r));
+    f->ctx.owned_dataset.emplace(std::move(dataset));
+    return Status::OK();
+  }
+};
+
 }  // namespace ddp

@@ -1,12 +1,12 @@
 #include "ddp/lsh_ddp.h"
 
-#include <cmath>
 #include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "ddp/lsh_ddp_jobs.h"
+#include "ddp/records.h"
 #include "lsh/partitioner.h"
 
 namespace ddp {
@@ -74,7 +74,7 @@ Result<DpScores> LshDdp::ComputeScores(const Dataset& dataset, double dc,
   rho_locals.shrink_to_fit();
 
   std::vector<uint32_t> rho_hat(n_points, 0);
-  for (const lshjobs::LshRhoOut& r : rho_final) rho_hat[r.first] = r.second;
+  DDP_RETURN_NOT_OK(ddprec::AssembleRho(rho_final, rho_agg.name, &rho_hat));
 
   // ---- Job 3 (Map3 + Reduce3): LSH partition + local delta_hat^m.
   auto delta_ctx = make_ctx();
@@ -97,12 +97,8 @@ Result<DpScores> LshDdp::ComputeScores(const Dataset& dataset, double dc,
   DpScores scores;
   scores.Resize(n_points);
   scores.rho = std::move(rho_hat);
-  for (const lshjobs::LshDeltaOut& d : delta_final) {
-    // ddp-lint: allow(no-raw-sqrt) -- final assembly: one sqrt per point
-    // when delta_sq leaves the shuffled squared-space representation.
-    scores.delta[d.first] = std::sqrt(d.second.delta_sq);
-    scores.upslope[d.first] = d.second.upslope;
-  }
+  DDP_RETURN_NOT_OK(
+      ddprec::AssembleDeltas(delta_final, delta_agg.name, &scores));
   return scores;
 }
 

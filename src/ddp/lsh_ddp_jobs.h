@@ -6,6 +6,7 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -69,11 +70,16 @@ inline std::vector<std::vector<size_t>> SplitOversized(size_t n,
   return groups;
 }
 
+/// The most hash coefficients (layouts x pi x dim) a decoded LshJobsCtx may
+/// make a worker draw: 2^24 doubles, 128 MiB. The paper's settings (M = 10,
+/// pi = 3) on 74-d points draw 2,220.
+inline constexpr uint64_t kMaxCtxHashCoefficients = uint64_t{1} << 24;
+
 /// Everything the LSH job closures read. The partitioner is reproducible
 /// from (dim, num_layouts, pi, width, seed), so only those parameters cross
 /// the wire; `rho_hat` is empty for the rho jobs and carries the aggregated
 /// densities for the delta job.
-struct LshJobsCtx {
+struct LshJobsCtx : jobctx::DatasetCtx {
   double dc = 0.0;
   uint32_t num_layouts = 0;
   uint64_t pi = 0;
@@ -85,13 +91,8 @@ struct LshJobsCtx {
   LocalDpBackend backend = LocalDpBackend::kAuto;
   std::vector<uint32_t> rho_hat;
 
-  const Dataset* dataset = nullptr;
   const lsh::MultiLshPartitioner* partitioner = nullptr;
-  const CountingMetric* metric = nullptr;
-
-  std::optional<Dataset> owned_dataset;
   std::optional<lsh::MultiLshPartitioner> owned_partitioner;
-  CountingMetric owned_metric;  // null counter: workers do not count
 
   LocalDpEngine Engine() const {
     LocalDpEngineOptions options;
@@ -99,57 +100,38 @@ struct LshJobsCtx {
     return LocalDpEngine(options);
   }
 
-  void EncodeTo(BufferWriter* w) const {
-    w->PutDouble(dc);
-    w->PutVarint32(num_layouts);
-    w->PutVarint64(pi);
-    w->PutDouble(width);
-    w->PutVarint64(lsh_seed);
-    w->PutByte(static_cast<uint8_t>(kernel));
-    w->PutVarint64(probes);
-    w->PutVarint64(max_bucket);
-    w->PutByte(static_cast<uint8_t>(backend));
-    jobctx::EncodeDataset(w, *dataset);
-    Serde<std::vector<uint32_t>>::Write(w, rho_hat);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.dc, s.num_layouts, s.pi, s.width, s.lsh_seed, s.kernel,
+                     s.probes, s.max_bucket, s.backend, jobctx::DatasetField(s),
+                     s.rho_hat);
   }
 
   static Result<std::shared_ptr<const LshJobsCtx>> DecodeNew(
       const std::string& blob) {
-    auto ctx = std::make_shared<LshJobsCtx>();
-    BufferReader r(blob);
-    DDP_RETURN_NOT_OK(r.GetDouble(&ctx->dc));
-    DDP_RETURN_NOT_OK(r.GetVarint32(&ctx->num_layouts));
-    DDP_RETURN_NOT_OK(r.GetVarint64(&ctx->pi));
-    DDP_RETURN_NOT_OK(r.GetDouble(&ctx->width));
-    DDP_RETURN_NOT_OK(r.GetVarint64(&ctx->lsh_seed));
-    uint8_t kernel_byte = 0;
-    DDP_RETURN_NOT_OK(r.GetByte(&kernel_byte));
-    DDP_ASSIGN_OR_RETURN(ctx->kernel,
-                         jobctx::EnumFromByte(kernel_byte,
-                                              DensityKernel::kGaussian,
-                                              "lsh ctx kernel"));
-    DDP_RETURN_NOT_OK(r.GetVarint64(&ctx->probes));
-    DDP_RETURN_NOT_OK(r.GetVarint64(&ctx->max_bucket));
-    uint8_t backend_byte = 0;
-    DDP_RETURN_NOT_OK(r.GetByte(&backend_byte));
-    DDP_ASSIGN_OR_RETURN(ctx->backend,
-                         jobctx::EnumFromByte(backend_byte,
-                                              LocalDpBackend::kKdTree,
-                                              "lsh ctx backend"));
-    DDP_ASSIGN_OR_RETURN(Dataset dataset, jobctx::DecodeDataset(&r));
-    ctx->owned_dataset.emplace(std::move(dataset));
-    DDP_RETURN_NOT_OK(
-        Serde<std::vector<uint32_t>>::Read(&r, &ctx->rho_hat));
-    DDP_RETURN_NOT_OK(jobctx::ExpectExhausted(r, "lsh"));
+    DDP_ASSIGN_OR_RETURN(auto ctx,
+                         jobctx::DecodeFields<LshJobsCtx>(blob, "lsh"));
+    DDP_RETURN_NOT_OK(jobctx::CheckEnum(ctx->kernel, DensityKernel::kGaussian,
+                                        "lsh ctx kernel"));
+    DDP_RETURN_NOT_OK(jobctx::CheckEnum(ctx->backend, LocalDpBackend::kKdTree,
+                                        "lsh ctx backend"));
+    // The blob sizes the partitioner this worker draws, so its layouts x
+    // pi x dim coefficients are bounded before any is drawn.
+    const uint64_t dim = ctx->owned_dataset->dim();
+    const uint64_t cap = kMaxCtxHashCoefficients;
+    if (dim > cap || ctx->num_layouts > cap / dim ||
+        (ctx->num_layouts > 0 && ctx->pi > cap / (ctx->num_layouts * dim))) {
+      return Status::IoError("lsh ctx asks for more than " +
+                             std::to_string(cap) + " hash coefficients");
+    }
     DDP_ASSIGN_OR_RETURN(
         lsh::MultiLshPartitioner partitioner,
         lsh::MultiLshPartitioner::Create(
             ctx->owned_dataset->dim(), ctx->num_layouts,
             static_cast<size_t>(ctx->pi), ctx->width, ctx->lsh_seed));
     ctx->owned_partitioner.emplace(std::move(partitioner));
-    ctx->dataset = &*ctx->owned_dataset;
+    ctx->UseOwned();
     ctx->partitioner = &*ctx->owned_partitioner;
-    ctx->metric = &ctx->owned_metric;
     return std::shared_ptr<const LshJobsCtx>(std::move(ctx));
   }
 };
@@ -160,7 +142,7 @@ MakeLshRhoLocalJob(std::shared_ptr<const LshJobsCtx> ctx) {
   mr::JobSpec<PointId, BucketMapKey, ddprec::PointRecord, LshRhoOut> job;
   job.name = "lsh-rho-local";
   job.remote_task_id = "lsh-rho-local";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const PointId& id,
                   mr::Emitter<BucketMapKey, ddprec::PointRecord>* out) {
     std::span<const double> p = ctx->dataset->point(id);
@@ -225,7 +207,7 @@ MakeLshDeltaLocalJob(std::shared_ptr<const LshJobsCtx> ctx) {
       job;
   job.name = "lsh-delta-local";
   job.remote_task_id = "lsh-delta-local";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const PointId& id,
                   mr::Emitter<BucketMapKey, ddprec::ScoredPointRecord>* out) {
     std::span<const double> p = ctx->dataset->point(id);

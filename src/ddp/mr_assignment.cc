@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "ddp/pipeline_jobs.h"
+#include "ddp/records.h"
 
 namespace ddp {
 
@@ -58,14 +59,8 @@ Result<MrAssignmentResult> AssignClustersMapReduce(
                          mr::RunJob(job, std::span<const PointId>(all),
                                     mr_options, &counters));
     result.stats.Add(counters);
-    for (const pipejobs::JumpUpdate& u : updates) {
-      if (u.cluster >= 0) {
-        result.assignment[u.point] = u.cluster;
-        parent[u.point] = kInvalidPointId;
-      } else {
-        parent[u.point] = u.new_parent;
-      }
-    }
+    DDP_RETURN_NOT_OK(pipejobs::ApplyJumpUpdates(
+        updates, peaks.size(), job.name, &result.assignment, &parent));
   }
   return result;
 }

@@ -6,6 +6,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "ddp/pipeline_jobs.h"
+#include "ddp/records.h"
 
 namespace ddp {
 
@@ -53,19 +54,9 @@ Result<MrKmeansResult> RunMrKmeans(const Dataset& dataset,
                                     options.mr, &counters));
     result.stats.Add(counters);
 
-    double max_move_sq = 0.0;
-    for (const pipejobs::KmeansIterOut& p : partials) {
-      if (p.second.count == 0) continue;
-      std::vector<double>& c = result.centroids[p.first];
-      double move_sq = 0.0;
-      for (size_t d = 0; d < c.size(); ++d) {
-        double next = p.second.sum[d] / static_cast<double>(p.second.count);
-        double diff = next - c[d];
-        move_sq += diff * diff;
-        c[d] = next;
-      }
-      max_move_sq = std::max(max_move_sq, move_sq);
-    }
+    DDP_ASSIGN_OR_RETURN(const double max_move_sq,
+                         pipejobs::ApplyCentroidPartials(partials, job.name,
+                                                         &result.centroids));
     result.iteration_seconds.push_back(iter_timer.ElapsedSeconds());
     ++result.iterations_run;
     if (options.convergence_tol > 0.0 &&

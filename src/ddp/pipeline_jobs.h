@@ -32,36 +32,21 @@ namespace ddp {
 namespace pipejobs {
 
 /// Ctx of the "choose-dc" sampling job.
-struct ChooseDcCtx {
+struct ChooseDcCtx : jobctx::DatasetCtx {
   double rate = 0.0;
   uint64_t seed = 0;
   double percentile = 0.0;
 
-  const Dataset* dataset = nullptr;
-  const CountingMetric* metric = nullptr;
-
-  std::optional<Dataset> owned_dataset;
-  CountingMetric owned_metric;  // null counter: workers do not count
-
-  void EncodeTo(BufferWriter* w) const {
-    w->PutDouble(rate);
-    w->PutVarint64(seed);
-    w->PutDouble(percentile);
-    jobctx::EncodeDataset(w, *dataset);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.rate, s.seed, s.percentile, jobctx::DatasetField(s));
   }
 
   static Result<std::shared_ptr<const ChooseDcCtx>> DecodeNew(
       const std::string& blob) {
-    auto ctx = std::make_shared<ChooseDcCtx>();
-    BufferReader r(blob);
-    DDP_RETURN_NOT_OK(r.GetDouble(&ctx->rate));
-    DDP_RETURN_NOT_OK(r.GetVarint64(&ctx->seed));
-    DDP_RETURN_NOT_OK(r.GetDouble(&ctx->percentile));
-    DDP_ASSIGN_OR_RETURN(Dataset dataset, jobctx::DecodeDataset(&r));
-    ctx->owned_dataset.emplace(std::move(dataset));
-    DDP_RETURN_NOT_OK(jobctx::ExpectExhausted(r, "choose-dc"));
-    ctx->dataset = &*ctx->owned_dataset;
-    ctx->metric = &ctx->owned_metric;
+    DDP_ASSIGN_OR_RETURN(auto ctx,
+                         jobctx::DecodeFields<ChooseDcCtx>(blob, "choose-dc"));
+    ctx->UseOwned();
     return std::shared_ptr<const ChooseDcCtx>(std::move(ctx));
   }
 };
@@ -74,7 +59,7 @@ MakeChooseDcJob(std::shared_ptr<const ChooseDcCtx> ctx) {
   mr::JobSpec<PointId, uint32_t, ddprec::PointRecord, double> job;
   job.name = "choose-dc";
   job.remote_task_id = "choose-dc";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const PointId& id,
                   mr::Emitter<uint32_t, ddprec::PointRecord>* out) {
     // Deterministic per-point coin flip.
@@ -129,19 +114,9 @@ struct JumpMessage {
   PointId parent = kInvalidPointId;
   PointId asker = kInvalidPointId;
 
-  void SerializeTo(BufferWriter* w) const {
-    w->PutByte(kind);
-    w->PutSignedVarint64(cluster);
-    w->PutVarint32(parent);
-    w->PutVarint32(asker);
-  }
-  static Status DeserializeFrom(BufferReader* r, JumpMessage* out) {
-    DDP_RETURN_NOT_OK(r->GetByte(&out->kind));
-    int64_t c;
-    DDP_RETURN_NOT_OK(r->GetSignedVarint64(&c));
-    out->cluster = static_cast<int32_t>(c);
-    DDP_RETURN_NOT_OK(r->GetVarint32(&out->parent));
-    return r->GetVarint32(&out->asker);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(AsByte(s.kind), s.cluster, s.parent, s.asker);
   }
   bool operator==(const JumpMessage&) const = default;
 };
@@ -152,19 +127,11 @@ struct JumpUpdate {
   int32_t cluster = -1;                  // >= 0: resolved
   PointId new_parent = kInvalidPointId;  // otherwise: jump target (or orphan)
 
-  // Member serde so the assignment rounds can fork their reduce phase (and
+  // Wire fields so the assignment rounds can fork their reduce phase (and
   // checkpoint-replay).
-  void SerializeTo(BufferWriter* w) const {
-    w->PutVarint32(point);
-    w->PutSignedVarint64(cluster);
-    w->PutVarint32(new_parent);
-  }
-  static Status DeserializeFrom(BufferReader* r, JumpUpdate* out) {
-    DDP_RETURN_NOT_OK(r->GetVarint32(&out->point));
-    int64_t cluster = 0;
-    DDP_RETURN_NOT_OK(r->GetSignedVarint64(&cluster));
-    out->cluster = static_cast<int32_t>(cluster);
-    return r->GetVarint32(&out->new_parent);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.point, s.cluster, s.new_parent);
   }
 };
 
@@ -177,31 +144,16 @@ struct AssignJumpCtx {
   std::vector<int> owned_assignment;
   std::vector<PointId> owned_parent;
 
-  void EncodeTo(BufferWriter* w) const {
-    w->PutVarint64(assignment->size());
-    for (int a : (*assignment)) w->PutSignedVarint64(a);
-    w->PutVarint64(parent->size());
-    for (PointId p : (*parent)) w->PutVarint32(p);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(Borrowed(s.assignment, s.owned_assignment),
+                     Borrowed(s.parent, s.owned_parent));
   }
 
   static Result<std::shared_ptr<const AssignJumpCtx>> DecodeNew(
       const std::string& blob) {
-    auto ctx = std::make_shared<AssignJumpCtx>();
-    BufferReader r(blob);
-    uint64_t n = 0;
-    DDP_RETURN_NOT_OK(r.GetCount(&n));  // every varint is >= 1 byte
-    ctx->owned_assignment.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      int64_t a = 0;
-      DDP_RETURN_NOT_OK(r.GetSignedVarint64(&a));
-      ctx->owned_assignment[i] = static_cast<int>(a);
-    }
-    DDP_RETURN_NOT_OK(r.GetCount(&n));
-    ctx->owned_parent.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      DDP_RETURN_NOT_OK(r.GetVarint32(&ctx->owned_parent[i]));
-    }
-    DDP_RETURN_NOT_OK(jobctx::ExpectExhausted(r, "assign-jump"));
+    DDP_ASSIGN_OR_RETURN(
+        auto ctx, jobctx::DecodeFields<AssignJumpCtx>(blob, "assign-jump"));
     ctx->assignment = &ctx->owned_assignment;
     ctx->parent = &ctx->owned_parent;
     return std::shared_ptr<const AssignJumpCtx>(std::move(ctx));
@@ -216,7 +168,7 @@ MakeAssignJumpJob(std::shared_ptr<const AssignJumpCtx> ctx, size_t round) {
   mr::JobSpec<PointId, PointId, JumpMessage, JumpUpdate> job;
   job.name = "assign-jump-" + std::to_string(round);
   job.remote_task_id = "assign-jump";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const PointId& i, mr::Emitter<PointId, JumpMessage>* out) {
     const std::vector<int>& assignment = *ctx->assignment;
     const std::vector<PointId>& parent = *ctx->parent;
@@ -256,19 +208,41 @@ MakeAssignJumpJob(std::shared_ptr<const AssignJumpCtx> ctx, size_t round) {
   return job;
 }
 
+/// Applies one round's updates to the (cluster, parent) state: a resolved
+/// point takes its cluster and drops its parent, an unresolved one jumps to
+/// its new parent. Ids come from workers: a point or new parent (other
+/// than kInvalidPointId) past the state, or a cluster at or past
+/// `num_clusters`, fails naming `job`.
+inline Status ApplyJumpUpdates(std::span<const JumpUpdate> updates,
+                               size_t num_clusters, const std::string& job,
+                               std::vector<int>* assignment,
+                               std::vector<PointId>* parent) {
+  const size_t n = parent->size();
+  for (const JumpUpdate& u : updates) {
+    DDP_RETURN_NOT_OK(ddprec::CheckId(u.point, n, "point", job));
+    if (u.cluster >= 0) {
+      DDP_RETURN_NOT_OK(ddprec::CheckId(static_cast<uint64_t>(u.cluster),
+                                        num_clusters, "cluster", job));
+      (*assignment)[u.point] = u.cluster;
+      (*parent)[u.point] = kInvalidPointId;
+    } else {
+      if (u.new_parent != kInvalidPointId) {
+        DDP_RETURN_NOT_OK(
+            ddprec::CheckId(u.new_parent, n, "new_parent", job));
+      }
+      (*parent)[u.point] = u.new_parent;
+    }
+  }
+  return Status::OK();
+}
+
 /// (sum of member coordinates, member count) — the combinable partial.
 struct CentroidPartial {
   std::vector<double> sum;
   uint64_t count = 0;
 
-  void SerializeTo(BufferWriter* w) const {
-    w->PutVarint64(count);
-    w->PutDoubles(sum);
-  }
-  static Status DeserializeFrom(BufferReader* r, CentroidPartial* out) {
-    DDP_RETURN_NOT_OK(r->GetVarint64(&out->count));
-    return r->GetDoubles(&out->sum);
-  }
+  template <typename S>
+  static auto Fields(S& s) { return FieldRefs(s.count, s.sum); }
   bool operator==(const CentroidPartial&) const = default;
 
   void Merge(const CentroidPartial& other) {
@@ -295,32 +269,51 @@ inline uint32_t NearestCentroid(std::span<const double> p,
 
 using KmeansIterOut = std::pair<uint32_t, CentroidPartial>;
 
+/// Moves each centroid to the mean of its iteration's partial, skipping
+/// centroids no point chose, and returns the largest squared move. Ids
+/// come from workers: a centroid past `centroids`, or a sum whose dimension
+/// is not the centroid's, fails naming `job`.
+inline Result<double> ApplyCentroidPartials(
+    std::span<const KmeansIterOut> partials, const std::string& job,
+    std::vector<std::vector<double>>* centroids) {
+  double max_move_sq = 0.0;
+  for (const auto& [id, partial] : partials) {
+    DDP_RETURN_NOT_OK(
+        ddprec::CheckId(id, centroids->size(), "centroid", job));
+    if (partial.count == 0) continue;
+    std::vector<double>& c = (*centroids)[id];
+    if (partial.sum.size() != c.size()) {
+      return Status::IoError("job " + job + " returned a " +
+                             std::to_string(partial.sum.size()) +
+                             "-d sum for a " + std::to_string(c.size()) +
+                             "-d centroid");
+    }
+    double move_sq = 0.0;
+    for (size_t d = 0; d < c.size(); ++d) {
+      double next = partial.sum[d] / static_cast<double>(partial.count);
+      double diff = next - c[d];
+      move_sq += diff * diff;
+      c[d] = next;
+    }
+    max_move_sq = std::max(max_move_sq, move_sq);
+  }
+  return max_move_sq;
+}
+
 /// Ctx of one Lloyd iteration: the centroids it assigns against.
-struct KmeansIterCtx {
+struct KmeansIterCtx : jobctx::DatasetCtx {
   std::vector<std::vector<double>> centroids;
 
-  const Dataset* dataset = nullptr;
-  const CountingMetric* metric = nullptr;
-
-  std::optional<Dataset> owned_dataset;
-  CountingMetric owned_metric;  // null counter: workers do not count
-
-  void EncodeTo(BufferWriter* w) const {
-    Serde<std::vector<std::vector<double>>>::Write(w, centroids);
-    jobctx::EncodeDataset(w, *dataset);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.centroids, jobctx::DatasetField(s));
   }
 
   static Result<std::shared_ptr<const KmeansIterCtx>> DecodeNew(
       const std::string& blob) {
-    auto ctx = std::make_shared<KmeansIterCtx>();
-    BufferReader r(blob);
-    DDP_RETURN_NOT_OK(
-        Serde<std::vector<std::vector<double>>>::Read(&r, &ctx->centroids));
-    DDP_ASSIGN_OR_RETURN(Dataset dataset, jobctx::DecodeDataset(&r));
-    ctx->owned_dataset.emplace(std::move(dataset));
-    DDP_RETURN_NOT_OK(jobctx::ExpectExhausted(r, "kmeans-iter"));
-    ctx->dataset = &*ctx->owned_dataset;
-    ctx->metric = &ctx->owned_metric;
+    DDP_ASSIGN_OR_RETURN(
+        auto ctx, jobctx::DecodeFields<KmeansIterCtx>(blob, "kmeans-iter"));
+    ctx->UseOwned();
     return std::shared_ptr<const KmeansIterCtx>(std::move(ctx));
   }
 };
@@ -333,7 +326,7 @@ MakeKmeansIterJob(std::shared_ptr<const KmeansIterCtx> ctx, size_t iter) {
   mr::JobSpec<PointId, uint32_t, CentroidPartial, KmeansIterOut> job;
   job.name = "kmeans-iter-" + std::to_string(iter);
   job.remote_task_id = "kmeans-iter";
-  job.remote_ctx = [ctx](BufferWriter* w) { ctx->EncodeTo(w); };
+  job.remote_ctx = jobctx::CtxWriter(ctx);
   job.map = [ctx](const PointId& id,
                   mr::Emitter<uint32_t, CentroidPartial>* out) {
     std::span<const double> p = ctx->dataset->point(id);

@@ -72,22 +72,12 @@ void RegisterAllRemoteJobs() {
   // stable prefix, so the round number only matters to the supervisor.
   RegisterCtxJob<pipejobs::ChooseDcCtx>("choose-dc",
                                         &pipejobs::MakeChooseDcJob);
-  mr::RegisterRemoteJob(
-      "assign-jump",
-      [](const mr::JobSetupMsg& setup)
-          -> Result<decltype(pipejobs::MakeAssignJumpJob(nullptr, 0))> {
-        DDP_ASSIGN_OR_RETURN(auto ctx,
-                             pipejobs::AssignJumpCtx::DecodeNew(setup.ctx));
-        return pipejobs::MakeAssignJumpJob(std::move(ctx), 0);
-      });
-  mr::RegisterRemoteJob(
-      "kmeans-iter",
-      [](const mr::JobSetupMsg& setup)
-          -> Result<decltype(pipejobs::MakeKmeansIterJob(nullptr, 0))> {
-        DDP_ASSIGN_OR_RETURN(auto ctx,
-                             pipejobs::KmeansIterCtx::DecodeNew(setup.ctx));
-        return pipejobs::MakeKmeansIterJob(std::move(ctx), 0);
-      });
+  RegisterCtxJob<pipejobs::AssignJumpCtx>("assign-jump", [](auto ctx) {
+    return pipejobs::MakeAssignJumpJob(std::move(ctx), 0);
+  });
+  RegisterCtxJob<pipejobs::KmeansIterCtx>("kmeans-iter", [](auto ctx) {
+    return pipejobs::MakeKmeansIterJob(std::move(ctx), 0);
+  });
 }
 
 }  // namespace ddp

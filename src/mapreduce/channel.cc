@@ -106,6 +106,11 @@ void FdChannel::Close() {
   }
 }
 
+void FdChannel::Shutdown() {
+  std::lock_guard<std::mutex> lock(send_mu_);
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 Status FdChannel::Send(const Frame& frame) {
   const std::string header = FrameHeader(frame);
   const std::array<char, 4> trailer = CrcTrailer(frame.payload);
@@ -119,15 +124,39 @@ Status FdChannel::Send(const Frame& frame) {
   msg.msg_iovlen = 3;
   std::lock_guard<std::mutex> lock(send_mu_);
   if (fd_ < 0) return Status::IoError("channel closed");
+  using Clock = std::chrono::steady_clock;
+  const bool bounded = send_timeout_seconds_ > 0.0;
+  const auto window = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(send_timeout_seconds_));
+  auto deadline = Clock::now() + window;
   while (msg.msg_iovlen > 0) {
     // MSG_NOSIGNAL: a peer that died mid-phase must surface as EPIPE, not
-    // kill the supervisor with SIGPIPE.
-    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    // kill the supervisor with SIGPIPE. A bounded send never blocks in
+    // sendmsg: it waits in poll until the deadline, which every byte the
+    // peer takes moves out again.
+    const ssize_t n = ::sendmsg(fd_, &msg,
+                                MSG_NOSIGNAL | (bounded ? MSG_DONTWAIT : 0));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError(std::string("channel send failed: ") +
-                             std::strerror(errno));
+      if (!bounded || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+        return Status::IoError(std::string("channel send failed: ") +
+                               std::strerror(errno));
+      }
+      const auto left = deadline - Clock::now();
+      if (left <= Clock::duration::zero()) {
+        return Status::IoError("channel send timed out: the peer took no byte "
+                               "for " +
+                               std::to_string(send_timeout_seconds_) + " s");
+      }
+      // Woken by room, a signal or the deadline: try again either way.
+      struct pollfd pfd {fd_, POLLOUT, 0};
+      (void)::poll(&pfd, 1,
+                   static_cast<int>(
+                       std::chrono::ceil<std::chrono::milliseconds>(left)
+                           .count()));
+      continue;
     }
+    deadline = Clock::now() + window;
     // A partial write: drop the iovecs it finished and advance into the
     // first one it did not.
     size_t sent = static_cast<size_t>(n);

@@ -113,6 +113,10 @@ class CommChannel {
   /// Pollable descriptor for readiness multiplexing.
   virtual int fd() const = 0;
 
+  /// Shuts both directions but keeps the descriptor: the peer sees EOF, and
+  /// this end polls readable and its next Recv fails. Thread-safe.
+  virtual void Shutdown() = 0;
+
   virtual void Close() = 0;
 };
 
@@ -148,7 +152,12 @@ class FdChannel : public CommChannel {
   Status TryRecv(Frame* frame, bool* got) override;
   bool HasBufferedFrame() const override;
   int fd() const override { return fd_; }
+  void Shutdown() override;
   void Close() override;
+
+  /// Bounds every later Send: one fails once its peer has taken no byte for
+  /// `seconds`, instead of blocking until the peer reads or closes.
+  void SetSendTimeout(double seconds) { send_timeout_seconds_ = seconds; }
 
   static constexpr size_t kRecvBufferBytes = 64 * 1024;
 
@@ -167,6 +176,7 @@ class FdChannel : public CommChannel {
 
   std::mutex send_mu_;
   int fd_ = -1;
+  double send_timeout_seconds_ = 0.0;  // 0: a send may block forever
   std::unique_ptr<char[]> rbuf_;  // kRecvBufferBytes, allocated at first Recv
   size_t rpos_ = 0;               // first unconsumed byte of rbuf_
   size_t rend_ = 0;               // end of the bytes read into rbuf_

@@ -200,6 +200,11 @@ class CombiningEmitter : public Emitter<MidK, MidV> {
 template <typename Out>
 struct ReduceTaskOutput : ReduceTaskStats {
   std::vector<Out> out;
+
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.out, s.groups, s.skipped, s.group_size_log2);
+  }
 };
 
 /// The codec of ReduceTaskOutput<Out> slots (requires Serde<Out>). Reduce
@@ -208,21 +213,12 @@ struct ReduceTaskOutput : ReduceTaskStats {
 template <typename Out>
 SlotCodec ReduceSlotCodec() {
   SlotCodec codec;
+  using Slot = ReduceTaskOutput<Out>;
   codec.serialize = [](BufferWriter* w, TaskSlot& slot) {
-    const auto& ro = static_cast<const ReduceTaskOutput<Out>&>(slot);
-    Serde<std::vector<Out>>::Write(w, ro.out);
-    w->PutVarint64(ro.groups);
-    w->PutVarint64(ro.skipped);
-    w->PutVarint64(ro.merge_passes);
-    Serde<std::vector<uint64_t>>::Write(w, ro.group_size_log2);
+    Serde<Slot>::Write(w, static_cast<const Slot&>(slot));
   };
-  codec.deserialize = [](BufferReader* r, TaskSlot* slot) -> Status {
-    auto* ro = static_cast<ReduceTaskOutput<Out>*>(slot);
-    DDP_RETURN_NOT_OK(Serde<std::vector<Out>>::Read(r, &ro->out));
-    DDP_RETURN_NOT_OK(r->GetVarint64(&ro->groups));
-    DDP_RETURN_NOT_OK(r->GetVarint64(&ro->skipped));
-    DDP_RETURN_NOT_OK(r->GetVarint64(&ro->merge_passes));
-    return Serde<std::vector<uint64_t>>::Read(r, &ro->group_size_log2);
+  codec.deserialize = [](BufferReader* r, TaskSlot* slot) {
+    return Serde<Slot>::Read(r, static_cast<Slot*>(slot));
   };
   return codec;
 }
@@ -311,17 +307,13 @@ Status ExecuteMapTask(const JobSpec<In, MidK, MidV, Out>& spec,
 /// Executes one reduce task: a k-way merge over `sources` (this partition's
 /// runs, in (map task id, spill index, tail) order so every key's values
 /// arrive in (map task id, emission index) order), grouping and reducing
-/// each key. `any_run` counts one merge pass when a spilled run actually
-/// fed the merge — remote callers pass the flag computed supervisor-side,
-/// keeping merge_passes identical to a local run even though shipped runs
-/// arrive as in-memory bytes.
+/// each key.
 template <typename In, typename MidK, typename MidV, typename Out>
 Status ExecuteSortedReduceTask(const JobSpec<In, MidK, MidV, Out>& spec,
                                size_t p,
                                std::vector<std::unique_ptr<FrameStream>>
                                    sources,
-                               bool any_run, bool skip_bad,
-                               CancelToken* cancel,
+                               bool skip_bad, CancelToken* cancel,
                                ReduceTaskOutput<Out>* out) {
   DDP_TRACE_SPAN(merge_span, obs::kCatMr, obs::kSpanMergeStream);
   if (merge_span.active()) {
@@ -347,9 +339,6 @@ Status ExecuteSortedReduceTask(const JobSpec<In, MidK, MidV, Out>& spec,
                            st.message());
   }
   out->skipped = merger.skipped();
-  // One streaming pass merges every run of this partition; counted only
-  // when a spilled run actually fed the merge.
-  out->merge_passes = any_run ? 1 : 0;
   return Status::OK();
 }
 
@@ -397,9 +386,9 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
   job.new_reduce_slot = [] { return std::make_unique<ReduceOutput>(); };
   job.reduce = [&spec, skip_bad](
                    size_t p, std::vector<std::unique_ptr<FrameStream>> sources,
-                   bool any_run, CancelToken* cancel, TaskSlot* slot) {
+                   CancelToken* cancel, TaskSlot* slot) {
     return internal::ExecuteSortedReduceTask(spec, p, std::move(sources),
-                                             any_run, skip_bad, cancel,
+                                             skip_bad, cancel,
                                              static_cast<ReduceOutput*>(slot));
   };
   job.collect = [&output](internal::TaskSlots& slots) {

@@ -239,8 +239,13 @@ class InProcDriver : public PhaseIo {
       if (st.IsCancelled() || st.IsDeadlineExceeded()) span.MarkCancelled();
       span.AddArg("status", st.ToString());
     }
-    return ResultMsg{a.task, a.attempt, static_cast<int32_t>(st.code()),
-                     st.message(), seconds, /*payload=*/{}};
+    ResultMsg verdict;
+    verdict.task = a.task;
+    verdict.attempt = a.attempt;
+    verdict.status_code = static_cast<int32_t>(st.code());
+    verdict.status_message = st.message();
+    verdict.seconds = seconds;
+    return verdict;
   }
 
   ThreadPool* const pool_;
@@ -379,12 +384,10 @@ std::string EncodeRemoteSetup(const JobTasks& job, const Options& options,
 }
 
 /// A remote reduce task's input: partition `p`'s runs by value, in merge
-/// order, as (is_run, frame bytes) pairs in the layout of
-/// Serde<std::vector<std::pair<uint8_t, std::string>>> — disk runs read
-/// back off the supervisor's spill files and CRC-stripped. The worker
-/// merges MemoryFrameReaders over the shipped bytes; the run order and the
-/// is_run flags keep tie-breaks and merge_passes bit-identical to a local
-/// reduce.
+/// order, as frame bytes in the layout of Serde<std::vector<std::string>>
+/// — disk runs read back off the supervisor's spill files and
+/// CRC-stripped. The worker merges MemoryFrameReaders over the shipped
+/// bytes; the run order keeps tie-breaks bit-identical to a local reduce.
 Result<std::string> EncodeReduceSources(
     const std::vector<MapTaskOutput>& map_outputs, size_t p) {
   const std::vector<const SpillRun*> runs = PartitionRuns(map_outputs, p);
@@ -396,10 +399,8 @@ Result<std::string> EncodeReduceSources(
       std::string seg(static_cast<size_t>(run->length), '\0');
       DDP_RETURN_NOT_OK(run->file->ReadAt(run->offset, seg.data(), seg.size()));
       DDP_RETURN_NOT_OK(VerifyAndStripRunTrailer(&seg));
-      w.PutByte(1);
       w.PutString(seg);
     } else {
-      w.PutByte(0);
       w.PutString(run->bytes);
     }
   }
@@ -431,23 +432,10 @@ std::string JobSpillDir(const Options& options) {
 SlotCodec MapSlotCodec(size_t num_partitions) {
   SlotCodec codec;
   codec.serialize = [](BufferWriter* w, TaskSlot& slot) {
-    const MapTaskOutput& mo = static_cast<const MapTaskOutput&>(slot);
-    Serde<std::vector<uint64_t>>::Write(w, mo.payload_bytes);
-    w->PutVarint64(mo.records);
-    w->PutVarint64(mo.combine_in);
-    w->PutVarint64(mo.spilled_bytes);
-    w->PutVarint64(mo.spill_files);
-    w->PutDouble(mo.spill_seconds);
+    Serde<MapTaskOutput>::Write(w, static_cast<const MapTaskOutput&>(slot));
   };
-  codec.deserialize = [](BufferReader* r, TaskSlot* slot) -> Status {
-    MapTaskOutput* mo = static_cast<MapTaskOutput*>(slot);
-    DDP_RETURN_NOT_OK(
-        Serde<std::vector<uint64_t>>::Read(r, &mo->payload_bytes));
-    DDP_RETURN_NOT_OK(r->GetVarint64(&mo->records));
-    DDP_RETURN_NOT_OK(r->GetVarint64(&mo->combine_in));
-    DDP_RETURN_NOT_OK(r->GetVarint64(&mo->spilled_bytes));
-    DDP_RETURN_NOT_OK(r->GetVarint64(&mo->spill_files));
-    return r->GetDouble(&mo->spill_seconds);
+  codec.deserialize = [](BufferReader* r, TaskSlot* slot) {
+    return Serde<MapTaskOutput>::Read(r, static_cast<MapTaskOutput*>(slot));
   };
   // Worker side: the attempt's runs as they are, in merge-ordinal order.
   // They keep the spill-file handles alive until the supervisor confirms
@@ -720,17 +708,15 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
   reduce.new_slot = job.new_reduce_slot;
   reduce.body = [&](size_t p, CancelToken* cancel, TaskSlot* slot) {
     std::vector<std::unique_ptr<FrameStream>> streams;
-    bool any_run = false;
     for (const SpillRun* run : PartitionRuns(map_outputs, p)) {
       if (run->file != nullptr) {
         streams.push_back(std::make_unique<SpillSegmentReader>(
             run->file, run->offset, run->length));
-        any_run = true;
       } else {
         streams.push_back(std::make_unique<MemoryFrameReader>(run->bytes));
       }
     }
-    return job.reduce(p, std::move(streams), any_run, cancel, slot);
+    return job.reduce(p, std::move(streams), cancel, slot);
   };
   reduce.codec = &job.reduce_codec;
   reduce.remote_input = [&map_outputs](size_t p) {
@@ -743,6 +729,16 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
     job_span.MarkCancelled();
     return st;
   }
+  // One streaming pass merged each partition's runs; it counts as a merge
+  // pass when a spilled run fed it, whichever substrate reduced it.
+  for (size_t p = 0; p < num_partitions; ++p) {
+    const std::vector<const SpillRun*> runs = PartitionRuns(map_outputs, p);
+    if (std::any_of(runs.begin(), runs.end(), [](const SpillRun* run) {
+          return run->file != nullptr;
+        })) {
+      ++counters.merge_passes;
+    }
+  }
   // Dropping the map outputs releases the spill-run handles: the last
   // reference to each spill file closes its descriptor, which frees it once
   // the job's reduce phase is done.
@@ -754,7 +750,6 @@ Status RunJobTasks(const JobTasks& job, const Options& options,
     const ReduceTaskStats& ro = static_cast<const ReduceTaskStats&>(*slot);
     counters.reduce_input_groups += ro.groups;
     counters.skipped_records += ro.skipped;
-    counters.merge_passes += ro.merge_passes;
     if (counters.group_size_log2_histogram.size() < ro.group_size_log2.size()) {
       counters.group_size_log2_histogram.resize(ro.group_size_log2.size(), 0);
     }

@@ -200,6 +200,13 @@ struct MapTaskOutput : TaskSlot {
   uint64_t spilled_bytes = 0;
   uint64_t spill_files = 0;
   double spill_seconds = 0.0;
+
+  /// The slim result payload: the runs stream ahead of it.
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.payload_bytes, s.records, s.combine_in, s.spilled_bytes,
+                     s.spill_files, s.spill_seconds);
+  }
 };
 
 /// The type-independent part of one reduce task's output. `group_size_log2`
@@ -208,7 +215,6 @@ struct MapTaskOutput : TaskSlot {
 struct ReduceTaskStats : TaskSlot {
   uint64_t groups = 0;
   uint64_t skipped = 0;
-  uint64_t merge_passes = 0;
   std::vector<uint64_t> group_size_log2;
 
   /// Counts one reduced key group of `size` values.
@@ -281,11 +287,10 @@ struct JobTasks {
 
   /// A fresh ReduceTaskOutput<Out>.
   std::function<std::unique_ptr<TaskSlot>()> new_reduce_slot;
-  /// Reduces partition `p` by merging its sorted runs; `any_run` says a
-  /// spilled run is among them.
+  /// Reduces partition `p` by merging its sorted runs.
   std::function<Status(size_t p,
                        std::vector<std::unique_ptr<FrameStream>> sources,
-                       bool any_run, CancelToken* cancel, TaskSlot* slot)>
+                       CancelToken* cancel, TaskSlot* slot)>
       reduce;
   SlotCodec reduce_codec;
 

@@ -472,7 +472,11 @@ void PhaseMachine::Tick(double now) {
 // number is not spent.
 bool PhaseMachine::Assign(Worker& w, size_t t, bool backup, double now) {
   TaskState& ts = tasks_[t];
-  TaskAssignMsg msg{t, ts.next_attempt, ts.quarantined, window_, {}};
+  TaskAssignMsg msg;
+  msg.task = t;
+  msg.attempt = ts.next_attempt;
+  msg.quarantined = ts.quarantined;
+  msg.window_bytes = window_;
   if (crew_ == Crew::kRemote) {
     // Remote workers get the task's serialized input by value: they share
     // no address space, so nothing can ride copy-on-write.

@@ -24,13 +24,40 @@
 
 namespace ddp {
 namespace mr {
+namespace internal {
+
+/// Decodes a remote map task's input, a slice in the layout of
+/// EncodeMapSlice. The count is bounded by the bytes received
+/// (Serde<std::vector<T>>::Read), and trailing bytes are an error.
+template <typename In>
+Status DecodeMapInput(const std::string& input, std::vector<In>* slice) {
+  BufferReader r(input);
+  DDP_RETURN_NOT_OK(Serde<std::vector<In>>::Read(&r, slice));
+  if (!r.exhausted()) {
+    return Status::IoError("map task input has trailing bytes");
+  }
+  return Status::OK();
+}
+
+/// Decodes a remote reduce task's input: the partition's runs, as frame
+/// bytes in merge order (phase.cc's EncodeReduceSources).
+inline Status DecodeReduceInput(const std::string& input,
+                                std::vector<std::string>* sources) {
+  BufferReader r(input);
+  DDP_RETURN_NOT_OK(Serde<std::vector<std::string>>::Read(&r, sources));
+  if (!r.exhausted()) {
+    return Status::IoError("reduce task input has trailing bytes");
+  }
+  return Status::OK();
+}
+
+}  // namespace internal
 
 /// Builds the TaskRunner serving one installed job: phase 0 decodes a
 /// by-value input slice and runs the map body, whose sorted runs stream
-/// back to the supervisor; phase 1 decodes the partition's (is_run, frame
-/// bytes) sources and merge-reduces them. Both decoders bound the declared
-/// count by the bytes received (Serde<std::vector<T>>::Read). The spec is
-/// shared, not copied, into the per-task closures.
+/// back to the supervisor; phase 1 decodes the partition's runs (frame
+/// bytes) and merge-reduces them. The spec is shared, not copied, into the
+/// per-task closures.
 template <typename In, typename MidK, typename MidV, typename Out>
 JobRegistry::TaskRunner MakeRegisteredRunner(
     std::shared_ptr<const JobSpec<In, MidK, MidV, Out>> spec,
@@ -54,11 +81,7 @@ JobRegistry::TaskRunner MakeRegisteredRunner(
                                  bool quarantined, const std::string& input,
                                  TaskResult* result) -> Status {
       std::vector<In> slice;
-      BufferReader r(input);
-      DDP_RETURN_NOT_OK(Serde<std::vector<In>>::Read(&r, &slice));
-      if (!r.exhausted()) {
-        return Status::IoError("map task input has trailing bytes");
-      }
+      DDP_RETURN_NOT_OK(internal::DecodeMapInput(input, &slice));
       auto body = [&](size_t t, CancelToken* cancel, internal::TaskSlot* out) {
         return internal::ExecuteMapTask(
             *spec, std::span<const In>(slice), t, params, cancel,
@@ -86,24 +109,18 @@ JobRegistry::TaskRunner MakeRegisteredRunner(
     return [spec, chaos, skip_bad](uint64_t task, uint64_t attempt,
                                    bool quarantined, const std::string& input,
                                    TaskResult* result) -> Status {
-      // Decode this partition's (is_run, frame bytes) sources fully before
-      // wiring readers over them: MemoryFrameReader borrows the strings.
-      std::vector<std::pair<uint8_t, std::string>> sources;
-      BufferReader r(input);
-      DDP_RETURN_NOT_OK(Serde<decltype(sources)>::Read(&r, &sources));
-      if (!r.exhausted()) {
-        return Status::IoError("reduce task input has trailing bytes");
-      }
-      bool any_run = false;
-      for (const auto& source : sources) any_run |= source.first != 0;
+      // Decode this partition's runs fully before wiring readers over them:
+      // MemoryFrameReader borrows the strings.
+      std::vector<std::string> sources;
+      DDP_RETURN_NOT_OK(internal::DecodeReduceInput(input, &sources));
       auto body = [&](size_t p, CancelToken* cancel, internal::TaskSlot* out) {
         std::vector<std::unique_ptr<FrameStream>> streams;
         streams.reserve(sources.size());
-        for (const auto& source : sources) {
-          streams.push_back(std::make_unique<MemoryFrameReader>(source.second));
+        for (const std::string& source : sources) {
+          streams.push_back(std::make_unique<MemoryFrameReader>(source));
         }
         return internal::ExecuteSortedReduceTask(
-            *spec, p, std::move(streams), any_run, skip_bad, cancel,
+            *spec, p, std::move(streams), skip_bad, cancel,
             static_cast<internal::ReduceTaskOutput<Out>*>(out));
       };
       internal::ReduceTaskOutput<Out> out;

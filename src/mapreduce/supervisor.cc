@@ -17,7 +17,6 @@
 #include <time.h>
 #include <unistd.h>
 
-#include "common/serde.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/phase.h"
 #include "mapreduce/remote_worker.h"
@@ -40,188 +39,6 @@ bool ForkExecutionSupported() {
 #endif
 #endif
   return supported;
-}
-
-std::string ResultMsg::Encode() const {
-  std::string bytes;
-  BufferWriter w(&bytes);
-  w.PutVarint64(task);
-  w.PutVarint64(attempt);
-  w.PutSignedVarint64(status_code);
-  w.PutString(status_message);
-  w.PutDouble(seconds);
-  w.PutString(payload);
-  return bytes;
-}
-
-Status ResultMsg::Decode(const std::string& bytes, ResultMsg* out) {
-  BufferReader r(bytes);
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->task));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->attempt));
-  int64_t code = 0;
-  DDP_RETURN_NOT_OK(r.GetSignedVarint64(&code));
-  out->status_code = static_cast<int32_t>(code);
-  DDP_RETURN_NOT_OK(r.GetString(&out->status_message));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->seconds));
-  DDP_RETURN_NOT_OK(r.GetString(&out->payload));
-  if (!r.exhausted()) return Status::IoError("trailing bytes in ResultMsg");
-  return Status::OK();
-}
-
-std::string HelloMsg::Encode() const {
-  std::string bytes;
-  BufferWriter w(&bytes);
-  w.PutVarint64(worker_id);
-  return bytes;
-}
-
-Status HelloMsg::Decode(const std::string& bytes, HelloMsg* out) {
-  BufferReader r(bytes);
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->worker_id));
-  if (!r.exhausted()) return Status::IoError("trailing bytes in HelloMsg");
-  return Status::OK();
-}
-
-std::string JobSetupMsg::Encode() const {
-  std::string bytes;
-  BufferWriter w(&bytes);
-  w.PutString(job_id);
-  w.PutString(job_name);
-  w.PutVarint64(phase);
-  w.PutString(ctx);
-  w.PutVarint64(num_partitions);
-  w.PutVarint64(memory_budget_bytes);
-  w.PutString(spill_dir);
-  w.PutByte(skip_bad_records ? 1 : 0);
-  w.PutVarint64(faults.seed);
-  w.PutDouble(faults.map_failure_rate);
-  w.PutDouble(faults.reduce_failure_rate);
-  w.PutDouble(faults.straggler_rate);
-  w.PutDouble(faults.straggler_slowdown);
-  w.PutDouble(faults.straggler_min_seconds);
-  w.PutDouble(faults.corruption_rate);
-  w.PutDouble(faults.worker_crash_rate);
-  w.PutDouble(faults.poison_task_rate);
-  w.PutDouble(faults.channel_drop_rate);
-  return bytes;
-}
-
-Status JobSetupMsg::Decode(const std::string& bytes, JobSetupMsg* out) {
-  BufferReader r(bytes);
-  DDP_RETURN_NOT_OK(r.GetString(&out->job_id));
-  DDP_RETURN_NOT_OK(r.GetString(&out->job_name));
-  uint64_t phase64 = 0;
-  DDP_RETURN_NOT_OK(r.GetVarint64(&phase64));
-  out->phase = static_cast<uint32_t>(phase64);
-  DDP_RETURN_NOT_OK(r.GetString(&out->ctx));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->num_partitions));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->memory_budget_bytes));
-  DDP_RETURN_NOT_OK(r.GetString(&out->spill_dir));
-  uint8_t skip = 0;
-  DDP_RETURN_NOT_OK(r.GetByte(&skip));
-  out->skip_bad_records = skip != 0;
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->faults.seed));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->faults.map_failure_rate));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->faults.reduce_failure_rate));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->faults.straggler_rate));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->faults.straggler_slowdown));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->faults.straggler_min_seconds));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->faults.corruption_rate));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->faults.worker_crash_rate));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->faults.poison_task_rate));
-  DDP_RETURN_NOT_OK(r.GetDouble(&out->faults.channel_drop_rate));
-  if (!r.exhausted()) return Status::IoError("trailing bytes in JobSetupMsg");
-  return Status::OK();
-}
-
-std::string TaskAssignMsg::Encode() const {
-  std::string bytes;
-  BufferWriter w(&bytes);
-  w.PutVarint64(task);
-  w.PutVarint64(attempt);
-  w.PutByte(quarantined ? 1 : 0);
-  w.PutVarint64(window_bytes);
-  w.PutString(input);
-  return bytes;
-}
-
-Status TaskAssignMsg::Decode(const std::string& bytes, TaskAssignMsg* out) {
-  BufferReader r(bytes);
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->task));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->attempt));
-  uint8_t q = 0;
-  DDP_RETURN_NOT_OK(r.GetByte(&q));
-  out->quarantined = q != 0;
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->window_bytes));
-  DDP_RETURN_NOT_OK(r.GetString(&out->input));
-  if (!r.exhausted()) return Status::IoError("trailing bytes in TaskAssignMsg");
-  return Status::OK();
-}
-
-std::string RunBeginMsg::Encode() const {
-  std::string bytes;
-  BufferWriter w(&bytes);
-  w.PutVarint64(task);
-  w.PutVarint64(attempt);
-  w.PutVarint64(seq);
-  w.PutVarint64(partition);
-  w.PutVarint64(spill_index);
-  w.PutVarint64(length);
-  return bytes;
-}
-
-Status RunBeginMsg::Decode(const std::string& bytes, RunBeginMsg* out) {
-  BufferReader r(bytes);
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->task));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->attempt));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->seq));
-  uint64_t partition64 = 0;
-  uint64_t spill64 = 0;
-  DDP_RETURN_NOT_OK(r.GetVarint64(&partition64));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&spill64));
-  out->partition = static_cast<uint32_t>(partition64);
-  out->spill_index = static_cast<uint32_t>(spill64);
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->length));
-  if (!r.exhausted()) return Status::IoError("trailing bytes in RunBeginMsg");
-  return Status::OK();
-}
-
-std::string RunEndMsg::Encode() const {
-  std::string bytes;
-  BufferWriter w(&bytes);
-  w.PutVarint64(task);
-  w.PutVarint64(attempt);
-  w.PutVarint64(seq);
-  return bytes;
-}
-
-Status RunEndMsg::Decode(const std::string& bytes, RunEndMsg* out) {
-  BufferReader r(bytes);
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->task));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->attempt));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->seq));
-  if (!r.exhausted()) return Status::IoError("trailing bytes in RunEndMsg");
-  return Status::OK();
-}
-
-std::string RunAckMsg::Encode() const {
-  std::string bytes;
-  BufferWriter w(&bytes);
-  w.PutVarint64(task);
-  w.PutVarint64(attempt);
-  w.PutVarint64(acked_runs);
-  w.PutVarint64(acked_bytes);
-  return bytes;
-}
-
-Status RunAckMsg::Decode(const std::string& bytes, RunAckMsg* out) {
-  BufferReader r(bytes);
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->task));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->attempt));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->acked_runs));
-  DDP_RETURN_NOT_OK(r.GetVarint64(&out->acked_bytes));
-  if (!r.exhausted()) return Status::IoError("trailing bytes in RunAckMsg");
-  return Status::OK();
 }
 
 void CrashSelf() {
@@ -312,10 +129,13 @@ class PhaseDriver : public PhaseIo {
             std::string("supervisor poll failed: ") + std::strerror(errno)));
         break;
       }
-      // A new connection joins the next poll and owes its hello there.
+      // A new connection joins the next poll and owes its hello there. Its
+      // sends fail once the peer has taken no byte for the heartbeat grace,
+      // so a peer that stops reading cannot hold the driver in one.
       if (pool_ != nullptr && (pfds.back().revents & POLLIN) != 0) {
         auto accepted = pool_->listener()->Accept(/*timeout_seconds=*/0.25);
         if (accepted.ok()) {
+          (*accepted)->SetSendTimeout(PhaseMachine::kHeartbeatGraceSeconds);
           const uint64_t link = Add(std::move(accepted).value(), -1);
           offered_.insert(link);
           machine->OnOffer(link, Now());
@@ -347,10 +167,13 @@ class PhaseDriver : public PhaseIo {
     return machine->Teardown();
   }
 
+  // A link that failed a send is shut, so the next poll reports its loss.
   Status Send(uint64_t link, const Frame& frame) override {
     auto it = links_.find(link);
     if (it == links_.end()) return Status::IoError("link closed");
-    return it->second->Send(frame);
+    Status st = it->second->Send(frame);
+    if (!st.ok()) it->second->Shutdown();
+    return st;
   }
 
   Result<std::pair<uint64_t, uint64_t>> Spawn(uint64_t id) override {

@@ -11,6 +11,7 @@
 
 #include "common/backoff.h"
 #include "common/result.h"
+#include "common/serde.h"
 #include "mapreduce/channel.h"
 #include "mapreduce/spill.h"
 #include "obs/trace.h"
@@ -130,13 +131,15 @@ constexpr double kWorkerHeartbeatSeconds = 0.25;
 /// raw kill() stays inside src/mapreduce/.
 [[noreturn]] void CrashSelf();
 
-/// Wire payloads (Encode/Decode pairs; all varint-framed like the spill
-/// format). TaskAssignMsg rides kTaskAssign, ResultMsg kResult, HelloMsg
-/// kHello, JobSetupMsg kJobSetup, RunBeginMsg kRunBegin, RunEndMsg kRunEnd,
-/// RunAckMsg kRunAck. kRunData frames carry raw run bytes (the channel
-/// framing already CRC-protects each chunk; the run trailer protects the
-/// whole).
-struct ResultMsg {
+/// Wire payloads. Each names its fields once, in wire order (`Fields`,
+/// common/serde.h); WireMessage derives its Encode()/Decode() from that
+/// list, and Decode() rejects trailing bytes and integers outside their
+/// field's range. TaskAssignMsg rides kTaskAssign, ResultMsg kResult,
+/// HelloMsg kHello, JobSetupMsg kJobSetup, RunBeginMsg kRunBegin, RunEndMsg
+/// kRunEnd, RunAckMsg kRunAck. kRunData frames carry raw run bytes (the
+/// channel framing already CRC-protects each chunk; the run trailer
+/// protects the whole).
+struct ResultMsg : WireMessage<ResultMsg, "ResultMsg"> {
   uint64_t task = 0;
   uint64_t attempt = 0;
   int32_t status_code = 0;  // StatusCode of the attempt
@@ -144,15 +147,18 @@ struct ResultMsg {
   double seconds = 0.0;  // child-measured attempt duration
   std::string payload;   // serialized task counters (empty on failure)
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, ResultMsg* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.task, s.attempt, s.status_code, s.status_message,
+                     s.seconds, s.payload);
+  }
 };
 
-struct HelloMsg {
+struct HelloMsg : WireMessage<HelloMsg, "HelloMsg"> {
   uint64_t worker_id = 0;
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, HelloMsg* out);
+  template <typename S>
+  static auto Fields(S& s) { return FieldRefs(s.worker_id); }
 };
 
 /// Deterministic chaos injection, for exercising the recovery paths the way
@@ -199,6 +205,16 @@ struct FaultInjection {
   /// cannot be redialed.
   double channel_drop_rate = 0.0;
   uint64_t seed = 1;
+
+  /// Wire order, which puts the seed first.
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.seed, s.map_failure_rate, s.reduce_failure_rate,
+                     s.straggler_rate, s.straggler_slowdown,
+                     s.straggler_min_seconds, s.corruption_rate,
+                     s.worker_crash_rate, s.poison_task_rate,
+                     s.channel_drop_rate);
+  }
 };
 
 /// Installs one phase of a registered job on a remote worker (rides
@@ -208,7 +224,7 @@ struct FaultInjection {
 /// blob the registered factory decodes, and the knobs the phase engine
 /// (phase.cc) bakes into a forked body (partition count, spill budget,
 /// deterministic chaos rates).
-struct JobSetupMsg {
+struct JobSetupMsg : WireMessage<JobSetupMsg, "JobSetupMsg"> {
   std::string job_id;    // JobRegistry id naming the task body
   std::string job_name;  // spec.name verbatim (chaos hashing, spill prefixes)
   uint32_t phase = 0;    // 0 = map, 1 = reduce
@@ -221,8 +237,12 @@ struct JobSetupMsg {
   /// fork-mode chaos.
   FaultInjection faults;
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, JobSetupMsg* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.job_id, s.job_name, s.phase, s.ctx, s.num_partitions,
+                     s.memory_budget_bytes, s.spill_dir, s.skip_bad_records,
+                     s.faults);
+  }
 };
 
 /// One task attempt (rides kTaskAssign), the one task frame of forked and
@@ -231,18 +251,20 @@ struct JobSetupMsg {
 /// copy-on-write; a forked worker gets an empty `input`. `window_bytes` is
 /// the attempt's shuffle credit window: the worker opens a new run only
 /// while its shipped-but-unacked bytes stay under it.
-struct TaskAssignMsg {
+struct TaskAssignMsg : WireMessage<TaskAssignMsg, "TaskAssignMsg"> {
   uint64_t task = 0;
   uint64_t attempt = 0;
   bool quarantined = false;
   uint64_t window_bytes = 0;
   std::string input;
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, TaskAssignMsg* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.task, s.attempt, s.quarantined, s.window_bytes, s.input);
+  }
 };
 
-struct RunBeginMsg {
+struct RunBeginMsg : WireMessage<RunBeginMsg, "RunBeginMsg"> {
   uint64_t task = 0;
   uint64_t attempt = 0;
   uint64_t seq = 0;  // run index within the attempt's stream order
@@ -250,28 +272,33 @@ struct RunBeginMsg {
   uint32_t spill_index = 0;  // kTailRunIndex for tails
   uint64_t length = 0;       // total run bytes incl trailer
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, RunBeginMsg* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.task, s.attempt, s.seq, s.partition, s.spill_index,
+                     s.length);
+  }
 };
 
-struct RunEndMsg {
+struct RunEndMsg : WireMessage<RunEndMsg, "RunEndMsg"> {
   uint64_t task = 0;
   uint64_t attempt = 0;
   uint64_t seq = 0;
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, RunEndMsg* out);
+  template <typename S>
+  static auto Fields(S& s) { return FieldRefs(s.task, s.attempt, s.seq); }
 };
 
 /// Cumulative commit acknowledgement: the flow-control credit.
-struct RunAckMsg {
+struct RunAckMsg : WireMessage<RunAckMsg, "RunAckMsg"> {
   uint64_t task = 0;
   uint64_t attempt = 0;
   uint64_t acked_runs = 0;   // runs committed so far for this attempt
   uint64_t acked_bytes = 0;  // their total shipped bytes
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, RunAckMsg* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.task, s.attempt, s.acked_runs, s.acked_bytes);
+  }
 };
 
 /// Why a worker leaves a phase before teardown.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/serde.h"
 
 /// \file protocol.h
 /// Wire messages of the serving layer. ddp_server and ddp_client speak the
@@ -24,8 +25,9 @@
 /// (JobSubmitMsg::progress_seconds > 0), so clients skip or collect them
 /// while waiting for a reply type.
 ///
-/// Like the supervisor messages, every struct encodes with the serde
-/// disciplines of common/serde.h and rejects trailing bytes on decode.
+/// Like the supervisor messages, every struct names its wire fields once
+/// (`Fields`, common/serde.h) and takes Encode()/Decode() from that list;
+/// Decode() rejects trailing bytes.
 
 namespace ddp {
 namespace server {
@@ -45,7 +47,7 @@ std::string_view JobStateName(JobState state);
 /// Everything that determines a job's output given the dataset bytes — the
 /// canonicalized half of the result-cache key. Field semantics mirror the
 /// ddp_cli cluster flags.
-struct JobParams {
+struct JobParams : WireMessage<JobParams, "JobParams"> {
   std::string algo = "lsh";  // lsh | basic | eddpc
   double dc = 0.0;           // explicit cutoff; <= 0 samples percentile
   double percentile = 0.02;
@@ -68,8 +70,14 @@ struct JobParams {
   double reduce_failure_rate = 0.0;
   double worker_crash_rate = 0.0;
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, JobParams* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.algo, s.dc, s.percentile, s.k, s.rho_min, s.delta_min,
+                     s.accuracy, s.num_layouts, s.pi, s.block_size,
+                     s.num_workers, s.memory_budget_bytes, AsByte(s.exec_mode),
+                     s.seed, s.map_failure_rate, s.reduce_failure_rate,
+                     s.worker_crash_rate);
+  }
 
   /// Stable `key=value;` rendering of every field above, in declaration
   /// order with %.17g doubles — combined with the dataset digest this is
@@ -78,7 +86,7 @@ struct JobParams {
   std::string CanonicalKey() const;
 };
 
-struct JobSubmitMsg {
+struct JobSubmitMsg : WireMessage<JobSubmitMsg, "JobSubmitMsg"> {
   JobParams params;
   /// Dataset path as visible to the server: a DDPB/CSV file or a directory
   /// of DDPB shards. The server digests the bytes, so the same data under
@@ -89,31 +97,34 @@ struct JobSubmitMsg {
   /// the terminal push at once, whatever the interval.
   double progress_seconds = 0.0;
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, JobSubmitMsg* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(LengthPrefixed(s.params), s.dataset_path,
+                     s.progress_seconds);
+  }
 };
 
 /// Client request payload for kJobStatus and kJobResult frames.
-struct JobPollMsg {
+struct JobPollMsg : WireMessage<JobPollMsg, "JobPollMsg"> {
   uint64_t job_id = 0;
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, JobPollMsg* out);
+  template <typename S>
+  static auto Fields(S& s) { return FieldRefs(s.job_id); }
 };
 
 /// `job_id == kShutdownJobId` is the admin drain request: the server stops
 /// admitting, finishes queued and running jobs, then exits.
 constexpr uint64_t kShutdownJobId = ~uint64_t{0};
 
-struct JobCancelMsg {
+struct JobCancelMsg : WireMessage<JobCancelMsg, "JobCancelMsg"> {
   uint64_t job_id = 0;
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, JobCancelMsg* out);
+  template <typename S>
+  static auto Fields(S& s) { return FieldRefs(s.job_id); }
 };
 
 /// Server reply for submissions, polls, cancels, and progress pushes.
-struct JobStatusMsg {
+struct JobStatusMsg : WireMessage<JobStatusMsg, "JobStatusMsg"> {
   uint64_t job_id = 0;
   uint8_t state = 0;  // JobState
   /// Rejection reason, failure message, or empty.
@@ -126,14 +137,19 @@ struct JobStatusMsg {
   double running_seconds = 0.0;
   uint8_t from_result_cache = 0;
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, JobStatusMsg* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.job_id, AsByte(s.state), s.detail, s.queue_position,
+                     s.mr_jobs_done, s.running_seconds,
+                     AsByte(s.from_result_cache));
+  }
 };
 
 /// The clustering output a finished job serves — the bytes the result cache
 /// stores verbatim, so a cache hit is bit-identical to the run that
 /// populated it.
-struct JobResultPayload {
+struct JobResultPayload
+    : WireMessage<JobResultPayload, "JobResultPayload"> {
   double dc = 0.0;
   uint64_t num_clusters = 0;
   std::vector<int32_t> assignment;  // cluster id per point, global id order
@@ -141,19 +157,25 @@ struct JobResultPayload {
   double total_seconds = 0.0;
   uint64_t mr_jobs = 0;  // MapReduce jobs the pipeline ran
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, JobResultPayload* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.dc, s.num_clusters, s.assignment, s.distance_evaluations,
+                     s.total_seconds, s.mr_jobs);
+  }
 };
 
-struct JobResultMsg {
+struct JobResultMsg : WireMessage<JobResultMsg, "JobResultMsg"> {
   uint64_t job_id = 0;
   uint8_t state = 0;  // JobState; payload present iff kDone
   std::string error;  // failure/cancel detail when not kDone
   uint8_t from_result_cache = 0;
   std::string payload;  // encoded JobResultPayload when kDone
 
-  std::string Encode() const;
-  static Status Decode(const std::string& bytes, JobResultMsg* out);
+  template <typename S>
+  static auto Fields(S& s) {
+    return FieldRefs(s.job_id, AsByte(s.state), s.error,
+                     AsByte(s.from_result_cache), s.payload);
+  }
 };
 
 }  // namespace server

@@ -19,6 +19,8 @@
 #include "lsh/partitioner.h"
 #include "lsh/theory.h"
 #include "lsh/tuning.h"
+#include "mapreduce/supervisor.h"
+#include "server/protocol.h"
 
 namespace ddp {
 namespace {
@@ -343,7 +345,7 @@ TEST(DecoderBoundTest, PointRecordRejectsCoordinateCountAboveRemainingBytes) {
   const std::string bytes = w.Release() + HugeCountThen("12345678");
   BufferReader r(bytes);
   ddprec::PointRecord out;
-  EXPECT_TRUE(ddprec::PointRecord::DeserializeFrom(&r, &out).IsIoError());
+  EXPECT_TRUE(Serde<ddprec::PointRecord>::Read(&r, &out).IsIoError());
 }
 
 TEST(DecoderBoundTest,
@@ -354,8 +356,7 @@ TEST(DecoderBoundTest,
   const std::string bytes = w.Release() + HugeCountThen("12345678");
   BufferReader r(bytes);
   ddprec::ScoredPointRecord out;
-  EXPECT_TRUE(
-      ddprec::ScoredPointRecord::DeserializeFrom(&r, &out).IsIoError());
+  EXPECT_TRUE(Serde<ddprec::ScoredPointRecord>::Read(&r, &out).IsIoError());
 }
 
 TEST(DecoderBoundTest, MemberOrQueryRejectsCoordinateCountAboveRemainingBytes) {
@@ -416,7 +417,7 @@ TEST(DecoderBoundTest, CtxDecodersRejectOutOfRangeEnumBytes) {
     ctx.backend = static_cast<LocalDpBackend>(backend);
     ctx.dataset = &dataset;
     BufferWriter w;
-    ctx.EncodeTo(&w);
+    Serde<lshjobs::LshJobsCtx>::Write(&w, ctx);
     return w.Release();
   };
   auto basic_blob = [&](uint8_t backend) {
@@ -426,7 +427,7 @@ TEST(DecoderBoundTest, CtxDecodersRejectOutOfRangeEnumBytes) {
     ctx.backend = static_cast<LocalDpBackend>(backend);
     ctx.dataset = &dataset;
     BufferWriter w;
-    ctx.EncodeTo(&w);
+    Serde<basicjobs::BasicJobsCtx>::Write(&w, ctx);
     return w.Release();
   };
   auto eddpc_blob = [&](uint8_t backend) {
@@ -435,7 +436,7 @@ TEST(DecoderBoundTest, CtxDecodersRejectOutOfRangeEnumBytes) {
     ctx.backend = static_cast<LocalDpBackend>(backend);
     ctx.dataset = &dataset;
     BufferWriter w;
-    ctx.EncodeTo(&w);
+    Serde<eddpcjobs::EddpcJobsCtx>::Write(&w, ctx);
     return w.Release();
   };
   const uint8_t kdtree = static_cast<uint8_t>(LocalDpBackend::kKdTree);
@@ -468,8 +469,260 @@ TEST(DecoderBoundTest, CentroidPartialRejectsSumCountAboveRemainingBytes) {
   w.PutDouble(1.0);
   BufferReader r(w.data());
   pipejobs::CentroidPartial out;
+  EXPECT_TRUE(Serde<pipejobs::CentroidPartial>::Read(&r, &out).IsIoError());
+}
+
+
+// Every integer narrower than 64 bits decodes through one range-checked
+// read: a value its type cannot hold is an IoError, never a cast (a remote
+// worker's id of 2^32 + 5 must not read as 5).
+std::string Varint(uint64_t v) {
+  BufferWriter w;
+  w.PutVarint64(v);
+  return w.Release();
+}
+
+std::string ZigZag(int64_t v) {
+  BufferWriter w;
+  w.PutSignedVarint64(v);
+  return w.Release();
+}
+
+template <typename T>
+Status ReadOne(const std::string& bytes) {
+  BufferReader r(bytes);
+  T out{};
+  return Serde<T>::Read(&r, &out);
+}
+
+TEST(DecoderBoundTest, NarrowIntegersRejectValuesOutOfRange) {
+  const int64_t int32_min = std::numeric_limits<int32_t>::min();
+  const int64_t int32_max = std::numeric_limits<int32_t>::max();
+  EXPECT_TRUE(ReadOne<uint8_t>(Varint(255)).ok());
+  EXPECT_TRUE(ReadOne<uint8_t>(Varint(256)).IsIoError());
+  EXPECT_TRUE(ReadOne<uint32_t>(Varint(UINT32_MAX)).ok());
+  EXPECT_TRUE(ReadOne<uint32_t>(Varint((uint64_t{1} << 32) + 5)).IsIoError());
+  EXPECT_TRUE(ReadOne<int32_t>(ZigZag(int32_min)).ok());
+  EXPECT_TRUE(ReadOne<int32_t>(ZigZag(int32_max)).ok());
+  EXPECT_TRUE(ReadOne<int32_t>(ZigZag(int32_max + 1)).IsIoError());
+  EXPECT_TRUE(ReadOne<int32_t>(ZigZag(int32_min - 1)).IsIoError());
+}
+
+// A uint8 field: EDDPC's per-cell nonempty flags.
+TEST(DecoderBoundTest, Uint8FieldRejectsValueOutOfRange) {
+  BufferWriter w;
+  w.PutDouble(1.0);  // dc
+  w.PutByte(0);      // backend
+  w.PutByte(1);      // use_max_rho_filter
+  w.PutVarint64(0);  // pivots
+  w.PutVarint64(0);  // cell_radius
+  w.PutVarint64(0);  // cell_max_rho
+  w.PutVarint64(1);  // cell_nonempty: one flag of 256
+  w.PutVarint64(256);
+  w.PutVarint64(1);  // dataset dim
+  w.PutDoubles({0.5});
   EXPECT_TRUE(
-      pipejobs::CentroidPartial::DeserializeFrom(&r, &out).IsIoError());
+      eddpcjobs::EddpcJobsCtx::DecodeNew(w.data()).status().IsIoError());
+}
+
+// uint32 fields: a run's partition and spill index, a setup's phase.
+TEST(DecoderBoundTest, Uint32FieldsRejectValuesOutOfRange) {
+  const uint64_t huge = (uint64_t{1} << 32) + 5;
+  for (int field = 0; field < 2; ++field) {
+    // task, attempt, seq, partition, spill_index, length
+    BufferWriter w;
+    w.PutVarint64(1);
+    w.PutVarint64(0);
+    w.PutVarint64(0);
+    w.PutVarint64(field == 0 ? huge : 0);
+    w.PutVarint64(field == 1 ? huge : 0);
+    w.PutVarint64(8);
+    mr::RunBeginMsg begin;
+    EXPECT_TRUE(mr::RunBeginMsg::Decode(w.data(), &begin).IsIoError())
+        << field;
+  }
+  mr::JobSetupMsg setup;
+  setup.phase = 1;
+  std::string bytes = setup.Encode();
+  ASSERT_EQ(bytes.substr(0, 3), std::string("\0\0\1", 3));
+  bytes = bytes.substr(0, 2) + Varint(huge) + bytes.substr(3);
+  EXPECT_TRUE(mr::JobSetupMsg::Decode(bytes, &setup).IsIoError());
+}
+
+// int32 fields: an attempt's status code, a jump message's and a jump
+// update's cluster, a served assignment and a pointer-jumping round's.
+TEST(DecoderBoundTest, Int32FieldsRejectValuesOutOfRange) {
+  const std::string above = ZigZag(int64_t{1} << 31);
+  const std::string below = ZigZag(-(int64_t{1} << 31) - 1);
+  {
+    BufferWriter w;
+    w.PutVarint64(1);  // task
+    w.PutVarint64(0);  // attempt
+    w.PutRaw(above.data(), above.size());
+    w.PutString("");
+    w.PutDouble(0.0);
+    w.PutString("");
+    mr::ResultMsg result;
+    EXPECT_TRUE(mr::ResultMsg::Decode(w.data(), &result).IsIoError());
+  }
+  {
+    BufferWriter w;
+    w.PutByte(0);  // kind
+    w.PutRaw(below.data(), below.size());
+    w.PutVarint32(1);  // parent
+    w.PutVarint32(2);  // asker
+    EXPECT_TRUE(ReadOne<pipejobs::JumpMessage>(w.data()).IsIoError());
+  }
+  {
+    BufferWriter w;
+    w.PutVarint32(1);  // point
+    w.PutRaw(above.data(), above.size());
+    w.PutVarint32(2);  // new_parent
+    EXPECT_TRUE(ReadOne<pipejobs::JumpUpdate>(w.data()).IsIoError());
+  }
+  {
+    BufferWriter w;
+    w.PutDouble(0.5);  // dc
+    w.PutVarint64(1);  // num_clusters
+    w.PutVarint64(1);  // one assignment
+    w.PutRaw(above.data(), above.size());
+    w.PutVarint64(0);  // distance_evaluations
+    w.PutDouble(0.0);  // total_seconds
+    w.PutVarint64(0);  // mr_jobs
+    server::JobResultPayload payload;
+    EXPECT_TRUE(
+        server::JobResultPayload::Decode(w.data(), &payload).IsIoError());
+  }
+  {
+    BufferWriter w;
+    w.PutVarint64(1);  // one assignment
+    w.PutRaw(below.data(), below.size());
+    w.PutVarint64(1);  // one parent
+    w.PutVarint32(0);
+    EXPECT_TRUE(
+        pipejobs::AssignJumpCtx::DecodeNew(w.data()).status().IsIoError());
+  }
+}
+
+// An LSH ctx sizes the partitioner a worker draws: more than
+// kMaxCtxHashCoefficients coefficients is refused before any is drawn.
+TEST(DecoderBoundTest, LshCtxRejectsAPartitionerAboveTheCap) {
+  const Dataset dataset =
+      Dataset::FromValues(2, {0.0, 1.0, 2.0, 3.0}).ValueOrDie();
+  lshjobs::LshJobsCtx ctx;
+  ctx.dc = 1.0;
+  ctx.num_layouts = 1;
+  ctx.pi = 1;
+  ctx.width = 1.0;
+  ctx.dataset = &dataset;
+  BufferWriter ok;
+  Serde<lshjobs::LshJobsCtx>::Write(&ok, ctx);
+  EXPECT_TRUE(lshjobs::LshJobsCtx::DecodeNew(ok.data()).ok());
+  for (uint64_t pi : {lshjobs::kMaxCtxHashCoefficients, uint64_t{1} << 40}) {
+    ctx.pi = pi;
+    BufferWriter w;
+    Serde<lshjobs::LshJobsCtx>::Write(&w, ctx);
+    Status st = lshjobs::LshJobsCtx::DecodeNew(w.data()).status();
+    EXPECT_TRUE(st.IsIoError()) << pi << ": " << st.ToString();
+  }
+}
+
+
+// The drivers index arrays by the ids their jobs return, which under
+// --exec-mode remote come from whatever dialed the pool. Every id is
+// checked first: one past its array is an IoError naming the job.
+bool NamesJob(const Status& st) {
+  return st.IsIoError() && st.message().find("job test-job") == 0;
+}
+
+TEST(ReturnedIdCheckTest, RhoAndDeltaAssemblyRejectIdsPastThePoints) {
+  std::vector<uint32_t> rho(3, 0);
+  const std::vector<std::pair<PointId, uint32_t>> good = {{2, 7}};
+  ASSERT_TRUE(ddprec::AssembleRho(good, "test-job", &rho).ok());
+  EXPECT_EQ(rho[2], 7u);
+  const std::vector<std::pair<PointId, uint32_t>> bad = {{3, 7}};
+  EXPECT_TRUE(NamesJob(ddprec::AssembleRho(bad, "test-job", &rho)));
+
+  DpScores scores;
+  scores.Resize(3);
+  using Out = std::pair<PointId, ddprec::DeltaCandidate>;
+  const std::vector<Out> deltas = {{0, {4.0, 1}}, {1, {9.0, kInvalidPointId}}};
+  ASSERT_TRUE(ddprec::AssembleDeltas(deltas, "test-job", &scores).ok());
+  EXPECT_EQ(scores.delta[0], 2.0);
+  EXPECT_EQ(scores.upslope[0], 1u);
+  EXPECT_EQ(scores.upslope[1], kInvalidPointId);
+  EXPECT_TRUE(NamesJob(ddprec::AssembleDeltas(std::vector<Out>{{3, {1.0, 0}}},
+                                              "test-job", &scores)));
+  EXPECT_TRUE(NamesJob(ddprec::AssembleDeltas(std::vector<Out>{{0, {1.0, 3}}},
+                                              "test-job", &scores)));
+}
+
+TEST(ReturnedIdCheckTest, EddpcBoundsRejectCellsAndPointsOutOfRange) {
+  eddpcjobs::EddpcJobsCtx refine;
+  refine.pivots = {{0.0}, {1.0}};
+  eddpcjobs::BoundOrStats stats;
+  stats.is_stats = true;
+  stats.cell = 1;
+  stats.max_rho = 9;
+  eddpcjobs::BoundOrStats bound;
+  bound.bound.id = 2;
+  std::vector<eddpcjobs::BoundInfo> bounds;
+  ASSERT_TRUE(eddpcjobs::SplitBoundsAndStats(
+                  std::vector<eddpcjobs::BoundOrStats>{stats, bound}, 3,
+                  "test-job", &refine, &bounds)
+                  .ok());
+  EXPECT_EQ(refine.cell_max_rho, (std::vector<uint32_t>{0, 9}));
+  EXPECT_EQ(refine.cell_nonempty, (std::vector<uint8_t>{0, 1}));
+  ASSERT_EQ(bounds.size(), 1u);
+  stats.cell = 2;
+  EXPECT_TRUE(NamesJob(eddpcjobs::SplitBoundsAndStats(
+      std::vector<eddpcjobs::BoundOrStats>{stats}, 3, "test-job", &refine,
+      &bounds)));
+  bound.bound.id = 3;
+  EXPECT_TRUE(NamesJob(eddpcjobs::SplitBoundsAndStats(
+      std::vector<eddpcjobs::BoundOrStats>{bound}, 3, "test-job", &refine,
+      &bounds)));
+}
+
+TEST(ReturnedIdCheckTest, JumpUpdatesRejectPointsClustersAndParents) {
+  std::vector<int> assignment(3, -1);
+  std::vector<PointId> parent = {kInvalidPointId, 0, 1};
+  auto apply = [&](pipejobs::JumpUpdate u) {
+    return pipejobs::ApplyJumpUpdates(std::vector<pipejobs::JumpUpdate>{u},
+                                      /*num_clusters=*/2, "test-job",
+                                      &assignment, &parent);
+  };
+  ASSERT_TRUE(apply({1, 1, kInvalidPointId}).ok());
+  EXPECT_EQ(assignment[1], 1);
+  EXPECT_EQ(parent[1], kInvalidPointId);
+  ASSERT_TRUE(apply({2, -1, 0}).ok());
+  EXPECT_EQ(parent[2], 0u);
+  ASSERT_TRUE(apply({2, -1, kInvalidPointId}).ok());
+  EXPECT_TRUE(NamesJob(apply({3, 0, kInvalidPointId})));
+  EXPECT_TRUE(NamesJob(apply({0, 2, kInvalidPointId})));
+  EXPECT_TRUE(NamesJob(apply({0, -1, 3})));
+}
+
+TEST(ReturnedIdCheckTest, CentroidPartialsRejectIdsAndDimensions) {
+  std::vector<std::vector<double>> centroids = {{0.0, 0.0}, {1.0, 1.0}};
+  using Out = pipejobs::KmeansIterOut;
+  pipejobs::CentroidPartial partial;
+  partial.sum = {4.0, 6.0};
+  partial.count = 2;
+  Result<double> moved = pipejobs::ApplyCentroidPartials(
+      std::vector<Out>{{0, partial}}, "test-job", &centroids);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(*moved, 13.0);
+  EXPECT_EQ(centroids[0], (std::vector<double>{2.0, 3.0}));
+  EXPECT_TRUE(NamesJob(pipejobs::ApplyCentroidPartials(
+                           std::vector<Out>{{2, partial}}, "test-job",
+                           &centroids)
+                           .status()));
+  partial.sum = {4.0};
+  EXPECT_TRUE(NamesJob(pipejobs::ApplyCentroidPartials(
+                           std::vector<Out>{{1, partial}}, "test-job",
+                           &centroids)
+                           .status()));
 }
 
 }  // namespace

@@ -15,10 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -194,7 +196,7 @@ void ServeWholeAttemptsInOneWrite(uint16_t port, const std::string& run) {
 }
 
 // What one single-task remote phase on `pool` committed, and how long it
-// took.
+// took. Its kJobSetup carries a `ctx_bytes`-byte context.
 struct OnePhase {
   Status status;
   std::string payload;
@@ -203,14 +205,17 @@ struct OnePhase {
   double seconds = 0.0;
 };
 
-OnePhase RunOneTaskPhase(mr::RemoteWorkerPool* pool, const std::string& name) {
+OnePhase RunOneTaskPhase(mr::RemoteWorkerPool* pool, const std::string& name,
+                         size_t ctx_bytes = 0) {
   mr::Options options;
   options.exec_mode = mr::ExecMode::kRemote;
   options.remote_pool = pool;
   mr::SupervisedPhase phase;
   phase.job_name = name;
   phase.num_tasks = 1;
-  phase.remote_setup = mr::JobSetupMsg{}.Encode();
+  mr::JobSetupMsg setup;
+  setup.ctx.assign(ctx_bytes, 'c');
+  phase.remote_setup = setup.Encode();
   phase.remote_input = [](size_t) -> Result<std::string> {
     return std::string();
   };
@@ -422,6 +427,49 @@ TEST(BufferedReceiveTest, OversizedFirstFrameDoesNotStallThePhase) {
       mr::EncodeFrame({mr::MessageType::kHello, std::string(1 << 20, 'h')});
   const size_t header = bytes.size() - (size_t{1} << 20) - 4;
   ExpectStrangerStallsNothing(bytes.substr(0, header + 10), "oversized-peer");
+}
+
+// A pool connection that says hello and then reads nothing, ahead of a real
+// worker. Its 5 MiB kJobSetup outgrows the socket buffers, so the send
+// blocks; it must fail once the peer has taken no byte for the heartbeat
+// grace (2 s), and the peer be closed unregistered, rather than hold the
+// driver until the peer gives up (here after 10 s). The worker beside it
+// then commits the task.
+TEST(BoundedSendTest, PeerThatReadsNothingDoesNotHoldTheDriver) {
+  auto pool = mr::RemoteWorkerPool::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const uint16_t port = (*pool)->port();
+  auto silent = mr::TcpChannel::Connect("127.0.0.1", port, {}, /*seed=*/1,
+                                        /*deadline_seconds=*/5.0);
+  ASSERT_TRUE(silent.ok()) << silent.status().ToString();
+  mr::HelloMsg hello;
+  hello.worker_id = 77;
+  ASSERT_TRUE((*silent)->Send({mr::MessageType::kHello, hello.Encode()}).ok());
+  std::promise<void> phase_done;
+  std::thread closer([&silent, done = phase_done.get_future()] {
+    done.wait_for(std::chrono::seconds(10));
+    (*silent)->Close();
+  });
+  // A real worker dials again when its link closes, as this one's does
+  // when its hello waited out the blocked send.
+  const std::string frames_bytes(96, 'b');
+  const std::string run = frames_bytes + mr::RunTrailer(frames_bytes);
+  std::atomic<bool> stop{false};
+  std::thread fake([port, &run, &stop] {
+    while (!stop) ServeWholeAttemptsInOneWrite(port, run);
+  });
+  const OnePhase got =
+      RunOneTaskPhase(pool->get(), "silent-reader", /*ctx_bytes=*/5 << 20);
+  phase_done.set_value();
+  closer.join();
+  stop = true;
+  pool->reset();
+  fake.join();
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.payload, "done");
+  EXPECT_EQ(got.counters.workers_registered, 1u);
+  EXPECT_EQ(got.counters.map_task_retries, 0u);
+  EXPECT_LT(got.seconds, 5.0);
 }
 
 // --------------------------------------------------------- worker processes

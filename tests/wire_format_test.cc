@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "common/serde.h"
 #include "dataset/dataset.h"
 #include "ddp/basic_ddp_jobs.h"
@@ -16,6 +18,7 @@
 #include "ddp/records.h"
 #include "mapreduce/mapreduce.h"
 #include "mapreduce/phase.h"
+#include "mapreduce/remote_job.h"
 #include "mapreduce/supervisor.h"
 #include "server/protocol.h"
 
@@ -480,6 +483,318 @@ TEST(WireGoldenTest, DriverContexts) {
   ExpectCtx<pipejobs::KmeansIterCtx>(
       kmeans, [](auto ctx) { return pipejobs::MakeKmeansIterJob(ctx, 4); },
       "0202000000000000f03f00000000000000c0010000000000000c40" + kDatasetHex);
+}
+
+// The reduce-side formats, whose per-partition spill flag moved into the
+// engine: the reduce slot carries no merge-pass count, and a remote reduce
+// input is the partition's runs alone.
+TEST(WireGoldenTest, ReduceSlotAndRemoteReduceInput) {
+  mr::internal::ReduceTaskOutput<lshjobs::LshDeltaOut> slot;
+  slot.out = {{700, {6.25, 400}}};
+  slot.groups = 130;
+  slot.skipped = 140;
+  slot.group_size_log2 = {0, 150};
+  const mr::internal::SlotCodec codec =
+      mr::internal::ReduceSlotCodec<lshjobs::LshDeltaOut>();
+  BufferWriter w;
+  codec.serialize(&w, slot);
+  EXPECT_EQ(Hex(w.data()), "01bc050000000000001940900382018c0102009601");
+  mr::internal::ReduceTaskOutput<lshjobs::LshDeltaOut> back;
+  BufferReader r(w.data());
+  ASSERT_TRUE(codec.deserialize(&r, &back).ok());
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(back.out, slot.out);
+  EXPECT_EQ(back.group_size_log2, slot.group_size_log2);
+
+  const std::vector<std::string> runs = {std::string(130, 'r'), ""};
+  const std::string input = RecordBytes(runs);
+  EXPECT_EQ(Hex(input.substr(0, 4)), "02820172");
+  std::vector<std::string> decoded;
+  ASSERT_TRUE(mr::internal::DecodeReduceInput(input, &decoded).ok());
+  EXPECT_EQ(decoded, runs);
+}
+
+// ---------------------------------------------------------------- mutation
+
+// A decoder and one valid encoding for it.
+struct Decodable {
+  std::string name;
+  std::string bytes;
+  std::function<Status(const std::string&)> decode;
+};
+
+template <typename Msg>
+Decodable MessageCase(const std::string& name, const Msg& msg) {
+  return {name, msg.Encode(), [](const std::string& bytes) {
+            Msg out;
+            return Msg::Decode(bytes, &out);
+          }};
+}
+
+template <typename T>
+Decodable RecordCase(const std::string& name, const T& v) {
+  return {name, RecordBytes(v), [](const std::string& bytes) {
+            BufferReader r(bytes);
+            T out;
+            return Serde<T>::Read(&r, &out);
+          }};
+}
+
+template <typename Ctx>
+Decodable CtxCase(const std::string& name, const Ctx& ctx) {
+  return {name, RecordBytes(ctx), [](const std::string& bytes) {
+            return Ctx::DecodeNew(bytes).status();
+          }};
+}
+
+Decodable SlotCase(const std::string& name, mr::internal::SlotCodec codec,
+                   mr::internal::TaskSlot& slot,
+                   std::function<std::unique_ptr<mr::internal::TaskSlot>()>
+                       new_slot) {
+  BufferWriter w;
+  codec.serialize(&w, slot);
+  return {name, w.Release(), [codec, new_slot](const std::string& bytes) {
+            BufferReader r(bytes);
+            std::unique_ptr<mr::internal::TaskSlot> out = new_slot();
+            return codec.deserialize(&r, out.get());
+          }};
+}
+
+// One corruption of `bytes`: a flipped bit, a truncation, inserted bytes,
+// or an inflated varint (a run of continuation bytes written over or into
+// the encoding).
+std::string Mutate(const std::string& bytes, Rng* rng) {
+  std::string out = bytes;
+  const size_t pos = rng->UniformInt(out.size() + 1);
+  switch (rng->UniformInt(4)) {
+    case 0:
+      if (!out.empty()) {
+        out[pos % out.size()] ^= static_cast<char>(1 << rng->UniformInt(8));
+      }
+      break;
+    case 1:
+      out.resize(pos);
+      break;
+    case 2:
+      for (uint64_t k = 1 + rng->UniformInt(4); k > 0; --k) {
+        out.insert(out.begin() + static_cast<std::ptrdiff_t>(pos),
+                   static_cast<char>(rng->UniformInt(256)));
+      }
+      break;
+    default: {
+      std::string varint(1 + rng->UniformInt(10), '\xff');
+      varint.push_back(static_cast<char>(1 + rng->UniformInt(127)));
+      if (rng->UniformInt(2) == 0) {
+        out.insert(pos, varint);
+      } else {
+        out.replace(pos, varint.size(), varint);
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+std::vector<Decodable> AllDecodables(const Dataset& dataset) {
+  std::vector<Decodable> cases;
+  mr::ResultMsg result;
+  result.task = 300;
+  result.status_code = -5;
+  result.status_message = "boom";
+  result.payload = "xyz";
+  cases.push_back(MessageCase("ResultMsg", result));
+  mr::HelloMsg hello;
+  hello.worker_id = 1000;
+  cases.push_back(MessageCase("HelloMsg", hello));
+  mr::JobSetupMsg setup;
+  setup.job_id = "lsh-rho-local";
+  setup.phase = 1;
+  setup.ctx = "ctx";
+  setup.num_partitions = 130;
+  setup.faults.seed = 20260808;
+  setup.faults.corruption_rate = 0.5;
+  cases.push_back(MessageCase("JobSetupMsg", setup));
+  mr::TaskAssignMsg assign;
+  assign.task = 131;
+  assign.quarantined = true;
+  assign.window_bytes = 4194304;
+  assign.input = "input";
+  cases.push_back(MessageCase("TaskAssignMsg", assign));
+  mr::RunBeginMsg begin;
+  begin.task = 140;
+  begin.partition = 170;
+  begin.spill_index = mr::kTailRunIndex;
+  begin.length = 70000;
+  cases.push_back(MessageCase("RunBeginMsg", begin));
+  mr::RunEndMsg end;
+  end.seq = 160;
+  cases.push_back(MessageCase("RunEndMsg", end));
+  mr::RunAckMsg ack;
+  ack.acked_runs = 180;
+  ack.acked_bytes = 1 << 20;
+  cases.push_back(MessageCase("RunAckMsg", ack));
+
+  cases.push_back(MessageCase("JobParams", Params()));
+  server::JobSubmitMsg submit;
+  submit.params = Params();
+  submit.dataset_path = "/data/x.ddpb";
+  cases.push_back(MessageCase("JobSubmitMsg", submit));
+  server::JobPollMsg poll;
+  poll.job_id = 1000;
+  cases.push_back(MessageCase("JobPollMsg", poll));
+  server::JobCancelMsg cancel;
+  cancel.job_id = server::kShutdownJobId;
+  cases.push_back(MessageCase("JobCancelMsg", cancel));
+  server::JobStatusMsg status;
+  status.state = 200;
+  status.detail = "queued";
+  cases.push_back(MessageCase("JobStatusMsg", status));
+  cases.push_back(MessageCase("JobResultPayload", ResultPayload()));
+  server::JobResultMsg job_result;
+  job_result.state = 2;
+  job_result.payload = ResultPayload().Encode();
+  cases.push_back(MessageCase("JobResultMsg", job_result));
+
+  cases.push_back(
+      RecordCase("PointRecord", ddprec::PointRecord{300, {1.5, -2.25}}));
+  cases.push_back(RecordCase("ScoredPointRecord", Scored()));
+  cases.push_back(
+      RecordCase("DeltaCandidate", ddprec::DeltaCandidate{6.25, 400}));
+  cases.push_back(RecordCase(
+      "BlockedPoint", basicjobs::BlockedPoint{130, {302, 140, {3.0, 4.0}}}));
+  cases.push_back(
+      RecordCase("CellPoint", eddpcjobs::CellPoint{200, {303, {5.0}}}));
+  eddpcjobs::MemberOrQuery query;
+  query.is_query = 1;
+  query.id = 310;
+  query.delta_ub_sq = 2.25;
+  query.coords = {6.0, -7.0};
+  cases.push_back(RecordCase("MemberOrQuery", query));
+  eddpcjobs::HomeInfo home;
+  home.id = 304;
+  home.cell = 160;
+  cases.push_back(RecordCase("HomeInfo", home));
+  cases.push_back(RecordCase("BoundInfo", Bound()));
+  eddpcjobs::BoundOrStats stats;
+  stats.bound = Bound();
+  stats.max_rho = 210;
+  cases.push_back(RecordCase("BoundOrStats", stats));
+  pipejobs::JumpMessage jump;
+  jump.cluster = -130;
+  jump.parent = 400;
+  cases.push_back(RecordCase("JumpMessage", jump));
+  pipejobs::JumpUpdate update;
+  update.point = 500;
+  update.cluster = -2;
+  cases.push_back(RecordCase("JumpUpdate", update));
+  pipejobs::CentroidPartial partial;
+  partial.sum = {1.0, 2.0};
+  partial.count = 300;
+  cases.push_back(RecordCase("CentroidPartial", partial));
+  cases.push_back(RecordCase(
+      "Checkpoint", std::vector<lshjobs::LshDeltaOut>{{700, {6.25, 400}}}));
+
+  mr::internal::MapTaskOutput map_slot;
+  map_slot.payload_bytes = {130, 0, 70000};
+  map_slot.records = 300;
+  map_slot.spill_seconds = 0.25;
+  cases.push_back(SlotCase("MapSlot", mr::internal::MapSlotCodec(3), map_slot,
+                           [] {
+                             return std::make_unique<
+                                 mr::internal::MapTaskOutput>();
+                           }));
+  using ReduceSlot = mr::internal::ReduceTaskOutput<lshjobs::LshDeltaOut>;
+  ReduceSlot reduce_slot;
+  reduce_slot.out = {{700, {6.25, 400}}};
+  reduce_slot.groups = 130;
+  reduce_slot.group_size_log2 = {0, 150};
+  cases.push_back(SlotCase(
+      "ReduceSlot", mr::internal::ReduceSlotCodec<lshjobs::LshDeltaOut>(),
+      reduce_slot, [] { return std::make_unique<ReduceSlot>(); }));
+
+  lshjobs::LshJobsCtx lsh;
+  lsh.dc = 0.75;
+  lsh.num_layouts = 4;
+  lsh.pi = 3;
+  lsh.width = 4.0;
+  lsh.rho_hat = {200, 1, 2};
+  lsh.dataset = &dataset;
+  cases.push_back(CtxCase("LshJobsCtx", lsh));
+  basicjobs::BasicJobsCtx basic;
+  basic.num_blocks = 130;
+  basic.rho = {200, 7, 1};
+  basic.dataset = &dataset;
+  cases.push_back(CtxCase("BasicJobsCtx", basic));
+  eddpcjobs::EddpcJobsCtx eddpc;
+  eddpc.pivots = {{1.0, 2.0}, {-3.0, 0.5}};
+  eddpc.cell_radius = {0.5, 1.5};
+  eddpc.cell_max_rho = {130, 7};
+  eddpc.cell_nonempty = {1, 0};
+  eddpc.dataset = &dataset;
+  cases.push_back(CtxCase("EddpcJobsCtx", eddpc));
+  pipejobs::ChooseDcCtx choose;
+  choose.rate = 0.125;
+  choose.seed = 130;
+  choose.dataset = &dataset;
+  cases.push_back(CtxCase("ChooseDcCtx", choose));
+  const std::vector<int> assignment = {-1, 200, -300};
+  const std::vector<PointId> parent = {kInvalidPointId, 130, 0};
+  pipejobs::AssignJumpCtx jump_ctx;
+  jump_ctx.assignment = &assignment;
+  jump_ctx.parent = &parent;
+  cases.push_back(CtxCase("AssignJumpCtx", jump_ctx));
+  pipejobs::KmeansIterCtx kmeans;
+  kmeans.centroids = {{1.0, -2.0}, {3.5, 0.0}};
+  kmeans.dataset = &dataset;
+  cases.push_back(CtxCase("KmeansIterCtx", kmeans));
+
+  const std::vector<PointId> ids = {300, 5, kInvalidPointId};
+  cases.push_back(
+      {"MapInput<PointId>",
+       mr::internal::EncodeMapSlice(std::span<const PointId>(ids)),
+       [](const std::string& bytes) {
+         std::vector<PointId> slice;
+         return mr::internal::DecodeMapInput(bytes, &slice);
+       }});
+  const std::vector<eddpcjobs::BoundInfo> bounds = {Bound(), Bound()};
+  cases.push_back(
+      {"MapInput<BoundInfo>",
+       mr::internal::EncodeMapSlice(
+           std::span<const eddpcjobs::BoundInfo>(bounds)),
+       [](const std::string& bytes) {
+         std::vector<eddpcjobs::BoundInfo> slice;
+         return mr::internal::DecodeMapInput(bytes, &slice);
+       }});
+  cases.push_back({"ReduceInput",
+                   RecordBytes(std::vector<std::string>{"run-a", "", "b"}),
+                   [](const std::string& bytes) {
+                     std::vector<std::string> sources;
+                     return mr::internal::DecodeReduceInput(bytes, &sources);
+                   }});
+  return cases;
+}
+
+// Every decoder above, fed 1,000 seeded corruptions of a valid encoding,
+// returns OK or an error Status: it never throws, and under ASan+UBSan
+// never reads out of bounds or allocates by an unchecked count.
+TEST(WireMutationTest, EveryDecoderReturnsAStatusOnCorruptBytes) {
+  const Dataset dataset =
+      Dataset::FromValues(2, {0.0, 1.0, 2.0, 3.0, -4.0, 5.5}).ValueOrDie();
+  const std::vector<Decodable> cases = AllDecodables(dataset);
+  for (size_t k = 0; k < cases.size(); ++k) {
+    const Decodable& c = cases[k];
+    ASSERT_TRUE(c.decode(c.bytes).ok()) << c.name;
+    Rng rng(SplitSeed(20261022, k));
+    size_t rejected = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const std::string bytes = Mutate(c.bytes, &rng);
+      Status st;
+      EXPECT_NO_THROW(st = c.decode(bytes)) << c.name << " mutation " << i;
+      rejected += st.ok() ? 0 : 1;
+    }
+    // Truncations alone reject about a quarter of the mutations.
+    EXPECT_GT(rejected, 100u) << c.name;
+  }
 }
 
 }  // namespace
